@@ -31,6 +31,7 @@ from .measure import lp_surface_measure, weak_distance
 from .pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
+    _loop_groups,
     classify_spec,
     detect_symmetry,
     discretize,
@@ -134,14 +135,7 @@ def cmd_solve(args) -> int:
     spec = measure_spec_from_dict(_load_json(args.input))
     G = parse_symmetry(args.symmetry, spec)
     cfg = _pipeline_config(args)
-    try:
-        P, report = solve(spec, args.p, G, cfg)
-    except AntipodalPairError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return EXIT_NONEXISTENCE
-    except NoConvergenceError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    P, report = solve(spec, args.p, G, cfg)
     write_canonical(polygon_to_dict(P), args.output)
     write_canonical(report.to_dict(), _report_path(args.output))
     if args.svg:
@@ -196,7 +190,7 @@ def cmd_discretize(args) -> int:
     if G.is_trivial:
         mu = discretize(spec, args.m)
     else:
-        l = max(3, G.order_k if G.order_k >= 3 else {1: 3, 2: 4}[G.order_k])
+        l = _loop_groups(G)
         mu = discretize_symmetric(spec, G, l, max(2, args.m // l))
     payload = discrete_measure_to_dict(mu)
     if args.output:

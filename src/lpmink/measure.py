@@ -440,8 +440,3 @@ def chord_mass_bound(P: Polygon, i1: int, i2: int, u_theta: float, p: float):
     lhs = min(h1, inner) ** (1.0 - p) * advance
     rhs = lp_surface_measure(P, p).total_mass()
     return lhs, rhs
-
-
-def pushforward_polygon_measure(mu: DiscreteMeasure, A: Isometry2) -> DiscreteMeasure:
-    """Pushforward of an atomic measure under an isometry of the circle."""
-    return mu.pushforward(A)

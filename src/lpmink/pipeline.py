@@ -235,6 +235,14 @@ def _combine_reflection(G: SymmetryGroup, v: float, w: float) -> SymmetryGroup:
     )
 
 
+def _cut_half(K2: Polygon, w: float) -> Polygon:
+    """The half of a reflect-doubled body on the support side: add the cut
+    normal w + pi with support 0."""
+    return polygon_from_support(
+        np.append(K2.normals, canonical_angle(w + math.pi)), np.append(K2.support, 0.0)
+    )
+
+
 def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
                      cfg: SolverConfig | None = None):
     """Solve an atomic measure concentrated on a closed semicircle.
@@ -268,11 +276,7 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
         raise ConcentratedError("doubled measure is still concentrated")
     G = SymmetryGroup.dihedral(1, canonical_angle(v))
     K2, rep = solve_discrete(doubled, p, G, cfg)
-
-    cut_normal = canonical_angle(w + math.pi)
-    K = polygon_from_support(
-        np.append(K2.normals, cut_normal), np.append(K2.support, 0.0)
-    )
+    K = _cut_half(K2, w)
     report = SolveReport(
         residual=measure_residual(K, mu, p),
         outer_iters=rep.outer_iters,
@@ -393,10 +397,7 @@ def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
         G_loop = _combine_reflection(G, cls.v, cls.w)
         spec_loop = _double_spec(spec, cls.v)
         K2, rep = _refinement_loop(spec_loop, p, G_loop, cfg)
-        cut_normal = canonical_angle(cls.w + math.pi)
-        K = polygon_from_support(
-            np.append(K2.normals, cut_normal), np.append(K2.support, 0.0)
-        )
+        K = _cut_half(K2, cls.w)
         rep.classification = SEMICIRCLE
         return K, rep
 

@@ -1,11 +1,13 @@
 """Discrete planar Lp Minkowski solver, 0 < p < 1.
 
 Given an atomic measure not concentrated on any closed semicircle, finds a
-polygon whose Lp surface area measure matches it: a variational descent over
-volume-one polygons with prescribed normals supplies the basin, a damped
-Newton iteration on the first-order system polishes, and a final dilation
-fixes the scale.  Finite symmetry constraints are enforced by orbit
-averaging of the support numbers.
+polygon whose Lp surface area measure matches it by a damped Newton iteration
+on h_i^(1-p) * edge_i(h) = mass_i over support numbers with all facets
+active.  A cold Newton start is tried first; when it fails, a continuation
+pads every mass, solves, and drives the pad to zero with warm-started Newton
+stages.  Each Newton step is one O(n) cyclic-tridiagonal solve.  A candidate
+above the residual tolerance raises NoConvergenceError.  Finite symmetry
+constraints are enforced by orbit averaging of the support numbers.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     AnchorOutsideError,
@@ -52,21 +53,21 @@ class SolverConfig:
 
     tol_residual: float = 1e-6
     tol_inner: float = 1e-10
-    max_outer_iters: int = 10_000
     max_inner_iters: int = 200
     backtrack_ratio: float = 0.5
-    step_init: float = 1.0
-    edge_floor: float = 1e-12
     seed: int = 0
     multistarts: int = 1
 
     def __post_init__(self):
-        if min(self.tol_residual, self.tol_inner, self.step_init) <= 0:
-            raise ValueError("tolerances and steps must be positive")
+        if min(self.tol_residual, self.tol_inner) <= 0:
+            raise ValueError("tolerances must be positive")
 
 
 @dataclass
 class SolveReport:
+    """Outcome of a solve.  outer_iters counts pad-continuation stages (0 when
+    Newton from the start converged); newton_iters counts Newton steps."""
+
     residual: float = math.inf
     outer_iters: int = 0
     newton_iters: int = 0
@@ -150,57 +151,65 @@ def orbit_partition(normals, G: SymmetryGroup, tol: float = ATOM_MERGE_TOL) -> O
 
 
 class _Workspace:
-    """Fixed normal-set quantities: directions, the cyclic tridiagonal edge
-    form L (edge lengths = L h when all facets are active), and V = h.Lh/2."""
+    """Fixed normal-set quantities: the gaps between normals and the three
+    bands of the cyclic tridiagonal edge form L (edge lengths = L h when all
+    facets are active, V = h.Lh/2)."""
 
     def __init__(self, thetas: np.ndarray, alphas: np.ndarray, p: float):
-        self.theta = thetas
         self.alpha = alphas
         self.p = p
         self.n = len(thetas)
-        self.U = unit_vectors(thetas)
         gaps = circular_gaps(thetas)
         self.gaps = gaps
         inv_sin = 1.0 / np.sin(gaps)
         cot = np.cos(gaps) * inv_sin
-        n = self.n
-        diag = -(cot + np.roll(cot, 1))
-        if n <= 400:
-            L = np.zeros((n, n))
-            idx = np.arange(n)
-            L[idx, idx] = diag
-            L[idx, (idx + 1) % n] = inv_sin
-            L[idx, (idx - 1) % n] = np.roll(inv_sin, 1)
-            self.L = L
-            self.sparse = False
-        else:
-            idx = np.arange(n)
-            rows = np.concatenate([idx, idx, idx])
-            cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
-            vals = np.concatenate([diag, inv_sin, np.roll(inv_sin, 1)])
-            self.L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-            self.sparse = True
+        self.diag = -(cot + np.roll(cot, 1))
+        self.up = inv_sin  # L[i, i+1]
+        self.lo = np.roll(inv_sin, 1)  # L[i, i-1]
+        # index arrays, not np.roll: edge_form runs in every line-search step
+        # and np.roll costs ~10x a gather at the sizes of most solves
+        idx = np.arange(self.n)
+        self.nxt = np.roll(idx, -1)
+        self.prv = np.roll(idx, 1)
 
     def edge_form(self, h: np.ndarray) -> np.ndarray:
-        return self.L @ h
+        return self.diag * h + self.up * h[self.nxt] + self.lo * h[self.prv]
 
     def volume(self, h: np.ndarray) -> float:
-        return 0.5 * float(h @ (self.L @ h))
+        return 0.5 * float(h @ self.edge_form(h))
 
     def jacobian(self, h: np.ndarray, ell: np.ndarray):
-        """d/dh of S(h) = h^(1-p) * (L h)."""
+        """Bands (lo, diag, up) of d/dh of S(h) = h^(1-p) * (L h)."""
         p = self.p
-        d0 = (1.0 - p) * h ** (-p) * ell
         w = h ** (1.0 - p)
-        if not self.sparse:
-            return self.L * w[:, None] + np.diag(d0)
-        J = sp.diags(w) @ self.L + sp.diags(d0)
-        return J.tocsc()
+        return w * self.lo, w * self.diag + (1.0 - p) * h ** (-p) * ell, w * self.up
 
     def solve_linear(self, J, rhs: np.ndarray) -> np.ndarray:
-        if self.sparse:
-            return spla.spsolve(J, rhs)
-        return np.linalg.solve(J, rhs)
+        """Solve J x = rhs for a cyclic tridiagonal J given by its bands.
+
+        The open band goes to one tridiagonal LU with two right-hand sides
+        (LAPACK gtsv, which scipy.linalg.solve_banded calls after argument
+        checks that cost ~10x the solve at n < 100); the corners J[0, n-1]
+        and J[n-1, 0] come back as a rank-one Sherman-Morrison correction
+        (Numerical Recipes, section 2.7).  A singular band raises
+        LinAlgError; a near-singular correction returns a non-finite x.
+        """
+        lo, diag, up = J
+        beta, alpha = lo[0], up[-1]  # J[0, n-1], J[n-1, 0]
+        gamma = -diag[0]
+        d = diag.copy()
+        d[0] -= gamma
+        d[-1] -= alpha * beta / gamma
+        u = np.zeros(self.n)
+        u[0], u[-1] = gamma, alpha
+        *_, yz, info = dgtsv(lo[1:], d, up[:-1], np.column_stack([rhs, u]),
+                             overwrite_d=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        y, z = yz[:, 0], yz[:, 1]
+        vy = y[0] + beta / gamma * y[-1]
+        vz = z[0] + beta / gamma * z[-1]
+        return y - (vy / (1.0 + vz)) * z
 
 
 def anchor_objective(P: Polygon, xi, mu: DiscreteMeasure, p: float) -> float:
@@ -212,14 +221,14 @@ def anchor_objective(P: Polygon, xi, mu: DiscreteMeasure, p: float) -> float:
     return float(np.sum(mu.masses * np.clip(slack, 0.0, None) ** p))
 
 
-def _anchor_newton(U, alpha, h, p, tol, max_iters, xi0=None, strict=False):
+def _anchor_newton(U, alpha, h, p, tol, max_iters, xi0):
     """Interior maximizer of the strictly concave anchored objective.
 
     The gradient is a difference of large one-sided sums when masses are
     wildly unequal, so the stopping test floors the tolerance at the float
     noise level of that cancellation.
     """
-    xi = np.zeros(2) if xi0 is None else np.asarray(xi0, dtype=float).copy()
+    xi = np.asarray(xi0, dtype=float).copy()
     s = h - U @ xi
     if np.any(s <= 0):
         xi = np.zeros(2)
@@ -237,7 +246,7 @@ def _anchor_newton(U, alpha, h, p, tol, max_iters, xi0=None, strict=False):
         gnorm = float(np.hypot(*g))
         tol_eff = max(tol, 64.0 * np.finfo(float).eps * float(np.sum(np.abs(w))))
         if gnorm <= tol_eff:
-            return xi, it
+            return xi
         if s.min() < 1e-14:
             d = -g  # gradient fallback near the boundary
         else:
@@ -261,17 +270,15 @@ def _anchor_newton(U, alpha, h, p, tol, max_iters, xi0=None, strict=False):
                     break
             t *= 0.5
         if not ok or t * float(np.hypot(*d)) < 1e-17 * (1.0 + float(np.hypot(*xi))):
-            if strict and gnorm > 1e3 * tol_eff and s.min() < 1e-12:
+            if gnorm > 1e3 * tol_eff and s.min() < 1e-12:
                 raise NoInteriorMaximizerError(
                     "anchor maximizer escapes to the boundary"
                 )
-            return xi, it  # stagnated within a numerically flat basin
+            return xi  # stagnated within a numerically flat basin
         xi = xi + t * d
         s = s - t * du
         f = value(s)
-    if strict:
-        raise MaxItersExceededError("anchor maximization did not converge")
-    return xi, max_iters
+    raise MaxItersExceededError("anchor maximization did not converge")
 
 
 def optimal_anchor(P: Polygon, mu: DiscreteMeasure, p: float,
@@ -281,11 +288,10 @@ def optimal_anchor(P: Polygon, mu: DiscreteMeasure, p: float,
     if classify(mu).tag != GENERAL_POSITION:
         raise NoInteriorMaximizerError("measure concentrated on a closed semicircle")
     xi0 = P.vertices.mean(axis=0)
-    xi, _ = _anchor_newton(
+    return _anchor_newton(
         unit_vectors(mu.thetas), mu.masses, P.support_values(mu.thetas), p,
-        cfg.tol_inner, cfg.max_inner_iters, xi0=xi0, strict=True,
+        cfg.tol_inner, cfg.max_inner_iters, xi0,
     )
-    return xi
 
 
 def measure_residual(P: Polygon, mu: DiscreteMeasure, p: float) -> float:
@@ -341,10 +347,11 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
     for it in range(max_iters):
         if err <= tol:
             break
-        J = ws.jacobian(h, ell)
         try:
-            step = ws.solve_linear(J, -F)
-        except Exception:
+            step = ws.solve_linear(ws.jacobian(h, ell), -F)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
             break
         fnorm = float(np.linalg.norm(F))
         t = 1.0
@@ -378,7 +385,8 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, aver
     mean, then drive the pad to zero.  The padded targets keep all facets
     comfortably active (the role of a vanishing log-barrier) while warm
     starts track the solution branch; the pad step is bisected whenever a
-    stage loses the branch."""
+    stage loses the branch.  Returns (h, err, newton_iters, stages), where
+    stages counts the Newton solves along the homotopy."""
     alpha, p = ws.alpha, ws.p
     meanm = float(alpha.mean())
     stage_tol = min(1e-6, cfg.tol_residual)
@@ -387,11 +395,13 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, aver
     S0 = np.clip(h0, 1e-300, None) ** (1.0 - p) * np.clip(ws.edge_form(h0), 1e-300, None)
     h = h0 * (float(target.sum()) / float(S0.sum())) ** (1.0 / (2.0 - p))
     h, err, iters = _newton_polish(ws, h, target, stage_tol, cfg, average)
+    stages = 1
     if err > 1e-5:
-        return h0, math.inf, iters
+        return h0, math.inf, iters, stages
     pad_good, h_good, total_good = pad, h, float(target.sum())
     pad_try = pad * 0.1
     for _ in range(120):
+        stages += 1
         target = alpha + pad_try * meanm
         h_start = h_good * (float(target.sum()) / total_good) ** (1.0 / (2.0 - p))
         h_new, err, it = _newton_polish(ws, h_start, target, stage_tol, cfg, average)
@@ -404,10 +414,10 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, aver
         else:
             ratio = pad_try / pad_good
             if ratio > 0.93:
-                return h_good, math.inf, iters  # branch lost; step refinements exhausted
+                return h_good, math.inf, iters, stages  # branch lost; step refinements exhausted
             pad_try = pad_good * math.sqrt(ratio)
     h_fin, err, it = _newton_polish(ws, h_good, alpha, cfg.tol_residual, cfg, average)
-    return h_fin, err, iters + it
+    return h_fin, err, iters + it, stages + 1
 
 
 def _fit_scale(S: np.ndarray, alpha: np.ndarray) -> float:
@@ -424,100 +434,33 @@ def _fit_scale(S: np.ndarray, alpha: np.ndarray) -> float:
     return c
 
 
-def _descent_then_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, average):
-    """One full solve attempt from a given start; returns (h, report_bits)."""
+def _newton_then_continuation(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, average):
+    """One solve attempt from a given start: Newton from the start, then pad
+    continuation from a radial guess.  Returns (h, err, stages, newton_iters,
+    c) for the first candidate within tolerance, else for the better one."""
     p, alpha = ws.p, ws.alpha
     h = average(np.maximum(h0.copy(), 1e-8))
     h = h / math.sqrt(max(ws.volume(h), 1e-300))
-    outer = 0
-    newton_total = 0
-    warnings = []
-
-    def try_newton(h_in):
-        nonlocal newton_total
-        S = np.clip(h_in, 1e-300, None) ** (1.0 - p) * np.clip(ws.edge_form(h_in), 0.0, None)
-        c = _fit_scale(S, alpha)
-        h_scaled = h_in * c ** (-1.0 / (2.0 - p))
-        h_out, err, iters = _newton_polish(ws, h_scaled, alpha, cfg.tol_residual, cfg, average)
-        newton_total += iters
-        return h_out, err, c
 
     # Cheap first shot: warm starts usually land inside Newton's basin.
-    h_try, err, c = try_newton(h)
+    S = np.clip(h, 1e-300, None) ** (1.0 - p) * np.clip(ws.edge_form(h), 0.0, None)
+    c = _fit_scale(S, alpha)
+    h_new, err, newton = _newton_polish(ws, h * c ** (-1.0 / (2.0 - p)), alpha,
+                                        cfg.tol_residual, cfg, average)
     if err <= cfg.tol_residual:
-        return h_try, err, outer, newton_total, c, warnings
-    best = (err, h_try, c)
+        return h_new, err, 0, newton, c
 
     # Target continuation from a radially scaled guess handles wild mass
     # ratios that defeat a cold Newton start.
-    h_cont, err_cont, it_cont = _continuation_newton(ws, average(_radial_init(ws)),
-                                                     cfg, average)
-    newton_total += it_cont
+    h_cont, err_cont, it_cont, stages = _continuation_newton(
+        ws, average(_radial_init(ws)), cfg, average)
+    newton += it_cont
     if err_cont <= cfg.tol_residual:
-        return h_cont, err_cont, outer, newton_total, _fit_scale(
-            h_cont ** (1.0 - p) * ws.edge_form(h_cont), alpha), warnings
-    if err_cont < best[0]:
-        best = (err_cont, h_cont, 1.0)
-
-    U = ws.U
-    phi = None
-    patience = 0
-    best_spread = math.inf
-    for outer in range(1, cfg.max_outer_iters + 1):
-        try:
-            P = polygon_from_support(ws.theta, h)
-        except Exception:
-            break  # iterate left the representable cone; keep the best so far
-        xi, _ = _anchor_newton(U, alpha, h, p, cfg.tol_inner, cfg.max_inner_iters,
-                               xi0=P.vertices.mean(axis=0))
-        h = np.maximum(h - U @ xi, 1e-300)  # re-anchor at the maximizer
-        ell = P.lengths
-        phi_here = float(np.sum(alpha * h ** p))
-        grad = alpha * p * h ** (p - 1.0)
-        denom = float(ell @ ell)
-        d = grad - (float(grad @ ell) / denom) * ell if denom > 0 else grad
-        d = average(d)
-        dnorm = float(np.linalg.norm(d))
-        if dnorm < 1e-14:
-            break
-        t = cfg.step_init * float(np.linalg.norm(h)) / (dnorm * 10.0)
-        accepted = False
-        for _ in range(40):
-            h_try2 = h - t * d
-            if h_try2.min() > cfg.edge_floor:
-                h_try2 = average(h_try2)
-                vol = ws.volume(h_try2)
-                if vol > 0:
-                    h_try2 = h_try2 / math.sqrt(vol)
-                    xi2, _ = _anchor_newton(U, alpha, h_try2, p, cfg.tol_inner,
-                                            cfg.max_inner_iters)
-                    phi_new = float(
-                        np.sum(alpha * np.clip(h_try2 - U @ xi2, 1e-300, None) ** p)
-                    )
-                    if phi_new < phi_here - 1e-14 * abs(phi_here):
-                        h = h_try2
-                        accepted = True
-                        break
-            t *= cfg.backtrack_ratio
-        stalled = not accepted or (phi is not None and phi - phi_here < 1e-13 * abs(phi))
-        phi = phi_here
-
-        S = np.clip(h, 1e-300, None) ** (1.0 - p) * np.clip(ws.edge_form(h), 0.0, None)
-        c_now = _fit_scale(S, alpha)
-        spread = float(np.max(np.abs(S - c_now * alpha) / (c_now * alpha)))
-        patience = 0 if spread < 0.9 * best_spread else patience + 1
-        best_spread = min(best_spread, spread)
-        if spread < 0.5 or stalled or patience >= 30 or outer % 25 == 0:
-            h_try, err, c = try_newton(h)
-            if err <= cfg.tol_residual:
-                return h_try, err, outer, newton_total, c, warnings
-            if err < best[0]:
-                best = (err, h_try, c)
-            if stalled or patience >= 30:
-                warnings.append("variational descent stalled before tolerance")
-                break
-    err, h_best, c = best
-    return h_best, err, outer, newton_total, c, warnings
+        return h_cont, err_cont, stages, newton, _fit_scale(
+            h_cont ** (1.0 - p) * ws.edge_form(h_cont), alpha)
+    if err_cont < err:
+        return h_cont, err_cont, stages, newton, 1.0
+    return h_new, err, stages, newton, c
 
 
 def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None,
@@ -578,10 +521,9 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
             if start > 0:
                 h_init *= np.exp(0.25 * rng.standard_normal(ws.n))
                 warnings.append(f"multistart {start} from a perturbed seed")
-        h, err, o, nw, c, warn = _descent_then_newton(ws, h_init, cfg, average)
+        h, err, o, nw, c = _newton_then_continuation(ws, h_init, cfg, average)
         outer += o
         newton += nw
-        warnings.extend(warn)
         if err < best_err:
             best_err, best_h, best_c = err, h, c
         if best_err <= cfg.tol_residual:

@@ -2,15 +2,51 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpmink
 from lpmink.cli import main
 
 SQ = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+
+# A stress measure beyond the accuracy envelope (n=51, p=0.95, mass
+# contrast 7.62e4): the solver gives up on it.
+HOPELESS_THETAS = [
+    0.08398209145962625, 0.12196256604966538, 0.14599070279945578, 0.14995366359054937,
+    0.2761545347530771, 0.3179268320544772, 0.33711075138010826, 0.3509106988778835,
+    0.37455647565402217, 0.5443441694625724, 0.5621705914365829, 0.571491598943316,
+    0.6560283165671256, 0.8473448323623824, 0.9199787317063604, 0.981943220174082,
+    1.0448347709941597, 1.1688258009938528, 1.299028347552908, 1.3211258444124612,
+    1.6277192333054353, 1.665177464580298, 1.7215855899208454, 1.7704085390197541,
+    2.1399894740046963, 2.227951310012514, 2.245120598335661, 2.3452663102748925,
+    2.4468832131970975, 2.516786374654838, 2.540402900853316, 2.5987795174429182,
+    3.2321589988037913, 3.2557669355010743, 3.3203224365288095, 3.414314271900296,
+    3.475683001314726, 3.5598759870531134, 3.585736068356603, 4.023542291285545,
+    4.039565719383938, 4.793726775950406, 4.85434109629148, 5.164127861483745,
+    5.244205433403952, 5.261920855642506, 5.3372848170946146, 5.339223488251997,
+    5.445543906083674, 5.822298370871325, 6.078954227569958,
+]
+HOPELESS_MASSES = [
+    1568.0303839934647, 59058.65183637378, 1.0, 4016.5567151582623, 47369.21533343085,
+    288.9815991803007, 76209.95564235671, 8.263935675444348, 5.772994709783222,
+    253.99806554824352, 7.004834439423585, 1004.5709079902553, 39.25035154833752,
+    117.9809516940542, 14.576586397616506, 2068.5254581677505, 16.734777570826267,
+    891.898329921554, 25200.463352731684, 16117.601842034757, 4.404635941244521,
+    7.653581861957036, 341.1283862322805, 3002.0395461737608, 525.3107159318846,
+    15.78787648546753, 3885.9137754320896, 2823.8831312921516, 2.326273172417433,
+    60.241352482605215, 7473.676781936533, 18393.114944044617, 9.621182936388793,
+    13.216889413853623, 4480.799883706552, 6.861419907061422, 111.33887470711014,
+    64876.58235288945, 19430.33758909272, 13.051282404704788, 2059.6040543784093,
+    24.847339278991, 41747.29429807867, 62.50811423768145, 4.760277294630447,
+    1669.4058128017505, 1.6885234867117043, 159.16252784039756, 70139.51896766234,
+    1694.9145312922608, 9015.735793204138,
+]
 
 
 def write_measure(path, atoms, density=None):
@@ -58,6 +94,15 @@ class TestSolveCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "AntipodalPair" in err
+
+    def test_no_convergence_exit_3(self, tmp_path, capsys):
+        meas = write_measure(tmp_path / "hopeless.json",
+                             list(zip(HOPELESS_THETAS, HOPELESS_MASSES)))
+        out = tmp_path / "x.json"
+        rc = main(["solve", "--input", meas, "--output", str(out), "--p", "0.95"])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "NoConvergenceError"
+        assert not out.exists()
 
     def test_schema_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -237,12 +282,15 @@ class TestGalleryCommand:
         assert len(payload["vertices"]) == 6
 
     def test_entry_point_subprocess(self, tmp_path, square_measure_path):
-        # the module is executable as a script for the console entry point
+        # the module is executable as a script for the console entry point;
+        # the child imports the same lpmink as this process, installed or not
+        src_dir = str(Path(lpmink.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "body.json"
         r = subprocess.run(
             [sys.executable, "-m", "lpmink.cli", "solve", "--input",
              square_measure_path, "--output", str(out), "--p", "0.5"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert r.returncode == 0
         assert out.exists()

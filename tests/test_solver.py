@@ -30,7 +30,7 @@ from lpmink.errors import (
     NotClosedUnderGroupError,
     NotSymmetricError,
 )
-from lpmink.solver import SolverConfig
+from lpmink.solver import SolverConfig, _newton_polish, _Workspace
 
 TWO_PI = 2 * math.pi
 SQ = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
@@ -246,6 +246,76 @@ class TestSolveDiscrete:
     def test_bad_warm_start_length_rejected(self):
         with pytest.raises(ValueError):
             solve_discrete(square_measure(2.0), 0.5, h0=np.ones(7))
+
+    def test_hard_contrast_needs_continuation(self):
+        # n=5, p=0.9, contrast 4.76e3: cold Newton misses the basin and the
+        # pad continuation finds it
+        mu = DiscreteMeasure(
+            [0.11482450833021093, 1.3420353963911296, 1.5089272747781641,
+             4.159925717130762, 6.187363933305546],
+            [1.0, 4755.4683179281965, 1394.685109426898, 364.8074287060013,
+             1.1852602066858096],
+        )
+        _, rep = solve_discrete(mu, 0.9)
+        assert rep.outer_iters > 0
+        assert rep.residual <= 1e-6
+
+
+def dense_cyclic_jacobian(thetas, h, p):
+    """d/dh of h^(1-p) * (L h), with L assembled entry by entry from the
+    edge-length formula of a polygon with all facets active."""
+    n = len(thetas)
+    gaps = np.diff(np.append(thetas, thetas[0] + TWO_PI))
+    L = np.zeros((n, n))
+    for i in range(n):
+        L[i, (i + 1) % n] += 1.0 / math.sin(gaps[i])
+        L[i, (i - 1) % n] += 1.0 / math.sin(gaps[i - 1])
+        L[i, i] -= 1.0 / math.tan(gaps[i]) + 1.0 / math.tan(gaps[i - 1])
+    ell = L @ h
+    return L, h[:, None] ** (1.0 - p) * L + np.diag((1.0 - p) * h ** (-p) * ell)
+
+
+class TestNewtonLinearSolve:
+    @pytest.mark.parametrize("n", [3, 4, 401])
+    def test_matches_dense_solve(self, rng, n):
+        # at n = 3 the corner entries sit next to the band
+        thetas = np.sort(rng.uniform(0.0, TWO_PI, n))
+        while np.diff(np.append(thetas, thetas[0] + TWO_PI)).max() >= math.pi - 0.1:
+            thetas = np.sort(rng.uniform(0.0, TWO_PI, n))
+        p = 0.6
+        h = rng.uniform(0.5, 2.0, n)
+        rhs = rng.standard_normal(n)
+        ws = _Workspace(thetas, np.ones(n), p)
+        L, J = dense_cyclic_jacobian(thetas, h, p)
+        ell = ws.edge_form(h)
+        assert np.allclose(ell, L @ h, rtol=1e-12, atol=1e-12 * np.abs(L).max())
+        x = ws.solve_linear(ws.jacobian(h, ell), rhs)
+        ref = np.linalg.solve(J, rhs)
+        cond = np.linalg.cond(J)
+        assert cond < 1e8
+        assert np.linalg.norm(x - ref) <= 1e-13 * cond * np.linalg.norm(ref)
+
+    def test_nonfinite_step_ends_newton_like_singular(self, rng, monkeypatch):
+        P = random_general_position_polygon(rng, nmin=6, nmax=10)
+        mu = lp_surface_measure(P, 0.5)
+        ws = _Workspace(mu.thetas, mu.masses, 0.5)
+        h = P.support_values(mu.thetas) * 1.3
+
+        def singular(self, J, rhs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        def nonfinite(self, J, rhs):
+            return np.full_like(rhs, np.nan)
+
+        results = []
+        for fault in (singular, nonfinite):
+            monkeypatch.setattr(_Workspace, "solve_linear", fault)
+            results.append(_newton_polish(ws, h, mu.masses, 1e-10, SolverConfig(),
+                                          lambda x: x))
+        (h1, err1, it1), (h2, err2, it2) = results
+        assert it1 == it2 == 0
+        assert err1 == err2 > 1e-10
+        assert np.array_equal(h1, h2)
 
 
 class TestMeasureResidual:
