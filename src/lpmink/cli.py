@@ -1,7 +1,7 @@
 """Command-line front end: solve / verify / measure / discretize / gallery.
 
-Exit codes: 0 success, 1 input or schema error, 2 nonexistence (antipodal
-pair), 3 no convergence.  Set LPMINK_LOG to quiet|info|debug.
+Exit codes: 0 success, 1 input, schema or usage error, 2 nonexistence
+(antipodal pair), 3 no convergence.  Set LPMINK_LOG to quiet|info|debug.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import logging
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .errors import (
     AntipodalPairError,
@@ -32,7 +30,6 @@ from .pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
     _loop_groups,
-    classify_spec,
     detect_symmetry,
     discretize,
     discretize_symmetric,
@@ -43,7 +40,6 @@ from .serialization import (
     discrete_measure_to_dict,
     dumps_canonical,
     measure_spec_from_dict,
-    measure_spec_to_dict,
     polygon_from_dict,
     polygon_to_dict,
     write_canonical,
@@ -116,14 +112,8 @@ def parse_symmetry(text: str, spec=None) -> SymmetryGroup:
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    kwargs = {"seed": args.seed}
-    if args.tol is not None:
-        kwargs["tol_residual"] = args.tol
-    if getattr(args, "m0", None) is not None:
-        kwargs["m0"] = args.m0
-    if getattr(args, "m_max", None) is not None:
-        kwargs["m_max"] = args.m_max
-    return PipelineConfig(**kwargs)
+    given = {"tol_residual": args.tol, "m0": args.m0, "m_max": args.m_max}
+    return PipelineConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _report_path(output: str) -> Path:
@@ -224,8 +214,16 @@ def cmd_gallery(args) -> int:
     raise SchemaError(f"gallery: unknown kind {args.kind!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an exception, so main maps it to exit 1:
+    argparse's own exit code 2 is this CLI's nonexistence code."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpmink",
         description="Planar Lp Minkowski problem solver (0 < p < 1)",
     )
@@ -245,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m-max", dest="m_max", type=int, default=None)
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--svg", default=None, help="optional SVG plot path")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("verify", help="residuals of a body against a measure")
@@ -285,13 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "p") and not 0.0 < args.p < 1.0:
-        if not (args.command == "gallery" and args.kind == "origin-boundary"):
-            print(_error_json(SchemaError("p: must lie in (0, 1)")), file=sys.stderr)
-            return EXIT_INPUT
     try:
+        args = build_parser().parse_args(argv)
+        if hasattr(args, "p") and not 0.0 < args.p < 1.0:
+            if not (args.command == "gallery" and args.kind == "origin-boundary"):
+                raise SchemaError("p: must lie in (0, 1)")
         return args.func(args)
     except AntipodalPairError as exc:
         print(_error_json(exc), file=sys.stderr)
@@ -299,7 +294,7 @@ def main(argv=None) -> int:
     except NoConvergenceError as exc:
         print(_error_json(exc), file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (SchemaError, LpMinkError, ValueError, OSError) as exc:
+    except (argparse.ArgumentError, LpMinkError, ValueError, OSError) as exc:
         print(_error_json(exc), file=sys.stderr)
         return EXIT_INPUT
 

@@ -234,18 +234,34 @@ class Polygon:
         return bool(np.all(self.support[self.active] >= -tol))
 
     def diameter(self) -> float:
-        v = self.vertices
-        if len(v) <= 1:
+        """Largest vertex distance, over the antipodal vertex pairs of a
+        rotating-calipers walk around the CCW chain (Toussaint 1983).  Each
+        vertex i is paired with the vertex farthest from the line of edge
+        (i, i + 1), found by a pointer that only moves forward, so the walk
+        is O(V).  Every antipodal pair arises this way: turn the pair's two
+        parallel supporting lines until one of them meets an edge; the
+        first edge met starts at one vertex of the pair."""
+        x, y = self.vertices[:, 0].tolist(), self.vertices[:, 1].tolist()
+        n = len(x)
+        if n <= 1:
             return 0.0
-        # O(V^2) is fine below ~2000 vertices; chunk otherwise.
-        if len(v) <= 2048:
-            d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-            return float(math.sqrt(d2.max()))
-        best = 0.0
-        for i in range(0, len(v), 512):
-            blk = v[i : i + 512]
-            d2 = np.sum((blk[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-            best = max(best, float(d2.max()))
+        best, j = 0.0, 1
+        for i in range(n):
+            k = (i + 1) % n
+            ex, ey = x[k] - x[i], y[k] - y[i]
+            for _ in range(n):
+                # Distance from the line rises then falls along a convex
+                # chain, so looking two vertices ahead changes nothing in
+                # exact arithmetic; it steps over a vertex that rounding in
+                # polygon_from_support left just inside its neighbours' chord.
+                for nxt in ((j + 1) % n, (j + 2) % n):
+                    if ex * (y[nxt] - y[j]) - ey * (x[nxt] - x[j]) > 0.0:
+                        j = nxt
+                        break
+                else:
+                    break
+            dx, dy = x[i] - x[j], y[i] - y[j]
+            best = max(best, dx * dx + dy * dy)
         return math.sqrt(best)
 
 

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import (
     EmptyMeasureError,
@@ -41,7 +39,8 @@ ANTIPODAL_PAIR = "antipodal-pair"
 
 
 def _merge_sorted_atoms(thetas: np.ndarray, masses: np.ndarray, tol: float):
-    """Merge runs of near-coincident sorted angles by mass addition."""
+    """Merge runs of near-coincident sorted angles by adding their (possibly
+    signed) masses."""
     out_t, out_m = [], []
     for t, m in zip(thetas, masses):
         if out_t and t - out_t[-1] <= tol:
@@ -63,7 +62,7 @@ class DiscreteMeasure:
     thetas: np.ndarray
     masses: np.ndarray
 
-    def __init__(self, thetas, masses, merge_tol: float = ATOM_MERGE_TOL):
+    def __init__(self, thetas, masses):
         t = canonical_angles(np.atleast_1d(np.asarray(thetas, dtype=float)))
         m = np.atleast_1d(np.asarray(masses, dtype=float))
         if t.shape != m.shape:
@@ -75,7 +74,7 @@ class DiscreteMeasure:
         if t.size == 0:
             raise EmptyMeasureError("measure has no mass")
         order = np.argsort(t, kind="stable")
-        t, m = _merge_sorted_atoms(t[order], m[order], merge_tol)
+        t, m = _merge_sorted_atoms(t[order], m[order], ATOM_MERGE_TOL)
         self.thetas = t
         self.masses = m
 
@@ -357,25 +356,6 @@ def hemisphere_delta(mu: DiscreteMeasure) -> float | None:
     return None
 
 
-def _union_grid(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float):
-    """Merged angle grid with signed coefficients mu - nu."""
-    t = np.concatenate([mu.thetas, nu.thetas])
-    c = np.concatenate([mu.masses, -nu.masses])
-    order = np.argsort(t, kind="stable")
-    t, c = t[order], c[order]
-    out_t, out_c = [t[0]], [c[0]]
-    for ti, ci in zip(t[1:], c[1:]):
-        if ti - out_t[-1] <= tol:
-            out_c[-1] += ci
-        else:
-            out_t.append(ti)
-            out_c.append(ci)
-    if len(out_t) >= 2 and (out_t[0] + TWO_PI - out_t[-1]) <= tol:
-        out_c[0] += out_c.pop()
-        out_t.pop()
-    return np.asarray(out_t), np.asarray(out_c)
-
-
 def weak_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Flat (bounded-Lipschitz) distance between two finite atomic measures.
 
@@ -384,7 +364,15 @@ def weak_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     shortest-path metric of the cyclic neighbor graph, so Lipschitz
     constraints between consecutive angles imply all pairs.
     """
-    t, c = _union_grid(mu, nu, ATOM_MERGE_TOL)
+    # imported here: only verification calls the LP, and importing its
+    # backend takes longer than most solves
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
+    t = np.concatenate([mu.thetas, nu.thetas])
+    c = np.concatenate([mu.masses, -nu.masses])
+    order = np.argsort(t, kind="stable")
+    t, c = _merge_sorted_atoms(t[order], c[order], ATOM_MERGE_TOL)
     n = len(t)
     if n == 1:
         return float(abs(c[0]))

@@ -42,7 +42,6 @@ from .measure import (
     PiecewiseLinearDensity,
     classify,
     lp_surface_measure,
-    weak_distance,
 )
 from .solver import (
     SolveReport,
@@ -56,21 +55,23 @@ log = logging.getLogger("lpmink.pipeline")
 
 NO_CONVERGENCE_WARNING = "no-convergence: m_max reached before stabilization"
 
+# The refinement loop stops once consecutive bodies' support functions differ
+# by at most this fraction of the diameter.
+TOL_BODY = 1e-4
+
 
 @dataclass
 class PipelineConfig(SolverConfig):
-    """Solver tolerances plus the discretization-refinement loop controls."""
+    """Solver residual gate plus the first and largest resolution of the
+    refinement loop, which doubles m from m0 up to m_max."""
 
     m0: int = 64
     m_max: int = 8192
-    growth: int = 2
-    tol_body: float = 1e-4
-    tol_measure: float = 1e-4
 
     def __post_init__(self):
         super().__post_init__()
-        if self.m0 < 3 or self.growth < 2:
-            raise ValueError("need m0 >= 3 and growth >= 2")
+        if not 3 <= self.m0 <= self.m_max:
+            raise ValueError("need 3 <= m0 <= m_max")
 
 
 def classify_spec(spec: MeasureSpec) -> MeasureClass:
@@ -263,7 +264,6 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
         report = SolveReport(
             residual=measure_residual(P, mu, p),
             classification=SINGLE_DIRECTION,
-            c=1.0,
         )
         return P, report
     if cls.tag != SEMICIRCLE:
@@ -282,9 +282,7 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
         outer_iters=rep.outer_iters,
         newton_iters=rep.newton_iters,
         classification=SEMICIRCLE,
-        c=rep.c,
         symmetry=rep.symmetry,
-        warnings=list(rep.warnings),
     )
     return K, report
 
@@ -300,16 +298,15 @@ def _loop_groups(G: SymmetryGroup) -> int:
 
 def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
                      cfg: PipelineConfig):
-    """Solve discretizations of increasing resolution until the bodies and
-    their boundary measures stabilize."""
-    total = spec.total_mass()
+    """Solve discretizations of increasing resolution until the bodies
+    stabilize.  No flat-distance check between a body's boundary measure and
+    its discretization is needed: the solver's residual gate already bounds
+    it by tol_residual times the total mass."""
     history = []
-    warnings: list[str] = []
     prev_P = None
     prev_rep = None
     m = cfg.m0
     l = _loop_groups(G)
-    converged = False
     last_mu = None
     while m <= cfg.m_max:
         if G.is_trivial:
@@ -318,37 +315,30 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
             mu_m = discretize_symmetric(spec, G, l, max(2, m // l))
         h0 = prev_P.support_values(mu_m.thetas) if prev_P is not None else None
         P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0)
-        S_m = lp_surface_measure(P_m, p)
-        wd = weak_distance(S_m, mu_m)
         diam = P_m.diameter()
         entry = {
             "m": int(m),
             "n_atoms": int(mu_m.n),
             "residual": rep_m.residual,
             "diameter": diam,
-            "weak_delta": wd,
         }
+        converged = False
         if prev_P is not None:
             sd = support_distance(P_m, prev_P)
             entry["support_delta"] = sd
-            if sd <= cfg.tol_body * max(diam, 1e-300) and wd <= cfg.tol_measure * total:
-                history.append(entry)
-                prev_P, prev_rep, last_mu = P_m, rep_m, mu_m
-                converged = True
-                break
+            converged = sd <= TOL_BODY * max(diam, 1e-300)
         history.append(entry)
         prev_P, prev_rep, last_mu = P_m, rep_m, mu_m
-        m *= cfg.growth
-    if not converged:
-        warnings.append(NO_CONVERGENCE_WARNING)
+        if converged:
+            break
+        m *= 2
     report = SolveReport(
         residual=measure_residual(prev_P, last_mu, p),
         outer_iters=prev_rep.outer_iters,
         newton_iters=prev_rep.newton_iters,
         classification=GENERAL_POSITION,
-        c=prev_rep.c,
         symmetry=G.label(),
-        warnings=warnings + list(prev_rep.warnings),
+        warnings=[] if converged else [NO_CONVERGENCE_WARNING],
         m_final=history[-1]["m"],
         loop_history=history,
     )

@@ -47,20 +47,22 @@ from .measure import (
 log = logging.getLogger("lpmink.solver")
 
 
+# Gradient tolerance and iteration cap of the anchor maximization
+# (optimal_anchor, a verification tool; the solver itself never calls it).
+ANCHOR_TOL = 1e-10
+ANCHOR_MAX_ITERS = 200
+
+
 @dataclass
 class SolverConfig:
-    """Tolerances and iteration limits for the discrete solve."""
+    """Residual gate of the discrete solve: a body whose relative per-atom
+    mismatch exceeds tol_residual is never returned."""
 
     tol_residual: float = 1e-6
-    tol_inner: float = 1e-10
-    max_inner_iters: int = 200
-    backtrack_ratio: float = 0.5
-    seed: int = 0
-    multistarts: int = 1
 
     def __post_init__(self):
-        if min(self.tol_residual, self.tol_inner) <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol_residual <= 0:
+            raise ValueError("tol_residual must be positive")
 
 
 @dataclass
@@ -72,7 +74,6 @@ class SolveReport:
     outer_iters: int = 0
     newton_iters: int = 0
     classification: str = GENERAL_POSITION
-    c: float = 1.0
     symmetry: str = "trivial"
     warnings: list = field(default_factory=list)
     m_final: int | None = None
@@ -84,7 +85,6 @@ class SolveReport:
             "outer_iters": self.outer_iters,
             "newton_iters": self.newton_iters,
             "classification": self.classification,
-            "c": self.c,
             "symmetry": self.symmetry,
             "warnings": list(self.warnings),
         }
@@ -281,16 +281,14 @@ def _anchor_newton(U, alpha, h, p, tol, max_iters, xi0):
     raise MaxItersExceededError("anchor maximization did not converge")
 
 
-def optimal_anchor(P: Polygon, mu: DiscreteMeasure, p: float,
-                   cfg: SolverConfig | None = None) -> np.ndarray:
+def optimal_anchor(P: Polygon, mu: DiscreteMeasure, p: float) -> np.ndarray:
     """The unique interior point maximizing the anchored mass objective."""
-    cfg = cfg or SolverConfig()
     if classify(mu).tag != GENERAL_POSITION:
         raise NoInteriorMaximizerError("measure concentrated on a closed semicircle")
     xi0 = P.vertices.mean(axis=0)
     return _anchor_newton(
         unit_vectors(mu.thetas), mu.masses, P.support_values(mu.thetas), p,
-        cfg.tol_inner, cfg.max_inner_iters, xi0,
+        ANCHOR_TOL, ANCHOR_MAX_ITERS, xi0,
     )
 
 
@@ -333,7 +331,7 @@ def _reactivate(ws: _Workspace, h: np.ndarray) -> np.ndarray:
 
 
 def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
-                   tol: float, cfg: SolverConfig, average, max_iters: int = 80):
+                   tol: float, average, max_iters: int = 80):
     """Damped Newton on h^(1-p) * (L h) = target inside the all-active cone."""
     p = ws.p
     h = average(_reactivate(ws, h.copy()))
@@ -366,7 +364,7 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
                         h, ell, F = h_try, ell_try, F_try
                         improved = True
                         break
-            t *= cfg.backtrack_ratio
+            t *= 0.5
         iters = it + 1
         if not improved:
             break
@@ -394,7 +392,7 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, aver
     target = alpha + pad * meanm
     S0 = np.clip(h0, 1e-300, None) ** (1.0 - p) * np.clip(ws.edge_form(h0), 1e-300, None)
     h = h0 * (float(target.sum()) / float(S0.sum())) ** (1.0 / (2.0 - p))
-    h, err, iters = _newton_polish(ws, h, target, stage_tol, cfg, average)
+    h, err, iters = _newton_polish(ws, h, target, stage_tol, average)
     stages = 1
     if err > 1e-5:
         return h0, math.inf, iters, stages
@@ -404,7 +402,7 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, aver
         stages += 1
         target = alpha + pad_try * meanm
         h_start = h_good * (float(target.sum()) / total_good) ** (1.0 / (2.0 - p))
-        h_new, err, it = _newton_polish(ws, h_start, target, stage_tol, cfg, average)
+        h_new, err, it = _newton_polish(ws, h_start, target, stage_tol, average)
         iters += it
         if err <= 1e-5:
             pad_good, h_good, total_good = pad_try, h_new, float(target.sum())
@@ -416,7 +414,7 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, aver
             if ratio > 0.93:
                 return h_good, math.inf, iters, stages  # branch lost; step refinements exhausted
             pad_try = pad_good * math.sqrt(ratio)
-    h_fin, err, it = _newton_polish(ws, h_good, alpha, cfg.tol_residual, cfg, average)
+    h_fin, err, it = _newton_polish(ws, h_good, alpha, cfg.tol_residual, average)
     return h_fin, err, iters + it, stages + 1
 
 
@@ -435,9 +433,9 @@ def _fit_scale(S: np.ndarray, alpha: np.ndarray) -> float:
 
 
 def _newton_then_continuation(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, average):
-    """One solve attempt from a given start: Newton from the start, then pad
-    continuation from a radial guess.  Returns (h, err, stages, newton_iters,
-    c) for the first candidate within tolerance, else for the better one."""
+    """The solve attempt: Newton from the start, then pad continuation from a
+    radial guess.  Returns (h, stages, newton_iters) for the Newton candidate
+    when it is within tolerance, else for the better of the two."""
     p, alpha = ws.p, ws.alpha
     h = average(np.maximum(h0.copy(), 1e-8))
     h = h / math.sqrt(max(ws.volume(h), 1e-300))
@@ -446,21 +444,18 @@ def _newton_then_continuation(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig,
     S = np.clip(h, 1e-300, None) ** (1.0 - p) * np.clip(ws.edge_form(h), 0.0, None)
     c = _fit_scale(S, alpha)
     h_new, err, newton = _newton_polish(ws, h * c ** (-1.0 / (2.0 - p)), alpha,
-                                        cfg.tol_residual, cfg, average)
+                                        cfg.tol_residual, average)
     if err <= cfg.tol_residual:
-        return h_new, err, 0, newton, c
+        return h_new, 0, newton
 
     # Target continuation from a radially scaled guess handles wild mass
     # ratios that defeat a cold Newton start.
     h_cont, err_cont, it_cont, stages = _continuation_newton(
         ws, average(_radial_init(ws)), cfg, average)
     newton += it_cont
-    if err_cont <= cfg.tol_residual:
-        return h_cont, err_cont, stages, newton, _fit_scale(
-            h_cont ** (1.0 - p) * ws.edge_form(h_cont), alpha)
     if err_cont < err:
-        return h_cont, err_cont, stages, newton, 1.0
-    return h_new, err, stages, newton, c
+        return h_cont, stages, newton
+    return h_new, stages, newton
 
 
 def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None,
@@ -504,43 +499,22 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     mass_scale = float(alpha.mean())
     ws = _Workspace(theta, alpha / mass_scale, p)
     body_scale = mass_scale ** (1.0 / (2.0 - p))
-    rng = np.random.default_rng(cfg.seed)
-
-    best_err, best_h, best_c = math.inf, None, 1.0
-    outer = newton = 0
-    warnings: list[str] = []
+    h_init = np.ones(ws.n)
     if h0 is not None:
         h0 = np.asarray(h0, dtype=float)
         if h0.shape != theta.shape:
             raise ValueError("warm start h0 must provide one value per atom")
-    for start in range(max(1, cfg.multistarts)):
-        if h0 is not None and start == 0:
-            h_init = h0.copy() / body_scale
-        else:
-            h_init = np.ones(ws.n)
-            if start > 0:
-                h_init *= np.exp(0.25 * rng.standard_normal(ws.n))
-                warnings.append(f"multistart {start} from a perturbed seed")
-        h, err, o, nw, c = _newton_then_continuation(ws, h_init, cfg, average)
-        outer += o
-        newton += nw
-        if err < best_err:
-            best_err, best_h, best_c = err, h, c
-        if best_err <= cfg.tol_residual:
-            break
+        h_init = h0 / body_scale
 
-    if best_h is None:
-        raise NoConvergenceError("solver produced no candidate", SolveReport())
-    P = polygon_from_support(theta, average(best_h) * body_scale)
+    h, outer, newton = _newton_then_continuation(ws, h_init, cfg, average)
+    P = polygon_from_support(theta, average(h) * body_scale)
     res = measure_residual(P, mu, p)
     report = SolveReport(
         residual=res,
         outer_iters=outer,
         newton_iters=newton,
         classification=cls.tag,
-        c=best_c,
         symmetry=G.label(),
-        warnings=warnings,
     )
     if res > cfg.tol_residual:
         raise NoConvergenceError(

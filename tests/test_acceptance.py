@@ -112,7 +112,7 @@ def test_criterion_05_round_trip_suite():
         mu = lp_surface_measure(P, p)
         try:
             Q, rep = solve_discrete(
-                mu, p, cfg=SolverConfig(tol_residual=1e-6, multistarts=3)
+                mu, p, cfg=SolverConfig(tol_residual=1e-6)
             )
             residuals.append(rep.residual)
         except NoConvergenceError as exc:
@@ -159,7 +159,7 @@ def test_criterion_07_semicircle_reduction_suite():
             continue
         done += 1
         K, rep = solve_semicircle(
-            mu, cls, p, SolverConfig(tol_residual=1e-9, multistarts=3)
+            mu, cls, p, SolverConfig(tol_residual=1e-9)
         )
         worst_res = max(worst_res, measure_residual(K, mu, p))
         S = lp_surface_measure(K, p)

@@ -117,6 +117,28 @@ class TestSolveCommand:
                    str(tmp_path / "x.json"), "--p", "1.5"])
         assert rc == 1
 
+    @pytest.mark.parametrize("extra, needs_output", [
+        (["--bogus"], True),
+        (["--seed", "0"], True),  # the flag was removed
+        ([], False),  # --output is required
+    ])
+    def test_usage_error_exit_1(self, tmp_path, square_measure_path, capsys,
+                                extra, needs_output):
+        # exit 2 means nonexistence, so usage errors must not use argparse's 2
+        argv = ["solve", "--input", square_measure_path, "--p", "0.5"] + extra
+        if needs_output:
+            argv += ["--output", str(tmp_path / "x.json")]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message"}
+        assert not (tmp_path / "x.json").exists()
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--m-max" in capsys.readouterr().out
+
     def test_svg_written(self, tmp_path, square_measure_path):
         out = tmp_path / "body.json"
         svg = tmp_path / "body.svg"
@@ -131,7 +153,7 @@ class TestSolveCommand:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             rc = main(["solve", "--input", square_measure_path, "--output",
-                       str(out), "--p", "0.5", "--seed", "7"])
+                       str(out), "--p", "0.5"])
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

@@ -21,7 +21,7 @@ from lpmink import (
     support_distance,
     translate,
 )
-from lpmink.geometry import canonical_angle, circular_gaps, group_orbit_map
+from lpmink.geometry import canonical_angle, circular_gaps, group_orbit_map, unit_vectors
 
 SQ_NORMALS = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
@@ -156,6 +156,72 @@ class TestSupportDistance:
         Q = polygon_from_support(SQ_NORMALS, [1.0 + eps] * 4)
         d = support_distance(P, Q)
         assert eps <= d <= math.sqrt(2.0) * eps * (1 + 1e-6)
+
+
+def all_pairs_diameter(vertices):
+    """O(V^2) reference: the largest squared distance over all vertex pairs."""
+    best = 0.0
+    for i in range(0, len(vertices), 512):
+        d2 = np.sum((vertices[i : i + 512, None, :] - vertices[None, :, :]) ** 2, axis=-1)
+        best = max(best, float(d2.max()))
+    return math.sqrt(best)
+
+
+def ellipse_polygon(rng, n):
+    """n random normals on a rotated, off-center ellipse: all facets active."""
+    th = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+    while circular_gaps(th).max() >= math.pi - 0.1:
+        th = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+    a, b = 1.0, float(rng.uniform(0.05, 1.0))
+    phi, c = float(rng.uniform(0.0, math.pi)), rng.uniform(-0.02, 0.02, 2)
+    h = np.hypot(a * np.cos(th - phi), b * np.sin(th - phi)) + c @ [np.cos(th), np.sin(th)]
+    return polygon_from_support(th, h)
+
+
+def bent_polygon(rng, k, per_side):
+    """A convex k-gon whose sides are arcs of circles of radius 1e2..1e6, each
+    traced by per_side vertices: chains of near-collinear vertices."""
+    ang = np.sort(rng.uniform(0.0, 2 * math.pi, k))
+    while circular_gaps(ang).max() >= math.pi - 0.1:
+        ang = np.sort(rng.uniform(0.0, 2 * math.pi, k))
+    corners = np.column_stack([np.cos(ang), np.sin(ang)])
+    pts = []
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        half = float(np.hypot(*(b - a))) / 2
+        along = (b - a) / (2 * half)
+        out = np.array([along[1], -along[0]])
+        R = 10.0 ** rng.uniform(2.0, 6.0)
+        s = half * (2.0 * np.arange(per_side) / per_side - 1.0)
+        # height of the arc above the chord, written without cancellation
+        sag = (half - s) * (half + s) / (np.sqrt(R * R - s * s) + math.sqrt(R * R - half * half))
+        pts.append((a + b) / 2 + s[:, None] * along + sag[:, None] * out)
+    v = np.concatenate(pts)
+    e = np.roll(v, -1, axis=0) - v
+    normals = np.arctan2(-e[:, 0], e[:, 1])
+    return polygon_from_support(normals, np.einsum("ij,ij->i", v, unit_vectors(normals)))
+
+
+class TestDiameter:
+    def test_square(self):
+        assert square().diameter() == math.sqrt(8.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 40, 2000, 2100])
+    def test_matches_all_pairs_on_ellipses(self, rng, n):
+        for _ in range(2 if n > 1000 else 20):
+            P = ellipse_polygon(rng, n)
+            assert P.diameter() == all_pairs_diameter(P.vertices)
+
+    def test_matches_all_pairs_on_random_polygons(self, rng):
+        for _ in range(50):
+            P = random_general_position_polygon(rng, nmax=60)
+            assert P.diameter() == all_pairs_diameter(P.vertices)
+
+    # the two larger cases keep about 1500 and 2500 of their vertices
+    @pytest.mark.parametrize("k, per_side", [(3, 20), (5, 60), (3, 500), (5, 700)])
+    def test_matches_all_pairs_on_near_collinear_chains(self, rng, k, per_side):
+        for _ in range(3):
+            P = bent_polygon(rng, k, per_side)
+            assert P.diameter() == all_pairs_diameter(P.vertices)
 
 
 class TestIsometries:

@@ -255,9 +255,14 @@ class TestSolveRouting:
         diams = [e["diameter"] for e in rep.loop_history]
         assert max(diams) <= 10.0 * diams[0]
 
+    def test_m0_above_mmax_rejected(self):
+        # the loop would otherwise run no stage and have no body to return
+        with pytest.raises(ValueError):
+            PipelineConfig(m0=128, m_max=64)
+
     def test_mmax_warning(self):
         spec = uniform_density_spec()
-        cfg = PipelineConfig(m0=8, m_max=16, tol_body=1e-12, tol_measure=1e-12)
+        cfg = PipelineConfig(m0=8, m_max=16)
         P, rep = solve(spec, 0.5, None, cfg)
         assert NO_CONVERGENCE_WARNING in rep.warnings
 

@@ -30,7 +30,7 @@ from lpmink.errors import (
     NotClosedUnderGroupError,
     NotSymmetricError,
 )
-from lpmink.solver import SolverConfig, _newton_polish, _Workspace
+from lpmink.solver import _newton_polish, _Workspace
 
 TWO_PI = 2 * math.pi
 SQ = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
@@ -189,10 +189,12 @@ class TestSolveDiscrete:
             P = random_general_position_polygon(rng)
             p = float(rng.choice([0.2, 0.5, 0.8]))
             mu = lp_surface_measure(P, p)
-            Q, rep = solve_discrete(mu, p, cfg=SolverConfig(multistarts=3))
+            Q, rep = solve_discrete(mu, p)
             assert rep.residual <= 1e-6
+            # flat distance <= total variation <= residual * mass: why the
+            # refinement loop needs no flat-distance check of its own
             d = weak_distance(lp_surface_measure(Q, p), mu)
-            assert d / mu.total_mass() <= 1e-6
+            assert d <= rep.residual * mu.total_mass() * (1 + 1e-9)
 
     def test_kkt_ratio_constant(self, rng):
         for _ in range(10):
@@ -310,8 +312,7 @@ class TestNewtonLinearSolve:
         results = []
         for fault in (singular, nonfinite):
             monkeypatch.setattr(_Workspace, "solve_linear", fault)
-            results.append(_newton_polish(ws, h, mu.masses, 1e-10, SolverConfig(),
-                                          lambda x: x))
+            results.append(_newton_polish(ws, h, mu.masses, 1e-10, lambda x: x))
         (h1, err1, it1), (h2, err2, it2) = results
         assert it1 == it2 == 0
         assert err1 == err2 > 1e-10
