@@ -289,6 +289,79 @@ def _line_intersection(u: np.ndarray, h: np.ndarray, i: int, j: int) -> np.ndarr
     return np.array([x, y])
 
 
+def _consecutive_intersections(u: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """Row k: the intersection of lines k and k + 1 (cyclically), by the
+    arithmetic of _line_intersection.  None when some pair is parallel."""
+    un, hn = np.roll(u, -1, axis=0), np.roll(h, -1)
+    det = u[:, 0] * un[:, 1] - u[:, 1] * un[:, 0]
+    if np.any(np.abs(det) < 1e-15):
+        return None
+    x = (h * un[:, 1] - hn * u[:, 1]) / det
+    y = (hn * u[:, 0] - h * un[:, 0]) / det
+    return np.column_stack([x, y])
+
+
+def _no_constraint_cut(u: np.ndarray, h: np.ndarray, X: np.ndarray) -> bool:
+    """True when the deque loop of _halfplane_chain would pop nothing, so
+    its chain is all of X.  Without pops, the loop tests at step k >= 2 the
+    vertices X[k-2] and X[0] against constraint k, and at the end the vertex
+    X[n-2] against constraint 0.  The loop's 1-D `x @ u[k]` may differ from
+    x0*u0 + x1*u1 in the last bits, so a test counts as passed only with a
+    margin of 4 ulps of |x0 u0| + |x1 u1| (either sum is within 2 ulps of
+    the exact one); anything closer returns False and the loop decides."""
+    n = len(h)
+    pts = np.concatenate([X[: n - 2], np.broadcast_to(X[0], (n - 2, 2)), X[n - 2 : n - 1]])
+    k = np.concatenate([np.arange(2, n), np.arange(2, n), [0]])
+    a, b = pts[:, 0] * u[k, 0], pts[:, 1] * u[k, 1]
+    slack = 4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
+    return bool(np.all(a + b + slack <= h[k] + GEOM_TOL))
+
+
+def _halfplane_chain(u: np.ndarray, h: np.ndarray) -> list[int]:
+    """Indices of the constraints on the boundary, in CCW order, by a deque
+    sweep over the sorted normals."""
+
+    def violates(k: int, x: np.ndarray) -> bool:
+        return float(x @ u[k]) > h[k] + GEOM_TOL
+
+    dq: deque[int] = deque()
+    for k in range(len(h)):
+        while len(dq) >= 2 and violates(k, _line_intersection(u, h, dq[-2], dq[-1])):
+            dq.pop()
+        while len(dq) >= 2 and violates(k, _line_intersection(u, h, dq[0], dq[1])):
+            dq.popleft()
+        dq.append(k)
+    changed = True
+    while changed and len(dq) >= 3:
+        changed = False
+        if violates(dq[0], _line_intersection(u, h, dq[-2], dq[-1])):
+            dq.pop()
+            changed = True
+        if len(dq) >= 3 and violates(dq[-1], _line_intersection(u, h, dq[0], dq[1])):
+            dq.popleft()
+            changed = True
+    if len(dq) < 3:
+        raise EmptyBodyError("half-plane intersection is empty or lower-dimensional")
+    return list(dq)
+
+
+def _check_antipodal_pairs(theta: np.ndarray, h: np.ndarray) -> None:
+    """Raise EmptyBodyError on the first (i, j) pair, in index order, of
+    antipodal normals whose half-planes leave an empty strip."""
+    n = theta.size
+    lo = np.searchsorted(theta, theta + math.pi - 1e-9)
+    count = np.maximum(np.searchsorted(theta, theta + math.pi + 1e-9, side="right") - lo, 0)
+    i = np.repeat(np.arange(n), count)
+    j = lo[i] + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    empty = h[i] + h[j] < -GEOM_TOL
+    for a, b in zip(i[empty].tolist(), j[empty].tolist()):
+        if angles_antipodal(theta[a], theta[b], 1e-9):
+            raise EmptyBodyError(
+                f"antipodal constraints at angles {theta[a]:.6g}, {theta[b]:.6g} "
+                f"leave no feasible point (h_i + h_j = {h[a] + h[b]:.3g} < 0)"
+            )
+
+
 def polygon_from_support(normals, support) -> Polygon:
     """Build the bounded intersection of supporting half-planes.
 
@@ -309,48 +382,22 @@ def polygon_from_support(normals, support) -> Polygon:
     n = theta.size
 
     # Inconsistent antipodal pairs mean an empty strip regardless of the rest.
-    for i in range(n):
-        j = int(np.searchsorted(theta, theta[i] + math.pi - 1e-9))
-        while j < n and theta[j] <= theta[i] + math.pi + 1e-9:
-            if angles_antipodal(theta[i], theta[j], 1e-9) and h[i] + h[j] < -GEOM_TOL:
-                raise EmptyBodyError(
-                    f"antipodal constraints at angles {theta[i]:.6g}, {theta[j]:.6g} "
-                    f"leave no feasible point (h_i + h_j = {h[i] + h[j]:.3g} < 0)"
-                )
-            j += 1
+    _check_antipodal_pairs(theta, h)
 
     if n < 3 or circular_gaps(theta).max() >= math.pi - ANGLE_TOL:
         raise UnboundedError("normals fit in a closed half-circle; body unbounded")
 
     u = unit_vectors(theta)
-
-    def violates(k: int, x: np.ndarray) -> bool:
-        return float(x @ u[k]) > h[k] + GEOM_TOL
-
-    dq: deque[int] = deque()
-    for k in range(n):
-        while len(dq) >= 2 and violates(k, _line_intersection(u, h, dq[-2], dq[-1])):
-            dq.pop()
-        while len(dq) >= 2 and violates(k, _line_intersection(u, h, dq[0], dq[1])):
-            dq.popleft()
-        dq.append(k)
-    changed = True
-    while changed and len(dq) >= 3:
-        changed = False
-        if violates(dq[0], _line_intersection(u, h, dq[-2], dq[-1])):
-            dq.pop()
-            changed = True
-        if len(dq) >= 3 and violates(dq[-1], _line_intersection(u, h, dq[0], dq[1])):
-            dq.popleft()
-            changed = True
-    if len(dq) < 3:
-        raise EmptyBodyError("half-plane intersection is empty or lower-dimensional")
-
-    idx = list(dq)
-    m = len(idx)
-    verts = np.array(
-        [_line_intersection(u, h, idx[k], idx[(k + 1) % m]) for k in range(m)]
-    )
+    # The solver's bodies have every facet active; their chain is all n
+    # consecutive intersections, found without the sweep.
+    verts = _consecutive_intersections(u, h)
+    if verts is not None and _no_constraint_cut(u, h, verts):
+        idx = np.arange(n)
+    else:
+        idx = np.array(_halfplane_chain(u, h))
+        verts = np.array(
+            [_line_intersection(u, h, i, j) for i, j in zip(idx, np.roll(idx, -1))]
+        )
 
     # Signed area of the vertex chain; also rejects inconsistent chains.
     x, y = verts[:, 0], verts[:, 1]
@@ -360,18 +407,18 @@ def polygon_from_support(normals, support) -> Polygon:
             raise EmptyBodyError("half-plane intersection is empty")
         raise DegenerateBodyError(f"intersection area {0.5 * area2:.3g} below tolerance")
 
+    # Edge idx[k] runs from verts[k - 1] to verts[k].
+    starts = np.roll(verts, 1, axis=0)
+    step = np.hypot(verts[:, 0] - starts[:, 0], verts[:, 1] - starts[:, 1])
     lengths = np.zeros(n)
+    lengths[idx] = step
     edge_ends = np.full((n, 2, 2), np.nan)
-    for k, i in enumerate(idx):
-        a = verts[k - 1]  # vertex between edges idx[k-1] and idx[k]
-        b = verts[k]
-        lengths[i] = float(np.hypot(*(b - a)))
-        edge_ends[i, 0], edge_ends[i, 1] = a, b
+    edge_ends[idx, 0], edge_ends[idx, 1] = starts, verts
     active = lengths > EDGE_TOL
 
     # Drop duplicate chain vertices (collapsed edges) from the stored chain.
-    keep = [k for k in range(m) if np.hypot(*(verts[k] - verts[k - 1])) > EDGE_TOL]
-    chain = verts[keep] if len(keep) >= 3 else verts
+    keep = step > EDGE_TOL
+    chain = verts[keep] if np.count_nonzero(keep) >= 3 else verts
 
     return Polygon(theta, h, chain, active, lengths, edge_ends)
 

@@ -41,6 +41,9 @@ ANTIPODAL_PAIR = "antipodal-pair"
 def _merge_sorted_atoms(thetas: np.ndarray, masses: np.ndarray, tol: float):
     """Merge runs of near-coincident sorted angles by adding their (possibly
     signed) masses."""
+    if thetas.size < 2 or (np.all(np.diff(thetas) > tol)
+                           and thetas[0] + TWO_PI - thetas[-1] > tol):
+        return thetas, masses
     out_t, out_m = [], []
     for t, m in zip(thetas, masses):
         if out_t and t - out_t[-1] <= tol:
@@ -162,30 +165,28 @@ class PiecewiseLinearDensity:
         w = (x - self._t[i]) / (self._t[i + 1] - self._t[i])
         return self._f[i] * (1 - w) + self._f[i + 1] * w
 
-    def _antiderivative(self, x: float) -> float:
-        """Integral from knot t0 to x, x in [t0, t0 + 2pi]."""
-        i = int(np.clip(np.searchsorted(self._t, x, side="right") - 1, 0, len(self._t) - 2))
+    def arc_masses(self, a, b) -> np.ndarray:
+        """Integrals over the CCW arcs from a[k] to b[k] (b - a in (0, 2*pi]
+        after adding 2*pi to nonpositive spans)."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        span = b - a
+        span = np.where(span <= 0, span + TWO_PI, span)
+        a0 = self._t[0] + (a - self._t[0]) % TWO_PI
+        b0 = a0 + span
+        inside = b0 <= self._t[-1]  # else the arc crosses t0 + 2*pi
+        total = self._cum[-1]
+        # Integral from knot t0 to x, x in [t0, t0 + 2pi].
+        x = np.stack([a0, np.where(inside, b0, b0 - TWO_PI)])
+        i = np.clip(np.searchsorted(self._t, x, side="right") - 1, 0, len(self._t) - 2)
         dt = x - self._t[i]
-        fa = self._f[i]
         slope = (self._f[i + 1] - self._f[i]) / (self._t[i + 1] - self._t[i])
-        return float(self._cum[i] + fa * dt + 0.5 * slope * dt * dt)
+        F = self._cum[i] + self._f[i] * dt + 0.5 * slope * dt * dt
+        out = np.where(inside, F[1] - F[0], total - F[0] + F[1])
+        return np.where(span >= TWO_PI - 1e-15, total, out)
 
     def arc_mass(self, a: float, b: float) -> float:
         """Integral over the CCW arc from a to b (b - a in (0, 2*pi])."""
-        span = b - a
-        if span <= 0:
-            span += TWO_PI
-        if span >= TWO_PI - 1e-15:
-            return self.total_mass()
-        a0 = self._t[0] + (a - self._t[0]) % TWO_PI
-        b0 = a0 + span
-        if b0 <= self._t[-1]:
-            return self._antiderivative(b0) - self._antiderivative(a0)
-        return (
-            self.total_mass()
-            - self._antiderivative(a0)
-            + self._antiderivative(b0 - TWO_PI)
-        )
+        return float(self.arc_masses(a, b))
 
     def reflect(self, axis: float) -> "PiecewiseLinearDensity":
         A = Isometry2("reflection", axis)
@@ -216,17 +217,21 @@ class MeasureSpec:
     def total_mass(self) -> float:
         return self.atom_mass() + self.density_mass()
 
-    def arc_mass(self, a: float, b: float) -> float:
-        """Mass of the half-open CCW arc (a, b]."""
+    def atom_arc_mass(self, a: float, b: float) -> float:
+        """Atom mass of the half-open CCW arc (a, b]."""
+        if self.atoms is None:
+            return 0.0
         span = b - a
         if span <= 0:
             span += TWO_PI
-        total = 0.0
-        if self.atoms is not None:
-            off = (self.atoms.thetas - a) % TWO_PI
-            # half-open (a, b]: points at offset 0 belong to the arc ending here
-            off[off == 0.0] = TWO_PI
-            total += float(np.sum(self.atoms.masses[off <= span + 1e-15]))
+        off = (self.atoms.thetas - a) % TWO_PI
+        # half-open (a, b]: points at offset 0 belong to the arc ending here
+        off[off == 0.0] = TWO_PI
+        return float(np.sum(self.atoms.masses[off <= span + 1e-15]))
+
+    def arc_mass(self, a: float, b: float) -> float:
+        """Mass of the half-open CCW arc (a, b]."""
+        total = self.atom_arc_mass(a, b)
         if self.density is not None:
             total += self.density.arc_mass(a, b)
         return total

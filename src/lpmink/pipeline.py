@@ -26,6 +26,7 @@ from .geometry import (
     Polygon,
     SymmetryGroup,
     canonical_angle,
+    canonical_angles,
     circular_distance,
     dilate,
     polygon_from_support,
@@ -124,14 +125,12 @@ def discretize(spec: MeasureSpec, m: int) -> DiscreteMeasure:
     step = TWO_PI / m
     masses = np.full(m, 1.0 / (m * m))
     if spec.atoms is not None:
-        for t, mass in zip(spec.atoms.thetas, spec.atoms.masses):
-            j = int(math.ceil(t / step - 1e-12))
-            if j <= 0:
-                j = m
-            masses[j - 1] += mass
+        j = np.ceil(spec.atoms.thetas / step - 1e-12).astype(int)
+        j[j <= 0] = m
+        # unbuffered, in atom order: atoms sharing a cell add up in sequence
+        np.add.at(masses, j - 1, spec.atoms.masses)
     if spec.density is not None:
-        for j in range(1, m + 1):
-            masses[j - 1] += spec.density.arc_mass((j - 1) * step, j * step)
+        masses += spec.density.arc_masses(step * np.arange(m), step * np.arange(1, m + 1))
     thetas = canonical_angle(0.0) + step * np.arange(1, m + 1)
     thetas[-1] = 0.0  # angle 2*pi is the same grid point as 0
     return DiscreteMeasure(thetas, masses)
@@ -179,13 +178,16 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int) ->
     """
     pts = _symmetric_base_angles(G, l, m, spec)
     n = len(pts)
-    mids = np.empty(n)
-    masses = np.empty(n)
-    for k in range(n):
-        a = pts[k]
-        b = pts[(k + 1) % n] + (TWO_PI if k == n - 1 else 0.0)
-        mids[k] = canonical_angle(0.5 * (a + b))
-        masses[k] = spec.arc_mass(a, b)
+    a, b = pts, np.append(pts[1:], pts[0] + TWO_PI)
+    mids = canonical_angles(0.5 * (a + b))
+    masses = np.zeros(n)
+    if spec.atoms is not None:
+        # The cut points clear every atom by more than 1e-9, so each atom
+        # lies inside one arc, and only those arcs carry atom mass.
+        for k in np.unique((np.searchsorted(pts, spec.atoms.thetas) - 1) % n).tolist():
+            masses[k] = spec.atom_arc_mass(a[k], b[k])
+    if spec.density is not None:
+        masses += spec.density.arc_masses(a, b)
     keep = masses > 0.0
     mids, masses = mids[keep], masses[keep]
     if not G.is_trivial:
@@ -307,7 +309,6 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
     prev_rep = None
     m = cfg.m0
     l = _loop_groups(G)
-    last_mu = None
     while m <= cfg.m_max:
         if G.is_trivial:
             mu_m = discretize(spec, m)
@@ -328,12 +329,12 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
             entry["support_delta"] = sd
             converged = sd <= TOL_BODY * max(diam, 1e-300)
         history.append(entry)
-        prev_P, prev_rep, last_mu = P_m, rep_m, mu_m
+        prev_P, prev_rep = P_m, rep_m
         if converged:
             break
         m *= 2
     report = SolveReport(
-        residual=measure_residual(prev_P, last_mu, p),
+        residual=prev_rep.residual,
         outer_iters=prev_rep.outer_iters,
         newton_iters=prev_rep.newton_iters,
         classification=GENERAL_POSITION,

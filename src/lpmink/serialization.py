@@ -28,6 +28,12 @@ def _format_number(x) -> str:
     return format(v, ".17g")
 
 
+def _all_finite_floats(items) -> bool:
+    """Every item a finite Python float (not a subclass such as np.float64,
+    which goes through _format_number)."""
+    return set(map(type, items)) == {float} and all(map(math.isfinite, items))
+
+
 def dumps_canonical(obj, indent: int = 0) -> str:
     """Deterministic JSON text: sorted keys, fixed float formatting."""
     pad = " " * indent
@@ -38,6 +44,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         return json.dumps(obj)
     if isinstance(obj, (bool, int, float, np.integer, np.floating)):
         return _format_number(obj)
+    if isinstance(obj, (list, tuple)) and obj and _all_finite_floats(obj):
+        return "[\n" + ",\n".join([inner + format(v, ".17g") for v in obj]) + "\n" + pad + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = [dumps_canonical(v, indent + 2) for v in obj]
         if not items:
@@ -67,9 +75,9 @@ def _require(cond: bool, field: str, msg: str):
 
 def polygon_to_dict(P: Polygon) -> dict:
     return {
-        "normals_theta": [float(t) for t in P.normals],
-        "support": [float(h) for h in P.support],
-        "vertices": [[float(x), float(y)] for x, y in P.vertices],
+        "normals_theta": P.normals.tolist(),
+        "support": P.support.tolist(),
+        "vertices": P.vertices.tolist(),
     }
 
 

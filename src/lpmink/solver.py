@@ -297,19 +297,22 @@ def measure_residual(P: Polygon, mu: DiscreteMeasure, p: float) -> float:
     mass sitting off the support of mu (relative to mu's total mass)."""
     nu = lp_surface_measure(P, p)
     total = mu.total_mass()
+    # Each atom of mu is matched to the circularly nearest atom of nu, which
+    # is one of its two cyclic neighbours (nu's atoms lie more than
+    # ATOM_MERGE_TOL apart); a tie goes to the lower index.
+    k = np.searchsorted(nu.thetas, mu.thetas)
+    cand = np.sort([(k - 1) % nu.n, k % nu.n], axis=0)
+    d = np.abs(nu.thetas[cand] - mu.thetas)
+    d = np.minimum(d, 2.0 * math.pi - d)
+    j = np.where(d[0] <= d[1], cand[0], cand[1])
+    hit = d.min(axis=0) <= ATOM_MERGE_TOL
+    got = np.where(hit, nu.masses[j], 0.0)
     matched = np.zeros(nu.n, dtype=bool)
-    worst = 0.0
-    for a, m in zip(mu.thetas, mu.masses):
-        d = np.abs(nu.thetas - a)
-        d = np.minimum(d, 2.0 * math.pi - d)
-        j = int(np.argmin(d))
-        got = 0.0
-        if d[j] <= ATOM_MERGE_TOL:
-            got = float(nu.masses[j])
-            matched[j] = True
-        worst = max(worst, abs(got - m) / max(m, 1e-30))
+    matched[j[hit]] = True
+    # fmax skips NaN as the scalar max(worst, .) did
+    worst = np.fmax.reduce(np.abs(got - mu.masses) / np.maximum(mu.masses, 1e-30), initial=0.0)
     off = float(np.sum(nu.masses[~matched]))
-    return worst + off / max(total, 1e-30)
+    return float(worst) + off / max(total, 1e-30)
 
 
 def _reactivate(ws: _Workspace, h: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Polygon kernel tests against brute-force and closed-form oracles."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -21,7 +22,17 @@ from lpmink import (
     support_distance,
     translate,
 )
-from lpmink.geometry import canonical_angle, circular_gaps, group_orbit_map, unit_vectors
+import lpmink.geometry as geometry
+from lpmink.errors import DegenerateBodyError
+from lpmink.geometry import (
+    angles_antipodal,
+    canonical_angle,
+    canonical_angles,
+    circular_gaps,
+    group_orbit_map,
+    unit_vectors,
+)
+from lpmink.pipeline import _cut_half
 
 SQ_NORMALS = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
@@ -222,6 +233,180 @@ class TestDiameter:
         for _ in range(3):
             P = bent_polygon(rng, k, per_side)
             assert P.diameter() == all_pairs_diameter(P.vertices)
+
+
+def reference_line_intersection(u, h, i, j):
+    det = u[i, 0] * u[j, 1] - u[i, 1] * u[j, 0]
+    if abs(det) < 1e-15:
+        far = np.array([-u[i, 1], u[i, 0]])
+        return u[i] * h[i] + 1e18 * far
+    x = (h[i] * u[j, 1] - h[j] * u[i, 1]) / det
+    y = (h[j] * u[i, 0] - h[i] * u[j, 0]) / det
+    return np.array([x, y])
+
+
+def reference_polygon_from_support(normals, support):
+    """The half-plane build as a scalar loop: a per-normal antipodal scan,
+    the deque sweep for every input, and per-edge lengths.  Returns
+    (vertices, lengths, edge_ends, active)."""
+    tol = geometry.GEOM_TOL
+    theta = canonical_angles(normals)
+    h = np.asarray(support, dtype=float).copy()
+    order = np.argsort(theta, kind="stable")
+    theta, h = theta[order], h[order]
+    n = theta.size
+    for i in range(n):
+        j = int(np.searchsorted(theta, theta[i] + math.pi - 1e-9))
+        while j < n and theta[j] <= theta[i] + math.pi + 1e-9:
+            if angles_antipodal(theta[i], theta[j], 1e-9) and h[i] + h[j] < -tol:
+                raise EmptyBodyError(
+                    f"antipodal constraints at angles {theta[i]:.6g}, {theta[j]:.6g} "
+                    f"leave no feasible point (h_i + h_j = {h[i] + h[j]:.3g} < 0)"
+                )
+            j += 1
+    if n < 3 or circular_gaps(theta).max() >= math.pi - geometry.ANGLE_TOL:
+        raise UnboundedError("normals fit in a closed half-circle; body unbounded")
+    u = unit_vectors(theta)
+
+    def violates(k, x):
+        return float(x @ u[k]) > h[k] + tol
+
+    dq = deque()
+    for k in range(n):
+        while len(dq) >= 2 and violates(k, reference_line_intersection(u, h, dq[-2], dq[-1])):
+            dq.pop()
+        while len(dq) >= 2 and violates(k, reference_line_intersection(u, h, dq[0], dq[1])):
+            dq.popleft()
+        dq.append(k)
+    changed = True
+    while changed and len(dq) >= 3:
+        changed = False
+        if violates(dq[0], reference_line_intersection(u, h, dq[-2], dq[-1])):
+            dq.pop()
+            changed = True
+        if len(dq) >= 3 and violates(dq[-1], reference_line_intersection(u, h, dq[0], dq[1])):
+            dq.popleft()
+            changed = True
+    if len(dq) < 3:
+        raise EmptyBodyError("half-plane intersection is empty or lower-dimensional")
+    idx = list(dq)
+    m = len(idx)
+    verts = np.array(
+        [reference_line_intersection(u, h, idx[k], idx[(k + 1) % m]) for k in range(m)]
+    )
+    x, y = verts[:, 0], verts[:, 1]
+    area2 = float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    if not np.isfinite(area2) or area2 <= 2.0 * tol:
+        if area2 < -tol:
+            raise EmptyBodyError("half-plane intersection is empty")
+        raise DegenerateBodyError(f"intersection area {0.5 * area2:.3g} below tolerance")
+    lengths = np.zeros(n)
+    edge_ends = np.full((n, 2, 2), np.nan)
+    for k, i in enumerate(idx):
+        a, b = verts[k - 1], verts[k]
+        lengths[i] = float(np.hypot(*(b - a)))
+        edge_ends[i, 0], edge_ends[i, 1] = a, b
+    keep = [k for k in range(m) if np.hypot(*(verts[k] - verts[k - 1])) > geometry.EDGE_TOL]
+    chain = verts[keep] if len(keep) >= 3 else verts
+    return chain, lengths, edge_ends, lengths > geometry.EDGE_TOL
+
+
+class TestHalfPlaneChainBitIdentity:
+    """polygon_from_support against the scalar reference, array for array.
+    `sweeps` counts the calls of the deque sweep, to pin which path ran."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        sweep = geometry._halfplane_chain
+
+        def counted(u, h):
+            calls.append(len(h))
+            return sweep(u, h)
+
+        monkeypatch.setattr(geometry, "_halfplane_chain", counted)
+        return calls
+
+    @staticmethod
+    def assert_matches(P, ref):
+        vertices, lengths, edge_ends, active = ref
+        assert np.array_equal(P.vertices, vertices)
+        assert np.array_equal(P.lengths, lengths)
+        assert np.array_equal(P.edge_ends, edge_ends, equal_nan=True)
+        assert np.array_equal(P.active, active)
+
+    def assert_same(self, normals, support):
+        P = polygon_from_support(normals, support)
+        self.assert_matches(P, reference_polygon_from_support(normals, support))
+        return P
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 60, 1000])
+    def test_all_active_polygons_skip_the_sweep(self, rng, sweeps, n):
+        for _ in range(5):
+            P = ellipse_polygon(rng, n)
+            sweeps.clear()
+            self.assert_same(P.normals, P.support)
+            assert sweeps == []
+
+    def test_near_collinear_chains(self, rng, sweeps):
+        for k, per_side in [(3, 20), (5, 60), (3, 500)]:
+            for _ in range(2):
+                P = bent_polygon(rng, k, per_side)
+                self.assert_same(P.normals, P.support)
+        assert sweeps  # some chains drop near-parallel lines
+
+    def test_redundant_normals_take_the_sweep(self, rng, sweeps):
+        for _ in range(30):
+            P = ellipse_polygon(rng, 12)
+            extra = np.sort(rng.uniform(0.0, 2 * math.pi, 5))
+            normals = np.concatenate([P.normals, extra])
+            support = np.concatenate([P.support, P.support_values(extra) + rng.uniform(0.01, 1.0, 5)])
+            sweeps.clear()
+            Q = self.assert_same(normals, support)
+            assert sweeps and np.count_nonzero(~Q.active) >= 5
+
+    def test_cut_half_body(self, rng, sweeps):
+        P = ellipse_polygon(rng, 40)
+        w = float(P.normals[7]) + 1e-3
+        K = _cut_half(P, w)
+        assert sweeps
+        self.assert_matches(K, reference_polygon_from_support(
+            np.append(P.normals, canonical_angle(w + math.pi)), np.append(P.support, 0.0)
+        ))
+
+    def test_random_support_numbers(self, rng):
+        # Empty, degenerate and unbounded outcomes must match too.
+        def outcome(build, normals, support):
+            try:
+                return build(normals, support)
+            except (EmptyBodyError, UnboundedError, DegenerateBodyError) as exc:
+                return type(exc), str(exc)
+
+        built = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 12))
+            normals = rng.uniform(0.0, 2 * math.pi, n)
+            support = rng.uniform(-0.5, 2.0, n)
+            ref = outcome(reference_polygon_from_support, normals, support)
+            got = outcome(polygon_from_support, normals, support)
+            if isinstance(ref[0], type):
+                assert got == ref
+                continue
+            built += 1
+            self.assert_matches(got, ref)
+        assert 50 <= built <= 250
+
+    def test_inconsistent_antipodal_pair_message(self):
+        # two empty strips; the error names the first in angle order
+        normals = [0.1, 0.1 + math.pi / 2, 0.1 + math.pi, 0.1 + 3 * math.pi / 2,
+                   1.0, 1.0 + math.pi, 0.5, 0.5 + math.pi]
+        support = [1.0, 1.0, 1.0, 1.0, 0.5, -0.75, 0.2, -0.3]
+        with pytest.raises(EmptyBodyError) as ref:
+            reference_polygon_from_support(normals, support)
+        with pytest.raises(EmptyBodyError) as got:
+            polygon_from_support(normals, support)
+        assert str(got.value) == str(ref.value)
+        assert "angles 0.5, 3.64159" in str(got.value)
 
 
 class TestIsometries:

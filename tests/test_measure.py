@@ -34,9 +34,11 @@ from lpmink.errors import (
 )
 from lpmink.measure import (
     ANTIPODAL_PAIR,
+    ATOM_MERGE_TOL,
     GENERAL_POSITION,
     SEMICIRCLE,
     SINGLE_DIRECTION,
+    _merge_sorted_atoms,
 )
 
 TWO_PI = 2 * math.pi
@@ -60,6 +62,36 @@ class TestDiscreteMeasure:
             DiscreteMeasure([0.0], [-1.0])
         with pytest.raises(EmptyMeasureError):
             DiscreteMeasure([0.0], [0.0])
+
+
+def reference_merge(thetas, masses, tol):
+    """Run-start merge of sorted angles as a scalar loop."""
+    out_t, out_m = [], []
+    for t, m in zip(thetas, masses):
+        if out_t and t - out_t[-1] <= tol:
+            out_m[-1] += m
+        else:
+            out_t.append(t)
+            out_m.append(m)
+    if len(out_t) >= 2 and (out_t[0] + TWO_PI - out_t[-1]) <= tol:
+        out_m[0] += out_m.pop()
+        out_t.pop()
+    return np.asarray(out_t), np.asarray(out_m)
+
+
+class TestMergeSortedAtoms:
+    @pytest.mark.parametrize("spacing", ["spread", "runs", "seam"])
+    def test_matches_scalar_merge(self, rng, spacing):
+        for n in (1, 2, 5, 300):
+            t = np.sort(rng.uniform(0.0, TWO_PI, n))
+            if spacing == "runs":  # chains of gaps just under and over the tolerance
+                t = 1.0 + np.cumsum(rng.choice([0.6, 0.9, 1.1, 5.0], n)) * ATOM_MERGE_TOL
+            elif spacing == "seam":
+                t = np.concatenate([[0.0, 4e-10], t[1:-1], [TWO_PI - 5e-10]])[:max(n, 2)]
+                t = np.sort(t)
+            m = rng.uniform(-1.0, 2.0, t.size)  # signed, as in the flat distance
+            got, ref = _merge_sorted_atoms(t, m, ATOM_MERGE_TOL), reference_merge(t, m, ATOM_MERGE_TOL)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 class TestLpSurfaceMeasure:

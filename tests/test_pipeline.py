@@ -32,9 +32,11 @@ from lpmink.measure import (
 from lpmink.pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
+    _symmetric_base_angles,
     detect_symmetry,
     ma_residual_from_samples,
 )
+from lpmink.solver import orbit_partition
 from lpmink.solver import SolverConfig
 
 TWO_PI = 2 * math.pi
@@ -135,6 +137,145 @@ class TestDiscretizeSymmetric:
         assert gaps.max() <= TWO_PI / (l * m) + 1e-12
 
 
+def reference_density_arc_mass(d, a, b):
+    """PiecewiseLinearDensity.arc_mass as a difference of scalar
+    antiderivative evaluations."""
+
+    def F(x):
+        i = int(np.clip(np.searchsorted(d._t, x, side="right") - 1, 0, len(d._t) - 2))
+        dt = x - d._t[i]
+        slope = (d._f[i + 1] - d._f[i]) / (d._t[i + 1] - d._t[i])
+        return float(d._cum[i] + d._f[i] * dt + 0.5 * slope * dt * dt)
+
+    span = b - a
+    if span <= 0:
+        span += TWO_PI
+    if span >= TWO_PI - 1e-15:
+        return d.total_mass()
+    a0 = d._t[0] + (a - d._t[0]) % TWO_PI
+    b0 = a0 + span
+    if b0 <= d._t[-1]:
+        return F(b0) - F(a0)
+    return d.total_mass() - F(a0) + F(b0 - TWO_PI)
+
+
+def reference_spec_arc_mass(spec, a, b):
+    span = b - a
+    if span <= 0:
+        span += TWO_PI
+    total = 0.0
+    if spec.atoms is not None:
+        off = (spec.atoms.thetas - a) % TWO_PI
+        off[off == 0.0] = TWO_PI
+        total += float(np.sum(spec.atoms.masses[off <= span + 1e-15]))
+    if spec.density is not None:
+        total += reference_density_arc_mass(spec.density, a, b)
+    return total
+
+
+def reference_discretize(spec, m):
+    """discretize with one scalar arc-mass call per cell and per atom."""
+    step = TWO_PI / m
+    masses = np.full(m, 1.0 / (m * m))
+    if spec.atoms is not None:
+        for t, mass in zip(spec.atoms.thetas, spec.atoms.masses):
+            j = int(math.ceil(t / step - 1e-12))
+            if j <= 0:
+                j = m
+            masses[j - 1] += mass
+    if spec.density is not None:
+        for j in range(1, m + 1):
+            masses[j - 1] += reference_density_arc_mass(spec.density, (j - 1) * step, j * step)
+    thetas = step * np.arange(1, m + 1)
+    thetas[-1] = 0.0
+    return DiscreteMeasure(thetas, masses)
+
+
+def reference_discretize_symmetric(spec, G, l, m):
+    pts = _symmetric_base_angles(G, l, m, spec)
+    n = len(pts)
+    mids, masses = np.empty(n), np.empty(n)
+    for k in range(n):
+        a = pts[k]
+        b = pts[(k + 1) % n] + (TWO_PI if k == n - 1 else 0.0)
+        mids[k] = 0.5 * (a + b) % TWO_PI
+        masses[k] = reference_spec_arc_mass(spec, a, b)
+    keep = masses > 0.0
+    mids, masses = mids[keep], masses[keep]
+    if not G.is_trivial:
+        for o in orbit_partition(mids, G, tol=1e-9).orbits:
+            masses[o] = float(np.mean(masses[o]))
+    return DiscreteMeasure(mids, masses)
+
+
+def random_knot_density(rng, knots):
+    """Knots off any grid, with zero stretches so some arcs carry no mass."""
+    t = np.sort(rng.uniform(0.0, TWO_PI, knots))
+    f = rng.uniform(0.0, 2.0, knots)
+    f[rng.uniform(size=knots) < 0.2] = 0.0
+    return PiecewiseLinearDensity(t, f)
+
+
+def assert_same_measure(mu, ref):
+    assert np.array_equal(mu.thetas, ref.thetas)
+    assert np.array_equal(mu.masses, ref.masses)
+
+
+class TestDiscretizersBitIdentity:
+    """The vectorized discretizers against per-cell scalar references."""
+
+    def test_density_arc_masses(self, rng):
+        d = random_knot_density(rng, 37)
+        a = np.concatenate([rng.uniform(-1.0, 8.0, 200), [0.0, d.knots[3], 1.0, 2.0]])
+        b = np.concatenate([rng.uniform(-1.0, 8.0, 200), [TWO_PI, d.knots[3], 1.0 + TWO_PI, 1.0]])
+        got = d.arc_masses(a, b)
+        for k in range(a.size):
+            ref = reference_density_arc_mass(d, a[k], b[k])
+            assert got[k] == ref
+            assert d.arc_mass(a[k], b[k]) == ref
+
+    @pytest.mark.parametrize("m", [3, 7, 64, 1000])
+    def test_discretize_density_off_grid_knots(self, rng, m):
+        for knots in (2, 13, 500):
+            spec = MeasureSpec(None, random_knot_density(rng, knots))
+            assert_same_measure(discretize(spec, m), reference_discretize(spec, m))
+
+    @pytest.mark.parametrize("m", [4, 12, 100])
+    def test_discretize_atoms_on_grid_and_seam(self, rng, m):
+        step = TWO_PI / m
+        grid = [step * j for j in (1, 2, m // 2, m - 1)]
+        seam = [0.0, TWO_PI - 1e-13, 5e-13]
+        # several atoms per cell, so their sums depend on the order of adds
+        crowd = list(step * 2 + rng.uniform(0.0, step, 6))
+        atoms = DiscreteMeasure(grid + seam + crowd, rng.uniform(0.1, 3.0, 13))
+        for density in (None, random_knot_density(rng, 21)):
+            spec = MeasureSpec(atoms, density)
+            assert_same_measure(discretize(spec, m), reference_discretize(spec, m))
+
+    @pytest.mark.parametrize("l, m", [(3, 2), (4, 5), (6, 40)])
+    def test_discretize_symmetric_trivial_group(self, rng, l, m):
+        atoms = DiscreteMeasure(rng.uniform(0.0, TWO_PI, 9), rng.uniform(0.1, 3.0, 9))
+        for spec in (MeasureSpec(None, random_knot_density(rng, 29)),
+                     MeasureSpec(atoms, None), MeasureSpec(atoms, random_knot_density(rng, 7))):
+            G = SymmetryGroup.trivial()
+            assert_same_measure(discretize_symmetric(spec, G, l, m),
+                                reference_discretize_symmetric(spec, G, l, m))
+
+    @pytest.mark.parametrize("G", [SymmetryGroup.cyclic(3), SymmetryGroup.dihedral(2, 0.3)])
+    def test_discretize_symmetric_invariant_measures(self, rng, G):
+        base = rng.uniform(0.0, TWO_PI, 4)
+        masses = rng.uniform(0.1, 3.0, 4)
+        images = [A.apply_angles(base) for A in G.elements()]
+        atoms = DiscreteMeasure(np.concatenate(images), np.tile(masses, len(images)))
+        t = 0.3 + np.linspace(0.0, TWO_PI, 60, endpoint=False)  # knots invariant too
+        density = PiecewiseLinearDensity(t, 1.0 + 0.5 * np.cos(6.0 * (t - 0.3)))
+        for spec in (MeasureSpec(atoms, None), MeasureSpec(atoms, density),
+                     MeasureSpec(None, density)):
+            for m in (2, 9):
+                assert_same_measure(discretize_symmetric(spec, G, 6, m),
+                                    reference_discretize_symmetric(spec, G, 6, m))
+
+
 class TestClassifySpec:
     def test_atomic_delegates(self):
         spec = MeasureSpec(DiscreteMeasure([0.0, math.pi], [1, 1]), None)
@@ -222,6 +363,13 @@ class TestSolveRouting:
         P, rep = solve(spec, 0.25)
         assert rep.classification == SINGLE_DIRECTION
         assert measure_residual(P, spec.atoms, 0.25) <= 1e-10
+
+    def test_loop_reports_the_final_stage_residual(self):
+        t = np.linspace(0, TWO_PI, 64, endpoint=False)
+        spec = MeasureSpec(None, PiecewiseLinearDensity(t, 1.0 + 0.3 * np.cos(3 * t)))
+        P, rep = solve(spec, 0.5, None, PipelineConfig(m0=64, m_max=256))
+        final = measure_residual(P, discretize(spec, rep.m_final), 0.5)
+        assert rep.residual == final == rep.loop_history[-1]["residual"]
 
     def test_uniform_density_disk_limit(self):
         spec = uniform_density_spec()

@@ -338,6 +338,72 @@ class TestMeasureResidual:
         assert r == pytest.approx(2.0 / 6.0, abs=1e-12)
 
 
+def reference_measure_residual(P, mu, p):
+    """measure_residual as a scalar loop: each atom of mu takes the argmin of
+    the circular distance over all atoms of S_{P,p}."""
+    nu = lp_surface_measure(P, p)
+    total = mu.total_mass()
+    matched = np.zeros(nu.n, dtype=bool)
+    worst = 0.0
+    for a, m in zip(mu.thetas, mu.masses):
+        d = np.abs(nu.thetas - a)
+        d = np.minimum(d, 2.0 * math.pi - d)
+        j = int(np.argmin(d))
+        got = 0.0
+        if d[j] <= 1e-9:
+            got = float(nu.masses[j])
+            matched[j] = True
+        worst = max(worst, abs(got - m) / max(m, 1e-30))
+    off = float(np.sum(nu.masses[~matched]))
+    return worst + off / max(total, 1e-30)
+
+
+class TestMeasureResidualMatch:
+    """measure_residual against the scalar reference, value for value."""
+
+    def test_perturbed_boundary_measures(self, rng):
+        for _ in range(60):
+            P = random_general_position_polygon(rng, nmax=30)
+            p = float(rng.choice([0.1, 0.5, 0.9]))
+            nu = lp_surface_measure(P, p)
+            keep = rng.uniform(size=nu.n) < 0.8  # dropped atoms: extra nu mass
+            t = nu.thetas[keep] + rng.choice([0.0, 4e-10, -4e-10, 3e-9], keep.sum())
+            m = nu.masses[keep] * rng.choice([1.0, 1.0 + 1e-7, 0.5], keep.sum())
+            extra = rng.uniform(0.0, 2 * math.pi, 3)  # unmatched mu atoms
+            mu = DiscreteMeasure(np.append(t, extra), np.append(m, [0.3, 1.0, 2.0]))
+            assert measure_residual(P, mu, p) == reference_measure_residual(P, mu, p)
+
+    def test_atoms_at_the_seam(self):
+        normals = [0.0, 1.5, 3.0, 4.5, 2 * math.pi - 2e-9]
+        P = polygon_from_support(normals, [1.0, 1.2, 0.9, 1.1, 1.0])
+        assert lp_surface_measure(P, 0.5).n == 5
+        for t in ([0.0, 1.5, 3.0], [2 * math.pi - 1e-9, 3.0], [2 * math.pi - 4e-10, 4.5],
+                  [1e-10, 2 * math.pi - 2.5e-9], [2 * math.pi - 1.5e-9, 0.5e-9]):
+            mu = DiscreteMeasure(t, np.linspace(1.0, 2.0, len(t)))
+            assert measure_residual(P, mu, 0.5) == reference_measure_residual(P, mu, 0.5)
+
+    def test_equidistant_tie_goes_to_lower_index(self):
+        # nu atoms 2^-29 apart, a mu atom exactly halfway: both within tolerance
+        normals = [1.0, 1.0 + 2.0**-29, 2.5, 4.0, 5.5]
+        P = polygon_from_support(normals, [1.0] * 5)
+        nu = lp_surface_measure(P, 0.5)
+        assert nu.n == 5 and nu.masses[0] != nu.masses[1]
+        mu = DiscreteMeasure([1.0 + 2.0**-30, 4.0], [nu.masses[0], 1.0])
+        got = measure_residual(P, mu, 0.5)
+        assert got == reference_measure_residual(P, mu, 0.5)
+        # matched to index 0, so the atom at 1 + 2^-29 is off-support mass
+        off = nu.masses[1] + nu.masses[2] + nu.masses[4]
+        assert got == max(abs(nu.masses[3] - 1.0), 0.0) + off / mu.total_mass()
+
+    def test_single_atom_boundary_measure(self):
+        w = 0.7
+        P = polygon_from_support([w, w + 2 * math.pi / 3, w - 2 * math.pi / 3], [1.0, 0.0, 0.0])
+        assert lp_surface_measure(P, 0.5).n == 1
+        for t in ([w], [w + 5e-10], [w + 0.5], [w - 3e-10, w + math.pi]):
+            mu = DiscreteMeasure(t, np.full(len(t), 1.3))
+            assert measure_residual(P, mu, 0.5) == reference_measure_residual(P, mu, 0.5)
+
+
 class TestOrbits:
     def test_c4_single_orbit(self):
         orb = orbit_partition(np.array(SQ), SymmetryGroup.cyclic(4))
