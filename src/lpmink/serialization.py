@@ -28,6 +28,12 @@ def _format_number(x) -> str:
     return format(v, ".17g")
 
 
+def _float_lines(items, indent: int) -> str:
+    """dumps_canonical of a non-empty list of finite Python floats."""
+    inner, pad = " " * (indent + 2), " " * indent
+    return "[\n" + ",\n".join([inner + format(v, ".17g") for v in items]) + "\n" + pad + "]"
+
+
 def _all_finite_floats(items) -> bool:
     """Every item a finite Python float (not a subclass such as np.float64,
     which goes through _format_number)."""
@@ -45,7 +51,12 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (bool, int, float, np.integer, np.floating)):
         return _format_number(obj)
     if isinstance(obj, (list, tuple)) and obj and _all_finite_floats(obj):
-        return "[\n" + ",\n".join([inner + format(v, ".17g") for v in obj]) + "\n" + pad + "]"
+        return _float_lines(obj, indent)
+    if (isinstance(obj, (list, tuple)) and obj and all(type(r) is list and r for r in obj)
+            and _all_finite_floats([v for r in obj for v in r])):
+        # Rows of floats, such as polygon_to_dict's [x, y] vertices.
+        rows = [inner + _float_lines(r, indent + 2) for r in obj]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = [dumps_canonical(v, indent + 2) for v in obj]
         if not items:
@@ -111,11 +122,19 @@ def measure_spec_to_dict(spec: MeasureSpec) -> dict:
     return {"atoms": atoms, "density": density}
 
 
-def measure_spec_from_dict(d: dict) -> MeasureSpec:
-    _require(isinstance(d, dict), "$", "measure JSON must be an object")
-    _require("atoms" in d, "atoms", "missing (use [] for none)")
-    raw_atoms = d["atoms"]
-    _require(isinstance(raw_atoms, list), "atoms", "must be a list")
+def _atom_lists(raw_atoms: list) -> tuple[list, list]:
+    """Theta and mass lists of well-formed atoms in one pass each.  If any
+    entry is malformed, the per-entry loop raises on the first bad one, as
+    it names atoms[k]."""
+    if all(isinstance(entry, dict) for entry in raw_atoms):
+        try:
+            thetas = [float(entry["theta"]) for entry in raw_atoms]
+            masses = [float(entry["mass"]) for entry in raw_atoms]
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if all(m > 0 for m in masses):
+                return thetas, masses
     thetas, masses = [], []
     for k, entry in enumerate(raw_atoms):
         _require(isinstance(entry, dict) and "theta" in entry and "mass" in entry,
@@ -123,6 +142,15 @@ def measure_spec_from_dict(d: dict) -> MeasureSpec:
         _require(float(entry["mass"]) > 0, f"atoms[{k}].mass", "must be positive")
         thetas.append(float(entry["theta"]))
         masses.append(float(entry["mass"]))
+    return thetas, masses
+
+
+def measure_spec_from_dict(d: dict) -> MeasureSpec:
+    _require(isinstance(d, dict), "$", "measure JSON must be an object")
+    _require("atoms" in d, "atoms", "missing (use [] for none)")
+    raw_atoms = d["atoms"]
+    _require(isinstance(raw_atoms, list), "atoms", "must be a list")
+    thetas, masses = _atom_lists(raw_atoms)
     atoms = DiscreteMeasure(thetas, masses) if thetas else None
     density = None
     raw_density = d.get("density")

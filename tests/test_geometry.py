@@ -409,6 +409,138 @@ class TestHalfPlaneChainBitIdentity:
         assert "angles 0.5, 3.64159" in str(got.value)
 
 
+def reference_support(vertices, thetas):
+    """Scalar definition of the support values: max_j x_j cos t + y_j sin t
+    in Python floats, one direction and one vertex at a time."""
+    t = np.asarray(thetas, dtype=float)
+    rows = vertices.tolist()
+    return np.array([max(x * c + y * s for x, y in rows) + 0.0
+                     for c, s in zip(np.cos(t).tolist(), np.sin(t).tolist())])
+
+
+def grid_ellipse_polygon(rng, n):
+    """n jittered grid normals on a rotated, off-center ellipse: a strictly
+    convex vertex chain with every facet active."""
+    th = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) * (2 * math.pi / n) + rng.uniform(0, 1)
+    a, b = 1.0, float(rng.uniform(0.05, 1.0))
+    phi, c = float(rng.uniform(0.0, math.pi)), rng.uniform(-0.5, 0.5, 2)
+    h = np.hypot(a * np.cos(th - phi), b * np.sin(th - phi)) + c @ [np.cos(th), np.sin(th)]
+    return polygon_from_support(th, h)
+
+
+def probe_directions(rng, P):
+    """Random directions inside and far outside [0, 2*pi), the seam, and (up
+    to 300 of each) the body's normals and the atan2 normal angles of its
+    vertex chain's edges, also shifted by multiples of 2*pi."""
+    v = P.vertices
+    e = np.roll(v, -1, axis=0) - v
+    edge = np.arctan2(-e[:, 0], e[:, 1])
+    normals = rng.permutation(P.normals)[:300]
+    edge = rng.permutation(edge)[:300]
+    seam = [0.0, -0.0, 2 * math.pi, math.pi, -math.pi,
+            np.nextafter(2 * math.pi, 0.0), np.nextafter(0.0, -1.0)]
+    return np.concatenate([rng.uniform(0.0, 2 * math.pi, 300), rng.uniform(-60.0, 60.0, 100),
+                           normals, normals - 2 * math.pi, edge, edge + 4 * math.pi, seam])
+
+
+def takes_lookup(P):
+    return geometry._normal_cones(*P.vertices.T.copy()) is not None
+
+
+def is_dented(P):
+    """Some vertex of the chain turns by <= 0 (as computed)."""
+    e = np.roll(P.vertices, -1, axis=0) - P.vertices
+    return bool(np.any(np.roll(e[:, 0], 1) * e[:, 1] - np.roll(e[:, 1], 1) * e[:, 0] <= 0.0))
+
+
+class TestSupportValuesElementwise:
+    """polygon_support against the scalar definition, bit for bit, on both
+    the normal-cone lookup and the full scan."""
+
+    @staticmethod
+    def assert_exact(P, rng):
+        t = probe_directions(rng, P)
+        assert np.array_equal(P.support_values(t), reference_support(P.vertices, t))
+
+    @pytest.mark.parametrize("n", [6, 7, 40, 300, 2000])
+    def test_ellipses_take_the_lookup(self, rng, n):
+        for _ in range(3 if n > 1000 else 15):
+            P = grid_ellipse_polygon(rng, n)
+            assert takes_lookup(P)
+            self.assert_exact(P, rng)
+
+    # short arcs stay strictly convex; the longer ones come out dented
+    @pytest.mark.parametrize("k, per_side, dents", [(3, 20, False), (4, 150, True), (5, 200, True)])
+    def test_near_collinear_chains(self, rng, k, per_side, dents):
+        for _ in range(4):
+            P = bent_polygon(rng, k, per_side)
+            assert is_dented(P) == dents
+            assert takes_lookup(P) != dents
+            self.assert_exact(P, rng)
+
+    def test_isometries_translation_and_dilation(self, rng):
+        for _ in range(10):
+            P = grid_ellipse_polygon(rng, int(rng.integers(6, 400)))
+            images = [apply_isometry(P, Isometry2("reflection", float(rng.uniform(0, math.pi)))),
+                      apply_isometry(P, Isometry2("rotation", float(rng.uniform(0, 2 * math.pi)))),
+                      translate(P, rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3)),
+                      dilate(P, 10.0 ** float(rng.uniform(-6, 6)))]
+            for Q in images:
+                assert takes_lookup(Q)
+                self.assert_exact(Q, rng)
+
+    def test_random_polygons_triangles_and_quadrilaterals(self, rng):
+        for nmax in (3, 4, 60):
+            for _ in range(15):
+                P = random_general_position_polygon(rng, nmin=3, nmax=nmax)
+                self.assert_exact(P, rng)
+        assert not takes_lookup(square())
+        self.assert_exact(square(), rng)
+
+    @pytest.mark.parametrize("bulge, lookup", [(1e-13, True), (3e-15, False), (1e-15, False)])
+    def test_turns_below_the_margin_take_the_full_scan(self, rng, bulge, lookup):
+        """A 12-gon plus an edge midpoint pushed out by `bulge`: convex as
+        computed, with a turn below the margin for the two smaller bulges."""
+        v = unit_vectors(2 * math.pi * np.arange(12) / 12)
+        mid = (v[0] + v[1]) / 2
+        chain = np.insert(v, 1, mid + bulge * mid / np.hypot(*mid), axis=0)
+        e = np.roll(chain, -1, axis=0) - chain
+        assert np.all(np.roll(e[:, 0], 1) * e[:, 1] - np.roll(e[:, 1], 1) * e[:, 0] > 0.0)
+        normal = np.arctan2(-e[:, 0], e[:, 1])
+        assert normal[1] > normal[0]  # the turn at the pushed-out vertex
+        assert (geometry._normal_cones(*chain.T.copy()) is not None) == lookup
+        t = rng.uniform(-10.0, 10.0, 2000)
+        assert np.array_equal(geometry.polygon_support(chain, t), reference_support(chain, t))
+
+    def test_chains_winding_more_than_once_take_the_full_scan(self, rng):
+        t = rng.uniform(0.0, 2 * math.pi, 500)
+        for n, step in ((7, 2), (9, 4), (11, 3), (40, 13)):
+            star = unit_vectors(2 * math.pi * step * np.arange(n) / n) * rng.uniform(0.5, 2.0)
+            assert geometry._normal_cones(*star.T.copy()) is None
+            assert np.array_equal(geometry.polygon_support(star, t), reference_support(star, t))
+
+    def test_zero_maximum_is_positive_zero(self, rng):
+        t = np.array([1.25 * math.pi])  # cos and sin < 0: 0*cos + 0*sin is -0.0
+        for P, lookup in ((grid_ellipse_polygon(rng, 50), True),
+                          (bent_polygon(rng, 4, 150), False), (square(), False)):
+            assert takes_lookup(P) == lookup
+            k = int(np.argmax(P.vertices @ unit_vectors(t)[0]))
+            h = translate(P, P.vertices[k]).support_values(t)
+            assert h[0] == 0.0 and not np.signbit(h[0])
+
+    def test_shapes(self, rng):
+        for Q in (grid_ellipse_polygon(rng, 50), bent_polygon(rng, 4, 150), square()):
+            assert Q.support_values(np.array([])).shape == (0,)
+            assert Q.support_values(1.5).shape == (1,)
+
+    def test_batch_independent(self, rng):
+        t = rng.uniform(0.0, 2 * math.pi, 3000)
+        for P, lookup in ((grid_ellipse_polygon(rng, 512), True), (bent_polygon(rng, 4, 150), False)):
+            assert takes_lookup(P) == lookup
+            h = P.support_values(t)
+            assert all(P.support_values(t[k : k + 1])[0] == h[k] for k in range(t.size))
+
+
 class TestIsometries:
     def test_dilate_support(self):
         assert np.allclose(dilate(square(), 2.0).support, 2.0)

@@ -2,13 +2,16 @@
 
 import json
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from conftest import random_general_position_polygon
 
-from lpmink.serialization import dumps_canonical, polygon_to_dict
+from lpmink.errors import SchemaError
+from lpmink.measure import DiscreteMeasure
+from lpmink.serialization import dumps_canonical, measure_spec_from_dict, polygon_to_dict
 
 
 def reference_dumps(obj, indent=0):
@@ -39,6 +42,19 @@ def reference_dumps(obj, indent=0):
             return "{}"
         return "{\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_atoms(raw_atoms):
+    """measure_spec_from_dict's atoms, checked and converted entry by entry."""
+    thetas, masses = [], []
+    for k, entry in enumerate(raw_atoms):
+        if not (isinstance(entry, dict) and "theta" in entry and "mass" in entry):
+            raise SchemaError(f"atoms[{k}]: needs theta and mass")
+        if not float(entry["mass"]) > 0:
+            raise SchemaError(f"atoms[{k}].mass: must be positive")
+        thetas.append(float(entry["theta"]))
+        masses.append(float(entry["mass"]))
+    return DiscreteMeasure(thetas, masses)
 
 
 def reference_polygon_to_dict(P):
@@ -83,3 +99,63 @@ class TestCanonicalJsonBitIdentity:
             P = random_general_position_polygon(rng, nmax=60)
             assert (dumps_canonical(polygon_to_dict(P))
                     == reference_dumps(reference_polygon_to_dict(P)))
+
+    def test_float_rows(self, rng):
+        x = (rng.normal(size=60) * 10.0 ** rng.uniform(-300, 300, 60)).tolist()
+        for rows in ([x[0:2], x[2:4], x[4:6]], [x[:1]], [x[:5], x[5:6], x[6:20]],
+                     (x[:2], x[2:4]), np.column_stack([x[:30], x[30:]]).tolist()):
+            for indent in (0, 2, 6):
+                assert dumps_canonical(rows, indent) == reference_dumps(rows, indent)
+            doc = {"vertices": rows, "k": [rows, rows[:1]]}
+            assert dumps_canonical(doc) == reference_dumps(doc)
+
+    def test_rows_with_other_items_keep_the_general_path(self):
+        np_row = [np.float64(0.1), 2.5]
+        for rows in ([[0.5, 1.5], [2, 3.0]], [[0.5, 1.5], [True, 3.0]], [[0.5, 1.5], np_row],
+                     [np_row, np_row], [[0.5, 1.5], []], [[], []], [[0.5], (1.5, 2.5)],
+                     [[0.5], [[1.5]]], [[0.5], 1.5], [[0.5], None], [[0.5], ["x"]],
+                     [[1.0, -0.0], [0.25, 1e-320]]):
+            assert dumps_canonical(rows) == reference_dumps(rows)
+            assert dumps_canonical({"k": rows}, 4) == reference_dumps({"k": rows}, 4)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_rows_raise_alike(self, bad):
+        rows = [[0.5, 1.0], [2.0, bad]]
+        with pytest.raises(ValueError) as ref:
+            reference_dumps(rows)
+        with pytest.raises(ValueError) as got:
+            dumps_canonical(rows)
+        assert str(got.value) == str(ref.value)
+
+
+class TestAtomParsing:
+    def test_well_formed_atoms(self, rng):
+        t, m = rng.uniform(-1.0, 7.0, 500), rng.uniform(0.01, 3.0, 500)
+        atoms = [{"theta": a, "mass": b} for a, b in zip(t.tolist(), m.tolist())]
+        atoms += [{"theta": 1, "mass": 2}, {"theta": "2.5", "mass": "0.125"},
+                  {"theta": False, "mass": True}, {"theta": np.float64(3.25), "mass": 1e-300}]
+        spec = measure_spec_from_dict({"atoms": atoms, "density": None})
+        ref = reference_atoms(atoms)
+        assert np.array_equal(spec.atoms.thetas, ref.thetas)
+        assert np.array_equal(spec.atoms.masses, ref.masses)
+
+    @pytest.mark.parametrize("bad", [
+        {"mass": 1.0}, {"theta": 0.5}, [0.5, 1.0], None,
+        {"theta": 0.5, "mass": 0}, {"theta": 0.5, "mass": -1.0}, {"theta": 0.5, "mass": "-0.0"},
+        {"theta": 0.5, "mass": math.nan}, {"theta": "north", "mass": 1.0},
+        {"theta": None, "mass": 1.0}, {"theta": 0.5, "mass": "heavy"},
+        {"theta": [0.5], "mass": 1.0}, MappingProxyType({"theta": 0.5, "mass": 1.0}),
+    ])
+    @pytest.mark.parametrize("at", [0, 3])
+    @pytest.mark.parametrize("later_bad", [False, True])
+    def test_malformed_atoms_raise_as_before(self, bad, at, later_bad):
+        atoms = [{"theta": 0.1 * k, "mass": 1.0} for k in range(5)]
+        atoms[at] = bad
+        if later_bad:  # a later bad entry is not the one named
+            atoms[4] = {"theta": 0.4, "mass": 0.0}
+        with pytest.raises(Exception) as ref:
+            reference_atoms(atoms)
+        with pytest.raises(Exception) as got:
+            measure_spec_from_dict({"atoms": atoms, "density": None})
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
