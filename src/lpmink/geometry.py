@@ -230,9 +230,6 @@ class Polygon:
         """Exact support function h_P at the given directions."""
         return polygon_support(self.vertices, thetas)
 
-    def contains_origin(self, tol: float = GEOM_TOL) -> bool:
-        return bool(np.all(self.support[self.active] >= -tol))
-
     def diameter(self) -> float:
         """Largest vertex distance, over the antipodal vertex pairs of a
         rotating-calipers walk around the CCW chain (Toussaint 1983).  Each
@@ -586,23 +583,22 @@ def in_positive_hull(theta: float, generators) -> bool:
 
 
 def group_orbit_map(normals: np.ndarray, A: Isometry2, tol: float = 1e-9) -> np.ndarray:
-    """Index permutation sending each normal to its image under A."""
+    """Index map sending each normal to its image under A: the nearer of the
+    image's two cyclic neighbours among the sorted normals, ties to the
+    later one, when it lies within tol."""
     theta = canonical_angles(normals)
     images = A.apply_angles(theta)
     order = np.argsort(theta, kind="stable")
     sorted_theta = theta[order]
-    perm = np.empty(len(theta), dtype=int)
-    for i, img in enumerate(images):
-        j = int(np.searchsorted(sorted_theta, img))
-        best, bestdist = -1, tol
-        for cand in (j - 1, j, j % len(theta)):
-            c = cand % len(theta)
-            d = circular_distance(sorted_theta[c], img)
-            if d <= bestdist:
-                best, bestdist = c, d
-        if best < 0:
-            raise NotClosedUnderGroupError(
-                f"normal at {theta[i]:.12g} maps to {img:.12g}, not in the set"
-            )
-        perm[i] = order[best]
-    return perm
+    j = np.searchsorted(sorted_theta, images)
+    cand = np.stack([j - 1, j]) % len(theta)
+    d = np.abs(sorted_theta[cand] - images)
+    d = np.minimum(d, TWO_PI - d)
+    later = d[1] <= np.minimum(d[0], tol)
+    hit = later | (d[0] <= tol)
+    if not hit.all():
+        i = int(np.argmin(hit))
+        raise NotClosedUnderGroupError(
+            f"normal at {theta[i]:.12g} maps to {images[i]:.12g}, not in the set"
+        )
+    return order[np.where(later, cand[1], cand[0])]

@@ -123,14 +123,6 @@ class DiscreteMeasure3:
     def total_mass(self) -> float:
         return float(math.fsum(self.masses))
 
-    def mass_near(self, direction, tol: float = 1e-9) -> float:
-        u = np.asarray(direction, dtype=float)
-        total = 0.0
-        for d, m in zip(self.directions, self.masses):
-            if np.linalg.norm(d - u) <= tol:
-                total += m
-        return total
-
 
 class PiecewiseLinearDensity:
     """Periodic piecewise-linear density on [0, 2*pi) from sample knots."""

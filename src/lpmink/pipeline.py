@@ -18,9 +18,11 @@ from .errors import (
     AntipodalPairError,
     CannotAvoidAtomsError,
     ConcentratedError,
+    NotClosedUnderGroupError,
     NotSymmetricError,
 )
 from .geometry import (
+    ANGLE_TOL,
     TWO_PI,
     Isometry2,
     Polygon,
@@ -47,6 +49,7 @@ from .measure import (
 from .solver import (
     SolveReport,
     SolverConfig,
+    index_blocks,
     measure_residual,
     orbit_partition,
     solve_discrete,
@@ -145,27 +148,23 @@ def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, spec: MeasureSpec):
         raise NotSymmetricError(f"group order {G.order_k} does not divide l = {l}")
     phi0 = G.axis if G.kind == "dihedral" else 0.0
     lm = l * m
-    forbidden = np.array([])
-    if spec.atoms is not None and spec.atoms.n:
-        big = SymmetryGroup.dihedral(lm, phi0)
-        images = [A.apply_angles(spec.atoms.thetas) for A in big.elements()]
-        forbidden = np.sort(np.concatenate(images))
+    step = TWO_PI / lm
+    atoms = spec.atoms.thetas if spec.atoms is not None else np.array([])
     base = phi0 + math.pi / (2.0 * lm)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     for trial in range(1000):
         beta = canonical_angle(base + trial * golden * math.pi / lm)
+        # The orbit is beta and 2 phi0 - beta plus multiples of step, so an
+        # atom clears it when it clears both modulo step.
+        off = np.concatenate([atoms - beta, atoms - (2.0 * phi0 - beta)]) % step
+        if np.minimum(off, step - off).min(initial=math.inf) <= 1e-9:
+            continue
         pts = np.concatenate(
             [beta + TWO_PI * np.arange(lm) / lm,
              (2.0 * phi0 - beta) + TWO_PI * np.arange(lm) / lm]
         )
         pts = np.sort(pts % TWO_PI)
-        pts = pts[np.concatenate([[True], np.diff(pts) > 1e-12])]
-        if forbidden.size:
-            d = np.abs(pts[:, None] - forbidden[None, :])
-            d = np.minimum(d, TWO_PI - d)
-            if d.min() <= 1e-9:
-                continue
-        return pts
+        return pts[np.concatenate([[True], np.diff(pts) > 1e-12])]
     raise CannotAvoidAtomsError("no subdivision base point clears the atom orbit")
 
 
@@ -183,9 +182,11 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int) ->
     masses = np.zeros(n)
     if spec.atoms is not None:
         # The cut points clear every atom by more than 1e-9, so each atom
-        # lies inside one arc, and only those arcs carry atom mass.
-        for k in np.unique((np.searchsorted(pts, spec.atoms.thetas) - 1) % n).tolist():
-            masses[k] = spec.atom_arc_mass(a[k], b[k])
+        # lies inside one arc; an arc's atoms add up in index order, as
+        # spec.atom_arc_mass adds them.
+        arc = (np.searchsorted(pts, spec.atoms.thetas) - 1) % n
+        for rows in index_blocks(arc):
+            masses[arc[rows[:, 0]]] = np.sum(spec.atoms.masses[rows], axis=1)
     if spec.density is not None:
         masses += spec.density.arc_masses(a, b)
     keep = masses > 0.0
@@ -193,18 +194,11 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int) ->
     if not G.is_trivial:
         try:
             orb = orbit_partition(mids, G, tol=1e-9)
-        except Exception as exc:
+        except NotClosedUnderGroupError as exc:
             raise NotSymmetricError(
                 f"measure is not invariant under {G.label()}: {exc}"
             ) from exc
-        for o in orb.orbits:
-            vals = masses[o]
-            mean = float(np.mean(vals))
-            if np.max(np.abs(vals - mean)) > 1e-8 * max(mean, 1e-300):
-                raise NotSymmetricError(
-                    f"arc masses differ across a {G.label()} orbit"
-                )
-            masses[o] = mean
+        masses = orb.require_invariant(masses, f"arc masses differ across a {G.label()} orbit")
     return DiscreteMeasure(mids, masses)
 
 
@@ -239,45 +233,47 @@ def _combine_reflection(G: SymmetryGroup, v: float, w: float) -> SymmetryGroup:
 
 
 def _cut_half(K2: Polygon, w: float) -> Polygon:
-    """The half of a reflect-doubled body on the support side: add the cut
-    normal w + pi with support 0."""
+    """The half of a reflect-doubled body on the support side: the cut normal
+    w + pi with support 0 replaces any facet of K2 at that normal."""
+    cut = canonical_angle(w + math.pi)
+    keep = np.abs(K2.normals - cut) > ANGLE_TOL
     return polygon_from_support(
-        np.append(K2.normals, canonical_angle(w + math.pi)), np.append(K2.support, 0.0)
+        np.append(K2.normals[keep], cut), np.append(K2.support[keep], 0.0)
     )
 
 
 def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
-                     cfg: SolverConfig | None = None):
+                     cfg: SolverConfig | None = None, G: SymmetryGroup | None = None):
     """Solve an atomic measure concentrated on a closed semicircle.
 
-    Single direction: a closed-form dilated triangle.  Proper semicircle:
-    reflect-double across the arc's chord direction, solve with the
-    reflection symmetry enforced, then keep the half-body on the support
-    side.  An antipodal pair admits no solution.
+    Single direction: a closed-form dilated triangle, symmetric only across
+    the atom's own line.  Proper semicircle: reflect-double across the arc's
+    chord direction, solve with that reflection and G enforced, then keep
+    the half-body on the support side.  An antipodal pair admits no
+    solution.  A group the measure cannot admit raises NotSymmetricError.
     """
     cfg = cfg or SolverConfig()
+    G = G or SymmetryGroup.trivial()
     if cls.tag == ANTIPODAL_PAIR:
         raise AntipodalPairError(
             "no body exists: the support is a pair of antipodal directions"
         )
     if cls.tag == SINGLE_DIRECTION:
-        w = cls.w
-        P = _single_direction_body(w, mu.total_mass(), p)
-        report = SolveReport(
-            residual=measure_residual(P, mu, p),
-            classification=SINGLE_DIRECTION,
-        )
-        return P, report
+        if not (G.is_trivial or G.kind == "dihedral" and G.order_k == 1
+                and circular_distance(2.0 * G.axis, 2.0 * cls.w) <= 2e-9):
+            raise NotSymmetricError(f"symmetry {G.label()} is incompatible with a single atom")
+        P = _single_direction_body(cls.w, mu.total_mass(), p)
+        return P, SolveReport(residual=measure_residual(P, mu, p),
+                              classification=SINGLE_DIRECTION, symmetry=G.label())
     if cls.tag != SEMICIRCLE:
         raise ConcentratedError("solve_semicircle needs a concentrated classification")
 
     v, w = cls.v, cls.w
-    A = Isometry2("reflection", v)
-    doubled = mu + mu.pushforward(A)
+    G2 = _combine_reflection(G, v, w)
+    doubled = mu + mu.pushforward(Isometry2("reflection", v))
     if classify(doubled).tag != GENERAL_POSITION:
         raise ConcentratedError("doubled measure is still concentrated")
-    G = SymmetryGroup.dihedral(1, canonical_angle(v))
-    K2, rep = solve_discrete(doubled, p, G, cfg)
+    K2, rep = solve_discrete(doubled, p, G2, cfg)
     K = _cut_half(K2, w)
     report = SolveReport(
         residual=measure_residual(K, mu, p),
@@ -380,9 +376,8 @@ def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
         )
     if spec.is_purely_atomic():
         if cls.tag in (SINGLE_DIRECTION, SEMICIRCLE):
-            return solve_semicircle(spec.atoms, cls, p, cfg)
-        P, rep = solve_discrete(spec.atoms, p, G, cfg)
-        return P, rep
+            return solve_semicircle(spec.atoms, cls, p, cfg, G)
+        return solve_discrete(spec.atoms, p, G, cfg)
 
     if cls.tag == SEMICIRCLE:
         G_loop = _combine_reflection(G, cls.v, cls.w)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -95,6 +96,15 @@ class SolveReport:
         return d
 
 
+def index_blocks(labels: np.ndarray) -> list:
+    """Indices grouped by label, one matrix per group size with a row per group
+    in index order: a row-wise sum adds a row as it adds that group alone."""
+    size = np.bincount(labels)[labels]
+    order = np.lexsort((labels, size))
+    cuts = np.flatnonzero(np.diff(size[order])) + 1
+    return [rows.reshape(-1, size[rows[0]]) for rows in np.split(order, cuts) if rows.size]
+
+
 @dataclass
 class OrbitStructure:
     """Partition of normal indices into orbits of a finite group action."""
@@ -107,47 +117,46 @@ class OrbitStructure:
     def n_orbits(self) -> int:
         return len(self.orbits)
 
+    @cached_property
+    def _blocks(self) -> list:
+        return index_blocks(self.index_to_orbit)
+
     def average(self, values: np.ndarray) -> np.ndarray:
+        """Each value replaced by its orbit's mean, one row-wise np.mean per
+        orbit size (orbits on reflection axes are half size)."""
         out = np.empty_like(values, dtype=float)
-        for orb in self.orbits:
-            out[orb] = float(np.mean(values[orb]))
+        for rows in self._blocks:
+            out[rows] = np.mean(values[rows], axis=1, keepdims=True)
         return out
+
+    def require_invariant(self, values: np.ndarray, message: str) -> np.ndarray:
+        """Orbit averages of values within 1e-8 of their orbit's mean, else
+        NotSymmetricError(message)."""
+        mean = self.average(values)
+        if np.any(np.abs(values - mean) > 1e-8 * np.maximum(mean, 1e-300)):
+            raise NotSymmetricError(message)
+        return mean
 
 
 def orbit_partition(normals, G: SymmetryGroup, tol: float = ATOM_MERGE_TOL) -> OrbitStructure:
-    """Orbits of the normal index set under the group action on angles."""
+    """Orbits of the normal index set under the group action on angles.  The
+    orbit of normal i is its image set {A(i) : A in G}, labelled by its
+    smallest index; a match that moves a label is no group action (normals
+    closer than 2 * tol) and raises NotClosedUnderGroupError."""
     theta = np.asarray(normals, dtype=float)
-    n = len(theta)
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for A in G.elements():
-        if A.is_identity():
-            continue
-        perm = group_orbit_map(theta, A, tol)
-        for i in range(n):
-            ri, rj = find(i), find(perm[i])
-            if ri != rj:
-                parent[ri] = rj
-    roots = {}
-    index_to_orbit = np.empty(n, dtype=int)
-    orbits = []
-    for i in range(n):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(orbits)
-            orbits.append([])
-        k = roots[r]
-        orbits[k].append(i)
-        index_to_orbit[i] = k
-    orbits = [np.asarray(o, dtype=int) for o in orbits]
-    reps = np.array([int(o.min()) for o in orbits])
-    return OrbitStructure(orbits, reps, index_to_orbit)
+    images = np.array([np.arange(len(theta))] + [
+        group_orbit_map(theta, A, tol) for A in G.elements() if not A.is_identity()])
+    label = images.min(axis=0)
+    moved = (label[images] != label).any(axis=0)
+    if moved.any():
+        raise NotClosedUnderGroupError(
+            f"the images of the normal at {theta[np.argmax(moved)]:.12g} under "
+            f"{G.label()} do not form an orbit"
+        )
+    representative, index_to_orbit = np.unique(label, return_inverse=True)
+    order = np.argsort(index_to_orbit, kind="stable")
+    orbits = np.split(order, np.cumsum(np.bincount(index_to_orbit))[:-1])
+    return OrbitStructure(orbits, representative, index_to_orbit)
 
 
 class _Workspace:
@@ -487,12 +496,7 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
             orb = orbit_partition(theta, G)
         except NotClosedUnderGroupError as exc:
             raise NotSymmetricError(str(exc)) from exc
-        for o in orb.orbits:
-            m = alpha[o]
-            if np.max(np.abs(m - m.mean())) > 1e-8 * max(m.mean(), 1e-300):
-                raise NotSymmetricError(
-                    "atom masses are not constant on group orbits"
-                )
+        orb.require_invariant(alpha, "atom masses are not constant on group orbits")
         average = orb.average
     else:
         average = lambda x: x

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ from lpmink.measure import (
     SEMICIRCLE,
     SINGLE_DIRECTION,
 )
+from lpmink import pipeline
+from lpmink.errors import NotSymmetricError
+from lpmink.geometry import support_distance
 from lpmink.pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
@@ -136,6 +140,49 @@ class TestDiscretizeSymmetric:
         gaps = np.diff(np.append(mu.thetas, mu.thetas[0] + TWO_PI))
         assert gaps.max() <= TWO_PI / (l * m) + 1e-12
 
+    @pytest.mark.parametrize("G, l", [(SymmetryGroup.trivial(), 3), (SymmetryGroup.cyclic(4), 4),
+                                      (SymmetryGroup.dihedral(3, 0.7), 6),
+                                      (SymmetryGroup.dihedral(5, 2.1), 5)],
+                             ids=lambda x: x.label() if isinstance(x, SymmetryGroup) else str(x))
+    def test_base_angles_match_the_image_set_rule(self, rng, G, l):
+        for trial in range(6):
+            m = int(rng.integers(2, 9))
+            base = rng.uniform(0.0, TWO_PI, int(rng.integers(1, 4)))
+            thetas = np.concatenate([A.apply_angles(base) for A in G.elements()])
+            if trial % 2:  # atoms on the lm-gon's cut candidates: early trials fail
+                big = reference_base_angles(G, l, m, uniform_density_spec())
+                thetas = np.append(thetas, big[: 2 + trial])
+            spec = MeasureSpec(DiscreteMeasure(thetas, np.ones(len(thetas))), None)
+            assert np.array_equal(_symmetric_base_angles(G, l, m, spec),
+                                  reference_base_angles(G, l, m, spec))
+
+    def test_base_angles_bounded_memory_at_lm_4096(self):
+        # 4 C4-invariant atoms at lm = 4096: the image-set rule held a
+        # (2 lm) x (2 lm atoms) distance matrix, several GB at this size
+        thetas = 0.37 + np.arange(4) * math.pi / 2
+        spec = MeasureSpec(DiscreteMeasure(thetas, np.ones(4)), uniform_density_spec().density)
+        tracemalloc.start()
+        try:
+            mu = discretize_symmetric(spec, SymmetryGroup.cyclic(4), 4, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mu.n == 2 * 4096  # beta and its mirror image per cell
+        assert peak < 16 * 2 ** 20
+
+    def test_only_a_failed_match_reads_as_not_invariant(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(pipeline, "orbit_partition", broken)
+        with pytest.raises(MemoryError):
+            discretize_symmetric(uniform_density_spec(), SymmetryGroup.cyclic(2), 4, 2)
+
+    def test_not_invariant_raises(self):
+        atoms = DiscreteMeasure([0.3, 0.3 + math.pi / 2], [1.0, 1.0])
+        with pytest.raises(NotSymmetricError, match="not invariant under C4"):
+            discretize_symmetric(MeasureSpec(atoms, None), SymmetryGroup.cyclic(4), 4, 2)
+
 
 def reference_density_arc_mass(d, a, b):
     """PiecewiseLinearDensity.arc_mass as a difference of scalar
@@ -189,6 +236,32 @@ def reference_discretize(spec, m):
     thetas = step * np.arange(1, m + 1)
     thetas[-1] = 0.0
     return DiscreteMeasure(thetas, masses)
+
+
+def reference_base_angles(G, l, m, spec):
+    """The base-point rule tested against the full D_lm image set of the
+    atoms, every cut point against every image."""
+    phi0 = G.axis if G.kind == "dihedral" else 0.0
+    lm = l * m
+    forbidden = np.array([])
+    if spec.atoms is not None and spec.atoms.n:
+        big = SymmetryGroup.dihedral(lm, phi0)
+        forbidden = np.sort(np.concatenate([A.apply_angles(spec.atoms.thetas)
+                                            for A in big.elements()]))
+    base = phi0 + math.pi / (2.0 * lm)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    for trial in range(1000):
+        beta = (base + trial * golden * math.pi / lm) % TWO_PI
+        pts = np.concatenate([beta + TWO_PI * np.arange(lm) / lm,
+                              (2.0 * phi0 - beta) + TWO_PI * np.arange(lm) / lm])
+        pts = np.sort(pts % TWO_PI)
+        pts = pts[np.concatenate([[True], np.diff(pts) > 1e-12])]
+        if forbidden.size:
+            d = np.abs(pts[:, None] - forbidden[None, :])
+            if np.minimum(d, TWO_PI - d).min() <= 1e-9:
+                continue
+        return pts
+    raise AssertionError("no base point")
 
 
 def reference_discretize_symmetric(spec, G, l, m):
@@ -275,6 +348,20 @@ class TestDiscretizersBitIdentity:
                 assert_same_measure(discretize_symmetric(spec, G, 6, m),
                                     reference_discretize_symmetric(spec, G, 6, m))
 
+    def test_discretize_symmetric_crowded_arcs(self, rng):
+        # arcs holding 1, 3, 9 and 20 atoms, one of them across the seam,
+        # so the per-arc sums depend on numpy's summation order
+        l, m = 4, 4
+        step = TWO_PI / (l * m)
+        crowds = [s + rng.uniform(0.1, 0.9, c) * step for s, c in
+                  ((step, 1), (3 * step, 3), (5 * step, 9), (8 * step, 20), (-0.5 * step, 9))]
+        thetas = np.concatenate(crowds) % TWO_PI
+        atoms = DiscreteMeasure(thetas, rng.uniform(0.1, 3.0, len(thetas)) * 10.0 ** rng.uniform(-6, 6, len(thetas)))
+        assert atoms.n == 42
+        for spec in (MeasureSpec(atoms, None), MeasureSpec(atoms, random_knot_density(rng, 13))):
+            assert_same_measure(discretize_symmetric(spec, SymmetryGroup.trivial(), l, m),
+                                reference_discretize_symmetric(spec, SymmetryGroup.trivial(), l, m))
+
 
 class TestClassifySpec:
     def test_atomic_delegates(self):
@@ -343,6 +430,50 @@ class TestSolveSemicircle:
                     assert m <= 1e-10
 
 
+class TestAtomicReducedRoutesHonourTheGroup:
+    """solve passes the caller's group to the semicircle and single-atom
+    routes, which accept it only when the measure can carry it."""
+
+    def semicircle_atoms(self, w):
+        # symmetric across the line at w: offsets -+0.4 and -+1.2 with equal masses
+        th = [w - 1.2, w - 0.4, w, w + 0.4, w + 1.2]
+        return MeasureSpec(DiscreteMeasure(th, [1.0, 2.0, 0.5, 2.0, 1.0]), None)
+
+    def test_incompatible_groups_raise(self):
+        spec = self.semicircle_atoms(0.9)
+        for G in (SymmetryGroup.cyclic(3), SymmetryGroup.dihedral(1, 0.3)):
+            with pytest.raises(NotSymmetricError):
+                solve(spec, 0.5, G)
+
+    def test_reflection_across_the_arc_center(self):
+        w = 0.9
+        spec = self.semicircle_atoms(w)
+        K0, rep0 = solve(spec, 0.5)
+        K, rep = solve(spec, 0.5, SymmetryGroup.dihedral(1, w + math.pi))
+        assert rep0.symmetry.startswith("D1:") and rep.symmetry.startswith("D2:")
+        assert rep.classification == SEMICIRCLE
+        assert rep.residual <= 1e-6
+        assert K.support_values([w + 0.4])[0] == pytest.approx(
+            K.support_values([w - 0.4])[0], rel=1e-12)
+        assert support_distance(K, K0) <= 1e-6
+        asym = MeasureSpec(DiscreteMeasure([w - 0.4, w, w + 0.5], [1.0, 1.0, 1.0]), None)
+        with pytest.raises(NotSymmetricError):
+            solve(asym, 0.5, SymmetryGroup.dihedral(1, w))
+
+    def test_single_atom_groups(self):
+        spec = MeasureSpec(DiscreteMeasure([1.0], [4.0]), None)
+        for G in (SymmetryGroup.cyclic(4), SymmetryGroup.dihedral(1, 1.3),
+                  SymmetryGroup.dihedral(2, 1.0)):
+            with pytest.raises(NotSymmetricError):
+                solve(spec, 0.25, G)
+        P0, rep0 = solve(spec, 0.25)
+        assert rep0.symmetry == "trivial"
+        for axis in (1.0, 1.0 + math.pi):
+            P, rep = solve(spec, 0.25, SymmetryGroup.dihedral(1, axis))
+            assert rep.symmetry == SymmetryGroup.dihedral(1, axis).label()
+            assert np.array_equal(P.support, P0.support)
+
+
 class TestSolveRouting:
     def test_atomic_general_position(self):
         spec = MeasureSpec(DiscreteMeasure(
@@ -395,6 +526,27 @@ class TestSolveRouting:
         assert rep.classification == SEMICIRCLE
         # support vanishes opposite the measure's arc
         assert K.support_values([cls.w + math.pi])[0] == pytest.approx(0.0, abs=1e-10)
+
+    def test_cut_normal_already_a_facet(self):
+        # D1 subdivisions with l m even put a grid midpoint on the cut normal
+        # w + pi, and the mirror image of an atom at w lands there too; the
+        # cut replaces that facet instead of adding a duplicate normal
+        psi = 0.4
+        t = psi + np.linspace(0.0, TWO_PI, 256, endpoint=False)
+        s = t - psi
+        f = np.where(s < math.pi, np.sin(s) ** 2, 0.0)
+        f[0] = f[128] = 0.0
+        spec = MeasureSpec(None, PiecewiseLinearDensity(t, f))
+        cls = classify_spec(spec)
+        assert cls.tag == SEMICIRCLE
+        K, rep = solve(spec, 0.5, None, PipelineConfig(m0=64, m_max=128))
+        assert rep.m_final == 128
+        assert K.support_values([cls.w + math.pi])[0] == pytest.approx(0.0, abs=1e-12)
+        atoms = MeasureSpec(DiscreteMeasure([1.0, 1.7, 2.4], [1.0, 2.0, 1.5]), None)
+        assert classify_spec(atoms).w == pytest.approx(1.7, abs=1e-15)
+        K, rep = solve(atoms, 0.5)
+        assert rep.classification == SEMICIRCLE
+        assert measure_residual(K, atoms.atoms, 0.5) <= 1e-6
 
     def test_boundedness_monitor(self):
         spec = uniform_density_spec()

@@ -30,6 +30,7 @@ from lpmink.errors import (
     NotClosedUnderGroupError,
     NotSymmetricError,
 )
+from lpmink.geometry import Isometry2, canonical_angles, circular_distance, group_orbit_map
 from lpmink.solver import _newton_polish, _Workspace
 
 TWO_PI = 2 * math.pi
@@ -424,3 +425,171 @@ class TestOrbits:
     def test_not_closed(self):
         with pytest.raises(NotClosedUnderGroupError):
             orbit_partition(np.array([0.0, 1.0, 2.0]), SymmetryGroup.cyclic(4))
+
+
+def reference_group_orbit_map(normals, A, tol=1e-9):
+    """One scalar nearest-neighbour match per normal."""
+    theta = canonical_angles(normals)
+    images = A.apply_angles(theta)
+    order = np.argsort(theta, kind="stable")
+    sorted_theta = theta[order]
+    perm = np.empty(len(theta), dtype=int)
+    for i, img in enumerate(images):
+        j = int(np.searchsorted(sorted_theta, img))
+        best, bestdist = -1, tol
+        for cand in (j - 1, j, j % len(theta)):
+            c = cand % len(theta)
+            d = circular_distance(sorted_theta[c], img)
+            if d <= bestdist:
+                best, bestdist = c, d
+        if best < 0:
+            raise NotClosedUnderGroupError(
+                f"normal at {theta[i]:.12g} maps to {img:.12g}, not in the set"
+            )
+        perm[i] = order[best]
+    return perm
+
+
+def reference_orbit_partition(normals, G, tol=1e-9):
+    """Union-find over the matches of every group element."""
+    theta = np.asarray(normals, dtype=float)
+    n = len(theta)
+    parent = np.arange(n)
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for A in G.elements():
+        if A.is_identity():
+            continue
+        perm = reference_group_orbit_map(theta, A, tol)
+        for i in range(n):
+            ri, rj = find(i), find(perm[i])
+            if ri != rj:
+                parent[ri] = rj
+    roots, orbits = {}, []
+    index_to_orbit = np.empty(n, dtype=int)
+    for i in range(n):
+        r = find(i)
+        if r not in roots:
+            roots[r] = len(orbits)
+            orbits.append([])
+        orbits[roots[r]].append(i)
+        index_to_orbit[i] = roots[r]
+    orbits = [np.asarray(o, dtype=int) for o in orbits]
+    return orbits, np.array([int(o.min()) for o in orbits]), index_to_orbit
+
+
+def reference_average(orbits, values):
+    out = np.empty_like(values, dtype=float)
+    for orb in orbits:
+        out[orb] = float(np.mean(values[orb]))
+    return out
+
+
+def invariant_normals(rng, G, n_free, n_axis=0, seam=False):
+    """G-orbits of random angles, plus orbits of points on reflection axes
+    (half size under D_k) and of points within 1e-13 of the seam at 0."""
+    base = list(rng.uniform(0.0, TWO_PI, n_free))
+    if G.kind == "dihedral":
+        k = G.order_k
+        base += [G.axis + math.pi * j / k for j in rng.integers(0, 2 * k, n_axis)]
+    if seam:
+        base.append(float(rng.choice([3e-13, TWO_PI - 3e-13, TWO_PI - 2e-12])))
+    images = np.sort(np.concatenate([A.apply_angles(base) for A in G.elements()]))
+    # one normal per orbit point, shuffled so orbits interleave in index order
+    gaps = np.diff(np.append(images, images[0] + TWO_PI))
+    return rng.permutation(images[gaps > 1e-9])
+
+
+GROUPS = [SymmetryGroup.cyclic(2), SymmetryGroup.cyclic(5), SymmetryGroup.dihedral(1, 0.0),
+          SymmetryGroup.dihedral(3, 0.4), SymmetryGroup.dihedral(4, 2.9),
+          SymmetryGroup.dihedral(6, 0.0), SymmetryGroup.dihedral(12, 1.1)]
+
+
+class TestOrbitMapAgainstUnionFind:
+    """The image-labelled orbits against the union-find they replace."""
+
+    @pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.label())
+    def test_same_orbits_and_bit_equal_average(self, rng, G):
+        for trial in range(4):
+            theta = invariant_normals(rng, G, int(rng.integers(1, 8)),
+                                      n_axis=int(rng.integers(1, 4)), seam=trial % 2 == 1)
+            orbits, reps, index_to_orbit = reference_orbit_partition(theta, G)
+            orb = orbit_partition(theta, G)
+            assert len(orb.orbits) == len(orbits)
+            for got, want in zip(orb.orbits, orbits):
+                assert np.array_equal(got, want)
+            assert np.array_equal(orb.representative, reps)
+            assert np.array_equal(orb.index_to_orbit, index_to_orbit)
+            if G.kind == "dihedral" and not trial % 2:
+                assert len({o.size for o in orb.orbits}) == 2  # axis orbits are half size
+            values = rng.uniform(0.0, 1.0, len(theta)) * 10.0 ** rng.uniform(-8, 8, len(theta))
+            assert np.array_equal(orb.average(values), reference_average(orbits, values))
+
+    @pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.label())
+    def test_group_orbit_map_matches_scalar_rule(self, rng, G):
+        theta = invariant_normals(rng, G, 5, n_axis=2, seam=True)
+        # perturb within the tolerance so the nearest-neighbour rule matters
+        theta = canonical_angles(theta + rng.uniform(-3e-10, 3e-10, len(theta)))
+        for A in G.elements():
+            assert np.array_equal(group_orbit_map(theta, A), reference_group_orbit_map(theta, A))
+
+    def test_group_orbit_map_permutes_a_regular_polygon(self):
+        theta = np.array([0.3 + TWO_PI * j / 6 for j in range(6)])[::-1]
+        perm = group_orbit_map(theta, Isometry2("rotation", TWO_PI / 6))
+        assert perm.tolist() == [5, 0, 1, 2, 3, 4]
+        refl = group_orbit_map(theta, Isometry2("reflection", 0.3))
+        assert refl.tolist() == [4, 3, 2, 1, 0, 5]
+
+    def test_group_orbit_map_tie_goes_to_later_candidate(self):
+        # the reflection across 0.75 maps 0.5 to 1.0, which lies exactly
+        # halfway between the normals 1 -+ 2**-31 (all exact in binary)
+        x = 2.0 ** -31
+        theta = np.array([0.5, 1.0 - x, 1.0 + x])
+        A = Isometry2("reflection", 0.75)
+        assert group_orbit_map(theta, A).tolist() == [2, 0, 0]
+        assert reference_group_orbit_map(theta, A).tolist() == [2, 0, 0]
+
+    def test_group_orbit_map_names_first_missing_normal(self):
+        theta = np.array([0.5, 1.0, 2.0, 0.5 + math.pi])
+        with pytest.raises(NotClosedUnderGroupError) as exc:
+            group_orbit_map(theta, Isometry2("rotation", math.pi))
+        with pytest.raises(NotClosedUnderGroupError) as ref:
+            reference_group_orbit_map(theta, Isometry2("rotation", math.pi))
+        assert str(exc.value) == str(ref.value)
+        assert str(exc.value).startswith("normal at 1 maps to")
+
+    def test_non_injective_match_raises(self):
+        # normals 1.5e-9 apart: both map to the one image of the antipode,
+        # so the matching is no group action; the union-find merged them
+        theta = np.array([0.0, 1.5e-9, math.pi + 0.75e-9])
+        G = SymmetryGroup.cyclic(2)
+        assert len(reference_orbit_partition(theta, G)[0]) == 1
+        with pytest.raises(NotClosedUnderGroupError, match="do not form an orbit"):
+            orbit_partition(theta, G)
+        mu = DiscreteMeasure(np.append(theta, [0.5 * math.pi, 1.5 * math.pi]), [1.0] * 5)
+        assert mu.n == 5
+        with pytest.raises(NotSymmetricError, match="do not form an orbit"):
+            solve_discrete(mu, 0.5, G)
+
+    @pytest.mark.parametrize("G", [SymmetryGroup.cyclic(64), SymmetryGroup.dihedral(80, 0.2)],
+                             ids=lambda G: G.label())
+    def test_average_bit_equal_on_large_orbits(self, rng, G):
+        # orbits of 64 and 160 values: numpy's pairwise sum unrolls by 8 and
+        # splits blocks above 128, and a row-wise mean must do the same
+        theta = invariant_normals(rng, G, 3, n_axis=1)
+        orb = orbit_partition(theta, G)
+        values = rng.uniform(0.0, 1.0, len(theta)) * 10.0 ** rng.uniform(-8, 8, len(theta))
+        assert np.array_equal(orb.average(values), reference_average(orb.orbits, values))
+
+    def test_require_invariant(self):
+        theta = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+        orb = orbit_partition(theta, SymmetryGroup.cyclic(2))
+        vals = np.array([1.0, 2.0, 1.0 + 5e-9, 2.0])
+        assert np.array_equal(orb.require_invariant(vals, "x"), orb.average(vals))
+        with pytest.raises(NotSymmetricError, match="^odd$"):
+            orb.require_invariant(np.array([1.0, 2.0, 1.0 + 2e-8, 2.0]), "odd")
