@@ -29,12 +29,11 @@ from .measure import lp_surface_measure, weak_distance
 from .pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
-    _loop_groups,
     detect_symmetry,
     discretize,
-    discretize_symmetric,
     monge_ampere_residual,
     solve,
+    stage_measure,
 )
 from .serialization import (
     discrete_measure_to_dict,
@@ -177,11 +176,7 @@ def cmd_measure(args) -> int:
 def cmd_discretize(args) -> int:
     spec = measure_spec_from_dict(_load_json(args.input))
     G = parse_symmetry(args.symmetry, spec)
-    if G.is_trivial:
-        mu = discretize(spec, args.m)
-    else:
-        l = _loop_groups(G)
-        mu = discretize_symmetric(spec, G, l, max(2, args.m // l))
+    mu = discretize(spec, args.m) if G.is_trivial else stage_measure(spec, G, args.m)
     payload = discrete_measure_to_dict(mu)
     if args.output:
         write_canonical(payload, args.output)

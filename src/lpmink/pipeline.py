@@ -19,6 +19,7 @@ from .errors import (
     CannotAvoidAtomsError,
     ConcentratedError,
     NotClosedUnderGroupError,
+    NoConvergenceError,
     NotSymmetricError,
 )
 from .geometry import (
@@ -79,44 +80,41 @@ class PipelineConfig(SolverConfig):
 
 
 def classify_spec(spec: MeasureSpec) -> MeasureClass:
-    """Support classification of an atoms-plus-density measure."""
+    """Support classification of an atoms-plus-density measure.
+
+    The support is the union of the atoms and the knot intervals where the
+    density is positive at either end.  Intervals sorted by start merge
+    while a start is within 1e-12 of the running maximum of the ends;
+    the last merged interval joins the first across the seam when it reaches
+    it, and the widest gap decides the class.
+    """
     if spec.is_purely_atomic():
         return classify(spec.atoms)
-    intervals = []
+    knots, vals = spec.density._t, spec.density._f
+    live = (vals[:-1] > 0.0) | (vals[1:] > 0.0)
+    a, b = knots[:-1][live], knots[1:][live]
     if spec.atoms is not None:
-        for t in spec.atoms.thetas:
-            intervals.append((float(t), float(t)))
-    dens = spec.density
-    knots = dens._t
-    vals = dens._f
-    for k in range(len(knots) - 1):
-        if vals[k] > 0.0 or vals[k + 1] > 0.0:
-            intervals.append((float(knots[k]), float(knots[k + 1])))
-    intervals = [(canonical_angle(a), canonical_angle(a) + (b - a)) for a, b in intervals]
-    intervals.sort()
-    merged = []
-    for a, b in intervals:
-        if merged and a <= merged[-1][1] + 1e-12:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    if len(merged) >= 2 and merged[0][0] + TWO_PI <= merged[-1][1] + 1e-12:
-        merged[0][0] = merged[-1][0] - TWO_PI
-        merged[0][1] = max(merged[0][1], merged[-1][1] - TWO_PI)
-        merged.pop()
-    if len(merged) == 1 and merged[0][1] - merged[0][0] >= TWO_PI - 1e-12:
+        a = np.concatenate([spec.atoms.thetas, a])
+        b = np.concatenate([spec.atoms.thetas, b])
+    start = canonical_angles(a)
+    end = start + (b - a)
+    order = np.argsort(start)  # equal starts always merge: their order is moot
+    start, reach = start[order], np.maximum.accumulate(end[order])
+    first = np.flatnonzero(np.append(True, ~(start[1:] <= reach[:-1] + 1e-12)))
+    lo, hi = start[first], reach[np.append(first[1:] - 1, len(start) - 1)]
+    if len(lo) >= 2 and lo[0] + TWO_PI <= hi[-1] + 1e-12:
+        lo[0] = lo[-1] - TWO_PI
+        hi[0] = max(hi[0], hi[-1] - TWO_PI)
+        lo, hi = lo[:-1], hi[:-1]
+    if len(lo) == 1 and hi[0] - lo[0] >= TWO_PI - 1e-12:
         return MeasureClass(GENERAL_POSITION, TWO_PI)
-    gaps = []
-    for k in range(len(merged)):
-        nxt = merged[(k + 1) % len(merged)]
-        start_next = nxt[0] + (TWO_PI if k == len(merged) - 1 else 0.0)
-        gaps.append((start_next - merged[k][1], k))
-    gmax, kmax = max(gaps)
+    gaps = np.append(lo[1:], lo[0] + TWO_PI) - hi
+    gmax = float(gaps.max())
     if gmax < math.pi - 1e-12:
         return MeasureClass(GENERAL_POSITION, TWO_PI - gmax)
-    start = merged[(kmax + 1) % len(merged)][0]
+    kmax = int(np.flatnonzero(gaps == gmax)[-1])  # ties go to the last gap
     width = TWO_PI - gmax
-    w = canonical_angle(start + width / 2.0)
+    w = canonical_angle(float(lo[(kmax + 1) % len(lo)]) + width / 2.0)
     return MeasureClass(SEMICIRCLE, width, v=canonical_angle(w + math.pi / 2.0), w=w)
 
 
@@ -213,9 +211,14 @@ def _single_direction_body(w: float, mass: float, p: float) -> Polygon:
     return dilate(K0, lam0)
 
 
-def _combine_reflection(G: SymmetryGroup, v: float, w: float) -> SymmetryGroup:
+def _combine_reflection(G: SymmetryGroup, cls: MeasureClass, spec: MeasureSpec) -> SymmetryGroup:
     """Group generated by G and the reflection across lin(v), for the groups
-    a semicircle-supported measure can actually admit."""
+    a semicircle-supported measure can actually admit: the trivial group and
+    D1 across lin(v) or lin(w).  The reflect-doubled measure is invariant
+    under the reflection across lin(v) whatever the input, so solving it
+    does not test the caller's claim; spec itself must be invariant under
+    G, or NotSymmetricError is raised."""
+    v, w = cls.v, cls.w
     refl_v = SymmetryGroup.dihedral(1, canonical_angle(v))
     if G.is_trivial:
         return refl_v
@@ -223,10 +226,10 @@ def _combine_reflection(G: SymmetryGroup, v: float, w: float) -> SymmetryGroup:
         axis = G.axis
         dv = min(circular_distance(axis, v), circular_distance(axis, v + math.pi))
         dw = min(circular_distance(axis, w), circular_distance(axis, w + math.pi))
-        if dv <= 1e-9:
-            return refl_v
-        if dw <= 1e-9:
-            return SymmetryGroup.dihedral(2, canonical_angle(v))
+        if min(dv, dw) <= 1e-9:
+            if not _spec_invariant_under(spec, Isometry2("reflection", axis)):
+                raise NotSymmetricError(f"measure is not invariant under {G.label()}")
+            return refl_v if dv <= 1e-9 else SymmetryGroup.dihedral(2, canonical_angle(v))
     raise NotSymmetricError(
         f"symmetry {G.label()} is incompatible with a semicircle-supported measure"
     )
@@ -269,7 +272,7 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
         raise ConcentratedError("solve_semicircle needs a concentrated classification")
 
     v, w = cls.v, cls.w
-    G2 = _combine_reflection(G, v, w)
+    G2 = _combine_reflection(G, cls, MeasureSpec(mu))
     doubled = mu + mu.pushforward(Isometry2("reflection", v))
     if classify(doubled).tag != GENERAL_POSITION:
         raise ConcentratedError("doubled measure is still concentrated")
@@ -294,24 +297,40 @@ def _loop_groups(G: SymmetryGroup) -> int:
     return {1: 3, 2: 4}[k]
 
 
+def stage_measure(spec: MeasureSpec, G: SymmetryGroup, m: int) -> DiscreteMeasure:
+    """The refinement loop's grid measure at resolution m: the arc-midpoint
+    discretization on 2 l floor(m / l) equal arcs, l = _loop_groups(G), for
+    every group including the trivial one.  Zero-mass arcs carry no atom."""
+    l = _loop_groups(G)
+    return discretize_symmetric(spec, G, l, max(2, m // l))
+
+
 def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
                      cfg: PipelineConfig):
     """Solve discretizations of increasing resolution until the bodies
-    stabilize.  No flat-distance check between a body's boundary measure and
-    its discretization is needed: the solver's residual gate already bounds
-    it by tol_residual times the total mass."""
+    stabilize.  Every stage solves stage_measure, whose arc midpoints make
+    the body converge at second order in m.  No flat-distance check between
+    a body's boundary measure and its discretization is needed: the
+    solver's residual gate already bounds it by tol_residual times the
+    total mass.  A stage that cannot be solved ends the loop with a
+    NoConvergenceError naming its m: the solver's residual gate failed, or
+    the grid measure lies in a closed semicircle (zero-mass arcs carry no
+    atom, so a support just wider than pi can give one)."""
     history = []
     prev_P = None
     prev_rep = None
     m = cfg.m0
-    l = _loop_groups(G)
     while m <= cfg.m_max:
-        if G.is_trivial:
-            mu_m = discretize(spec, m)
-        else:
-            mu_m = discretize_symmetric(spec, G, l, max(2, m // l))
+        mu_m = stage_measure(spec, G, m)
         h0 = prev_P.support_values(mu_m.thetas) if prev_P is not None else None
-        P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0)
+        try:
+            P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0)
+        except ConcentratedError as exc:
+            raise NoConvergenceError(
+                f"stage m = {m}: the grid measure lies in a closed semicircle ({exc})"
+            ) from exc
+        except NoConvergenceError as exc:
+            raise NoConvergenceError(f"stage m = {m}: {exc}", exc.report) from exc
         diam = P_m.diameter()
         entry = {
             "m": int(m),
@@ -380,7 +399,7 @@ def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
         return solve_discrete(spec.atoms, p, G, cfg)
 
     if cls.tag == SEMICIRCLE:
-        G_loop = _combine_reflection(G, cls.v, cls.w)
+        G_loop = _combine_reflection(G, cls, spec)
         spec_loop = _double_spec(spec, cls.v)
         K2, rep = _refinement_loop(spec_loop, p, G_loop, cfg)
         K = _cut_half(K2, cls.w)

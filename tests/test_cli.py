@@ -210,6 +210,26 @@ class TestVerifyAndMeasure:
         assert out["monge_ampere_residual"] <= 1e-2
 
 
+    @pytest.mark.parametrize("shape", ["uniform", "manufactured"])
+    def test_verify_accepts_solved_density_bodies(self, tmp_path, capsys, shape):
+        # the loop solves arc-midpoint grids; verify compares against the
+        # right-endpoint grid, at its default level and tolerance 2 pi / n
+        t = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
+        p = 0.5
+        f = np.ones_like(t)
+        if shape == "manufactured":
+            h = 1.0 + 0.05 * np.cos(2 * t + 0.3) + 0.02 * np.cos(5 * t + 1.1)
+            f = h ** (1.0 - p) * (1.0 - 0.15 * np.cos(2 * t + 0.3) - 0.48 * np.cos(5 * t + 1.1))
+        spec_path = tmp_path / "dens.json"
+        spec_path.write_text(json.dumps({"atoms": [], "density": {"theta": list(t), "f": list(f)}}))
+        body = tmp_path / "body.json"
+        assert main(["solve", "--input", str(spec_path), "--output", str(body), "--p", str(p)]) == 0
+        capsys.readouterr()
+        rc = main(["verify", "--body", str(body), "--input", str(spec_path), "--p", str(p)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0, out
+
+
 class TestDiscretizeCommand:
     def test_plain(self, tmp_path, square_measure_path, capsys):
         rc = main(["discretize", "--input", square_measure_path, "--m", "8"])

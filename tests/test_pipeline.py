@@ -27,18 +27,20 @@ from lpmink import (
 from lpmink.measure import (
     ANTIPODAL_PAIR,
     GENERAL_POSITION,
+    MeasureClass,
     SEMICIRCLE,
     SINGLE_DIRECTION,
 )
 from lpmink import pipeline
-from lpmink.errors import NotSymmetricError
-from lpmink.geometry import support_distance
+from lpmink.errors import NoConvergenceError, NotSymmetricError
+from lpmink.geometry import canonical_angle, support_distance
 from lpmink.pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
     _symmetric_base_angles,
     detect_symmetry,
     ma_residual_from_samples,
+    stage_measure,
 )
 from lpmink.solver import orbit_partition
 from lpmink.solver import SolverConfig
@@ -390,6 +392,147 @@ class TestClassifySpec:
         assert classify_spec(spec).tag == GENERAL_POSITION
 
 
+def reference_classify_spec(spec):
+    """classify_spec as one Python pass over the knot intervals."""
+    if spec.is_purely_atomic():
+        return classify(spec.atoms)
+    intervals = []
+    if spec.atoms is not None:
+        for t in spec.atoms.thetas:
+            intervals.append((float(t), float(t)))
+    knots, vals = spec.density._t, spec.density._f
+    for k in range(len(knots) - 1):
+        if vals[k] > 0.0 or vals[k + 1] > 0.0:
+            intervals.append((float(knots[k]), float(knots[k + 1])))
+    intervals = [(canonical_angle(a), canonical_angle(a) + (b - a)) for a, b in intervals]
+    intervals.sort()
+    merged = []
+    for a, b in intervals:
+        if merged and a <= merged[-1][1] + 1e-12:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    if len(merged) >= 2 and merged[0][0] + TWO_PI <= merged[-1][1] + 1e-12:
+        merged[0][0] = merged[-1][0] - TWO_PI
+        merged[0][1] = max(merged[0][1], merged[-1][1] - TWO_PI)
+        merged.pop()
+    if len(merged) == 1 and merged[0][1] - merged[0][0] >= TWO_PI - 1e-12:
+        return MeasureClass(GENERAL_POSITION, TWO_PI)
+    gaps = []
+    for k in range(len(merged)):
+        nxt = merged[(k + 1) % len(merged)]
+        start_next = nxt[0] + (TWO_PI if k == len(merged) - 1 else 0.0)
+        gaps.append((start_next - merged[k][1], k))
+    gmax, kmax = max(gaps)
+    if gmax < math.pi - 1e-12:
+        return MeasureClass(GENERAL_POSITION, TWO_PI - gmax)
+    start = merged[(kmax + 1) % len(merged)][0]
+    width = TWO_PI - gmax
+    w = canonical_angle(start + width / 2.0)
+    return MeasureClass(SEMICIRCLE, width, v=canonical_angle(w + math.pi / 2.0), w=w)
+
+
+def arc_density(start, width, knots=256):
+    """sin^2-tapered density, positive inside the arc (start, start + width)
+    and 0.0 at both ends and at 7 knots on the rest of the circle."""
+    s = np.linspace(0.0, width, knots)
+    f = np.sin(math.pi * s / width) ** 2 * (1.0 + 0.3 * np.cos(s))
+    f[0] = f[-1] = 0.0  # sin(pi) is 1.2e-16
+    rest = width + (TWO_PI - width) * np.arange(1, 8) / 8
+    return PiecewiseLinearDensity(start + np.append(s, rest), np.append(f, np.zeros(7)))
+
+
+def random_support_spec(rng, kind):
+    """Specs for the classification identity: zero runs, seam crossings,
+    atoms plus density, full support and widths at pi."""
+    atoms = None
+    if kind == "width":
+        width = math.pi + float(rng.choice([-1e-2, -1e-9, -1.1e-12, -0.9e-12, 0.0,
+                                            0.9e-12, 1.1e-12, 1e-9, 1e-2]))
+        dens = arc_density(float(rng.uniform(0.0, TWO_PI)), width, int(rng.integers(3, 200)))
+    elif kind == "full":
+        t = np.unique(rng.uniform(0.0, TWO_PI, int(rng.integers(1, 50))))
+        dens = PiecewiseLinearDensity(t, rng.uniform(0.1, 2.0, t.size))
+    elif kind == "touch":  # pieces and an atom within about 1e-12 of each other
+        c = float(rng.uniform(0.0, TWO_PI))
+        gap = rng.choice([5e-13, 9e-13, 1.1e-12, 2e-12], 2)
+        w1, w2 = rng.uniform(0.3, 2.0, 2)
+        closed = rng.uniform() < 0.5  # the second piece ends gap[1] before the first
+        if closed:
+            w2 = TWO_PI - w1 - gap[0] - gap[1]
+        s1 = np.linspace(0.0, w1, 5)
+        s2 = w1 + gap[0] + np.linspace(0.0, w2, 5)
+        f = np.tile([0.0, 1.0, 0.5, 2.0, 0.0], 2)
+        dens = PiecewiseLinearDensity(c + np.append(s1, s2), f)
+        if not closed:
+            atoms = DiscreteMeasure([c + s2[-1] + gap[1]], [1.0])
+    elif kind == "seam":
+        dens = arc_density(float(rng.uniform(TWO_PI - 2.0, TWO_PI)),
+                           float(rng.uniform(0.5, 4.0)), int(rng.integers(3, 100)))
+    else:  # zero runs, optionally with atoms in and out of them
+        n = int(rng.integers(2, 300))
+        t = np.unique(rng.uniform(0.0, TWO_PI, n) if rng.uniform() < 0.5
+                      else (rng.uniform(0.0, TWO_PI) + TWO_PI * np.arange(n) / n) % TWO_PI)
+        f = rng.uniform(0.0, 2.0, t.size)
+        runs = rng.uniform(size=t.size) < rng.uniform(0.0, 0.95)
+        f[runs | np.roll(runs, 1)] = 0.0
+        if not f.any():
+            f[0] = 1.0
+        dens = PiecewiseLinearDensity(t, f)
+        if kind == "atoms":
+            k = int(rng.integers(1, 6))
+            th = rng.choice(np.append(dens.knots, rng.uniform(0.0, TWO_PI, k)), k)
+            atoms = DiscreteMeasure(th, rng.uniform(0.1, 2.0, k))
+    return MeasureSpec(atoms, dens)
+
+
+def class_bits(cls):
+    """The tag, then each number field's type and exact bits."""
+    return [cls.tag] + [(type(x), None if x is None else np.float64(x).tobytes())
+                        for x in (cls.arc_width, cls.v, cls.w)]
+
+
+class TestClassifySpecBitIdentity:
+    """The array-pass classify_spec against the per-interval loop."""
+
+    @pytest.mark.parametrize("kind", ["zero-runs", "atoms", "touch", "seam", "full", "width"])
+    def test_random_specs(self, rng, kind):
+        tags = set()
+        for _ in range(150):
+            spec = random_support_spec(rng, kind)
+            got = classify_spec(spec)
+            assert class_bits(got) == class_bits(reference_classify_spec(spec))
+            tags.add(got.tag)
+        if kind == "width":
+            assert tags == {GENERAL_POSITION, SEMICIRCLE}
+
+    def test_tied_widest_gaps(self):
+        # an atom opposite a 2^-42-wide density bump: two widest gaps, equal
+        # to the last bit, so the tie rule picks the semicircle
+        d = 2.0 ** -42
+        for c in (0.5, 1.0, 2.0, 3.0):
+            dens = PiecewiseLinearDensity([c, c + d / 2, c + d, c + 2, c + 4], [0, 1, 0, 0, 0])
+            spec = MeasureSpec(DiscreteMeasure([c + d / 2 + math.pi], [1.0]), dens)
+            got = classify_spec(spec)
+            assert got.tag == SEMICIRCLE
+            assert class_bits(got) == class_bits(reference_classify_spec(spec))
+
+    def test_noisy_half_sine(self):
+        t = TWO_PI * np.arange(1024) / 1024
+        spec = MeasureSpec(None, PiecewiseLinearDensity(t, np.maximum(np.sin(t), 0.0)))
+        got = classify_spec(spec)
+        assert got.tag == GENERAL_POSITION
+        assert class_bits(got) == class_bits(reference_classify_spec(spec))
+
+    def test_semicircle_directions(self, rng):
+        for _ in range(50):
+            spec = MeasureSpec(None, arc_density(float(rng.uniform(0.0, TWO_PI)),
+                                                 float(rng.uniform(0.1, 3.0))))
+            got = classify_spec(spec)
+            assert got.tag == SEMICIRCLE
+            assert class_bits(got) == class_bits(reference_classify_spec(spec))
+
+
 class TestSolveSemicircle:
     def test_single_direction_closed_form(self):
         mu = DiscreteMeasure([math.pi / 2], [3.0])
@@ -460,6 +603,38 @@ class TestAtomicReducedRoutesHonourTheGroup:
         with pytest.raises(NotSymmetricError):
             solve(asym, 0.5, SymmetryGroup.dihedral(1, w))
 
+    def test_reflection_along_the_chord_is_checked_on_the_input(self):
+        # the doubled measure is always invariant across lin(v); this input is not
+        mu = DiscreteMeasure([0.5, 1.0, 2.0], [1.0, 3.0, 0.7])
+        cls = classify(mu)
+        assert cls.tag == SEMICIRCLE
+        G = SymmetryGroup.dihedral(1, cls.v)
+        with pytest.raises(NotSymmetricError, match="not invariant"):
+            solve(MeasureSpec(mu, None), 0.5, G)
+        with pytest.raises(NotSymmetricError, match="not invariant"):
+            solve_semicircle(mu, cls, 0.5, None, G)
+        spec = MeasureSpec(None, arc_density(0.4, 2.0))
+        cls = classify_spec(spec)
+        assert cls.tag == SEMICIRCLE
+        for axis in (cls.v, cls.v + math.pi, cls.w):
+            with pytest.raises(NotSymmetricError, match="not invariant"):
+                solve(spec, 0.5, SymmetryGroup.dihedral(1, axis))
+
+    def test_density_reflection_across_the_arc_center(self):
+        s = np.linspace(0.0, 2.5, 65)
+        f = np.sin(math.pi * s / 2.5) ** 2
+        f[-1] = 0.0  # sin(pi) is 1.2e-16
+        spec = MeasureSpec(None, PiecewiseLinearDensity(
+            np.append(s + 0.7, [4.0, 5.0]), np.append(f, [0.0, 0.0])))
+        cls = classify_spec(spec)
+        assert cls.tag == SEMICIRCLE
+        cfg = PipelineConfig(m0=64, m_max=512)
+        K0, rep0 = solve(spec, 0.5, None, cfg)
+        K, rep = solve(spec, 0.5, SymmetryGroup.dihedral(1, cls.w), cfg)
+        assert rep.symmetry.startswith("D2:") and rep.classification == SEMICIRCLE
+        assert rep.residual <= 1e-6
+        assert support_distance(K, K0) <= 1e-3 * K0.diameter()
+
     def test_single_atom_groups(self):
         spec = MeasureSpec(DiscreteMeasure([1.0], [4.0]), None)
         for G in (SymmetryGroup.cyclic(4), SymmetryGroup.dihedral(1, 1.3),
@@ -499,7 +674,7 @@ class TestSolveRouting:
         t = np.linspace(0, TWO_PI, 64, endpoint=False)
         spec = MeasureSpec(None, PiecewiseLinearDensity(t, 1.0 + 0.3 * np.cos(3 * t)))
         P, rep = solve(spec, 0.5, None, PipelineConfig(m0=64, m_max=256))
-        final = measure_residual(P, discretize(spec, rep.m_final), 0.5)
+        final = measure_residual(P, stage_measure(spec, SymmetryGroup.trivial(), rep.m_final), 0.5)
         assert rep.residual == final == rep.loop_history[-1]["residual"]
 
     def test_uniform_density_disk_limit(self):
@@ -565,6 +740,63 @@ class TestSolveRouting:
         cfg = PipelineConfig(m0=8, m_max=16)
         P, rep = solve(spec, 0.5, None, cfg)
         assert NO_CONVERGENCE_WARNING in rep.warnings
+
+
+def manufactured_spec(p, phases, knots=4096):
+    """Density h^(1-p) (h'' + h) of h = 1 + 0.05 cos(2t + a) + 0.02 cos(5t + b),
+    and h itself."""
+    a, b = phases
+
+    def h(t):
+        return 1.0 + 0.05 * np.cos(2 * t + a) + 0.02 * np.cos(5 * t + b)
+
+    t = TWO_PI * np.arange(knots) / knots
+    f = h(t) ** (1.0 - p) * (1.0 - 0.15 * np.cos(2 * t + a) - 0.48 * np.cos(5 * t + b))
+    return MeasureSpec(None, PiecewiseLinearDensity(t, f)), h
+
+
+class TestMidpointRefinementLoop:
+    """Every group's loop solves arc-midpoint grids: second order in m."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_second_order_on_manufactured_densities(self, rng, p):
+        spec, h = manufactured_spec(p, rng.uniform(0.0, TWO_PI, 2))
+        t = TWO_PI * np.arange(8192) / 8192
+
+        def error(P):
+            return float(np.max(np.abs(P.support_values(t) - h(t))) / h(t).max())
+
+        P, rep = solve(spec, p)
+        assert not rep.warnings
+        assert [e["n_atoms"] for e in rep.loop_history] == [
+            2 * 3 * (e["m"] // 3) for e in rep.loop_history]
+        assert error(P) <= 5e-5
+        errors = [error(solve(spec, p, None, PipelineConfig(m0=m, m_max=m))[0])
+                  for m in (64, 128, 256, 512)]
+        assert all(e1 >= 3.0 * e2 for e1, e2 in zip(errors, errors[1:])), errors
+
+    def test_support_just_wider_than_pi_gives_up_at_once(self):
+        t = TWO_PI * np.arange(1024) / 1024
+        noisy = PiecewiseLinearDensity(t, np.maximum(np.sin(t), 0.0))
+        for dens in (noisy, arc_density(0.4, math.pi + 0.02)):
+            spec = MeasureSpec(None, dens)
+            assert classify_spec(spec).tag == GENERAL_POSITION
+            t0 = time.perf_counter()
+            with pytest.raises(NoConvergenceError,
+                               match=r"stage m = 64: the grid measure lies in a closed semicircle"):
+                solve(spec, 0.5)
+            assert time.perf_counter() - t0 < 0.1
+
+    def test_residual_give_up_names_the_stage(self):
+        with pytest.raises(NoConvergenceError, match=r"^stage m = 64: residual") as info:
+            solve(uniform_density_spec(), 0.5, None, PipelineConfig(tol_residual=1e-30))
+        assert info.value.report is not None
+
+    def test_support_wider_by_0_3_solves(self):
+        spec = MeasureSpec(None, arc_density(0.4, math.pi + 0.3))
+        P, rep = solve(spec, 0.5)
+        assert not rep.warnings
+        assert rep.residual <= 1e-6
 
 
 class TestMongeAmpereResidual:
