@@ -3,12 +3,24 @@
 All numbers are serialized as decimals with 17 significant digits so a
 write-read cycle reproduces every double bit-faithfully, and identical
 invocations produce byte-identical files.
+
+The writer walks the document once and builds a single %-format template
+plus one flat list of floats, then formats them all with one `%` operation.
+A list (or a list of equal-length lists) whose items are all finite Python
+floats adds its whole template in one step, with a `%.17g` slot per float;
+every other node (dicts, strings, ints, bools, numpy scalars, None, mixed or
+ragged lists) is written as literal text, with any `%` in it doubled.
+`"%.17g" % v` and `format(v, ".17g")` give the same text for every float.
+
+The readers reject any angle, mass, density sample or support number that is
+not a finite number, naming its field.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -28,49 +40,64 @@ def _format_number(x) -> str:
     return format(v, ".17g")
 
 
-def _float_lines(items, indent: int) -> str:
-    """dumps_canonical of a non-empty list of finite Python floats."""
-    inner, pad = " " * (indent + 2), " " * indent
-    return "[\n" + ",\n".join([inner + format(v, ".17g") for v in items]) + "\n" + pad + "]"
-
-
-def _all_finite_floats(items) -> bool:
+def _finite_floats(items) -> bool:
     """Every item a finite Python float (not a subclass such as np.float64,
-    which goes through _format_number)."""
+    which is written as literal text by _format_number)."""
     return set(map(type, items)) == {float} and all(map(math.isfinite, items))
+
+
+def _float_list_template(n: int, indent: int) -> str:
+    inner, pad = " " * (indent + 2), " " * indent
+    return "[\n" + (inner + "%.17g,\n") * (n - 1) + inner + "%.17g\n" + pad + "]"
+
+
+def _walk(obj, indent: int, out: list, values: list) -> None:
+    """Append obj's template text to out and its float slots to values."""
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj).replace("%", "%%"))
+    elif isinstance(obj, (bool, int, float, np.integer, np.floating)):
+        out.append(_format_number(obj))
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        inner, pad = " " * (indent + 2), " " * indent
+        if len(obj) == 0:
+            out.append("[]")
+        elif not isinstance(obj, np.ndarray) and _finite_floats(obj):
+            out.append(_float_list_template(len(obj), indent))
+            values.extend(obj)
+        elif (type(obj[0]) is list and obj[0]
+              and all(type(r) is list and len(r) == len(obj[0]) for r in obj)
+              and _finite_floats(flat := list(chain.from_iterable(obj)))):
+            # Rows of floats, such as polygon_to_dict's [x, y] vertices.
+            row = inner + _float_list_template(len(obj[0]), indent + 2)
+            out.append("[\n" + (row + ",\n") * (len(obj) - 1) + row + "\n" + pad + "]")
+            values.extend(flat)
+        else:
+            out.append("[\n")
+            for k, v in enumerate(obj):
+                out.append(inner)
+                _walk(v, indent + 2, out, values)
+                out.append(",\n" if k < len(obj) - 1 else "\n" + pad + "]")
+    elif isinstance(obj, dict) and not obj:
+        out.append("{}")
+    elif isinstance(obj, dict):
+        inner, pad = " " * (indent + 2), " " * indent
+        keys = sorted(obj.keys())
+        out.append("{\n")
+        for k, key in enumerate(keys):
+            out.append(inner + json.dumps(str(key)).replace("%", "%%") + ": ")
+            _walk(obj[key], indent + 2, out, values)
+            out.append(",\n" if k < len(keys) - 1 else "\n" + pad + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
     """Deterministic JSON text: sorted keys, fixed float formatting."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (bool, int, float, np.integer, np.floating)):
-        return _format_number(obj)
-    if isinstance(obj, (list, tuple)) and obj and _all_finite_floats(obj):
-        return _float_lines(obj, indent)
-    if (isinstance(obj, (list, tuple)) and obj and all(type(r) is list and r for r in obj)
-            and _all_finite_floats([v for r in obj for v in r])):
-        # Rows of floats, such as polygon_to_dict's [x, y] vertices.
-        rows = [inner + _float_lines(r, indent + 2) for r in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [dumps_canonical(v, indent + 2) for v in obj]
-        if not items:
-            return "[]"
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        keys = sorted(obj.keys())
-        items = [
-            f"{json.dumps(str(k))}: {dumps_canonical(obj[k], indent + 2)}" for k in keys
-        ]
-        if not items:
-            return "{}"
-        return "{\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    out, values = [], []
+    _walk(obj, indent, out, values)
+    return "".join(out) % tuple(values)
 
 
 def write_canonical(obj, path) -> None:
@@ -92,6 +119,28 @@ def polygon_to_dict(P: Polygon) -> dict:
     }
 
 
+def _finite_number(value, field: str) -> float:
+    try:
+        x = np.asarray(value, float)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    _require(x is not None and x.ndim == 0 and math.isfinite(x), field, "must be a finite number")
+    return float(x)
+
+
+def _finite_array(values: list, field: str) -> np.ndarray:
+    """values as one float array.  If any value is not a finite number (NaN,
+    +-inf, null, a non-numeric string, a list), the per-value check raises on
+    the first bad one, naming field[k]."""
+    try:
+        a = np.asarray(values, float)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is not None and a.ndim == 1 and np.isfinite(a).all():
+        return a
+    return np.array([_finite_number(v, f"{field}[{k}]") for k, v in enumerate(values)])
+
+
 def polygon_from_dict(d: dict) -> Polygon:
     _require(isinstance(d, dict), "$", "polygon JSON must be an object")
     _require("normals_theta" in d, "normals_theta", "missing")
@@ -103,46 +152,42 @@ def polygon_from_dict(d: dict) -> Polygon:
     _require(isinstance(support, list) and len(support) == len(normals),
              "support", "length must match normals_theta")
     # vertices are always recomputed from the support data
-    return polygon_from_support(np.asarray(normals, float), np.asarray(support, float))
+    return polygon_from_support(_finite_array(normals, "normals_theta"),
+                                _finite_array(support, "support"))
 
 
 def measure_spec_to_dict(spec: MeasureSpec) -> dict:
     atoms = []
     if spec.atoms is not None:
-        atoms = [
-            {"theta": float(t), "mass": float(m)}
-            for t, m in zip(spec.atoms.thetas, spec.atoms.masses)
-        ]
+        atoms = discrete_measure_to_dict(spec.atoms)["atoms"]
     density = None
     if spec.density is not None:
-        density = {
-            "theta": [float(t) for t in spec.density.knots],
-            "f": [float(v) for v in spec.density.values],
-        }
+        density = {"theta": spec.density.knots.tolist(), "f": spec.density.values.tolist()}
     return {"atoms": atoms, "density": density}
 
 
-def _atom_lists(raw_atoms: list) -> tuple[list, list]:
-    """Theta and mass lists of well-formed atoms in one pass each.  If any
+def _atom_arrays(raw_atoms: list) -> tuple[np.ndarray, np.ndarray]:
+    """Theta and mass arrays of well-formed atoms in one pass each.  If any
     entry is malformed, the per-entry loop raises on the first bad one, as
     it names atoms[k]."""
     if all(isinstance(entry, dict) for entry in raw_atoms):
         try:
-            thetas = [float(entry["theta"]) for entry in raw_atoms]
-            masses = [float(entry["mass"]) for entry in raw_atoms]
+            thetas = np.asarray([entry["theta"] for entry in raw_atoms], float)
+            masses = np.asarray([entry["mass"] for entry in raw_atoms], float)
         except (KeyError, TypeError, ValueError, OverflowError):
             pass
         else:
-            if all(m > 0 for m in masses):
+            if (thetas.ndim == masses.ndim == 1 and np.isfinite(thetas).all()
+                    and np.isfinite(masses).all() and (masses > 0).all()):
                 return thetas, masses
     thetas, masses = [], []
     for k, entry in enumerate(raw_atoms):
         _require(isinstance(entry, dict) and "theta" in entry and "mass" in entry,
                  f"atoms[{k}]", "needs theta and mass")
-        _require(float(entry["mass"]) > 0, f"atoms[{k}].mass", "must be positive")
-        thetas.append(float(entry["theta"]))
-        masses.append(float(entry["mass"]))
-    return thetas, masses
+        thetas.append(_finite_number(entry["theta"], f"atoms[{k}].theta"))
+        masses.append(_finite_number(entry["mass"], f"atoms[{k}].mass"))
+        _require(masses[-1] > 0, f"atoms[{k}].mass", "must be positive")
+    return np.array(thetas), np.array(masses)
 
 
 def measure_spec_from_dict(d: dict) -> MeasureSpec:
@@ -150,8 +195,8 @@ def measure_spec_from_dict(d: dict) -> MeasureSpec:
     _require("atoms" in d, "atoms", "missing (use [] for none)")
     raw_atoms = d["atoms"]
     _require(isinstance(raw_atoms, list), "atoms", "must be a list")
-    thetas, masses = _atom_lists(raw_atoms)
-    atoms = DiscreteMeasure(thetas, masses) if thetas else None
+    thetas, masses = _atom_arrays(raw_atoms)
+    atoms = DiscreteMeasure(thetas, masses) if len(thetas) else None
     density = None
     raw_density = d.get("density")
     if raw_density is not None:
@@ -160,8 +205,9 @@ def measure_spec_from_dict(d: dict) -> MeasureSpec:
         t, f = raw_density["theta"], raw_density["f"]
         _require(isinstance(t, list) and isinstance(f, list) and len(t) == len(f)
                  and len(t) >= 2, "density", "theta and f must be equal-length lists (>= 2)")
-        _require(all(float(v) >= 0 for v in f), "density.f", "samples must be nonnegative")
-        density = PiecewiseLinearDensity(np.asarray(t, float), np.asarray(f, float))
+        t, f = _finite_array(t, "density.theta"), _finite_array(f, "density.f")
+        _require((f >= 0).all(), "density.f", "samples must be nonnegative")
+        density = PiecewiseLinearDensity(t, f)
     _require(atoms is not None or density is not None, "$",
              "measure must have atoms or a density")
     try:
@@ -172,9 +218,7 @@ def measure_spec_from_dict(d: dict) -> MeasureSpec:
 
 def discrete_measure_to_dict(mu: DiscreteMeasure) -> dict:
     return {
-        "atoms": [
-            {"theta": float(t), "mass": float(m)}
-            for t, m in zip(mu.thetas, mu.masses)
-        ],
+        "atoms": [{"theta": t, "mass": m}
+                  for t, m in zip(mu.thetas.tolist(), mu.masses.tolist())],
         "density": None,
     }

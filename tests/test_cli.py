@@ -112,6 +112,22 @@ class TestSolveCommand:
         assert rc == 1
         assert "atoms[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("measure, field", [
+        ({"atoms": [], "density": {"theta": [0.0, 2.0, 4.0], "f": [1.0, None, 1.0]}},
+         "density.f[1]"),
+        ({"atoms": [{"theta": t, "mass": float("nan") if k == 2 else 1.0}
+                    for k, t in enumerate(SQ)], "density": None}, "atoms[2].mass"),
+    ], ids=["null-knot", "nan-mass"])
+    def test_non_finite_number_exit_1(self, tmp_path, capsys, measure, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(measure))
+        rc = main(["solve", "--input", str(bad), "--output",
+                   str(tmp_path / "x.json"), "--p", "0.5"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "SchemaError", "message": f"{field}: must be a finite number"}
+        assert not (tmp_path / "x.json").exists()
+
     def test_invalid_p_exit_1(self, tmp_path, square_measure_path):
         rc = main(["solve", "--input", square_measure_path, "--output",
                    str(tmp_path / "x.json"), "--p", "1.5"])

@@ -33,7 +33,7 @@ from lpmink.measure import (
 )
 from lpmink import pipeline
 from lpmink.errors import NoConvergenceError, NotSymmetricError
-from lpmink.geometry import canonical_angle, support_distance
+from lpmink.geometry import Isometry2, canonical_angle, support_distance
 from lpmink.pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
@@ -797,6 +797,66 @@ class TestMidpointRefinementLoop:
         P, rep = solve(spec, 0.5)
         assert not rep.warnings
         assert rep.residual <= 1e-6
+
+
+def isometric_spec(spec, A):
+    """The pushforward of spec under the isometry A."""
+    if spec.density is None:
+        return MeasureSpec(spec.atoms.pushforward(A), None)
+    d = spec.density
+    return MeasureSpec(None, PiecewiseLinearDensity(A.apply_angles(d.knots), d.values))
+
+
+def scaled_spec(spec, lam):
+    if spec.density is None:
+        return MeasureSpec(DiscreteMeasure(spec.atoms.thetas, lam * spec.atoms.masses), None)
+    return MeasureSpec(None, PiecewiseLinearDensity(spec.density.knots, lam * spec.density.values))
+
+
+def equivariance_inputs():
+    rng = np.random.default_rng(2024)
+    n = 40
+    t = TWO_PI * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+    atoms = MeasureSpec(DiscreteMeasure(t % TWO_PI, np.exp(rng.uniform(-1.0, 1.0, n))), None)
+    k = TWO_PI * np.arange(512) / 512
+    f = 1.0 + 0.4 * np.cos(2 * k + 0.3) + 0.2 * np.sin(3 * k + 1.1)
+    return {"atoms": atoms, "density": MeasureSpec(None, PiecewiseLinearDensity(k, f))}
+
+
+class TestSolveEquivariance:
+    """Whole pipeline.solve calls commute with rotations, reflections and
+    dilations of the input: solve(A_# mu) = A solve(mu), and solve(lam mu) =
+    lam^(1/(2-p)) solve(mu).  Atomic solves agree to rounding.  A density's
+    grid does not move with the input, so its bodies agree to the loop's
+    own last support_delta."""
+
+    GRID = TWO_PI * np.arange(4096) / 4096
+
+    def tolerance(self, P, rep):
+        if rep.loop_history is None:
+            return 1e-8 * np.abs(P.support_values(self.GRID)).max()
+        return rep.loop_history[-1]["support_delta"]
+
+    @pytest.mark.parametrize("kind", ["atoms", "density"])
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    @pytest.mark.parametrize("A", [Isometry2("rotation", 1.234), Isometry2("reflection", 0.7)],
+                             ids=["rotation", "reflection"])
+    def test_isometry_moves_the_body(self, kind, p, A):
+        spec = equivariance_inputs()[kind]
+        P, rep = solve(spec, p)
+        Q, _ = solve(isometric_spec(spec, A), p)
+        err = np.abs(Q.support_values(A.apply_angles(self.GRID)) - P.support_values(self.GRID))
+        assert err.max() <= self.tolerance(P, rep)
+
+    @pytest.mark.parametrize("kind", ["atoms", "density"])
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    def test_dilation_scales_the_body(self, kind, p):
+        spec, lam = equivariance_inputs()[kind], 3.7
+        P, rep = solve(spec, p)
+        Q, _ = solve(scaled_spec(spec, lam), p)
+        s = lam ** (1.0 / (2.0 - p))
+        err = np.abs(Q.support_values(self.GRID) - s * P.support_values(self.GRID))
+        assert err.max() <= s * self.tolerance(P, rep)
 
 
 class TestMongeAmpereResidual:

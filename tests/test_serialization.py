@@ -1,4 +1,5 @@
-"""Canonical JSON: the list fast path against the per-item recursive formatter."""
+"""Canonical JSON: the one-template writer against the per-item recursive
+formatter, and the readers' checks on every number of a measure or body."""
 
 import json
 import math
@@ -10,8 +11,17 @@ import pytest
 from conftest import random_general_position_polygon
 
 from lpmink.errors import SchemaError
-from lpmink.measure import DiscreteMeasure
-from lpmink.serialization import dumps_canonical, measure_spec_from_dict, polygon_to_dict
+from lpmink.geometry import polygon_from_support
+from lpmink.measure import DiscreteMeasure, MeasureSpec, PiecewiseLinearDensity
+from lpmink.pipeline import solve
+from lpmink.serialization import (
+    dumps_canonical,
+    measure_spec_from_dict,
+    polygon_from_dict,
+    polygon_to_dict,
+)
+
+TWO_PI = 2.0 * math.pi
 
 
 def reference_dumps(obj, indent=0):
@@ -44,16 +54,27 @@ def reference_dumps(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def reference_number(value, field):
+    """One measure or body number: a finite number, else SchemaError naming field."""
+    try:
+        x = float(value) if not isinstance(value, (list, dict)) else math.nan
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise SchemaError(f"{field}: must be a finite number")
+    return x
+
+
 def reference_atoms(raw_atoms):
     """measure_spec_from_dict's atoms, checked and converted entry by entry."""
     thetas, masses = [], []
     for k, entry in enumerate(raw_atoms):
         if not (isinstance(entry, dict) and "theta" in entry and "mass" in entry):
             raise SchemaError(f"atoms[{k}]: needs theta and mass")
-        if not float(entry["mass"]) > 0:
+        thetas.append(reference_number(entry["theta"], f"atoms[{k}].theta"))
+        masses.append(reference_number(entry["mass"], f"atoms[{k}].mass"))
+        if not masses[-1] > 0:
             raise SchemaError(f"atoms[{k}].mass: must be positive")
-        thetas.append(float(entry["theta"]))
-        masses.append(float(entry["mass"]))
     return DiscreteMeasure(thetas, masses)
 
 
@@ -126,6 +147,86 @@ class TestCanonicalJsonBitIdentity:
         with pytest.raises(ValueError) as got:
             dumps_canonical(rows)
         assert str(got.value) == str(ref.value)
+
+    def test_percent_signs_stay_literal(self):
+        doc = {"a%b": [0.5, 1.5], "%": {"%.17g": "%s %d %%"}, "k": "100%",
+               "warnings": ["residual 50% above %.3e", "%"], "rows": [[0.25, 0.5]],
+               "%%": [[1.0, 2.0], [3.0, 4.0]]}
+        for obj in (doc, "%", ["%", 0.5], {"%": 1.5}):
+            assert dumps_canonical(obj) == reference_dumps(obj)
+
+    def test_8192_facet_body(self, rng):
+        n = 8192
+        normals = TWO_PI * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+        P = polygon_from_support(normals % TWO_PI, 1.0 + 0.1 * np.cos(2 * normals))
+        assert P.n == n
+        assert (dumps_canonical(polygon_to_dict(P))
+                == reference_dumps(reference_polygon_to_dict(P)))
+
+    def test_report_with_loop_history(self):
+        t = TWO_PI * np.arange(256) / 256
+        spec = MeasureSpec(None, PiecewiseLinearDensity(t, 1.0 + 0.3 * np.cos(2 * t)))
+        _, rep = solve(spec, 0.5)
+        d = rep.to_dict()
+        assert len(d["loop_history"]) >= 2
+        d["warnings"] = ["100% of m_max", "stage m = 64"]
+        assert dumps_canonical(d) == reference_dumps(d)
+        assert dumps_canonical(d, 4) == reference_dumps(d, 4)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_inside_a_dict_inside_a_list_raises_alike(self, bad):
+        for doc in ([{"a": [0.5, bad]}, 1.0], {"k": [{"b": {"c": bad}}, [0.5]]},
+                    [{"rows": [[0.5, 1.5], [bad, 2.0]]}]):
+            with pytest.raises(ValueError) as ref:
+                reference_dumps(doc)
+            with pytest.raises(ValueError) as got:
+                dumps_canonical(doc)
+            assert str(got.value) == str(ref.value)
+
+
+NOT_FINITE = [math.nan, math.inf, -math.inf, None, "north", [0.5], [[0.5]], {"v": 0.5}]
+
+
+class TestNumbersMustBeFinite:
+    """Every angle, mass, density sample and support number is a finite
+    number; anything else is a SchemaError naming its field."""
+
+    @pytest.mark.parametrize("bad", NOT_FINITE)
+    @pytest.mark.parametrize("field", ["theta", "mass"])
+    def test_atoms(self, bad, field):
+        atoms = [{"theta": 0.1 * k, "mass": 1.0} for k in range(5)]
+        atoms[2][field] = bad
+        with pytest.raises(SchemaError, match=rf"^atoms\[2\]\.{field}: must be a finite number"):
+            measure_spec_from_dict({"atoms": atoms, "density": None})
+
+    @pytest.mark.parametrize("bad", NOT_FINITE)
+    @pytest.mark.parametrize("field", ["theta", "f"])
+    def test_density(self, bad, field):
+        density = {"theta": (TWO_PI * np.arange(8) / 8).tolist(), "f": [1.0] * 8}
+        density[field][5] = bad
+        with pytest.raises(SchemaError, match=rf"^density\.{field}\[5\]: must be a finite number"):
+            measure_spec_from_dict({"atoms": [], "density": density})
+
+    @pytest.mark.parametrize("bad", NOT_FINITE)
+    @pytest.mark.parametrize("field", ["normals_theta", "support"])
+    def test_body(self, bad, field):
+        body = polygon_to_dict(polygon_from_support(TWO_PI * np.arange(6) / 6, np.ones(6)))
+        body[field][4] = bad
+        with pytest.raises(SchemaError, match=rf"^{field}\[4\]: must be a finite number"):
+            polygon_from_dict(body)
+
+    def test_negative_values_keep_their_messages(self):
+        atoms = [{"theta": 0.1 * k, "mass": 1.0 - k} for k in range(3)]
+        with pytest.raises(SchemaError, match=r"^atoms\[1\]\.mass: must be positive$"):
+            measure_spec_from_dict({"atoms": atoms, "density": None})
+        density = {"theta": [0.0, 2.0, 4.0], "f": [1.0, -0.5, 1.0]}
+        with pytest.raises(SchemaError, match=r"^density\.f: samples must be nonnegative$"):
+            measure_spec_from_dict({"atoms": [], "density": density})
+
+    def test_numeric_strings_and_bools_still_parse(self):
+        density = {"theta": ["0", True, 2.0, "4.5"], "f": [1, "0.5", False, 2.0]}
+        spec = measure_spec_from_dict({"atoms": [], "density": density})
+        assert spec.density.values.tolist() == [1.0, 0.5, 0.0, 2.0]
 
 
 class TestAtomParsing:
