@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -82,6 +83,9 @@ def _load_json(path: str) -> dict:
 
 
 def parse_symmetry(text: str, spec=None) -> SymmetryGroup:
+    """Group from a `--symmetry` spec: none|trivial, C<k>, D<k>[:<axis>] or
+    auto.  An order below 1 or an axis that is not a finite number raises
+    SchemaError naming the spec."""
     t = text.strip()
     if t in ("none", "trivial", ""):
         return SymmetryGroup.trivial()
@@ -91,9 +95,12 @@ def parse_symmetry(text: str, spec=None) -> SymmetryGroup:
         return detect_symmetry(spec)
     if t.startswith("C"):
         try:
-            return SymmetryGroup.cyclic(int(t[1:]))
+            k = int(t[1:])
         except ValueError as exc:
             raise SchemaError(f"symmetry: bad cyclic spec {text!r}") from exc
+        if k < 1:
+            raise SchemaError(f"symmetry: group order must be at least 1 in {text!r}")
+        return SymmetryGroup.cyclic(k)
     if t.startswith("D"):
         body = t[1:]
         axis = 0.0
@@ -103,10 +110,15 @@ def parse_symmetry(text: str, spec=None) -> SymmetryGroup:
                 axis = float(axis_text)
             except ValueError as exc:
                 raise SchemaError(f"symmetry: bad axis in {text!r}") from exc
+            if not math.isfinite(axis):
+                raise SchemaError(f"symmetry: axis must be a finite number in {text!r}")
         try:
-            return SymmetryGroup.dihedral(int(body), axis)
+            k = int(body)
         except ValueError as exc:
             raise SchemaError(f"symmetry: bad dihedral spec {text!r}") from exc
+        if k < 1:
+            raise SchemaError(f"symmetry: group order must be at least 1 in {text!r}")
+        return SymmetryGroup.dihedral(k, axis)
     raise SchemaError(f"symmetry: unknown spec {text!r} (none|C<k>|D<k>:<axis>|auto)")
 
 

@@ -231,14 +231,20 @@ class Polygon:
         return polygon_support(self.vertices, thetas)
 
     def diameter(self) -> float:
-        """Largest vertex distance, over the antipodal vertex pairs of a
+        """Largest vertex distance.  A chain that _normal_cones accepts takes
+        the normal-cone lookup (_lookup_diameter).  Other chains (dented, or
+        of at most five vertices) take the antipodal vertex pairs of a
         rotating-calipers walk around the CCW chain (Toussaint 1983).  Each
         vertex i is paired with the vertex farthest from the line of edge
         (i, i + 1), found by a pointer that only moves forward, so the walk
         is O(V).  Every antipodal pair arises this way: turn the pair's two
         parallel supporting lines until one of them meets an edge; the
         first edge met starts at one vertex of the pair."""
-        x, y = self.vertices[:, 0].tolist(), self.vertices[:, 1].tolist()
+        x, y = self.vertices.T.copy()
+        cones = _normal_cones(x, y)
+        if cones is not None:
+            return _lookup_diameter(x, y, *cones)
+        x, y = x.tolist(), y.tolist()
         n = len(x)
         if n <= 1:
             return 0.0
@@ -262,15 +268,42 @@ class Polygon:
         return math.sqrt(best)
 
 
+def _lookup_diameter(x: np.ndarray, y: np.ndarray, phi: np.ndarray, r: int) -> float:
+    """Largest vertex distance of a chain with normal cones (phi, r).  Each
+    edge looks up the vertex whose normal cone holds the edge's inward
+    normal, the vertex farthest from the edge's line, and both ends of the
+    edge are paired with the +-_WINDOW vertices around it: O(V log V).
+    Every antipodal pair, the diametral one among them, is an end of some
+    edge and the vertex farthest from that edge's line (as in the walk of
+    Polygon.diameter).  The computed edge's normal is within 2 eps of the
+    exact one, far inside the 30 eps turns that _normal_cones guarantees,
+    so the farthest vertex for it is the pair's vertex or a neighbour, and
+    the lookup lands within one vertex of that: the window holds the pair.
+    Each squared distance is dx*dx + dy*dy, as in an all-pairs scan, so the
+    value equals that scan's maximum bit for bit."""
+    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+    j = r + np.searchsorted(phi, np.arctan2(ex, -ey))
+    idx = (np.arange(-_WINDOW, _WINDOW + 1)[:, None] + j) % len(x)
+    xw, yw = x[idx], y[idx]
+    best = 0.0
+    for xe, ye in ((x, y), (np.roll(x, -1), np.roll(y, -1))):
+        dx, dy = xe - xw, ye - yw
+        dx *= dx
+        dx += np.multiply(dy, dy, out=dy)
+        best = max(best, float(dx.max()))
+    return math.sqrt(best)
+
+
 _WINDOW = 2          # vertices on each side of the normal-cone lookup's vertex
 _CHUNK = 1 << 16     # vertex-direction pairs per block of the full scan
 
 
 def _max_dot(x, y, c, s, buf) -> np.ndarray:
     """Row maxima of x*c + y*s, computed elementwise into the two arrays of
-    buf, with no BLAS call: every support value is this formula.  Adding
-    0.0 turns a -0.0 maximum into 0.0, so a tie of signed zeros cannot
-    depend on the reduction order."""
+    buf, with no BLAS call: the full scan of polygon_support, one row per
+    direction and one column per vertex.  Adding 0.0 turns a -0.0 maximum
+    into 0.0, so a tie of signed zeros cannot depend on the reduction
+    order."""
     xc = np.multiply(x, c, out=buf[0])
     xc += np.multiply(y, s, out=buf[1])
     return np.max(xc, axis=1) + 0.0
@@ -327,8 +360,12 @@ def polygon_support(vertices: np.ndarray, thetas) -> np.ndarray:
     the call.  On a chain that _normal_cones accepts, each direction looks
     up the vertex whose normal cone holds it and takes the max over the
     window of +-_WINDOW vertices around it, O(log V) per direction, which
-    equals the max over all vertices bit for bit; otherwise (dented or tiny
-    chains) it takes the max over all vertices, in blocks."""
+    equals the max over all vertices bit for bit.  The window is gathered
+    window-major, one row per offset and one column per direction, so the
+    products form in place and the max reduces across rows, along the long
+    axis.  Other chains (dented or tiny) take the max over all vertices,
+    in blocks (_max_dot).  Every value is x*c + y*s, then a max, then
+    + 0.0 to turn a -0.0 maximum into 0.0."""
     t = np.atleast_1d(np.asarray(thetas, dtype=float))
     x, y = np.asarray(vertices, dtype=float).T.copy()
     c, s = np.cos(t), np.sin(t)
@@ -336,9 +373,11 @@ def polygon_support(vertices: np.ndarray, thetas) -> np.ndarray:
     if cones is not None:
         phi, r = cones
         j = r + np.searchsorted(phi, np.arctan2(s, c))
-        idx = (j[:, None] + np.arange(-_WINDOW, _WINDOW + 1)) % len(x)
+        idx = (np.arange(-_WINDOW, _WINDOW + 1)[:, None] + j) % len(x)
         xw, yw = x[idx], y[idx]
-        return _max_dot(xw, yw, c[:, None], s[:, None], (xw, yw))
+        xw *= c
+        xw += np.multiply(yw, s, out=yw)
+        return np.max(xw, axis=0) + 0.0
     # Blocks small enough to stay in cache, in buffers reused across blocks.
     out = np.empty(c.shape)
     step = max(1, _CHUNK // max(len(x), 1))

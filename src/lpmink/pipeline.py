@@ -305,11 +305,37 @@ def stage_measure(spec: MeasureSpec, G: SymmetryGroup, m: int) -> DiscreteMeasur
     return discretize_symmetric(spec, G, l, max(2, m // l))
 
 
+def _interpolated_support(P: Polygon, thetas: np.ndarray) -> np.ndarray:
+    """Periodic cubic Hermite interpolant of P's support numbers at thetas
+    (angles in [0, 2 pi)), the next stage's warm start.  The slope at each
+    normal is that of the parabola through it and its two neighbours, on
+    the normals' uneven spacing (zero-mass arcs carry no atom); intervals
+    wrap at 2 pi.  At one of P's normals it returns that support number
+    bit for bit.  The exact support of P would not do: it puts the new
+    facets whose normals share one vertex's normal cone through that
+    vertex, so their edges start at length zero, outside Newton's
+    all-active cone."""
+    t, h = P.normals, P.support
+    gap = np.diff(t, append=t[0] + TWO_PI)  # gap[k]: from t[k] to t[k + 1]
+    sec = np.diff(h, append=h[0]) / gap
+    gap0, sec0 = np.roll(gap, 1), np.roll(sec, 1)
+    d = (gap0 * sec + gap * sec0) / (gap0 + gap)
+    k = np.searchsorted(t, thetas, side="right") - 1  # -1: the seam interval
+    k1 = (k + 1) % len(t)
+    w = gap[k]
+    s = ((thetas - t[k]) % TWO_PI) / w
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * h[k] + s * (1.0 - s) ** 2 * w * d[k]
+            + s * s * (3.0 - 2.0 * s) * h[k1] + s * s * (s - 1.0) * w * d[k1])
+
+
 def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
                      cfg: PipelineConfig):
     """Solve discretizations of increasing resolution until the bodies
     stabilize.  Every stage solves stage_measure, whose arc midpoints make
-    the body converge at second order in m.  No flat-distance check between
+    the body converge at second order in m, and every stage after the first
+    starts Newton from the interpolated support of the body before it.
+    Each history entry holds its stage's solver counts; the report's
+    top-level counts are the last stage's.  No flat-distance check between
     a body's boundary measure and its discretization is needed: the
     solver's residual gate already bounds it by tol_residual times the
     total mass.  A stage that cannot be solved ends the loop with a
@@ -322,7 +348,7 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
     m = cfg.m0
     while m <= cfg.m_max:
         mu_m = stage_measure(spec, G, m)
-        h0 = prev_P.support_values(mu_m.thetas) if prev_P is not None else None
+        h0 = _interpolated_support(prev_P, mu_m.thetas) if prev_P is not None else None
         try:
             P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0)
         except ConcentratedError as exc:
@@ -337,6 +363,8 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
             "n_atoms": int(mu_m.n),
             "residual": rep_m.residual,
             "diameter": diam,
+            "newton_iters": rep_m.newton_iters,
+            "outer_iters": rep_m.outer_iters,
         }
         converged = False
         if prev_P is not None:
@@ -344,6 +372,9 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
             entry["support_delta"] = sd
             converged = sd <= TOL_BODY * max(diam, 1e-300)
         history.append(entry)
+        log.debug("stage m = %d: %d atoms, %d Newton steps, %d continuation stages, "
+                  "residual %.3e, support_delta %.3e", m, mu_m.n, rep_m.newton_iters,
+                  rep_m.outer_iters, rep_m.residual, entry.get("support_delta", math.nan))
         prev_P, prev_rep = P_m, rep_m
         if converged:
             break

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import lpmink
-from lpmink.cli import main
+from lpmink.cli import main, parse_symmetry
+from lpmink.geometry import SymmetryGroup
 
 SQ = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
@@ -127,6 +128,31 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "SchemaError", "message": f"{field}: must be a finite number"}
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("symmetry, message", [
+        ("C0", "group order must be at least 1 in 'C0'"),
+        ("C-3", "group order must be at least 1 in 'C-3'"),
+        ("D0", "group order must be at least 1 in 'D0'"),
+        ("D-2:0.0", "group order must be at least 1 in 'D-2:0.0'"),
+        ("D5:nan", "axis must be a finite number in 'D5:nan'"),
+        ("D5:-inf", "axis must be a finite number in 'D5:-inf'"),
+        ("D4:x", "bad axis in 'D4:x'"),
+        ("Cx", "bad cyclic spec 'Cx'"),
+    ])
+    def test_invalid_group_exit_1(self, tmp_path, square_measure_path, capsys,
+                                  symmetry, message):
+        rc = main(["solve", "--input", square_measure_path, "--output",
+                   str(tmp_path / "x.json"), "--p", "0.5", "--symmetry", symmetry])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "SchemaError", "message": f"symmetry: {message}"}
+        assert not (tmp_path / "x.json").exists()
+
+    def test_valid_groups_parse(self):
+        assert parse_symmetry("C1") == SymmetryGroup.trivial()
+        assert parse_symmetry("C4") == SymmetryGroup.cyclic(4)
+        assert parse_symmetry("D1") == SymmetryGroup.dihedral(1, 0.0)
+        assert parse_symmetry(" D5:0.25 ") == SymmetryGroup.dihedral(5, 0.25)
 
     def test_invalid_p_exit_1(self, tmp_path, square_measure_path):
         rc = main(["solve", "--input", square_measure_path, "--output",

@@ -32,7 +32,8 @@ from lpmink.geometry import (
     group_orbit_map,
     unit_vectors,
 )
-from lpmink.pipeline import _cut_half
+from lpmink.measure import MeasureSpec, PiecewiseLinearDensity
+from lpmink.pipeline import PipelineConfig, _cut_half, solve
 
 SQ_NORMALS = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
@@ -213,7 +214,12 @@ def bent_polygon(rng, k, per_side):
 
 
 class TestDiameter:
+    """Polygon.diameter against all vertex pairs, bit for bit, on the
+    normal-cone lookup (strictly convex chains of six or more vertices) and
+    on the walk (dented chains and chains of at most five vertices)."""
+
     def test_square(self):
+        assert not takes_lookup(square())
         assert square().diameter() == math.sqrt(8.0)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 40, 2000, 2100])
@@ -232,6 +238,45 @@ class TestDiameter:
     def test_matches_all_pairs_on_near_collinear_chains(self, rng, k, per_side):
         for _ in range(3):
             P = bent_polygon(rng, k, per_side)
+            assert P.diameter() == all_pairs_diameter(P.vertices)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_chains_of_at_most_five_vertices_take_the_walk(self, rng, n):
+        for _ in range(20):
+            P = ellipse_polygon(rng, n)
+            assert not takes_lookup(P)
+            assert P.diameter() == all_pairs_diameter(P.vertices)
+
+    @pytest.mark.parametrize("n", [6, 7, 40, 300, 2000])
+    def test_ellipses_take_the_lookup(self, rng, n):
+        for _ in range(3 if n > 1000 else 20):
+            P = grid_ellipse_polygon(rng, n)
+            assert takes_lookup(P)
+            assert P.diameter() == all_pairs_diameter(P.vertices)
+
+    @pytest.mark.parametrize("n", [6, 8, 64, 1000, 1001])
+    def test_regular_polygons_with_tied_far_vertices(self, n):
+        for phase in (0.0, 0.1):
+            P = polygon_from_support(phase + 2 * math.pi * np.arange(n) / n, np.ones(n))
+            assert takes_lookup(P)
+            assert P.diameter() == all_pairs_diameter(P.vertices)
+
+    # as in TestSupportValuesElementwise: short arcs stay strictly convex,
+    # the longer ones come out dented
+    @pytest.mark.parametrize("k, per_side, dents", [(3, 20, False), (4, 150, True), (5, 200, True)])
+    def test_near_collinear_chains_take_the_path_their_turns_allow(self, rng, k, per_side, dents):
+        for _ in range(3):
+            P = bent_polygon(rng, k, per_side)
+            assert is_dented(P) == dents
+            assert takes_lookup(P) != dents
+            assert P.diameter() == all_pairs_diameter(P.vertices)
+
+    def test_solved_loop_bodies_take_the_lookup(self):
+        t = 2 * math.pi * np.arange(512) / 512
+        spec = MeasureSpec(None, PiecewiseLinearDensity(t, 1.0 + 0.4 * np.cos(2 * t + 0.3)))
+        for m in (64, 128, 256):
+            P, _ = solve(spec, 0.5, None, PipelineConfig(m0=m, m_max=m))
+            assert takes_lookup(P)
             assert P.diameter() == all_pairs_diameter(P.vertices)
 
 

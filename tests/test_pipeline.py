@@ -1,11 +1,14 @@
 """End-to-end pipeline tests: discretization, routing, reduction, residuals."""
 
+import logging
 import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+
+from conftest import random_general_position_polygon
 
 from lpmink import (
     AntipodalPairError,
@@ -33,7 +36,7 @@ from lpmink.measure import (
 )
 from lpmink import pipeline
 from lpmink.errors import NoConvergenceError, NotSymmetricError
-from lpmink.geometry import Isometry2, canonical_angle, support_distance
+from lpmink.geometry import Isometry2, apply_isometry, canonical_angle, support_distance
 from lpmink.pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
@@ -43,7 +46,7 @@ from lpmink.pipeline import (
     stage_measure,
 )
 from lpmink.solver import orbit_partition
-from lpmink.solver import SolverConfig
+from lpmink.solver import SolverConfig, _Workspace
 
 TWO_PI = 2 * math.pi
 
@@ -797,6 +800,136 @@ class TestMidpointRefinementLoop:
         P, rep = solve(spec, 0.5)
         assert not rep.warnings
         assert rep.residual <= 1e-6
+
+
+def symmetric_manufactured_spec(k, dihedral, p, psi, knots):
+    """Density of h = 1 + a cos(k s) + b cos(2k s), s = t - psi, on knots
+    anchored at psi: invariant under C_k, and under D_k with axis psi.
+    Returns the measure, h and the group."""
+    a, b = 0.3 / (k * k - 1), 0.15 / (4 * k * k - 1)
+
+    def h(t):
+        s = t - psi
+        return 1.0 + a * np.cos(k * s) + b * np.cos(2 * k * s)
+
+    t = psi + TWO_PI * np.arange(knots) / knots
+    s = t - psi
+    f = h(t) ** (1.0 - p) * (1.0 + a * (1 - k * k) * np.cos(k * s)
+                             + b * (1 - 4 * k * k) * np.cos(2 * k * s))
+    G = SymmetryGroup.dihedral(k, psi % math.pi) if dihedral else SymmetryGroup.cyclic(k)
+    return MeasureSpec(None, PiecewiseLinearDensity(t, f)), h, G
+
+
+def semicircle_manufactured_spec(p, psi, knots=2048):
+    """Clean semicircle density: h'' + h = sin^2 s (2 + cos(2s) / 4) for
+    s = t - psi in (0, pi), exactly 0 elsewhere, and the support function
+    of the half body its reflect-double is cut to."""
+    c0, c2, c4 = 1.0 - 0.25 / 4, 1.75 / 6, 0.25 / 60
+
+    def g(s):
+        return c0 + c2 * np.cos(2 * s) + c4 * np.cos(4 * s)
+
+    s = TWO_PI * np.arange(knots) / knots
+    f = g(s) ** (1.0 - p) * np.sin(s) ** 2 * (2.0 + 0.25 * np.cos(2 * s))
+    f[0] = 0.0
+    f[knots // 2:] = 0.0
+
+    def h(t):
+        s = (t - psi) % TWO_PI
+        return np.where(s <= math.pi, g(s), np.maximum(g(0.0) * np.cos(s), -g(math.pi) * np.cos(s)))
+
+    return MeasureSpec(None, PiecewiseLinearDensity(s + psi, f)), h
+
+
+class TestWarmStartedStages:
+    """Every stage after the first starts from the interpolated support of
+    the previous body, inside Newton's basin: at most two Newton steps and
+    no pad continuation.  The top-level report counts are the last stage's."""
+
+    GRID = TWO_PI * np.arange(8192) / 8192
+
+    def assert_in_basin(self, spec, h, p, G=None):
+        P, rep = solve(spec, p, G)
+        assert rep.m_final == 256 and not rep.warnings
+        for entry in rep.loop_history[1:]:
+            assert entry["outer_iters"] == 0 and entry["newton_iters"] <= 2, rep.loop_history
+        last = rep.loop_history[-1]
+        assert (rep.newton_iters, rep.outer_iters) == (last["newton_iters"], last["outer_iters"])
+        exact = h(self.GRID)
+        assert np.max(np.abs(P.support_values(self.GRID) - exact)) <= 2e-5 * exact.max()
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_trivial_group_densities(self, rng, p):
+        for _ in range(2):
+            spec, h = manufactured_spec(p, rng.uniform(0.0, TWO_PI, 2))
+            self.assert_in_basin(spec, h, p)
+
+    @pytest.mark.parametrize("k, dihedral, knots", [(4, False, 4096), (5, True, 4000)])
+    def test_symmetric_densities(self, rng, k, dihedral, knots):
+        spec, h, G = symmetric_manufactured_spec(
+            k, dihedral, 0.5, float(rng.uniform(0.0, TWO_PI / k)), knots)
+        self.assert_in_basin(spec, h, 0.5, G)
+
+    def test_semicircle_density(self, rng):
+        spec, h = semicircle_manufactured_spec(0.5, float(rng.uniform(0.0, TWO_PI)))
+        self.assert_in_basin(spec, h, 0.5)
+
+    def test_one_debug_line_per_stage(self, rng, caplog):
+        spec, _ = manufactured_spec(0.5, rng.uniform(0.0, TWO_PI, 2))
+        with caplog.at_level(logging.DEBUG, logger="lpmink.pipeline"):
+            _, rep = solve(spec, 0.5)
+        lines = [r.getMessage() for r in caplog.records if r.name == "lpmink.pipeline"]
+        assert len(lines) == len(rep.loop_history)
+        for line, entry in zip(lines, rep.loop_history):
+            assert line.startswith(f"stage m = {entry['m']}: {entry['n_atoms']} atoms, "
+                                   f"{entry['newton_iters']} Newton steps, "
+                                   f"{entry['outer_iters']} continuation stages")
+
+
+class TestInterpolatedWarmStart:
+    """pipeline._interpolated_support: the periodic cubic Hermite
+    interpolant of a body's support numbers."""
+
+    @staticmethod
+    def bodies(rng):
+        spec, _ = manufactured_spec(0.5, rng.uniform(0.0, TWO_PI, 2))
+        loop_body, _ = solve(spec, 0.5, None, PipelineConfig(m0=64, m_max=64))
+        return [loop_body] + [random_general_position_polygon(rng, nmin=3, nmax=60)
+                              for _ in range(20)]
+
+    def test_previous_support_numbers_bit_for_bit(self, rng):
+        for P in self.bodies(rng):
+            assert np.array_equal(pipeline._interpolated_support(P, P.normals), P.support)
+
+    def test_continuous_across_the_seam(self, rng):
+        for P in self.bodies(rng):
+            scale = np.abs(P.support).max()
+            for delta in (1e-9, 1e-6):
+                below, above = pipeline._interpolated_support(P, np.array([TWO_PI - delta, delta]))
+                assert abs(below - above) <= 1e3 * delta * scale
+            # rotating the data moves the seam into the middle of an interval
+            t = rng.uniform(0.0, TWO_PI, 500)
+            phi = float(rng.uniform(0.0, TWO_PI))
+            Q = apply_isometry(P, Isometry2("rotation", phi))
+            got = pipeline._interpolated_support(Q, (t + phi) % TWO_PI)
+            assert np.allclose(got, pipeline._interpolated_support(P, t), rtol=0, atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("kind", ["trivial", "C4", "D5"])
+    def test_all_active_start_on_the_next_grid(self, rng, kind):
+        if kind == "trivial":
+            spec, _ = manufactured_spec(0.5, rng.uniform(0.0, TWO_PI, 2))
+            G = SymmetryGroup.trivial()
+        else:
+            k, dihedral, knots = (4, False, 4096) if kind == "C4" else (5, True, 4000)
+            spec, _, G = symmetric_manufactured_spec(
+                k, dihedral, 0.5, float(rng.uniform(0.0, TWO_PI / k)), knots)
+        for m in (64, 128):
+            P, _ = solve(spec, 0.5, G, PipelineConfig(m0=m, m_max=m))
+            mu = stage_measure(spec, G, 2 * m)
+            ws = _Workspace(mu.thetas, mu.masses, 0.5)
+            assert ws.edge_form(pipeline._interpolated_support(P, mu.thetas)).min() > 0.0
+            # the exact support of P puts new facets through its vertices
+            assert ws.edge_form(P.support_values(mu.thetas)).min() <= 1e-12
 
 
 def isometric_spec(spec, A):
