@@ -160,12 +160,10 @@ def cmd_verify(args) -> int:
     else:
         # density comparisons only resolve at the grid scale: compare the
         # boundary measure weakly against the discretized input
-        import math as _math
-
         m = args.m if args.m is not None else max(64, P.n)
         mu_m = discretize(spec, m)
         res = weak_distance(lp_surface_measure(P, args.p), mu_m) / spec.total_mass()
-        tol = args.tol if args.tol is not None else 2 * _math.pi / min(m, P.n)
+        tol = args.tol if args.tol is not None else 2 * math.pi / min(m, P.n)
     out = {"residual": res}
     ma = monge_ampere_residual(P, spec, args.p)
     if ma is not None:

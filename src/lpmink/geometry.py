@@ -209,7 +209,9 @@ class Polygon:
 
     normals: sorted angles in [0, 2*pi), pairwise distinct.
     support: support numbers h_i (one per normal).
-    vertices: counterclockwise vertex chain.
+    vertices: counterclockwise vertex chain.  A chain of more than five
+      vertices turns by the margin of _clears_margin at every vertex:
+      construction drops the vertices that do not (_margin_chain).
     active: normals whose constraint carries an edge longer than EDGE_TOL.
     lengths: per-normal edge length (0 for normals not on the boundary).
     edge_ends: per-normal (start, end) vertex pair, NaN rows when absent.
@@ -222,6 +224,9 @@ class Polygon:
     lengths: np.ndarray
     edge_ends: np.ndarray  # shape (N, 2, 2)
 
+    def __post_init__(self):
+        self.vertices = _margin_chain(self.vertices)
+
     @property
     def n(self) -> int:
         return len(self.normals)
@@ -231,98 +236,86 @@ class Polygon:
         return polygon_support(self.vertices, thetas)
 
     def diameter(self) -> float:
-        """Largest vertex distance.  A chain that _normal_cones accepts takes
-        the normal-cone lookup (_lookup_diameter).  Other chains (dented, or
-        of at most five vertices) take the antipodal vertex pairs of a
-        rotating-calipers walk around the CCW chain (Toussaint 1983).  Each
-        vertex i is paired with the vertex farthest from the line of edge
-        (i, i + 1), found by a pointer that only moves forward, so the walk
-        is O(V).  Every antipodal pair arises this way: turn the pair's two
-        parallel supporting lines until one of them meets an edge; the
-        first edge met starts at one vertex of the pair."""
+        """Largest vertex distance.  A chain of at most five vertices compares
+        all pairs.  On a longer chain each edge looks up, in the normal cones
+        of _normal_cones, the vertex farthest from its line, and its start
+        is paired with that vertex and its two neighbours: O(V log V).
+
+        The diametral pair (a, b) is antipodal: some direction u lies in the
+        normal cone [phi_{a-1}, phi_a] of a while -u lies in that of b.  Two
+        closed arcs shorter than pi that meet share the smaller of their two
+        upper ends, so phi_a + pi lies in b's cone or phi_b + pi in a's: b
+        is farthest from the line of the edge that starts at a, or a from
+        that of the edge that starts at b.  The computed key of an edge and
+        the computed cone bounds are each within 8.5 eps of the exact angles
+        (see _normal_cones), 17 eps in all, while every cone is wider than
+        30 eps, so the lookup lands on the farthest vertex or a neighbour,
+        and the window holds the pair.  Each squared distance is
+        dx*dx + dy*dy, as in an all-pairs scan, so the value is that scan's
+        maximum unless another pair's computed square exceeds the diametral
+        pair's by rounding alone."""
         x, y = self.vertices.T.copy()
-        cones = _normal_cones(x, y)
-        if cones is not None:
-            return _lookup_diameter(x, y, *cones)
-        x, y = x.tolist(), y.tolist()
         n = len(x)
-        if n <= 1:
-            return 0.0
-        best, j = 0.0, 1
-        for i in range(n):
-            k = (i + 1) % n
-            ex, ey = x[k] - x[i], y[k] - y[i]
-            for _ in range(n):
-                # Distance from the line rises then falls along a convex
-                # chain, so looking two vertices ahead changes nothing in
-                # exact arithmetic; it steps over a vertex that rounding in
-                # polygon_from_support left just inside its neighbours' chord.
-                for nxt in ((j + 1) % n, (j + 2) % n):
-                    if ex * (y[nxt] - y[j]) - ey * (x[nxt] - x[j]) > 0.0:
-                        j = nxt
-                        break
-                else:
-                    break
-            dx, dy = x[i] - x[j], y[i] - y[j]
-            best = max(best, dx * dx + dy * dy)
-        return math.sqrt(best)
-
-
-def _lookup_diameter(x: np.ndarray, y: np.ndarray, phi: np.ndarray, r: int) -> float:
-    """Largest vertex distance of a chain with normal cones (phi, r).  Each
-    edge looks up the vertex whose normal cone holds the edge's inward
-    normal, the vertex farthest from the edge's line, and both ends of the
-    edge are paired with the +-_WINDOW vertices around it: O(V log V).
-    Every antipodal pair, the diametral one among them, is an end of some
-    edge and the vertex farthest from that edge's line (as in the walk of
-    Polygon.diameter).  The computed edge's normal is within 2 eps of the
-    exact one, far inside the 30 eps turns that _normal_cones guarantees,
-    so the farthest vertex for it is the pair's vertex or a neighbour, and
-    the lookup lands within one vertex of that: the window holds the pair.
-    Each squared distance is dx*dx + dy*dy, as in an all-pairs scan, so the
-    value equals that scan's maximum bit for bit."""
-    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
-    j = r + np.searchsorted(phi, np.arctan2(ex, -ey))
-    idx = (np.arange(-_WINDOW, _WINDOW + 1)[:, None] + j) % len(x)
-    xw, yw = x[idx], y[idx]
-    best = 0.0
-    for xe, ye in ((x, y), (np.roll(x, -1), np.roll(y, -1))):
-        dx, dy = xe - xw, ye - yw
+        if n > _SHORT:
+            phi, r = _normal_cones(x, y)
+            ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+            j = r + np.searchsorted(phi, np.arctan2(ex, -ey))
+            far = (np.arange(-1, 2)[:, None] + j) % n
+        else:
+            far = np.arange(n)[:, None]
+        dx, dy = x - x[far], y - y[far]
         dx *= dx
         dx += np.multiply(dy, dy, out=dy)
-        best = max(best, float(dx.max()))
-    return math.sqrt(best)
+        return math.sqrt(float(dx.max()))
 
 
-_WINDOW = 2          # vertices on each side of the normal-cone lookup's vertex
-_CHUNK = 1 << 16     # vertex-direction pairs per block of the full scan
+_WINDOW = 2          # vertices on each side of polygon_support's looked-up vertex
+_SHORT = 2 * _WINDOW + 1  # chains this short take no lookup: the window holds them
+_MARGIN = 64.0 * np.finfo(float).eps  # turn margin per unit of A and |e|_1
 
 
-def _max_dot(x, y, c, s, buf) -> np.ndarray:
-    """Row maxima of x*c + y*s, computed elementwise into the two arrays of
-    buf, with no BLAS call: the full scan of polygon_support, one row per
-    direction and one column per vertex.  Adding 0.0 turns a -0.0 maximum
-    into 0.0, so a tie of signed zeros cannot depend on the reduction
-    order."""
-    xc = np.multiply(x, c, out=buf[0])
-    xc += np.multiply(y, s, out=buf[1])
-    return np.max(xc, axis=1) + 0.0
+def _clears_margin(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per vertex j of a CCW chain: does its computed turn clear the margin
+    cross(e_{j-1}, e_j) > 64 eps A max(|e_{j-1}|_1, |e_j|_1), with eps the
+    machine epsilon, A = max |x_j| + |y_j| and |e|_1 = |ex| + |ey|?  The
+    bounds this margin buys are in _normal_cones."""
+    xx, yy = np.concatenate((x[-1:], x, x[:1])), np.concatenate((y[-1:], y, y[:1]))
+    ex, ey = xx[1:] - xx[:-1], yy[1:] - yy[:-1]  # edge j enters vertex j, edge j + 1 leaves it
+    cross = ex[:-1] * ey[1:] - ey[:-1] * ex[1:]
+    e1 = np.abs(ex) + np.abs(ey)
+    scale = _MARGIN * np.max(np.abs(x) + np.abs(y))
+    return cross > scale * np.maximum(e1[:-1], e1[1:])
+
+
+def _margin_chain(vertices) -> np.ndarray:
+    """The CCW chain without the vertices whose turn fails the margin:
+    every failing vertex is dropped, pass after pass, until none fails or at
+    most five vertices remain.  Such a vertex is dented or lies within
+    rounding of the chord of its neighbours, so the support values barely
+    move; near-parallel support lines whose intersections rounding leaves
+    out of convex position give such chains."""
+    v = np.asarray(vertices, dtype=float)
+    while len(v) > _SHORT:
+        keep = _clears_margin(v[:, 0], v[:, 1])
+        if keep.all():
+            break
+        v = v[keep]
+    return v
 
 
 def _normal_cones(x: np.ndarray, y: np.ndarray):
-    """(phi, r) for a CCW chain that is strictly convex with the margin
-    below, else None.  phi[k] is the outward normal angle of the edge from
-    vertex r + k to r + k + 1, increasing in k: the chain's atan2 angles
-    rotated to start at the smallest, which unwraps them because a convex
-    chain's normals wind once.  Vertex r + k supports the directions between
-    phi[k - 1] and phi[k]; below phi[0] or above phi[-1] it is vertex r.
+    """(phi, r) for a CCW chain that clears the margin at every vertex.
+    phi[k] is the outward normal angle of the edge from vertex r + k to
+    r + k + 1, increasing in k: the chain's atan2 angles rotated to start at
+    the smallest, which unwraps them because a convex chain's normals wind
+    once.  Vertex r + k supports the directions between phi[k - 1] and
+    phi[k]; below phi[0] or above phi[-1] it is vertex r.  Every Polygon
+    chain of more than five vertices qualifies, so a chain that does not
+    raises RuntimeError.
 
-    Margin.  With eps the machine epsilon, A = max |x_j| + |y_j| and
-    |e|_1 = |ex| + |ey| for an edge e, require at every vertex
-    cross(e_{j-1}, e_j) > 64 eps A max(|e_{j-1}|_1, |e_j|_1) as computed.
-    Rounding of the edges and of a cross product moves it by at most
-    2 eps |e_{j-1}|_1 |e_j|_1, and |e|_1 <= 2A, so every exact cross product
-    exceeds 60 eps A max(|e_{j-1}|, |e_j|).
+    Margin (_clears_margin).  Rounding of the edges and of a cross product
+    moves it by at most 2 eps |e_{j-1}|_1 |e_j|_1, and |e|_1 <= 2A, so every
+    exact cross product exceeds 60 eps A max(|e_{j-1}|, |e_j|).
     - Values.  For u in the normal cone of vertex j, the values fall from j
       to the lowest vertex and rise back, so j - 2 and j + 2 bound every
       vertex two or more steps from j.  Each of them is below j by at least
@@ -337,55 +330,43 @@ def _normal_cones(x: np.ndarray, y: np.ndarray):
       of the exact ones, and atan2(s, c) within 8 eps of the angle of the
       vector (c, s), 16.5 eps in all, so the lookup lands within one vertex
       of j, and the window of +-2 holds j - 1, j and j + 1."""
-    n = len(x)
-    if n <= 2 * _WINDOW + 1:  # the window would hold every vertex
-        return None
+    if not _clears_margin(x, y).all():
+        raise RuntimeError("vertex chain turns below the convexity margin")
     ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
-    cross = np.roll(ex, 1) * ey - np.roll(ey, 1) * ex
-    e1 = np.abs(ex) + np.abs(ey)
-    scale = 64.0 * np.finfo(float).eps * np.max(np.abs(x) + np.abs(y))
-    if not np.all(cross > scale * np.maximum(np.roll(e1, 1), e1)):
-        return None
     phi = np.arctan2(-ex, ey)
     r = int(np.argmin(phi))
     phi = np.roll(phi, -r)
-    if not np.all(np.diff(phi) > 0.0):  # the chain winds more than once
-        return None
+    if not np.all(np.diff(phi) > 0.0):
+        raise RuntimeError("vertex chain winds more than once")
     return phi, r
 
 
 def polygon_support(vertices: np.ndarray, thetas) -> np.ndarray:
     """max_j (x_j cos t + y_j sin t) for each direction t, elementwise, so a
     value depends neither on the BLAS build nor on the other directions of
-    the call.  On a chain that _normal_cones accepts, each direction looks
-    up the vertex whose normal cone holds it and takes the max over the
-    window of +-_WINDOW vertices around it, O(log V) per direction, which
-    equals the max over all vertices bit for bit.  The window is gathered
-    window-major, one row per offset and one column per direction, so the
-    products form in place and the max reduces across rows, along the long
-    axis.  Other chains (dented or tiny) take the max over all vertices,
-    in blocks (_max_dot).  Every value is x*c + y*s, then a max, then
-    + 0.0 to turn a -0.0 maximum into 0.0."""
+    the call.  Each direction looks up the vertex whose normal cone holds it
+    (_normal_cones) and takes the max over the window of +-_WINDOW vertices
+    around it, O(log V) per direction, which equals the max over all
+    vertices bit for bit.  A chain of at most _SHORT vertices takes no
+    lookup: the window around vertex 0 holds every vertex.  The window is
+    gathered window-major, one row per offset and one column per direction,
+    so the products form in place and the max reduces across rows, along
+    the long axis.  Every value is x*c + y*s, then a max, then + 0.0 to turn
+    a -0.0 maximum into 0.0, so a tie of signed zeros cannot depend on the
+    order of the window."""
     t = np.atleast_1d(np.asarray(thetas, dtype=float))
     x, y = np.asarray(vertices, dtype=float).T.copy()
     c, s = np.cos(t), np.sin(t)
-    cones = _normal_cones(x, y)
-    if cones is not None:
-        phi, r = cones
+    if len(x) > _SHORT:
+        phi, r = _normal_cones(x, y)
         j = r + np.searchsorted(phi, np.arctan2(s, c))
-        idx = (np.arange(-_WINDOW, _WINDOW + 1)[:, None] + j) % len(x)
-        xw, yw = x[idx], y[idx]
-        xw *= c
-        xw += np.multiply(yw, s, out=yw)
-        return np.max(xw, axis=0) + 0.0
-    # Blocks small enough to stay in cache, in buffers reused across blocks.
-    out = np.empty(c.shape)
-    step = max(1, _CHUNK // max(len(x), 1))
-    buf = np.empty((2, min(step, c.size), len(x)))
-    for i in range(0, c.size, step):
-        k = min(step, c.size - i)
-        out[i : i + k] = _max_dot(x, y, c[i : i + k, None], s[i : i + k, None], buf[:, :k])
-    return out
+    else:
+        j = np.zeros(t.shape, dtype=np.intp)
+    idx = (np.arange(-_WINDOW, _WINDOW + 1)[:, None] + j) % len(x)
+    xw, yw = x[idx], y[idx]
+    xw *= c
+    xw += np.multiply(yw, s, out=yw)
+    return np.max(xw, axis=0) + 0.0
 
 
 def _line_intersection(u: np.ndarray, h: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -544,10 +525,10 @@ def area(P: Polygon) -> float:
     return 0.5 * float(np.dot(P.support, P.lengths))
 
 
-def support_distance(P: Polygon, Q: Polygon, grid: int = 4096) -> float:
-    """max |h_P - h_Q| over a dense angle grid plus both normal sets."""
+def support_distance(P: Polygon, Q: Polygon) -> float:
+    """max |h_P - h_Q| over 4096 equally spaced angles plus both normal sets."""
     t = np.concatenate(
-        [np.linspace(0.0, TWO_PI, grid, endpoint=False), P.normals, Q.normals]
+        [np.linspace(0.0, TWO_PI, 4096, endpoint=False), P.normals, Q.normals]
     )
     return float(np.max(np.abs(P.support_values(t) - Q.support_values(t))))
 

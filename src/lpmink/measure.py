@@ -228,8 +228,8 @@ class MeasureSpec:
             total += self.density.arc_mass(a, b)
         return total
 
-    def is_purely_atomic(self, tol: float = 0.0) -> bool:
-        return self.density_mass() <= tol
+    def is_purely_atomic(self) -> bool:
+        return self.density_mass() <= 0.0
 
 
 @dataclass

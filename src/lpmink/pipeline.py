@@ -191,7 +191,7 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int) ->
     mids, masses = mids[keep], masses[keep]
     if not G.is_trivial:
         try:
-            orb = orbit_partition(mids, G, tol=1e-9)
+            orb = orbit_partition(mids, G)
         except NotClosedUnderGroupError as exc:
             raise NotSymmetricError(
                 f"measure is not invariant under {G.label()}: {exc}"
@@ -494,18 +494,18 @@ def _second_differences(h: np.ndarray, step: float) -> np.ndarray:
     return (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (step * step)
 
 
-def ma_residual_from_samples(h: np.ndarray, f: np.ndarray, p: float,
-                             mask_factor: float = 10.0, mask_radius: int = 2):
+def ma_residual_from_samples(h: np.ndarray, f: np.ndarray, p: float):
     """max |h^(1-p) (h'' + h) - 2 f| / max(2 f, eps) on the periodic grid,
-    excluding cells near second-difference spikes (support-function kinks)."""
+    excluding the cells within two points of a second-difference spike, one
+    above 10 times the median (a support-function kink)."""
     n = len(h)
     step = TWO_PI / n
     d2 = _second_differences(h, step)
     absd2 = np.abs(d2)
     med = float(np.median(absd2))
-    spikes = absd2 > mask_factor * max(med, 1e-300)
+    spikes = absd2 > 10.0 * max(med, 1e-300)
     mask = np.zeros(n, dtype=bool)
-    for off in range(-mask_radius, mask_radius + 1):
+    for off in range(-2, 3):
         mask |= np.roll(spikes, off)
     resid = np.abs(h ** (1.0 - p) * (d2 + h) - 2.0 * f) / np.maximum(2.0 * f, 1e-12)
     if mask.all():
@@ -513,9 +513,9 @@ def ma_residual_from_samples(h: np.ndarray, f: np.ndarray, p: float,
     return float(resid[~mask].max()), mask
 
 
-def monge_ampere_residual(P: Polygon, spec: MeasureSpec, p: float,
-                          grid: int | None = None) -> float | None:
-    """Pointwise residual of the planar support ODE away from corners.
+def monge_ampere_residual(P: Polygon, spec: MeasureSpec, p: float) -> float | None:
+    """Pointwise residual of the planar support ODE away from corners, on
+    max(64, P.n // 16) equally spaced angles.
 
     The classical equation reads h^(1-p)(h'' + h) = 2f; since the boundary
     length element is (h'' + h) dtheta, the right side 2f equals the
@@ -525,10 +525,7 @@ def monge_ampere_residual(P: Polygon, spec: MeasureSpec, p: float,
     """
     if spec.density_mass() < 0.9 * spec.total_mass():
         return None
-    if grid is None:
-        grid = max(64, P.n // 16)
-    if grid < 64:
-        raise ValueError("grid must have at least 64 points")
+    grid = max(64, P.n // 16)
     t = TWO_PI * np.arange(grid) / grid
     h = P.support_values(t)
     f = spec.density.eval(t) / 2.0

@@ -138,14 +138,15 @@ class OrbitStructure:
         return mean
 
 
-def orbit_partition(normals, G: SymmetryGroup, tol: float = ATOM_MERGE_TOL) -> OrbitStructure:
-    """Orbits of the normal index set under the group action on angles.  The
-    orbit of normal i is its image set {A(i) : A in G}, labelled by its
-    smallest index; a match that moves a label is no group action (normals
-    closer than 2 * tol) and raises NotClosedUnderGroupError."""
+def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
+    """Orbits of the normal index set under the group action on angles,
+    matched within ATOM_MERGE_TOL.  The orbit of normal i is its image set
+    {A(i) : A in G}, labelled by its smallest index; a match that moves a
+    label is no group action (normals closer than 2 * ATOM_MERGE_TOL) and
+    raises NotClosedUnderGroupError."""
     theta = np.asarray(normals, dtype=float)
     images = np.array([np.arange(len(theta))] + [
-        group_orbit_map(theta, A, tol) for A in G.elements() if not A.is_identity()])
+        group_orbit_map(theta, A, ATOM_MERGE_TOL) for A in G.elements() if not A.is_identity()])
     label = images.min(axis=0)
     moved = (label[images] != label).any(axis=0)
     if moved.any():

@@ -1,5 +1,6 @@
 """Polygon kernel tests against brute-force and closed-form oracles."""
 
+import dataclasses
 import math
 from collections import deque
 
@@ -171,11 +172,13 @@ class TestSupportDistance:
 
 
 def all_pairs_diameter(vertices):
-    """O(V^2) reference: the largest squared distance over all vertex pairs."""
+    """O(V^2) reference: the largest squared distance dx*dx + dy*dy over all
+    vertex pairs, 256 rows at a time."""
+    x, y = vertices[:, 0], vertices[:, 1]
     best = 0.0
-    for i in range(0, len(vertices), 512):
-        d2 = np.sum((vertices[i : i + 512, None, :] - vertices[None, :, :]) ** 2, axis=-1)
-        best = max(best, float(d2.max()))
+    for i in range(0, len(x), 256):
+        dx, dy = x[i : i + 256, None] - x, y[i : i + 256, None] - y
+        best = max(best, float(np.max(dx * dx + dy * dy)))
     return math.sqrt(best)
 
 
@@ -213,10 +216,25 @@ def bent_polygon(rng, k, per_side):
     return polygon_from_support(normals, np.einsum("ij,ij->i", v, unit_vectors(normals)))
 
 
+@pytest.fixture
+def raw_chains(monkeypatch):
+    """Every vertex chain handed to Polygon construction, in order, before
+    the vertices that fail the convexity margin are dropped."""
+    chains = []
+    clean = geometry._margin_chain
+
+    def recorded(vertices):
+        chains.append(np.array(vertices, dtype=float))
+        return clean(vertices)
+
+    monkeypatch.setattr(geometry, "_margin_chain", recorded)
+    return chains
+
+
 class TestDiameter:
     """Polygon.diameter against all vertex pairs, bit for bit, on the
-    normal-cone lookup (strictly convex chains of six or more vertices) and
-    on the walk (dented chains and chains of at most five vertices)."""
+    normal-cone lookup (chains of six or more vertices) and on the all-pairs
+    comparison (chains of at most five vertices)."""
 
     def test_square(self):
         assert not takes_lookup(square())
@@ -226,6 +244,7 @@ class TestDiameter:
     def test_matches_all_pairs_on_ellipses(self, rng, n):
         for _ in range(2 if n > 1000 else 20):
             P = ellipse_polygon(rng, n)
+            assert takes_lookup(P) == (n > 5)
             assert P.diameter() == all_pairs_diameter(P.vertices)
 
     def test_matches_all_pairs_on_random_polygons(self, rng):
@@ -233,18 +252,10 @@ class TestDiameter:
             P = random_general_position_polygon(rng, nmax=60)
             assert P.diameter() == all_pairs_diameter(P.vertices)
 
-    # the two larger cases keep about 1500 and 2500 of their vertices
     @pytest.mark.parametrize("k, per_side", [(3, 20), (5, 60), (3, 500), (5, 700)])
     def test_matches_all_pairs_on_near_collinear_chains(self, rng, k, per_side):
         for _ in range(3):
             P = bent_polygon(rng, k, per_side)
-            assert P.diameter() == all_pairs_diameter(P.vertices)
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_chains_of_at_most_five_vertices_take_the_walk(self, rng, n):
-        for _ in range(20):
-            P = ellipse_polygon(rng, n)
-            assert not takes_lookup(P)
             assert P.diameter() == all_pairs_diameter(P.vertices)
 
     @pytest.mark.parametrize("n", [6, 7, 40, 300, 2000])
@@ -261,15 +272,17 @@ class TestDiameter:
             assert takes_lookup(P)
             assert P.diameter() == all_pairs_diameter(P.vertices)
 
-    # as in TestSupportValuesElementwise: short arcs stay strictly convex,
-    # the longer ones come out dented
+    # as in TestSupportValuesElementwise: the half-plane build leaves the
+    # longer arcs' intersection chains dented, and construction drops the
+    # dents, so every stored chain takes the lookup
     @pytest.mark.parametrize("k, per_side, dents", [(3, 20, False), (4, 150, True), (5, 200, True)])
-    def test_near_collinear_chains_take_the_path_their_turns_allow(self, rng, k, per_side, dents):
+    def test_near_collinear_chains_take_the_path_their_turns_allow(self, rng, raw_chains, k,
+                                                                    per_side, dents):
         for _ in range(3):
             P = bent_polygon(rng, k, per_side)
-            assert is_dented(P) == dents
-            assert takes_lookup(P) != dents
+            assert not is_dented(P.vertices) and takes_lookup(P)
             assert P.diameter() == all_pairs_diameter(P.vertices)
+        assert any(is_dented(chain) for chain in raw_chains) == dents
 
     def test_solved_loop_bodies_take_the_lookup(self):
         t = 2 * math.pi * np.arange(512) / 512
@@ -290,10 +303,31 @@ def reference_line_intersection(u, h, i, j):
     return np.array([x, y])
 
 
+def reference_margin_chain(chain):
+    """Polygon's chain cleanup as a scalar loop: while more than five
+    vertices remain, drop every vertex whose turn fails the margin
+    cross(e_prev, e) > 64 eps A max(|e_prev|_1, |e|_1)."""
+    eps = np.finfo(float).eps
+    chain = [tuple(v) for v in chain.tolist()]
+    while len(chain) > 5:
+        m = len(chain)
+        A = max(abs(x) + abs(y) for x, y in chain)
+        keep = []
+        for k in range(m):
+            (x0, y0), (x1, y1), (x2, y2) = chain[k - 1], chain[k], chain[(k + 1) % m]
+            ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x1, y2 - y1
+            if ax * by - ay * bx > 64.0 * eps * A * max(abs(ax) + abs(ay), abs(bx) + abs(by)):
+                keep.append(chain[k])
+        if len(keep) == m:
+            break
+        chain = keep
+    return np.array(chain)
+
+
 def reference_polygon_from_support(normals, support):
     """The half-plane build as a scalar loop: a per-normal antipodal scan,
-    the deque sweep for every input, and per-edge lengths.  Returns
-    (vertices, lengths, edge_ends, active)."""
+    the deque sweep for every input, per-edge lengths and the chain
+    cleanup.  Returns (vertices, lengths, edge_ends, active)."""
     tol = geometry.GEOM_TOL
     theta = canonical_angles(normals)
     h = np.asarray(support, dtype=float).copy()
@@ -353,7 +387,7 @@ def reference_polygon_from_support(normals, support):
         edge_ends[i, 0], edge_ends[i, 1] = a, b
     keep = [k for k in range(m) if np.hypot(*(verts[k] - verts[k - 1])) > geometry.EDGE_TOL]
     chain = verts[keep] if len(keep) >= 3 else verts
-    return chain, lengths, edge_ends, lengths > geometry.EDGE_TOL
+    return reference_margin_chain(chain), lengths, edge_ends, lengths > geometry.EDGE_TOL
 
 
 class TestHalfPlaneChainBitIdentity:
@@ -394,7 +428,7 @@ class TestHalfPlaneChainBitIdentity:
             assert sweeps == []
 
     def test_near_collinear_chains(self, rng, sweeps):
-        for k, per_side in [(3, 20), (5, 60), (3, 500)]:
+        for k, per_side in [(3, 20), (5, 60), (4, 150), (3, 500)]:
             for _ in range(2):
                 P = bent_polygon(rng, k, per_side)
                 self.assert_same(P.normals, P.support)
@@ -489,18 +523,23 @@ def probe_directions(rng, P):
 
 
 def takes_lookup(P):
-    return geometry._normal_cones(*P.vertices.T.copy()) is not None
+    """support_values and diameter look up normal cones: the chain has more
+    than five vertices (_normal_cones raises on a chain it rejects)."""
+    if len(P.vertices) <= 5:
+        return False
+    geometry._normal_cones(*P.vertices.T.copy())
+    return True
 
 
-def is_dented(P):
+def is_dented(chain):
     """Some vertex of the chain turns by <= 0 (as computed)."""
-    e = np.roll(P.vertices, -1, axis=0) - P.vertices
+    e = np.roll(chain, -1, axis=0) - chain
     return bool(np.any(np.roll(e[:, 0], 1) * e[:, 1] - np.roll(e[:, 1], 1) * e[:, 0] <= 0.0))
 
 
 class TestSupportValuesElementwise:
     """polygon_support against the scalar definition, bit for bit, on both
-    the normal-cone lookup and the full scan."""
+    the normal-cone lookup and chains of at most five vertices."""
 
     @staticmethod
     def assert_exact(P, rng):
@@ -514,14 +553,15 @@ class TestSupportValuesElementwise:
             assert takes_lookup(P)
             self.assert_exact(P, rng)
 
-    # short arcs stay strictly convex; the longer ones come out dented
+    # the half-plane build leaves the longer arcs' intersection chains
+    # dented; construction drops the dents, so every chain takes the lookup
     @pytest.mark.parametrize("k, per_side, dents", [(3, 20, False), (4, 150, True), (5, 200, True)])
-    def test_near_collinear_chains(self, rng, k, per_side, dents):
+    def test_near_collinear_chains(self, rng, raw_chains, k, per_side, dents):
         for _ in range(4):
             P = bent_polygon(rng, k, per_side)
-            assert is_dented(P) == dents
-            assert takes_lookup(P) != dents
+            assert not is_dented(P.vertices) and takes_lookup(P)
             self.assert_exact(P, rng)
+        assert any(is_dented(chain) for chain in raw_chains) == dents
 
     def test_isometries_translation_and_dilation(self, rng):
         for _ in range(10):
@@ -542,32 +582,39 @@ class TestSupportValuesElementwise:
         assert not takes_lookup(square())
         self.assert_exact(square(), rng)
 
-    @pytest.mark.parametrize("bulge, lookup", [(1e-13, True), (3e-15, False), (1e-15, False)])
-    def test_turns_below_the_margin_take_the_full_scan(self, rng, bulge, lookup):
+    @pytest.mark.parametrize("bulge, kept", [(1e-13, True), (3e-15, False), (1e-15, False)])
+    def test_turns_below_the_margin_are_dropped(self, rng, bulge, kept):
         """A 12-gon plus an edge midpoint pushed out by `bulge`: convex as
-        computed, with a turn below the margin for the two smaller bulges."""
+        computed, with a turn below the margin for the two smaller bulges,
+        whose vertex construction drops."""
         v = unit_vectors(2 * math.pi * np.arange(12) / 12)
         mid = (v[0] + v[1]) / 2
         chain = np.insert(v, 1, mid + bulge * mid / np.hypot(*mid), axis=0)
+        assert not is_dented(chain)
         e = np.roll(chain, -1, axis=0) - chain
-        assert np.all(np.roll(e[:, 0], 1) * e[:, 1] - np.roll(e[:, 1], 1) * e[:, 0] > 0.0)
         normal = np.arctan2(-e[:, 0], e[:, 1])
         assert normal[1] > normal[0]  # the turn at the pushed-out vertex
-        assert (geometry._normal_cones(*chain.T.copy()) is not None) == lookup
+        P = polygon_from_support(2 * math.pi * (np.arange(12) + 0.5) / 12,
+                                 np.full(12, math.cos(math.pi / 12)))
+        Q = dataclasses.replace(P, vertices=chain)
+        assert np.array_equal(Q.vertices, chain if kept else v)
         t = rng.uniform(-10.0, 10.0, 2000)
-        assert np.array_equal(geometry.polygon_support(chain, t), reference_support(chain, t))
+        assert np.array_equal(Q.support_values(t), reference_support(Q.vertices, t))
+        slack = 64 * np.finfo(float).eps * np.max(np.abs(chain).sum(axis=1))
+        assert np.all(np.abs(Q.support_values(t) - reference_support(chain, t)) <= slack)
 
-    def test_chains_winding_more_than_once_take_the_full_scan(self, rng):
+    def test_chains_winding_more_than_once_raise(self, rng):
         t = rng.uniform(0.0, 2 * math.pi, 500)
         for n, step in ((7, 2), (9, 4), (11, 3), (40, 13)):
             star = unit_vectors(2 * math.pi * step * np.arange(n) / n) * rng.uniform(0.5, 2.0)
-            assert geometry._normal_cones(*star.T.copy()) is None
-            assert np.array_equal(geometry.polygon_support(star, t), reference_support(star, t))
+            assert np.array_equal(geometry._margin_chain(star), star)  # every turn is positive
+            with pytest.raises(RuntimeError, match="winds more than once"):
+                geometry.polygon_support(star, t)
 
     def test_zero_maximum_is_positive_zero(self, rng):
         t = np.array([1.25 * math.pi])  # cos and sin < 0: 0*cos + 0*sin is -0.0
         for P, lookup in ((grid_ellipse_polygon(rng, 50), True),
-                          (bent_polygon(rng, 4, 150), False), (square(), False)):
+                          (bent_polygon(rng, 4, 150), True), (square(), False)):
             assert takes_lookup(P) == lookup
             k = int(np.argmax(P.vertices @ unit_vectors(t)[0]))
             h = translate(P, P.vertices[k]).support_values(t)
@@ -580,10 +627,78 @@ class TestSupportValuesElementwise:
 
     def test_batch_independent(self, rng):
         t = rng.uniform(0.0, 2 * math.pi, 3000)
-        for P, lookup in ((grid_ellipse_polygon(rng, 512), True), (bent_polygon(rng, 4, 150), False)):
+        for P, lookup in ((grid_ellipse_polygon(rng, 512), True), (bent_polygon(rng, 4, 150), True),
+                          (random_general_position_polygon(rng, nmin=5, nmax=5), False)):
             assert takes_lookup(P) == lookup
             h = P.support_values(t)
             assert all(P.support_values(t[k : k + 1])[0] == h[k] for k in range(t.size))
+
+
+
+class TestChainInvariant:
+    """Every stored chain of more than five vertices clears the convexity
+    margin, so support_values and diameter both take the normal-cone lookup,
+    and the vertices that construction dropped move neither the support
+    values nor the diameter by more than 64 eps A against the chain handed
+    to construction (A = max |x| + |y| over that chain)."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        calls = []
+        cones = geometry._normal_cones
+
+        def counted(x, y):
+            calls.append(len(x))
+            return cones(x, y)
+
+        monkeypatch.setattr(geometry, "_normal_cones", counted)
+        return calls
+
+    @staticmethod
+    def assert_invariant(P, raw, lookups, rng):
+        assert len(P.vertices) > 5
+        t = rng.uniform(0.0, 2 * math.pi, 300)
+        lookups.clear()
+        h, d = P.support_values(t), P.diameter()
+        assert lookups == [len(P.vertices)] * 2
+        slack = 64 * np.finfo(float).eps * np.max(np.abs(raw).sum(axis=1))
+        full = np.max(raw[:, 0] * np.cos(t)[:, None] + raw[:, 1] * np.sin(t)[:, None], axis=1)
+        assert np.all(np.abs(h - full) <= slack)
+        assert abs(d - all_pairs_diameter(raw)) <= slack
+
+    @pytest.mark.parametrize("k, per_side", [(3, 20), (5, 60), (4, 150), (5, 200), (3, 500),
+                                             (5, 700)])
+    def test_near_collinear_chains(self, rng, raw_chains, lookups, k, per_side):
+        for _ in range(2):
+            P = bent_polygon(rng, k, per_side)
+            self.assert_invariant(P, raw_chains[-1], lookups, rng)
+
+    def test_random_normal_8192_gons(self, rng, raw_chains, lookups):
+        for _ in range(2):
+            P = ellipse_polygon(rng, 8192)
+            self.assert_invariant(P, raw_chains[-1], lookups, rng)
+
+    def test_random_polygons_and_cut_halves(self, rng, raw_chains, lookups):
+        checked = 0
+        for _ in range(30):
+            P = random_general_position_polygon(rng, nmin=6, nmax=60)
+            if len(raw_chains[-1]) > 5:
+                self.assert_invariant(P, raw_chains[-1], lookups, rng)
+                checked += 1
+            K = _cut_half(ellipse_polygon(rng, 200), float(rng.uniform(0.0, 2 * math.pi)))
+            self.assert_invariant(K, raw_chains[-1], lookups, rng)
+        assert checked >= 10
+
+    def test_translation_dilation_and_isometry_images(self, rng, raw_chains, lookups):
+        for P in (bent_polygon(rng, 5, 200), bent_polygon(rng, 3, 500),
+                  ellipse_polygon(rng, 1000), grid_ellipse_polygon(rng, 300)):
+            for _ in range(3):
+                images = (translate(P, rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3)),
+                          dilate(P, 10.0 ** float(rng.uniform(-6, 6))),
+                          apply_isometry(P, Isometry2("rotation", float(rng.uniform(0, 2 * math.pi)))),
+                          apply_isometry(P, Isometry2("reflection", float(rng.uniform(0, math.pi)))))
+                for Q, raw in zip(images, raw_chains[-4:]):
+                    self.assert_invariant(Q, raw, lookups, rng)
 
 
 class TestIsometries:

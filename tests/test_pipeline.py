@@ -281,7 +281,7 @@ def reference_discretize_symmetric(spec, G, l, m):
     keep = masses > 0.0
     mids, masses = mids[keep], masses[keep]
     if not G.is_trivial:
-        for o in orbit_partition(mids, G, tol=1e-9).orbits:
+        for o in orbit_partition(mids, G).orbits:
             masses[o] = float(np.mean(masses[o]))
     return DiscreteMeasure(mids, masses)
 
