@@ -244,7 +244,6 @@ class TestDiameter:
     def test_matches_all_pairs_on_ellipses(self, rng, n):
         for _ in range(2 if n > 1000 else 20):
             P = ellipse_polygon(rng, n)
-            assert takes_lookup(P) == (n > 5)
             assert P.diameter() == all_pairs_diameter(P.vertices)
 
     def test_matches_all_pairs_on_random_polygons(self, rng):
@@ -256,6 +255,15 @@ class TestDiameter:
     def test_matches_all_pairs_on_near_collinear_chains(self, rng, k, per_side):
         for _ in range(3):
             P = bent_polygon(rng, k, per_side)
+            assert P.diameter() == all_pairs_diameter(P.vertices)
+
+    # the name predates the all-pairs path: chains of at most five vertices
+    # skip the lookup and compare all pairs
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_chains_of_at_most_five_vertices_take_the_walk(self, rng, n):
+        for _ in range(20):
+            P = ellipse_polygon(rng, n)
+            assert not takes_lookup(P)
             assert P.diameter() == all_pairs_diameter(P.vertices)
 
     @pytest.mark.parametrize("n", [6, 7, 40, 300, 2000])
