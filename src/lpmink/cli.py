@@ -10,6 +10,7 @@ import argparse
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -82,10 +83,19 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"$: invalid JSON in {path}: {exc}") from exc
 
 
+# The spec grammar, narrower than int() and float(), which also take
+# surrounding whitespace, a leading '+', '_' between digits and non-ASCII
+# digits.  A signed order parses, so that C-3 is reported as an order below 1.
+_ORDER = re.compile(r"-?[0-9]+")
+_AXIS = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                   r"|[+-]?(?i:inf|infinity|nan)")
+
+
 def parse_symmetry(text: str, spec=None) -> SymmetryGroup:
     """Group from a `--symmetry` spec: none|trivial, C<k>, D<k>[:<axis>] or
-    auto.  An order below 1 or an axis that is not a finite number raises
-    SchemaError naming the spec."""
+    auto, with the order k in ASCII digits and the axis a decimal number.
+    Anything else, an order below 1 or an axis that is not a finite number
+    raises SchemaError naming the spec."""
     t = text.strip()
     if t in ("none", "trivial", ""):
         return SymmetryGroup.trivial()
@@ -94,10 +104,9 @@ def parse_symmetry(text: str, spec=None) -> SymmetryGroup:
             raise SchemaError("symmetry: 'auto' needs a measure to inspect")
         return detect_symmetry(spec)
     if t.startswith("C"):
-        try:
-            k = int(t[1:])
-        except ValueError as exc:
-            raise SchemaError(f"symmetry: bad cyclic spec {text!r}") from exc
+        if not _ORDER.fullmatch(t[1:]):
+            raise SchemaError(f"symmetry: bad cyclic spec {text!r}")
+        k = int(t[1:])
         if k < 1:
             raise SchemaError(f"symmetry: group order must be at least 1 in {text!r}")
         return SymmetryGroup.cyclic(k)
@@ -106,16 +115,14 @@ def parse_symmetry(text: str, spec=None) -> SymmetryGroup:
         axis = 0.0
         if ":" in body:
             body, axis_text = body.split(":", 1)
-            try:
-                axis = float(axis_text)
-            except ValueError as exc:
-                raise SchemaError(f"symmetry: bad axis in {text!r}") from exc
+            if not _AXIS.fullmatch(axis_text):
+                raise SchemaError(f"symmetry: bad axis in {text!r}")
+            axis = float(axis_text)
             if not math.isfinite(axis):
                 raise SchemaError(f"symmetry: axis must be a finite number in {text!r}")
-        try:
-            k = int(body)
-        except ValueError as exc:
-            raise SchemaError(f"symmetry: bad dihedral spec {text!r}") from exc
+        if not _ORDER.fullmatch(body):
+            raise SchemaError(f"symmetry: bad dihedral spec {text!r}")
+        k = int(body)
         if k < 1:
             raise SchemaError(f"symmetry: group order must be at least 1 in {text!r}")
         return SymmetryGroup.dihedral(k, axis)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,14 @@ def unit_vectors(thetas) -> np.ndarray:
     return np.column_stack([np.cos(t), np.sin(t)])
 
 
+def cyclic_shift(a: np.ndarray, shift: int) -> np.ndarray:
+    """np.roll(a, shift, axis=0) as one concatenation of two slices, at a
+    fraction of np.roll's fixed cost: entry i is a[(i - shift) % n], in a
+    new array."""
+    k = -shift % len(a) if len(a) else 0
+    return np.concatenate((a[k:], a[:k]))
+
+
 def circular_gaps(sorted_thetas: np.ndarray) -> np.ndarray:
     """Gaps between consecutive sorted angles, wrapping around 2*pi."""
     t = np.asarray(sorted_thetas, dtype=float)
@@ -72,8 +81,10 @@ def circular_gaps(sorted_thetas: np.ndarray) -> np.ndarray:
         return np.array([])
     if t.size == 1:
         return np.array([TWO_PI])
-    g = np.diff(t)
-    return np.append(g, t[0] + TWO_PI - t[-1])
+    g = np.empty_like(t)
+    np.subtract(t[1:], t[:-1], out=g[:-1])
+    g[-1] = t[0] + TWO_PI - t[-1]
+    return g
 
 
 @dataclass(frozen=True)
@@ -215,6 +226,9 @@ class Polygon:
     active: normals whose constraint carries an edge longer than EDGE_TOL.
     lengths: per-normal edge length (0 for normals not on the boundary).
     edge_ends: per-normal (start, end) vertex pair, NaN rows when absent.
+
+    The arrays must not be mutated after construction: the normal cones of
+    the chain are built once, on first use, and kept.
     """
 
     normals: np.ndarray
@@ -231,9 +245,19 @@ class Polygon:
     def n(self) -> int:
         return len(self.normals)
 
+    @cached_property
+    def _cones(self):
+        """(phi, r) of _normal_cones for a chain of more than five vertices,
+        else None; support_values and diameter share it."""
+        if len(self.vertices) <= _SHORT:
+            return None
+        return _normal_cones(*self.vertices.T.copy())
+
     def support_values(self, thetas) -> np.ndarray:
-        """Exact support function h_P at the given directions."""
-        return polygon_support(self.vertices, thetas)
+        """Exact support function h_P at the given directions: angles, or a
+        Directions set shared with other bodies (see polygon_support)."""
+        x, y = self.vertices.T.copy()
+        return _support_lookup(x, y, self._cones, Directions.of(thetas))
 
     def diameter(self) -> float:
         """Largest vertex distance.  A chain of at most five vertices compares
@@ -257,8 +281,8 @@ class Polygon:
         x, y = self.vertices.T.copy()
         n = len(x)
         if n > _SHORT:
-            phi, r = _normal_cones(x, y)
-            ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+            phi, r = self._cones
+            ex, ey = cyclic_shift(x, -1) - x, cyclic_shift(y, -1) - y
             j = r + np.searchsorted(phi, np.arctan2(ex, -ey))
             far = (np.arange(-1, 2)[:, None] + j) % n
         else:
@@ -283,7 +307,7 @@ def _clears_margin(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ex, ey = xx[1:] - xx[:-1], yy[1:] - yy[:-1]  # edge j enters vertex j, edge j + 1 leaves it
     cross = ex[:-1] * ey[1:] - ey[:-1] * ex[1:]
     e1 = np.abs(ex) + np.abs(ey)
-    scale = _MARGIN * np.max(np.abs(x) + np.abs(y))
+    scale = _MARGIN * (np.abs(x) + np.abs(y)).max()
     return cross > scale * np.maximum(e1[:-1], e1[1:])
 
 
@@ -332,13 +356,40 @@ def _normal_cones(x: np.ndarray, y: np.ndarray):
       of j, and the window of +-2 holds j - 1, j and j + 1."""
     if not _clears_margin(x, y).all():
         raise RuntimeError("vertex chain turns below the convexity margin")
-    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+    ex, ey = cyclic_shift(x, -1) - x, cyclic_shift(y, -1) - y
     phi = np.arctan2(-ex, ey)
     r = int(np.argmin(phi))
-    phi = np.roll(phi, -r)
-    if not np.all(np.diff(phi) > 0.0):
+    phi = cyclic_shift(phi, -r)
+    if not (phi[1:] > phi[:-1]).all():
         raise RuntimeError("vertex chain winds more than once")
     return phi, r
+
+
+class Directions:
+    """Directions t at which several bodies' support values are wanted: cos t,
+    sin t and the lookup key atan2(sin t, cos t), each computed once, on
+    first use."""
+
+    def __init__(self, thetas):
+        self.t = np.atleast_1d(np.asarray(thetas, dtype=float))
+
+    @classmethod
+    def of(cls, thetas) -> "Directions":
+        return thetas if isinstance(thetas, cls) else cls(thetas)
+
+    @property
+    def size(self) -> int:
+        """Number of directions; np.size reads it as for an array of angles."""
+        return self.t.size
+
+    @cached_property
+    def cos_sin(self):
+        return np.cos(self.t), np.sin(self.t)
+
+    @cached_property
+    def key(self) -> np.ndarray:
+        c, s = self.cos_sin
+        return np.arctan2(s, c)
 
 
 def polygon_support(vertices: np.ndarray, thetas) -> np.ndarray:
@@ -353,20 +404,26 @@ def polygon_support(vertices: np.ndarray, thetas) -> np.ndarray:
     so the products form in place and the max reduces across rows, along
     the long axis.  Every value is x*c + y*s, then a max, then + 0.0 to turn
     a -0.0 maximum into 0.0, so a tie of signed zeros cannot depend on the
-    order of the window."""
-    t = np.atleast_1d(np.asarray(thetas, dtype=float))
+    order of the window.  Polygon.support_values runs the same lookup on
+    cones built once per body."""
     x, y = np.asarray(vertices, dtype=float).T.copy()
-    c, s = np.cos(t), np.sin(t)
-    if len(x) > _SHORT:
-        phi, r = _normal_cones(x, y)
-        j = r + np.searchsorted(phi, np.arctan2(s, c))
+    cones = _normal_cones(x, y) if len(x) > _SHORT else None
+    return _support_lookup(x, y, cones, Directions.of(thetas))
+
+
+def _support_lookup(x: np.ndarray, y: np.ndarray, cones, d: Directions) -> np.ndarray:
+    """polygon_support's values on the chain (x, y), given its cones."""
+    c, s = d.cos_sin
+    if cones is not None:
+        phi, r = cones
+        j = r + np.searchsorted(phi, d.key)
     else:
-        j = np.zeros(t.shape, dtype=np.intp)
+        j = np.zeros(d.t.shape, dtype=np.intp)
     idx = (np.arange(-_WINDOW, _WINDOW + 1)[:, None] + j) % len(x)
     xw, yw = x[idx], y[idx]
     xw *= c
     xw += np.multiply(yw, s, out=yw)
-    return np.max(xw, axis=0) + 0.0
+    return xw.max(axis=0) + 0.0
 
 
 def _line_intersection(u: np.ndarray, h: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -384,9 +441,9 @@ def _line_intersection(u: np.ndarray, h: np.ndarray, i: int, j: int) -> np.ndarr
 def _consecutive_intersections(u: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     """Row k: the intersection of lines k and k + 1 (cyclically), by the
     arithmetic of _line_intersection.  None when some pair is parallel."""
-    un, hn = np.roll(u, -1, axis=0), np.roll(h, -1)
+    un, hn = cyclic_shift(u, -1), cyclic_shift(h, -1)
     det = u[:, 0] * un[:, 1] - u[:, 1] * un[:, 0]
-    if np.any(np.abs(det) < 1e-15):
+    if (np.abs(det) < 1e-15).any():
         return None
     x = (h * un[:, 1] - hn * u[:, 1]) / det
     y = (hn * u[:, 0] - h * un[:, 0]) / det
@@ -406,7 +463,7 @@ def _no_constraint_cut(u: np.ndarray, h: np.ndarray, X: np.ndarray) -> bool:
     k = np.concatenate([np.arange(2, n), np.arange(2, n), [0]])
     a, b = pts[:, 0] * u[k, 0], pts[:, 1] * u[k, 1]
     slack = 4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
-    return bool(np.all(a + b + slack <= h[k] + GEOM_TOL))
+    return bool((a + b + slack <= h[k] + GEOM_TOL).all())
 
 
 def _halfplane_chain(u: np.ndarray, h: np.ndarray) -> list[int]:
@@ -467,7 +524,7 @@ def polygon_from_support(normals, support) -> Polygon:
         raise ValueError("normals and support must be 1-D arrays of equal length")
     order = np.argsort(theta, kind="stable")
     theta, h = theta[order], h[order]
-    if theta.size >= 2 and np.min(np.diff(theta)) <= ANGLE_TOL:
+    if theta.size >= 2 and (theta[1:] - theta[:-1]).min() <= ANGLE_TOL:
         raise ValueError("duplicate normal angles (merge atoms upstream)")
     if theta.size >= 2 and (theta[0] + TWO_PI - theta[-1]) <= ANGLE_TOL:
         raise ValueError("duplicate normal angles across the seam")
@@ -488,19 +545,19 @@ def polygon_from_support(normals, support) -> Polygon:
     else:
         idx = np.array(_halfplane_chain(u, h))
         verts = np.array(
-            [_line_intersection(u, h, i, j) for i, j in zip(idx, np.roll(idx, -1))]
+            [_line_intersection(u, h, i, j) for i, j in zip(idx, cyclic_shift(idx, -1))]
         )
 
     # Signed area of the vertex chain; also rejects inconsistent chains.
     x, y = verts[:, 0], verts[:, 1]
-    area2 = float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    area2 = float(np.dot(x, cyclic_shift(y, -1)) - np.dot(y, cyclic_shift(x, -1)))
     if not np.isfinite(area2) or area2 <= 2.0 * GEOM_TOL:
         if area2 < -GEOM_TOL:
             raise EmptyBodyError("half-plane intersection is empty")
         raise DegenerateBodyError(f"intersection area {0.5 * area2:.3g} below tolerance")
 
     # Edge idx[k] runs from verts[k - 1] to verts[k].
-    starts = np.roll(verts, 1, axis=0)
+    starts = cyclic_shift(verts, 1)
     step = np.hypot(verts[:, 0] - starts[:, 0], verts[:, 1] - starts[:, 1])
     lengths = np.zeros(n)
     lengths[idx] = step
@@ -525,12 +582,14 @@ def area(P: Polygon) -> float:
     return 0.5 * float(np.dot(P.support, P.lengths))
 
 
+_DISTANCE_GRID = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+
+
 def support_distance(P: Polygon, Q: Polygon) -> float:
-    """max |h_P - h_Q| over 4096 equally spaced angles plus both normal sets."""
-    t = np.concatenate(
-        [np.linspace(0.0, TWO_PI, 4096, endpoint=False), P.normals, Q.normals]
-    )
-    return float(np.max(np.abs(P.support_values(t) - Q.support_values(t))))
+    """max |h_P - h_Q| over 4096 equally spaced angles plus both normal sets,
+    whose cos, sin and lookup keys both bodies share."""
+    d = Directions(np.concatenate([_DISTANCE_GRID, P.normals, Q.normals]))
+    return float(np.abs(P.support_values(d) - Q.support_values(d)).max())
 
 
 def translate(P: Polygon, xi) -> Polygon:

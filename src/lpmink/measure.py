@@ -26,6 +26,7 @@ from .geometry import (
     canonical_angles,
     circular_distance,
     circular_gaps,
+    cyclic_shift,
     unit_vector,
     unit_vectors,
 )
@@ -41,7 +42,7 @@ ANTIPODAL_PAIR = "antipodal-pair"
 def _merge_sorted_atoms(thetas: np.ndarray, masses: np.ndarray, tol: float):
     """Merge runs of near-coincident sorted angles by adding their (possibly
     signed) masses."""
-    if thetas.size < 2 or (np.all(np.diff(thetas) > tol)
+    if thetas.size < 2 or ((thetas[1:] - thetas[:-1] > tol).all()
                            and thetas[0] + TWO_PI - thetas[-1] > tol):
         return thetas, masses
     out_t, out_m = [], []
@@ -70,7 +71,7 @@ class DiscreteMeasure:
         m = np.atleast_1d(np.asarray(masses, dtype=float))
         if t.shape != m.shape:
             raise ValueError("thetas and masses must have equal length")
-        if np.any(m < 0):
+        if (m < 0).any():
             raise ValueError("negative atom mass")
         keep = m > 0.0
         t, m = t[keep], m[keep]
@@ -136,7 +137,7 @@ class PiecewiseLinearDensity:
             raise ValueError("density samples must be nonnegative")
         order = np.argsort(t, kind="stable")
         t, f = t[order], f[order]
-        if t.size >= 2 and np.min(np.diff(t)) <= 0:
+        if t.size >= 2 and (t[1:] - t[:-1]).min() <= 0:
             raise ValueError("duplicate density knots")
         self.knots = t
         self.values = f
@@ -273,7 +274,7 @@ def lp_surface_measure(P: Polygon, p: float) -> DiscreteMeasure:
         raise ValueError("p must lie in (0, 1]")
     h = P.support
     act = P.active
-    if np.any(h[act] < -1e-10):
+    if (h[act] < -1e-10).any():
         raise OriginOutsideError("support numbers negative: origin outside the body")
     mask = act & (h > 0.0) & (P.lengths > 0.0)
     masses = h[mask] ** (1.0 - p) * P.lengths[mask]
@@ -326,7 +327,7 @@ def _min_open_cap_mass(mu: DiscreteMeasure, t: float) -> float:
     crit = np.sort(
         canonical_angles(np.concatenate([mu.thetas + rho, mu.thetas - rho]))
     )
-    mids = (crit + np.roll(crit, -1)) / 2.0
+    mids = (crit + cyclic_shift(crit, -1)) / 2.0
     mids[-1] = canonical_angle(crit[-1] + (crit[0] + TWO_PI - crit[-1]) / 2.0)
     d = np.abs(mids[:, None] - mu.thetas[None, :])
     d = np.minimum(d, TWO_PI - d)

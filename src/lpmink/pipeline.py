@@ -31,6 +31,7 @@ from .geometry import (
     canonical_angle,
     canonical_angles,
     circular_distance,
+    cyclic_shift,
     dilate,
     polygon_from_support,
     support_distance,
@@ -318,7 +319,7 @@ def _interpolated_support(P: Polygon, thetas: np.ndarray) -> np.ndarray:
     t, h = P.normals, P.support
     gap = np.diff(t, append=t[0] + TWO_PI)  # gap[k]: from t[k] to t[k + 1]
     sec = np.diff(h, append=h[0]) / gap
-    gap0, sec0 = np.roll(gap, 1), np.roll(sec, 1)
+    gap0, sec0 = cyclic_shift(gap, 1), cyclic_shift(sec, 1)
     d = (gap0 * sec + gap * sec0) / (gap0 + gap)
     k = np.searchsorted(t, thetas, side="right") - 1  # -1: the seam interval
     k1 = (k + 1) % len(t)
@@ -491,7 +492,7 @@ def detect_symmetry(spec: MeasureSpec, max_order: int = 64) -> SymmetryGroup:
 
 
 def _second_differences(h: np.ndarray, step: float) -> np.ndarray:
-    return (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (step * step)
+    return (cyclic_shift(h, -1) - 2.0 * h + cyclic_shift(h, 1)) / (step * step)
 
 
 def ma_residual_from_samples(h: np.ndarray, f: np.ndarray, p: float):
@@ -506,7 +507,7 @@ def ma_residual_from_samples(h: np.ndarray, f: np.ndarray, p: float):
     spikes = absd2 > 10.0 * max(med, 1e-300)
     mask = np.zeros(n, dtype=bool)
     for off in range(-2, 3):
-        mask |= np.roll(spikes, off)
+        mask |= cyclic_shift(spikes, off)
     resid = np.abs(h ** (1.0 - p) * (d2 + h) - 2.0 * f) / np.maximum(2.0 * f, 1e-12)
     if mask.all():
         return float(resid.max()), mask

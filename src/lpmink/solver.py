@@ -33,6 +33,7 @@ from .geometry import (
     Polygon,
     SymmetryGroup,
     circular_gaps,
+    cyclic_shift,
     group_orbit_map,
     polygon_from_support,
     unit_vectors,
@@ -133,7 +134,7 @@ class OrbitStructure:
         """Orbit averages of values within 1e-8 of their orbit's mean, else
         NotSymmetricError(message)."""
         mean = self.average(values)
-        if np.any(np.abs(values - mean) > 1e-8 * np.maximum(mean, 1e-300)):
+        if (np.abs(values - mean) > 1e-8 * np.maximum(mean, 1e-300)).any():
             raise NotSymmetricError(message)
         return mean
 
@@ -173,14 +174,17 @@ class _Workspace:
         self.gaps = gaps
         inv_sin = 1.0 / np.sin(gaps)
         cot = np.cos(gaps) * inv_sin
-        self.diag = -(cot + np.roll(cot, 1))
+        self.diag = -(cot + cyclic_shift(cot, 1))
         self.up = inv_sin  # L[i, i+1]
-        self.lo = np.roll(inv_sin, 1)  # L[i, i-1]
-        # index arrays, not np.roll: edge_form runs in every line-search step
-        # and np.roll costs ~10x a gather at the sizes of most solves
+        self.lo = cyclic_shift(inv_sin, 1)  # L[i, i-1]
+        # index arrays: edge_form runs in every line-search step, and a
+        # gather costs less than a concatenation at the sizes of most solves
         idx = np.arange(self.n)
-        self.nxt = np.roll(idx, -1)
-        self.prv = np.roll(idx, 1)
+        self.nxt = cyclic_shift(idx, -1)
+        self.prv = cyclic_shift(idx, 1)
+        # right-hand sides of solve_linear's gtsv call, Fortran order so
+        # that gtsv overwrites them in place
+        self._rhs = np.empty((self.n, 2), order="F")
 
     def edge_form(self, h: np.ndarray) -> np.ndarray:
         return self.diag * h + self.up * h[self.nxt] + self.lo * h[self.prv]
@@ -210,10 +214,11 @@ class _Workspace:
         d = diag.copy()
         d[0] -= gamma
         d[-1] -= alpha * beta / gamma
-        u = np.zeros(self.n)
-        u[0], u[-1] = gamma, alpha
-        *_, yz, info = dgtsv(lo[1:], d, up[:-1], np.column_stack([rhs, u]),
-                             overwrite_d=1, overwrite_b=1)
+        b = self._rhs
+        b[:, 0] = rhs
+        b[:, 1] = 0.0
+        b[0, 1], b[-1, 1] = gamma, alpha
+        *_, yz, info = dgtsv(lo[1:], d, up[:-1], b, overwrite_d=1, overwrite_b=1)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         y, z = yz[:, 0], yz[:, 1]
@@ -321,14 +326,14 @@ def measure_residual(P: Polygon, mu: DiscreteMeasure, p: float) -> float:
     matched[j[hit]] = True
     # fmax skips NaN as the scalar max(worst, .) did
     worst = np.fmax.reduce(np.abs(got - mu.masses) / np.maximum(mu.masses, 1e-30), initial=0.0)
-    off = float(np.sum(nu.masses[~matched]))
+    off = float(nu.masses[~matched].sum())
     return float(worst) + off / max(total, 1e-30)
 
 
 def _reactivate(ws: _Workspace, h: np.ndarray) -> np.ndarray:
     """Blend toward the (always all-active) constant-support body until the
     closed-form edge lengths are strictly positive."""
-    target = float(np.mean(h)) * np.ones_like(h)
+    target = float(h.mean()) * np.ones_like(h)
     lo, hi = 0.0, 1.0
     if (ws.edge_form(h)).min() > ws.n * 1e-15:
         return h
@@ -353,7 +358,7 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
         return h, math.inf, 0
     S = h ** (1.0 - p) * ell
     F = S - target
-    err = float(np.max(np.abs(F) / target))
+    err = float((np.abs(F) / target).max())
     iters = 0
     for it in range(max_iters):
         if err <= tol:
@@ -362,9 +367,9 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
             step = ws.solve_linear(ws.jacobian(h, ell), -F)
         except np.linalg.LinAlgError:
             break
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             break
-        fnorm = float(np.linalg.norm(F))
+        fnorm = math.sqrt(F.dot(F))
         t = 1.0
         improved = False
         for _ in range(50):
@@ -373,7 +378,7 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
                 ell_try = ws.edge_form(h_try)
                 if ell_try.min() > 0:
                     F_try = h_try ** (1.0 - p) * ell_try - target
-                    if float(np.linalg.norm(F_try)) <= (1.0 - 0.25 * t) * fnorm:
+                    if math.sqrt(F_try.dot(F_try)) <= (1.0 - 0.25 * t) * fnorm:
                         h, ell, F = h_try, ell_try, F_try
                         improved = True
                         break
@@ -381,13 +386,13 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
         iters = it + 1
         if not improved:
             break
-        err = float(np.max(np.abs(F) / target))
+        err = float((np.abs(F) / target).max())
     return h, err, iters
 
 
 def _radial_init(ws: _Workspace) -> np.ndarray:
     """Per-atom radial guess from S_i ~ h_i^(2-p) * (angular weight)."""
-    w = 0.5 * (ws.gaps + np.roll(ws.gaps, 1))
+    w = 0.5 * (ws.gaps + cyclic_shift(ws.gaps, 1))
     return (ws.alpha / w) ** (1.0 / (2.0 - ws.p))
 
 
@@ -433,11 +438,12 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, aver
 
 def _fit_scale(S: np.ndarray, alpha: np.ndarray) -> float:
     """S ~ c * alpha: total-mass ratio refined by least squares on logs."""
-    c = float(np.sum(S) / np.sum(alpha))
+    c = float(S.sum() / alpha.sum())
     mask = S > 0
     if mask.any():
-        logs = np.log(S[mask] / alpha[mask])
-        c_ls = float(np.exp(np.average(logs, weights=alpha[mask])))
+        w = alpha[mask]
+        logs = np.log(S[mask] / w)
+        c_ls = float(np.exp((logs * w).sum() / w.sum()))  # np.average's arithmetic
         if 0.0 < c_ls < math.inf:
             c = c_ls
     if not (0.0 < c < math.inf):

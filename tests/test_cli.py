@@ -138,6 +138,13 @@ class TestSolveCommand:
         ("D5:-inf", "axis must be a finite number in 'D5:-inf'"),
         ("D4:x", "bad axis in 'D4:x'"),
         ("Cx", "bad cyclic spec 'Cx'"),
+        # int() and float() accept these; the spec grammar does not
+        ("C1_0", "bad cyclic spec 'C1_0'"),
+        ("C+4", "bad cyclic spec 'C+4'"),
+        ("C\u0663", "bad cyclic spec 'C\u0663'"),  # Arabic-Indic digit 3
+        ("D 5", "bad dihedral spec 'D 5'"),
+        ("D0_5:1_0", "bad axis in 'D0_5:1_0'"),
+        ("D5:1_0", "bad axis in 'D5:1_0'"),
     ])
     def test_invalid_group_exit_1(self, tmp_path, square_measure_path, capsys,
                                   symmetry, message):
@@ -153,6 +160,7 @@ class TestSolveCommand:
         assert parse_symmetry("C4") == SymmetryGroup.cyclic(4)
         assert parse_symmetry("D1") == SymmetryGroup.dihedral(1, 0.0)
         assert parse_symmetry(" D5:0.25 ") == SymmetryGroup.dihedral(5, 0.25)
+        assert parse_symmetry("D5:1e-3") == SymmetryGroup.dihedral(5, 1e-3)
 
     def test_invalid_p_exit_1(self, tmp_path, square_measure_path):
         rc = main(["solve", "--input", square_measure_path, "--output",

@@ -518,12 +518,15 @@ def grid_ellipse_polygon(rng, n):
 def probe_directions(rng, P):
     """Random directions inside and far outside [0, 2*pi), the seam, and (up
     to 300 of each) the body's normals and the atan2 normal angles of its
-    vertex chain's edges, also shifted by multiples of 2*pi."""
+    vertex chain's edges, also shifted by multiples of 2*pi.  The
+    permutations come from a child generator, so the body's vertex count
+    does not change what the test rng draws next."""
     v = P.vertices
     e = np.roll(v, -1, axis=0) - v
     edge = np.arctan2(-e[:, 0], e[:, 1])
-    normals = rng.permutation(P.normals)[:300]
-    edge = rng.permutation(edge)[:300]
+    child = rng.spawn(1)[0]
+    normals = child.permutation(P.normals)[:300]
+    edge = child.permutation(edge)[:300]
     seam = [0.0, -0.0, 2 * math.pi, math.pi, -math.pi,
             np.nextafter(2 * math.pi, 0.0), np.nextafter(0.0, -1.0)]
     return np.concatenate([rng.uniform(0.0, 2 * math.pi, 300), rng.uniform(-60.0, 60.0, 100),
@@ -668,7 +671,7 @@ class TestChainInvariant:
         t = rng.uniform(0.0, 2 * math.pi, 300)
         lookups.clear()
         h, d = P.support_values(t), P.diameter()
-        assert lookups == [len(P.vertices)] * 2
+        assert lookups == [len(P.vertices)]  # built once, shared by both
         slack = 64 * np.finfo(float).eps * np.max(np.abs(raw).sum(axis=1))
         full = np.max(raw[:, 0] * np.cos(t)[:, None] + raw[:, 1] * np.sin(t)[:, None], axis=1)
         assert np.all(np.abs(h - full) <= slack)
@@ -707,6 +710,60 @@ class TestChainInvariant:
                           apply_isometry(P, Isometry2("reflection", float(rng.uniform(0, math.pi)))))
                 for Q, raw in zip(images, raw_chains[-4:]):
                     self.assert_invariant(Q, raw, lookups, rng)
+
+    def test_cones_built_once_per_body(self, rng, lookups):
+        """support_values, diameter and support_distance share one build of
+        each body's cones, equal to a fresh build."""
+        P, Q = grid_ellipse_polygon(rng, 200), bent_polygon(rng, 4, 150)
+        t = rng.uniform(0.0, 2 * math.pi, 300)
+        lookups.clear()
+        for _ in range(2):
+            h = P.support_values(t)
+            d = (P.diameter(), Q.diameter())
+            dist = (support_distance(P, Q), support_distance(Q, P))
+            assert np.array_equal(Q.support_values(t), reference_support(Q.vertices, t))
+        assert sorted(lookups) == sorted([len(P.vertices), len(Q.vertices)])
+        assert np.array_equal(h, reference_support(P.vertices, t))
+        assert d == (all_pairs_diameter(P.vertices), all_pairs_diameter(Q.vertices))
+        grid = np.concatenate([np.linspace(0.0, 2 * math.pi, 4096, endpoint=False),
+                               P.normals, Q.normals])
+        assert dist[0] == float(np.max(np.abs(geometry.polygon_support(P.vertices, grid)
+                                                - geometry.polygon_support(Q.vertices, grid))))
+        for R in (P, Q):
+            phi, r = R._cones
+            fresh_phi, fresh_r = geometry._normal_cones(*R.vertices.T.copy())
+            assert np.array_equal(phi, fresh_phi) and r == fresh_r
+
+    def test_short_chains_build_no_cones(self, lookups):
+        P = square()
+        assert P._cones is None
+        assert P.diameter() == math.sqrt(8.0)
+        assert support_distance(P, dilate(P, 2.0)) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert lookups == []
+
+
+class TestCyclicShift:
+    """cyclic_shift equals np.roll along axis 0 bit for bit, signed zeros
+    included, and returns a new array."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("shape", ["1-D", "(n, 2)"])
+    def test_equals_roll(self, rng, n, shape):
+        a = rng.standard_normal(n if shape == "1-D" else (n, 2))
+        a.flat[::2] = -0.0
+        a.flat[1::4] = 0.0
+        for shift in range(-n - 1, n + 2):
+            got, ref = geometry.cyclic_shift(a, shift), np.roll(a, shift, axis=0)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            assert got.dtype == ref.dtype and not np.shares_memory(got, a)
+        assert np.array_equal(geometry.cyclic_shift(a, -1), np.roll(a, -1, axis=0))
+        assert np.array_equal(geometry.cyclic_shift(a, 1), np.roll(a, 1, axis=0))
+
+    def test_empty_and_index_arrays(self):
+        assert geometry.cyclic_shift(np.array([]), 1).shape == (0,)
+        idx = np.arange(5)
+        assert np.array_equal(geometry.cyclic_shift(idx, -1), [1, 2, 3, 4, 0])
 
 
 class TestIsometries:

@@ -2,8 +2,12 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1048,3 +1052,31 @@ class TestDetectSymmetry:
         G = detect_symmetry(spec)
         assert G.kind == "dihedral" and G.order_k == 1
         assert G.axis == pytest.approx(0.0, abs=1e-9)
+
+
+class TestImportFootprint:
+    """Only weak_distance needs scipy.optimize and scipy.sparse, and
+    importing them takes longer than most solves: solving an atomic and a
+    density input must not import them."""
+
+    CHILD = """
+import sys
+import numpy as np
+import lpmink
+from lpmink import pipeline
+from lpmink.measure import DiscreteMeasure, MeasureSpec, PiecewiseLinearDensity
+t = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+pipeline.solve(MeasureSpec(DiscreteMeasure(t, [1.0, 2.0, 1.0, 3.0, 1.5]), None), 0.5)
+k = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+pipeline.solve(MeasureSpec(None, PiecewiseLinearDensity(k, 1.0 + 0.2 * np.cos(2.0 * k))), 0.5)
+print(" ".join(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
+"""
+
+    def test_solve_imports_no_lp_backend(self):
+        # the child imports the same lpmink as this process, installed or not
+        src_dir = str(Path(pipeline.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, "-c", self.CHILD], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == ""

@@ -298,6 +298,30 @@ class TestNewtonLinearSolve:
         assert cond < 1e8
         assert np.linalg.norm(x - ref) <= 1e-13 * cond * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_successive_solves_share_no_answer(self, rng, n):
+        """The workspace reuses one right-hand-side buffer for gtsv; each
+        solve still returns its own array, which the next solve leaves
+        untouched, and each matches the dense solve."""
+        thetas = np.sort(rng.uniform(0.0, TWO_PI, n))
+        while np.diff(np.append(thetas, thetas[0] + TWO_PI)).max() >= math.pi - 0.1:
+            thetas = np.sort(rng.uniform(0.0, TWO_PI, n))
+        p = 0.4
+        ws = _Workspace(thetas, np.ones(n), p)
+        answers = []
+        for _ in range(2):
+            h = rng.uniform(0.5, 2.0, n)
+            rhs = rng.standard_normal(n)
+            x = ws.solve_linear(ws.jacobian(h, ws.edge_form(h)), rhs)
+            answers.append((x, x.copy(), h, rhs))
+        (x1, x1_copy, *_), (x2, *_) = answers
+        assert not np.shares_memory(x1, x2)
+        assert np.array_equal(x1, x1_copy)
+        for x, _, h, rhs in answers:
+            _, J = dense_cyclic_jacobian(thetas, h, p)
+            ref = np.linalg.solve(J, rhs)
+            assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.cond(J) * np.linalg.norm(ref)
+
     def test_nonfinite_step_ends_newton_like_singular(self, rng, monkeypatch):
         P = random_general_position_polygon(rng, nmin=6, nmax=10)
         mu = lp_surface_measure(P, 0.5)
