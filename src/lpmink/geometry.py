@@ -426,16 +426,15 @@ def _support_lookup(x: np.ndarray, y: np.ndarray, cones, d: Directions) -> np.nd
     return xw.max(axis=0) + 0.0
 
 
-def _line_intersection(u: np.ndarray, h: np.ndarray, i: int, j: int) -> np.ndarray:
-    det = u[i, 0] * u[j, 1] - u[i, 1] * u[j, 0]
+def _line_intersection(ux: list, uy: list, h: list, i: int, j: int) -> tuple[float, float]:
+    """Intersection of support lines i and j, in Python floats: the same
+    IEEE operations, in the same order, as _consecutive_intersections."""
+    det = ux[i] * uy[j] - uy[i] * ux[j]
     if abs(det) < 1e-15:
         # Parallel support lines; only reachable transiently for consistent
         # antipodal pairs.  Report a far point along edge i's travel direction.
-        far = np.array([-u[i, 1], u[i, 0]])
-        return u[i] * h[i] + 1e18 * far
-    x = (h[i] * u[j, 1] - h[j] * u[i, 1]) / det
-    y = (h[j] * u[i, 0] - h[i] * u[j, 0]) / det
-    return np.array([x, y])
+        return ux[i] * h[i] + 1e18 * -uy[i], uy[i] * h[i] + 1e18 * ux[i]
+    return (h[i] * uy[j] - h[j] * uy[i]) / det, (h[j] * ux[i] - h[i] * ux[j]) / det
 
 
 def _consecutive_intersections(u: np.ndarray, h: np.ndarray) -> np.ndarray | None:
@@ -450,43 +449,72 @@ def _consecutive_intersections(u: np.ndarray, h: np.ndarray) -> np.ndarray | Non
     return np.column_stack([x, y])
 
 
+_SLACK = 4.0 * float(np.finfo(float).eps)  # per unit of |x0 u0| + |x1 u1|: see _no_constraint_cut
+_TINY = float(np.finfo(float).tiny)
+
+
 def _no_constraint_cut(u: np.ndarray, h: np.ndarray, X: np.ndarray) -> bool:
     """True when the deque loop of _halfplane_chain would pop nothing, so
     its chain is all of X.  Without pops, the loop tests at step k >= 2 the
     vertices X[k-2] and X[0] against constraint k, and at the end the vertex
-    X[n-2] against constraint 0.  The loop's 1-D `x @ u[k]` may differ from
-    x0*u0 + x1*u1 in the last bits, so a test counts as passed only with a
-    margin of 4 ulps of |x0 u0| + |x1 u1| (either sum is within 2 ulps of
-    the exact one); anything closer returns False and the loop decides."""
+    X[n-2] against constraint 0.  The loop's exact test is the 1-D
+    `x @ u[k]` (_dot_exceeds), which may differ from x0*u0 + x1*u1 in the
+    last bits, so a test counts as passed only with a margin of 4 ulps of
+    |x0 u0| + |x1 u1| (either sum is within 2 ulps of the exact one);
+    anything closer returns False and the loop decides."""
     n = len(h)
     pts = np.concatenate([X[: n - 2], np.broadcast_to(X[0], (n - 2, 2)), X[n - 2 : n - 1]])
     k = np.concatenate([np.arange(2, n), np.arange(2, n), [0]])
     a, b = pts[:, 0] * u[k, 0], pts[:, 1] * u[k, 1]
-    slack = 4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
+    slack = _SLACK * (np.abs(a) + np.abs(b))
     return bool((a + b + slack <= h[k] + GEOM_TOL).all())
+
+
+def _dot_exceeds(x: float, y: float, uk: np.ndarray, bound: float) -> bool:
+    """The sweep's exact test: is the 1-D product [x, y] @ uk above bound?
+    BLAS may form it with a fused multiply-add, so its last bits need not
+    equal x*uk[0] + y*uk[1]."""
+    return float(np.array([x, y]) @ uk) > bound
 
 
 def _halfplane_chain(u: np.ndarray, h: np.ndarray) -> list[int]:
     """Indices of the constraints on the boundary, in CCW order, by a deque
-    sweep over the sorted normals."""
+    sweep over the sorted normals.
 
-    def violates(k: int, x: np.ndarray) -> bool:
-        return float(x @ u[k]) > h[k] + GEOM_TOL
+    The sweep runs in Python floats: the candidate vertices come from
+    _line_intersection, and the test x.u_k > h_k + GEOM_TOL is formed as
+    a + b with a = x0*u_k0 and b = x1*u_k1.  That sum decides only when it
+    clears the bound by 4 ulps of |a| + |b| plus the smallest normal float
+    (for subnormal products): the 1-D `x @ u[k]` that defines the test is
+    then on the same side, as in _no_constraint_cut.  Anything closer, and
+    any non-finite sum, is decided by that product itself (_dot_exceeds)."""
+    ux, uy, hs = u[:, 0].tolist(), u[:, 1].tolist(), h.tolist()
+
+    def violates(k: int, i: int, j: int) -> bool:
+        x, y = _line_intersection(ux, uy, hs, i, j)
+        a, b = x * ux[k], y * uy[k]
+        s, slack = a + b, _SLACK * (abs(a) + abs(b)) + _TINY
+        bound = hs[k] + GEOM_TOL
+        if s - slack > bound:
+            return True
+        if s + slack <= bound:
+            return False
+        return _dot_exceeds(x, y, u[k], bound)
 
     dq: deque[int] = deque()
-    for k in range(len(h)):
-        while len(dq) >= 2 and violates(k, _line_intersection(u, h, dq[-2], dq[-1])):
+    for k in range(len(hs)):
+        while len(dq) >= 2 and violates(k, dq[-2], dq[-1]):
             dq.pop()
-        while len(dq) >= 2 and violates(k, _line_intersection(u, h, dq[0], dq[1])):
+        while len(dq) >= 2 and violates(k, dq[0], dq[1]):
             dq.popleft()
         dq.append(k)
     changed = True
     while changed and len(dq) >= 3:
         changed = False
-        if violates(dq[0], _line_intersection(u, h, dq[-2], dq[-1])):
+        if violates(dq[0], dq[-2], dq[-1]):
             dq.pop()
             changed = True
-        if len(dq) >= 3 and violates(dq[-1], _line_intersection(u, h, dq[0], dq[1])):
+        if len(dq) >= 3 and violates(dq[-1], dq[0], dq[1]):
             dq.popleft()
             changed = True
     if len(dq) < 3:
@@ -517,6 +545,15 @@ def polygon_from_support(normals, support) -> Polygon:
     Raises EmptyBodyError / UnboundedError / DegenerateBodyError per the
     standard taxonomy.  Redundant constraints are kept in the normal list but
     flagged inactive with zero edge length.
+
+    When every consecutive intersection clears every constraint the deque
+    sweep would test (_no_constraint_cut), the chain is all n lines and the
+    sweep does not run.  Otherwise the sweep (_halfplane_chain) runs in
+    Python floats and falls back to the 1-D numpy product only for tests
+    too close to call, so it takes the same decisions as the product
+    everywhere; the chain's vertices then come from
+    _consecutive_intersections, per pair only when two consecutive lines are
+    parallel.
     """
     theta = canonical_angles(normals)
     h = np.asarray(support, dtype=float).copy()
@@ -544,9 +581,11 @@ def polygon_from_support(normals, support) -> Polygon:
         idx = np.arange(n)
     else:
         idx = np.array(_halfplane_chain(u, h))
-        verts = np.array(
-            [_line_intersection(u, h, i, j) for i, j in zip(idx, cyclic_shift(idx, -1))]
-        )
+        verts = _consecutive_intersections(u[idx], h[idx])
+        if verts is None:  # parallel consecutive lines: far points, per pair
+            ux, uy, hs = u[:, 0].tolist(), u[:, 1].tolist(), h.tolist()
+            verts = np.array([_line_intersection(ux, uy, hs, i, j)
+                              for i, j in zip(idx.tolist(), cyclic_shift(idx, -1).tolist())])
 
     # Signed area of the vertex chain; also rejects inconsistent chains.
     x, y = verts[:, 0], verts[:, 1]
@@ -661,23 +700,33 @@ def in_positive_hull(theta: float, generators) -> bool:
     return offset <= width + ANGLE_TOL or offset >= TWO_PI - ANGLE_TOL
 
 
-def group_orbit_map(normals: np.ndarray, A: Isometry2, tol: float = 1e-9) -> np.ndarray:
-    """Index map sending each normal to its image under A: the nearer of the
-    image's two cyclic neighbours among the sorted normals, ties to the
-    later one, when it lies within tol."""
+def group_orbit_maps(normals: np.ndarray, elements, tol: float = 1e-9) -> np.ndarray:
+    """Row e: the index map sending each normal to its image under
+    elements[e], the nearer of the image's two cyclic neighbours among the
+    sorted normals, ties to the later one, when it lies within tol.  The
+    normals are sorted once and one searchsorted places the stacked images
+    of every element; the rule applies elementwise, so a row does not depend
+    on the other elements.  NotClosedUnderGroupError names the first normal
+    of the first element whose image is not in the set."""
     theta = canonical_angles(normals)
-    images = A.apply_angles(theta)
+    n = len(theta)
+    images = np.array([A.apply_angles(theta) for A in elements]).reshape(len(elements), n)
     order = np.argsort(theta, kind="stable")
     sorted_theta = theta[order]
     j = np.searchsorted(sorted_theta, images)
-    cand = np.stack([j - 1, j]) % len(theta)
+    cand = np.stack([j - 1, j]) % n
     d = np.abs(sorted_theta[cand] - images)
     d = np.minimum(d, TWO_PI - d)
     later = d[1] <= np.minimum(d[0], tol)
     hit = later | (d[0] <= tol)
     if not hit.all():
-        i = int(np.argmin(hit))
+        e, i = divmod(int(np.argmin(hit)), n)
         raise NotClosedUnderGroupError(
-            f"normal at {theta[i]:.12g} maps to {images[i]:.12g}, not in the set"
+            f"normal at {theta[i]:.12g} maps to {images[e, i]:.12g}, not in the set"
         )
     return order[np.where(later, cand[1], cand[0])]
+
+
+def group_orbit_map(normals: np.ndarray, A: Isometry2, tol: float = 1e-9) -> np.ndarray:
+    """The index map of the one element A (see group_orbit_maps)."""
+    return group_orbit_maps(normals, [A], tol)[0]

@@ -49,6 +49,7 @@ from .measure import (
     lp_surface_measure,
 )
 from .solver import (
+    OrbitStructure,
     SolveReport,
     SolverConfig,
     index_blocks,
@@ -167,12 +168,26 @@ def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, spec: MeasureSpec):
     raise CannotAvoidAtomsError("no subdivision base point clears the atom orbit")
 
 
-def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int) -> DiscreteMeasure:
+class GridMeasure(DiscreteMeasure):
+    """A grid measure from discretize_symmetric, with the orbit structure
+    its masses were averaged on, re-indexed to its sorted atoms: equal to
+    orbit_partition(thetas, G), or None for the trivial group.  The
+    refinement loop hands it to solve_discrete, so each stage matches its
+    orbits once."""
+
+    def __init__(self, thetas, masses, orbits: OrbitStructure | None):
+        super().__init__(thetas, masses)
+        self.orbits = orbits
+
+
+def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int) -> GridMeasure:
     """Arc-midpoint discretization on a G-symmetric subdivision.
 
     The circle is cut at the orbit of a base point under the symmetry group
     of a regular lm-gon containing G; each arc's mass lands on its midpoint.
     Masses are averaged over G-orbits, so the output is exactly G-invariant.
+    The averages run over the midpoints in arc order, the last of which
+    usually wraps past 2 pi to the front of the sorted atoms.
     """
     pts = _symmetric_base_angles(G, l, m, spec)
     n = len(pts)
@@ -190,6 +205,7 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int) ->
         masses += spec.density.arc_masses(a, b)
     keep = masses > 0.0
     mids, masses = mids[keep], masses[keep]
+    orb = None
     if not G.is_trivial:
         try:
             orb = orbit_partition(mids, G)
@@ -198,7 +214,8 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int) ->
                 f"measure is not invariant under {G.label()}: {exc}"
             ) from exc
         masses = orb.require_invariant(masses, f"arc masses differ across a {G.label()} orbit")
-    return DiscreteMeasure(mids, masses)
+    order = np.argsort(mids, kind="stable")
+    return GridMeasure(mids[order], masses[order], None if orb is None else orb.permuted(order))
 
 
 def _single_direction_body(w: float, mass: float, p: float) -> Polygon:
@@ -298,7 +315,7 @@ def _loop_groups(G: SymmetryGroup) -> int:
     return {1: 3, 2: 4}[k]
 
 
-def stage_measure(spec: MeasureSpec, G: SymmetryGroup, m: int) -> DiscreteMeasure:
+def stage_measure(spec: MeasureSpec, G: SymmetryGroup, m: int) -> GridMeasure:
     """The refinement loop's grid measure at resolution m: the arc-midpoint
     discretization on 2 l floor(m / l) equal arcs, l = _loop_groups(G), for
     every group including the trivial one.  Zero-mass arcs carry no atom."""
@@ -351,7 +368,7 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
         mu_m = stage_measure(spec, G, m)
         h0 = _interpolated_support(prev_P, mu_m.thetas) if prev_P is not None else None
         try:
-            P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0)
+            P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0, orbits=mu_m.orbits)
         except ConcentratedError as exc:
             raise NoConvergenceError(
                 f"stage m = {m}: the grid measure lies in a closed semicircle ({exc})"

@@ -34,7 +34,7 @@ from .geometry import (
     SymmetryGroup,
     circular_gaps,
     cyclic_shift,
-    group_orbit_map,
+    group_orbit_maps,
     polygon_from_support,
     unit_vectors,
 )
@@ -108,23 +108,47 @@ def index_blocks(labels: np.ndarray) -> list:
 
 @dataclass
 class OrbitStructure:
-    """Partition of normal indices into orbits of a finite group action."""
+    """Partition of normal indices into orbits of a finite group action.
+    Orbit k is labelled by representative[k], its smallest index, in
+    increasing order; index_to_orbit[i] is the k of index i's orbit."""
 
-    orbits: list
     representative: np.ndarray
     index_to_orbit: np.ndarray
 
+    @classmethod
+    def from_labels(cls, label: np.ndarray) -> "OrbitStructure":
+        """The partition in which i and j share an orbit iff label[i] ==
+        label[j], each label being the smallest index of its orbit."""
+        representative, index_to_orbit = np.unique(label, return_inverse=True)
+        return cls(representative, index_to_orbit)
+
     @property
     def n_orbits(self) -> int:
-        return len(self.orbits)
+        return len(self.representative)
+
+    @cached_property
+    def orbits(self) -> list:
+        """Each orbit's indices, in increasing order, one array per orbit."""
+        order = np.argsort(self.index_to_orbit, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(self.index_to_orbit))[:-1])
 
     @cached_property
     def _blocks(self) -> list:
         return index_blocks(self.index_to_orbit)
 
+    def permuted(self, order: np.ndarray) -> "OrbitStructure":
+        """The same partition of the same points listed in a new order, new
+        index i being old index order[i], labelled as orbit_partition labels
+        the reordered points."""
+        ito = self.index_to_orbit[order]
+        _, first = np.unique(ito, return_index=True)  # each orbit's smallest new index
+        return OrbitStructure.from_labels(first[ito])
+
     def average(self, values: np.ndarray) -> np.ndarray:
         """Each value replaced by its orbit's mean, one row-wise np.mean per
-        orbit size (orbits on reflection axes are half size)."""
+        orbit size (orbits on reflection axes are half size).  A row holds
+        its orbit's indices in increasing order, which fixes the order of
+        the sum."""
         out = np.empty_like(values, dtype=float)
         for rows in self._blocks:
             out[rows] = np.mean(values[rows], axis=1, keepdims=True)
@@ -141,13 +165,14 @@ class OrbitStructure:
 
 def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
     """Orbits of the normal index set under the group action on angles,
-    matched within ATOM_MERGE_TOL.  The orbit of normal i is its image set
-    {A(i) : A in G}, labelled by its smallest index; a match that moves a
-    label is no group action (normals closer than 2 * ATOM_MERGE_TOL) and
-    raises NotClosedUnderGroupError."""
+    matched within ATOM_MERGE_TOL by one group_orbit_maps lookup for every
+    element.  The orbit of normal i is its image set {A(i) : A in G},
+    labelled by its smallest index; a match that moves a label is no group
+    action (normals closer than 2 * ATOM_MERGE_TOL) and raises
+    NotClosedUnderGroupError."""
     theta = np.asarray(normals, dtype=float)
-    images = np.array([np.arange(len(theta))] + [
-        group_orbit_map(theta, A, ATOM_MERGE_TOL) for A in G.elements() if not A.is_identity()])
+    others = [A for A in G.elements() if not A.is_identity()]
+    images = np.vstack([np.arange(len(theta)), group_orbit_maps(theta, others, ATOM_MERGE_TOL)])
     label = images.min(axis=0)
     moved = (label[images] != label).any(axis=0)
     if moved.any():
@@ -155,10 +180,7 @@ def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
             f"the images of the normal at {theta[np.argmax(moved)]:.12g} under "
             f"{G.label()} do not form an orbit"
         )
-    representative, index_to_orbit = np.unique(label, return_inverse=True)
-    order = np.argsort(index_to_orbit, kind="stable")
-    orbits = np.split(order, np.cumsum(np.bincount(index_to_orbit))[:-1])
-    return OrbitStructure(orbits, representative, index_to_orbit)
+    return OrbitStructure.from_labels(label)
 
 
 class _Workspace:
@@ -478,13 +500,18 @@ def _newton_then_continuation(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig,
 
 
 def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None,
-                   cfg: SolverConfig | None = None, h0=None):
+                   cfg: SolverConfig | None = None, h0=None,
+                   orbits: OrbitStructure | None = None):
     """Polygon P with S_{P,p} = mu for an atomic measure in general position.
 
     Returns (Polygon, SolveReport).  Raises ConcentratedError when the
     measure sits in a closed semicircle (use the reduction pipeline),
     NotSymmetricError when mu is not invariant under the requested group,
-    and NoConvergenceError carrying the best report otherwise.
+    and NoConvergenceError carrying the best report otherwise.  orbits, for
+    a nontrivial G, is orbit_partition(mu.thetas, G) when the caller has
+    already matched it (the refinement loop's grid measures); without it the
+    orbits are matched here.  The masses are checked against the orbits
+    either way.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
@@ -499,12 +526,15 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     alpha = mu.masses
 
     if not G.is_trivial:
-        try:
-            orb = orbit_partition(theta, G)
-        except NotClosedUnderGroupError as exc:
-            raise NotSymmetricError(str(exc)) from exc
-        orb.require_invariant(alpha, "atom masses are not constant on group orbits")
-        average = orb.average
+        if orbits is None:
+            try:
+                orbits = orbit_partition(theta, G)
+            except NotClosedUnderGroupError as exc:
+                raise NotSymmetricError(str(exc)) from exc
+        elif orbits.index_to_orbit.shape != theta.shape:
+            raise ValueError("orbits must index the atoms of mu")
+        orbits.require_invariant(alpha, "atom masses are not constant on group orbits")
+        average = orbits.average
     else:
         average = lambda x: x
 

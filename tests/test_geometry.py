@@ -461,27 +461,131 @@ class TestHalfPlaneChainBitIdentity:
             np.append(P.normals, canonical_angle(w + math.pi)), np.append(P.support, 0.0)
         ))
 
-    def test_random_support_numbers(self, rng):
-        # Empty, degenerate and unbounded outcomes must match too.
-        def outcome(build, normals, support):
+    def assert_same_outcome(self, normals, support) -> bool:
+        """Same arrays, or the same empty, degenerate or unbounded error;
+        True when a body was built."""
+        def outcome(build):
             try:
                 return build(normals, support)
             except (EmptyBodyError, UnboundedError, DegenerateBodyError) as exc:
                 return type(exc), str(exc)
 
+        ref = outcome(reference_polygon_from_support)
+        got = outcome(polygon_from_support)
+        if isinstance(ref[0], type):
+            assert got == ref
+            return False
+        self.assert_matches(got, ref)
+        return True
+
+    def test_random_support_numbers(self, rng):
         built = 0
         for _ in range(300):
             n = int(rng.integers(3, 12))
-            normals = rng.uniform(0.0, 2 * math.pi, n)
-            support = rng.uniform(-0.5, 2.0, n)
-            ref = outcome(reference_polygon_from_support, normals, support)
-            got = outcome(polygon_from_support, normals, support)
-            if isinstance(ref[0], type):
-                assert got == ref
-                continue
-            built += 1
-            self.assert_matches(got, ref)
+            built += self.assert_same_outcome(rng.uniform(0.0, 2 * math.pi, n),
+                                              rng.uniform(-0.5, 2.0, n))
         assert 50 <= built <= 250
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The bounds of the sweep's tests decided by the 1-D product."""
+        calls = []
+        exact = geometry._dot_exceeds
+
+        def counted(x, y, uk, bound):
+            calls.append(bound)
+            return exact(x, y, uk, bound)
+
+        monkeypatch.setattr(geometry, "_dot_exceeds", counted)
+        return calls
+
+    def test_near_threshold_tests_take_the_exact_product(self, rng, sweeps, fallbacks):
+        # Line 2 runs through the vertex X of lines 0 and 1, within rounding:
+        # its bound h2 + GEOM_TOL is the smaller of s = X0 u20 + X1 u21 and
+        # d = X @ u2 where they differ, so the two sums fall on opposite sides
+        # and the sweep's first test, X against line 2, must take d.
+        cases = 0
+        for _ in range(2000):
+            normals = np.array([rng.uniform(0.0, 0.5), rng.uniform(1.5, 2.2), rng.uniform(2.4, 3.0),
+                                rng.uniform(3.8, 4.4), rng.uniform(5.0, 5.8)])
+            support = np.concatenate([rng.uniform(0.5, 1.5, 2), [0.0], rng.uniform(1.0, 2.0, 2)])
+            u = unit_vectors(normals)
+            X = reference_line_intersection(u, support, 0, 1)
+            s = float(X[0]) * float(u[2, 0]) + float(X[1]) * float(u[2, 1])
+            d = float(X @ u[2])
+            bound = min(s, d)
+            h2 = bound - geometry.GEOM_TOL
+            for _ in range(4):
+                if h2 + geometry.GEOM_TOL != bound:
+                    h2 = np.nextafter(h2, math.inf if h2 + geometry.GEOM_TOL < bound else -math.inf)
+            if s == d or h2 + geometry.GEOM_TOL != bound:
+                continue
+            assert (s > bound) != (d > bound)
+            support[2] = h2
+            sweeps.clear()
+            fallbacks.clear()
+            self.assert_same(normals, support)
+            assert sweeps == [5] and bound in fallbacks
+            cases += 1
+            if cases == 10:
+                break
+        if not cases:
+            pytest.skip("this BLAS forms every 2-element dot product as x0 u0 + x1 u1")
+        assert cases == 10
+
+    def test_parallel_and_antipodal_pairs(self, rng, monkeypatch):
+        parallel = []
+        meet = geometry._line_intersection
+
+        def counted(ux, uy, h, i, j):
+            x = meet(ux, uy, h, i, j)
+            if abs(ux[i] * uy[j] - uy[i] * ux[j]) < 1e-15:
+                u, hh = np.column_stack([ux, uy]), np.array(h)
+                assert np.array_equal(x, reference_line_intersection(u, hh, i, j))
+                parallel.append((i, j))
+            return x
+
+        monkeypatch.setattr(geometry, "_line_intersection", counted)
+        # A strip about GEOM_TOL wide between the antipodal lines phi and
+        # phi + pi, and a far line at phi + pi / 2 whose vertex with line phi
+        # the line phi + pi cuts off within rounding: once that far line is
+        # popped, the sweep meets the parallel pair.
+        for phi in rng.uniform(0.0, 2 * math.pi, 8):
+            normals = phi + np.array([0.0, 0.5, 1.0, 1.5]) * math.pi
+            for j in range(-5, 6):
+                support = [1.0, 1000.0, -1.0 - geometry.GEOM_TOL + j * 2e-14, 1.0]
+                self.assert_same_outcome(normals, support)
+        assert parallel
+        # Consistent antipodal pairs, exact and within 1e-15, among
+        # redundant constraints.
+        built = 0
+        for _ in range(200):
+            k = int(rng.integers(1, 4))
+            base = rng.uniform(0.0, 2 * math.pi, k)
+            off = rng.choice([0.0, 3e-16, -3e-16, 9e-16], k)
+            normals = np.concatenate([base, base + math.pi + off,
+                                      rng.uniform(0.0, 2 * math.pi, int(rng.integers(2, 6)))])
+            support = rng.uniform(0.2, 2.0, len(normals))
+            support[k:2 * k] = -support[:k] + rng.choice([0.0, 1e-11, 0.5], k)
+            built += self.assert_same_outcome(normals, support)
+        assert built >= 10
+
+    def test_cut_half_of_a_loop_sized_doubled_body(self, rng, sweeps):
+        # The semicircle route's cut: a body symmetric across the line v, on
+        # 1020 normals as a refinement stage's, halved along that line.
+        v = float(rng.uniform(0.0, 2 * math.pi))
+        n = 1020
+        s = (np.arange(n) + 0.5) * (2 * math.pi / n)
+        K2 = polygon_from_support(v + s, 1.0 + 0.3 * np.cos(s) + 0.05 * np.cos(2 * s)
+                                  + 0.02 * np.cos(3 * s))
+        assert K2.active.all()
+        w = canonical_angle(v - math.pi / 2)
+        K = _cut_half(K2, w)
+        assert sweeps == [n + 1]
+        self.assert_matches(K, reference_polygon_from_support(
+            np.append(K2.normals, canonical_angle(w + math.pi)), np.append(K2.support, 0.0)
+        ))
+        assert np.count_nonzero(K.active) < n // 2 + 3
 
     def test_inconsistent_antipodal_pair_message(self):
         # two empty strips; the error names the first in angle order

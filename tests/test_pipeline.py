@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_general_position_polygon
+from conftest import random_general_position_measure, random_general_position_polygon
 
 from lpmink import (
     AntipodalPairError,
@@ -38,7 +38,7 @@ from lpmink.measure import (
     SEMICIRCLE,
     SINGLE_DIRECTION,
 )
-from lpmink import pipeline
+from lpmink import geometry, pipeline, solver
 from lpmink.errors import NoConvergenceError, NotSymmetricError
 from lpmink.geometry import Isometry2, apply_isometry, canonical_angle, support_distance
 from lpmink.pipeline import (
@@ -845,6 +845,130 @@ def semicircle_manufactured_spec(p, psi, knots=2048):
     return MeasureSpec(None, PiecewiseLinearDensity(s + psi, f)), h
 
 
+def invariant_density_spec(G, psi, knots=240):
+    """A positive density on knots anchored at psi, invariant under G (for a
+    dihedral G, psi is on an axis)."""
+    k = G.order_k
+    t = psi + TWO_PI * np.arange(knots) / knots
+    s = t - psi
+    f = 1.0 + 0.3 * np.cos(k * s) + 0.1 * np.cos(2 * k * s)
+    if G.kind == "cyclic":
+        f += 0.2 * np.sin(2 * k * s)
+    return MeasureSpec(None, PiecewiseLinearDensity(t, f))
+
+
+HANDOFF_GROUPS = [("C", 2), ("C", 3), ("C", 4), ("D", 1), ("D", 2), ("D", 5)]
+
+
+def handoff_cases(rng):
+    for kind, k in HANDOFF_GROUPS:
+        psi = float(rng.uniform(0.0, TWO_PI / k))
+        G = SymmetryGroup.cyclic(k) if kind == "C" else SymmetryGroup.dihedral(k, psi % math.pi)
+        yield G, invariant_density_spec(G, psi)
+
+
+def assert_same_orbits(orb, want):
+    assert np.array_equal(orb.representative, want.representative)
+    assert np.array_equal(orb.index_to_orbit, want.index_to_orbit)
+
+
+class TestStageOrbitHandoff:
+    """Each symmetric stage matches its orbits once, in discretize_symmetric,
+    and hands them to solve_discrete re-indexed to the sorted atoms."""
+
+    def test_grid_orbits_equal_a_fresh_match(self, rng):
+        wrapped = 0
+        for G, spec in handoff_cases(rng):
+            l = pipeline._loop_groups(G)
+            for m in (64, 128, 256, 512):
+                mu = stage_measure(spec, G, m)
+                assert_same_orbits(mu.orbits, orbit_partition(mu.thetas, G))
+                pts = _symmetric_base_angles(G, l, max(2, m // l), spec)
+                wrapped += 0.5 * (pts[-1] + pts[0] + TWO_PI) >= TWO_PI  # last midpoint
+        assert wrapped
+
+    def test_solver_receives_the_grid_orbits(self, rng, monkeypatch):
+        handed = []
+        solve_discrete = pipeline.solve_discrete
+
+        def spy(mu, p, G, cfg, h0=None, orbits=None):
+            handed.append((mu, G, orbits))
+            return solve_discrete(mu, p, G, cfg, h0=h0, orbits=orbits)
+
+        monkeypatch.setattr(pipeline, "solve_discrete", spy)
+        for G, spec in handoff_cases(rng):
+            handed.clear()
+            _, rep = solve(spec, 0.5, G)
+            assert len(handed) == len(rep.loop_history)
+            for mu, G_stage, orbits in handed:
+                assert G_stage == G
+                assert_same_orbits(orbits, orbit_partition(mu.thetas, G))
+
+    def test_one_match_per_stage(self, rng, monkeypatch):
+        calls = []
+        lookup = solver.group_orbit_maps
+
+        def counted(normals, elements, tol=1e-9):
+            calls.append(len(normals))
+            return lookup(normals, elements, tol)
+
+        monkeypatch.setattr(solver, "group_orbit_maps", counted)
+        spec, _, G = symmetric_manufactured_spec(4, False, 0.5, float(rng.uniform(0.0, TWO_PI / 4)),
+                                                 4096)
+        _, rep = solve(spec, 0.5, G)
+        assert calls == [entry["n_atoms"] for entry in rep.loop_history]
+
+    def test_hand_built_measures_are_still_checked(self, rng):
+        G = SymmetryGroup.cyclic(4)
+        mu = stage_measure(invariant_density_spec(G, 0.2), G, 64)
+        masses = mu.masses.copy()
+        masses[3] *= 1.0 + 1e-6
+        odd = DiscreteMeasure(mu.thetas, masses)
+        for orbits in (None, mu.orbits):
+            with pytest.raises(NotSymmetricError, match="not constant on group orbits"):
+                solver.solve_discrete(odd, 0.5, G, orbits=orbits)
+        moved = DiscreteMeasure(np.append(mu.thetas[1:], mu.thetas[0] + 1e-3), mu.masses)
+        with pytest.raises(NotSymmetricError, match="not in the set"):
+            solver.solve_discrete(moved, 0.5, G)
+        with pytest.raises(ValueError, match="must index the atoms"):
+            solver.solve_discrete(DiscreteMeasure(mu.thetas[1:], mu.masses[1:]), 0.5, G,
+                                  orbits=mu.orbits)
+
+
+class TestNoSweepOnAllActiveSolves:
+    """Bodies with every facet active never enter the deque sweep: all
+    intersections of consecutive lines clear every constraint."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        sweep = geometry._halfplane_chain
+
+        def counted(u, h):
+            calls.append(len(h))
+            return sweep(u, h)
+
+        monkeypatch.setattr(geometry, "_halfplane_chain", counted)
+        return calls
+
+    def test_trivial_group_density_loop(self, rng, sweeps):
+        spec, _ = manufactured_spec(0.5, rng.uniform(0.0, TWO_PI, 2))
+        solve(spec, 0.5)
+        assert sweeps == []
+
+    def test_symmetric_density_loop(self, rng, sweeps):
+        spec, _, G = symmetric_manufactured_spec(5, True, 0.5, float(rng.uniform(0.0, TWO_PI / 5)),
+                                                 4000)
+        solve(spec, 0.5, G)
+        assert sweeps == []
+
+    def test_atomic_solves(self, rng, sweeps):
+        for _ in range(20):
+            P, _ = solver.solve_discrete(random_general_position_measure(rng), 0.5)
+            assert P.active.all()
+        assert sweeps == []
+
+
 class TestWarmStartedStages:
     """Every stage after the first starts from the interpolated support of
     the previous body, inside Newton's basin: at most two Newton steps and
@@ -1063,7 +1187,7 @@ class TestImportFootprint:
 import sys
 import numpy as np
 import lpmink
-from lpmink import pipeline
+from lpmink import geometry, pipeline, solver
 from lpmink.measure import DiscreteMeasure, MeasureSpec, PiecewiseLinearDensity
 t = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
 pipeline.solve(MeasureSpec(DiscreteMeasure(t, [1.0, 2.0, 1.0, 3.0, 1.5]), None), 0.5)

@@ -30,7 +30,13 @@ from lpmink.errors import (
     NotClosedUnderGroupError,
     NotSymmetricError,
 )
-from lpmink.geometry import Isometry2, canonical_angles, circular_distance, group_orbit_map
+from lpmink.geometry import (
+    Isometry2,
+    canonical_angles,
+    circular_distance,
+    group_orbit_map,
+    group_orbit_maps,
+)
 from lpmink.solver import _newton_polish, _Workspace
 
 TWO_PI = 2 * math.pi
@@ -559,8 +565,10 @@ class TestOrbitMapAgainstUnionFind:
         theta = invariant_normals(rng, G, 5, n_axis=2, seam=True)
         # perturb within the tolerance so the nearest-neighbour rule matters
         theta = canonical_angles(theta + rng.uniform(-3e-10, 3e-10, len(theta)))
-        for A in G.elements():
+        maps = group_orbit_maps(theta, G.elements())  # one lookup for every element
+        for A, row in zip(G.elements(), maps, strict=True):
             assert np.array_equal(group_orbit_map(theta, A), reference_group_orbit_map(theta, A))
+            assert np.array_equal(row, reference_group_orbit_map(theta, A))
 
     def test_group_orbit_map_permutes_a_regular_polygon(self):
         theta = np.array([0.3 + TWO_PI * j / 6 for j in range(6)])[::-1]
@@ -586,6 +594,35 @@ class TestOrbitMapAgainstUnionFind:
             reference_group_orbit_map(theta, Isometry2("rotation", math.pi))
         assert str(exc.value) == str(ref.value)
         assert str(exc.value).startswith("normal at 1 maps to")
+
+    @pytest.mark.parametrize("G, sub", [
+        (SymmetryGroup.cyclic(4), SymmetryGroup.cyclic(2)),
+        (SymmetryGroup.cyclic(6), SymmetryGroup.cyclic(3)),
+        (SymmetryGroup.dihedral(4, 0.3), SymmetryGroup.cyclic(4)),
+        (SymmetryGroup.dihedral(4, 0.3), SymmetryGroup.dihedral(2, 0.3)),
+        (SymmetryGroup.dihedral(5, 1.0), SymmetryGroup.dihedral(1, 1.0)),
+    ], ids=lambda G: G.label())
+    def test_not_closed_messages_name_the_first_failing_element(self, rng, G, sub):
+        # Normals closed under a subgroup of G only: the message names the
+        # first normal, in input order, that the first failing element of G
+        # maps out of the set, as one reference match per element does.
+        for _ in range(3):
+            theta = invariant_normals(rng, sub, 4, n_axis=1)
+            for A in G.elements():
+                try:
+                    reference_group_orbit_map(theta, A)
+                except NotClosedUnderGroupError as exc:
+                    want = str(exc)
+                    break
+            with pytest.raises(NotClosedUnderGroupError) as got:
+                orbit_partition(theta, G)
+            assert str(got.value) == want
+            mu = DiscreteMeasure(theta, np.ones(len(theta)))
+            with pytest.raises(NotSymmetricError) as wrapped:
+                solve_discrete(mu, 0.5, G)
+            with pytest.raises(NotClosedUnderGroupError) as sorted_got:
+                orbit_partition(mu.thetas, G)
+            assert str(wrapped.value) == str(sorted_got.value)
 
     def test_non_injective_match_raises(self):
         # normals 1.5e-9 apart: both map to the one image of the antipode,
