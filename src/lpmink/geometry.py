@@ -437,69 +437,47 @@ def _line_intersection(ux: list, uy: list, h: list, i: int, j: int) -> tuple[flo
     return (h[i] * uy[j] - h[j] * uy[i]) / det, (h[j] * ux[i] - h[i] * ux[j]) / det
 
 
-def _consecutive_intersections(u: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+def _consecutive_intersections(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Row k: the intersection of lines k and k + 1 (cyclically), by the
-    arithmetic of _line_intersection.  None when some pair is parallel."""
+    arithmetic of _line_intersection, whose far point stands in for a
+    parallel pair."""
     un, hn = cyclic_shift(u, -1), cyclic_shift(h, -1)
     det = u[:, 0] * un[:, 1] - u[:, 1] * un[:, 0]
-    if (np.abs(det) < 1e-15).any():
-        return None
-    x = (h * un[:, 1] - hn * u[:, 1]) / det
-    y = (hn * u[:, 0] - h * un[:, 0]) / det
-    return np.column_stack([x, y])
-
-
-_SLACK = 4.0 * float(np.finfo(float).eps)  # per unit of |x0 u0| + |x1 u1|: see _no_constraint_cut
-_TINY = float(np.finfo(float).tiny)
+    parallel = np.abs(det) < 1e-15
+    far = parallel.any()
+    if far:
+        det[parallel] = 1.0  # those rows are overwritten below
+    X = np.column_stack([(h * un[:, 1] - hn * u[:, 1]) / det,
+                         (hn * u[:, 0] - h * un[:, 0]) / det])
+    if far:
+        up = u[parallel]
+        X[parallel] = up * h[parallel, None] + 1e18 * np.column_stack([-up[:, 1], up[:, 0]])
+    return X
 
 
 def _no_constraint_cut(u: np.ndarray, h: np.ndarray, X: np.ndarray) -> bool:
-    """True when the deque loop of _halfplane_chain would pop nothing, so
-    its chain is all of X.  Without pops, the loop tests at step k >= 2 the
-    vertices X[k-2] and X[0] against constraint k, and at the end the vertex
-    X[n-2] against constraint 0.  The loop's exact test is the 1-D
-    `x @ u[k]` (_dot_exceeds), which may differ from x0*u0 + x1*u1 in the
-    last bits, so a test counts as passed only with a margin of 4 ulps of
-    |x0 u0| + |x1 u1| (either sum is within 2 ulps of the exact one);
-    anything closer returns False and the loop decides."""
+    """True exactly when the deque sweep of _halfplane_chain would drop no
+    line, so its chain is all of X.  Without drops, the sweep tests at step
+    k >= 2 the vertices X[k-2] and X[0] against line k, and at the end the
+    vertex X[n-2] against line 0; each test here is the sweep's own,
+    x0*u_k0 + x1*u_k1 > h_k + GEOM_TOL, by the same IEEE operations."""
     n = len(h)
     pts = np.concatenate([X[: n - 2], np.broadcast_to(X[0], (n - 2, 2)), X[n - 2 : n - 1]])
     k = np.concatenate([np.arange(2, n), np.arange(2, n), [0]])
-    a, b = pts[:, 0] * u[k, 0], pts[:, 1] * u[k, 1]
-    slack = _SLACK * (np.abs(a) + np.abs(b))
-    return bool((a + b + slack <= h[k] + GEOM_TOL).all())
-
-
-def _dot_exceeds(x: float, y: float, uk: np.ndarray, bound: float) -> bool:
-    """The sweep's exact test: is the 1-D product [x, y] @ uk above bound?
-    BLAS may form it with a fused multiply-add, so its last bits need not
-    equal x*uk[0] + y*uk[1]."""
-    return float(np.array([x, y]) @ uk) > bound
+    return not (pts[:, 0] * u[k, 0] + pts[:, 1] * u[k, 1] > h[k] + GEOM_TOL).any()
 
 
 def _halfplane_chain(u: np.ndarray, h: np.ndarray) -> list[int]:
     """Indices of the constraints on the boundary, in CCW order, by a deque
-    sweep over the sorted normals.
-
-    The sweep runs in Python floats: the candidate vertices come from
-    _line_intersection, and the test x.u_k > h_k + GEOM_TOL is formed as
-    a + b with a = x0*u_k0 and b = x1*u_k1.  That sum decides only when it
-    clears the bound by 4 ulps of |a| + |b| plus the smallest normal float
-    (for subnormal products): the 1-D `x @ u[k]` that defines the test is
-    then on the same side, as in _no_constraint_cut.  Anything closer, and
-    any non-finite sum, is decided by that product itself (_dot_exceeds)."""
+    sweep over the sorted normals, in Python floats.  The candidate vertices
+    come from _line_intersection, and line k cuts off the vertex x when
+    x0*u_k0 + x1*u_k1 > h_k + GEOM_TOL, computed elementwise with no BLAS
+    call, as in _no_constraint_cut."""
     ux, uy, hs = u[:, 0].tolist(), u[:, 1].tolist(), h.tolist()
 
     def violates(k: int, i: int, j: int) -> bool:
         x, y = _line_intersection(ux, uy, hs, i, j)
-        a, b = x * ux[k], y * uy[k]
-        s, slack = a + b, _SLACK * (abs(a) + abs(b)) + _TINY
-        bound = hs[k] + GEOM_TOL
-        if s - slack > bound:
-            return True
-        if s + slack <= bound:
-            return False
-        return _dot_exceeds(x, y, u[k], bound)
+        return x * ux[k] + y * uy[k] > hs[k] + GEOM_TOL
 
     dq: deque[int] = deque()
     for k in range(len(hs)):
@@ -546,14 +524,12 @@ def polygon_from_support(normals, support) -> Polygon:
     standard taxonomy.  Redundant constraints are kept in the normal list but
     flagged inactive with zero edge length.
 
-    When every consecutive intersection clears every constraint the deque
-    sweep would test (_no_constraint_cut), the chain is all n lines and the
-    sweep does not run.  Otherwise the sweep (_halfplane_chain) runs in
-    Python floats and falls back to the 1-D numpy product only for tests
-    too close to call, so it takes the same decisions as the product
-    everywhere; the chain's vertices then come from
-    _consecutive_intersections, per pair only when two consecutive lines are
-    parallel.
+    A line cuts off a vertex x when x0*u_0 + x1*u_1 > h + GEOM_TOL, computed
+    elementwise with no BLAS call.  When no consecutive intersection is cut
+    off by a line the deque sweep would test it against
+    (_no_constraint_cut), the chain is all n lines and the sweep does not
+    run; otherwise the sweep (_halfplane_chain) finds the chain.  Either way
+    its vertices come from _consecutive_intersections.
     """
     theta = canonical_angles(normals)
     h = np.asarray(support, dtype=float).copy()
@@ -577,15 +553,11 @@ def polygon_from_support(normals, support) -> Polygon:
     # The solver's bodies have every facet active; their chain is all n
     # consecutive intersections, found without the sweep.
     verts = _consecutive_intersections(u, h)
-    if verts is not None and _no_constraint_cut(u, h, verts):
+    if _no_constraint_cut(u, h, verts):
         idx = np.arange(n)
     else:
         idx = np.array(_halfplane_chain(u, h))
         verts = _consecutive_intersections(u[idx], h[idx])
-        if verts is None:  # parallel consecutive lines: far points, per pair
-            ux, uy, hs = u[:, 0].tolist(), u[:, 1].tolist(), h.tolist()
-            verts = np.array([_line_intersection(ux, uy, hs, i, j)
-                              for i, j in zip(idx.tolist(), cyclic_shift(idx, -1).tolist())])
 
     # Signed area of the vertex chain; also rejects inconsistent chains.
     x, y = verts[:, 0], verts[:, 1]

@@ -13,7 +13,7 @@ ragged lists) is written as literal text, with any `%` in it doubled.
 `"%.17g" % v` and `format(v, ".17g")` give the same text for every float.
 
 The readers reject any angle, mass, density sample or support number that is
-not a finite number, naming its field.
+not a finite number, JSON booleans included, naming its field.
 """
 
 from __future__ import annotations
@@ -119,9 +119,15 @@ def polygon_to_dict(P: Polygon) -> dict:
     }
 
 
+def _no_bools(values: list) -> bool:
+    """No JSON boolean among values, by one pass over their types: numpy
+    would read true and false as 1.0 and 0.0."""
+    return bool not in set(map(type, values))
+
+
 def _finite_number(value, field: str) -> float:
     try:
-        x = np.asarray(value, float)
+        x = None if isinstance(value, bool) else np.asarray(value, float)
     except (TypeError, ValueError, OverflowError):
         x = None
     _require(x is not None and x.ndim == 0 and math.isfinite(x), field, "must be a finite number")
@@ -130,13 +136,13 @@ def _finite_number(value, field: str) -> float:
 
 def _finite_array(values: list, field: str) -> np.ndarray:
     """values as one float array.  If any value is not a finite number (NaN,
-    +-inf, null, a non-numeric string, a list), the per-value check raises on
-    the first bad one, naming field[k]."""
+    +-inf, null, a boolean, a non-numeric string, a list), the per-value
+    check raises on the first bad one, naming field[k]."""
     try:
         a = np.asarray(values, float)
     except (TypeError, ValueError, OverflowError):
         a = None
-    if a is not None and a.ndim == 1 and np.isfinite(a).all():
+    if a is not None and a.ndim == 1 and np.isfinite(a).all() and _no_bools(values):
         return a
     return np.array([_finite_number(v, f"{field}[{k}]") for k, v in enumerate(values)])
 
@@ -168,17 +174,19 @@ def measure_spec_to_dict(spec: MeasureSpec) -> dict:
 
 def _atom_arrays(raw_atoms: list) -> tuple[np.ndarray, np.ndarray]:
     """Theta and mass arrays of well-formed atoms in one pass each.  If any
-    entry is malformed, the per-entry loop raises on the first bad one, as
-    it names atoms[k]."""
+    entry is malformed (a boolean theta or mass included), the per-entry
+    loop raises on the first bad one, as it names atoms[k]."""
     if all(isinstance(entry, dict) for entry in raw_atoms):
         try:
-            thetas = np.asarray([entry["theta"] for entry in raw_atoms], float)
-            masses = np.asarray([entry["mass"] for entry in raw_atoms], float)
+            t = [entry["theta"] for entry in raw_atoms]
+            m = [entry["mass"] for entry in raw_atoms]
+            thetas, masses = np.asarray(t, float), np.asarray(m, float)
         except (KeyError, TypeError, ValueError, OverflowError):
             pass
         else:
             if (thetas.ndim == masses.ndim == 1 and np.isfinite(thetas).all()
-                    and np.isfinite(masses).all() and (masses > 0).all()):
+                    and np.isfinite(masses).all() and (masses > 0).all()
+                    and _no_bools(t + m)):
                 return thetas, masses
     thetas, masses = [], []
     for k, entry in enumerate(raw_atoms):

@@ -5,7 +5,10 @@ library code they check: brute-force half-plane enumeration, all-pairs
 Lipschitz LPs, and dense grid sweeps.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,23 @@ from lpmink import DiscreteMeasure, lp_surface_measure, polygon_from_support
 from lpmink.measure import GENERAL_POSITION, classify
 
 TWO_PI = 2.0 * math.pi
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def import_bench_module(name):
+    """bench/<name>.py as a module, imported without writing a bytecode
+    cache next to it."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
+    return module
 
 
 def brute_force_halfplanes(thetas, h, tol=1e-9):

@@ -1,32 +1,18 @@
 """The benchmark's generated inputs parse under the measure schema, so a
 stricter reader cannot quietly turn benchmark cases into failures."""
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-from lpmink.serialization import measure_spec_from_dict
+from conftest import import_bench_module
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+from lpmink.serialization import measure_spec_from_dict
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    """bench/workloads.py, imported without writing a bytecode cache next to it."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-        del sys.modules[spec.name]
-    return module
+    return import_bench_module("workloads")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -356,7 +356,7 @@ def reference_polygon_from_support(normals, support):
     u = unit_vectors(theta)
 
     def violates(k, x):
-        return float(x @ u[k]) > h[k] + tol
+        return x[0] * u[k, 0] + x[1] * u[k, 1] > h[k] + tol
 
     dq = deque()
     for k in range(n):
@@ -486,56 +486,76 @@ class TestHalfPlaneChainBitIdentity:
                                               rng.uniform(-0.5, 2.0, n))
         assert 50 <= built <= 250
 
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        """The bounds of the sweep's tests decided by the 1-D product."""
-        calls = []
-        exact = geometry._dot_exceeds
-
-        def counted(x, y, uk, bound):
-            calls.append(bound)
-            return exact(x, y, uk, bound)
-
-        monkeypatch.setattr(geometry, "_dot_exceeds", counted)
-        return calls
-
-    def test_near_threshold_tests_take_the_exact_product(self, rng, sweeps, fallbacks):
-        # Line 2 runs through the vertex X of lines 0 and 1, within rounding:
-        # its bound h2 + GEOM_TOL is the smaller of s = X0 u20 + X1 u21 and
-        # d = X @ u2 where they differ, so the two sums fall on opposite sides
-        # and the sweep's first test, X against line 2, must take d.
-        cases = 0
-        for _ in range(2000):
+    @staticmethod
+    def near_threshold_inputs(rng, draws):
+        """Line 2 runs through the vertex X of lines 0 and 1, within
+        rounding: h2 + GEOM_TOL steps from 2 ulps below the elementwise sum
+        s = X0 u20 + X1 u21 to 2 ulps above it, so the sweep's first test, X
+        against line 2, lands on both sides.  Yields (normals, support,
+        cut), cut = s > h2 + GEOM_TOL, for every step that an h2 reaches."""
+        for _ in range(draws):
             normals = np.array([rng.uniform(0.0, 0.5), rng.uniform(1.5, 2.2), rng.uniform(2.4, 3.0),
                                 rng.uniform(3.8, 4.4), rng.uniform(5.0, 5.8)])
             support = np.concatenate([rng.uniform(0.5, 1.5, 2), [0.0], rng.uniform(1.0, 2.0, 2)])
             u = unit_vectors(normals)
             X = reference_line_intersection(u, support, 0, 1)
             s = float(X[0]) * float(u[2, 0]) + float(X[1]) * float(u[2, 1])
-            d = float(X @ u[2])
-            bound = min(s, d)
-            h2 = bound - geometry.GEOM_TOL
-            for _ in range(4):
-                if h2 + geometry.GEOM_TOL != bound:
-                    h2 = np.nextafter(h2, math.inf if h2 + geometry.GEOM_TOL < bound else -math.inf)
-            if s == d or h2 + geometry.GEOM_TOL != bound:
-                continue
-            assert (s > bound) != (d > bound)
-            support[2] = h2
+            bound = s
+            for _ in range(2):
+                bound = np.nextafter(bound, -math.inf)
+            for _ in range(5):
+                h2 = bound - geometry.GEOM_TOL
+                for _ in range(4):
+                    if h2 + geometry.GEOM_TOL != bound:
+                        h2 = np.nextafter(h2, math.inf if h2 + geometry.GEOM_TOL < bound else -math.inf)
+                if h2 + geometry.GEOM_TOL == bound:
+                    yield normals, np.concatenate([support[:2], [h2], support[3:]]), bool(s > bound)
+                bound = np.nextafter(bound, math.inf)
+
+    def test_near_threshold_tests_take_the_elementwise_sum(self, rng, sweeps):
+        # The sweep cuts X off exactly when s exceeds the bound, so line 1
+        # leaves the chain; a 1-D `X @ u2` that BLAS fuses need not agree.
+        cuts = []
+        for normals, support, cut in self.near_threshold_inputs(rng, 40):
             sweeps.clear()
-            fallbacks.clear()
             self.assert_same(normals, support)
-            assert sweeps == [5] and bound in fallbacks
-            cases += 1
-            if cases == 10:
-                break
-        if not cases:
-            pytest.skip("this BLAS forms every 2-element dot product as x0 u0 + x1 u1")
-        assert cases == 10
+            assert sweeps == [5] or not cut
+            assert (1 not in geometry._halfplane_chain(unit_vectors(normals), support)) == cut
+            cuts.append(cut)
+        assert len(cuts) >= 150 and 0 < sum(cuts) < len(cuts)
+
+    @staticmethod
+    def fast_path_taken(normals, support) -> bool:
+        """_no_constraint_cut on the sorted lines, asserted to hold exactly
+        when the sweep keeps every line."""
+        theta = canonical_angles(normals)
+        order = np.argsort(theta, kind="stable")
+        u, h = unit_vectors(theta[order]), np.asarray(support, dtype=float)[order]
+        fast = geometry._no_constraint_cut(u, h, geometry._consecutive_intersections(u, h))
+        assert fast == (geometry._halfplane_chain(u, h) == list(range(len(h))))
+        return fast
+
+    def test_fast_path_iff_the_sweep_drops_no_line(self, rng):
+        for n in (3, 4, 7, 60, 1000):
+            for _ in range(5):
+                P = ellipse_polygon(rng, n)
+                assert self.fast_path_taken(P.normals, P.support)
+        bent = [self.fast_path_taken(P.normals, P.support)
+                for k, per_side in [(3, 20), (5, 60), (4, 150), (3, 500)] for _ in range(2)
+                for P in [bent_polygon(rng, k, per_side)]]
+        assert set(bent) == {True, False}
+        for _ in range(30):
+            P = ellipse_polygon(rng, 12)
+            extra = np.sort(rng.uniform(0.0, 2 * math.pi, 5))
+            support = np.concatenate([P.support, P.support_values(extra) + rng.uniform(0.01, 1.0, 5)])
+            assert not self.fast_path_taken(np.concatenate([P.normals, extra]), support)
+        near = [self.fast_path_taken(normals, support)
+                for normals, support, _ in self.near_threshold_inputs(rng, 40)]
+        assert 0 < sum(near) < len(near)
 
     def test_parallel_and_antipodal_pairs(self, rng, monkeypatch):
-        parallel = []
-        meet = geometry._line_intersection
+        parallel, parallel_rows = [], []
+        meet, rows = geometry._line_intersection, geometry._consecutive_intersections
 
         def counted(ux, uy, h, i, j):
             x = meet(ux, uy, h, i, j)
@@ -545,7 +565,17 @@ class TestHalfPlaneChainBitIdentity:
                 parallel.append((i, j))
             return x
 
+        def counted_rows(u, h):
+            X = rows(u, h)
+            m = len(h)
+            for k in range(m):
+                if abs(u[k, 0] * u[(k + 1) % m, 1] - u[k, 1] * u[(k + 1) % m, 0]) < 1e-15:
+                    assert np.array_equal(X[k], reference_line_intersection(u, h, k, (k + 1) % m))
+                    parallel_rows.append(k)
+            return X
+
         monkeypatch.setattr(geometry, "_line_intersection", counted)
+        monkeypatch.setattr(geometry, "_consecutive_intersections", counted_rows)
         # A strip about GEOM_TOL wide between the antipodal lines phi and
         # phi + pi, and a far line at phi + pi / 2 whose vertex with line phi
         # the line phi + pi cuts off within rounding: once that far line is
@@ -555,7 +585,7 @@ class TestHalfPlaneChainBitIdentity:
             for j in range(-5, 6):
                 support = [1.0, 1000.0, -1.0 - geometry.GEOM_TOL + j * 2e-14, 1.0]
                 self.assert_same_outcome(normals, support)
-        assert parallel
+        assert parallel and parallel_rows
         # Consistent antipodal pairs, exact and within 1e-15, among
         # redundant constraints.
         built = 0

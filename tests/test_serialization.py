@@ -57,7 +57,7 @@ def reference_dumps(obj, indent=0):
 def reference_number(value, field):
     """One measure or body number: a finite number, else SchemaError naming field."""
     try:
-        x = float(value) if not isinstance(value, (list, dict)) else math.nan
+        x = float(value) if not isinstance(value, (list, dict, bool)) else math.nan
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
@@ -184,7 +184,8 @@ class TestCanonicalJsonBitIdentity:
             assert str(got.value) == str(ref.value)
 
 
-NOT_FINITE = [math.nan, math.inf, -math.inf, None, "north", [0.5], [[0.5]], {"v": 0.5}]
+NOT_FINITE = [math.nan, math.inf, -math.inf, None, "north", [0.5], [[0.5]], {"v": 0.5},
+              True, False]
 
 
 class TestNumbersMustBeFinite:
@@ -223,10 +224,17 @@ class TestNumbersMustBeFinite:
         with pytest.raises(SchemaError, match=r"^density\.f: samples must be nonnegative$"):
             measure_spec_from_dict({"atoms": [], "density": density})
 
-    def test_numeric_strings_and_bools_still_parse(self):
-        density = {"theta": ["0", True, 2.0, "4.5"], "f": [1, "0.5", False, 2.0]}
+    def test_numeric_strings_parse_and_bools_do_not(self):
+        density = {"theta": ["0", 1, 2.0, "4.5"], "f": [1, "0.5", "0", 2.0]}
         spec = measure_spec_from_dict({"atoms": [], "density": density})
+        assert spec.density.knots.tolist() == [0.0, 1.0, 2.0, 4.5]
         assert spec.density.values.tolist() == [1.0, 0.5, 0.0, 2.0]
+        density["theta"][1] = True
+        with pytest.raises(SchemaError, match=r"^density\.theta\[1\]: must be a finite number"):
+            measure_spec_from_dict({"atoms": [], "density": density})
+        atoms = [{"theta": 0.5, "mass": 1.0}, {"theta": False, "mass": True}]
+        with pytest.raises(SchemaError, match=r"^atoms\[1\]\.theta: must be a finite number"):
+            measure_spec_from_dict({"atoms": atoms, "density": None})
 
 
 class TestAtomParsing:
@@ -234,7 +242,7 @@ class TestAtomParsing:
         t, m = rng.uniform(-1.0, 7.0, 500), rng.uniform(0.01, 3.0, 500)
         atoms = [{"theta": a, "mass": b} for a, b in zip(t.tolist(), m.tolist())]
         atoms += [{"theta": 1, "mass": 2}, {"theta": "2.5", "mass": "0.125"},
-                  {"theta": False, "mass": True}, {"theta": np.float64(3.25), "mass": 1e-300}]
+                  {"theta": np.float64(3.25), "mass": 1e-300}]
         spec = measure_spec_from_dict({"atoms": atoms, "density": None})
         ref = reference_atoms(atoms)
         assert np.array_equal(spec.atoms.thetas, ref.thetas)
@@ -246,6 +254,7 @@ class TestAtomParsing:
         {"theta": 0.5, "mass": math.nan}, {"theta": "north", "mass": 1.0},
         {"theta": None, "mass": 1.0}, {"theta": 0.5, "mass": "heavy"},
         {"theta": [0.5], "mass": 1.0}, MappingProxyType({"theta": 0.5, "mass": 1.0}),
+        {"theta": False, "mass": 1.0}, {"theta": 0.5, "mass": True},
     ])
     @pytest.mark.parametrize("at", [0, 3])
     @pytest.mark.parametrize("later_bad", [False, True])
