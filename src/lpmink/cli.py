@@ -35,7 +35,6 @@ from .pipeline import (
     discretize,
     monge_ampere_residual,
     solve,
-    stage_measure,
 )
 from .serialization import (
     discrete_measure_to_dict,
@@ -193,7 +192,7 @@ def cmd_measure(args) -> int:
 def cmd_discretize(args) -> int:
     spec = measure_spec_from_dict(_load_json(args.input))
     G = parse_symmetry(args.symmetry, spec)
-    mu = discretize(spec, args.m) if G.is_trivial else stage_measure(spec, G, args.m)
+    mu = discretize(spec, args.m, G)
     payload = discrete_measure_to_dict(mu)
     if args.output:
         write_canonical(payload, args.output)

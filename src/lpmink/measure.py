@@ -210,25 +210,6 @@ class MeasureSpec:
     def total_mass(self) -> float:
         return self.atom_mass() + self.density_mass()
 
-    def atom_arc_mass(self, a: float, b: float) -> float:
-        """Atom mass of the half-open CCW arc (a, b]."""
-        if self.atoms is None:
-            return 0.0
-        span = b - a
-        if span <= 0:
-            span += TWO_PI
-        off = (self.atoms.thetas - a) % TWO_PI
-        # half-open (a, b]: points at offset 0 belong to the arc ending here
-        off[off == 0.0] = TWO_PI
-        return float(np.sum(self.atoms.masses[off <= span + 1e-15]))
-
-    def arc_mass(self, a: float, b: float) -> float:
-        """Mass of the half-open CCW arc (a, b]."""
-        total = self.atom_arc_mass(a, b)
-        if self.density is not None:
-            total += self.density.arc_mass(a, b)
-        return total
-
     def is_purely_atomic(self) -> bool:
         return self.density_mass() <= 0.0
 

@@ -1,9 +1,12 @@
 """End-to-end solves for general measures on the circle.
 
 Routes by support classification: general position goes through the discrete
-solver (after discretization when a density is present), measures on a
-closed semicircle through the reflect-double-solve-halve reduction, and a
-pair of antipodal atoms is the one nonexistence case.
+solver, measures on a closed semicircle through the reflect-double-solve-cut
+reduction, and a pair of antipodal atoms is the one nonexistence case.  Each
+job has one code path: `discretize` is the one grid measure (the refinement
+loop's stages, `lpmink discretize`, `verify` and the `--svg` rays all use it),
+and `_solve_reduced` is the one semicircle reduction, for atoms and
+densities alike.
 """
 
 from __future__ import annotations
@@ -120,25 +123,6 @@ def classify_spec(spec: MeasureSpec) -> MeasureClass:
     return MeasureClass(SEMICIRCLE, width, v=canonical_angle(w + math.pi / 2.0), w=w)
 
 
-def discretize(spec: MeasureSpec, m: int) -> DiscreteMeasure:
-    """Grid measure: atom at angle 2*pi*j/m carries 1/m^2 plus the input
-    measure's mass on the half-open arc ((j-1)*2*pi/m, j*2*pi/m]."""
-    if m < 3:
-        raise ValueError("need m >= 3")
-    step = TWO_PI / m
-    masses = np.full(m, 1.0 / (m * m))
-    if spec.atoms is not None:
-        j = np.ceil(spec.atoms.thetas / step - 1e-12).astype(int)
-        j[j <= 0] = m
-        # unbuffered, in atom order: atoms sharing a cell add up in sequence
-        np.add.at(masses, j - 1, spec.atoms.masses)
-    if spec.density is not None:
-        masses += spec.density.arc_masses(step * np.arange(m), step * np.arange(1, m + 1))
-    thetas = canonical_angle(0.0) + step * np.arange(1, m + 1)
-    thetas[-1] = 0.0  # angle 2*pi is the same grid point as 0
-    return DiscreteMeasure(thetas, masses)
-
-
 def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, spec: MeasureSpec):
     """G_m-orbit of a base point avoiding every atom image, G_m being the
     symmetry group of the regular lm-gon aligned with G."""
@@ -196,8 +180,8 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int) ->
     masses = np.zeros(n)
     if spec.atoms is not None:
         # The cut points clear every atom by more than 1e-9, so each atom
-        # lies inside one arc; an arc's atoms add up in index order, as
-        # spec.atom_arc_mass adds them.
+        # lies inside one arc; an arc's atoms add up in index order, as a
+        # per-arc sum over the atom list adds them.
         arc = (np.searchsorted(pts, spec.atoms.thetas) - 1) % n
         for rows in index_blocks(arc):
             masses[arc[rows[:, 0]]] = np.sum(spec.atoms.masses[rows], axis=1)
@@ -268,9 +252,9 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
     """Solve an atomic measure concentrated on a closed semicircle.
 
     Single direction: a closed-form dilated triangle, symmetric only across
-    the atom's own line.  Proper semicircle: reflect-double across the arc's
-    chord direction, solve with that reflection and G enforced, then keep
-    the half-body on the support side.  An antipodal pair admits no
+    the atom's own line.  Proper semicircle: the reduction that density
+    inputs take too (_solve_reduced), with the report's residual recomputed
+    against mu itself for the half-body.  An antipodal pair admits no
     solution.  A group the measure cannot admit raises NotSymmetricError.
     """
     cfg = cfg or SolverConfig()
@@ -288,21 +272,8 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
                               classification=SINGLE_DIRECTION, symmetry=G.label())
     if cls.tag != SEMICIRCLE:
         raise ConcentratedError("solve_semicircle needs a concentrated classification")
-
-    v, w = cls.v, cls.w
-    G2 = _combine_reflection(G, cls, MeasureSpec(mu))
-    doubled = mu + mu.pushforward(Isometry2("reflection", v))
-    if classify(doubled).tag != GENERAL_POSITION:
-        raise ConcentratedError("doubled measure is still concentrated")
-    K2, rep = solve_discrete(doubled, p, G2, cfg)
-    K = _cut_half(K2, w)
-    report = SolveReport(
-        residual=measure_residual(K, mu, p),
-        outer_iters=rep.outer_iters,
-        newton_iters=rep.newton_iters,
-        classification=SEMICIRCLE,
-        symmetry=rep.symmetry,
-    )
+    K, report = _solve_reduced(MeasureSpec(mu), cls, p, G, cfg)
+    report.residual = measure_residual(K, mu, p)
     return K, report
 
 
@@ -315,10 +286,14 @@ def _loop_groups(G: SymmetryGroup) -> int:
     return {1: 3, 2: 4}[k]
 
 
-def stage_measure(spec: MeasureSpec, G: SymmetryGroup, m: int) -> GridMeasure:
-    """The refinement loop's grid measure at resolution m: the arc-midpoint
-    discretization on 2 l floor(m / l) equal arcs, l = _loop_groups(G), for
-    every group including the trivial one.  Zero-mass arcs carry no atom."""
+def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> GridMeasure:
+    """The grid measure at resolution m, as the refinement loop solves it:
+    the arc-midpoint discretization on 2 l floor(m / l) equal arcs,
+    l = _loop_groups(G), for every group including the trivial one (the
+    default).  Zero-mass arcs carry no atom."""
+    if m < 3:
+        raise ValueError("need m >= 3")
+    G = G or SymmetryGroup.trivial()
     l = _loop_groups(G)
     return discretize_symmetric(spec, G, l, max(2, m // l))
 
@@ -349,14 +324,14 @@ def _interpolated_support(P: Polygon, thetas: np.ndarray) -> np.ndarray:
 def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
                      cfg: PipelineConfig):
     """Solve discretizations of increasing resolution until the bodies
-    stabilize.  Every stage solves stage_measure, whose arc midpoints make
-    the body converge at second order in m, and every stage after the first
-    starts Newton from the interpolated support of the body before it.
-    Each history entry holds its stage's solver counts; the report's
-    top-level counts are the last stage's.  No flat-distance check between
-    a body's boundary measure and its discretization is needed: the
-    solver's residual gate already bounds it by tol_residual times the
-    total mass.  A stage that cannot be solved ends the loop with a
+    stabilize.  Every stage solves discretize(spec, m, G), whose arc
+    midpoints make the body converge at second order in m, and every stage
+    after the first starts Newton from the interpolated support of the body
+    before it.  Each history entry holds its stage's solver counts; the
+    report's top-level counts are the last stage's.  No flat-distance check
+    between a body's boundary measure and its discretization is needed: the
+    solver's residual gate already bounds it by tol_residual times the total
+    mass.  A stage that cannot be solved ends the loop with a
     NoConvergenceError naming its m: the solver's residual gate failed, or
     the grid measure lies in a closed semicircle (zero-mass arcs carry no
     atom, so a support just wider than pi can give one)."""
@@ -365,7 +340,7 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
     prev_rep = None
     m = cfg.m0
     while m <= cfg.m_max:
-        mu_m = stage_measure(spec, G, m)
+        mu_m = discretize(spec, m, G)
         h0 = _interpolated_support(prev_P, mu_m.thetas) if prev_P is not None else None
         try:
             P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0, orbits=mu_m.orbits)
@@ -424,6 +399,22 @@ def _double_spec(spec: MeasureSpec, axis: float) -> MeasureSpec:
     return MeasureSpec(atoms, density)
 
 
+def _solve_reduced(spec: MeasureSpec, cls: MeasureClass, p: float, G: SymmetryGroup,
+                   cfg: PipelineConfig):
+    """The semicircle reduction: reflect-double spec across lin(cls.v), solve
+    the doubled measure in general position with that reflection and G
+    enforced (solve_discrete for atoms, the refinement loop for a density),
+    then keep the half-body on the support side."""
+    G2 = _combine_reflection(G, cls, spec)
+    doubled = _double_spec(spec, cls.v)
+    if doubled.is_purely_atomic():
+        K2, rep = solve_discrete(doubled.atoms, p, G2, cfg)
+    else:
+        K2, rep = _refinement_loop(doubled, p, G2, cfg)
+    rep.classification = SEMICIRCLE
+    return _cut_half(K2, cls.w), rep
+
+
 def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
           cfg: PipelineConfig | None = None):
     """Construct a convex body whose Lp surface area measure is the input.
@@ -448,12 +439,7 @@ def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
         return solve_discrete(spec.atoms, p, G, cfg)
 
     if cls.tag == SEMICIRCLE:
-        G_loop = _combine_reflection(G, cls, spec)
-        spec_loop = _double_spec(spec, cls.v)
-        K2, rep = _refinement_loop(spec_loop, p, G_loop, cfg)
-        K = _cut_half(K2, cls.w)
-        rep.classification = SEMICIRCLE
-        return K, rep
+        return _solve_reduced(spec, cls, p, G, cfg)
 
     P, rep = _refinement_loop(spec, p, G, cfg)
     rep.classification = cls.tag

@@ -119,10 +119,12 @@ def polygon_to_dict(P: Polygon) -> dict:
     }
 
 
-def _no_bools(values: list) -> bool:
-    """No JSON boolean among values, by one pass over their types: numpy
-    would read true and false as 1.0 and 0.0."""
-    return bool not in set(map(type, values))
+def _no_bools(values: list, a: np.ndarray) -> bool:
+    """No JSON boolean among values, a being values as floats.  numpy reads
+    true and false as 1.0 and 0.0, so only the entries that read as exactly
+    0 or 1 need their type checked."""
+    return not any(type(values[k]) is bool
+                   for k in np.flatnonzero((a == 0.0) | (a == 1.0)).tolist())
 
 
 def _finite_number(value, field: str) -> float:
@@ -142,7 +144,7 @@ def _finite_array(values: list, field: str) -> np.ndarray:
         a = np.asarray(values, float)
     except (TypeError, ValueError, OverflowError):
         a = None
-    if a is not None and a.ndim == 1 and np.isfinite(a).all() and _no_bools(values):
+    if a is not None and a.ndim == 1 and np.isfinite(a).all() and _no_bools(values, a):
         return a
     return np.array([_finite_number(v, f"{field}[{k}]") for k, v in enumerate(values)])
 
@@ -186,7 +188,7 @@ def _atom_arrays(raw_atoms: list) -> tuple[np.ndarray, np.ndarray]:
         else:
             if (thetas.ndim == masses.ndim == 1 and np.isfinite(thetas).all()
                     and np.isfinite(masses).all() and (masses > 0).all()
-                    and _no_bools(t + m)):
+                    and _no_bools(t, thetas) and _no_bools(m, masses)):
                 return thetas, masses
     thetas, masses = [], []
     for k, entry in enumerate(raw_atoms):

@@ -282,12 +282,46 @@ class TestVerifyAndMeasure:
 
 class TestDiscretizeCommand:
     def test_plain(self, tmp_path, square_measure_path, capsys):
+        # 2 * 3 * floor(8 / 3) = 12 arcs centred on multiples of pi/6: each
+        # atom sits at its arc's midpoint, and the 8 empty arcs carry no atom
         rc = main(["discretize", "--input", square_measure_path, "--m", "8"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["atoms"]) == 8
-        total = sum(a["mass"] for a in payload["atoms"])
-        assert total == pytest.approx(8.0 + 1.0 / 8.0, rel=1e-12)
+        thetas = [a["theta"] for a in payload["atoms"]]
+        assert thetas == pytest.approx(SQ, abs=1e-12)
+        assert [a["mass"] for a in payload["atoms"]] == [2.0] * 4
+
+    @pytest.mark.parametrize("symmetry", ["none", "C4"])
+    def test_prints_the_first_stage_of_the_loop(self, tmp_path, capsys, monkeypatch, symmetry):
+        t = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+        spec_path = tmp_path / "dens.json"
+        spec_path.write_text(json.dumps({
+            "atoms": [{"theta": 0.3 + k * math.pi / 2, "mass": 0.5} for k in range(4)],
+            "density": {"theta": list(t), "f": list(1.0 + 0.2 * np.cos(4 * t))},
+        }))
+        stages = []
+        real = lpmink.pipeline.solve_discrete
+
+        def recording(mu, *args, **kwargs):
+            stages.append(mu)
+            return real(mu, *args, **kwargs)
+
+        monkeypatch.setattr(lpmink.pipeline, "solve_discrete", recording)
+        spec = lpmink.serialization.measure_spec_from_dict(json.loads(spec_path.read_text()))
+        _, report = lpmink.solve(spec, 0.5, parse_symmetry(symmetry, spec),
+                                 lpmink.PipelineConfig(m0=64, m_max=64))
+        rc = main(["discretize", "--input", str(spec_path), "--m", "64",
+                   "--symmetry", symmetry])
+        assert rc == 0
+        atoms = json.loads(capsys.readouterr().out)["atoms"]
+        assert len(atoms) == report.loop_history[0]["n_atoms"] == stages[0].n
+        assert [a["theta"] for a in atoms] == stages[0].thetas.tolist()
+        assert [a["mass"] for a in atoms] == stages[0].masses.tolist()
+
+    def test_m_below_three_is_an_input_error(self, square_measure_path, capsys):
+        rc = main(["discretize", "--input", square_measure_path, "--m", "2"])
+        assert rc == 1
+        assert "need m >= 3" in capsys.readouterr().err
 
     def test_symmetric(self, tmp_path, capsys):
         t = np.linspace(0, 2 * math.pi, 32, endpoint=False)

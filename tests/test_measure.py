@@ -322,14 +322,6 @@ class TestMeasureSpec:
         spec = MeasureSpec(None, PiecewiseLinearDensity(t, np.full(8, 1.0)))
         assert spec.total_mass() == pytest.approx(TWO_PI, rel=1e-15)
 
-    def test_arc_mass_half_open(self):
-        mu = DiscreteMeasure([0.0, 1.0], [2.0, 3.0])
-        spec = MeasureSpec(mu, None)
-        # atom at the left end of (0, 1] is excluded, at the right end included
-        assert spec.arc_mass(0.0, 1.0) == pytest.approx(3.0)
-        assert spec.arc_mass(-0.5, 0.0) == pytest.approx(2.0)
-        assert spec.arc_mass(1.0, 1.0 + TWO_PI / 2) == pytest.approx(0.0)
-
     def test_piecewise_linear_integral(self):
         # triangle-shaped density: exact integral by hand
         t = np.array([0.0, 1.0, 2.0])

@@ -47,7 +47,6 @@ from lpmink.pipeline import (
     _symmetric_base_angles,
     detect_symmetry,
     ma_residual_from_samples,
-    stage_measure,
 )
 from lpmink.solver import orbit_partition
 from lpmink.solver import SolverConfig, _Workspace
@@ -61,44 +60,6 @@ def uniform_density_spec(value=1.0, knots=64):
 
 
 class TestDiscretize:
-    def test_uniform_density_m4(self):
-        mu = discretize(uniform_density_spec(), 4)
-        assert mu.n == 4
-        assert np.allclose(mu.masses, 1.0 / 16.0 + math.pi / 2.0, rtol=1e-13)
-
-    def test_atom_on_seam_lands_in_last_arc(self):
-        spec = MeasureSpec(DiscreteMeasure([0.0], [5.0]), None)
-        mu = discretize(spec, 4)
-        masses = {round(t, 9): m for t, m in zip(mu.thetas, mu.masses)}
-        assert masses[0.0] == pytest.approx(1.0 / 16.0 + 5.0)
-        assert masses[round(math.pi / 2, 9)] == pytest.approx(1.0 / 16.0)
-        assert masses[round(math.pi, 9)] == pytest.approx(1.0 / 16.0)
-        assert masses[round(3 * math.pi / 2, 9)] == pytest.approx(1.0 / 16.0)
-
-    def test_total_mass_identity(self, rng):
-        for m in (4, 16, 64, 256):
-            spec = MeasureSpec(
-                DiscreteMeasure(rng.uniform(0, TWO_PI, 5), rng.uniform(0.1, 3, 5)),
-                PiecewiseLinearDensity(
-                    np.linspace(0, TWO_PI, 32, endpoint=False),
-                    rng.uniform(0.0, 2.0, 32),
-                ),
-            )
-            mu = discretize(spec, m)
-            assert mu.total_mass() == pytest.approx(
-                spec.total_mass() + 1.0 / m, rel=1e-12
-            )
-
-    def test_interior_atom_assignment(self):
-        # atom strictly inside arc ((j-1)*step, j*step] goes to that arc alone
-        spec = MeasureSpec(DiscreteMeasure([1.0], [2.0]), None)
-        mu = discretize(spec, 8)
-        step = TWO_PI / 8
-        expect = math.ceil(1.0 / step) * step
-        hit = [t for t, m in zip(mu.thetas, mu.masses) if m > 1.0]
-        assert len(hit) == 1
-        assert hit[0] == pytest.approx(expect)
-
     def test_weak_convergence_of_discretization(self, rng):
         # grid measures converge weakly: distance <= total * 2pi/m + 1/m
         mu = DiscreteMeasure(rng.uniform(0, TWO_PI, 6), rng.uniform(0.3, 2.0, 6))
@@ -229,24 +190,6 @@ def reference_spec_arc_mass(spec, a, b):
     return total
 
 
-def reference_discretize(spec, m):
-    """discretize with one scalar arc-mass call per cell and per atom."""
-    step = TWO_PI / m
-    masses = np.full(m, 1.0 / (m * m))
-    if spec.atoms is not None:
-        for t, mass in zip(spec.atoms.thetas, spec.atoms.masses):
-            j = int(math.ceil(t / step - 1e-12))
-            if j <= 0:
-                j = m
-            masses[j - 1] += mass
-    if spec.density is not None:
-        for j in range(1, m + 1):
-            masses[j - 1] += reference_density_arc_mass(spec.density, (j - 1) * step, j * step)
-    thetas = step * np.arange(1, m + 1)
-    thetas[-1] = 0.0
-    return DiscreteMeasure(thetas, masses)
-
-
 def reference_base_angles(G, l, m, spec):
     """The base-point rule tested against the full D_lm image set of the
     atoms, every cut point against every image."""
@@ -315,24 +258,6 @@ class TestDiscretizersBitIdentity:
             ref = reference_density_arc_mass(d, a[k], b[k])
             assert got[k] == ref
             assert d.arc_mass(a[k], b[k]) == ref
-
-    @pytest.mark.parametrize("m", [3, 7, 64, 1000])
-    def test_discretize_density_off_grid_knots(self, rng, m):
-        for knots in (2, 13, 500):
-            spec = MeasureSpec(None, random_knot_density(rng, knots))
-            assert_same_measure(discretize(spec, m), reference_discretize(spec, m))
-
-    @pytest.mark.parametrize("m", [4, 12, 100])
-    def test_discretize_atoms_on_grid_and_seam(self, rng, m):
-        step = TWO_PI / m
-        grid = [step * j for j in (1, 2, m // 2, m - 1)]
-        seam = [0.0, TWO_PI - 1e-13, 5e-13]
-        # several atoms per cell, so their sums depend on the order of adds
-        crowd = list(step * 2 + rng.uniform(0.0, step, 6))
-        atoms = DiscreteMeasure(grid + seam + crowd, rng.uniform(0.1, 3.0, 13))
-        for density in (None, random_knot_density(rng, 21)):
-            spec = MeasureSpec(atoms, density)
-            assert_same_measure(discretize(spec, m), reference_discretize(spec, m))
 
     @pytest.mark.parametrize("l, m", [(3, 2), (4, 5), (6, 40)])
     def test_discretize_symmetric_trivial_group(self, rng, l, m):
@@ -681,7 +606,7 @@ class TestSolveRouting:
         t = np.linspace(0, TWO_PI, 64, endpoint=False)
         spec = MeasureSpec(None, PiecewiseLinearDensity(t, 1.0 + 0.3 * np.cos(3 * t)))
         P, rep = solve(spec, 0.5, None, PipelineConfig(m0=64, m_max=256))
-        final = measure_residual(P, stage_measure(spec, SymmetryGroup.trivial(), rep.m_final), 0.5)
+        final = measure_residual(P, discretize(spec, rep.m_final), 0.5)
         assert rep.residual == final == rep.loop_history[-1]["residual"]
 
     def test_uniform_density_disk_limit(self):
@@ -881,7 +806,7 @@ class TestStageOrbitHandoff:
         for G, spec in handoff_cases(rng):
             l = pipeline._loop_groups(G)
             for m in (64, 128, 256, 512):
-                mu = stage_measure(spec, G, m)
+                mu = discretize(spec, m, G)
                 assert_same_orbits(mu.orbits, orbit_partition(mu.thetas, G))
                 pts = _symmetric_base_angles(G, l, max(2, m // l), spec)
                 wrapped += 0.5 * (pts[-1] + pts[0] + TWO_PI) >= TWO_PI  # last midpoint
@@ -920,7 +845,7 @@ class TestStageOrbitHandoff:
 
     def test_hand_built_measures_are_still_checked(self, rng):
         G = SymmetryGroup.cyclic(4)
-        mu = stage_measure(invariant_density_spec(G, 0.2), G, 64)
+        mu = discretize(invariant_density_spec(G, 0.2), 64, G)
         masses = mu.masses.copy()
         masses[3] *= 1.0 + 1e-6
         odd = DiscreteMeasure(mu.thetas, masses)
@@ -1053,7 +978,7 @@ class TestInterpolatedWarmStart:
                 k, dihedral, 0.5, float(rng.uniform(0.0, TWO_PI / k)), knots)
         for m in (64, 128):
             P, _ = solve(spec, 0.5, G, PipelineConfig(m0=m, m_max=m))
-            mu = stage_measure(spec, G, 2 * m)
+            mu = discretize(spec, 2 * m, G)
             ws = _Workspace(mu.thetas, mu.masses, 0.5)
             assert ws.edge_form(pipeline._interpolated_support(P, mu.thetas)).min() > 0.0
             # the exact support of P puts new facets through its vertices

@@ -236,6 +236,19 @@ class TestNumbersMustBeFinite:
         with pytest.raises(SchemaError, match=r"^atoms\[1\]\.theta: must be a finite number"):
             measure_spec_from_dict({"atoms": atoms, "density": None})
 
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_a_bool_deep_in_a_long_density_raises(self, bad):
+        # zeros and ones around it read as the same floats, so only the
+        # types of those entries tell the boolean apart
+        n = 8192
+        f = [0.0, 1.0, 0, 1, 0.5] * (n // 5) + [1.0] * (n % 5)
+        density = {"theta": (TWO_PI * np.arange(n) / n).tolist(), "f": f}
+        density["f"][n - 7] = bad
+        with pytest.raises(SchemaError, match=rf"^density\.f\[{n - 7}\]: must be a finite number"):
+            measure_spec_from_dict({"atoms": [], "density": density})
+        density["f"][n - 7] = float(bad)
+        assert measure_spec_from_dict({"atoms": [], "density": density}).density.values[n - 7] == bad
+
 
 class TestAtomParsing:
     def test_well_formed_atoms(self, rng):
