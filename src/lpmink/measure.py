@@ -177,10 +177,6 @@ class PiecewiseLinearDensity:
         out = np.where(inside, F[1] - F[0], total - F[0] + F[1])
         return np.where(span >= TWO_PI - 1e-15, total, out)
 
-    def arc_mass(self, a: float, b: float) -> float:
-        """Integral over the CCW arc from a to b (b - a in (0, 2*pi])."""
-        return float(self.arc_masses(a, b))
-
     def reflect(self, axis: float) -> "PiecewiseLinearDensity":
         A = Isometry2("reflection", axis)
         return PiecewiseLinearDensity(A.apply_angles(self.knots), self.values.copy())

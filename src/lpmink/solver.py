@@ -12,13 +12,15 @@ constraints are enforced by orbit averaging of the support numbers.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     AnchorOutsideError,
@@ -47,6 +49,33 @@ from .measure import (
 )
 
 log = logging.getLogger("lpmink.solver")
+
+
+def _load_dgtsv():
+    """LAPACK dgtsv from scipy's Fortran LAPACK extension, loaded on its own.
+
+    `from scipy.linalg.lapack import dgtsv` runs scipy.linalg's package init,
+    ~0.3 s of import time for the one routine the Newton core calls.
+    find_spec locates scipy without running any package code, and only the
+    extension `scipy.linalg._flapack` is loaded, under its own name.  CPython
+    keeps one copy of a single-phase extension module and registers it in
+    sys.modules, so a later `import scipy.linalg` takes this module as it
+    is: the routine is scipy.linalg.lapack.dgtsv.  A scipy without the
+    extension in that place raises ImportError naming where it looked.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("lpmink needs scipy's LAPACK extension, and scipy is not installed")
+    linalg = str(Path(scipy.origin).parent / "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [linalg])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {linalg}")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 
 # Gradient tolerance and iteration cap of the anchor maximization

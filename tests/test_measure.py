@@ -327,13 +327,12 @@ class TestMeasureSpec:
         t = np.array([0.0, 1.0, 2.0])
         f = np.array([0.0, 2.0, 0.0])
         d = PiecewiseLinearDensity(t, f)
-        assert d.arc_mass(0.0, 2.0) == pytest.approx(2.0, rel=1e-14)
-        assert d.arc_mass(0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert d.arc_mass(0.5, 1.5) == pytest.approx(
-            2.0 - 2 * (0.5 * 0.5 * 1.0), rel=1e-12
-        )
+        whole, rise, middle, wrap = d.arc_masses([0.0, 0.0, 0.5, 2.0], [2.0, 1.0, 1.5, TWO_PI])
+        assert whole == pytest.approx(2.0, rel=1e-14)
+        assert rise == pytest.approx(1.0, rel=1e-14)
+        assert middle == pytest.approx(2.0 - 2 * (0.5 * 0.5 * 1.0), rel=1e-12)
         # wrap-around arc covers the zero stretch
-        assert d.arc_mass(2.0, TWO_PI) == pytest.approx(0.0, abs=1e-14)
+        assert wrap == pytest.approx(0.0, abs=1e-14)
 
     def test_density_eval_periodic(self):
         t = np.array([0.0, math.pi])

@@ -155,7 +155,7 @@ class TestDiscretizeSymmetric:
 
 
 def reference_density_arc_mass(d, a, b):
-    """PiecewiseLinearDensity.arc_mass as a difference of scalar
+    """PiecewiseLinearDensity.arc_masses at one arc as a difference of scalar
     antiderivative evaluations."""
 
     def F(x):
@@ -257,7 +257,7 @@ class TestDiscretizersBitIdentity:
         for k in range(a.size):
             ref = reference_density_arc_mass(d, a[k], b[k])
             assert got[k] == ref
-            assert d.arc_mass(a[k], b[k]) == ref
+            assert float(d.arc_masses(a[k], b[k])) == ref
 
     @pytest.mark.parametrize("l, m", [(3, 2), (4, 5), (6, 40)])
     def test_discretize_symmetric_trivial_group(self, rng, l, m):
@@ -1104,28 +1104,44 @@ class TestDetectSymmetry:
 
 
 class TestImportFootprint:
-    """Only weak_distance needs scipy.optimize and scipy.sparse, and
-    importing them takes longer than most solves: solving an atomic and a
-    density input must not import them."""
+    """The solve path needs one routine from scipy, LAPACK dgtsv, and loads
+    only the extension that holds it; scipy.linalg's package init, and the
+    scipy.optimize and scipy.sparse that only weak_distance needs, take
+    longer to import than most solves.  Solving an atomic and a density
+    input through the CLI module must import none of them, and the LP
+    backend must still load afterwards with the same dgtsv."""
 
     CHILD = """
 import sys
 import numpy as np
 import lpmink
+import lpmink.cli
 from lpmink import geometry, pipeline, solver
-from lpmink.measure import DiscreteMeasure, MeasureSpec, PiecewiseLinearDensity
+from lpmink.measure import DiscreteMeasure, MeasureSpec, PiecewiseLinearDensity, weak_distance
 t = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
-pipeline.solve(MeasureSpec(DiscreteMeasure(t, [1.0, 2.0, 1.0, 3.0, 1.5]), None), 0.5)
+mu = DiscreteMeasure(t, [1.0, 2.0, 1.0, 3.0, 1.5])
+pipeline.solve(MeasureSpec(mu, None), 0.5)
 k = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
 pipeline.solve(MeasureSpec(None, PiecewiseLinearDensity(k, 1.0 + 0.2 * np.cos(2.0 * k))), 0.5)
-print(" ".join(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(weak_distance(mu, mu))
+import scipy.linalg.lapack
+print(solver.dgtsv is scipy.linalg.lapack.dgtsv)
 """
 
-    def test_solve_imports_no_lp_backend(self):
+    @pytest.fixture(scope="class")
+    def child_lines(self):
         # the child imports the same lpmink as this process, installed or not
         src_dir = str(Path(pipeline.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
         r = subprocess.run([sys.executable, "-c", self.CHILD], capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.strip() == ""
+        return r.stdout.splitlines()
+
+    def test_solve_imports_no_lp_backend(self, child_lines):
+        assert child_lines[0] == "scipy.linalg._flapack"
+
+    def test_lp_backend_loads_after_a_solve(self, child_lines):
+        assert float(child_lines[1]) == 0.0
+        assert child_lines[2] == "True"

@@ -1,5 +1,7 @@
 """Discrete solver tests: dual objective, anchor, closed forms, round trips."""
 
+import importlib.machinery
+import importlib.util
 import math
 
 import numpy as np
@@ -37,6 +39,7 @@ from lpmink.geometry import (
     group_orbit_map,
     group_orbit_maps,
 )
+from lpmink import solver
 from lpmink.solver import _newton_polish, _Workspace
 
 TWO_PI = 2 * math.pi
@@ -348,6 +351,30 @@ class TestNewtonLinearSolve:
         assert it1 == it2 == 0
         assert err1 == err2 > 1e-10
         assert np.array_equal(h1, h2)
+
+
+class TestLapackLoader:
+    """solver loads scipy's LAPACK extension without scipy.linalg's package
+    init; the routine must be the one scipy.linalg.lapack exposes."""
+
+    def test_dgtsv_is_scipys(self):
+        import scipy.linalg.lapack
+
+        assert solver.dgtsv is scipy.linalg.lapack.dgtsv
+        assert solver._load_dgtsv() is scipy.linalg.lapack.dgtsv
+
+    def test_missing_extension_names_the_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        fake = importlib.machinery.ModuleSpec("scipy", None, origin=str(tmp_path / "scipy" / "__init__.py"))
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+        with pytest.raises(ImportError) as err:
+            solver._load_dgtsv()
+        assert str(tmp_path / "scipy" / "linalg") in str(err.value)
+
+    def test_missing_scipy_raises(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="scipy is not installed"):
+            solver._load_dgtsv()
 
 
 class TestMeasureResidual:
