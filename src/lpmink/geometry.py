@@ -254,10 +254,32 @@ class Polygon:
         return _normal_cones(*self.vertices.T.copy())
 
     def support_values(self, thetas) -> np.ndarray:
-        """Exact support function h_P at the given directions: angles, or a
-        Directions set shared with other bodies (see polygon_support)."""
+        """max_j (x_j cos t + y_j sin t) for each direction t, elementwise, so
+        a value depends neither on the BLAS build nor on the other directions
+        of the call.  Each direction looks up the vertex whose normal cone
+        holds it (_normal_cones, keyed by atan2(sin t, cos t)) and takes the
+        max over the window of +-_WINDOW vertices around it, O(log V) per
+        direction, which equals the max over all vertices bit for bit.  A
+        chain of at most _SHORT vertices takes no lookup: the window around
+        vertex 0 holds every vertex.  The window is gathered window-major,
+        one row per offset and one column per direction, so the products
+        form in place and the max reduces across rows, along the long axis.
+        Every value is x*c + y*s, then a max, then + 0.0 to turn a -0.0
+        maximum into 0.0, so a tie of signed zeros cannot depend on the order
+        of the window."""
+        t = np.atleast_1d(np.asarray(thetas, dtype=float))
+        c, s = np.cos(t), np.sin(t)
         x, y = self.vertices.T.copy()
-        return _support_lookup(x, y, self._cones, Directions.of(thetas))
+        if self._cones is not None:
+            phi, r = self._cones
+            j = r + np.searchsorted(phi, np.arctan2(s, c))
+        else:
+            j = np.zeros(t.shape, dtype=np.intp)
+        idx = (np.arange(-_WINDOW, _WINDOW + 1)[:, None] + j) % len(x)
+        xw, yw = x[idx], y[idx]
+        xw *= c
+        xw += np.multiply(yw, s, out=yw)
+        return xw.max(axis=0) + 0.0
 
     def diameter(self) -> float:
         """Largest vertex distance.  A chain of at most five vertices compares
@@ -293,7 +315,7 @@ class Polygon:
         return math.sqrt(float(dx.max()))
 
 
-_WINDOW = 2          # vertices on each side of polygon_support's looked-up vertex
+_WINDOW = 2          # vertices on each side of support_values' looked-up vertex
 _SHORT = 2 * _WINDOW + 1  # chains this short take no lookup: the window holds them
 _MARGIN = 64.0 * np.finfo(float).eps  # turn margin per unit of A and |e|_1
 
@@ -363,67 +385,6 @@ def _normal_cones(x: np.ndarray, y: np.ndarray):
     if not (phi[1:] > phi[:-1]).all():
         raise RuntimeError("vertex chain winds more than once")
     return phi, r
-
-
-class Directions:
-    """Directions t at which several bodies' support values are wanted: cos t,
-    sin t and the lookup key atan2(sin t, cos t), each computed once, on
-    first use."""
-
-    def __init__(self, thetas):
-        self.t = np.atleast_1d(np.asarray(thetas, dtype=float))
-
-    @classmethod
-    def of(cls, thetas) -> "Directions":
-        return thetas if isinstance(thetas, cls) else cls(thetas)
-
-    @property
-    def size(self) -> int:
-        """Number of directions; np.size reads it as for an array of angles."""
-        return self.t.size
-
-    @cached_property
-    def cos_sin(self):
-        return np.cos(self.t), np.sin(self.t)
-
-    @cached_property
-    def key(self) -> np.ndarray:
-        c, s = self.cos_sin
-        return np.arctan2(s, c)
-
-
-def polygon_support(vertices: np.ndarray, thetas) -> np.ndarray:
-    """max_j (x_j cos t + y_j sin t) for each direction t, elementwise, so a
-    value depends neither on the BLAS build nor on the other directions of
-    the call.  Each direction looks up the vertex whose normal cone holds it
-    (_normal_cones) and takes the max over the window of +-_WINDOW vertices
-    around it, O(log V) per direction, which equals the max over all
-    vertices bit for bit.  A chain of at most _SHORT vertices takes no
-    lookup: the window around vertex 0 holds every vertex.  The window is
-    gathered window-major, one row per offset and one column per direction,
-    so the products form in place and the max reduces across rows, along
-    the long axis.  Every value is x*c + y*s, then a max, then + 0.0 to turn
-    a -0.0 maximum into 0.0, so a tie of signed zeros cannot depend on the
-    order of the window.  Polygon.support_values runs the same lookup on
-    cones built once per body."""
-    x, y = np.asarray(vertices, dtype=float).T.copy()
-    cones = _normal_cones(x, y) if len(x) > _SHORT else None
-    return _support_lookup(x, y, cones, Directions.of(thetas))
-
-
-def _support_lookup(x: np.ndarray, y: np.ndarray, cones, d: Directions) -> np.ndarray:
-    """polygon_support's values on the chain (x, y), given its cones."""
-    c, s = d.cos_sin
-    if cones is not None:
-        phi, r = cones
-        j = r + np.searchsorted(phi, d.key)
-    else:
-        j = np.zeros(d.t.shape, dtype=np.intp)
-    idx = (np.arange(-_WINDOW, _WINDOW + 1)[:, None] + j) % len(x)
-    xw, yw = x[idx], y[idx]
-    xw *= c
-    xw += np.multiply(yw, s, out=yw)
-    return xw.max(axis=0) + 0.0
 
 
 def _line_intersection(ux: list, uy: list, h: list, i: int, j: int) -> tuple[float, float]:
@@ -593,14 +554,27 @@ def area(P: Polygon) -> float:
     return 0.5 * float(np.dot(P.support, P.lengths))
 
 
-_DISTANCE_GRID = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-
-
 def support_distance(P: Polygon, Q: Polygon) -> float:
-    """max |h_P - h_Q| over 4096 equally spaced angles plus both normal sets,
-    whose cos, sin and lookup keys both bodies share."""
-    d = Directions(np.concatenate([_DISTANCE_GRID, P.normals, Q.normals]))
-    return float(np.abs(P.support_values(d) - Q.support_values(d)).max())
+    """Exact max |h_P - h_Q| over all directions.  Between consecutive
+    directions a < b of either body's normals, each support function is
+    one vertex's, so h_P - h_Q = w.u(t) for one vector w, which a 2x2 solve
+    on the end values d_a, d_b gives.  On such an arc |w.u(t)| peaks at an
+    end, or at the crest |w| when the slope w.u'(t) changes sign, that is
+    when +-w points into the arc.  Arcs shorter than 1e-9 keep their end
+    values only: the 2x2 system is near singular there, and a crest can
+    exceed the larger end by at most |w| (b - a)^2 / 8.  A normal the two
+    bodies share gives an arc of length 0, so the directions are merged by
+    a sort alone (np.union1d would import numpy.ma, about 1.5 MB)."""
+    t = np.sort(np.concatenate((P.normals, Q.normals)))
+    d = P.support_values(t) - Q.support_values(t)
+    c, s = np.cos(t), np.sin(t)
+    arc = circular_gaps(t) >= 1e-9
+    c1, s1, d1 = cyclic_shift(c, -1)[arc], cyclic_shift(s, -1)[arc], cyclic_shift(d, -1)[arc]
+    c0, s0, d0 = c[arc], s[arc], d[arc]
+    det = c0 * s1 - s0 * c1
+    wx, wy = (d0 * s1 - d1 * s0) / det, (d1 * c0 - d0 * c1) / det
+    crest = (wy * c0 - wx * s0) * (wy * c1 - wx * s1) < 0.0
+    return float(max(np.abs(d).max(), np.hypot(wx[crest], wy[crest]).max(initial=0.0)))
 
 
 def translate(P: Polygon, xi) -> Polygon:

@@ -151,10 +151,6 @@ class OrbitStructure:
         representative, index_to_orbit = np.unique(label, return_inverse=True)
         return cls(representative, index_to_orbit)
 
-    @property
-    def n_orbits(self) -> int:
-        return len(self.representative)
-
     @cached_property
     def orbits(self) -> list:
         """Each orbit's indices, in increasing order, one array per orbit."""

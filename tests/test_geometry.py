@@ -170,6 +170,36 @@ class TestSupportDistance:
         d = support_distance(P, Q)
         assert eps <= d <= math.sqrt(2.0) * eps * (1 + 1e-6)
 
+    def test_crest_inside_an_arc(self):
+        """h_P - h_Q = (0.3, 0.4).u(t) peaks at |(0.3, 0.4)| = 0.5 inside
+        the arc (0, pi / 2), away from every normal."""
+        assert support_distance(square(), translate(square(), (0.3, 0.4))) == pytest.approx(
+            0.5, rel=1e-15)
+
+    def test_dense_reference(self, rng):
+        """Random pairs, unrelated or P against a translate of P: the exact
+        value is at most 2 ulp below the dense grid's maximum and at most
+        delta^2 / 8 of itself above it (|w| cos(delta / 2) bounds the grid
+        near a crest |w|)."""
+        inside = 0
+        for k in range(16):
+            P = random_general_position_polygon(rng, nmin=3, nmax=40)
+            Q = (random_general_position_polygon(rng, nmin=3, nmax=40) if k % 2
+                 else translate(P, rng.normal(size=2)))
+            d = support_distance(P, Q)
+            grid, delta = dense_support_distance(P, Q)
+            assert grid - 2 * np.spacing(d) <= d <= grid * (1 + delta ** 2 / 8)
+            t = np.union1d(P.normals, Q.normals)
+            inside += d > np.abs(P.support_values(t) - Q.support_values(t)).max()
+        assert inside >= 8  # the maximum lies strictly inside an arc
+
+
+def dense_support_distance(P, Q, n=400_000):
+    """max |h_P - h_Q| over n equally spaced directions plus both normal
+    sets, and the grid spacing."""
+    t = np.concatenate([np.linspace(0.0, 2 * math.pi, n, endpoint=False), P.normals, Q.normals])
+    return float(np.abs(P.support_values(t) - Q.support_values(t)).max()), 2 * math.pi / n
+
 
 def all_pairs_diameter(vertices):
     """O(V^2) reference: the largest squared distance dx*dx + dy*dy over all
@@ -683,7 +713,7 @@ def is_dented(chain):
 
 
 class TestSupportValuesElementwise:
-    """polygon_support against the scalar definition, bit for bit, on both
+    """support_values against the scalar definition, bit for bit, on both
     the normal-cone lookup and chains of at most five vertices."""
 
     @staticmethod
@@ -749,12 +779,11 @@ class TestSupportValuesElementwise:
         assert np.all(np.abs(Q.support_values(t) - reference_support(chain, t)) <= slack)
 
     def test_chains_winding_more_than_once_raise(self, rng):
-        t = rng.uniform(0.0, 2 * math.pi, 500)
         for n, step in ((7, 2), (9, 4), (11, 3), (40, 13)):
             star = unit_vectors(2 * math.pi * step * np.arange(n) / n) * rng.uniform(0.5, 2.0)
             assert np.array_equal(geometry._margin_chain(star), star)  # every turn is positive
             with pytest.raises(RuntimeError, match="winds more than once"):
-                geometry.polygon_support(star, t)
+                geometry._normal_cones(*star.T.copy())
 
     def test_zero_maximum_is_positive_zero(self, rng):
         t = np.array([1.25 * math.pi])  # cos and sin < 0: 0*cos + 0*sin is -0.0
@@ -859,10 +888,9 @@ class TestChainInvariant:
         assert sorted(lookups) == sorted([len(P.vertices), len(Q.vertices)])
         assert np.array_equal(h, reference_support(P.vertices, t))
         assert d == (all_pairs_diameter(P.vertices), all_pairs_diameter(Q.vertices))
-        grid = np.concatenate([np.linspace(0.0, 2 * math.pi, 4096, endpoint=False),
-                               P.normals, Q.normals])
-        assert dist[0] == float(np.max(np.abs(geometry.polygon_support(P.vertices, grid)
-                                                - geometry.polygon_support(Q.vertices, grid))))
+        grid, delta = dense_support_distance(P, Q)
+        assert dist[0] == dist[1]
+        assert grid - 2 * np.spacing(grid) <= dist[0] <= grid * (1 + delta ** 2 / 8)
         for R in (P, Q):
             phi, r = R._cones
             fresh_phi, fresh_r = geometry._normal_cones(*R.vertices.T.copy())

@@ -1107,7 +1107,8 @@ class TestImportFootprint:
     """The solve path needs one routine from scipy, LAPACK dgtsv, and loads
     only the extension that holds it; scipy.linalg's package init, and the
     scipy.optimize and scipy.sparse that only weak_distance needs, take
-    longer to import than most solves.  Solving an atomic and a density
+    longer to import than most solves, as does numpy.ma, which np.unique
+    and np.union1d import on a plain call.  Solving an atomic and a density
     input through the CLI module must import none of them, and the LP
     backend must still load afterwards with the same dgtsv."""
 
@@ -1123,7 +1124,7 @@ mu = DiscreteMeasure(t, [1.0, 2.0, 1.0, 3.0, 1.5])
 pipeline.solve(MeasureSpec(mu, None), 0.5)
 k = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
 pipeline.solve(MeasureSpec(None, PiecewiseLinearDensity(k, 1.0 + 0.2 * np.cos(2.0 * k))), 0.5)
-print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy") or m == "numpy.ma")))
 print(weak_distance(mu, mu))
 import scipy.linalg.lapack
 print(solver.dgtsv is scipy.linalg.lapack.dgtsv)

@@ -465,7 +465,7 @@ class TestMeasureResidualMatch:
 class TestOrbits:
     def test_c4_single_orbit(self):
         orb = orbit_partition(np.array(SQ), SymmetryGroup.cyclic(4))
-        assert orb.n_orbits == 1
+        assert len(orb.representative) == 1
         assert sorted(orb.orbits[0].tolist()) == [0, 1, 2, 3]
 
     def test_reflection_orbits(self):

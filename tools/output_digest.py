@@ -29,6 +29,7 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.dont_write_bytecode = True  # no bytecode cache under bench/ either
 
 import workloads  # noqa: E402  (bench/workloads.py)
 from lpmink.cli import parse_symmetry  # noqa: E402
