@@ -152,12 +152,6 @@ class OrbitStructure:
         return cls(representative, index_to_orbit)
 
     @cached_property
-    def orbits(self) -> list:
-        """Each orbit's indices, in increasing order, one array per orbit."""
-        order = np.argsort(self.index_to_orbit, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(self.index_to_orbit))[:-1])
-
-    @cached_property
     def _blocks(self) -> list:
         return index_blocks(self.index_to_orbit)
 

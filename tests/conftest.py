@@ -22,6 +22,12 @@ TWO_PI = 2.0 * math.pi
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
+def orbit_index_sets(orb):
+    """Each orbit's indices in increasing order, orbit k (labelled by
+    orb.representative[k]) at position k."""
+    return [np.flatnonzero(orb.index_to_orbit == k) for k in range(len(orb.representative))]
+
+
 def import_bench_module(name):
     """bench/<name>.py as a module, imported without writing a bytecode
     cache next to it."""

@@ -12,7 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_general_position_measure, random_general_position_polygon
+from conftest import (
+    orbit_index_sets,
+    random_general_position_measure,
+    random_general_position_polygon,
+)
 
 from lpmink import (
     AntipodalPairError,
@@ -228,7 +232,7 @@ def reference_discretize_symmetric(spec, G, l, m):
     keep = masses > 0.0
     mids, masses = mids[keep], masses[keep]
     if not G.is_trivial:
-        for o in orbit_partition(mids, G).orbits:
+        for o in orbit_index_sets(orbit_partition(mids, G)):
             masses[o] = float(np.mean(masses[o]))
     return DiscreteMeasure(mids, masses)
 
@@ -1110,7 +1114,10 @@ class TestImportFootprint:
     longer to import than most solves, as does numpy.ma, which np.unique
     and np.union1d import on a plain call.  Solving an atomic and a density
     input through the CLI module must import none of them, and the LP
-    backend must still load afterwards with the same dgtsv."""
+    backend must still load afterwards with the same dgtsv.  A CLI solve
+    whose body has enough floats for the vectorized writer imports nothing
+    that a CLI solve with a small body did not (numpy.strings, numpy.char,
+    numpy.ma and decimal would each cost more than the write)."""
 
     CHILD = """
 import sys
@@ -1130,15 +1137,46 @@ import scipy.linalg.lapack
 print(solver.dgtsv is scipy.linalg.lapack.dgtsv)
 """
 
-    @pytest.fixture(scope="class")
-    def child_lines(self):
+    # A CLI solve with a small body, then one whose body takes the vectorized
+    # writer: the modules the second solve adds, then the slow ones loaded.
+    CHILD_WRITE = """
+import json, sys, tempfile
+from pathlib import Path
+import numpy as np
+import lpmink.cli
+from lpmink.serialization import _KERNEL_MIN
+with tempfile.TemporaryDirectory() as tmp:
+    tmp = Path(tmp)
+    n = _KERNEL_MIN // 4 + 40
+    t = (2.0 * np.pi * (np.arange(n) + 0.25 * np.sin(np.arange(n))) / n).tolist()
+    for name, thetas in (("small", t[::n // 5]), ("large", t)):
+        atoms = [{"theta": a, "mass": 1.0 + 0.5 * np.cos(a)} for a in thetas]
+        (tmp / f"{name}.json").write_text(json.dumps({"atoms": atoms, "density": None}))
+    def solve(name):
+        args = ["--input", str(tmp / f"{name}.json"), "--output", str(tmp / f"{name}.body.json")]
+        assert lpmink.cli.main(["solve", "--p", "0.5", *args]) == 0
+    solve("small")
+    before = set(sys.modules)
+    solve("large")
+    print(4 * len(json.loads((tmp / "large.body.json").read_text())["support"]) >= _KERNEL_MIN)
+    print(" ".join(sorted(set(sys.modules) - before)) or "none")
+slow = ("numpy.strings", "numpy.char", "numpy.ma", "decimal")
+print(" ".join(m for m in slow if m in sys.modules) or "none")
+"""
+
+    @staticmethod
+    def run_child(code):
         # the child imports the same lpmink as this process, installed or not
         src_dir = str(Path(pipeline.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
-        r = subprocess.run([sys.executable, "-c", self.CHILD], capture_output=True, text=True,
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
         assert r.returncode == 0, r.stderr
         return r.stdout.splitlines()
+
+    @pytest.fixture(scope="class")
+    def child_lines(self):
+        return self.run_child(self.CHILD)
 
     def test_solve_imports_no_lp_backend(self, child_lines):
         assert child_lines[0] == "scipy.linalg._flapack"
@@ -1146,3 +1184,6 @@ print(solver.dgtsv is scipy.linalg.lapack.dgtsv)
     def test_lp_backend_loads_after_a_solve(self, child_lines):
         assert float(child_lines[1]) == 0.0
         assert child_lines[2] == "True"
+
+    def test_a_large_body_write_imports_nothing(self):
+        assert self.run_child(self.CHILD_WRITE) == ["True", "none", "none"]

@@ -1,20 +1,26 @@
 """Canonical JSON: the one-template writer against the per-item recursive
-formatter, and the readers' checks on every number of a measure or body."""
+formatter, the vectorized %.17g formatter against format(), and the readers'
+checks on every number of a measure or body."""
 
 import json
 import math
+from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from conftest import random_general_position_polygon
+from conftest import import_bench_module, random_general_position_polygon
 
+from lpmink import serialization
 from lpmink.errors import SchemaError
 from lpmink.geometry import polygon_from_support
 from lpmink.measure import DiscreteMeasure, MeasureSpec, PiecewiseLinearDensity
 from lpmink.pipeline import solve
 from lpmink.serialization import (
+    _BLOCK,
+    _KERNEL_MIN,
+    _format17,
     dumps_canonical,
     measure_spec_from_dict,
     polygon_from_dict,
@@ -184,6 +190,133 @@ class TestCanonicalJsonBitIdentity:
             assert str(got.value) == str(ref.value)
 
 
+def as_lists(obj):
+    """obj with every numpy array replaced by its .tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(v) for v in obj]
+    return obj
+
+
+def power_of_ten_neighbours():
+    """The doubles nearest 10^k, -30 <= k <= 45, with two neighbours on
+    either side: the decades where log10 can be one off."""
+    pw = np.array([float(f"1e{k}") for k in range(-30, 46)])
+    down = np.nextafter(pw, 0.0)
+    up = np.nextafter(pw, np.inf)
+    return np.concatenate([np.nextafter(down, 0.0), down, pw, up, np.nextafter(up, np.inf)])
+
+
+def rounding_ties(rng):
+    """Odd multiples x of 2^-j with 17 - j digits ahead of the point, from
+    10^15 down to 10^-6: x * 10^(j - 1) is an odd multiple of 1/2, so
+    rounding x to 17 digits is an exact tie."""
+    out = []
+    for j in range(2, 24):
+        e = 17 - j
+        u = rng.uniform(10.0 ** e, min(10.0 ** (e + 1), 2.0 ** (53 - j)), 200)
+        x = (2.0 * np.floor(u * 2.0 ** (j - 1)) + 1.0) / 2.0 ** j
+        x = x[(x >= 10.0 ** e) & (x < 10.0 ** (e + 1))]
+        assert all(Fraction(v) * 10 ** (j - 1) % 1 == Fraction(1, 2) for v in x[:5].tolist())
+        out.append(x)
+    return np.concatenate(out)
+
+
+def parity_values(rng):
+    """Seeded doubles from every regime %.17g has, each with its negation."""
+    x = np.concatenate([
+        rng.uniform(0.0, TWO_PI, 20000),  # angles
+        rng.normal(size=20000),  # coordinates
+        10.0 ** rng.uniform(-25.0, 45.0, 40000),  # log-uniform, both sides of the window
+        power_of_ten_neighbours(),
+        rounding_ties(rng),
+        [1e-6, np.nextafter(1e-6, 1.0), 1e-5, 1e-4, np.nextafter(1e-4, 0.0),
+         1e16 * (1 - 2.0**-53), 1e16, 2.0**53, 1.0, 0.5, 0.0],
+        [5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0)],
+        rng.uniform(0.0, 2.2250738585072014e-308, 100),  # subnormals
+        rng.integers(1, 10**6, 1000).astype(float),  # integers
+    ])
+    return np.concatenate([x, -x])
+
+
+class TestVectorFormatter:
+    """_format17 gives format(v, ".17g") byte for byte: its kernel covers
+    1e-6 < |v| < 1e16 and format() itself writes zeros and the rest.
+    Documents of _KERNEL_MIN floats or more take it, with the same bytes
+    as the per-item reference."""
+
+    def test_parity_with_format(self, rng):
+        x = parity_values(rng)
+        inside = (np.abs(x) > 1e-6) & (np.abs(x) < 1e16)
+        assert inside.sum() > 100000 and (~inside).sum() > 10000
+        want = [format(v, ".17g").encode() for v in x.tolist()]
+        got = [t for k in range(0, len(x), _BLOCK) for t in _format17(x[k:k + _BLOCK])]
+        assert len(got) == len(want)
+        assert [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5] == []
+
+    def test_the_double_nearest_1e_6_lies_below_it(self):
+        # 1e-6 has 17 digits 9.9999999999999995e-07; its product with 10^22
+        # rounds to 10^16 while the exact product lies just below it
+        assert Fraction(1e-6) < Fraction(1, 10**6)
+        x = np.array([1e-6, -1e-6, np.nextafter(1e-6, 1.0)])
+        assert _format17(x) == [b"9.9999999999999995e-07", b"-9.9999999999999995e-07",
+                                format(np.nextafter(1e-6, 1.0), ".17g").encode()]
+
+    @pytest.mark.parametrize("extra", [-1, 0])
+    def test_documents_either_side_of_the_threshold(self, rng, monkeypatch, extra):
+        n = _KERNEL_MIN + extra
+        calls = []
+        format17 = serialization._format17
+        monkeypatch.setattr(serialization, "_format17",
+                            lambda x: calls.append(len(x)) or format17(x))
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-9.0, 18.0, n)
+        x[::11] = 0.0
+        doc = {"flat": x[:100].tolist(), "rows": x[100:300].reshape(-1, 2).tolist(),
+               "k": {"v": x[300:].tolist(), "100%": "%.17g %s", "scalar": 0.1}, "n": n}
+        for indent in (0, 4):
+            assert dumps_canonical(doc, indent) == reference_dumps(doc, indent)
+        assert calls == ([] if extra < 0 else [n, n])
+
+    @pytest.mark.parametrize("n", [5, 3000])
+    @pytest.mark.parametrize("indent", [0, 4])
+    def test_float64_arrays_write_as_their_lists(self, rng, n, indent):
+        x = rng.normal(size=2 * n) * 10.0 ** rng.uniform(-9.0, 18.0, 2 * n)
+        x[::7] = -0.0
+        for obj in (x, x.reshape(n, 2), x.reshape(-1, 1), x[: 3 * (n // 3)].reshape(-1, 3),
+                    {"v": x.reshape(n, 2), "t": x[:n], "s": "%"}, [x[:3], x.reshape(n, 2)[:2]],
+                    x.astype(np.float32), np.zeros((n, 0)), np.zeros((0, 2))):
+            text = dumps_canonical(obj, indent)
+            assert text == reference_dumps(obj, indent)
+            assert text == dumps_canonical(as_lists(obj), indent)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_on_the_kernel_path_raises_alike(self, rng, bad):
+        x = rng.normal(size=_KERNEL_MIN)
+        y = x.copy()
+        y[7], y[9] = bad, (math.nan if bad == math.inf else math.inf)
+        for doc in ({"a": x.tolist(), "b": y}, {"a": x, "b": y.reshape(-1, 2)},
+                    {"a": x, "b": [x.tolist(), y.tolist()]}, [x, {"z": [0.5, -bad]}, y]):
+            with pytest.raises(ValueError) as ref:
+                reference_dumps(doc)
+            with pytest.raises(ValueError) as got:
+                dumps_canonical(doc)
+            assert str(got.value) == str(ref.value)
+
+    def test_atomic_large_body(self):
+        workloads = import_bench_module("workloads")
+        case = workloads.generate("atomic-large", 1)[0]
+        assert case.label.startswith("atoms n=1024 ")
+        P, report = solve(measure_spec_from_dict(json.loads(case.measure_json)), case.p)
+        assert 4 * P.n >= _KERNEL_MIN
+        want = reference_dumps(reference_polygon_to_dict(P))
+        assert dumps_canonical(polygon_to_dict(P)) == want
+        assert dumps_canonical(reference_polygon_to_dict(P)) == want
+        assert dumps_canonical(report.to_dict()) == reference_dumps(report.to_dict())
+
+
 NOT_FINITE = [math.nan, math.inf, -math.inf, None, "north", [0.5], [[0.5]], {"v": 0.5},
               True, False]
 
@@ -211,7 +344,8 @@ class TestNumbersMustBeFinite:
     @pytest.mark.parametrize("bad", NOT_FINITE)
     @pytest.mark.parametrize("field", ["normals_theta", "support"])
     def test_body(self, bad, field):
-        body = polygon_to_dict(polygon_from_support(TWO_PI * np.arange(6) / 6, np.ones(6)))
+        body = json.loads(dumps_canonical(polygon_to_dict(
+            polygon_from_support(TWO_PI * np.arange(6) / 6, np.ones(6)))))
         body[field][4] = bad
         with pytest.raises(SchemaError, match=rf"^{field}\[4\]: must be a finite number"):
             polygon_from_dict(body)
