@@ -62,8 +62,10 @@ def unit_vector(theta: float) -> np.ndarray:
 
 
 def unit_vectors(thetas) -> np.ndarray:
-    t = np.asarray(thetas, dtype=float)
-    return np.column_stack([np.cos(t), np.sin(t)])
+    t = np.atleast_1d(np.asarray(thetas, dtype=float))
+    u = np.empty((len(t), 2))
+    u[:, 0], u[:, 1] = np.cos(t), np.sin(t)
+    return u
 
 
 def cyclic_shift(a: np.ndarray, shift: int) -> np.ndarray:
@@ -320,16 +322,18 @@ _SHORT = 2 * _WINDOW + 1  # chains this short take no lookup: the window holds t
 _MARGIN = 64.0 * np.finfo(float).eps  # turn margin per unit of A and |e|_1
 
 
-def _clears_margin(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per vertex j of a CCW chain: does its computed turn clear the margin
-    cross(e_{j-1}, e_j) > 64 eps A max(|e_{j-1}|_1, |e_j|_1), with eps the
-    machine epsilon, A = max |x_j| + |y_j| and |e|_1 = |ex| + |ey|?  The
-    bounds this margin buys are in _normal_cones."""
-    xx, yy = np.concatenate((x[-1:], x, x[:1])), np.concatenate((y[-1:], y, y[:1]))
-    ex, ey = xx[1:] - xx[:-1], yy[1:] - yy[:-1]  # edge j enters vertex j, edge j + 1 leaves it
+def _clears_margin(v: np.ndarray) -> np.ndarray:
+    """Per vertex j = (x_j, y_j) of a CCW chain v: does its computed turn
+    clear the margin cross(e_{j-1}, e_j) > 64 eps A max(|e_{j-1}|_1, |e_j|_1),
+    with eps the machine epsilon, A = max |x_j| + |y_j| and
+    |e|_1 = |ex| + |ey|?  The bounds this margin buys are in _normal_cones."""
+    vv = np.concatenate((v[-1:], v, v[:1]))
+    e = vv[1:] - vv[:-1]  # edge j enters vertex j, edge j + 1 leaves it
+    ex, ey = e[:, 0], e[:, 1]
     cross = ex[:-1] * ey[1:] - ey[:-1] * ex[1:]
-    e1 = np.abs(ex) + np.abs(ey)
-    scale = _MARGIN * (np.abs(x) + np.abs(y)).max()
+    e, v = np.abs(e), np.abs(v)
+    e1 = e[:, 0] + e[:, 1]
+    scale = _MARGIN * (v[:, 0] + v[:, 1]).max()
     return cross > scale * np.maximum(e1[:-1], e1[1:])
 
 
@@ -342,7 +346,7 @@ def _margin_chain(vertices) -> np.ndarray:
     out of convex position give such chains."""
     v = np.asarray(vertices, dtype=float)
     while len(v) > _SHORT:
-        keep = _clears_margin(v[:, 0], v[:, 1])
+        keep = _clears_margin(v)
         if keep.all():
             break
         v = v[keep]
@@ -376,7 +380,7 @@ def _normal_cones(x: np.ndarray, y: np.ndarray):
       of the exact ones, and atan2(s, c) within 8 eps of the angle of the
       vector (c, s), 16.5 eps in all, so the lookup lands within one vertex
       of j, and the window of +-2 holds j - 1, j and j + 1."""
-    if not _clears_margin(x, y).all():
+    if not _clears_margin(np.column_stack((x, y))).all():
         raise RuntimeError("vertex chain turns below the convexity margin")
     ex, ey = cyclic_shift(x, -1) - x, cyclic_shift(y, -1) - y
     phi = np.arctan2(-ex, ey)
@@ -403,13 +407,15 @@ def _consecutive_intersections(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     arithmetic of _line_intersection, whose far point stands in for a
     parallel pair."""
     un, hn = cyclic_shift(u, -1), cyclic_shift(h, -1)
-    det = u[:, 0] * un[:, 1] - u[:, 1] * un[:, 0]
+    ux, uy, vx, vy = u[:, 0], u[:, 1], un[:, 0], un[:, 1]
+    det = ux * vy - uy * vx
     parallel = np.abs(det) < 1e-15
     far = parallel.any()
     if far:
         det[parallel] = 1.0  # those rows are overwritten below
-    X = np.column_stack([(h * un[:, 1] - hn * u[:, 1]) / det,
-                         (hn * u[:, 0] - h * un[:, 0]) / det])
+    X = np.empty((len(h), 2))
+    np.divide(h * vy - hn * uy, det, out=X[:, 0])
+    np.divide(hn * ux - h * vx, det, out=X[:, 1])
     if far:
         up = u[parallel]
         X[parallel] = up * h[parallel, None] + 1e18 * np.column_stack([-up[:, 1], up[:, 0]])
@@ -423,9 +429,13 @@ def _no_constraint_cut(u: np.ndarray, h: np.ndarray, X: np.ndarray) -> bool:
     vertex X[n-2] against line 0; each test here is the sweep's own,
     x0*u_k0 + x1*u_k1 > h_k + GEOM_TOL, by the same IEEE operations."""
     n = len(h)
-    pts = np.concatenate([X[: n - 2], np.broadcast_to(X[0], (n - 2, 2)), X[n - 2 : n - 1]])
-    k = np.concatenate([np.arange(2, n), np.arange(2, n), [0]])
-    return not (pts[:, 0] * u[k, 0] + pts[:, 1] * u[k, 1] > h[k] + GEOM_TOL).any()
+    ux, uy, bound = u[2:, 0], u[2:, 1], h[2:] + GEOM_TOL
+    (x0, y0), (x, y) = X[0].tolist(), X[n - 2].tolist()
+    if x * u[0, 0] + y * u[0, 1] > h[0] + GEOM_TOL:
+        return False
+    cut = X[: n - 2, 0] * ux + X[: n - 2, 1] * uy > bound
+    cut |= x0 * ux + y0 * uy > bound
+    return not cut.any()
 
 
 def _halfplane_chain(u: np.ndarray, h: np.ndarray) -> list[int]:
@@ -463,7 +473,12 @@ def _halfplane_chain(u: np.ndarray, h: np.ndarray) -> list[int]:
 
 def _check_antipodal_pairs(theta: np.ndarray, h: np.ndarray) -> None:
     """Raise EmptyBodyError on the first (i, j) pair, in index order, of
-    antipodal normals whose half-planes leave an empty strip."""
+    antipodal normals whose half-planes leave an empty strip.  No pair can
+    when 2 min(h) >= -GEOM_TOL: rounding is monotone, so every computed
+    h_i + h_j is at least the exact 2 min(h).  A NaN fails that test and
+    takes the pair search."""
+    if 2.0 * h.min() >= -GEOM_TOL:
+        return
     n = theta.size
     lo = np.searchsorted(theta, theta + math.pi - 1e-9)
     count = np.maximum(np.searchsorted(theta, theta + math.pi + 1e-9, side="right") - lo, 0)
@@ -496,27 +511,34 @@ def polygon_from_support(normals, support) -> Polygon:
     h = np.asarray(support, dtype=float).copy()
     if theta.shape != h.shape or theta.ndim != 1:
         raise ValueError("normals and support must be 1-D arrays of equal length")
-    order = np.argsort(theta, kind="stable")
-    theta, h = theta[order], h[order]
-    if theta.size >= 2 and (theta[1:] - theta[:-1]).min() <= ANGLE_TOL:
-        raise ValueError("duplicate normal angles (merge atoms upstream)")
-    if theta.size >= 2 and (theta[0] + TWO_PI - theta[-1]) <= ANGLE_TOL:
-        raise ValueError("duplicate normal angles across the seam")
     n = theta.size
+    if n >= 2:
+        # Normals more than ANGLE_TOL apart in increasing order, the
+        # solver's, are what the stable sort would return.
+        gaps = theta[1:] - theta[:-1]
+        if not gaps.min() > ANGLE_TOL:
+            order = np.argsort(theta, kind="stable")
+            theta, h = theta[order], h[order]
+            gaps = theta[1:] - theta[:-1]
+            if gaps.min() <= ANGLE_TOL:
+                raise ValueError("duplicate normal angles (merge atoms upstream)")
+        seam = theta[0] + TWO_PI - theta[-1]
+        if seam <= ANGLE_TOL:
+            raise ValueError("duplicate normal angles across the seam")
 
     # Inconsistent antipodal pairs mean an empty strip regardless of the rest.
     _check_antipodal_pairs(theta, h)
 
-    if n < 3 or circular_gaps(theta).max() >= math.pi - ANGLE_TOL:
+    # The largest of the circular gaps; np.maximum keeps a NaN as their max would.
+    if n < 3 or np.maximum(gaps.max(), seam) >= math.pi - ANGLE_TOL:
         raise UnboundedError("normals fit in a closed half-circle; body unbounded")
 
     u = unit_vectors(theta)
     # The solver's bodies have every facet active; their chain is all n
     # consecutive intersections, found without the sweep.
     verts = _consecutive_intersections(u, h)
-    if _no_constraint_cut(u, h, verts):
-        idx = np.arange(n)
-    else:
+    all_active = _no_constraint_cut(u, h, verts)
+    if not all_active:
         idx = np.array(_halfplane_chain(u, h))
         verts = _consecutive_intersections(u[idx], h[idx])
 
@@ -528,18 +550,23 @@ def polygon_from_support(normals, support) -> Polygon:
             raise EmptyBodyError("half-plane intersection is empty")
         raise DegenerateBodyError(f"intersection area {0.5 * area2:.3g} below tolerance")
 
-    # Edge idx[k] runs from verts[k - 1] to verts[k].
+    # Edge idx[k] runs from verts[k - 1] to verts[k], idx[k] = k when all
+    # are active.
     starts = cyclic_shift(verts, 1)
     step = np.hypot(verts[:, 0] - starts[:, 0], verts[:, 1] - starts[:, 1])
-    lengths = np.zeros(n)
-    lengths[idx] = step
-    edge_ends = np.full((n, 2, 2), np.nan)
-    edge_ends[idx, 0], edge_ends[idx, 1] = starts, verts
-    active = lengths > EDGE_TOL
+    keep = step > EDGE_TOL
+    if all_active:
+        lengths, active = step, keep
+        edge_ends = np.concatenate((starts, verts), axis=1).reshape(n, 2, 2)
+    else:
+        lengths = np.zeros(n)
+        lengths[idx] = step
+        edge_ends = np.full((n, 2, 2), np.nan)
+        edge_ends[idx, 0], edge_ends[idx, 1] = starts, verts
+        active = lengths > EDGE_TOL
 
     # Drop duplicate chain vertices (collapsed edges) from the stored chain.
-    keep = step > EDGE_TOL
-    chain = verts[keep] if np.count_nonzero(keep) >= 3 else verts
+    chain = verts if keep.all() or np.count_nonzero(keep) < 3 else verts[keep]
 
     return Polygon(theta, h, chain, active, lengths, edge_ends)
 

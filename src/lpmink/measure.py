@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,10 @@ def _merge_sorted_atoms(thetas: np.ndarray, masses: np.ndarray, tol: float):
 
 @dataclass
 class DiscreteMeasure:
-    """Finite atomic measure on S^1: sorted angles + positive masses."""
+    """Finite atomic measure on S^1: sorted angles + positive masses.
+
+    The arrays must not be mutated after construction: the total mass is
+    summed once, on first use, and kept."""
 
     thetas: np.ndarray
     masses: np.ndarray
@@ -77,8 +81,13 @@ class DiscreteMeasure:
         t, m = t[keep], m[keep]
         if t.size == 0:
             raise EmptyMeasureError("measure has no mass")
-        order = np.argsort(t, kind="stable")
-        t, m = _merge_sorted_atoms(t[order], m[order], ATOM_MERGE_TOL)
+        # Angles increasing by more than ATOM_MERGE_TOL, such as a body's
+        # active normals, are already sorted and merged but for the seam.
+        if t.size >= 2 and not (t[1:] - t[:-1]).min() > ATOM_MERGE_TOL:
+            order = np.argsort(t, kind="stable")
+            t, m = _merge_sorted_atoms(t[order], m[order], ATOM_MERGE_TOL)
+        elif t.size >= 2 and t[0] + TWO_PI - t[-1] <= ATOM_MERGE_TOL:
+            t, m = _merge_sorted_atoms(t, m, ATOM_MERGE_TOL)
         self.thetas = t
         self.masses = m
 
@@ -87,7 +96,11 @@ class DiscreteMeasure:
         return len(self.thetas)
 
     def total_mass(self) -> float:
-        return float(math.fsum(self.masses))
+        return self._total_mass
+
+    @cached_property
+    def _total_mass(self) -> float:
+        return math.fsum(self.masses.tolist())
 
     def mass_at(self, theta: float, tol: float = ATOM_MERGE_TOL) -> float:
         t = canonical_angle(theta)

@@ -6,7 +6,8 @@ invocations produce byte-identical files.
 
 The writer walks the document once and builds a %-format template plus the
 document's floats in order.  A list (or a list of equal-length lists) whose
-items are all finite Python floats, and a finite float64 array of one or two
+items are all finite Python floats, a list of {"mass", "theta"} atom dicts
+with finite Python float values, and a finite float64 array of one or two
 dimensions, adds one slot per float in one step; an array is written as its
 .tolist() would be.  Every other node (dicts, strings, ints, bools, numpy
 scalars, None, mixed or ragged lists) is written as literal text, with any
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -176,6 +178,30 @@ def _float_block(n: int, cols: int, indent: int) -> tuple:
             "\n" + inner + "],\n" + inner + "[\n" + inner2, "\n" + inner + "]\n" + pad + "]")
 
 
+_MASS_THETA = itemgetter("mass", "theta")  # an atom's values in sorted key order
+
+
+def _atom_floats(items) -> list | None:
+    """[mass, theta, mass, theta, ...] when every item is a dict of exactly
+    the keys "mass" and "theta" with finite Python float values, else None."""
+    if set(map(type, items)) != {dict} or set(map(len, items)) != {2}:
+        return None
+    try:
+        flat = list(chain.from_iterable(map(_MASS_THETA, items)))
+    except KeyError:
+        return None
+    return flat if _finite_floats(flat) else None
+
+
+def _atom_block(n: int, indent: int) -> tuple:
+    """The _float_block marker of n atom dicts at indent: one row of
+    (mass, theta) per atom, each row's text that of its dict."""
+    inner, inner2, pad = " " * (indent + 2), " " * (indent + 4), " " * indent
+    head = "{\n" + inner2 + '"mass": '
+    return (n, 2, "[\n" + inner + head, ",\n" + inner2 + '"theta": ',
+            "\n" + inner + "},\n" + inner + head, "\n" + inner + "}\n" + pad + "]")
+
+
 def _walk(obj, indent: int, out: list, floats: list) -> None:
     """Append obj's template text to out, with a _float_block marker in
     place of each run of float slots, and the run's floats to floats."""
@@ -200,6 +226,10 @@ def _walk(obj, indent: int, out: list, floats: list) -> None:
               and _finite_floats(flat := list(chain.from_iterable(obj)))):
             # Rows of floats, such as [x, y] vertices.
             out.append(_float_block(len(flat), len(obj[0]), indent))
+            floats.append(flat)
+        elif type(obj[0]) is dict and (flat := _atom_floats(obj)) is not None:
+            # Atoms, such as a measure's {"mass", "theta"} dicts.
+            out.append(_atom_block(len(obj), indent))
             floats.append(flat)
         else:
             out.append("[\n")
@@ -348,13 +378,15 @@ def measure_spec_to_dict(spec: MeasureSpec) -> dict:
 
 
 def _atom_arrays(raw_atoms: list) -> tuple[np.ndarray, np.ndarray]:
-    """Theta and mass arrays of well-formed atoms in one pass each.  If any
-    entry is malformed (a boolean theta or mass included), the per-entry
-    loop raises on the first bad one, as it names atoms[k]."""
-    if all(isinstance(entry, dict) for entry in raw_atoms):
+    """Theta and mass arrays of well-formed atoms, each field read in one
+    itemgetter pass over entries that are all plain dicts.  If any entry is
+    malformed (a boolean theta or mass, or a mapping other than a dict,
+    included), the per-entry loop raises on the first bad one, as it names
+    atoms[k]."""
+    if set(map(type, raw_atoms)) == {dict}:
         try:
-            t = [entry["theta"] for entry in raw_atoms]
-            m = [entry["mass"] for entry in raw_atoms]
+            t = list(map(itemgetter("theta"), raw_atoms))
+            m = list(map(itemgetter("mass"), raw_atoms))
             thetas, masses = np.asarray(t, float), np.asarray(m, float)
         except (KeyError, TypeError, ValueError, OverflowError):
             pass

@@ -233,38 +233,41 @@ class _Workspace:
     def volume(self, h: np.ndarray) -> float:
         return 0.5 * float(h @ self.edge_form(h))
 
-    def jacobian(self, h: np.ndarray, ell: np.ndarray):
-        """Bands (lo, diag, up) of d/dh of S(h) = h^(1-p) * (L h)."""
+    def jacobian(self, h: np.ndarray, w: np.ndarray, ell: np.ndarray):
+        """Bands (lo, diag, up) of d/dh of S(h) = h^(1-p) * (L h), given
+        w = h^(1-p) and ell = L h, in new arrays."""
         p = self.p
-        w = h ** (1.0 - p)
         return w * self.lo, w * self.diag + (1.0 - p) * h ** (-p) * ell, w * self.up
 
     def solve_linear(self, J, rhs: np.ndarray) -> np.ndarray:
-        """Solve J x = rhs for a cyclic tridiagonal J given by its bands.
+        """Solve J x = rhs for a cyclic tridiagonal J given by its bands,
+        overwriting the bands (jacobian's are temporaries).
 
         The open band goes to one tridiagonal LU with two right-hand sides
         (LAPACK gtsv, which scipy.linalg.solve_banded calls after argument
         checks that cost ~10x the solve at n < 100); the corners J[0, n-1]
         and J[n-1, 0] come back as a rank-one Sherman-Morrison correction
-        (Numerical Recipes, section 2.7).  A singular band raises
-        LinAlgError; a near-singular correction returns a non-finite x.
+        (Numerical Recipes, section 2.7), in Python floats.  A singular band
+        raises LinAlgError; a near-singular correction returns a non-finite
+        x.
         """
-        lo, diag, up = J
-        beta, alpha = lo[0], up[-1]  # J[0, n-1], J[n-1, 0]
-        gamma = -diag[0]
-        d = diag.copy()
+        lo, d, up = J
+        beta, alpha = float(lo[0]), float(up[-1])  # J[0, n-1], J[n-1, 0]
+        gamma = -float(d[0])
         d[0] -= gamma
         d[-1] -= alpha * beta / gamma
         b = self._rhs
         b[:, 0] = rhs
         b[:, 1] = 0.0
         b[0, 1], b[-1, 1] = gamma, alpha
-        *_, yz, info = dgtsv(lo[1:], d, up[:-1], b, overwrite_d=1, overwrite_b=1)
+        *_, yz, info = dgtsv(lo[1:], d, up[:-1], b, overwrite_dl=1, overwrite_d=1,
+                             overwrite_du=1, overwrite_b=1)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         y, z = yz[:, 0], yz[:, 1]
-        vy = y[0] + beta / gamma * y[-1]
-        vz = z[0] + beta / gamma * z[-1]
+        ratio = beta / gamma
+        vy = float(y[0]) + ratio * float(y[-1])
+        vz = float(z[0]) + ratio * float(z[-1])
         return y - (vy / (1.0 + vz)) * z
 
 
@@ -348,6 +351,16 @@ def optimal_anchor(P: Polygon, mu: DiscreteMeasure, p: float) -> np.ndarray:
     )
 
 
+def _cyclic_neighbours(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The two cyclic neighbours in the n sorted angles grid of each angle
+    x[i], (k - 1) % n and k % n for its insertion point k: the lower index
+    in row 0, the higher in row 1.  Only at the seam, k = 0 or k = n, is
+    (k - 1) % n the higher one."""
+    k = np.searchsorted(grid, x)
+    a, b = (k - 1) % len(grid), k % len(grid)
+    return np.array((np.minimum(a, b), np.maximum(a, b)))
+
+
 def measure_residual(P: Polygon, mu: DiscreteMeasure, p: float) -> float:
     """Relative per-atom mismatch of S_{P,p} against mu, plus any boundary
     mass sitting off the support of mu (relative to mu's total mass)."""
@@ -356,8 +369,7 @@ def measure_residual(P: Polygon, mu: DiscreteMeasure, p: float) -> float:
     # Each atom of mu is matched to the circularly nearest atom of nu, which
     # is one of its two cyclic neighbours (nu's atoms lie more than
     # ATOM_MERGE_TOL apart); a tie goes to the lower index.
-    k = np.searchsorted(nu.thetas, mu.thetas)
-    cand = np.sort([(k - 1) % nu.n, k % nu.n], axis=0)
+    cand = _cyclic_neighbours(nu.thetas, mu.thetas)
     d = np.abs(nu.thetas[cand] - mu.thetas)
     d = np.minimum(d, 2.0 * math.pi - d)
     j = np.where(d[0] <= d[1], cand[0], cand[1])
@@ -374,10 +386,10 @@ def measure_residual(P: Polygon, mu: DiscreteMeasure, p: float) -> float:
 def _reactivate(ws: _Workspace, h: np.ndarray) -> np.ndarray:
     """Blend toward the (always all-active) constant-support body until the
     closed-form edge lengths are strictly positive."""
-    target = float(h.mean()) * np.ones_like(h)
-    lo, hi = 0.0, 1.0
     if (ws.edge_form(h)).min() > ws.n * 1e-15:
         return h
+    target = float(h.mean()) * np.ones_like(h)
+    lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         trial = (1 - mid) * h + mid * target
@@ -397,15 +409,15 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
     ell = ws.edge_form(h)
     if ell.min() <= 0 or h.min() <= 0:
         return h, math.inf, 0
-    S = h ** (1.0 - p) * ell
-    F = S - target
+    w = h ** (1.0 - p)
+    F = w * ell - target
     err = float((np.abs(F) / target).max())
     iters = 0
     for it in range(max_iters):
         if err <= tol:
             break
         try:
-            step = ws.solve_linear(ws.jacobian(h, ell), -F)
+            step = ws.solve_linear(ws.jacobian(h, w, ell), -F)
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(step).all():
@@ -418,9 +430,10 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
             if h_try.min() > 0:
                 ell_try = ws.edge_form(h_try)
                 if ell_try.min() > 0:
-                    F_try = h_try ** (1.0 - p) * ell_try - target
+                    w_try = h_try ** (1.0 - p)
+                    F_try = w_try * ell_try - target
                     if math.sqrt(F_try.dot(F_try)) <= (1.0 - 0.25 * t) * fnorm:
-                        h, ell, F = h_try, ell_try, F_try
+                        h, w, ell, F = h_try, w_try, ell_try, F_try
                         improved = True
                         break
             t *= 0.5

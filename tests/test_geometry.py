@@ -362,6 +362,13 @@ def reference_margin_chain(chain):
     return np.array(chain)
 
 
+def reference_sorted(normals, support):
+    """The normals and support numbers in the stable order of the angles."""
+    theta = canonical_angles(normals)
+    order = np.argsort(theta, kind="stable")
+    return theta[order], np.asarray(support, dtype=float)[order]
+
+
 def reference_polygon_from_support(normals, support):
     """The half-plane build as a scalar loop: a per-normal antipodal scan,
     the deque sweep for every input, per-edge lengths and the chain
@@ -646,6 +653,45 @@ class TestHalfPlaneChainBitIdentity:
             np.append(K2.normals, canonical_angle(w + math.pi)), np.append(K2.support, 0.0)
         ))
         assert np.count_nonzero(K.active) < n // 2 + 3
+
+    def test_antipodal_shortcut_at_its_bound(self, rng):
+        """The pair search is skipped when 2 min(h) >= -GEOM_TOL.  Antipodal
+        pairs at h = -GEOM_TOL / 2 (no empty strip), one ulp lower (an empty
+        strip, named as the reference names it) and at NaN give the
+        reference's outcome."""
+        tol = geometry.GEOM_TOL
+        empty = 0
+        for a in (-tol / 2, np.nextafter(-tol / 2, -1.0), -0.3, math.nan):
+            for _ in range(20):
+                k = int(rng.integers(1, 4))
+                base = rng.uniform(0.0, 2 * math.pi, k)
+                normals = np.concatenate([base, base + math.pi, rng.uniform(0.0, 2 * math.pi, 3)])
+                support = rng.uniform(0.2, 2.0, len(normals))
+                support[:2 * k] = a
+                try:
+                    geometry._check_antipodal_pairs(*reference_sorted(normals, support))
+                except EmptyBodyError:
+                    empty += 1
+                self.assert_same_outcome(normals, support)
+        assert empty == 40
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_no_constraint_cut_agrees_with_the_sweep(self, rng, n):
+        kept = []
+        while len(kept) < 300:
+            normals = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+            if circular_gaps(normals).max() >= math.pi - 0.05:
+                continue
+            h = rng.uniform(-0.5, 2.0, n)
+            u = unit_vectors(normals)
+            fast = geometry._no_constraint_cut(u, h, geometry._consecutive_intersections(u, h))
+            try:
+                keeps_all = geometry._halfplane_chain(u, h) == list(range(n))
+            except EmptyBodyError:
+                keeps_all = False
+            assert fast == keeps_all
+            kept.append(fast)
+        assert 0 < sum(kept) < len(kept)
 
     def test_inconsistent_antipodal_pair_message(self):
         # two empty strips; the error names the first in angle order

@@ -32,6 +32,7 @@ from lpmink.errors import (
     NonPlanarFacetError,
     PreconditionViolatedError,
 )
+from lpmink.geometry import canonical_angles
 from lpmink.measure import (
     ANTIPODAL_PAIR,
     ATOM_MERGE_TOL,
@@ -62,6 +63,23 @@ class TestDiscreteMeasure:
             DiscreteMeasure([0.0], [-1.0])
         with pytest.raises(EmptyMeasureError):
             DiscreteMeasure([0.0], [0.0])
+
+    def test_sorted_angles_build_what_sorting_builds(self, rng):
+        """Angles increasing by more than ATOM_MERGE_TOL skip the sort; the
+        arrays are those of the stable sort and the merge, seam included."""
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            t = np.sort(rng.uniform(0.0, TWO_PI, n))
+            t[rng.uniform(size=n) < 0.2] -= rng.choice([0.0, 5e-10, 2e-9])
+            if rng.uniform() < 0.3:  # first and last atom across the seam
+                t[0], t[-1] = 0.0, TWO_PI - rng.choice([1e-12, 5e-10, 2e-9])
+            m = rng.uniform(0.5, 2.0, n)
+            for perm in (np.arange(n), rng.permutation(n)):
+                c = canonical_angles(t[perm])
+                order = np.argsort(c, kind="stable")
+                want_t, want_m = _merge_sorted_atoms(c[order], m[perm][order], ATOM_MERGE_TOL)
+                mu = DiscreteMeasure(t[perm], m[perm])
+                assert np.array_equal(mu.thetas, want_t) and np.array_equal(mu.masses, want_m)
 
 
 def reference_merge(thetas, masses, tol):

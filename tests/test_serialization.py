@@ -317,6 +317,77 @@ class TestVectorFormatter:
         assert dumps_canonical(report.to_dict()) == reference_dumps(report.to_dict())
 
 
+class TestAtomDocuments:
+    """A list of {"mass", "theta"} dicts with finite float values is written
+    as one block of float slots, with the bytes of the per-dict walk."""
+
+    @pytest.fixture
+    def atom_blocks(self, monkeypatch):
+        calls = []
+        block = serialization._atom_block
+        monkeypatch.setattr(serialization, "_atom_block",
+                            lambda n, indent: calls.append(n) or block(n, indent))
+        return calls
+
+    @staticmethod
+    def atoms(rng, n):
+        mu = DiscreteMeasure(rng.uniform(0.0, TWO_PI, n),
+                             rng.uniform(0.0, 3.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n))
+        return serialization.discrete_measure_to_dict(mu)["atoms"]
+
+    @pytest.mark.parametrize("slots", [_KERNEL_MIN - 1, _KERNEL_MIN])
+    @pytest.mark.parametrize("indent", [0, 4])
+    def test_either_side_of_the_kernel_threshold(self, rng, monkeypatch, atom_blocks,
+                                                 slots, indent):
+        calls = []
+        format17 = serialization._format17
+        monkeypatch.setattr(serialization, "_format17",
+                            lambda x: calls.append(len(x)) or format17(x))
+        atoms = self.atoms(rng, slots // 2)
+        doc = {"atoms": atoms, "density": None, "scale": [0.5] * (slots % 2)}
+        assert len(atoms) == slots // 2
+        assert dumps_canonical(doc, indent) == reference_dumps(doc, indent)
+        assert dumps_canonical(atoms, indent) == reference_dumps(atoms, indent)
+        assert atom_blocks == [len(atoms)] * 2
+        assert calls == ([] if slots < _KERNEL_MIN else [slots] * 2)
+
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("indent", [0, 4])
+    def test_one_other_value_keeps_the_per_dict_walk(self, rng, atom_blocks, n, indent):
+        for key, value in [("mass", 2), ("theta", np.float64(0.5)), ("mass", True),
+                           ("theta", None), ("mass", "1.0"), ("theta", [0.5]), ("extra", 0.5)]:
+            atoms = self.atoms(rng, n)
+            atoms[n // 2] = {**atoms[n // 2], key: value}
+            doc = {"atoms": atoms, "density": None}
+            assert dumps_canonical(doc, indent) == reference_dumps(doc, indent)
+        atoms = self.atoms(rng, n)
+        del atoms[n // 2]["mass"]
+        atoms[n // 2]["weight"] = 0.5
+        assert dumps_canonical(atoms, indent) == reference_dumps(atoms, indent)
+        assert atom_blocks == []
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_raise_alike(self, rng, bad):
+        for n in (3, 300):
+            atoms = self.atoms(rng, n)
+            atoms[1]["theta"] = bad
+            with pytest.raises(ValueError) as ref:
+                reference_dumps(atoms)
+            with pytest.raises(ValueError) as got:
+                dumps_canonical(atoms)
+            assert str(got.value) == str(ref.value)
+
+    def test_measure_documents_round_trip(self, rng):
+        mu = DiscreteMeasure(rng.uniform(0.0, TWO_PI, 700), rng.uniform(0.1, 2.0, 700))
+        spec = MeasureSpec(mu, PiecewiseLinearDensity([0.0, 2.0, 4.0], [1.0, 0.5, 2.0]))
+        for doc in (serialization.discrete_measure_to_dict(mu),
+                    serialization.measure_spec_to_dict(spec)):
+            text = dumps_canonical(doc)
+            assert text == reference_dumps(doc)
+            back = measure_spec_from_dict(json.loads(text)).atoms
+            assert np.array_equal(back.thetas, mu.thetas) and np.array_equal(back.masses, mu.masses)
+
+
 NOT_FINITE = [math.nan, math.inf, -math.inf, None, "north", [0.5], [[0.5]], {"v": 0.5},
               True, False]
 

@@ -2,12 +2,13 @@
 
 import importlib.machinery
 import importlib.util
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import orbit_index_sets, random_general_position_polygon
+from conftest import import_bench_module, orbit_index_sets, random_general_position_polygon
 
 from lpmink import (
     DiscreteMeasure,
@@ -29,6 +30,7 @@ from lpmink.errors import (
     AnchorOutsideError,
     AntipodalPairError,
     ConcentratedError,
+    NoConvergenceError,
     NotClosedUnderGroupError,
     NotSymmetricError,
 )
@@ -40,6 +42,8 @@ from lpmink.geometry import (
     group_orbit_maps,
 )
 from lpmink import solver
+from lpmink.pipeline import solve
+from lpmink.serialization import measure_spec_from_dict
 from lpmink.solver import _newton_polish, _Workspace
 
 TWO_PI = 2 * math.pi
@@ -301,7 +305,7 @@ class TestNewtonLinearSolve:
         L, J = dense_cyclic_jacobian(thetas, h, p)
         ell = ws.edge_form(h)
         assert np.allclose(ell, L @ h, rtol=1e-12, atol=1e-12 * np.abs(L).max())
-        x = ws.solve_linear(ws.jacobian(h, ell), rhs)
+        x = ws.solve_linear(ws.jacobian(h, h ** (1.0 - p), ell), rhs)
         ref = np.linalg.solve(J, rhs)
         cond = np.linalg.cond(J)
         assert cond < 1e8
@@ -321,7 +325,7 @@ class TestNewtonLinearSolve:
         for _ in range(2):
             h = rng.uniform(0.5, 2.0, n)
             rhs = rng.standard_normal(n)
-            x = ws.solve_linear(ws.jacobian(h, ws.edge_form(h)), rhs)
+            x = ws.solve_linear(ws.jacobian(h, h ** (1.0 - p), ws.edge_form(h)), rhs)
             answers.append((x, x.copy(), h, rhs))
         (x1, x1_copy, *_), (x2, *_) = answers
         assert not np.shares_memory(x1, x2)
@@ -351,6 +355,130 @@ class TestNewtonLinearSolve:
         assert it1 == it2 == 0
         assert err1 == err2 > 1e-10
         assert np.array_equal(h1, h2)
+
+
+def reference_jacobian(ws, h, ell):
+    """_Workspace.jacobian as it was before it took h^(1-p) from the caller."""
+    p = ws.p
+    w = h ** (1.0 - p)
+    return w * ws.lo, w * ws.diag + (1.0 - p) * h ** (-p) * ell, w * ws.up
+
+
+def reference_solve_linear(ws, J, rhs):
+    """_Workspace.solve_linear as it was with numpy-scalar corner arithmetic
+    and a copied diagonal."""
+    lo, diag, up = J
+    beta, alpha = lo[0], up[-1]
+    gamma = -diag[0]
+    d = diag.copy()
+    d[0] -= gamma
+    d[-1] -= alpha * beta / gamma
+    b = np.empty((len(rhs), 2), order="F")
+    b[:, 0] = rhs
+    b[:, 1] = 0.0
+    b[0, 1], b[-1, 1] = gamma, alpha
+    *_, yz, info = solver.dgtsv(lo[1:], d, up[:-1], b, overwrite_d=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    y, z = yz[:, 0], yz[:, 1]
+    vy = y[0] + beta / gamma * y[-1]
+    vz = z[0] + beta / gamma * z[-1]
+    return y - (vy / (1.0 + vz)) * z
+
+
+def reference_newton_polish(ws, h, target, tol, average, max_iters=80):
+    """_newton_polish as it was, recomputing h^(1-p) for every Jacobian."""
+    p = ws.p
+    h = average(solver._reactivate(ws, h.copy()))
+    ell = ws.edge_form(h)
+    if ell.min() <= 0 or h.min() <= 0:
+        return h, math.inf, 0
+    S = h ** (1.0 - p) * ell
+    F = S - target
+    err = float((np.abs(F) / target).max())
+    iters = 0
+    for it in range(max_iters):
+        if err <= tol:
+            break
+        try:
+            step = reference_solve_linear(ws, reference_jacobian(ws, h, ell), -F)
+        except np.linalg.LinAlgError:
+            break
+        if not np.isfinite(step).all():
+            break
+        fnorm = math.sqrt(F.dot(F))
+        t = 1.0
+        improved = False
+        for _ in range(50):
+            h_try = average(h + t * step)
+            if h_try.min() > 0:
+                ell_try = ws.edge_form(h_try)
+                if ell_try.min() > 0:
+                    F_try = h_try ** (1.0 - p) * ell_try - target
+                    if math.sqrt(F_try.dot(F_try)) <= (1.0 - 0.25 * t) * fnorm:
+                        h, ell, F = h_try, ell_try, F_try
+                        improved = True
+                        break
+            t *= 0.5
+        iters = it + 1
+        if not improved:
+            break
+        err = float((np.abs(F) / target).max())
+    return h, err, iters
+
+
+class TestNewtonCoreBitForBit:
+    """Every Newton solve a whole solve makes, replayed on the reference
+    Newton core above: the same h bytes, err and step count."""
+
+    @pytest.fixture
+    def polishes(self, monkeypatch):
+        calls = []
+        polish = solver._newton_polish
+
+        def recorded(ws, h, target, tol, average, max_iters=80):
+            args = (ws, h.copy(), target.copy(), tol, average, max_iters)
+            calls.append((args, polish(ws, h, target, tol, average, max_iters)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(solver, "_newton_polish", recorded)
+        return calls
+
+    @staticmethod
+    def assert_replayed(calls):
+        for (ws, h, target, tol, average, max_iters), (h_got, err, iters) in calls:
+            h_ref, err_ref, iters_ref = reference_newton_polish(ws, h, target, tol, average,
+                                                                max_iters)
+            assert h_got.tobytes() == h_ref.tobytes()
+            assert float(err).hex() == float(err_ref).hex()
+            assert iters == iters_ref
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 3, 59, 70])
+    def test_stress_measures(self, polishes, index):
+        """Cases 59 (gives up after the pad continuation) and 70 (solved by
+        it) of the benchmark's stress corpus, and four solved by Newton from
+        the start."""
+        workloads = import_bench_module("workloads")
+        n, p, C, t, m = workloads._stress_measures(np.random.default_rng(0), 120)[index]
+        try:
+            _, report = solve_discrete(DiscreteMeasure(t, m), p)
+        except NoConvergenceError as exc:
+            report = exc.report
+            assert index == 59
+        assert (report.outer_iters > 0) == (index in (59, 70))
+        assert len(polishes) == 1 + report.outer_iters
+        self.assert_replayed(polishes)
+
+    def test_c4_orbit_averaged_stages(self, polishes):
+        workloads = import_bench_module("workloads")
+        case = workloads.symmetric_density(np.random.default_rng(3), 4, False, 0.5, 512)
+        spec = measure_spec_from_dict(json.loads(case.measure_json))
+        _, report = solve(spec, case.p, SymmetryGroup.cyclic(4))
+        assert report.symmetry == "C4" and len(report.loop_history) >= 2
+        assert polishes
+        assert all(isinstance(getattr(args[4], "__self__", None), solver.OrbitStructure)
+                   for args, _ in polishes)
+        self.assert_replayed(polishes)
 
 
 class TestLapackLoader:
@@ -414,6 +542,26 @@ def reference_measure_residual(P, mu, p):
         worst = max(worst, abs(got - m) / max(m, 1e-30))
     off = float(np.sum(nu.masses[~matched]))
     return worst + off / max(total, 1e-30)
+
+
+class TestMeasureResidualShortcuts:
+    def test_candidates_equal_the_sorted_pair_at_the_seam(self, rng):
+        for n in (1, 2, 3, 40):
+            grid = np.sort(rng.uniform(0.1, 2 * math.pi - 0.1, n))
+            x = np.concatenate([[0.0, 0.05, grid[0], 2 * math.pi - 0.05, grid[-1]],
+                                rng.uniform(0.0, 2 * math.pi, 50)])
+            k = np.searchsorted(grid, x)
+            assert {0, n} <= set(k.tolist())
+            want = np.sort([(k - 1) % n, k % n], axis=0)
+            assert np.array_equal(solver._cyclic_neighbours(grid, x), want)
+
+    def test_total_mass_is_the_exact_sum(self, rng):
+        for n in (1, 7, 1000):
+            masses = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-12, 12, n)
+            mu = DiscreteMeasure(rng.uniform(0.0, 2 * math.pi, n), masses)
+            assert mu.total_mass() == math.fsum(mu.masses)
+            assert mu.total_mass() == mu.total_mass()
+            assert type(mu.total_mass()) is float
 
 
 class TestMeasureResidualMatch:
