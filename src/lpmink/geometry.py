@@ -216,7 +216,7 @@ class SymmetryGroup:
         return f"D{self.order_k}:{self.axis:.12g}"
 
 
-@dataclass
+@dataclass(eq=False)
 class Polygon:
     """Convex body from support data.
 
@@ -230,7 +230,8 @@ class Polygon:
     edge_ends: per-normal (start, end) vertex pair, NaN rows when absent.
 
     The arrays must not be mutated after construction: the normal cones of
-    the chain are built once, on first use, and kept.
+    the chain are built once, on first use, and kept.  == is identity:
+    comparing the arrays field by field would raise.
     """
 
     normals: np.ndarray
@@ -471,6 +472,94 @@ def _halfplane_chain(u: np.ndarray, h: np.ndarray) -> list[int]:
     return list(dq)
 
 
+def _cut_chain(u: np.ndarray, h: np.ndarray, X: np.ndarray, c: int) -> list[int] | None:
+    """_halfplane_chain(u, h) when its sweep runs as line c clipping the
+    chain of all the other lines, else None; X is
+    _consecutive_intersections(u, h).
+
+    Such a sweep appends lines 0..c-1, each keeping X[k-2] and the front
+    vertex X[0].  Line c cuts off some of their vertices: it pops the tail
+    a+1..c-1 (X[c-2], ..., X[a] cut off), then the front 0..f-1 (X[0],
+    ..., X[f-1]); or, when it cuts off all of X[0..c-2], every line but 0
+    (a = 0).  Line c + 1 appends; each line k from c + 2 to r cuts off the
+    vertex of c and k - 1, pops k - 1 and keeps the vertex of a and c; the
+    lines after r keep X[k-2].  The front vertex after step c is X[f], or
+    the vertex of 0 and c when a = 0, with f = 0 then.
+    - When no later line cuts off the front, the closing loop pops nothing
+      and the chain is f..a, c, r..n-1; or, with r = n - 1, line f cuts off
+      the vertex of c and n - 1 there, pops n - 1 and keeps the vertex of a
+      and c: the chain is f..a, c.
+    - When a = 0 and a line g > r cuts off the front, g pops line 0, the
+      lines from g on keep the vertex of c and r, and the closing loop pops
+      n-1..a+1 by line c (X[n-2], ..., X[a] cut off): the chain is c, r..a.
+
+    Each test of that run is made here, vectorized, as the sweep's own
+    x0*u_k0 + x1*u_k1 > h_k + GEOM_TOL by the same IEEE operations on the
+    same operands: X[i] is the vertex of lines i and i + 1 (see
+    _line_intersection), and the vertices of c and j take
+    _line_intersection's arithmetic elementwise.  When every test comes out
+    as above, the sweep takes exactly these steps, so this is its chain bit
+    for bit, GEOM_TOL's decisions at line c included.  When one does not,
+    or a parallel pair ends the pops, the answer is None and the sweep
+    runs, so c is only a guess: a wrong one costs the tests alone."""
+    n = len(h)
+    if not 2 <= c <= n - 2:
+        return None
+    bound = h + GEOM_TOL
+
+    def cuts(x, y, lo: int, hi: int) -> np.ndarray:
+        """Whether lines lo..hi-1 cut off the points (x, y), one per line."""
+        return x * u[lo:hi, 0] + y * u[lo:hi, 1] > bound[lo:hi]
+
+    def meet(i: int, j: int):
+        """The vertex of lines i and j, by _line_intersection."""
+        return _line_intersection(u[:, 0], u[:, 1], h, i, j)
+
+    if cuts(*X[0], 2, c).any() or cuts(X[: c - 2, 0], X[: c - 2, 1], 2, c).any():
+        return None
+    kept = np.flatnonzero(~cuts(X[: c - 1, 0], X[: c - 1, 1], c, c + 1))
+    f, a = (int(kept[0]), int(kept[-1]) + 1) if kept.size else (None, 0)
+    ac = meet(a, c)
+    # The vertex of c and j = c+1..n-2 against line j + 1, up to the first
+    # pair parallel within _line_intersection's 1e-15.
+    vx, vy, hj = u[c + 1: n - 1, 0], u[c + 1: n - 1, 1], h[c + 1: n - 1]
+    det = u[c, 0] * vy - u[c, 1] * vx
+    parallel = np.abs(det) < 1e-15
+    m = int(parallel.argmax()) if parallel.any() else len(det)
+    x = (h[c] * vy[:m] - hj[:m] * u[c, 1]) / det[:m]
+    y = (hj[:m] * u[c, 0] - h[c] * vx[:m]) / det[:m]
+    pops = cuts(x, y, c + 2, c + 2 + m)
+    if pops.all():
+        if m < len(det):
+            return None
+        r = n - 1
+    else:
+        r = c + 1 + int(pops.argmin())
+    if cuts(*ac, c + 1, r + 1).any() or cuts(X[r: n - 2, 0], X[r: n - 2, 1], r + 2, n).any():
+        return None
+    front = cuts(*(ac if f is None else X[f]), c + 1, n)
+    if not front.any():
+        first = f or 0
+        last = X[n - 2] if r < n - 1 else meet(c, n - 1)
+        if not cuts(*last, first, first + 1)[0]:
+            return [*range(first, a + 1), c, *range(r, n)]
+        if f is None or r < n - 1 or cuts(*ac, f, f + 1)[0]:
+            return None
+        return [*range(f, a + 1), c]
+    if f is not None:
+        return None
+    g = c + 1 + int(front.argmax())
+    stays = np.flatnonzero(~cuts(X[r: n - 1, 0], X[r: n - 1, 1], c, c + 1))
+    if not stays.size:
+        return None
+    a = r + int(stays[-1]) + 1
+    # Lines g..n-1 at their steps, and a..n-2 in the closing loop, test
+    # the vertex of c and r.
+    if cuts(*meet(c, r), min(a, g), n).any():
+        return None
+    return [c, *range(r, a + 1)]
+
+
 def _check_antipodal_pairs(theta: np.ndarray, h: np.ndarray) -> None:
     """Raise EmptyBodyError on the first (i, j) pair, in index order, of
     antipodal normals whose half-planes leave an empty strip.  No pair can
@@ -493,7 +582,7 @@ def _check_antipodal_pairs(theta: np.ndarray, h: np.ndarray) -> None:
             )
 
 
-def polygon_from_support(normals, support) -> Polygon:
+def polygon_from_support(normals, support, *, cut: int | None = None) -> Polygon:
     """Build the bounded intersection of supporting half-planes.
 
     Raises EmptyBodyError / UnboundedError / DegenerateBodyError per the
@@ -506,6 +595,11 @@ def polygon_from_support(normals, support) -> Polygon:
     (_no_constraint_cut), the chain is all n lines and the sweep does not
     run; otherwise the sweep (_halfplane_chain) finds the chain.  Either way
     its vertices come from _consecutive_intersections.
+
+    cut: for a caller that clips an all-active body by one line, that
+    line's index among the sorted normals.  The sweep's run is then tried
+    as that one clip first (_cut_chain), whose tests are the sweep's own;
+    the body and the errors are the same with or without it.
     """
     theta = canonical_angles(normals)
     h = np.asarray(support, dtype=float).copy()
@@ -539,7 +633,8 @@ def polygon_from_support(normals, support) -> Polygon:
     verts = _consecutive_intersections(u, h)
     all_active = _no_constraint_cut(u, h, verts)
     if not all_active:
-        idx = np.array(_halfplane_chain(u, h))
+        chain = None if cut is None else _cut_chain(u, h, verts, cut)
+        idx = np.array(_halfplane_chain(u, h) if chain is None else chain)
         verts = _consecutive_intersections(u[idx], h[idx])
 
     # Signed area of the vertex chain; also rejects inconsistent chains.

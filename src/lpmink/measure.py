@@ -60,12 +60,13 @@ def _merge_sorted_atoms(thetas: np.ndarray, masses: np.ndarray, tol: float):
     return np.asarray(out_t), np.asarray(out_m)
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteMeasure:
     """Finite atomic measure on S^1: sorted angles + positive masses.
 
     The arrays must not be mutated after construction: the total mass is
-    summed once, on first use, and kept."""
+    summed once, on first use, and kept.  == is identity: comparing the
+    arrays field by field would raise."""
 
     thetas: np.ndarray
     masses: np.ndarray

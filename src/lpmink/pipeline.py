@@ -239,12 +239,22 @@ def _combine_reflection(G: SymmetryGroup, cls: MeasureClass, spec: MeasureSpec) 
 
 def _cut_half(K2: Polygon, w: float) -> Polygon:
     """The half of a reflect-doubled body on the support side: the cut normal
-    w + pi with support 0 replaces any facet of K2 at that normal."""
+    w + pi with support 0 replaces any facet of K2 at that normal.  It goes
+    in at its place i among K2's sorted normals, where the build's stable
+    sort would put it, since no kept normal equals it.
+
+    The build clips by that line through the origin with polygon_from_support's
+    cut=i: on a doubled body, whose facets are all active, the deque sweep
+    runs as one clip by line i, which geometry._cut_chain confirms with the
+    sweep's own tests in a few vectorized passes, including the vertices
+    within GEOM_TOL of the cut line; any other run goes to the sweep.  So
+    the half-body is the one the sweep builds, bit for bit."""
     cut = canonical_angle(w + math.pi)
     keep = np.abs(K2.normals - cut) > ANGLE_TOL
-    return polygon_from_support(
-        np.append(K2.normals[keep], cut), np.append(K2.support[keep], 0.0)
-    )
+    normals, support = K2.normals[keep], K2.support[keep]
+    i = int(np.searchsorted(normals, cut))
+    return polygon_from_support(np.concatenate((normals[:i], [cut], normals[i:])),
+                                np.concatenate((support[:i], [0.0], support[i:])), cut=i)
 
 
 def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
@@ -394,7 +404,7 @@ def _double_spec(spec: MeasureSpec, axis: float) -> MeasureSpec:
     if spec.density is not None:
         d = spec.density
         refl = d.reflect(axis)
-        knots = np.sort(np.unique(np.concatenate([d.knots, refl.knots])))
+        knots = np.unique(np.concatenate([d.knots, refl.knots]))
         density = PiecewiseLinearDensity(knots, d.eval(knots) + refl.eval(knots))
     return MeasureSpec(atoms, density)
 

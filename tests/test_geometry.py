@@ -1,13 +1,14 @@
 """Polygon kernel tests against brute-force and closed-form oracles."""
 
 import dataclasses
+import json
 import math
 from collections import deque
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_halfplanes, random_general_position_polygon
+from conftest import brute_force_halfplanes, import_bench_module, random_general_position_polygon
 
 from lpmink import (
     EmptyBodyError,
@@ -24,6 +25,7 @@ from lpmink import (
     translate,
 )
 import lpmink.geometry as geometry
+import lpmink.pipeline as pipeline
 from lpmink.errors import DegenerateBodyError
 from lpmink.geometry import (
     angles_antipodal,
@@ -35,6 +37,7 @@ from lpmink.geometry import (
 )
 from lpmink.measure import MeasureSpec, PiecewiseLinearDensity
 from lpmink.pipeline import PipelineConfig, _cut_half, solve
+from lpmink.serialization import measure_spec_from_dict
 
 SQ_NORMALS = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
@@ -44,6 +47,13 @@ def square(h=1.0):
 
 
 class TestConstruction:
+    def test_equality_is_identity(self):
+        # Comparing the array fields would raise; == compares identity.
+        P = square()
+        assert P == P
+        assert not P == polygon_from_support(P.normals, P.support)
+        assert P != polygon_from_support(P.normals, P.support)
+
     def test_unit_square(self):
         P = square()
         assert area(P) == pytest.approx(4.0, abs=1e-12)
@@ -369,6 +379,35 @@ def reference_sorted(normals, support):
     return theta[order], np.asarray(support, dtype=float)[order]
 
 
+def reference_sweep(u, h):
+    """The deque sweep, step by step, over lines already in increasing
+    order: the constraints on the boundary in CCW order."""
+    tol = geometry.GEOM_TOL
+
+    def violates(k, x):
+        return x[0] * u[k, 0] + x[1] * u[k, 1] > h[k] + tol
+
+    dq = deque()
+    for k in range(len(h)):
+        while len(dq) >= 2 and violates(k, reference_line_intersection(u, h, dq[-2], dq[-1])):
+            dq.pop()
+        while len(dq) >= 2 and violates(k, reference_line_intersection(u, h, dq[0], dq[1])):
+            dq.popleft()
+        dq.append(k)
+    changed = True
+    while changed and len(dq) >= 3:
+        changed = False
+        if violates(dq[0], reference_line_intersection(u, h, dq[-2], dq[-1])):
+            dq.pop()
+            changed = True
+        if len(dq) >= 3 and violates(dq[-1], reference_line_intersection(u, h, dq[0], dq[1])):
+            dq.popleft()
+            changed = True
+    if len(dq) < 3:
+        raise EmptyBodyError("half-plane intersection is empty or lower-dimensional")
+    return list(dq)
+
+
 def reference_polygon_from_support(normals, support):
     """The half-plane build as a scalar loop: a per-normal antipodal scan,
     the deque sweep for every input, per-edge lengths and the chain
@@ -391,29 +430,7 @@ def reference_polygon_from_support(normals, support):
     if n < 3 or circular_gaps(theta).max() >= math.pi - geometry.ANGLE_TOL:
         raise UnboundedError("normals fit in a closed half-circle; body unbounded")
     u = unit_vectors(theta)
-
-    def violates(k, x):
-        return x[0] * u[k, 0] + x[1] * u[k, 1] > h[k] + tol
-
-    dq = deque()
-    for k in range(n):
-        while len(dq) >= 2 and violates(k, reference_line_intersection(u, h, dq[-2], dq[-1])):
-            dq.pop()
-        while len(dq) >= 2 and violates(k, reference_line_intersection(u, h, dq[0], dq[1])):
-            dq.popleft()
-        dq.append(k)
-    changed = True
-    while changed and len(dq) >= 3:
-        changed = False
-        if violates(dq[0], reference_line_intersection(u, h, dq[-2], dq[-1])):
-            dq.pop()
-            changed = True
-        if len(dq) >= 3 and violates(dq[-1], reference_line_intersection(u, h, dq[0], dq[1])):
-            dq.popleft()
-            changed = True
-    if len(dq) < 3:
-        raise EmptyBodyError("half-plane intersection is empty or lower-dimensional")
-    idx = list(dq)
+    idx = reference_sweep(u, h)
     m = len(idx)
     verts = np.array(
         [reference_line_intersection(u, h, idx[k], idx[(k + 1) % m]) for k in range(m)]
@@ -433,6 +450,15 @@ def reference_polygon_from_support(normals, support):
     keep = [k for k in range(m) if np.hypot(*(verts[k] - verts[k - 1])) > geometry.EDGE_TOL]
     chain = verts[keep] if len(keep) >= 3 else verts
     return reference_margin_chain(chain), lengths, edge_ends, lengths > geometry.EDGE_TOL
+
+
+def sweep_outcome(sweep, *args):
+    """The chain sweep(*args) returns, or "empty" when it raises
+    EmptyBodyError."""
+    try:
+        return sweep(*args)
+    except EmptyBodyError:
+        return "empty"
 
 
 class TestHalfPlaneChainBitIdentity:
@@ -493,7 +519,7 @@ class TestHalfPlaneChainBitIdentity:
         P = ellipse_polygon(rng, 40)
         w = float(P.normals[7]) + 1e-3
         K = _cut_half(P, w)
-        assert sweeps
+        assert sweeps == []  # _cut_chain confirms the sweep's run without it
         self.assert_matches(K, reference_polygon_from_support(
             np.append(P.normals, canonical_angle(w + math.pi)), np.append(P.support, 0.0)
         ))
@@ -648,7 +674,7 @@ class TestHalfPlaneChainBitIdentity:
         assert K2.active.all()
         w = canonical_angle(v - math.pi / 2)
         K = _cut_half(K2, w)
-        assert sweeps == [n + 1]
+        assert sweeps == []  # _cut_chain confirms the sweep's run without it
         self.assert_matches(K, reference_polygon_from_support(
             np.append(K2.normals, canonical_angle(w + math.pi)), np.append(K2.support, 0.0)
         ))
@@ -704,6 +730,171 @@ class TestHalfPlaneChainBitIdentity:
             polygon_from_support(normals, support)
         assert str(got.value) == str(ref.value)
         assert "angles 0.5, 3.64159" in str(got.value)
+
+
+def reference_cut_half(K2, w):
+    """pipeline._cut_half as it was, on the scalar reference build: the cut
+    normal appended after the normals it keeps, then the stable sort.
+    Returns the half-body's (normals, support, vertices, lengths,
+    edge_ends, active)."""
+    cut = canonical_angle(w + math.pi)
+    keep = np.abs(K2.normals - cut) > geometry.ANGLE_TOL
+    normals = np.append(K2.normals[keep], cut)
+    support = np.append(K2.support[keep], 0.0)
+    return (*reference_sorted(normals, support), *reference_polygon_from_support(normals, support))
+
+
+def assert_cut_matches(K2, w):
+    """_cut_half(K2, w) gives reference_cut_half's six arrays byte for byte."""
+    K = _cut_half(K2, w)
+    got = (K.normals, K.support, K.vertices, K.lengths, K.edge_ends, K.active)
+    for a, b in zip(got, reference_cut_half(K2, w), strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return K
+
+
+def symmetric_body(v, n, shift=0.0, offset=0.5):
+    """A body on n normals v + s, s = (j + offset) 2 pi / n, with even support
+    in s, so symmetric across the line at angle v, moved by shift along
+    v + pi / 2: its two vertices on that line end up at distance |shift|
+    from it, beyond it for shift > 0 as seen from the normal v + pi / 2."""
+    s = (np.arange(n) + offset) * (2 * math.pi / n)
+    h = 1.0 + 0.3 * np.cos(s) + 0.05 * np.cos(2 * s) + 0.02 * np.cos(3 * s)
+    return polygon_from_support(v + s, h + shift * np.cos(s - math.pi / 2))
+
+
+def chain_route(chain, c) -> str:
+    """The shape of a chain _cut_chain returned for the cut line c (see its
+    docstring), or "sweep" when it returned None."""
+    if chain is None:
+        return "sweep"
+    return "f..a, c" if chain[-1] == c else "c, r..a" if chain[0] == c else "f..a, c, r..n-1"
+
+
+class TestCutHalfBitIdentity:
+    """The semicircle route's cut against reference_cut_half.  The clip is
+    confirmed by geometry._cut_chain, whose tests must come out as the
+    step-by-step sweep's, including the ones GEOM_TOL decides.  `routes`
+    records, per call of _cut_chain, the shape of its chain (chain_route)."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        calls = []
+        cut_chain = geometry._cut_chain
+
+        def recorded(u, h, X, c):
+            chain = cut_chain(u, h, X, c)
+            calls.append(chain_route(chain, c))
+            return chain
+
+        monkeypatch.setattr(geometry, "_cut_chain", recorded)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def doubled_bodies(self):
+        """(K2, w) for every cut of the reduced-routes semicircle cases, seeds 1-5."""
+        workloads = import_bench_module("workloads")
+        cuts, cut_half = [], pipeline._cut_half
+
+        def recorded(K2, w):
+            cuts.append((K2, w))
+            return cut_half(K2, w)
+
+        pipeline._cut_half = recorded
+        try:
+            for seed in range(1, 6):
+                for case in workloads.generate("reduced-routes", seed):
+                    if case.label.startswith("semicircle"):
+                        spec = measure_spec_from_dict(json.loads(case.measure_json))
+                        solve(spec, case.p)
+        finally:
+            pipeline._cut_half = cut_half
+        return cuts
+
+    def test_reduced_routes_doubled_bodies(self, doubled_bodies, routes):
+        assert len(doubled_bodies) == 10
+        on_axis = 0
+        for K2, w in doubled_bodies:
+            assert K2.active.all()
+            assert_cut_matches(K2, w)
+            c, s = math.cos(w + math.pi), math.sin(w + math.pi)
+            on_axis += np.count_nonzero(np.abs(K2.vertices[:, 0] * c + K2.vertices[:, 1] * s)
+                                        <= geometry.GEOM_TOL)
+        assert on_axis >= 10  # the atom cases' doubled bodies have vertices on the cut line
+        # No cut needed the sweep, and each shape of chain came up.
+        assert len(routes) == 10 and "sweep" not in routes and len(set(routes)) == 3
+
+    def test_vertices_within_geom_tol_of_the_cut_line(self, rng):
+        tol = geometry.GEOM_TOL
+        for v in rng.uniform(0.0, 2 * math.pi, 6):
+            n = 2 * int(rng.integers(10, 300))
+            w = canonical_angle(v - math.pi / 2)
+            for shift in (-2 * tol, -tol, -tol / 2, -1e-15, 0.0, 1e-15, tol / 2, tol * (1 - 1e-6),
+                          tol, tol * (1 + 1e-6), 2 * tol):
+                assert_cut_matches(symmetric_body(v, n, shift), w)
+
+    @pytest.mark.parametrize("eps", [0.0, 5e-13, -5e-13, 9e-13, -9e-13, 3e-12, -3e-12])
+    def test_a_normal_within_angle_tol_of_the_cut_normal(self, rng, eps):
+        for _ in range(3):
+            v = float(rng.uniform(0.1, 2 * math.pi - 3.0))  # cut normal v + pi / 2 clear of 0
+            n = 4 * int(rng.integers(10, 100))
+            K2 = symmetric_body(v, n, offset=0.0)  # a normal at v + pi / 2
+            normals = K2.normals.copy()
+            normals[np.argmin(np.abs(normals - (v + math.pi / 2)))] += eps
+            K2 = polygon_from_support(normals, K2.support)
+            K = assert_cut_matches(K2, canonical_angle(v - math.pi / 2))
+            assert K.n == n + (abs(eps) > geometry.ANGLE_TOL)
+
+    def test_cut_at_every_place_in_the_sweep(self, rng, routes):
+        # The cut line's place among the sorted normals decides where line 0
+        # falls: near 0 or 2 pi, the clip removes it.
+        for cut in (1e-3, 0.05, 1.0, math.pi, 4.0, 2 * math.pi - 0.05, 2 * math.pi - 1e-3):
+            for n in (50, 511):
+                v = cut - math.pi / 2 + float(rng.uniform(-1e-4, 1e-4))
+                assert_cut_matches(symmetric_body(v, n), canonical_angle(v - math.pi / 2))
+                # off the symmetry line, and through the middle of the body
+                K2 = ellipse_polygon(rng, n)
+                assert_cut_matches(K2, canonical_angle(cut + float(rng.uniform(-0.5, 0.5))))
+        assert set(routes) == {"f..a, c, r..n-1", "f..a, c", "c, r..a", "sweep"}
+
+    def test_cut_chain_is_the_sweeps_chain_for_any_guess(self, rng):
+        """On lines in increasing order with one line near the origin put
+        in, and a guess of its index that is right or random, _cut_chain
+        gives reference_sweep's chain or None.  Every third set has a line
+        parallel to the one put in, and every other time, the line put in
+        is moved so that one vertex before it is exactly at its bound
+        h + GEOM_TOL, a vertex the sweep keeps."""
+        routes, ties = [], 0
+        for _ in range(2500):
+            n = int(rng.integers(4, 80))
+            normals = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+            support = (1.0 + 0.3 * np.cos(normals) + rng.normal(0.0, 1e-3, n) if n % 3 else
+                       rng.uniform(-0.5, 2.0, n))
+            cut = float(rng.uniform(0.0, 2 * math.pi))
+            if rng.integers(3) == 0:  # a line parallel to the one put in
+                opposite = canonical_angle(cut + math.pi)
+                normals[np.argmin(np.abs(normals - opposite))] = opposite
+                normals.sort()
+            keep = np.abs(normals - cut) > 1e-6
+            i = int(np.searchsorted(normals[keep], cut))
+            normals = np.insert(normals[keep], i, cut)
+            support = np.insert(support[keep], i, rng.choice(
+                [0.0, 1e-15, -1e-15, geometry.GEOM_TOL, -geometry.GEOM_TOL, 0.3, -0.3]))
+            u = unit_vectors(normals)
+            X = geometry._consecutive_intersections(u, support)
+            if i >= 2 and rng.integers(2):
+                v = X[: i - 1, 0] * u[i, 0] + X[: i - 1, 1] * u[i, 1]
+                j = int(np.argmin(np.abs(v - support[i])))
+                support[i] = v[j] - geometry.GEOM_TOL
+                ties += support[i] + geometry.GEOM_TOL == v[j]
+                X = geometry._consecutive_intersections(u, support)
+            for c in (i, int(rng.integers(0, len(normals)))):
+                chain = geometry._cut_chain(u, support, X, c)
+                routes.append(chain_route(chain, c))
+                if chain is not None:
+                    assert chain == sweep_outcome(reference_sweep, u, support)
+        counts = {route: routes.count(route) for route in set(routes)}
+        assert min(counts.values()) >= 20 and len(counts) == 4 and ties >= 300
 
 
 def reference_support(vertices, thetas):

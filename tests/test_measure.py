@@ -41,12 +41,22 @@ from lpmink.measure import (
     SINGLE_DIRECTION,
     _merge_sorted_atoms,
 )
+from lpmink.pipeline import discretize
 
 TWO_PI = 2 * math.pi
 SQ = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
 
 class TestDiscreteMeasure:
+    def test_equality_is_identity(self):
+        # Comparing the array fields would raise; == compares identity, for
+        # the grid measures of the refinement loop too.
+        mu = DiscreteMeasure([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        assert mu == mu
+        assert not mu == DiscreteMeasure([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        grid = discretize(MeasureSpec(mu), 12)
+        assert grid == grid and grid != discretize(MeasureSpec(mu), 12)
+
     def test_merge_coincident(self):
         mu = DiscreteMeasure([0.1, 0.1 + 1e-12, 2.0], [1.0, 2.0, 3.0])
         assert mu.n == 2

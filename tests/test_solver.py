@@ -389,7 +389,7 @@ def reference_solve_linear(ws, J, rhs):
 def reference_newton_polish(ws, h, target, tol, average, max_iters=80):
     """_newton_polish as it was, recomputing h^(1-p) for every Jacobian."""
     p = ws.p
-    h = average(solver._reactivate(ws, h.copy()))
+    h = average(solver._reactivate(ws, h.copy())[0])
     ell = ws.edge_form(h)
     if ell.min() <= 0 or h.min() <= 0:
         return h, math.inf, 0
@@ -710,8 +710,9 @@ def invariant_normals(rng, G, n_free, n_axis=0, seam=False):
     return rng.permutation(images[gaps > 1e-9])
 
 
-GROUPS = [SymmetryGroup.cyclic(2), SymmetryGroup.cyclic(5), SymmetryGroup.dihedral(1, 0.0),
-          SymmetryGroup.dihedral(3, 0.4), SymmetryGroup.dihedral(4, 2.9),
+GROUPS = [SymmetryGroup.cyclic(2), SymmetryGroup.cyclic(4), SymmetryGroup.cyclic(5),
+          SymmetryGroup.dihedral(1, 0.0), SymmetryGroup.dihedral(3, 0.4),
+          SymmetryGroup.dihedral(4, 2.9), SymmetryGroup.dihedral(5, 0.7),
           SymmetryGroup.dihedral(6, 0.0), SymmetryGroup.dihedral(12, 1.1)]
 
 
@@ -733,7 +734,7 @@ class TestOrbitMapAgainstUnionFind:
             if G.kind == "dihedral" and not trial % 2:
                 assert len(set(np.bincount(orb.index_to_orbit))) == 2  # axis orbits are half size
             values = rng.uniform(0.0, 1.0, len(theta)) * 10.0 ** rng.uniform(-8, 8, len(theta))
-            assert np.array_equal(orb.average(values), reference_average(orbits, values))
+            assert orb.average(values).tobytes() == reference_average(orbits, values).tobytes()
 
     @pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.label())
     def test_group_orbit_map_matches_scalar_rule(self, rng, G):
@@ -829,3 +830,151 @@ class TestOrbitMapAgainstUnionFind:
         assert np.array_equal(orb.require_invariant(vals, "x"), orb.average(vals))
         with pytest.raises(NotSymmetricError, match="^odd$"):
             orb.require_invariant(np.array([1.0, 2.0, 1.0 + 2e-8, 2.0]), "odd")
+
+
+def reference_reactivate(ws, h):
+    """solver._reactivate as it was: 60 bisection steps on whole-array edge
+    forms."""
+    if (ws.edge_form(h)).min() > ws.n * 1e-15:
+        return h
+    target = float(h.mean()) * np.ones_like(h)
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        trial = (1 - mid) * h + mid * target
+        if ws.edge_form(trial).min() > ws.n * 1e-15:
+            hi = mid
+        else:
+            lo = mid
+    s = min(1.0, hi * 1.25)
+    return (1 - s) * h + s * target
+
+
+class TestReactivationBitForBit:
+    """_reactivate bisects on the rows whose edge value can fail the floor,
+    and must blend exactly as the whole-array bisection does."""
+
+    @staticmethod
+    def warm_start(rng, n, failing=()):
+        """A workspace on n jittered grid normals and the support numbers of
+        an ellipse there, every edge positive, with each row of failing
+        pushed out until its edge value is 0.2 to 3 times its old length
+        below zero."""
+        theta = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) * (TWO_PI / n)
+        ws = _Workspace(theta, rng.uniform(0.5, 2.0, n), 0.5)
+        a, b, phi = 1.0, float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.0, math.pi))
+        h = np.hypot(a * np.cos(theta - phi), b * np.sin(theta - phi)) + 0.1
+        ell = ws.edge_form(h)
+        assert ell.min() > 0.0
+        for i in failing:
+            h[i] += ell[i] * rng.uniform(1.2, 4.0) / -ws.diag[i]
+        return ws, h
+
+    def assert_same_blend(self, ws, h):
+        got, ell = solver._reactivate(ws, h.copy())
+        want = reference_reactivate(ws, h.copy())
+        assert got.tobytes() == want.tobytes()
+        if ell is not None:
+            assert got is not h and ell.tobytes() == ws.edge_form(got).tobytes()
+        return got, ell
+
+    @pytest.mark.parametrize("few_rows", [0, solver._FEW_ROWS, 10**9])
+    @pytest.mark.parametrize("n", [12, 60, 252, 510])
+    def test_one_two_and_half_the_rows_failing(self, rng, monkeypatch, n, few_rows):
+        # few_rows 0 and 10**9 send every bisection down one path: whole
+        # edge forms, or Python floats on the rows that can fail.
+        monkeypatch.setattr(solver, "_FEW_ROWS", few_rows)
+        for failing in ([int(rng.integers(n))], [3, n // 2], range(0, n, 2)):
+            for _ in range(3):
+                ws, h = self.warm_start(rng, n, failing)
+                assert np.count_nonzero(ws.edge_form(h) <= 0.0) == len(failing)
+                blend, ell = self.assert_same_blend(ws, h)
+                assert ell is None and ws.edge_form(blend).min() > 0.0
+
+    def test_all_active_start_is_returned_with_its_edge_form(self, rng):
+        ws, h = self.warm_start(rng, 60)
+        got, ell = solver._reactivate(ws, h)
+        assert got is h and ell.tobytes() == ws.edge_form(h).tobytes()
+
+    def test_a_row_inside_the_margin(self, rng):
+        # Row i passes the floor at h by less than the rounding margin, so
+        # it is one of the rows the bisection works out; row j fails.
+        hits = 0
+        for _ in range(20):
+            n = int(rng.integers(20, 300))
+            i, j = 5, n // 2
+            ws, h = self.warm_start(rng, n, [j])
+            floor = ws.n * 1e-15
+            for _ in range(4):
+                c = float(h.mean())
+                scale = max(np.abs(h).max(), abs(c))
+                bound = floor + solver._BLEND_MARGIN * (abs(ws.diag[i]) + abs(ws.up[i])
+                                                        + abs(ws.lo[i])) * scale
+                h[i] += (ws.edge_form(h)[i] - 0.5 * (floor + bound)) / -ws.diag[i]
+            c = float(h.mean())
+            scale = max(np.abs(h).max(), abs(c))
+            ell = ws.edge_form(h)
+            rows = solver._rows_that_can_fail(ws, ell, ws.edge_form(c * np.ones_like(h)), scale)
+            if not floor < ell[i] <= bound:
+                continue
+            assert i in rows and j in rows
+            self.assert_same_blend(ws, h)
+            hits += 1
+        assert hits >= 15
+
+    def test_rows_at_the_margin_and_nan_rows_can_fail(self, rng):
+        ws, h = self.warm_start(rng, 40)
+        scale = 2.5
+        bound = ws.n * 1e-15 + solver._BLEND_MARGIN * (np.abs(ws.diag) + np.abs(ws.up)
+                                                       + np.abs(ws.lo)) * scale
+        ell, ell_c = bound + 1.0, bound + 1.0
+        assert solver._rows_that_can_fail(ws, ell, ell_c, scale).size == 0
+        ell, ell_c = ell.copy(), ell_c.copy()
+        ell[3] = bound[3]  # exactly at the margin
+        ell[7] = np.nextafter(bound[7], math.inf)  # one ulp above it
+        ell_c[11] = bound[11]
+        ell[20] = math.nan
+        ell_c[30] = math.nan
+        assert solver._rows_that_can_fail(ws, ell, ell_c, scale).tolist() == [3, 11, 20, 30]
+        assert solver._rows_that_can_fail(ws, ell, ell_c, math.nan).size == ws.n
+
+    def test_nan_entries(self, rng):
+        # A NaN entry fails the floor, with or without a failing row beside it.
+        for k, failing in ((1, []), (3, []), (1, [10]), (3, [10])):
+            ws, h = self.warm_start(rng, 60, failing)
+            h[rng.choice(60, k, replace=False)] = math.nan
+            got, ell = self.assert_same_blend(ws, h)
+            assert ell is None and np.isnan(got).all()
+
+    def test_trivial_group_newton_reuses_the_edge_form(self, rng, monkeypatch):
+        # At a solution Newton takes no step, and the one edge form of h is
+        # _reactivate's.
+        ws, h = self.warm_start(rng, 60)
+        target = h ** (1.0 - ws.p) * ws.edge_form(h)
+        calls = []
+        edge_form = ws.edge_form
+
+        def counted(x):
+            calls.append(x)
+            return edge_form(x)
+
+        monkeypatch.setattr(ws, "edge_form", counted)
+        h_out, err, iters = _newton_polish(ws, h, target, 1e-6, lambda x: x)
+        assert (err, iters) == (0.0, 0) and h_out.tobytes() == h.tobytes()
+        assert len(calls) == 1
+
+    def test_symmetric_newton_takes_the_edge_form_of_the_average(self, rng):
+        # Averaging moves h, so _reactivate's edge form is not the one of
+        # the averaged h; orbits of five make the averages round.
+        G = SymmetryGroup.cyclic(5)
+        for _ in range(5):
+            theta = np.sort(invariant_normals(rng, G, 6))
+            orb = orbit_partition(theta, G)
+            ws = _Workspace(theta, orb.average(rng.uniform(0.5, 2.0, len(theta))), 0.5)
+            h = 1.0 + rng.normal(0.0, 1e-6, len(theta))
+            blend, ell = solver._reactivate(ws, h)
+            assert blend is h and not np.array_equal(orb.average(h), h)
+            for tol in (1e-9, 0.5, math.inf):  # the answer after several steps, one and none
+                got = _newton_polish(ws, h, ws.alpha, tol, orb.average)
+                want = reference_newton_polish(ws, h, ws.alpha, tol, orb.average)
+                assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]

@@ -2,15 +2,18 @@
 
     python3 tools/output_digest.py --seeds 1-5
     python3 tools/output_digest.py --seeds 1,3 --workload reduced-routes
+    python3 tools/output_digest.py --seeds 1 --per-case
 
 For each workload and seed, every case of bench/workloads.py runs once as
 `lpmink solve` runs it: parse the measure JSON, read --symmetry, solve, and
 write the canonical body and report JSON.  The digest takes, per case in
 order, the workload, seed and case label, then the body and report bytes,
 or the error's type, message and report when lpmink raised.  Two commits
-that print the same digests produce the same bytes on every case.  Nothing
-under bench/ is written or changed; the script only imports its input
-generators.
+that print the same digests produce the same bytes on every case.  With
+--per-case, a line "<workload> <seed> <label>: <sha256>" over the same
+bytes of that one case comes before each workload's line, so a change that
+moves one case names it.  Nothing under bench/ is written or changed; the
+script only imports its input generators.
 """
 
 from __future__ import annotations
@@ -71,15 +74,19 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="1-5", help='e.g. "1-5" or "1,3"')
     ap.add_argument("--workload", default="all",
                     choices=["all", *workloads.WORKLOADS])
+    ap.add_argument("--per-case", action="store_true",
+                    help="also print one sha256 per workload, seed and case label")
     args = ap.parse_args(argv)
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     for name in names:
         digest, n = hashlib.sha256(), 0
         for seed in parse_seeds(args.seeds):
             for case in workloads.generate(name, seed):
-                digest.update(f"{name} {seed} {case.label}\n".encode())
-                digest.update(case_bytes(case))
+                text = f"{name} {seed} {case.label}\n".encode() + case_bytes(case)
+                digest.update(text)
                 n += 1
+                if args.per_case:
+                    print(f"{name} {seed} {case.label}: {hashlib.sha256(text).hexdigest()}")
         print(f"{name}: {digest.hexdigest()} ({n} cases)")
     return 0
 
