@@ -120,7 +120,7 @@ class DiscreteMeasure:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteMeasure3:
     """Finite atomic measure on S^2 (gallery support)."""
 
@@ -190,10 +190,6 @@ class PiecewiseLinearDensity:
         F = self._cum[i] + self._f[i] * dt + 0.5 * slope * dt * dt
         out = np.where(inside, F[1] - F[0], total - F[0] + F[1])
         return np.where(span >= TWO_PI - 1e-15, total, out)
-
-    def reflect(self, axis: float) -> "PiecewiseLinearDensity":
-        A = Isometry2("reflection", axis)
-        return PiecewiseLinearDensity(A.apply_angles(self.knots), self.values.copy())
 
 
 @dataclass

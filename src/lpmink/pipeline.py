@@ -1,12 +1,13 @@
 """End-to-end solves for general measures on the circle.
 
 Routes by support classification: general position goes through the discrete
-solver, measures on a closed semicircle through the reflect-double-solve-cut
-reduction, and a pair of antipodal atoms is the one nonexistence case.  Each
-job has one code path: `discretize` is the one grid measure (the refinement
-loop's stages, `lpmink discretize`, `verify` and the `--svg` rays all use it),
-and `_solve_reduced` is the one semicircle reduction, for atoms and
-densities alike.
+solver, measures on a closed semicircle through the half problem, whose body
+has the chord normal opposite the semicircle with support 0, and a pair of
+antipodal atoms is the one nonexistence case.  Each job has one code path:
+`discretize` is the one grid measure of the whole circle (the refinement
+loop's stages, `lpmink discretize`, `verify` and the `--svg` rays all use
+it), `_half_grid` its restriction to a semicircle, and `_solve_reduced` the
+one semicircle route, for atoms and densities alike.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .measure import (
     DiscreteMeasure,
     MeasureClass,
     MeasureSpec,
-    PiecewiseLinearDensity,
     classify,
     lp_surface_measure,
 )
@@ -123,14 +123,16 @@ def classify_spec(spec: MeasureSpec) -> MeasureClass:
     return MeasureClass(SEMICIRCLE, width, v=canonical_angle(w + math.pi / 2.0), w=w)
 
 
-def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, spec: MeasureSpec):
+def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, spec: MeasureSpec,
+                           axis: float | None = None):
     """G_m-orbit of a base point avoiding every atom image, G_m being the
-    symmetry group of the regular lm-gon aligned with G."""
+    symmetry group of the regular lm-gon with a reflection axis at axis,
+    by default G's (0 for a group without one)."""
     if l < 3 or m < 2:
         raise ValueError("need l >= 3 and m >= 2")
     if G.kind in ("cyclic", "dihedral") and l % max(G.order_k, 1) != 0:
         raise NotSymmetricError(f"group order {G.order_k} does not divide l = {l}")
-    phi0 = G.axis if G.kind == "dihedral" else 0.0
+    phi0 = axis if axis is not None else G.axis if G.kind == "dihedral" else 0.0
     lm = l * m
     step = TWO_PI / lm
     atoms = spec.atoms.thetas if spec.atoms is not None else np.array([])
@@ -164,16 +166,18 @@ class GridMeasure(DiscreteMeasure):
         self.orbits = orbits
 
 
-def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int) -> GridMeasure:
+def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
+                         axis: float | None = None) -> GridMeasure:
     """Arc-midpoint discretization on a G-symmetric subdivision.
 
     The circle is cut at the orbit of a base point under the symmetry group
-    of a regular lm-gon containing G; each arc's mass lands on its midpoint.
+    of a regular lm-gon containing G, with a reflection axis at axis (by
+    default G's); each arc's mass lands on its midpoint.
     Masses are averaged over G-orbits, so the output is exactly G-invariant.
     The averages run over the midpoints in arc order, the last of which
     usually wraps past 2 pi to the front of the sorted atoms.
     """
-    pts = _symmetric_base_angles(G, l, m, spec)
+    pts = _symmetric_base_angles(G, l, m, spec, axis)
     n = len(pts)
     a, b = pts, np.append(pts[1:], pts[0] + TWO_PI)
     mids = canonical_angles(0.5 * (a + b))
@@ -213,48 +217,26 @@ def _single_direction_body(w: float, mass: float, p: float) -> Polygon:
     return dilate(K0, lam0)
 
 
-def _combine_reflection(G: SymmetryGroup, cls: MeasureClass, spec: MeasureSpec) -> SymmetryGroup:
-    """Group generated by G and the reflection across lin(v), for the groups
-    a semicircle-supported measure can actually admit: the trivial group and
-    D1 across lin(v) or lin(w).  The reflect-doubled measure is invariant
-    under the reflection across lin(v) whatever the input, so solving it
-    does not test the caller's claim; spec itself must be invariant under
-    G, or NotSymmetricError is raised."""
-    v, w = cls.v, cls.w
-    refl_v = SymmetryGroup.dihedral(1, canonical_angle(v))
+def _half_group(G: SymmetryGroup, cls: MeasureClass, spec: MeasureSpec) -> SymmetryGroup:
+    """The group the half problem enforces for G: the trivial group, or D1
+    across lin(cls.w), the one reflection that maps the semicircle and its
+    chord to themselves.  G must be one of these, with spec invariant under
+    it, else NotSymmetricError.  A reflection across lin(v) is checked on
+    spec first, so that the error names the symmetry spec lacks."""
     if G.is_trivial:
-        return refl_v
+        return G
     if G.kind == "dihedral" and G.order_k == 1:
-        axis = G.axis
+        v, w, axis = cls.v, cls.w, G.axis
         dv = min(circular_distance(axis, v), circular_distance(axis, v + math.pi))
         dw = min(circular_distance(axis, w), circular_distance(axis, w + math.pi))
         if min(dv, dw) <= 1e-9:
             if not _spec_invariant_under(spec, Isometry2("reflection", axis)):
                 raise NotSymmetricError(f"measure is not invariant under {G.label()}")
-            return refl_v if dv <= 1e-9 else SymmetryGroup.dihedral(2, canonical_angle(v))
+            if dw <= 1e-9:
+                return SymmetryGroup.dihedral(1, w)
     raise NotSymmetricError(
         f"symmetry {G.label()} is incompatible with a semicircle-supported measure"
     )
-
-
-def _cut_half(K2: Polygon, w: float) -> Polygon:
-    """The half of a reflect-doubled body on the support side: the cut normal
-    w + pi with support 0 replaces any facet of K2 at that normal.  It goes
-    in at its place i among K2's sorted normals, where the build's stable
-    sort would put it, since no kept normal equals it.
-
-    The build clips by that line through the origin with polygon_from_support's
-    cut=i: on a doubled body, whose facets are all active, the deque sweep
-    runs as one clip by line i, which geometry._cut_chain confirms with the
-    sweep's own tests in a few vectorized passes, including the vertices
-    within GEOM_TOL of the cut line; any other run goes to the sweep.  So
-    the half-body is the one the sweep builds, bit for bit."""
-    cut = canonical_angle(w + math.pi)
-    keep = np.abs(K2.normals - cut) > ANGLE_TOL
-    normals, support = K2.normals[keep], K2.support[keep]
-    i = int(np.searchsorted(normals, cut))
-    return polygon_from_support(np.concatenate((normals[:i], [cut], normals[i:])),
-                                np.concatenate((support[:i], [0.0], support[i:])), cut=i)
 
 
 def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
@@ -262,10 +244,9 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
     """Solve an atomic measure concentrated on a closed semicircle.
 
     Single direction: a closed-form dilated triangle, symmetric only across
-    the atom's own line.  Proper semicircle: the reduction that density
-    inputs take too (_solve_reduced), with the report's residual recomputed
-    against mu itself for the half-body.  An antipodal pair admits no
-    solution.  A group the measure cannot admit raises NotSymmetricError.
+    the atom's own line.  Proper semicircle: the half problem that density
+    inputs take too (_solve_reduced).  An antipodal pair admits no solution.
+    A group the measure cannot admit raises NotSymmetricError.
     """
     cfg = cfg or SolverConfig()
     G = G or SymmetryGroup.trivial()
@@ -282,9 +263,7 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
                               classification=SINGLE_DIRECTION, symmetry=G.label())
     if cls.tag != SEMICIRCLE:
         raise ConcentratedError("solve_semicircle needs a concentrated classification")
-    K, report = _solve_reduced(MeasureSpec(mu), cls, p, G, cfg)
-    report.residual = measure_residual(K, mu, p)
-    return K, report
+    return _solve_reduced(MeasureSpec(mu), cls, p, G, cfg)
 
 
 def _loop_groups(G: SymmetryGroup) -> int:
@@ -308,7 +287,20 @@ def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> Gri
     return discretize_symmetric(spec, G, l, max(2, m // l))
 
 
-def _interpolated_support(P: Polygon, thetas: np.ndarray) -> np.ndarray:
+def _half_grid(spec: MeasureSpec, m: int, H: SymmetryGroup, cls: MeasureClass) -> GridMeasure:
+    """The grid measure at resolution m of a measure on the closed semicircle
+    about cls.w, for the half problem with the group H of _half_group: the
+    restriction to that semicircle of the whole circle's grid for H and the
+    reflection across lin(v) together (D1 or D2, l = 3 or 4).  That grid is
+    aligned with lin(v), so the semicircle's ends v and v - pi are arc
+    midpoints: an arc across an end keeps the mass on the semicircle's side
+    of it, at the end itself, and zero-mass arcs carry no atom."""
+    l = 3 if H.is_trivial else 4
+    return discretize_symmetric(spec, H, l, max(2, m // l), cls.v)
+
+
+def _interpolated_support(P: Polygon, thetas: np.ndarray,
+                          chord: float | None = None) -> np.ndarray:
     """Periodic cubic Hermite interpolant of P's support numbers at thetas
     (angles in [0, 2 pi)), the next stage's warm start.  The slope at each
     normal is that of the parabola through it and its two neighbours, on
@@ -317,8 +309,24 @@ def _interpolated_support(P: Polygon, thetas: np.ndarray) -> np.ndarray:
     bit for bit.  The exact support of P would not do: it puts the new
     facets whose normals share one vertex's normal cone through that
     vertex, so their edges start at length zero, outside Newton's
-    all-active cone."""
+    all-active cone.
+
+    chord, for a half body, is its chord normal: the interpolant is then
+    that of the support numbers on the semicircle and their mirror images
+    across lin(v), v = chord - pi / 2, the chord's left out.  On the
+    semicircle the half body's support function is that of its union with
+    its mirror image, which is even about v and v - pi, so the slopes at
+    the ends of the semicircle are those of a smooth support, not of the
+    corner at the chord."""
     t, h = P.normals, P.support
+    if chord is not None:
+        keep = t != chord
+        t, h = t[keep], h[keep]
+        off = np.abs((t - chord) % math.pi - math.pi / 2) > ANGLE_TOL  # not on lin(v)
+        t = np.concatenate((t, canonical_angles(2.0 * chord - math.pi - t[off])))
+        h = np.concatenate((h, h[off]))
+        order = np.argsort(t)
+        t, h = t[order], h[order]
     gap = np.diff(t, append=t[0] + TWO_PI)  # gap[k]: from t[k] to t[k + 1]
     sec = np.diff(h, append=h[0]) / gap
     gap0, sec0 = cyclic_shift(gap, 1), cyclic_shift(sec, 1)
@@ -332,7 +340,7 @@ def _interpolated_support(P: Polygon, thetas: np.ndarray) -> np.ndarray:
 
 
 def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
-                     cfg: PipelineConfig):
+                     cfg: PipelineConfig, semicircle: MeasureClass | None = None):
     """Solve discretizations of increasing resolution until the bodies
     stabilize.  Every stage solves discretize(spec, m, G), whose arc
     midpoints make the body converge at second order in m, and every stage
@@ -344,16 +352,21 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
     mass.  A stage that cannot be solved ends the loop with a
     NoConvergenceError naming its m: the solver's residual gate failed, or
     the grid measure lies in a closed semicircle (zero-mass arcs carry no
-    atom, so a support just wider than pi can give one)."""
+    atom, so a support just wider than pi can give one).  A semicircle
+    classification of spec solves the half problem at every stage instead:
+    the stage measure is _half_grid's, and the chord normal opposite the
+    semicircle is pinned at support 0."""
     history = []
     prev_P = None
     prev_rep = None
+    chord = None if semicircle is None else canonical_angle(semicircle.w + math.pi)
     m = cfg.m0
     while m <= cfg.m_max:
-        mu_m = discretize(spec, m, G)
-        h0 = _interpolated_support(prev_P, mu_m.thetas) if prev_P is not None else None
+        mu_m = discretize(spec, m, G) if chord is None else _half_grid(spec, m, G, semicircle)
+        h0 = None if prev_P is None else _interpolated_support(prev_P, mu_m.thetas, chord)
         try:
-            P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0, orbits=mu_m.orbits)
+            P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0, orbits=mu_m.orbits,
+                                        chord=chord)
         except ConcentratedError as exc:
             raise NoConvergenceError(
                 f"stage m = {m}: the grid measure lies in a closed semicircle ({exc})"
@@ -395,34 +408,21 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
     return prev_P, report
 
 
-def _double_spec(spec: MeasureSpec, axis: float) -> MeasureSpec:
-    A = Isometry2("reflection", axis)
-    atoms = None
-    if spec.atoms is not None:
-        atoms = spec.atoms + spec.atoms.pushforward(A)
-    density = None
-    if spec.density is not None:
-        d = spec.density
-        refl = d.reflect(axis)
-        knots = np.unique(np.concatenate([d.knots, refl.knots]))
-        density = PiecewiseLinearDensity(knots, d.eval(knots) + refl.eval(knots))
-    return MeasureSpec(atoms, density)
-
-
 def _solve_reduced(spec: MeasureSpec, cls: MeasureClass, p: float, G: SymmetryGroup,
                    cfg: PipelineConfig):
-    """The semicircle reduction: reflect-double spec across lin(cls.v), solve
-    the doubled measure in general position with that reflection and G
-    enforced (solve_discrete for atoms, the refinement loop for a density),
-    then keep the half-body on the support side."""
-    G2 = _combine_reflection(G, cls, spec)
-    doubled = _double_spec(spec, cls.v)
-    if doubled.is_purely_atomic():
-        K2, rep = solve_discrete(doubled.atoms, p, G2, cfg)
+    """The semicircle route: the half problem on spec's own normals and the
+    chord normal cls.w + pi, whose support is pinned at 0 (solve_discrete's
+    chord), with G enforced as _half_group allows; solved once for atoms,
+    and at every stage of the refinement loop for a density.  The report
+    names G."""
+    H = _half_group(G, cls, spec)
+    if spec.is_purely_atomic():
+        K, rep = solve_discrete(spec.atoms, p, H, cfg, chord=canonical_angle(cls.w + math.pi))
     else:
-        K2, rep = _refinement_loop(doubled, p, G2, cfg)
+        K, rep = _refinement_loop(spec, p, H, cfg, cls)
     rep.classification = SEMICIRCLE
-    return _cut_half(K2, cls.w), rep
+    rep.symmetry = G.label()
+    return K, rep
 
 
 def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,

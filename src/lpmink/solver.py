@@ -5,9 +5,13 @@ polygon whose Lp surface area measure matches it by a damped Newton iteration
 on h_i^(1-p) * edge_i(h) = mass_i over support numbers with all facets
 active.  A cold Newton start is tried first; when it fails, a continuation
 pads every mass, solves, and drives the pad to zero with warm-started Newton
-stages.  Each Newton step is one O(n) cyclic-tridiagonal solve.  A candidate
-above the residual tolerance raises NoConvergenceError.  Finite symmetry
-constraints are enforced by orbit averaging of the support numbers.
+stages.  Each Newton step is one O(n) cyclic-tridiagonal solve.  A measure on
+a closed semicircle is solved on the half body instead: the chord normal
+opposite the semicircle joins the normals with its support pinned at 0, so
+the origin lies on the chord, which carries no Lp mass, and each Newton step
+is one open-band tridiagonal solve.  A candidate above the residual tolerance
+raises NoConvergenceError.  Finite symmetry constraints are enforced by orbit
+averaging of the support numbers.
 """
 
 from __future__ import annotations
@@ -41,8 +45,11 @@ from .geometry import (
     unit_vectors,
 )
 from .measure import (
+    ANTIPODAL_PAIR,
     ATOM_MERGE_TOL,
     GENERAL_POSITION,
+    SEMICIRCLE,
+    SINGLE_DIRECTION,
     DiscreteMeasure,
     classify,
     lp_surface_measure,
@@ -273,6 +280,61 @@ class _Workspace:
         return y - (vy / (1.0 + vz)) * z
 
 
+class _PinnedWorkspace(_Workspace):
+    """The workspace of the half problem: n normals on a closed semicircle
+    and the chord normal opposite it, whose support is pinned at 0.  Index i
+    is the i-th normal after the chord going round, order[i] its index among
+    the sorted normals, and the chord, last, is no unknown.  Its zero
+    support drops the two couplings L[0, chord] and L[n-1, chord] from the
+    edge form, so no row couples the two ends of the semicircle: up[n-1] =
+    lo[0] = 0, and L is one open band.  The chord's own edge length is
+    h_0 / sin(gaps[n]) + h_(n-1) / sin(gaps[n-1]), both sines in (0, 1]:
+    in floating point it is positive wherever h_0 and h_(n-1) are, so the
+    positivity tests of h in _newton_polish are the chord's too."""
+
+    def __init__(self, thetas: np.ndarray, chord: float, alphas: np.ndarray, p: float):
+        """thetas: the n >= 2 normals in increasing order, alphas their
+        masses in that order; chord: the chord normal, in [0, 2 pi).  The
+        normals next to the chord must be pi / 2 (less ATOM_MERGE_TOL) or
+        more from it, so that every normal lies on the semicircle, and less
+        than pi, so that the body is bounded, else ValueError."""
+        self.n = n = len(thetas)
+        self.k = k = int(np.searchsorted(thetas, chord))
+        self.normals = np.concatenate((thetas[:k], [chord], thetas[k:]))
+        # the n + 1 gaps from each normal to the next, the chord's last
+        self.gaps = gaps = cyclic_shift(circular_gaps(self.normals), -(k + 1))
+        if not (min(gaps[n - 1], gaps[n]) >= 0.5 * math.pi - ATOM_MERGE_TOL
+                and max(gaps[n - 1], gaps[n]) < math.pi):
+            raise ValueError("the normals next to the chord must be pi / 2 or more, "
+                             "and less than pi, away from it")
+        self.order = cyclic_shift(np.arange(n), -k)
+        self.alpha = alphas[self.order]
+        self.p = p
+        inv_sin = 1.0 / np.sin(gaps)
+        cot = np.cos(gaps) * inv_sin
+        self.diag = -(cot + cyclic_shift(cot, 1))[:n]
+        self.up = np.append(inv_sin[: n - 1], 0.0)
+        self.lo = np.append(0.0, inv_sin[: n - 1])
+        idx = np.arange(n)
+        self.nxt = cyclic_shift(idx, -1)
+        self.prv = cyclic_shift(idx, 1)
+
+    def support(self, h: np.ndarray) -> np.ndarray:
+        """The support numbers at normals, the chord's 0, of the unknowns h."""
+        n, k = self.n, self.k
+        return np.concatenate((h[n - k:], [0.0], h[: n - k]))
+
+    def solve_linear(self, J, rhs: np.ndarray) -> np.ndarray:
+        """Solve J x = rhs for the open band J: one LAPACK gtsv, overwriting
+        the bands.  A singular band raises LinAlgError."""
+        lo, d, up = J
+        *_, x, info = dgtsv(lo[1:], d, up[:-1], rhs, overwrite_dl=1, overwrite_d=1,
+                            overwrite_du=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return x
+
+
 def anchor_objective(P: Polygon, xi, mu: DiscreteMeasure, p: float) -> float:
     """Integral of (support of P - xi)^p against the measure's atoms."""
     xi = np.asarray(xi, dtype=float)
@@ -407,9 +469,14 @@ def _rows_that_can_fail(ws: _Workspace, ell: np.ndarray, ell_c: np.ndarray,
 
 
 def _reactivate(ws: _Workspace, h: np.ndarray):
-    """Blend toward the (always all-active) constant-support body until the
-    closed-form edge lengths are strictly positive.  Returns the blend and,
-    when that is h itself, edge_form(h), else None.
+    """Blend toward the constant-support body until the closed-form edge
+    lengths are strictly positive.  Returns the blend and, when that is h
+    itself, edge_form(h), else None.  That body has every facet active: the
+    polygon circumscribed about a disc, or on a _PinnedWorkspace, where the
+    chord's support stays 0, the half disc, whose chord edge is positive
+    and whose facets next to the chord, at pi / 2 or more from it, are too.
+    Only the rows of edge_form are bisected: the chord edge is positive
+    wherever the blend is, and _newton_polish refuses a blend that is not.
 
     Each bisection step asks whether every row of edge_form(trial),
     trial = (1 - mid) h + mid c with c the mean of h, exceeds the floor
@@ -504,7 +571,7 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
 def _radial_init(ws: _Workspace) -> np.ndarray:
     """Per-atom radial guess from S_i ~ h_i^(2-p) * (angular weight)."""
     w = 0.5 * (ws.gaps + cyclic_shift(ws.gaps, 1))
-    return (ws.alpha / w) ** (1.0 / (2.0 - ws.p))
+    return (ws.alpha / w[: ws.n]) ** (1.0 / (2.0 - ws.p))
 
 
 def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, average):
@@ -590,29 +657,41 @@ def _newton_then_continuation(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig,
 
 def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None,
                    cfg: SolverConfig | None = None, h0=None,
-                   orbits: OrbitStructure | None = None):
-    """Polygon P with S_{P,p} = mu for an atomic measure in general position.
+                   orbits: OrbitStructure | None = None, chord: float | None = None):
+    """Polygon P with S_{P,p} = mu for an atomic measure in general position,
+    or, given chord, on a closed semicircle.
 
-    Returns (Polygon, SolveReport).  Raises ConcentratedError when the
-    measure sits in a closed semicircle (use the reduction pipeline),
+    Returns (Polygon, SolveReport).  Raises ConcentratedError when, without
+    chord, the measure sits in a closed semicircle (use solve_semicircle),
     NotSymmetricError when mu is not invariant under the requested group,
     and NoConvergenceError carrying the best report otherwise.  orbits, for
     a nontrivial G, is orbit_partition(mu.thetas, G) when the caller has
     already matched it (the refinement loop's grid measures); without it the
     orbits are matched here.  The masses are checked against the orbits
     either way.
+
+    chord, an angle in [0, 2 pi), solves the half problem of a measure on
+    the closed semicircle about chord + pi: the body has the chord normal
+    among its normals, with support 0, so the origin lies on its chord
+    (_PinnedWorkspace, which raises ValueError unless the atoms next to the
+    chord are pi / 2 or more, and less than pi, away from it).  A single
+    direction or an antipodal pair raises ConcentratedError.  G must map
+    the chord to itself.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     cfg = cfg or SolverConfig()
     G = G or SymmetryGroup.trivial()
     cls = classify(mu)
-    if cls.tag != GENERAL_POSITION:
-        raise ConcentratedError(
-            f"measure is {cls.tag}; not in general position"
-        )
     theta = mu.thetas
     alpha = mu.masses
+    if chord is None:
+        if cls.tag != GENERAL_POSITION:
+            raise ConcentratedError(
+                f"measure is {cls.tag}; not in general position"
+            )
+    elif cls.tag in (SINGLE_DIRECTION, ANTIPODAL_PAIR):
+        raise ConcentratedError(f"measure is {cls.tag}; the chord needs a proper semicircle")
 
     if not G.is_trivial:
         if orbits is None:
@@ -630,23 +709,30 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     # Normalize the mass scale: solving mu/s and dilating by s^(1/(2-p))
     # keeps every internal tolerance scale-free.
     mass_scale = float(alpha.mean())
-    ws = _Workspace(theta, alpha / mass_scale, p)
     body_scale = mass_scale ** (1.0 / (2.0 - p))
-    h_init = np.ones(ws.n)
+    h_init = np.ones(len(theta))
     if h0 is not None:
         h0 = np.asarray(h0, dtype=float)
         if h0.shape != theta.shape:
             raise ValueError("warm start h0 must provide one value per atom")
         h_init = h0 / body_scale
 
-    h, outer, newton = _newton_then_continuation(ws, h_init, cfg, average)
-    P = polygon_from_support(theta, average(h) * body_scale)
+    if chord is None:
+        ws = _Workspace(theta, alpha / mass_scale, p)
+        h, outer, newton = _newton_then_continuation(ws, h_init, cfg, average)
+        P = polygon_from_support(theta, average(h) * body_scale)
+    else:
+        ws = _PinnedWorkspace(theta, chord, alpha / mass_scale, p)
+        if orbits is not None:
+            average = orbits.permuted(ws.order).average
+        h, outer, newton = _newton_then_continuation(ws, h_init[ws.order], cfg, average)
+        P = polygon_from_support(ws.normals, ws.support(average(h) * body_scale))
     res = measure_residual(P, mu, p)
     report = SolveReport(
         residual=res,
         outer_iters=outer,
         newton_iters=newton,
-        classification=cls.tag,
+        classification=cls.tag if chord is None else SEMICIRCLE,
         symmetry=G.label(),
     )
     if res > cfg.tol_residual:

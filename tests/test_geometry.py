@@ -1,14 +1,13 @@
 """Polygon kernel tests against brute-force and closed-form oracles."""
 
 import dataclasses
-import json
 import math
 from collections import deque
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_halfplanes, import_bench_module, random_general_position_polygon
+from conftest import brute_force_halfplanes, random_general_position_polygon
 
 from lpmink import (
     EmptyBodyError,
@@ -25,7 +24,6 @@ from lpmink import (
     translate,
 )
 import lpmink.geometry as geometry
-import lpmink.pipeline as pipeline
 from lpmink.errors import DegenerateBodyError
 from lpmink.geometry import (
     angles_antipodal,
@@ -36,8 +34,7 @@ from lpmink.geometry import (
     unit_vectors,
 )
 from lpmink.measure import MeasureSpec, PiecewiseLinearDensity
-from lpmink.pipeline import PipelineConfig, _cut_half, solve
-from lpmink.serialization import measure_spec_from_dict
+from lpmink.pipeline import PipelineConfig, solve
 
 SQ_NORMALS = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
@@ -452,15 +449,6 @@ def reference_polygon_from_support(normals, support):
     return reference_margin_chain(chain), lengths, edge_ends, lengths > geometry.EDGE_TOL
 
 
-def sweep_outcome(sweep, *args):
-    """The chain sweep(*args) returns, or "empty" when it raises
-    EmptyBodyError."""
-    try:
-        return sweep(*args)
-    except EmptyBodyError:
-        return "empty"
-
-
 class TestHalfPlaneChainBitIdentity:
     """polygon_from_support against the scalar reference, array for array.
     `sweeps` counts the calls of the deque sweep, to pin which path ran."""
@@ -516,13 +504,11 @@ class TestHalfPlaneChainBitIdentity:
             assert sweeps and np.count_nonzero(~Q.active) >= 5
 
     def test_cut_half_body(self, rng, sweeps):
+        # a line through the origin clips the body: the sweep drops the lines it cuts off
         P = ellipse_polygon(rng, 40)
         w = float(P.normals[7]) + 1e-3
-        K = _cut_half(P, w)
-        assert sweeps == []  # _cut_chain confirms the sweep's run without it
-        self.assert_matches(K, reference_polygon_from_support(
-            np.append(P.normals, canonical_angle(w + math.pi)), np.append(P.support, 0.0)
-        ))
+        K = self.assert_same(*half_body(P, w))
+        assert sweeps == [41] and np.count_nonzero(K.active) < 40
 
     def assert_same_outcome(self, normals, support) -> bool:
         """Same arrays, or the same empty, degenerate or unbounded error;
@@ -664,20 +650,16 @@ class TestHalfPlaneChainBitIdentity:
         assert built >= 10
 
     def test_cut_half_of_a_loop_sized_doubled_body(self, rng, sweeps):
-        # The semicircle route's cut: a body symmetric across the line v, on
-        # 1020 normals as a refinement stage's, halved along that line.
+        # A body symmetric across the line v, on 1020 normals as a
+        # refinement stage's, halved along that line.
         v = float(rng.uniform(0.0, 2 * math.pi))
         n = 1020
         s = (np.arange(n) + 0.5) * (2 * math.pi / n)
         K2 = polygon_from_support(v + s, 1.0 + 0.3 * np.cos(s) + 0.05 * np.cos(2 * s)
                                   + 0.02 * np.cos(3 * s))
         assert K2.active.all()
-        w = canonical_angle(v - math.pi / 2)
-        K = _cut_half(K2, w)
-        assert sweeps == []  # _cut_chain confirms the sweep's run without it
-        self.assert_matches(K, reference_polygon_from_support(
-            np.append(K2.normals, canonical_angle(w + math.pi)), np.append(K2.support, 0.0)
-        ))
+        K = self.assert_same(*half_body(K2, canonical_angle(v - math.pi / 2)))
+        assert sweeps == [n + 1]
         assert np.count_nonzero(K.active) < n // 2 + 3
 
     def test_antipodal_shortcut_at_its_bound(self, rng):
@@ -732,23 +714,23 @@ class TestHalfPlaneChainBitIdentity:
         assert "angles 0.5, 3.64159" in str(got.value)
 
 
-def reference_cut_half(K2, w):
-    """pipeline._cut_half as it was, on the scalar reference build: the cut
-    normal appended after the normals it keeps, then the stable sort.
-    Returns the half-body's (normals, support, vertices, lengths,
-    edge_ends, active)."""
+def half_body(K2, w):
+    """The normals and support numbers of K2 clipped by the line through the
+    origin with normal w + pi: that normal, at support 0, replaces any normal
+    of K2 within ANGLE_TOL of it, and goes last."""
     cut = canonical_angle(w + math.pi)
     keep = np.abs(K2.normals - cut) > geometry.ANGLE_TOL
-    normals = np.append(K2.normals[keep], cut)
-    support = np.append(K2.support[keep], 0.0)
-    return (*reference_sorted(normals, support), *reference_polygon_from_support(normals, support))
+    return np.append(K2.normals[keep], cut), np.append(K2.support[keep], 0.0)
 
 
 def assert_cut_matches(K2, w):
-    """_cut_half(K2, w) gives reference_cut_half's six arrays byte for byte."""
-    K = _cut_half(K2, w)
+    """polygon_from_support(*half_body(K2, w)) gives the scalar reference
+    build's six arrays byte for byte."""
+    normals, support = half_body(K2, w)
+    K = polygon_from_support(normals, support)
     got = (K.normals, K.support, K.vertices, K.lengths, K.edge_ends, K.active)
-    for a, b in zip(got, reference_cut_half(K2, w), strict=True):
+    want = (*reference_sorted(normals, support), *reference_polygon_from_support(normals, support))
+    for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     return K
 
@@ -763,66 +745,10 @@ def symmetric_body(v, n, shift=0.0, offset=0.5):
     return polygon_from_support(v + s, h + shift * np.cos(s - math.pi / 2))
 
 
-def chain_route(chain, c) -> str:
-    """The shape of a chain _cut_chain returned for the cut line c (see its
-    docstring), or "sweep" when it returned None."""
-    if chain is None:
-        return "sweep"
-    return "f..a, c" if chain[-1] == c else "c, r..a" if chain[0] == c else "f..a, c, r..n-1"
-
-
 class TestCutHalfBitIdentity:
-    """The semicircle route's cut against reference_cut_half.  The clip is
-    confirmed by geometry._cut_chain, whose tests must come out as the
-    step-by-step sweep's, including the ones GEOM_TOL decides.  `routes`
-    records, per call of _cut_chain, the shape of its chain (chain_route)."""
-
-    @pytest.fixture
-    def routes(self, monkeypatch):
-        calls = []
-        cut_chain = geometry._cut_chain
-
-        def recorded(u, h, X, c):
-            chain = cut_chain(u, h, X, c)
-            calls.append(chain_route(chain, c))
-            return chain
-
-        monkeypatch.setattr(geometry, "_cut_chain", recorded)
-        return calls
-
-    @pytest.fixture(scope="class")
-    def doubled_bodies(self):
-        """(K2, w) for every cut of the reduced-routes semicircle cases, seeds 1-5."""
-        workloads = import_bench_module("workloads")
-        cuts, cut_half = [], pipeline._cut_half
-
-        def recorded(K2, w):
-            cuts.append((K2, w))
-            return cut_half(K2, w)
-
-        pipeline._cut_half = recorded
-        try:
-            for seed in range(1, 6):
-                for case in workloads.generate("reduced-routes", seed):
-                    if case.label.startswith("semicircle"):
-                        spec = measure_spec_from_dict(json.loads(case.measure_json))
-                        solve(spec, case.p)
-        finally:
-            pipeline._cut_half = cut_half
-        return cuts
-
-    def test_reduced_routes_doubled_bodies(self, doubled_bodies, routes):
-        assert len(doubled_bodies) == 10
-        on_axis = 0
-        for K2, w in doubled_bodies:
-            assert K2.active.all()
-            assert_cut_matches(K2, w)
-            c, s = math.cos(w + math.pi), math.sin(w + math.pi)
-            on_axis += np.count_nonzero(np.abs(K2.vertices[:, 0] * c + K2.vertices[:, 1] * s)
-                                        <= geometry.GEOM_TOL)
-        assert on_axis >= 10  # the atom cases' doubled bodies have vertices on the cut line
-        # No cut needed the sweep, and each shape of chain came up.
-        assert len(routes) == 10 and "sweep" not in routes and len(set(routes)) == 3
+    """Bodies clipped by one line through the origin against the scalar
+    reference build: the sweep's tests must come out as the step-by-step
+    reference's, including the ones GEOM_TOL decides."""
 
     def test_vertices_within_geom_tol_of_the_cut_line(self, rng):
         tol = geometry.GEOM_TOL
@@ -845,7 +771,7 @@ class TestCutHalfBitIdentity:
             K = assert_cut_matches(K2, canonical_angle(v - math.pi / 2))
             assert K.n == n + (abs(eps) > geometry.ANGLE_TOL)
 
-    def test_cut_at_every_place_in_the_sweep(self, rng, routes):
+    def test_cut_at_every_place_in_the_sweep(self, rng):
         # The cut line's place among the sorted normals decides where line 0
         # falls: near 0 or 2 pi, the clip removes it.
         for cut in (1e-3, 0.05, 1.0, math.pi, 4.0, 2 * math.pi - 0.05, 2 * math.pi - 1e-3):
@@ -855,46 +781,6 @@ class TestCutHalfBitIdentity:
                 # off the symmetry line, and through the middle of the body
                 K2 = ellipse_polygon(rng, n)
                 assert_cut_matches(K2, canonical_angle(cut + float(rng.uniform(-0.5, 0.5))))
-        assert set(routes) == {"f..a, c, r..n-1", "f..a, c", "c, r..a", "sweep"}
-
-    def test_cut_chain_is_the_sweeps_chain_for_any_guess(self, rng):
-        """On lines in increasing order with one line near the origin put
-        in, and a guess of its index that is right or random, _cut_chain
-        gives reference_sweep's chain or None.  Every third set has a line
-        parallel to the one put in, and every other time, the line put in
-        is moved so that one vertex before it is exactly at its bound
-        h + GEOM_TOL, a vertex the sweep keeps."""
-        routes, ties = [], 0
-        for _ in range(2500):
-            n = int(rng.integers(4, 80))
-            normals = np.sort(rng.uniform(0.0, 2 * math.pi, n))
-            support = (1.0 + 0.3 * np.cos(normals) + rng.normal(0.0, 1e-3, n) if n % 3 else
-                       rng.uniform(-0.5, 2.0, n))
-            cut = float(rng.uniform(0.0, 2 * math.pi))
-            if rng.integers(3) == 0:  # a line parallel to the one put in
-                opposite = canonical_angle(cut + math.pi)
-                normals[np.argmin(np.abs(normals - opposite))] = opposite
-                normals.sort()
-            keep = np.abs(normals - cut) > 1e-6
-            i = int(np.searchsorted(normals[keep], cut))
-            normals = np.insert(normals[keep], i, cut)
-            support = np.insert(support[keep], i, rng.choice(
-                [0.0, 1e-15, -1e-15, geometry.GEOM_TOL, -geometry.GEOM_TOL, 0.3, -0.3]))
-            u = unit_vectors(normals)
-            X = geometry._consecutive_intersections(u, support)
-            if i >= 2 and rng.integers(2):
-                v = X[: i - 1, 0] * u[i, 0] + X[: i - 1, 1] * u[i, 1]
-                j = int(np.argmin(np.abs(v - support[i])))
-                support[i] = v[j] - geometry.GEOM_TOL
-                ties += support[i] + geometry.GEOM_TOL == v[j]
-                X = geometry._consecutive_intersections(u, support)
-            for c in (i, int(rng.integers(0, len(normals)))):
-                chain = geometry._cut_chain(u, support, X, c)
-                routes.append(chain_route(chain, c))
-                if chain is not None:
-                    assert chain == sweep_outcome(reference_sweep, u, support)
-        counts = {route: routes.count(route) for route in set(routes)}
-        assert min(counts.values()) >= 20 and len(counts) == 4 and ties >= 300
 
 
 def reference_support(vertices, thetas):
@@ -1096,7 +982,8 @@ class TestChainInvariant:
             if len(raw_chains[-1]) > 5:
                 self.assert_invariant(P, raw_chains[-1], lookups, rng)
                 checked += 1
-            K = _cut_half(ellipse_polygon(rng, 200), float(rng.uniform(0.0, 2 * math.pi)))
+            K = polygon_from_support(*half_body(ellipse_polygon(rng, 200),
+                                                float(rng.uniform(0.0, 2 * math.pi))))
             self.assert_invariant(K, raw_chains[-1], lookups, rng)
         assert checked >= 10
 

@@ -39,6 +39,7 @@ from lpmink.measure import (
     GENERAL_POSITION,
     SEMICIRCLE,
     SINGLE_DIRECTION,
+    DiscreteMeasure3,
     _merge_sorted_atoms,
 )
 from lpmink.pipeline import discretize
@@ -56,6 +57,14 @@ class TestDiscreteMeasure:
         assert not mu == DiscreteMeasure([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         grid = discretize(MeasureSpec(mu), 12)
         assert grid == grid and grid != discretize(MeasureSpec(mu), 12)
+
+    def test_sphere_measure_equality_is_identity(self):
+        # == on the 3-D measure compares identity and does not raise
+        dirs, masses = np.eye(3), [1.0, 2.0, 3.0]
+        mu = DiscreteMeasure3(dirs, masses)
+        assert mu == mu
+        assert not mu == DiscreteMeasure3(dirs, masses)
+        assert mu != DiscreteMeasure3(dirs, masses)
 
     def test_merge_coincident(self):
         mu = DiscreteMeasure([0.1, 0.1 + 1e-12, 2.0], [1.0, 2.0, 3.0])

@@ -528,8 +528,9 @@ class TestAtomicReducedRoutesHonourTheGroup:
         w = 0.9
         spec = self.semicircle_atoms(w)
         K0, rep0 = solve(spec, 0.5)
-        K, rep = solve(spec, 0.5, SymmetryGroup.dihedral(1, w + math.pi))
-        assert rep0.symmetry.startswith("D1:") and rep.symmetry.startswith("D2:")
+        G = SymmetryGroup.dihedral(1, w + math.pi)
+        K, rep = solve(spec, 0.5, G)
+        assert rep0.symmetry == "trivial" and rep.symmetry == G.label()
         assert rep.classification == SEMICIRCLE
         assert rep.residual <= 1e-6
         assert K.support_values([w + 0.4])[0] == pytest.approx(
@@ -540,7 +541,7 @@ class TestAtomicReducedRoutesHonourTheGroup:
             solve(asym, 0.5, SymmetryGroup.dihedral(1, w))
 
     def test_reflection_along_the_chord_is_checked_on_the_input(self):
-        # the doubled measure is always invariant across lin(v); this input is not
+        # the reflection across lin(v) is checked on the input, which it does not fix
         mu = DiscreteMeasure([0.5, 1.0, 2.0], [1.0, 3.0, 0.7])
         cls = classify(mu)
         assert cls.tag == SEMICIRCLE
@@ -566,8 +567,9 @@ class TestAtomicReducedRoutesHonourTheGroup:
         assert cls.tag == SEMICIRCLE
         cfg = PipelineConfig(m0=64, m_max=512)
         K0, rep0 = solve(spec, 0.5, None, cfg)
-        K, rep = solve(spec, 0.5, SymmetryGroup.dihedral(1, cls.w), cfg)
-        assert rep.symmetry.startswith("D2:") and rep.classification == SEMICIRCLE
+        G = SymmetryGroup.dihedral(1, cls.w)
+        K, rep = solve(spec, 0.5, G, cfg)
+        assert rep.symmetry == G.label() and rep.classification == SEMICIRCLE
         assert rep.residual <= 1e-6
         assert support_distance(K, K0) <= 1e-3 * K0.diameter()
 
@@ -639,9 +641,9 @@ class TestSolveRouting:
         assert K.support_values([cls.w + math.pi])[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_cut_normal_already_a_facet(self):
-        # D1 subdivisions with l m even put a grid midpoint on the cut normal
-        # w + pi, and the mirror image of an atom at w lands there too; the
-        # cut replaces that facet instead of adding a duplicate normal
+        # A grid midpoint and an atom at the semicircle's centre w sit
+        # opposite the chord normal w + pi, which the half body carries once,
+        # at support 0
         psi = 0.4
         t = psi + np.linspace(0.0, TWO_PI, 256, endpoint=False)
         s = t - psi
@@ -756,7 +758,7 @@ def symmetric_manufactured_spec(k, dihedral, p, psi, knots):
 def semicircle_manufactured_spec(p, psi, knots=2048):
     """Clean semicircle density: h'' + h = sin^2 s (2 + cos(2s) / 4) for
     s = t - psi in (0, pi), exactly 0 elsewhere, and the support function
-    of the half body its reflect-double is cut to."""
+    of the half body that solves it, the half of the even body g."""
     c0, c2, c4 = 1.0 - 0.25 / 4, 1.75 / 6, 0.25 / 60
 
     def g(s):
@@ -820,7 +822,8 @@ class TestStageOrbitHandoff:
         handed = []
         solve_discrete = pipeline.solve_discrete
 
-        def spy(mu, p, G, cfg, h0=None, orbits=None):
+        def spy(mu, p, G, cfg, h0=None, orbits=None, chord=None):
+            assert chord is None
             handed.append((mu, G, orbits))
             return solve_discrete(mu, p, G, cfg, h0=h0, orbits=orbits)
 
@@ -895,6 +898,16 @@ class TestNoSweepOnAllActiveSolves:
         for _ in range(20):
             P, _ = solver.solve_discrete(random_general_position_measure(rng), 0.5)
             assert P.active.all()
+        assert sweeps == []
+
+    def test_semicircle_solves(self, rng, sweeps):
+        # the half body with the chord at support 0 has every facet active
+        spec, _ = semicircle_manufactured_spec(0.5, float(rng.uniform(0.0, TWO_PI)))
+        P, rep = solve(spec, 0.5)
+        assert rep.classification == SEMICIRCLE and P.active.all()
+        atoms = MeasureSpec(DiscreteMeasure([1.0, 1.7, 2.4], [1.0, 2.0, 1.5]), None)
+        P, rep = solve(atoms, 0.5)
+        assert rep.classification == SEMICIRCLE and P.active.all()
         assert sweeps == []
 
 
@@ -1010,7 +1023,12 @@ def equivariance_inputs():
     atoms = MeasureSpec(DiscreteMeasure(t % TWO_PI, np.exp(rng.uniform(-1.0, 1.0, n))), None)
     k = TWO_PI * np.arange(512) / 512
     f = 1.0 + 0.4 * np.cos(2 * k + 0.3) + 0.2 * np.sin(3 * k + 1.1)
-    return {"atoms": atoms, "density": MeasureSpec(None, PiecewiseLinearDensity(k, f))}
+    s = 2.1 + np.sort(rng.uniform(0.02, math.pi - 0.02, 24))
+    semicircle_atoms = MeasureSpec(DiscreteMeasure(s % TWO_PI, np.exp(rng.uniform(-1.0, 1.0, 24))),
+                                   None)
+    return {"atoms": atoms, "density": MeasureSpec(None, PiecewiseLinearDensity(k, f)),
+            "semicircle-atoms": semicircle_atoms,
+            "semicircle-density": semicircle_manufactured_spec(0.5, 2.1)[0]}
 
 
 class TestSolveEquivariance:
@@ -1018,7 +1036,10 @@ class TestSolveEquivariance:
     dilations of the input: solve(A_# mu) = A solve(mu), and solve(lam mu) =
     lam^(1/(2-p)) solve(mu).  Atomic solves agree to rounding.  A density's
     grid does not move with the input, so its bodies agree to the loop's
-    own last support_delta."""
+    own last support_delta.  Both semicircle inputs take the half problem,
+    whose grid is aligned with the semicircle."""
+
+    KINDS = ["atoms", "density", "semicircle-atoms", "semicircle-density"]
 
     GRID = TWO_PI * np.arange(4096) / 4096
 
@@ -1027,18 +1048,19 @@ class TestSolveEquivariance:
             return 1e-8 * np.abs(P.support_values(self.GRID)).max()
         return rep.loop_history[-1]["support_delta"]
 
-    @pytest.mark.parametrize("kind", ["atoms", "density"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("p", [0.3, 0.7])
     @pytest.mark.parametrize("A", [Isometry2("rotation", 1.234), Isometry2("reflection", 0.7)],
                              ids=["rotation", "reflection"])
     def test_isometry_moves_the_body(self, kind, p, A):
         spec = equivariance_inputs()[kind]
         P, rep = solve(spec, p)
-        Q, _ = solve(isometric_spec(spec, A), p)
+        Q, rep_q = solve(isometric_spec(spec, A), p)
+        assert rep_q.classification == rep.classification
         err = np.abs(Q.support_values(A.apply_angles(self.GRID)) - P.support_values(self.GRID))
         assert err.max() <= self.tolerance(P, rep)
 
-    @pytest.mark.parametrize("kind", ["atoms", "density"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("p", [0.3, 0.7])
     def test_dilation_scales_the_body(self, kind, p):
         spec, lam = equivariance_inputs()[kind], 3.7

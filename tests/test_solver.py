@@ -357,6 +357,140 @@ class TestNewtonLinearSolve:
         assert np.array_equal(h1, h2)
 
 
+def half_body_case(rng, n, ends=False):
+    """Sorted normals on the closed semicircle about a random w, on both
+    sides of w, the chord normal w + pi, and the support numbers there of a
+    centred ellipse with an axis along w: the half of a body symmetric
+    across the chord, with every facet active.  With ends, two of the
+    normals are the semicircle's ends w -+ pi / 2."""
+    w = float(rng.uniform(0.0, TWO_PI))
+    s = rng.uniform(0.05, 0.5 * math.pi - 0.05, n - 2 if ends else n)
+    s[: len(s) // 2] *= -1.0
+    if ends:
+        s = np.append(s, [-0.5 * math.pi, 0.5 * math.pi])
+    theta = np.sort(canonical_angles(w + s))
+    a, b = 1.0, float(rng.uniform(0.4, 1.0))
+    h = np.hypot(a * np.cos(theta - w), b * np.sin(theta - w))
+    return theta, canonical_angles([w + math.pi])[0], h
+
+
+def chord_edge(ws, h):
+    """The chord's edge length at the unknowns h: L's chord row, h = 0 at
+    the chord."""
+    return h[0] / math.sin(ws.gaps[ws.n]) + h[-1] / math.sin(ws.gaps[ws.n - 1])
+
+
+def dense_band(J):
+    """The n x n matrix of the open band J = (lo, diag, up)."""
+    lo, d, up = J
+    return np.diag(d) + np.diag(up[:-1], 1) + np.diag(lo[1:], -1)
+
+
+class TestPinnedChord:
+    """solver._PinnedWorkspace, the half problem's Newton core: the chord
+    normal opposite a semicircle, its support pinned at 0, and an open-band
+    system on the other normals, indexed from the one after the chord."""
+
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_edge_form_is_the_half_body(self, rng, n):
+        for ends in (False, True)[: n - 1]:  # n = 2 at both ends is an antipodal pair
+            theta, chord, h = half_body_case(rng, n, ends)
+            ws = solver._PinnedWorkspace(theta, chord, np.ones(n), 0.5)
+            P = polygon_from_support(ws.normals, ws.support(h[ws.order]))
+            assert P.active.all()
+            ell = ws.edge_form(h[ws.order])
+            lengths = P.lengths[np.arange(n + 1) != ws.k]
+            assert np.allclose(ell, lengths[ws.order], rtol=1e-12, atol=1e-12)
+            assert chord_edge(ws, h[ws.order]) == pytest.approx(P.lengths[ws.k], rel=1e-12)
+
+    def test_chord_edge_is_positive_with_its_neighbours(self, rng):
+        # Newton tests h > 0 and the rows of edge_form; the chord's edge
+        # needs no test of its own: both its sines lie in (0, 1], so it is
+        # positive in floating point even at the least positive supports.
+        tiny = np.nextafter(0.0, 1.0)
+        for n in (2, 3, 40):
+            for ends in (False, True)[: n - 1]:
+                theta, chord, _ = half_body_case(rng, n, ends)
+                ws = solver._PinnedWorkspace(theta, chord, np.ones(n), 0.5)
+                sines = np.sin(ws.gaps[n - 1:])
+                assert (sines > 0.0).all() and (sines <= 1.0).all()
+                for h0, h1 in ((tiny, tiny), (tiny, 1e300), (1.0, tiny)):
+                    h = np.ones(n)
+                    h[0], h[-1] = h0, h1
+                    assert chord_edge(ws, h) > 0.0
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_jacobian_matches_central_differences(self, rng, n):
+        p = 0.4
+        theta, chord, h = half_body_case(rng, n)
+        ws = solver._PinnedWorkspace(theta, chord, np.ones(n), p)
+        h = h[ws.order]
+        ell = ws.edge_form(h)
+        assert ell.min() > 0.0
+        J = dense_band(ws.jacobian(h, h ** (1.0 - p), ell))
+
+        def F(x):
+            return x ** (1.0 - p) * ws.edge_form(x)
+
+        step = 1e-6
+        fd = np.column_stack([(F(h + step * e) - F(h - step * e)) / (2 * step)
+                              for e in np.eye(n)])
+        assert np.allclose(J, fd, rtol=1e-6, atol=1e-6 * np.abs(J).max())
+        # no row couples the two ends of the semicircle
+        assert fd[0, n - 1] == fd[n - 1, 0] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 401])
+    def test_open_band_solve_matches_dense_solve(self, rng, n):
+        p = 0.6
+        theta, chord, h = half_body_case(rng, n)
+        ws = solver._PinnedWorkspace(theta, chord, np.ones(n), p)
+        h = h[ws.order]
+        rhs = rng.standard_normal(n)
+        J = ws.jacobian(h, h ** (1.0 - p), ws.edge_form(h))
+        dense = dense_band(J)
+        x = ws.solve_linear(J, rhs)
+        ref = np.linalg.solve(dense, rhs)
+        cond = np.linalg.cond(dense)
+        assert cond < 1e10
+        assert np.linalg.norm(x - ref) <= 1e-13 * cond * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [3, 4, 60])
+    def test_half_disc_reactivation_target(self, rng, n):
+        # Support 1 on the normals and 0 on the chord: every facet is
+        # active, with normals at the semicircle's ends too.
+        inputs = [half_body_case(rng, n, ends)[:2] for ends in (False, True)]
+        w0 = float(rng.uniform(0.0, TWO_PI))  # test_halving_identities' normals
+        th = np.sort(canonical_angles([w0 - math.pi / 2, w0 - 0.3, w0 + 0.8, w0 + math.pi / 2]))
+        inputs.append((th, canonical_angles([w0 + math.pi])[0]))
+        for theta, chord in inputs:
+            ws = solver._PinnedWorkspace(theta, chord, np.ones(len(theta)), 0.5)
+            one = np.ones(ws.n)
+            ell = ws.edge_form(one)
+            assert ell.min() > ws.n * 1e-15 and chord_edge(ws, one) > 0.0
+            assert polygon_from_support(ws.normals, ws.support(one)).active.all()
+            # a start with a facet pushed out is blended back into the cone
+            h = one.copy()
+            i = int(np.argmin(ws.diag))
+            assert ws.diag[i] < 0.0
+            h[i] += 2.0 * ell[i] / -ws.diag[i]
+            assert ws.edge_form(h)[i] < 0.0
+            blend, _ = solver._reactivate(ws, h)
+            assert blend.min() > 0.0 and ws.edge_form(blend).min() > 0.0
+
+    def test_semicircle_atoms_solve_on_the_half_body(self, rng):
+        theta, chord, _ = half_body_case(rng, 24, ends=True)
+        mu = DiscreteMeasure(theta, np.exp(rng.uniform(-1.0, 1.0, 24)))
+        P, rep = solve_discrete(mu, 0.4, chord=chord)
+        assert rep.residual <= 1e-6 and rep.classification == "semicircle"
+        assert P.n == 25 and P.active.all()
+        assert P.support[P.normals == chord].tolist() == [0.0]
+        with pytest.raises(ConcentratedError):
+            solve_discrete(mu, 0.4)
+        for off in (0.1, -0.1, math.pi / 2):
+            with pytest.raises(ValueError, match="normals next to the chord"):
+                solve_discrete(mu, 0.4, chord=canonical_angles([chord + off])[0])
+
+
 def reference_jacobian(ws, h, ell):
     """_Workspace.jacobian as it was before it took h^(1-p) from the caller."""
     p = ws.p
