@@ -27,14 +27,17 @@ from .gallery import (
     write_limit_table_csv,
 )
 from .geometry import SymmetryGroup
-from .measure import lp_surface_measure, weak_distance
+from .measure import SEMICIRCLE, lp_surface_measure, weak_distance
 from .pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
+    classify_spec,
     detect_symmetry,
     discretize,
+    half_group,
     monge_ampere_residual,
     solve,
+    stage_measure,
 )
 from .serialization import (
     discrete_measure_to_dict,
@@ -192,7 +195,10 @@ def cmd_measure(args) -> int:
 def cmd_discretize(args) -> int:
     spec = measure_spec_from_dict(_load_json(args.input))
     G = parse_symmetry(args.symmetry, spec)
-    mu = discretize(spec, args.m, G)
+    cls = classify_spec(spec)
+    if cls.tag == SEMICIRCLE:
+        G = half_group(G, cls, spec)
+    mu = stage_measure(spec, args.m, G, cls)
     payload = discrete_measure_to_dict(mu)
     if args.output:
         write_canonical(payload, args.output)

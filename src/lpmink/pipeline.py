@@ -5,9 +5,10 @@ solver, measures on a closed semicircle through the half problem, whose body
 has the chord normal opposite the semicircle with support 0, and a pair of
 antipodal atoms is the one nonexistence case.  Each job has one code path:
 `discretize` is the one grid measure of the whole circle (the refinement
-loop's stages, `lpmink discretize`, `verify` and the `--svg` rays all use
-it), `_half_grid` its restriction to a semicircle, and `_solve_reduced` the
-one semicircle route, for atoms and densities alike.
+loop's stages, `verify` and the `--svg` rays all use it), `_half_grid` its
+restriction to a semicircle, `stage_measure` the one choice between them
+(the loop's stages and `lpmink discretize`), and `_solve_reduced` the one
+semicircle route, for atoms and densities alike.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
     AntipodalPairError,
     CannotAvoidAtomsError,
     ConcentratedError,
-    NotClosedUnderGroupError,
     NoConvergenceError,
     NotSymmetricError,
 )
@@ -42,6 +42,7 @@ from .geometry import (
 )
 from .measure import (
     ANTIPODAL_PAIR,
+    ATOM_MERGE_TOL,
     GENERAL_POSITION,
     SEMICIRCLE,
     SINGLE_DIRECTION,
@@ -57,7 +58,6 @@ from .solver import (
     SolverConfig,
     index_blocks,
     measure_residual,
-    orbit_partition,
     solve_discrete,
 )
 
@@ -88,13 +88,23 @@ def classify_spec(spec: MeasureSpec) -> MeasureClass:
     """Support classification of an atoms-plus-density measure.
 
     The support is the union of the atoms and the knot intervals where the
-    density is positive at either end.  Intervals sorted by start merge
-    while a start is within 1e-12 of the running maximum of the ends;
-    the last merged interval joins the first across the seam when it reaches
-    it, and the widest gap decides the class.
+    density is positive at either end.  A density positive at every knot
+    supports the whole circle, whatever the atoms: general position.
+    Otherwise _classify_intervals merges the intervals.
     """
     if spec.is_purely_atomic():
         return classify(spec.atoms)
+    if (spec.density.values > 0.0).all():
+        return MeasureClass(GENERAL_POSITION, TWO_PI)
+    return _classify_intervals(spec)
+
+
+def _classify_intervals(spec: MeasureSpec) -> MeasureClass:
+    """classify_spec of a measure with a density by merging its support
+    intervals: sorted by start, they merge while a start is within 1e-12 of
+    the running maximum of the ends; the last merged interval joins the
+    first across the seam when it reaches it, and the widest gap decides
+    the class."""
     knots, vals = spec.density._t, spec.density._f
     live = (vals[:-1] > 0.0) | (vals[1:] > 0.0)
     a, b = knots[:-1][live], knots[1:][live]
@@ -158,12 +168,72 @@ class GridMeasure(DiscreteMeasure):
     """A grid measure from discretize_symmetric, with the orbit structure
     its masses were averaged on, re-indexed to its sorted atoms: equal to
     orbit_partition(thetas, G), or None for the trivial group.  The
-    refinement loop hands it to solve_discrete, so each stage matches its
-    orbits once."""
+    orbits are read off how the grid is built, not matched, and the
+    refinement loop hands them to solve_discrete, so no stage matches
+    angles."""
 
     def __init__(self, thetas, masses, orbits: OrbitStructure | None):
         super().__init__(thetas, masses)
         self.orbits = orbits
+
+
+def _grid_orbits(pts: np.ndarray, mids: np.ndarray, keep: np.ndarray,
+                 G: SymmetryGroup) -> OrbitStructure:
+    """The G-orbits of the kept arcs between the sorted cut points pts, in
+    arc order, arc j running from pts[j] to the next cut point and having
+    its midpoint at mids[j].  The n cut points are invariant under the
+    symmetry group of their regular lm-gon, which contains G: rotation by
+    2 pi / k maps arc j to arc j + n / k, and G's reflection maps arc j to
+    arc c - j - 1 (mod n), c being the index of its image of pts[0].  The
+    orbit of a representative r < n / k is thus its rotation images and,
+    for a dihedral G, those of its mirror arc; each block row lists them
+    in increasing order.  One check per generator confirms that it maps
+    every midpoint to within ATOM_MERGE_TOL of the midpoint its index map
+    names.  Kept arcs that are not a union of orbits raise
+    NotSymmetricError naming G."""
+    n, k = len(pts), G.order_k
+    shift = n // k
+    arcs = np.arange(n)
+    generators = [] if k == 1 else [(Isometry2("rotation", TWO_PI / k), (arcs + shift) % n)]
+    r = arcs[:shift]
+    rotations = shift * np.arange(k)
+    if G.kind == "dihedral":
+        s = Isometry2("reflection", G.axis)
+        d = np.abs(pts - s.apply_angle(pts[0]))
+        c = int(np.argmin(np.minimum(d, TWO_PI - d)))
+        generators.append((s, (c - 1 - arcs) % n))
+        q = (c - 1 - r) % shift  # r's mirror arc, up to rotation
+        pair = r < q
+        rows = np.stack((r[pair], q[pair]), axis=1)[:, None, :] + rotations[:, None]
+        blocks = [r[r == q, None] + rotations, rows.reshape(-1, 2 * k)]
+    else:
+        blocks = [r[:, None] + rotations]
+    for A, image in generators:
+        d = np.abs(mids[image] - A.apply_angles(mids))
+        off = np.minimum(d, TWO_PI - d) > ATOM_MERGE_TOL
+        if off.any():
+            i = int(np.argmax(off))
+            raise NotSymmetricError(
+                f"measure is not invariant under {G.label()}: the arc midpoint at "
+                f"{mids[i]:.12g} maps to {A.apply_angle(mids[i]):.12g}, "
+                f"not to a grid midpoint"
+            )
+    if keep.all():
+        return OrbitStructure(blocks)
+    rank = np.cumsum(keep) - 1
+    kept = []
+    for rows in blocks:
+        live = keep[rows]
+        split = (live != live[:, :1]).any(axis=1)
+        if split.any():
+            i = rows[np.argmax(split), 0]
+            raise NotSymmetricError(
+                f"measure is not invariant under {G.label()}: the orbit of the arc at "
+                f"{mids[i]:.12g} carries mass on some of its arcs only"
+            )
+        if live[:, 0].any():
+            kept.append(rank[rows[live[:, 0]]])
+    return OrbitStructure(kept)
 
 
 def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
@@ -172,10 +242,11 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
 
     The circle is cut at the orbit of a base point under the symmetry group
     of a regular lm-gon containing G, with a reflection axis at axis (by
-    default G's); each arc's mass lands on its midpoint.
-    Masses are averaged over G-orbits, so the output is exactly G-invariant.
-    The averages run over the midpoints in arc order, the last of which
-    usually wraps past 2 pi to the front of the sorted atoms.
+    default G's); each arc's mass lands on its midpoint.  The G-orbits of
+    the arcs follow from that construction (_grid_orbits): no angles are
+    matched.  Masses are averaged over them, so the output is exactly
+    G-invariant.  The averages run over the midpoints in arc order, the
+    last of which usually wraps past 2 pi to the front of the sorted atoms.
     """
     pts = _symmetric_base_angles(G, l, m, spec, axis)
     n = len(pts)
@@ -192,15 +263,9 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
     if spec.density is not None:
         masses += spec.density.arc_masses(a, b)
     keep = masses > 0.0
+    orb = None if G.is_trivial else _grid_orbits(pts, mids, keep, G)
     mids, masses = mids[keep], masses[keep]
-    orb = None
-    if not G.is_trivial:
-        try:
-            orb = orbit_partition(mids, G)
-        except NotClosedUnderGroupError as exc:
-            raise NotSymmetricError(
-                f"measure is not invariant under {G.label()}: {exc}"
-            ) from exc
+    if orb is not None:
         masses = orb.require_invariant(masses, f"arc masses differ across a {G.label()} orbit")
     order = np.argsort(mids, kind="stable")
     return GridMeasure(mids[order], masses[order], None if orb is None else orb.permuted(order))
@@ -217,7 +282,7 @@ def _single_direction_body(w: float, mass: float, p: float) -> Polygon:
     return dilate(K0, lam0)
 
 
-def _half_group(G: SymmetryGroup, cls: MeasureClass, spec: MeasureSpec) -> SymmetryGroup:
+def half_group(G: SymmetryGroup, cls: MeasureClass, spec: MeasureSpec) -> SymmetryGroup:
     """The group the half problem enforces for G: the trivial group, or D1
     across lin(cls.w), the one reflection that maps the semicircle and its
     chord to themselves.  G must be one of these, with spec invariant under
@@ -289,7 +354,7 @@ def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> Gri
 
 def _half_grid(spec: MeasureSpec, m: int, H: SymmetryGroup, cls: MeasureClass) -> GridMeasure:
     """The grid measure at resolution m of a measure on the closed semicircle
-    about cls.w, for the half problem with the group H of _half_group: the
+    about cls.w, for the half problem with the group H of half_group: the
     restriction to that semicircle of the whole circle's grid for H and the
     reflection across lin(v) together (D1 or D2, l = 3 or 4).  That grid is
     aligned with lin(v), so the semicircle's ends v and v - pi are arc
@@ -297,6 +362,17 @@ def _half_grid(spec: MeasureSpec, m: int, H: SymmetryGroup, cls: MeasureClass) -
     of it, at the end itself, and zero-mass arcs carry no atom."""
     l = 3 if H.is_trivial else 4
     return discretize_symmetric(spec, H, l, max(2, m // l), cls.v)
+
+
+def stage_measure(spec: MeasureSpec, m: int, G: SymmetryGroup,
+                  cls: MeasureClass) -> GridMeasure:
+    """The grid measure the refinement loop solves at resolution m for spec,
+    of classification cls, under the group G the loop enforces: for a
+    semicircle class _half_grid's, G being half_group's, else
+    discretize's.  `lpmink discretize` prints it."""
+    if cls.tag == SEMICIRCLE:
+        return _half_grid(spec, m, G, cls)
+    return discretize(spec, m, G)
 
 
 def _interpolated_support(P: Polygon, thetas: np.ndarray,
@@ -340,9 +416,9 @@ def _interpolated_support(P: Polygon, thetas: np.ndarray,
 
 
 def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
-                     cfg: PipelineConfig, semicircle: MeasureClass | None = None):
+                     cfg: PipelineConfig, cls: MeasureClass):
     """Solve discretizations of increasing resolution until the bodies
-    stabilize.  Every stage solves discretize(spec, m, G), whose arc
+    stabilize.  Every stage solves stage_measure(spec, m, G, cls), whose arc
     midpoints make the body converge at second order in m, and every stage
     after the first starts Newton from the interpolated support of the body
     before it.  Each history entry holds its stage's solver counts; the
@@ -353,16 +429,16 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
     NoConvergenceError naming its m: the solver's residual gate failed, or
     the grid measure lies in a closed semicircle (zero-mass arcs carry no
     atom, so a support just wider than pi can give one).  A semicircle
-    classification of spec solves the half problem at every stage instead:
+    classification cls solves the half problem at every stage instead:
     the stage measure is _half_grid's, and the chord normal opposite the
     semicircle is pinned at support 0."""
     history = []
     prev_P = None
     prev_rep = None
-    chord = None if semicircle is None else canonical_angle(semicircle.w + math.pi)
+    chord = canonical_angle(cls.w + math.pi) if cls.tag == SEMICIRCLE else None
     m = cfg.m0
     while m <= cfg.m_max:
-        mu_m = discretize(spec, m, G) if chord is None else _half_grid(spec, m, G, semicircle)
+        mu_m = stage_measure(spec, m, G, cls)
         h0 = None if prev_P is None else _interpolated_support(prev_P, mu_m.thetas, chord)
         try:
             P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0, orbits=mu_m.orbits,
@@ -412,10 +488,10 @@ def _solve_reduced(spec: MeasureSpec, cls: MeasureClass, p: float, G: SymmetryGr
                    cfg: PipelineConfig):
     """The semicircle route: the half problem on spec's own normals and the
     chord normal cls.w + pi, whose support is pinned at 0 (solve_discrete's
-    chord), with G enforced as _half_group allows; solved once for atoms,
+    chord), with G enforced as half_group allows; solved once for atoms,
     and at every stage of the refinement loop for a density.  The report
     names G."""
-    H = _half_group(G, cls, spec)
+    H = half_group(G, cls, spec)
     if spec.is_purely_atomic():
         K, rep = solve_discrete(spec.atoms, p, H, cfg, chord=canonical_angle(cls.w + math.pi))
     else:
@@ -451,7 +527,7 @@ def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
     if cls.tag == SEMICIRCLE:
         return _solve_reduced(spec, cls, p, G, cfg)
 
-    P, rep = _refinement_loop(spec, p, G, cfg)
+    P, rep = _refinement_loop(spec, p, G, cfg, cls)
     rep.classification = cls.tag
     return P, rep
 

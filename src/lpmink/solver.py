@@ -144,31 +144,44 @@ def index_blocks(labels: np.ndarray) -> list:
 
 @dataclass
 class OrbitStructure:
-    """Partition of normal indices into orbits of a finite group action.
-    Orbit k is labelled by representative[k], its smallest index, in
-    increasing order; index_to_orbit[i] is the k of index i's orbit."""
+    """Partition of normal indices into orbits of a finite group action,
+    held as blocks: one matrix per orbit size, a row per orbit holding its
+    indices in increasing order.  Orbit k is labelled by representative[k],
+    its smallest index, in increasing order; index_to_orbit[i] is the k of
+    index i's orbit."""
 
-    representative: np.ndarray
-    index_to_orbit: np.ndarray
+    blocks: list
 
     @classmethod
     def from_labels(cls, label: np.ndarray) -> "OrbitStructure":
         """The partition in which i and j share an orbit iff label[i] ==
         label[j], each label being the smallest index of its orbit."""
-        representative, index_to_orbit = np.unique(label, return_inverse=True)
-        return cls(representative, index_to_orbit)
+        return cls(index_blocks(label))
+
+    @property
+    def n(self) -> int:
+        """The number of indices partitioned."""
+        return sum(rows.size for rows in self.blocks)
 
     @cached_property
-    def _blocks(self) -> list:
-        return index_blocks(self.index_to_orbit)
+    def representative(self) -> np.ndarray:
+        return np.sort(np.concatenate([rows[:, 0] for rows in self.blocks]))
+
+    @cached_property
+    def index_to_orbit(self) -> np.ndarray:
+        ito = np.empty(self.n, dtype=np.intp)
+        for rows in self.blocks:
+            ito[rows] = np.searchsorted(self.representative, rows[:, :1])
+        return ito
 
     def permuted(self, order: np.ndarray) -> "OrbitStructure":
         """The same partition of the same points listed in a new order, new
-        index i being old index order[i], labelled as orbit_partition labels
-        the reordered points."""
-        ito = self.index_to_orbit[order]
-        _, first = np.unique(ito, return_index=True)  # each orbit's smallest new index
-        return OrbitStructure.from_labels(first[ito])
+        index i being old index order[i]: each block mapped through the
+        inverse permutation, its rows sorted.  Its representative and
+        index_to_orbit are those orbit_partition gives the reordered points."""
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.arange(len(order))
+        return OrbitStructure([np.sort(inverse[rows], axis=1) for rows in self.blocks])
 
     def average(self, values: np.ndarray) -> np.ndarray:
         """Each value replaced by its orbit's mean, one row-wise mean per
@@ -178,7 +191,7 @@ class OrbitStructure:
         orbit size, np.mean's own arithmetic on float rows without its
         wrapper; values are floats."""
         out = np.empty_like(values, dtype=float)
-        for rows in self._blocks:
+        for rows in self.blocks:
             out[rows] = np.add.reduce(values[rows], axis=1, keepdims=True) / rows.shape[1]
         return out
 
@@ -194,10 +207,10 @@ class OrbitStructure:
 def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
     """Orbits of the normal index set under the group action on angles,
     matched within ATOM_MERGE_TOL by one group_orbit_maps lookup for every
-    element.  The orbit of normal i is its image set {A(i) : A in G},
-    labelled by its smallest index; a match that moves a label is no group
-    action (normals closer than 2 * ATOM_MERGE_TOL) and raises
-    NotClosedUnderGroupError."""
+    element: the one matcher for arbitrary normals, such as atomic inputs.
+    The orbit of normal i is its image set {A(i) : A in G}, labelled by its
+    smallest index; a match that moves a label is no group action (normals
+    closer than 2 * ATOM_MERGE_TOL) and raises NotClosedUnderGroupError."""
     theta = np.asarray(normals, dtype=float)
     others = [A for A in G.elements() if not A.is_identity()]
     images = np.vstack([np.arange(len(theta)), group_orbit_maps(theta, others, ATOM_MERGE_TOL)])
@@ -665,8 +678,9 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     chord, the measure sits in a closed semicircle (use solve_semicircle),
     NotSymmetricError when mu is not invariant under the requested group,
     and NoConvergenceError carrying the best report otherwise.  orbits, for
-    a nontrivial G, is orbit_partition(mu.thetas, G) when the caller has
-    already matched it (the refinement loop's grid measures); without it the
+    a nontrivial G, is the partition orbit_partition(mu.thetas, G) would
+    match, when the caller already has it: the refinement loop's grid
+    measures carry theirs, read off how the grid is built.  Without it the
     orbits are matched here.  The masses are checked against the orbits
     either way.
 
@@ -699,7 +713,7 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
                 orbits = orbit_partition(theta, G)
             except NotClosedUnderGroupError as exc:
                 raise NotSymmetricError(str(exc)) from exc
-        elif orbits.index_to_orbit.shape != theta.shape:
+        elif orbits.n != len(theta):
             raise ValueError("orbits must index the atoms of mu")
         orbits.require_invariant(alpha, "atom masses are not constant on group orbits")
         average = orbits.average

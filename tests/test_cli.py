@@ -291,14 +291,9 @@ class TestDiscretizeCommand:
         assert thetas == pytest.approx(SQ, abs=1e-12)
         assert [a["mass"] for a in payload["atoms"]] == [2.0] * 4
 
-    @pytest.mark.parametrize("symmetry", ["none", "C4"])
-    def test_prints_the_first_stage_of_the_loop(self, tmp_path, capsys, monkeypatch, symmetry):
-        t = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+    def assert_prints_the_first_stage(self, tmp_path, capsys, monkeypatch, doc, symmetry):
         spec_path = tmp_path / "dens.json"
-        spec_path.write_text(json.dumps({
-            "atoms": [{"theta": 0.3 + k * math.pi / 2, "mass": 0.5} for k in range(4)],
-            "density": {"theta": list(t), "f": list(1.0 + 0.2 * np.cos(4 * t))},
-        }))
+        spec_path.write_text(json.dumps(doc))
         stages = []
         real = lpmink.pipeline.solve_discrete
 
@@ -317,6 +312,30 @@ class TestDiscretizeCommand:
         assert len(atoms) == report.loop_history[0]["n_atoms"] == stages[0].n
         assert [a["theta"] for a in atoms] == stages[0].thetas.tolist()
         assert [a["mass"] for a in atoms] == stages[0].masses.tolist()
+        return report
+
+    @pytest.mark.parametrize("symmetry", ["none", "C4"])
+    def test_prints_the_first_stage_of_the_loop(self, tmp_path, capsys, monkeypatch, symmetry):
+        t = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+        doc = {
+            "atoms": [{"theta": 0.3 + k * math.pi / 2, "mass": 0.5} for k in range(4)],
+            "density": {"theta": list(t), "f": list(1.0 + 0.2 * np.cos(4 * t))},
+        }
+        self.assert_prints_the_first_stage(tmp_path, capsys, monkeypatch, doc, symmetry)
+
+    @pytest.mark.parametrize("symmetry", ["none", "D1:0.7"])
+    def test_prints_the_first_half_stage_of_a_semicircle_density(self, tmp_path, capsys,
+                                                                 monkeypatch, symmetry):
+        # sin^2 on the open arc (0.7 - pi/2, 0.7 + pi/2), 0 elsewhere: the loop
+        # solves the half grid aligned with the chord's line, not the whole
+        # circle's grid aligned with angle 0
+        s = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+        f = np.where(s < math.pi, np.sin(s) ** 2, 0.0)
+        f[0] = 0.0
+        doc = {"atoms": [],
+               "density": {"theta": list((s + 0.7 - math.pi / 2) % (2 * math.pi)), "f": list(f)}}
+        report = self.assert_prints_the_first_stage(tmp_path, capsys, monkeypatch, doc, symmetry)
+        assert report.classification == "semicircle"
 
     def test_m_below_three_is_an_input_error(self, square_measure_path, capsys):
         rc = main(["discretize", "--input", square_measure_path, "--m", "2"])

@@ -1,5 +1,6 @@
 """End-to-end pipeline tests: discretization, routing, reduction, residuals."""
 
+import json
 import logging
 import math
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    import_bench_module,
     orbit_index_sets,
     random_general_position_measure,
     random_general_position_polygon,
@@ -43,6 +45,7 @@ from lpmink.measure import (
     SINGLE_DIRECTION,
 )
 from lpmink import geometry, pipeline, solver
+from lpmink.cli import parse_symmetry
 from lpmink.errors import NoConvergenceError, NotSymmetricError
 from lpmink.geometry import Isometry2, apply_isometry, canonical_angle, support_distance
 from lpmink.pipeline import (
@@ -52,6 +55,7 @@ from lpmink.pipeline import (
     detect_symmetry,
     ma_residual_from_samples,
 )
+from lpmink.serialization import measure_spec_from_dict
 from lpmink.solver import orbit_partition
 from lpmink.solver import SolverConfig, _Workspace
 
@@ -144,12 +148,12 @@ class TestDiscretizeSymmetric:
         assert mu.n == 2 * 4096  # beta and its mirror image per cell
         assert peak < 16 * 2 ** 20
 
-    def test_only_a_failed_match_reads_as_not_invariant(self, monkeypatch):
+    def test_unrelated_errors_in_the_orbit_helper_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise MemoryError("out of memory")
 
-        monkeypatch.setattr(pipeline, "orbit_partition", broken)
-        with pytest.raises(MemoryError):
+        monkeypatch.setattr(pipeline, "_grid_orbits", broken)
+        with pytest.raises(MemoryError, match="out of memory"):
             discretize_symmetric(uniform_density_spec(), SymmetryGroup.cyclic(2), 4, 2)
 
     def test_not_invariant_raises(self):
@@ -441,6 +445,40 @@ class TestClassifySpecBitIdentity:
             tags.add(got.tag)
         if kind == "width":
             assert tags == {GENERAL_POSITION, SEMICIRCLE}
+
+    def test_positive_density_shortcut(self, rng, monkeypatch):
+        merged = []
+        merge = pipeline._classify_intervals
+        monkeypatch.setattr(pipeline, "_classify_intervals",
+                            lambda spec: merged.append(spec) or merge(spec))
+        for trial in range(100):
+            t = np.unique(rng.uniform(0.0, TWO_PI, int(rng.integers(1, 300))))
+            dens = PiecewiseLinearDensity(t, rng.uniform(1e-300, 2.0, t.size))
+            atoms = None
+            if trial % 2:  # some before the first knot
+                k = int(rng.integers(1, 6))
+                atoms = DiscreteMeasure(rng.uniform(0.0, t[0] if trial % 4 == 1 else TWO_PI, k),
+                                        rng.uniform(0.1, 2.0, k))
+            spec = MeasureSpec(atoms, dens)
+            got, want = classify_spec(spec), merge(spec)
+            assert class_bits(got) == class_bits(MeasureClass(GENERAL_POSITION, TWO_PI))
+            assert want.tag == GENERAL_POSITION
+            if atoms is None or np.count_nonzero(atoms.thetas < t[0]) < 2:
+                assert class_bits(got) == class_bits(want)
+        assert merged == []
+
+    def test_one_zero_sample_takes_the_merge(self, rng, monkeypatch):
+        merged = []
+        merge = pipeline._classify_intervals
+        monkeypatch.setattr(pipeline, "_classify_intervals",
+                            lambda spec: merged.append(spec) or merge(spec))
+        t = np.unique(rng.uniform(0.0, TWO_PI, 50))
+        f = rng.uniform(0.1, 2.0, t.size)
+        f[17] = 0.0
+        spec = MeasureSpec(None, PiecewiseLinearDensity(t, f))
+        got = classify_spec(spec)
+        assert merged == [spec]
+        assert class_bits(got) == class_bits(reference_classify_spec(spec))
 
     def test_tied_widest_gaps(self):
         # an atom opposite a 2^-42-wide density bump: two widest gaps, equal
@@ -804,8 +842,9 @@ def assert_same_orbits(orb, want):
 
 
 class TestStageOrbitHandoff:
-    """Each symmetric stage matches its orbits once, in discretize_symmetric,
-    and hands them to solve_discrete re-indexed to the sorted atoms."""
+    """Each symmetric stage reads its orbits off the grid in
+    discretize_symmetric and hands them to solve_discrete re-indexed to the
+    sorted atoms."""
 
     def test_grid_orbits_equal_a_fresh_match(self, rng):
         wrapped = 0
@@ -836,7 +875,7 @@ class TestStageOrbitHandoff:
                 assert G_stage == G
                 assert_same_orbits(orbits, orbit_partition(mu.thetas, G))
 
-    def test_one_match_per_stage(self, rng, monkeypatch):
+    def test_no_angle_matching_in_density_solves(self, rng, monkeypatch):
         calls = []
         lookup = solver.group_orbit_maps
 
@@ -845,10 +884,12 @@ class TestStageOrbitHandoff:
             return lookup(normals, elements, tol)
 
         monkeypatch.setattr(solver, "group_orbit_maps", counted)
-        spec, _, G = symmetric_manufactured_spec(4, False, 0.5, float(rng.uniform(0.0, TWO_PI / 4)),
-                                                 4096)
-        _, rep = solve(spec, 0.5, G)
-        assert calls == [entry["n_atoms"] for entry in rep.loop_history]
+        for k, dihedral, knots in ((4, False, 4096), (5, True, 4000)):
+            spec, _, G = symmetric_manufactured_spec(k, dihedral, 0.5,
+                                                     float(rng.uniform(0.0, TWO_PI / k)), knots)
+            _, rep = solve(spec, 0.5, G)
+            assert len(rep.loop_history) >= 2
+        assert calls == []
 
     def test_hand_built_measures_are_still_checked(self, rng):
         G = SymmetryGroup.cyclic(4)
@@ -865,6 +906,107 @@ class TestStageOrbitHandoff:
         with pytest.raises(ValueError, match="must index the atoms"):
             solver.solve_discrete(DiscreteMeasure(mu.thetas[1:], mu.masses[1:]), 0.5, G,
                                   orbits=mu.orbits)
+
+
+def zero_arc_density_spec(G, psi, knots=240):
+    """invariant_density_spec's shape clipped at 0: exactly 0 on whole arcs
+    of every stage's grid."""
+    spec = invariant_density_spec(G, psi, knots)
+    d = spec.density
+    return MeasureSpec(None, PiecewiseLinearDensity(d.knots, np.maximum(d.values - 1.2, 0.0)))
+
+
+class TestGridOrbits:
+    """discretize_symmetric reads a grid's orbits off its index structure
+    (_grid_orbits): they must be those orbit_partition matches."""
+
+    GROUPS = [(SymmetryGroup.cyclic(2), 4), (SymmetryGroup.dihedral(2, 0.4), 4),
+              (SymmetryGroup.cyclic(5), 5), (SymmetryGroup.dihedral(5, 0.4), 5)]
+
+    @pytest.mark.parametrize("G, l", GROUPS, ids=lambda x: x.label() if isinstance(x, SymmetryGroup)
+                             else str(x))
+    def test_k_up_to_l(self, rng, G, l):
+        for m in (2, 3, 16, 51):
+            mu = discretize_symmetric(invariant_density_spec(G, G.axis), G, l, m)
+            assert mu.n == 2 * l * m
+            assert_same_orbits(mu.orbits, orbit_partition(mu.thetas, G))
+
+    @pytest.mark.parametrize("G, l", GROUPS, ids=lambda x: x.label() if isinstance(x, SymmetryGroup)
+                             else str(x))
+    def test_zero_mass_arcs_drop_as_orbits(self, G, l):
+        spec = zero_arc_density_spec(G, G.axis)
+        for m in (8, 32, 64):
+            mu = discretize_symmetric(spec, G, l, m)
+            assert 0 < mu.n < 2 * l * m
+            assert_same_orbits(mu.orbits, orbit_partition(mu.thetas, G))
+
+    @pytest.mark.parametrize("G, l", GROUPS, ids=lambda x: x.label() if isinstance(x, SymmetryGroup)
+                             else str(x))
+    def test_atoms_on_the_first_cut_points(self, G, l):
+        # atoms on the first base point's cut points, an invariant set: the
+        # base point moves on, off the lm-gon's own axes
+        m = 6
+        first = reference_base_angles(G, l, m, uniform_density_spec())
+        dens = invariant_density_spec(G, G.axis).density
+        spec = MeasureSpec(DiscreteMeasure(first, np.full(len(first), 0.5)), dens)
+        pts = _symmetric_base_angles(G, l, m, spec)
+        assert not np.isin(pts, first).any()
+        mu = discretize_symmetric(spec, G, l, m)
+        assert_same_orbits(mu.orbits, orbit_partition(mu.thetas, G))
+
+    def test_half_grid_reflects_across_the_semicircle_centre(self, rng):
+        # the half group's axis lin(w) is not the grid's axis lin(v)
+        for _ in range(4):
+            spec, _ = semicircle_manufactured_spec(0.5, float(rng.uniform(0.0, TWO_PI)))
+            cls = classify_spec(spec)
+            H = pipeline.half_group(SymmetryGroup.dihedral(1, cls.w), cls, spec)
+            for m in (64, 128, 256):
+                mu = pipeline._half_grid(spec, m, H, cls)
+                assert_same_orbits(mu.orbits, orbit_partition(mu.thetas, H))
+
+    @pytest.mark.parametrize("G", [SymmetryGroup.cyclic(4), SymmetryGroup.dihedral(5, 0.4)],
+                             ids=lambda G: G.label())
+    def test_kept_arcs_that_split_an_orbit_raise(self, G):
+        l, m = G.order_k, 4
+        spec = invariant_density_spec(G, G.axis)
+        pts = _symmetric_base_angles(G, l, m, spec)
+        mids = (0.5 * (pts + np.append(pts[1:], pts[0] + TWO_PI))) % TWO_PI
+        keep = np.ones(len(pts), dtype=bool)
+        assert pipeline._grid_orbits(pts, mids, keep, G).n == len(pts)
+        keep[3] = False
+        with pytest.raises(NotSymmetricError, match=f"not invariant under {G.label()}: "
+                                                    "the orbit of the arc at"):
+            pipeline._grid_orbits(pts, mids, keep, G)
+
+    def test_a_grid_off_the_group_axis_raises(self):
+        G = SymmetryGroup.dihedral(1, 0.3)
+        with pytest.raises(NotSymmetricError, match="not invariant under D1:0.3: the arc "
+                                                    "midpoint at .* not to a grid midpoint"):
+            discretize_symmetric(invariant_density_spec(G, 0.3), G, 4, 8, axis=0.0)
+
+    @pytest.mark.parametrize("k, dihedral, knots", [(4, False, 4096), (5, True, 4000)])
+    def test_bench_densities_solve_alike_without_the_grid_orbits(self, monkeypatch, k, dihedral,
+                                                                 knots):
+        workloads = import_bench_module("workloads")
+        case = workloads.symmetric_density(np.random.default_rng(1), k, dihedral, 0.5, knots)
+        spec = measure_spec_from_dict(json.loads(case.measure_json))
+        G = parse_symmetry(case.symmetry, spec)
+        real = pipeline.solve_discrete
+        stages = []
+
+        def both(mu, p, G, cfg, h0=None, orbits=None, chord=None):
+            P, rep = real(mu, p, G, cfg, h0=h0, orbits=orbits, chord=chord)
+            Q, _ = real(mu, p, G, cfg, h0=h0, orbits=None, chord=chord)
+            stages.append((P, Q))
+            return P, rep
+
+        monkeypatch.setattr(pipeline, "solve_discrete", both)
+        solve(spec, case.p, G)
+        assert len(stages) >= 2
+        for P, Q in stages:
+            assert np.array_equal(P.normals, Q.normals)
+            assert np.array_equal(P.support, Q.support)
+            assert np.array_equal(P.vertices, Q.vertices)
 
 
 class TestNoSweepOnAllActiveSolves:
