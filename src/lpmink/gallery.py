@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponentError
-from .measure import DiscreteMeasure3
+from .measure import DiscreteMeasure3, _fan_area
 
 
-@dataclass
+@dataclass(eq=False)
 class BoundaryGraphProfile:
-    """Sampled profile of the origin-touching rotational graph body."""
+    """Sampled profile of the origin-touching rotational graph body.  == is
+    identity: comparing the arrays field by field would raise."""
 
     p: float
     n: int
@@ -118,9 +119,10 @@ def graph_gauss_curvature_fd(q: float, n: int, r: float, step: float = 1e-5) -> 
     return det / (1.0 + float(grad @ grad)) ** ((n + 1.0) / 2.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class Polytope3Instance:
-    """One member of the unbounded 3-D family: six vertices, five facets."""
+    """One member of the unbounded 3-D family: six vertices, five facets.
+    == is identity: comparing the arrays field by field would raise."""
 
     m: int
     p: float
@@ -153,15 +155,7 @@ class Polytope3Instance:
         return base - self.t * ux
 
     def facet_areas(self) -> np.ndarray:
-        out = np.empty(len(self.facets))
-        for k, idx in enumerate(self.facets):
-            pts = self.vertices[list(idx)]
-            area = 0.0
-            v0 = pts[0]
-            for aa, bb in zip(pts[1:-1], pts[2:]):
-                area += 0.5 * np.linalg.norm(np.cross(aa - v0, bb - v0))
-            out[k] = area
-        return out
+        return np.array([_fan_area(self.vertices[list(idx)]) for idx in self.facets])
 
     def facet_masses(self, p: float | None = None, translated: bool = True) -> np.ndarray:
         """h(u)^(1-p) * facet area per facet (zeros kept, order as listed)."""

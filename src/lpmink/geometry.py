@@ -123,24 +123,6 @@ class Isometry2:
     def apply_points(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(pts, dtype=float) @ self.matrix.T
 
-    def compose(self, other: "Isometry2") -> "Isometry2":
-        """self after other.  Reflection axes are canonical modulo pi (the
-        axis is a line, not a direction)."""
-        if self.kind == "rotation" and other.kind == "rotation":
-            return Isometry2("rotation", canonical_angle(self.parameter + other.parameter))
-        if self.kind == "rotation" and other.kind == "reflection":
-            return Isometry2(
-                "reflection",
-                canonical_angle(other.parameter + self.parameter / 2.0) % math.pi,
-            )
-        if self.kind == "reflection" and other.kind == "rotation":
-            return Isometry2(
-                "reflection",
-                canonical_angle(self.parameter - other.parameter / 2.0) % math.pi,
-            )
-        # reflection o reflection = rotation by twice the axis difference
-        return Isometry2("rotation", canonical_angle(2.0 * (self.parameter - other.parameter)))
-
     def inverse(self) -> "Isometry2":
         if self.kind == "rotation":
             return Isometry2("rotation", canonical_angle(-self.parameter))
@@ -150,15 +132,6 @@ class Isometry2:
         return self.kind == "rotation" and (
             self.parameter <= tol or TWO_PI - self.parameter <= tol
         )
-
-    def same_action(self, other: "Isometry2", tol: float = 1e-9) -> bool:
-        """Equality as maps: rotations modulo 2*pi, reflections modulo pi."""
-        if self.kind != other.kind:
-            return False
-        d = abs(self.parameter - other.parameter)
-        period = math.pi if self.kind == "reflection" else TWO_PI
-        d = d % period
-        return min(d, period - d) <= tol
 
 
 IDENTITY = Isometry2("rotation", 0.0)
@@ -227,7 +200,8 @@ class Polygon:
       construction drops the vertices that do not (_margin_chain).
     active: normals whose constraint carries an edge longer than EDGE_TOL.
     lengths: per-normal edge length (0 for normals not on the boundary).
-    edge_ends: per-normal (start, end) vertex pair, NaN rows when absent.
+    No edge's end points are kept: _chain recomputes them from normals and
+    support.
 
     The arrays must not be mutated after construction: the normal cones of
     the chain are built once, on first use, and kept.  == is identity:
@@ -239,7 +213,6 @@ class Polygon:
     vertices: np.ndarray
     active: np.ndarray
     lengths: np.ndarray
-    edge_ends: np.ndarray  # shape (N, 2, 2)
 
     def __post_init__(self):
         self.vertices = _margin_chain(self.vertices)
@@ -502,11 +475,8 @@ def polygon_from_support(normals, support) -> Polygon:
     flagged inactive with zero edge length.
 
     A line cuts off a vertex x when x0*u_0 + x1*u_1 > h + GEOM_TOL, computed
-    elementwise with no BLAS call.  When no consecutive intersection is cut
-    off by a line the deque sweep would test it against
-    (_no_constraint_cut), the chain is all n lines and the sweep does not
-    run; otherwise the sweep (_halfplane_chain) finds the chain.  Either way
-    its vertices come from _consecutive_intersections.
+    elementwise with no BLAS call.  _chain finds the boundary, by the deque
+    sweep (_halfplane_chain) only when some line cuts.
     """
     theta = canonical_angles(normals)
     h = np.asarray(support, dtype=float).copy()
@@ -534,14 +504,7 @@ def polygon_from_support(normals, support) -> Polygon:
     if n < 3 or np.maximum(gaps.max(), seam) >= math.pi - ANGLE_TOL:
         raise UnboundedError("normals fit in a closed half-circle; body unbounded")
 
-    u = unit_vectors(theta)
-    # The solver's bodies have every facet active; their chain is all n
-    # consecutive intersections, found without the sweep.
-    verts = _consecutive_intersections(u, h)
-    all_active = _no_constraint_cut(u, h, verts)
-    if not all_active:
-        idx = np.array(_halfplane_chain(u, h))
-        verts = _consecutive_intersections(u[idx], h[idx])
+    idx, verts = _chain(theta, h)
 
     # Signed area of the vertex chain; also rejects inconsistent chains.
     x, y = verts[:, 0], verts[:, 1]
@@ -551,25 +514,38 @@ def polygon_from_support(normals, support) -> Polygon:
             raise EmptyBodyError("half-plane intersection is empty")
         raise DegenerateBodyError(f"intersection area {0.5 * area2:.3g} below tolerance")
 
-    # Edge idx[k] runs from verts[k - 1] to verts[k], idx[k] = k when all
-    # are active.
-    starts = cyclic_shift(verts, 1)
-    step = np.hypot(verts[:, 0] - starts[:, 0], verts[:, 1] - starts[:, 1])
+    # Edge idx[k] runs from verts[k - 1] to verts[k] (see _chain).
+    step = np.hypot(*(verts - cyclic_shift(verts, 1)).T)
     keep = step > EDGE_TOL
-    if all_active:
+    if idx is None:
         lengths, active = step, keep
-        edge_ends = np.concatenate((starts, verts), axis=1).reshape(n, 2, 2)
     else:
         lengths = np.zeros(n)
         lengths[idx] = step
-        edge_ends = np.full((n, 2, 2), np.nan)
-        edge_ends[idx, 0], edge_ends[idx, 1] = starts, verts
         active = lengths > EDGE_TOL
 
     # Drop duplicate chain vertices (collapsed edges) from the stored chain.
     chain = verts if keep.all() or np.count_nonzero(keep) < 3 else verts[keep]
 
-    return Polygon(theta, h, chain, active, lengths, edge_ends)
+    return Polygon(theta, h, chain, active, lengths)
+
+
+def _chain(theta: np.ndarray, h: np.ndarray):
+    """(idx, verts) of the boundary of the half-planes at sorted angles
+    theta: idx lists the constraints on the boundary in increasing (CCW)
+    order, None when all n are, and verts[k] is the intersection of lines idx[k] and
+    idx[k + 1], so edge idx[k] runs from verts[k - 1] to verts[k].  The
+    solver's bodies have every facet active: when no consecutive
+    intersection is cut off by a line the deque sweep would test it
+    against (_no_constraint_cut), the chain is all n lines and the sweep
+    (_halfplane_chain) does not run.  Either way the vertices come from
+    _consecutive_intersections."""
+    u = unit_vectors(theta)
+    verts = _consecutive_intersections(u, h)
+    if _no_constraint_cut(u, h, verts):
+        return None, verts
+    idx = np.array(_halfplane_chain(u, h))
+    return idx, _consecutive_intersections(u[idx], h[idx])
 
 
 def edge_lengths(P: Polygon) -> np.ndarray:
@@ -615,7 +591,6 @@ def translate(P: Polygon, xi) -> Polygon:
         P.vertices - xi,
         P.active.copy(),
         P.lengths.copy(),
-        P.edge_ends - xi,
     )
 
 
@@ -628,7 +603,6 @@ def dilate(P: Polygon, lam: float) -> Polygon:
         P.vertices * lam,
         P.active.copy(),
         P.lengths * lam,
-        P.edge_ends * lam,
     )
 
 
@@ -636,9 +610,6 @@ def apply_isometry(P: Polygon, A: Isometry2) -> Polygon:
     """Image body A(P); normals are re-sorted after the action on angles."""
     theta = A.apply_angles(P.normals)
     order = np.argsort(theta, kind="stable")
-    ends = A.apply_points(P.edge_ends.reshape(-1, 2)).reshape(P.edge_ends.shape)
-    if A.kind == "reflection":
-        ends = ends[:, ::-1, :]  # reflections reverse edge traversal
     verts = A.apply_points(P.vertices)
     if A.kind == "reflection":
         verts = verts[::-1]
@@ -648,7 +619,6 @@ def apply_isometry(P: Polygon, A: Isometry2) -> Polygon:
         verts,
         P.active[order],
         P.lengths[order],
-        ends[order],
     )
 
 

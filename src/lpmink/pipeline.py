@@ -103,8 +103,9 @@ def _classify_intervals(spec: MeasureSpec) -> MeasureClass:
     """classify_spec of a measure with a density by merging its support
     intervals: sorted by start, they merge while a start is within 1e-12 of
     the running maximum of the ends; the last merged interval joins the
-    first across the seam when it reaches it, and the widest gap decides
-    the class."""
+    first across the seam when it reaches it, and so does every later one
+    that starts within 1e-12 of the joined interval's end.  The widest gap
+    decides the class."""
     knots, vals = spec.density._t, spec.density._f
     live = (vals[:-1] > 0.0) | (vals[1:] > 0.0)
     a, b = knots[:-1][live], knots[1:][live]
@@ -118,9 +119,10 @@ def _classify_intervals(spec: MeasureSpec) -> MeasureClass:
     first = np.flatnonzero(np.append(True, ~(start[1:] <= reach[:-1] + 1e-12)))
     lo, hi = start[first], reach[np.append(first[1:] - 1, len(start) - 1)]
     if len(lo) >= 2 and lo[0] + TWO_PI <= hi[-1] + 1e-12:
-        lo[0] = lo[-1] - TWO_PI
-        hi[0] = max(hi[0], hi[-1] - TWO_PI)
-        lo, hi = lo[:-1], hi[:-1]
+        top = max(hi[0], hi[-1] - TWO_PI)
+        j = int(np.searchsorted(lo[:-1], top + 1e-12, side="right"))
+        lo = np.append(lo[-1] - TWO_PI, lo[j:-1])
+        hi = np.append(max(top, hi[j - 1]), hi[j:-1])
     if len(lo) == 1 and hi[0] - lo[0] >= TWO_PI - 1e-12:
         return MeasureClass(GENERAL_POSITION, TWO_PI)
     gaps = np.append(lo[1:], lo[0] + TWO_PI) - hi

@@ -21,7 +21,6 @@ import importlib.util
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -142,43 +141,25 @@ def index_blocks(labels: np.ndarray) -> list:
     return [rows.reshape(-1, size[rows[0]]) for rows in np.split(order, cuts) if rows.size]
 
 
-@dataclass
+@dataclass(eq=False)
 class OrbitStructure:
     """Partition of normal indices into orbits of a finite group action,
     held as blocks: one matrix per orbit size, a row per orbit holding its
-    indices in increasing order.  Orbit k is labelled by representative[k],
-    its smallest index, in increasing order; index_to_orbit[i] is the k of
-    index i's orbit."""
+    indices in increasing order.  == is identity: comparing the blocks
+    array by array would raise."""
 
     blocks: list
-
-    @classmethod
-    def from_labels(cls, label: np.ndarray) -> "OrbitStructure":
-        """The partition in which i and j share an orbit iff label[i] ==
-        label[j], each label being the smallest index of its orbit."""
-        return cls(index_blocks(label))
 
     @property
     def n(self) -> int:
         """The number of indices partitioned."""
         return sum(rows.size for rows in self.blocks)
 
-    @cached_property
-    def representative(self) -> np.ndarray:
-        return np.sort(np.concatenate([rows[:, 0] for rows in self.blocks]))
-
-    @cached_property
-    def index_to_orbit(self) -> np.ndarray:
-        ito = np.empty(self.n, dtype=np.intp)
-        for rows in self.blocks:
-            ito[rows] = np.searchsorted(self.representative, rows[:, :1])
-        return ito
-
     def permuted(self, order: np.ndarray) -> "OrbitStructure":
         """The same partition of the same points listed in a new order, new
         index i being old index order[i]: each block mapped through the
-        inverse permutation, its rows sorted.  Its representative and
-        index_to_orbit are those orbit_partition gives the reordered points."""
+        inverse permutation, its rows sorted, so each row again lists its
+        orbit's indices in increasing order."""
         inverse = np.empty(len(order), dtype=np.intp)
         inverse[order] = np.arange(len(order))
         return OrbitStructure([np.sort(inverse[rows], axis=1) for rows in self.blocks])
@@ -221,7 +202,7 @@ def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
             f"the images of the normal at {theta[np.argmax(moved)]:.12g} under "
             f"{G.label()} do not form an orbit"
         )
-    return OrbitStructure.from_labels(label)
+    return OrbitStructure(index_blocks(label))
 
 
 class _Workspace:
@@ -460,13 +441,8 @@ def measure_residual(P: Polygon, mu: DiscreteMeasure, p: float) -> float:
     return float(worst) + off / max(total, 1e-30)
 
 
-# _reactivate's rounding margin per unit of S_i, and the most rows whose
-# edge values it works out in Python floats.  By timeit on an Intel Xeon
-# (CPython 3.11, numpy 2.4), a step costs about 0.5 + 0.15 k us for k rows
-# in Python floats against 6-9 us for edge_form of the whole blend at
-# n = 51..510: the two cross at 40-60 rows.
+# _reactivate's rounding margin per unit of S_i.
 _BLEND_MARGIN = 64.0 * np.finfo(float).eps
-_FEW_ROWS = 32
 
 
 def _rows_that_can_fail(ws: _Workspace, ell: np.ndarray, ell_c: np.ndarray,
@@ -499,11 +475,13 @@ def _reactivate(ws: _Workspace, h: np.ndarray):
     4 eps S_i of the exact one, and the computed edge_form(h) and
     edge_form(c) rows are within 2 eps S_i of E_i(h) and E_i(c).  So a row
     whose two computed values both exceed the floor by _BLEND_MARGIN S_i
-    passes at every mid, and only the other rows decide a step.  Up to
-    _FEW_ROWS of them are worked out in Python floats by the IEEE
-    operations of edge_form, in its order; more take edge_form of the whole
-    trial.  Either way every step comes out as with whole-array edge forms
-    alone."""
+    passes at every mid, and only the other rows decide a step.  They are
+    worked out in Python floats by the IEEE operations of edge_form, in
+    its order, so every step comes out as with whole-array edge forms.
+    By timeit on an Intel Xeon (CPython 3.11, numpy 2.4), a step costs
+    about 0.5 + 0.15 k us for k rows, against 6-9 us for edge_form of a
+    whole trial at n = 51..510; the benchmark workloads' solves bisect at
+    most 19 rows."""
     ell = ws.edge_form(h)
     floor = ws.n * 1e-15
     if ell.min() > floor:
@@ -512,17 +490,14 @@ def _reactivate(ws: _Workspace, h: np.ndarray):
     target = c * np.ones_like(h)
     rows = _rows_that_can_fail(ws, ell, ws.edge_form(target),
                                np.maximum(np.abs(h).max(), abs(c)))
-    if len(rows) <= _FEW_ROWS:
-        terms = list(zip(*(v.tolist() for v in (
-            ws.diag[rows], ws.up[rows], ws.lo[rows], h[rows], h[ws.nxt[rows]], h[ws.prv[rows]]))))
+    terms = list(zip(*(v.tolist() for v in (
+        ws.diag[rows], ws.up[rows], ws.lo[rows], h[rows], h[ws.nxt[rows]], h[ws.prv[rows]]))))
 
-        def positive(mid: float) -> bool:
-            a, b = 1 - mid, mid * c
-            return all(d * (a * x + b) + up * (a * y + b) + lo * (a * z + b) > floor
-                       for d, up, lo, x, y, z in terms)
-    else:
-        def positive(mid: float) -> bool:
-            return ws.edge_form((1 - mid) * h + mid * target).min() > floor
+    def positive(mid: float) -> bool:
+        a, b = 1 - mid, mid * c
+        return all(d * (a * x + b) + up * (a * y + b) + lo * (a * z + b) > floor
+                   for d, up, lo, x, y, z in terms)
+
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

@@ -23,9 +23,9 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def orbit_index_sets(orb):
-    """Each orbit's indices in increasing order, orbit k (labelled by
-    orb.representative[k]) at position k."""
-    return [np.flatnonzero(orb.index_to_orbit == k) for k in range(len(orb.representative))]
+    """Each orbit's indices in increasing order (the rows of orb.blocks),
+    the orbits ordered by their smallest index."""
+    return sorted((row for rows in orb.blocks for row in rows), key=lambda row: row[0])
 
 
 def import_bench_module(name):

@@ -15,6 +15,12 @@ from lpmink.gallery import graph_gauss_curvature_fd
 
 
 class TestBoundaryGraphProfile:
+    def test_equality_is_identity(self):
+        # Comparing the array fields would raise; == compares identity.
+        prof = boundary_graph_profile(0.5, 2, samples=16)
+        assert prof == prof
+        assert prof != boundary_graph_profile(0.5, 2, samples=16)
+
     def test_exponent_value_n2(self):
         prof = boundary_graph_profile(0.5, 2)
         assert prof.q == pytest.approx(4.0)
@@ -76,6 +82,12 @@ class TestBoundaryGraphProfile:
 
 
 class TestUnboundedPolytope:
+    def test_equality_is_identity(self):
+        # Comparing the array fields would raise; == compares identity.
+        inst = unbounded_polytope_3d(0.5, 4)
+        assert inst == inst
+        assert inst != unbounded_polytope_3d(0.5, 4)
+
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("m", [2, 10, 100, 1000])
     def test_untranslated_masses_exact(self, p, m):

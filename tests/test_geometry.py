@@ -16,6 +16,7 @@ from lpmink import (
     UnboundedError,
     apply_isometry,
     area,
+    chord_mass_bound,
     dilate,
     edge_lengths,
     in_positive_hull,
@@ -24,13 +25,14 @@ from lpmink import (
     translate,
 )
 import lpmink.geometry as geometry
-from lpmink.errors import DegenerateBodyError
+from lpmink.errors import DegenerateBodyError, PreconditionViolatedError
 from lpmink.geometry import (
     angles_antipodal,
     canonical_angle,
     canonical_angles,
     circular_gaps,
     group_orbit_map,
+    unit_vector,
     unit_vectors,
 )
 from lpmink.measure import MeasureSpec, PiecewiseLinearDensity
@@ -467,10 +469,9 @@ class TestHalfPlaneChainBitIdentity:
 
     @staticmethod
     def assert_matches(P, ref):
-        vertices, lengths, edge_ends, active = ref
+        vertices, lengths, _, active = ref
         assert np.array_equal(P.vertices, vertices)
         assert np.array_equal(P.lengths, lengths)
-        assert np.array_equal(P.edge_ends, edge_ends, equal_nan=True)
         assert np.array_equal(P.active, active)
 
     def assert_same(self, normals, support):
@@ -509,6 +510,36 @@ class TestHalfPlaneChainBitIdentity:
         w = float(P.normals[7]) + 1e-3
         K = self.assert_same(*half_body(P, w))
         assert sweeps == [41] and np.count_nonzero(K.active) < 40
+
+    def test_chord_midpoints_are_the_reference_edge_midpoints(self, rng, sweeps):
+        # chord_mass_bound's lhs, bit for bit, from the midpoints of the
+        # reference build's edge ends, on all-active bodies and on bodies
+        # with redundant normals, which take the sweep
+        checked = 0
+        for trial in range(60):
+            P = ellipse_polygon(rng, int(rng.integers(5, 40)))
+            normals, support = P.normals, P.support
+            if trial % 2:
+                extra = rng.uniform(0.0, 2 * math.pi, 4)
+                normals = np.concatenate([normals, extra])
+                support = np.concatenate([support, P.support_values(extra) + rng.uniform(0.01, 1.0, 4)])
+            Q = polygon_from_support(normals, support)
+            _, _, ends, _ = reference_polygon_from_support(normals, support)
+            p = float(rng.uniform(0.05, 0.95))
+            for _ in range(5):
+                i1, i2 = (int(i) for i in rng.choice(np.flatnonzero(Q.active), 2, replace=False))
+                u = float(rng.uniform(0.0, 2 * math.pi))
+                x1, x2 = ends[i1].mean(axis=0), ends[i2].mean(axis=0)
+                inner = float(x1 @ unit_vector(Q.normals[i2]))
+                advance = float((x2 - x1) @ unit_vector(u))
+                if inner <= 0.0 or advance <= 0.0:
+                    with pytest.raises(PreconditionViolatedError):
+                        chord_mass_bound(Q, i1, i2, u, p)
+                    continue
+                lhs, _ = chord_mass_bound(Q, i1, i2, u, p)
+                assert lhs == min(float(Q.support[i1]), inner) ** (1.0 - p) * advance
+                checked += 1
+        assert checked >= 60 and len(sweeps) >= 30
 
     def assert_same_outcome(self, normals, support) -> bool:
         """Same arrays, or the same empty, degenerate or unbounded error;
@@ -725,11 +756,12 @@ def half_body(K2, w):
 
 def assert_cut_matches(K2, w):
     """polygon_from_support(*half_body(K2, w)) gives the scalar reference
-    build's six arrays byte for byte."""
+    build's five arrays byte for byte."""
     normals, support = half_body(K2, w)
     K = polygon_from_support(normals, support)
-    got = (K.normals, K.support, K.vertices, K.lengths, K.edge_ends, K.active)
-    want = (*reference_sorted(normals, support), *reference_polygon_from_support(normals, support))
+    got = (K.normals, K.support, K.vertices, K.lengths, K.active)
+    vertices, lengths, _, active = reference_polygon_from_support(normals, support)
+    want = (*reference_sorted(normals, support), vertices, lengths, active)
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     return K
@@ -1134,6 +1166,12 @@ class TestPositiveHull:
             assert math.cos(t) * x[0] + math.sin(t) * x[1] >= dots.min() - 1e-12
 
 
+def circular_distances(a, b):
+    """Elementwise arc distance between arrays of angles in [0, 2 pi)."""
+    d = np.abs(a - b)
+    return np.minimum(d, 2 * math.pi - d)
+
+
 class TestGroups:
     def test_cyclic_elements(self):
         G = SymmetryGroup.cyclic(4)
@@ -1144,12 +1182,16 @@ class TestGroups:
         G = SymmetryGroup.dihedral(3, axis=0.4)
         els = G.elements()
         assert len(els) == 6
-        # closed under composition: every product lands on a group element
+        # closed under composition: on probe angles, every product acts as
+        # some group element
+        probe = np.array([0.1, 1.3, 2.9, 4.4, 6.2])
         for a in els:
             for b in els:
-                c = a.compose(b)
-                assert any(c.same_action(e) for e in els)
+                got = a.apply_angles(b.apply_angles(probe))
+                assert any(circular_distances(got, e.apply_angles(probe)).max() <= 1e-12
+                           for e in els)
 
     def test_reflection_is_involution(self):
         A = Isometry2("reflection", 1.1)
-        assert A.compose(A).is_identity(tol=1e-12)
+        probe = np.array([0.0, 0.7, 1.1, 3.0, 5.9])
+        assert circular_distances(A.apply_angles(A.apply_angles(probe)), probe).max() <= 1e-12

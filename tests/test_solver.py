@@ -40,6 +40,7 @@ from lpmink.geometry import (
     circular_distance,
     group_orbit_map,
     group_orbit_maps,
+    unit_vectors,
 )
 from lpmink import solver
 from lpmink.pipeline import solve
@@ -747,8 +748,7 @@ class TestMeasureResidualMatch:
 class TestOrbits:
     def test_c4_single_orbit(self):
         orb = orbit_partition(np.array(SQ), SymmetryGroup.cyclic(4))
-        assert len(orb.representative) == 1
-        assert orbit_index_sets(orb)[0].tolist() == [0, 1, 2, 3]
+        assert [o.tolist() for o in orbit_index_sets(orb)] == [[0, 1, 2, 3]]
 
     def test_reflection_orbits(self):
         orb = orbit_partition(np.array(SQ), SymmetryGroup.dihedral(1, axis=0.0))
@@ -764,6 +764,12 @@ class TestOrbits:
     def test_not_closed(self):
         with pytest.raises(NotClosedUnderGroupError):
             orbit_partition(np.array([0.0, 1.0, 2.0]), SymmetryGroup.cyclic(4))
+
+    def test_equality_is_identity(self):
+        # Comparing the blocks array by array would raise; == compares identity.
+        orb = orbit_partition(np.array(SQ), SymmetryGroup.dihedral(1, axis=0.0))
+        assert orb == orb
+        assert orb != orbit_partition(np.array(SQ), SymmetryGroup.dihedral(1, axis=0.0))
 
 
 def reference_group_orbit_map(normals, A, tol=1e-9):
@@ -860,13 +866,17 @@ class TestOrbitMapAgainstUnionFind:
                                       n_axis=int(rng.integers(1, 4)), seam=trial % 2 == 1)
             orbits, reps, index_to_orbit = reference_orbit_partition(theta, G)
             orb = orbit_partition(theta, G)
-            assert len(orb.representative) == len(orbits)
-            for got, want in zip(orbit_index_sets(orb), orbits):
+            sets = orbit_index_sets(orb)
+            assert len(sets) == len(orbits)
+            for got, want in zip(sets, orbits):
                 assert np.array_equal(got, want)
-            assert np.array_equal(orb.representative, reps)
-            assert np.array_equal(orb.index_to_orbit, index_to_orbit)
+            assert np.array_equal([o[0] for o in sets], reps)
+            ito = np.empty(len(theta), dtype=int)
+            for k, o in enumerate(sets):
+                ito[o] = k
+            assert np.array_equal(ito, index_to_orbit)
             if G.kind == "dihedral" and not trial % 2:
-                assert len(set(np.bincount(orb.index_to_orbit))) == 2  # axis orbits are half size
+                assert len({len(o) for o in sets}) == 2  # axis orbits are half size
             values = rng.uniform(0.0, 1.0, len(theta)) * 10.0 ** rng.uniform(-8, 8, len(theta))
             assert orb.average(values).tobytes() == reference_average(orbits, values).tobytes()
 
@@ -1012,18 +1022,34 @@ class TestReactivationBitForBit:
             assert got is not h and ell.tobytes() == ws.edge_form(got).tobytes()
         return got, ell
 
-    @pytest.mark.parametrize("few_rows", [0, solver._FEW_ROWS, 10**9])
     @pytest.mark.parametrize("n", [12, 60, 252, 510])
-    def test_one_two_and_half_the_rows_failing(self, rng, monkeypatch, n, few_rows):
-        # few_rows 0 and 10**9 send every bisection down one path: whole
-        # edge forms, or Python floats on the rows that can fail.
-        monkeypatch.setattr(solver, "_FEW_ROWS", few_rows)
+    def test_one_two_and_half_the_rows_failing(self, rng, n):
         for failing in ([int(rng.integers(n))], [3, n // 2], range(0, n, 2)):
             for _ in range(3):
                 ws, h = self.warm_start(rng, n, failing)
                 assert np.count_nonzero(ws.edge_form(h) <= 0.0) == len(failing)
                 blend, ell = self.assert_same_blend(ws, h)
                 assert ell is None and ws.edge_form(blend).min() > 0.0
+
+    def test_every_row_failing(self, rng):
+        # h = <x0, u_i> - eps: the edge form of a point minus eps L(1), so
+        # every row fails by about eps times its two half-gap tangents,
+        # while the mean of h, with x0 along the mean normal, stays
+        # positive; every row then passes once mid > eps / (mean + eps).
+        for n in (40, 510):
+            theta = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) * (TWO_PI / n)
+            ws = _Workspace(theta, rng.uniform(0.5, 2.0, n), 0.5)
+            u = unit_vectors(theta)
+            x0 = 1000.0 * u.mean(axis=0) / np.hypot(*u.mean(axis=0))
+            h = u @ x0
+            h -= 0.5 * h.mean()
+            ell = ws.edge_form(h)
+            assert (ell <= ws.n * 1e-15).all() and h.mean() > 0.0
+            scale = max(np.abs(h).max(), abs(float(h.mean())))
+            rows = solver._rows_that_can_fail(ws, ell, ws.edge_form(h.mean() * np.ones(n)), scale)
+            assert rows.size == n
+            blend, ell = self.assert_same_blend(ws, h)
+            assert ell is None and ws.edge_form(blend).min() > 0.0
 
     def test_all_active_start_is_returned_with_its_edge_form(self, rng):
         ws, h = self.warm_start(rng, 60)
