@@ -1022,8 +1022,12 @@ class TestReactivationBitForBit:
             assert got is not h and ell.tobytes() == ws.edge_form(got).tobytes()
         return got, ell
 
+    @pytest.mark.parametrize("draw", [0, 32, 10**9])
     @pytest.mark.parametrize("n", [12, 60, 252, 510])
-    def test_one_two_and_half_the_rows_failing(self, rng, n):
+    def test_one_two_and_half_the_rows_failing(self, n, draw):
+        # Each draw seeds its own stream: three independent sets of
+        # workspaces and failing rows per n.
+        rng = np.random.default_rng((20240817, draw))
         for failing in ([int(rng.integers(n))], [3, n // 2], range(0, n, 2)):
             for _ in range(3):
                 ws, h = self.warm_start(rng, n, failing)
