@@ -548,6 +548,13 @@ def _chain(theta: np.ndarray, h: np.ndarray):
     return idx, _consecutive_intersections(u[idx], h[idx])
 
 
+def edge_midpoints(P: Polygon, edges) -> np.ndarray:
+    """Midpoints of P's active edges at the given indices, from _chain."""
+    idx, verts = _chain(P.normals, P.support)
+    k = np.asarray(edges) if idx is None else np.searchsorted(idx, edges)
+    return (verts[k - 1] + verts[k]) / 2.0
+
+
 def edge_lengths(P: Polygon) -> np.ndarray:
     """Per-normal boundary edge lengths (0 where the constraint is slack)."""
     return P.lengths.copy()

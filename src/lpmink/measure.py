@@ -23,12 +23,12 @@ from .geometry import (
     TWO_PI,
     Isometry2,
     Polygon,
-    _chain,
     canonical_angle,
     canonical_angles,
     circular_distance,
     circular_gaps,
     cyclic_shift,
+    edge_midpoints,
     unit_vector,
 )
 
@@ -386,9 +386,9 @@ def weak_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 def chord_mass_bound(P: Polygon, i1: int, i2: int, u_theta: float, p: float):
     """Chord-versus-total-mass inequality for two boundary points.
 
-    x1, x2 are midpoints of the active edges i1, i2, whose ends _chain
-    recomputes from the normals and support: on a body from
-    polygon_from_support they are its own vertices.  Returns (lhs, rhs) with
+    x1, x2 are midpoints of the active edges i1, i2 (edge_midpoints, whose
+    ends come from the normals and support: on a body from
+    polygon_from_support they are its own vertices).  Returns (lhs, rhs) with
     lhs = min(h(nu(x1)), <x1, nu(x2)>)^(1-p) * <x2 - x1, u> and rhs the total
     Lp boundary mass; the contract is lhs <= rhs.  Raises
     PreconditionViolatedError naming any failed hypothesis.
@@ -399,10 +399,7 @@ def chord_mass_bound(P: Polygon, i1: int, i2: int, u_theta: float, p: float):
     th1, th2 = float(P.normals[i1]), float(P.normals[i2])
     if abs(circular_distance(th1, th2) - math.pi) <= 1e-9:
         raise PreconditionViolatedError("edges are opposite (antipodal normals)")
-    idx, verts = _chain(P.normals, P.support)
-    k1, k2 = (i1, i2) if idx is None else np.searchsorted(idx, (i1, i2))
-    x1 = (verts[k1 - 1] + verts[k1]) / 2.0
-    x2 = (verts[k2 - 1] + verts[k2]) / 2.0
+    x1, x2 = edge_midpoints(P, (i1, i2))
     nu2 = unit_vector(th2)
     u = unit_vector(u_theta)
     inner = float(x1 @ nu2)

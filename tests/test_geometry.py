@@ -31,6 +31,7 @@ from lpmink.geometry import (
     canonical_angle,
     canonical_angles,
     circular_gaps,
+    edge_midpoints,
     group_orbit_map,
     unit_vector,
     unit_vectors,
@@ -512,9 +513,9 @@ class TestHalfPlaneChainBitIdentity:
         assert sweeps == [41] and np.count_nonzero(K.active) < 40
 
     def test_chord_midpoints_are_the_reference_edge_midpoints(self, rng, sweeps):
-        # chord_mass_bound's lhs, bit for bit, from the midpoints of the
-        # reference build's edge ends, on all-active bodies and on bodies
-        # with redundant normals, which take the sweep
+        # edge_midpoints and chord_mass_bound's lhs, bit for bit, from the
+        # midpoints of the reference build's edge ends, on all-active bodies
+        # and on bodies with redundant normals, which take the sweep
         checked = 0
         for trial in range(60):
             P = ellipse_polygon(rng, int(rng.integers(5, 40)))
@@ -530,6 +531,7 @@ class TestHalfPlaneChainBitIdentity:
                 i1, i2 = (int(i) for i in rng.choice(np.flatnonzero(Q.active), 2, replace=False))
                 u = float(rng.uniform(0.0, 2 * math.pi))
                 x1, x2 = ends[i1].mean(axis=0), ends[i2].mean(axis=0)
+                assert np.array_equal(edge_midpoints(Q, (i1, i2)), [x1, x2])
                 inner = float(x1 @ unit_vector(Q.normals[i2]))
                 advance = float((x2 - x1) @ unit_vector(u))
                 if inner <= 0.0 or advance <= 0.0:

@@ -15,9 +15,9 @@ def tree(path):
     return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in path.rglob("*")}
 
 
-def run_tool(monkeypatch, capsys, argv, status=0):
-    """The tool's module, printed lines and stderr text after main(argv),
-    which must return status and leave every file under bench/ as it was."""
+def run_tool(monkeypatch, capsys, argv):
+    """The tool's module and printed lines after main(argv), which must
+    return 0 and leave every file under bench/ as it was."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -29,17 +29,16 @@ def run_tool(monkeypatch, capsys, argv, status=0):
     tool.__file__ = str(path)
     try:
         exec(compile(path.read_text(), path, "exec"), tool.__dict__)  # no bytecode cache
-        assert tool.main(argv) == status
+        assert tool.main(argv) == 0
     finally:
         if not had_workloads:
             sys.modules.pop("workloads", None)
     assert tree(ROOT / "bench") == before
-    captured = capsys.readouterr()
-    return tool, captured.out.splitlines(), captured.err
+    return tool, capsys.readouterr().out.splitlines()
 
 
 def test_one_line_per_workload_and_nothing_written_under_bench(monkeypatch, capsys):
-    tool, out, _ = run_tool(monkeypatch, capsys, ["--seeds", "1", "--workload", "stress-corpus"])
+    tool, out = run_tool(monkeypatch, capsys, ["--seeds", "1", "--workload", "stress-corpus"])
     n_cases = len(tool.workloads.generate("stress-corpus", 1))
     assert len(out) == 1
     m = re.fullmatch(r"stress-corpus: [0-9a-f]{64} \((\d+) cases\)", out[0])
@@ -50,7 +49,7 @@ def test_one_line_per_workload_and_nothing_written_under_bench(monkeypatch, caps
 def test_per_case_lines_name_each_case(monkeypatch, capsys):
     """--per-case prints, in case order, "<workload> <seed> <label>: <sha256>"
     of the case's own bytes, then the workload's usual line."""
-    tool, out, _ = run_tool(monkeypatch, capsys,
+    tool, out = run_tool(monkeypatch, capsys,
                          ["--seeds", "1", "--workload", "reduced-routes", "--per-case"])
     cases = tool.workloads.generate("reduced-routes", 1)
     assert len(out) == len(cases) + 1
@@ -61,20 +60,3 @@ def test_per_case_lines_name_each_case(monkeypatch, capsys):
     case = cases[1]
     text = f"reduced-routes 1 {case.label}\n".encode() + tool.case_bytes(case)
     assert out[1] == f"reduced-routes 1 {case.label}: {hashlib.sha256(text).hexdigest()}"
-
-
-def test_expect_names_the_workloads_that_moved(monkeypatch, capsys, tmp_path):
-    """--expect FILE exits 0 when every printed line matches FILE's line for
-    its workload, and 1 naming each workload whose digest moved."""
-    argv = ["--seeds", "1", "--workload", "stress-corpus"]
-    _, out, _ = run_tool(monkeypatch, capsys, argv)
-    expect = tmp_path / "digests.txt"
-    expect.write_text("\n".join(["density-loop: " + "0" * 64 + " (5 cases)", *out]) + "\n")
-    _, same, err = run_tool(monkeypatch, capsys, [*argv, "--expect", str(expect)])
-    assert same == out and err == ""
-    name, _, value = out[0].partition(": ")
-    flipped = "0" if value[0] != "0" else "1"
-    expect.write_text(f"{name}: {flipped}{value[1:]}\n")
-    _, moved, err = run_tool(monkeypatch, capsys, [*argv, "--expect", str(expect)], status=1)
-    assert moved == out
-    assert err == f"stress-corpus moved: expected {flipped}{value[1:]}\n"

@@ -3,7 +3,6 @@
     python3 tools/output_digest.py --seeds 1-5
     python3 tools/output_digest.py --seeds 1,3 --workload reduced-routes
     python3 tools/output_digest.py --seeds 1 --per-case
-    python3 tools/output_digest.py --seeds 1-5 --expect digests.txt
 
 For each workload and seed, every case of bench/workloads.py runs once as
 `lpmink solve` runs it: parse the measure JSON, read --symmetry, solve, and
@@ -13,11 +12,8 @@ or the error's type, message and report when lpmink raised.  Two commits
 that print the same digests produce the same bytes on every case.  With
 --per-case, a line "<workload> <seed> <label>: <sha256>" over the same
 bytes of that one case comes before each workload's line, so a change that
-moves one case names it.  With --expect FILE, each workload's line is
-compared with the line FILE holds for that workload (a saved run of this
-script), every workload whose digest or case count moved is named on
-stderr, and the exit status is 1 when one did.  Nothing under bench/ is
-written or changed; the script only imports its input generators.
+moves one case names it.  Nothing under bench/ is written or changed; the
+script only imports its input generators.
 """
 
 from __future__ import annotations
@@ -80,17 +76,8 @@ def main(argv=None) -> int:
                     choices=["all", *workloads.WORKLOADS])
     ap.add_argument("--per-case", action="store_true",
                     help="also print one sha256 per workload, seed and case label")
-    ap.add_argument("--expect", metavar="FILE",
-                    help="compare each workload's line with FILE's; exit 1 if one moved")
     args = ap.parse_args(argv)
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
-    expected = {}
-    if args.expect:
-        for line in Path(args.expect).read_text().splitlines():
-            name, sep, value = line.partition(": ")
-            if sep and value.endswith(" cases)"):
-                expected[name] = value
-    moved = False
     for name in names:
         digest, n = hashlib.sha256(), 0
         for seed in parse_seeds(args.seeds):
@@ -100,12 +87,8 @@ def main(argv=None) -> int:
                 n += 1
                 if args.per_case:
                     print(f"{name} {seed} {case.label}: {hashlib.sha256(text).hexdigest()}")
-        value = f"{digest.hexdigest()} ({n} cases)"
-        print(f"{name}: {value}")
-        if args.expect and expected.get(name) != value:
-            moved = True
-            print(f"{name} moved: expected {expected.get(name, 'no line')}", file=sys.stderr)
-    return 1 if moved else 0
+        print(f"{name}: {digest.hexdigest()} ({n} cases)")
+    return 0
 
 
 if __name__ == "__main__":
