@@ -24,6 +24,7 @@ from .errors import (
     CannotAvoidAtomsError,
     ConcentratedError,
     NoConvergenceError,
+    NotClosedUnderGroupError,
     NotSymmetricError,
 )
 from .geometry import (
@@ -37,6 +38,7 @@ from .geometry import (
     circular_distance,
     cyclic_shift,
     dilate,
+    group_orbit_maps,
     polygon_from_support,
     support_distance,
 )
@@ -537,12 +539,11 @@ def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
 def _spec_invariant_under(spec: MeasureSpec, A: Isometry2, tol: float = 1e-9) -> bool:
     if spec.atoms is not None:
         mu = spec.atoms
-        img = mu.pushforward(A)
-        if img.n != mu.n:
+        try:  # atom j[i] is the one the image of atom i lies within tol of
+            j = group_orbit_maps(mu.thetas, [A], tol)[0]
+        except NotClosedUnderGroupError:
             return False
-        if np.max(np.abs(img.thetas - mu.thetas)) > tol:
-            return False
-        if np.max(np.abs(img.masses - mu.masses)) > tol * max(1.0, mu.masses.max()):
+        if np.max(np.abs(mu.masses[j] - mu.masses)) > tol * max(1.0, mu.masses.max()):
             return False
     if spec.density is not None:
         d = spec.density
@@ -568,9 +569,12 @@ def detect_symmetry(spec: MeasureSpec, max_order: int = 64) -> SymmetryGroup:
             for j in range(i, len(t)):
                 candidates.add(canonical_angle((t[i] + t[j]) / 2.0) % math.pi)
     if spec.density is not None:
-        for a in spec.density.knots:
+        # an axis of a symmetric knot set passes through a knot or halfway
+        # between two neighbours, the pair across the seam included
+        k = spec.density.knots
+        mids = 0.5 * (k + np.append(k[1:], k[0] + TWO_PI))
+        for a in np.concatenate((k, k + math.pi / 2.0, mids)):
             candidates.add(canonical_angle(a) % math.pi)
-            candidates.add(canonical_angle(a + math.pi / 2.0) % math.pi)
     for a in sorted(candidates):
         if _spec_invariant_under(spec, Isometry2("reflection", a)):
             axis = a

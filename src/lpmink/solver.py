@@ -441,77 +441,37 @@ def measure_residual(P: Polygon, mu: DiscreteMeasure, p: float) -> float:
     return float(worst) + off / max(total, 1e-30)
 
 
-# _reactivate's rounding margin per unit of S_i.
-_BLEND_MARGIN = 64.0 * np.finfo(float).eps
-
-
-def _rows_that_can_fail(ws: _Workspace, ell: np.ndarray, ell_c: np.ndarray,
-                        scale: float) -> np.ndarray:
-    """The rows of _reactivate's blend that can fail the floor n 1e-15: all
-    but those whose computed edge_form(h), ell, and edge_form(c), ell_c,
-    both exceed floor + _BLEND_MARGIN S_i, where S_i = (|diag_i| + |up_i| +
-    |lo_i|) scale and scale = max(|h|_inf, |c|).  A NaN fails the test, so
-    its row is one of them."""
-    S = (np.abs(ws.diag) + np.abs(ws.up) + np.abs(ws.lo)) * scale
-    bound = ws.n * 1e-15 + _BLEND_MARGIN * S
-    return np.flatnonzero(~((ell > bound) & (ell_c > bound)))
-
-
 def _reactivate(ws: _Workspace, h: np.ndarray):
-    """Blend toward the constant-support body until the closed-form edge
-    lengths are strictly positive.  Returns the blend and, when that is h
-    itself, edge_form(h), else None.  That body has every facet active: the
-    polygon circumscribed about a disc, or on a _PinnedWorkspace, where the
-    chord's support stays 0, the half disc, whose chord edge is positive
+    """Blend h toward its mean c until every row of edge_form clears the
+    floor n 1e-15; return the blend and, when that is h itself,
+    edge_form(h), else None.  The constant body has every facet active:
+    the polygon circumscribed about a disc or, on a _PinnedWorkspace, where
+    the chord's support stays 0, the half disc, whose chord edge is positive
     and whose facets next to the chord, at pi / 2 or more from it, are too.
-    Only the rows of edge_form are bisected: the chord edge is positive
-    wherever the blend is, and _newton_polish refuses a blend that is not.
-
-    Each bisection step asks whether every row of edge_form(trial),
-    trial = (1 - mid) h + mid c with c the mean of h, exceeds the floor
-    n 1e-15.  The exact value of row i is affine in mid, between E_i(h) and
-    E_i(c).  With S_i as in _rows_that_can_fail, the rounding of 1 - mid,
-    of the blend and of the three-term sum keeps the computed value within
-    4 eps S_i of the exact one, and the computed edge_form(h) and
-    edge_form(c) rows are within 2 eps S_i of E_i(h) and E_i(c).  So a row
-    whose two computed values both exceed the floor by _BLEND_MARGIN S_i
-    passes at every mid, and only the other rows decide a step.  They are
-    worked out in Python floats by the IEEE operations of edge_form, in
-    its order, so every step comes out as with whole-array edge forms.
-    By timeit on an Intel Xeon (CPython 3.11, numpy 2.4), a step costs
-    about 0.5 + 0.15 k us for k rows, against 6-9 us for edge_form of a
-    whole trial at n = 51..510; the benchmark workloads' solves bisect at
-    most 19 rows."""
+    The chord edge is positive wherever the blend is, and _newton_polish
+    refuses a blend that is not.  edge_form is linear, so a row failing at
+    h (NaN included) clears the floor past s_i = (floor - ell_i) / (ellc_i -
+    ell_i), ellc = edge_form(c); the blend (1 - s) h + s c takes s = 1.25
+    max s_i, or 1 when that is larger or NaN or a failing row has ellc_i <=
+    floor."""
     ell = ws.edge_form(h)
     floor = ws.n * 1e-15
     if ell.min() > floor:
         return h, ell
     c = float(h.mean())
     target = c * np.ones_like(h)
-    rows = _rows_that_can_fail(ws, ell, ws.edge_form(target),
-                               np.maximum(np.abs(h).max(), abs(c)))
-    terms = list(zip(*(v.tolist() for v in (
-        ws.diag[rows], ws.up[rows], ws.lo[rows], h[rows], h[ws.nxt[rows]], h[ws.prv[rows]]))))
-
-    def positive(mid: float) -> bool:
-        a, b = 1 - mid, mid * c
-        return all(d * (a * x + b) + up * (a * y + b) + lo * (a * z + b) > floor
-                   for d, up, lo, x, y, z in terms)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
-    s = min(1.0, hi * 1.25)
+    fail = ~(ell > floor)
+    ell, ell_c = ell[fail], ws.edge_form(target)[fail]
+    s = 1.0
+    if (ell_c > floor).all():
+        s = min(s, 1.25 * float(((floor - ell) / (ell_c - ell)).max()))
     return (1 - s) * h + s * target, None
 
 
 def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
                    tol: float, average, max_iters: int = 80):
-    """Damped Newton on h^(1-p) * (L h) = target inside the all-active cone."""
+    """Damped Newton on h^(1-p) * (L h) = target inside the all-active cone
+    from _reactivate's blend of h, averaged; (h, inf, 0) if that is outside."""
     p = ws.p
     blend, ell = _reactivate(ws, h.copy())
     # average returns its argument for the trivial group, whose edge form

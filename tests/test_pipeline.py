@@ -1103,6 +1103,15 @@ class TestWarmStartedStages:
         spec, h = semicircle_manufactured_spec(0.5, float(rng.uniform(0.0, TWO_PI)))
         self.assert_in_basin(spec, h, 0.5)
 
+    def test_semicircle_density_stage_counts(self, rng):
+        # the cold first stage too: 7 + 2 + 2 Newton steps on the half
+        # problem, as README states, and no continuation
+        for _ in range(3):
+            spec, _ = semicircle_manufactured_spec(0.5, float(rng.uniform(0.0, TWO_PI)))
+            _, rep = solve(spec, 0.5)
+            counts = [(e["newton_iters"], e["outer_iters"]) for e in rep.loop_history]
+            assert rep.classification == SEMICIRCLE and counts == [(7, 0), (2, 0), (2, 0)]
+
     def test_one_debug_line_per_stage(self, rng, caplog):
         spec, _ = manufactured_spec(0.5, rng.uniform(0.0, TWO_PI, 2))
         with caplog.at_level(logging.DEBUG, logger="lpmink.pipeline"):
@@ -1286,6 +1295,22 @@ class TestDetectSymmetry:
         G = detect_symmetry(spec)
         assert G.kind == "dihedral" and G.order_k == 1
         assert G.axis == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [23, 24, 31])
+    def test_regular_polygon_atoms(self, k):
+        # the image of the atom at 2 pi (k - 1) / k under the rotation by
+        # 2 pi / k rounds to just below 2 pi, not to 0: each image must pair
+        # with its circularly nearest atom, not with the atom of its rank
+        spec = MeasureSpec(DiscreteMeasure(TWO_PI * np.arange(k) / k, np.ones(k)), None)
+        assert detect_symmetry(spec).label() == f"D{k}:0"
+
+    def test_density_axis_between_two_knots(self):
+        # the axis pi / 64 passes through no knot and is perpendicular to none
+        t = np.linspace(0, TWO_PI, 64, endpoint=False)
+        spec = MeasureSpec(None, PiecewiseLinearDensity(t, 1 + 0.3 * np.cos(t - math.pi / 64)))
+        G = detect_symmetry(spec)
+        assert G.kind == "dihedral" and G.order_k == 1
+        assert G.axis == pytest.approx(math.pi / 64, abs=1e-9)
 
 
 class TestImportFootprint:
