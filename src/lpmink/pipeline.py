@@ -509,9 +509,10 @@ def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
           cfg: PipelineConfig | None = None):
     """Construct a convex body whose Lp surface area measure is the input.
 
-    Classification decides the route; density inputs go through the
-    refinement loop with warm starts.  Raises AntipodalPairError for the one
-    nonexistence case; a loop that hits m_max returns its best body with a
+    Classification decides the route, once: atoms not in general position
+    go to solve_semicircle, which raises AntipodalPairError for the one
+    nonexistence case; density inputs go through the refinement loop with
+    warm starts, and a loop that hits m_max returns its best body with a
     no-convergence warning in the report.
     """
     if not 0.0 < p < 1.0:
@@ -519,12 +520,8 @@ def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
     cfg = cfg or PipelineConfig()
     G = G or SymmetryGroup.trivial()
     cls = classify_spec(spec)
-    if cls.tag == ANTIPODAL_PAIR:
-        raise AntipodalPairError(
-            "no body exists: the support is a pair of antipodal directions"
-        )
     if spec.is_purely_atomic():
-        if cls.tag in (SINGLE_DIRECTION, SEMICIRCLE):
+        if cls.tag != GENERAL_POSITION:
             return solve_semicircle(spec.atoms, cls, p, cfg, G)
         return solve_discrete(spec.atoms, p, G, cfg)
 
@@ -556,7 +553,9 @@ def _spec_invariant_under(spec: MeasureSpec, A: Isometry2, tol: float = 1e-9) ->
 
 def detect_symmetry(spec: MeasureSpec, max_order: int = 64) -> SymmetryGroup:
     """Largest cyclic/dihedral invariance group of the measure (brute probe
-    over candidate rotation orders and reflection axes)."""
+    over candidate rotation orders and reflection axes).  A reflection axis
+    maps the first atom onto some atom j, so it is the line at (t[0] +
+    t[j]) / 2: n candidates for n atoms."""
     best_k = 1
     for k in range(2, max_order + 1):
         if _spec_invariant_under(spec, Isometry2("rotation", TWO_PI / k)):
@@ -565,9 +564,8 @@ def detect_symmetry(spec: MeasureSpec, max_order: int = 64) -> SymmetryGroup:
     candidates = set()
     if spec.atoms is not None:
         t = spec.atoms.thetas
-        for i in range(len(t)):
-            for j in range(i, len(t)):
-                candidates.add(canonical_angle((t[i] + t[j]) / 2.0) % math.pi)
+        for tj in t:
+            candidates.add(canonical_angle((t[0] + tj) / 2.0) % math.pi)
     if spec.density is not None:
         # an axis of a symmetric knot set passes through a knot or halfway
         # between two neighbours, the pair across the seam included

@@ -9,9 +9,9 @@ stages.  Each Newton step is one O(n) cyclic-tridiagonal solve.  A measure on
 a closed semicircle is solved on the half body instead: the chord normal
 opposite the semicircle joins the normals with its support pinned at 0, so
 the origin lies on the chord, which carries no Lp mass, and each Newton step
-is one open-band tridiagonal solve.  A candidate above the residual tolerance
-raises NoConvergenceError.  Finite symmetry constraints are enforced by orbit
-averaging of the support numbers.
+is the same cyclic solve with the two couplings across the chord cut.  A
+candidate above the residual tolerance raises NoConvergenceError.  Finite
+symmetry constraints are enforced by orbit averaging of the support numbers.
 """
 
 from __future__ import annotations
@@ -206,29 +206,53 @@ def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
 
 
 class _Workspace:
-    """Fixed normal-set quantities: the gaps between normals and the three
-    bands of the cyclic tridiagonal edge form L (edge lengths = L h when all
-    facets are active, V = h.Lh/2)."""
+    """Fixed normal-set quantities of the sorted normals thetas: the gaps
+    from and to each normal and the three bands of the cyclic tridiagonal
+    edge form L (edge lengths = L h when all facets are active, V = h.Lh/2).
 
-    def __init__(self, thetas: np.ndarray, alphas: np.ndarray, p: float):
+    A chord, in [0, 2 pi), gives the half problem: the chord normal, its
+    support pinned at 0, lies opposite the normals' closed semicircle.  The
+    normals i = (k - 1) % n and j = k % n next to it, k its insertion point,
+    take their gaps to it, and its zero support cuts their couplings across
+    it: up[i] = lo[j] = 0.  Those gaps must be pi / 2 (less ATOM_MERGE_TOL)
+    or more, and less than pi, else ValueError.  The chord's own edge,
+    h_i / sin(gaps[i]) + h_j / sin(before[j]) with both sines in (0, 1], is
+    positive in floating point wherever h_i and h_j are, so the positivity
+    tests of h in _newton_polish are the chord's too."""
+
+    def __init__(self, thetas: np.ndarray, alphas: np.ndarray, p: float,
+                 chord: float | None = None):
         self.alpha = alphas
         self.p = p
-        self.n = len(thetas)
-        gaps = circular_gaps(thetas)
-        self.gaps = gaps
+        self.n = n = len(thetas)
+        gaps = circular_gaps(thetas)  # from each normal to the next
+        before = cyclic_shift(gaps, 1)  # to each normal from the last
+        if chord is not None:
+            k = int(np.searchsorted(thetas, chord))
+            i, j = (k - 1) % n, k % n
+            gaps[i], before[j] = circular_gaps(
+                np.concatenate((thetas[:k], [chord], thetas[k:])))[[k - 1, k]]
+            if not (min(gaps[i], before[j]) >= 0.5 * math.pi - ATOM_MERGE_TOL
+                    and max(gaps[i], before[j]) < math.pi):
+                raise ValueError("the normals next to the chord must be pi / 2 or more, "
+                                 "and less than pi, away from it")
+        self.gaps, self.before = gaps, before
         inv_sin = 1.0 / np.sin(gaps)
         cot = np.cos(gaps) * inv_sin
         self.diag = -(cot + cyclic_shift(cot, 1))
         self.up = inv_sin  # L[i, i+1]
         self.lo = cyclic_shift(inv_sin, 1)  # L[i, i-1]
+        if chord is not None:
+            self.diag[j] = -(cot[j] + np.cos(before[j]) * (1.0 / np.sin(before[j])))
+            self.up[i] = self.lo[j] = 0.0
         # index arrays: edge_form runs in every line-search step, and a
         # gather costs less than a concatenation at the sizes of most solves
-        idx = np.arange(self.n)
+        idx = np.arange(n)
         self.nxt = cyclic_shift(idx, -1)
         self.prv = cyclic_shift(idx, 1)
         # right-hand sides of solve_linear's gtsv call, Fortran order so
         # that gtsv overwrites them in place
-        self._rhs = np.empty((self.n, 2), order="F")
+        self._rhs = np.empty((n, 2), order="F")
 
     def edge_form(self, h: np.ndarray) -> np.ndarray:
         return self.diag * h + self.up * h[self.nxt] + self.lo * h[self.prv]
@@ -272,61 +296,6 @@ class _Workspace:
         vy = float(y[0]) + ratio * float(y[-1])
         vz = float(z[0]) + ratio * float(z[-1])
         return y - (vy / (1.0 + vz)) * z
-
-
-class _PinnedWorkspace(_Workspace):
-    """The workspace of the half problem: n normals on a closed semicircle
-    and the chord normal opposite it, whose support is pinned at 0.  Index i
-    is the i-th normal after the chord going round, order[i] its index among
-    the sorted normals, and the chord, last, is no unknown.  Its zero
-    support drops the two couplings L[0, chord] and L[n-1, chord] from the
-    edge form, so no row couples the two ends of the semicircle: up[n-1] =
-    lo[0] = 0, and L is one open band.  The chord's own edge length is
-    h_0 / sin(gaps[n]) + h_(n-1) / sin(gaps[n-1]), both sines in (0, 1]:
-    in floating point it is positive wherever h_0 and h_(n-1) are, so the
-    positivity tests of h in _newton_polish are the chord's too."""
-
-    def __init__(self, thetas: np.ndarray, chord: float, alphas: np.ndarray, p: float):
-        """thetas: the n >= 2 normals in increasing order, alphas their
-        masses in that order; chord: the chord normal, in [0, 2 pi).  The
-        normals next to the chord must be pi / 2 (less ATOM_MERGE_TOL) or
-        more from it, so that every normal lies on the semicircle, and less
-        than pi, so that the body is bounded, else ValueError."""
-        self.n = n = len(thetas)
-        self.k = k = int(np.searchsorted(thetas, chord))
-        self.normals = np.concatenate((thetas[:k], [chord], thetas[k:]))
-        # the n + 1 gaps from each normal to the next, the chord's last
-        self.gaps = gaps = cyclic_shift(circular_gaps(self.normals), -(k + 1))
-        if not (min(gaps[n - 1], gaps[n]) >= 0.5 * math.pi - ATOM_MERGE_TOL
-                and max(gaps[n - 1], gaps[n]) < math.pi):
-            raise ValueError("the normals next to the chord must be pi / 2 or more, "
-                             "and less than pi, away from it")
-        self.order = cyclic_shift(np.arange(n), -k)
-        self.alpha = alphas[self.order]
-        self.p = p
-        inv_sin = 1.0 / np.sin(gaps)
-        cot = np.cos(gaps) * inv_sin
-        self.diag = -(cot + cyclic_shift(cot, 1))[:n]
-        self.up = np.append(inv_sin[: n - 1], 0.0)
-        self.lo = np.append(0.0, inv_sin[: n - 1])
-        idx = np.arange(n)
-        self.nxt = cyclic_shift(idx, -1)
-        self.prv = cyclic_shift(idx, 1)
-
-    def support(self, h: np.ndarray) -> np.ndarray:
-        """The support numbers at normals, the chord's 0, of the unknowns h."""
-        n, k = self.n, self.k
-        return np.concatenate((h[n - k:], [0.0], h[: n - k]))
-
-    def solve_linear(self, J, rhs: np.ndarray) -> np.ndarray:
-        """Solve J x = rhs for the open band J: one LAPACK gtsv, overwriting
-        the bands.  A singular band raises LinAlgError."""
-        lo, d, up = J
-        *_, x, info = dgtsv(lo[1:], d, up[:-1], rhs, overwrite_dl=1, overwrite_d=1,
-                            overwrite_du=1)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return x
 
 
 def anchor_objective(P: Polygon, xi, mu: DiscreteMeasure, p: float) -> float:
@@ -445,9 +414,9 @@ def _reactivate(ws: _Workspace, h: np.ndarray):
     """Blend h toward its mean c until every row of edge_form clears the
     floor n 1e-15; return the blend and, when that is h itself,
     edge_form(h), else None.  The constant body has every facet active:
-    the polygon circumscribed about a disc or, on a _PinnedWorkspace, where
-    the chord's support stays 0, the half disc, whose chord edge is positive
-    and whose facets next to the chord, at pi / 2 or more from it, are too.
+    the polygon circumscribed about a disc or, on a workspace with a chord,
+    whose support stays 0, the half disc, whose chord edge is positive and
+    whose facets next to the chord, at pi / 2 or more from it, are too.
     The chord edge is positive wherever the blend is, and _newton_polish
     refuses a blend that is not.  edge_form is linear, so a row failing at
     h (NaN included) clears the floor past s_i = (floor - ell_i) / (ellc_i -
@@ -518,8 +487,7 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
 
 def _radial_init(ws: _Workspace) -> np.ndarray:
     """Per-atom radial guess from S_i ~ h_i^(2-p) * (angular weight)."""
-    w = 0.5 * (ws.gaps + cyclic_shift(ws.gaps, 1))
-    return (ws.alpha / w[: ws.n]) ** (1.0 / (2.0 - ws.p))
+    return (ws.alpha / (0.5 * (ws.gaps + ws.before))) ** (1.0 / (2.0 - ws.p))
 
 
 def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, average):
@@ -621,11 +589,13 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
 
     chord, an angle in [0, 2 pi), solves the half problem of a measure on
     the closed semicircle about chord + pi: the body has the chord normal
-    among its normals, with support 0, so the origin lies on its chord
-    (_PinnedWorkspace, which raises ValueError unless the atoms next to the
-    chord are pi / 2 or more, and less than pi, away from it).  A single
-    direction or an antipodal pair raises ConcentratedError.  G must map
-    the chord to itself.
+    among its normals, with support 0, so the origin lies on its chord.
+    Newton runs the whole circle's system on mu's normals with the two
+    couplings across the chord cut (_Workspace, which raises ValueError
+    unless the atoms next to the chord are pi / 2 or more, and less than pi,
+    away from it); the chord's 0 joins the support numbers only to build
+    the body.  A single direction or an antipodal pair raises
+    ConcentratedError.  G must map the chord to itself.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
@@ -666,16 +636,14 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
             raise ValueError("warm start h0 must provide one value per atom")
         h_init = h0 / body_scale
 
-    if chord is None:
-        ws = _Workspace(theta, alpha / mass_scale, p)
-        h, outer, newton = _newton_then_continuation(ws, h_init, cfg, average)
-        P = polygon_from_support(theta, average(h) * body_scale)
-    else:
-        ws = _PinnedWorkspace(theta, chord, alpha / mass_scale, p)
-        if orbits is not None:
-            average = orbits.permuted(ws.order).average
-        h, outer, newton = _newton_then_continuation(ws, h_init[ws.order], cfg, average)
-        P = polygon_from_support(ws.normals, ws.support(average(h) * body_scale))
+    ws = _Workspace(theta, alpha / mass_scale, p, chord)
+    h, outer, newton = _newton_then_continuation(ws, h_init, cfg, average)
+    h = average(h) * body_scale
+    if chord is not None:
+        k = int(np.searchsorted(theta, chord))
+        theta = np.concatenate((theta[:k], [chord], theta[k:]))
+        h = np.concatenate((h[:k], [0.0], h[k:]))
+    P = polygon_from_support(theta, h)
     res = measure_residual(P, mu, p)
     report = SolveReport(
         residual=res,

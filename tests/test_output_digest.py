@@ -1,6 +1,7 @@
 """tools/output_digest.py, run in-process on one seed of one workload."""
 
 import hashlib
+import json
 import os
 import re
 import sys
@@ -60,3 +61,37 @@ def test_per_case_lines_name_each_case(monkeypatch, capsys):
     case = cases[1]
     text = f"reduced-routes 1 {case.label}\n".encode() + tool.case_bytes(case)
     assert out[1] == f"reduced-routes 1 {case.label}: {hashlib.sha256(text).hexdigest()}"
+
+
+def test_dump_then_against_names_the_cases_that_moved(monkeypatch, capsys, tmp_path):
+    """--against a --dump of the same tree moves nothing; a dump edited at
+    one support number and one stage's Newton count names that case, with
+    the relative support change, and an edited outcome names its case."""
+    argv = ["--seeds", "1", "--workload", "reduced-routes"]
+    tool, out = run_tool(monkeypatch, capsys, argv + ["--dump", str(tmp_path)])
+    n = len(tool.workloads.generate("reduced-routes", 1))
+    _, again = run_tool(monkeypatch, capsys, argv + ["--against", str(tmp_path)])
+    assert again == out + [f"reduced-routes: 0 of {n} cases moved"]
+
+    path = tmp_path / "reduced-routes.jsonl"
+    cases = [json.loads(line) for line in path.read_text().splitlines()]
+    (head, text), (head2, text2) = cases[0], cases[1]
+    outcome, body, report = tool.outcome(text)
+    assert outcome == "ok" and report["loop_history"]
+    h = body["support"]
+    h1 = h[1]
+    h[1] = h1 * (1.0 + 1e-9)
+    report["loop_history"][0]["newton_iters"] += 1
+    cases[0][1] = (tool.dumps_canonical(body) + "\n" + tool.dumps_canonical(report) + "\n")
+    cases[1][1] = "NoConvergenceError: made up\n"
+    path.write_text("".join(json.dumps(case) + "\n" for case in cases))
+    _, moved = run_tool(monkeypatch, capsys, argv + ["--against", str(tmp_path)])
+    dh = abs(h[1] - h1) / max(map(abs, h))
+    assert moved == [
+        f"{head}: moved, ok -> ok, max |dh| / max h {dh:.2e} on {len(h)} equal normals, "
+        "Newton counts differ, continuation counts same, m_final same",
+        f"{head2}: moved, NoConvergenceError -> {tool.outcome(text2)[0]}, "
+        "no report on one side",
+        out[0],
+        f"reduced-routes: 2 of {n} cases moved",
+    ]

@@ -1304,6 +1304,29 @@ class TestDetectSymmetry:
         spec = MeasureSpec(DiscreteMeasure(TWO_PI * np.arange(k) / k, np.ones(k)), None)
         assert detect_symmetry(spec).label() == f"D{k}:0"
 
+    @pytest.mark.parametrize("dihedral", [False, True])
+    @pytest.mark.parametrize("k", range(1, 40))
+    def test_three_orbit_atoms(self, k, dihedral):
+        """Three orbits of C_k or D_k, one mass each: the group found is
+        the one they were built with, its first axis the least one in
+        [0, pi), which the candidates through the first atom include."""
+        rng = np.random.default_rng(1000 + 2 * k + dihedral)
+        axis = float(rng.uniform(0.0, TWO_PI))
+        t, m = [], []
+        for b, mass in zip(rng.uniform(0.0, TWO_PI / k, 3), (1.0, 2.0, 3.0)):
+            orbit = b + TWO_PI * np.arange(k) / k
+            if dihedral:
+                orbit = np.concatenate((orbit, 2.0 * axis - orbit))
+            t.append(orbit)
+            m.append(np.full(len(orbit), mass))
+        G = detect_symmetry(MeasureSpec(DiscreteMeasure(np.concatenate(t) % TWO_PI,
+                                                        np.concatenate(m)), None))
+        if not dihedral:
+            assert G.label() == ("trivial" if k == 1 else f"C{k}")
+            return
+        assert G.kind == "dihedral" and G.order_k == k
+        assert G.axis == pytest.approx(axis % (math.pi / k), abs=1e-9)
+
     def test_density_axis_between_two_knots(self):
         # the axis pi / 64 passes through no knot and is perpendicular to none
         t = np.linspace(0, TWO_PI, 64, endpoint=False)

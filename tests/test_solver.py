@@ -358,13 +358,13 @@ class TestNewtonLinearSolve:
         assert np.array_equal(h1, h2)
 
 
-def half_body_case(rng, n, ends=False):
-    """Sorted normals on the closed semicircle about a random w, on both
-    sides of w, the chord normal w + pi, and the support numbers there of a
-    centred ellipse with an axis along w: the half of a body symmetric
+def half_body_case(rng, n, ends=False, w=None):
+    """Sorted normals on the closed semicircle about w (random if None), on
+    both sides of w, the chord normal w + pi, and the support numbers there
+    of a centred ellipse with an axis along w: the half of a body symmetric
     across the chord, with every facet active.  With ends, two of the
     normals are the semicircle's ends w -+ pi / 2."""
-    w = float(rng.uniform(0.0, TWO_PI))
+    w = float(rng.uniform(0.0, TWO_PI)) if w is None else w
     s = rng.uniform(0.05, 0.5 * math.pi - 0.05, n - 2 if ends else n)
     s[: len(s) // 2] *= -1.0
     if ends:
@@ -375,34 +375,91 @@ def half_body_case(rng, n, ends=False):
     return theta, canonical_angles([w + math.pi])[0], h
 
 
-def chord_edge(ws, h):
+# w for a chord just above 0 and just below 2 pi: the chord's insertion
+# point k is 0 or n, and the couplings across it are the cyclic corners
+SEAM_W = {"k=0": math.pi + 0.02, "k=n": math.pi - 0.02}
+
+
+def across(theta, chord):
+    """The chord's insertion point k among the sorted normals theta and the
+    normals i = (k - 1) % n and j = k % n on either side of it."""
+    k = int(np.searchsorted(theta, chord))
+    return k, (k - 1) % len(theta), k % len(theta)
+
+
+def half_body(theta, chord, h):
+    """The half body: support h at the normals theta and 0 at the chord."""
+    k, _, _ = across(theta, chord)
+    return polygon_from_support(np.insert(theta, k, chord), np.insert(h, k, 0.0))
+
+
+def chord_edge(ws, theta, chord, h):
     """The chord's edge length at the unknowns h: L's chord row, h = 0 at
     the chord."""
-    return h[0] / math.sin(ws.gaps[ws.n]) + h[-1] / math.sin(ws.gaps[ws.n - 1])
+    _, i, j = across(theta, chord)
+    return h[i] / math.sin(ws.gaps[i]) + h[j] / math.sin(ws.before[j])
 
 
-def dense_band(J):
-    """The n x n matrix of the open band J = (lo, diag, up)."""
+def dense_cyclic(J):
+    """The n x n matrix of the cyclic band J = (lo, diag, up)."""
     lo, d, up = J
-    return np.diag(d) + np.diag(up[:-1], 1) + np.diag(lo[1:], -1)
+    n = len(d)
+    A = np.diag(d)
+    np.add.at(A, (np.arange(n), (np.arange(n) + 1) % n), up)
+    np.add.at(A, (np.arange(n), (np.arange(n) - 1) % n), lo)
+    return A
 
 
 class TestPinnedChord:
-    """solver._PinnedWorkspace, the half problem's Newton core: the chord
-    normal opposite a semicircle, its support pinned at 0, and an open-band
-    system on the other normals, indexed from the one after the chord."""
+    """_Workspace with a chord, the half problem's Newton core: the chord
+    normal opposite a semicircle, its support pinned at 0, and the whole
+    circle's cyclic system on the sorted normals with the two couplings
+    across the chord, (k - 1, k) for its insertion point k, cut."""
+
+    @staticmethod
+    def assert_half_body(theta, chord, h):
+        n = len(theta)
+        ws = _Workspace(theta, np.ones(n), 0.5, chord)
+        P = half_body(theta, chord, h)
+        assert P.active.all()
+        k, _, _ = across(theta, chord)
+        assert np.allclose(ws.edge_form(h), np.delete(P.lengths, k), rtol=1e-12, atol=1e-12)
+        assert chord_edge(ws, theta, chord, h) == pytest.approx(P.lengths[k], rel=1e-12)
+
+    @staticmethod
+    def assert_jacobian(ws, h, cut):
+        n, p = ws.n, ws.p
+        ell = ws.edge_form(h)
+        assert ell.min() > 0.0
+        J = dense_cyclic(ws.jacobian(h, h ** (1.0 - p), ell))
+
+        def F(x):
+            return x ** (1.0 - p) * ws.edge_form(x)
+
+        step = 1e-6
+        fd = np.column_stack([(F(h + step * e) - F(h - step * e)) / (2 * step)
+                              for e in np.eye(n)])
+        assert np.allclose(J, fd, rtol=1e-6, atol=1e-6 * np.abs(J).max())
+        # no row couples the two normals next to the chord
+        i, j = cut
+        assert fd[i, j] == fd[j, i] == J[i, j] == J[j, i] == 0.0
+
+    @staticmethod
+    def assert_solve(rng, ws, h):
+        n, p = ws.n, ws.p
+        rhs = rng.standard_normal(n)
+        J = ws.jacobian(h, h ** (1.0 - p), ws.edge_form(h))
+        dense = dense_cyclic(J)
+        x = ws.solve_linear(J, rhs)
+        ref = np.linalg.solve(dense, rhs)
+        cond = np.linalg.cond(dense)
+        assert cond < 1e10
+        assert np.linalg.norm(x - ref) <= 1e-13 * cond * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [2, 3, 40])
     def test_edge_form_is_the_half_body(self, rng, n):
         for ends in (False, True)[: n - 1]:  # n = 2 at both ends is an antipodal pair
-            theta, chord, h = half_body_case(rng, n, ends)
-            ws = solver._PinnedWorkspace(theta, chord, np.ones(n), 0.5)
-            P = polygon_from_support(ws.normals, ws.support(h[ws.order]))
-            assert P.active.all()
-            ell = ws.edge_form(h[ws.order])
-            lengths = P.lengths[np.arange(n + 1) != ws.k]
-            assert np.allclose(ell, lengths[ws.order], rtol=1e-12, atol=1e-12)
-            assert chord_edge(ws, h[ws.order]) == pytest.approx(P.lengths[ws.k], rel=1e-12)
+            self.assert_half_body(*half_body_case(rng, n, ends))
 
     def test_chord_edge_is_positive_with_its_neighbours(self, rng):
         # Newton tests h > 0 and the rows of edge_form; the chord's edge
@@ -412,48 +469,40 @@ class TestPinnedChord:
         for n in (2, 3, 40):
             for ends in (False, True)[: n - 1]:
                 theta, chord, _ = half_body_case(rng, n, ends)
-                ws = solver._PinnedWorkspace(theta, chord, np.ones(n), 0.5)
-                sines = np.sin(ws.gaps[n - 1:])
+                ws = _Workspace(theta, np.ones(n), 0.5, chord)
+                _, i, j = across(theta, chord)
+                sines = np.sin([ws.gaps[i], ws.before[j]])
                 assert (sines > 0.0).all() and (sines <= 1.0).all()
-                for h0, h1 in ((tiny, tiny), (tiny, 1e300), (1.0, tiny)):
+                for hi, hj in ((tiny, tiny), (tiny, 1e300), (1.0, tiny)):
                     h = np.ones(n)
-                    h[0], h[-1] = h0, h1
-                    assert chord_edge(ws, h) > 0.0
+                    h[i], h[j] = hi, hj
+                    assert chord_edge(ws, theta, chord, h) > 0.0
 
     @pytest.mark.parametrize("n", [3, 40])
     def test_jacobian_matches_central_differences(self, rng, n):
-        p = 0.4
         theta, chord, h = half_body_case(rng, n)
-        ws = solver._PinnedWorkspace(theta, chord, np.ones(n), p)
-        h = h[ws.order]
-        ell = ws.edge_form(h)
-        assert ell.min() > 0.0
-        J = dense_band(ws.jacobian(h, h ** (1.0 - p), ell))
-
-        def F(x):
-            return x ** (1.0 - p) * ws.edge_form(x)
-
-        step = 1e-6
-        fd = np.column_stack([(F(h + step * e) - F(h - step * e)) / (2 * step)
-                              for e in np.eye(n)])
-        assert np.allclose(J, fd, rtol=1e-6, atol=1e-6 * np.abs(J).max())
-        # no row couples the two ends of the semicircle
-        assert fd[0, n - 1] == fd[n - 1, 0] == 0.0
+        ws = _Workspace(theta, np.ones(n), 0.4, chord)
+        self.assert_jacobian(ws, h, across(theta, chord)[1:])
 
     @pytest.mark.parametrize("n", [2, 3, 401])
-    def test_open_band_solve_matches_dense_solve(self, rng, n):
-        p = 0.6
+    def test_cut_cyclic_solve_matches_dense_solve(self, rng, n):
         theta, chord, h = half_body_case(rng, n)
-        ws = solver._PinnedWorkspace(theta, chord, np.ones(n), p)
-        h = h[ws.order]
-        rhs = rng.standard_normal(n)
-        J = ws.jacobian(h, h ** (1.0 - p), ws.edge_form(h))
-        dense = dense_band(J)
-        x = ws.solve_linear(J, rhs)
-        ref = np.linalg.solve(dense, rhs)
-        cond = np.linalg.cond(dense)
-        assert cond < 1e10
-        assert np.linalg.norm(x - ref) <= 1e-13 * cond * np.linalg.norm(ref)
+        self.assert_solve(rng, _Workspace(theta, np.ones(n), 0.6, chord), h)
+
+    @pytest.mark.parametrize("seam", sorted(SEAM_W))
+    def test_seam_chord_cuts_the_cyclic_corners(self, rng, seam):
+        # k = 0 or n: the normals next to the chord are the last and the
+        # first, so the cut couplings are the corners J[n-1, 0] and J[0, n-1]
+        n = 40
+        theta, chord, h = half_body_case(rng, n, ends=True, w=SEAM_W[seam])
+        k, i, j = across(theta, chord)
+        assert k == {"k=0": 0, "k=n": n}[seam] and (i, j) == (n - 1, 0)
+        ws = _Workspace(theta, np.ones(n), 0.4, chord)
+        assert ws.up[-1] == ws.lo[0] == 0.0
+        assert (ws.up[:-1] > 0.0).all() and (ws.lo[1:] > 0.0).all()
+        self.assert_half_body(theta, chord, h)
+        self.assert_jacobian(ws, h, (i, j))
+        self.assert_solve(rng, ws, h)
 
     @pytest.mark.parametrize("n", [3, 4, 60])
     def test_half_disc_reactivation_target(self, rng, n):
@@ -464,11 +513,11 @@ class TestPinnedChord:
         th = np.sort(canonical_angles([w0 - math.pi / 2, w0 - 0.3, w0 + 0.8, w0 + math.pi / 2]))
         inputs.append((th, canonical_angles([w0 + math.pi])[0]))
         for theta, chord in inputs:
-            ws = solver._PinnedWorkspace(theta, chord, np.ones(len(theta)), 0.5)
+            ws = _Workspace(theta, np.ones(len(theta)), 0.5, chord)
             one = np.ones(ws.n)
             ell = ws.edge_form(one)
-            assert ell.min() > ws.n * 1e-15 and chord_edge(ws, one) > 0.0
-            assert polygon_from_support(ws.normals, ws.support(one)).active.all()
+            assert ell.min() > ws.n * 1e-15 and chord_edge(ws, theta, chord, one) > 0.0
+            assert half_body(theta, chord, one).active.all()
             # a start with a facet pushed out is blended back into the cone
             h = one.copy()
             i = int(np.argmin(ws.diag))

@@ -3,6 +3,8 @@
     python3 tools/output_digest.py --seeds 1-5
     python3 tools/output_digest.py --seeds 1,3 --workload reduced-routes
     python3 tools/output_digest.py --seeds 1 --per-case
+    python3 tools/output_digest.py --seeds 0-30 --dump DIR
+    python3 tools/output_digest.py --seeds 0-30 --against DIR
 
 For each workload and seed, every case of bench/workloads.py runs once as
 `lpmink solve` runs it: parse the measure JSON, read --symmetry, solve, and
@@ -12,8 +14,16 @@ or the error's type, message and report when lpmink raised.  Two commits
 that print the same digests produce the same bytes on every case.  With
 --per-case, a line "<workload> <seed> <label>: <sha256>" over the same
 bytes of that one case comes before each workload's line, so a change that
-moves one case names it.  Nothing under bench/ is written or changed; the
-script only imports its input generators.
+moves one case names it.
+
+--dump DIR writes every case's bytes to DIR/<workload>.jsonl, one case a
+line.  --against DIR compares each case with such a dump, made by another
+tree on the same seeds, and prints a line for each case that moved: the
+outcome on both sides (ok or the error's type), the largest |dh| / max h
+over the normals both bodies have, and whether the per-stage Newton counts,
+the per-stage continuation counts and m_final match.  After the workload's
+line comes "<workload>: <k> of <n> cases moved".  Nothing under bench/ is
+written or changed; the script only imports its input generators.
 """
 
 from __future__ import annotations
@@ -25,10 +35,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -60,6 +74,41 @@ def case_bytes(case) -> bytes:
     return (body + dumps_canonical(report.to_dict()) + "\n").encode()
 
 
+def outcome(text: str):
+    """(outcome, body dict or None, report dict or None) of a case's text:
+    outcome is "ok" or the error's type."""
+    if not text.startswith("{"):
+        error, _, rest = text.partition("\n")
+        return error.split(":", 1)[0], None, json.loads(rest) if rest else None
+    body, end = json.JSONDecoder().raw_decode(text)
+    return "ok", body, json.loads(text[end:])
+
+
+def counts(report) -> tuple:
+    """Per-stage Newton and continuation counts, and m_final, of a report."""
+    stages = report.get("loop_history") or [report]
+    return ([s["newton_iters"] for s in stages], [s["outer_iters"] for s in stages],
+            report.get("m_final"))
+
+
+def moved_line(head: str, old: str, new: str) -> str:
+    """How the case head moved from the text old to the text new."""
+    (was, body0, rep0), (now, body1, rep1) = outcome(old), outcome(new)
+    line = f"{head}: moved, {was} -> {now}"
+    if body0 is not None and body1 is not None:
+        t0, h0 = np.array(body0["normals_theta"]), np.array(body0["support"])
+        t1, h1 = np.array(body1["normals_theta"]), np.array(body1["support"])
+        _, i0, i1 = np.intersect1d(t0, t1, assume_unique=True, return_indices=True)
+        dh = float(np.abs(h1[i1] - h0[i0]).max() / np.abs(h0).max()) if len(i0) else math.nan
+        line += f", max |dh| / max h {dh:.2e} on {len(i0)} equal normals"
+    if rep0 is None or rep1 is None:
+        return line + ", no report on one side"
+    same = [a == b for a, b in zip(counts(rep0), counts(rep1))]
+    for name, eq in zip(("Newton counts", "continuation counts", "m_final"), same):
+        line += f", {name} {'same' if eq else 'differ'}"
+    return line
+
+
 def parse_seeds(text: str) -> list[int]:
     """"1-5" or "1,3,4" (ranges inclusive)."""
     seeds = []
@@ -76,20 +125,45 @@ def main(argv=None) -> int:
                     choices=["all", *workloads.WORKLOADS])
     ap.add_argument("--per-case", action="store_true",
                     help="also print one sha256 per workload, seed and case label")
+    ap.add_argument("--dump", type=Path, metavar="DIR",
+                    help="write every case's bytes to DIR/<workload>.jsonl")
+    ap.add_argument("--against", type=Path, metavar="DIR",
+                    help="name the cases that moved against a --dump of another tree")
     args = ap.parse_args(argv)
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     for name in names:
-        digest, n = hashlib.sha256(), 0
-        for seed in parse_seeds(args.seeds):
-            for case in workloads.generate(name, seed):
-                text = f"{name} {seed} {case.label}\n".encode() + case_bytes(case)
-                digest.update(text)
-                n += 1
-                if args.per_case:
-                    print(f"{name} {seed} {case.label}: {hashlib.sha256(text).hexdigest()}")
-        print(f"{name}: {digest.hexdigest()} ({n} cases)")
+        with contextlib.ExitStack() as files:
+            dump = against = None
+            if args.dump:
+                args.dump.mkdir(parents=True, exist_ok=True)
+                dump = files.enter_context(open(args.dump / f"{name}.jsonl", "w"))
+            if args.against:
+                against = files.enter_context(open(args.against / f"{name}.jsonl"))
+            digest, n, moved = hashlib.sha256(), 0, 0
+            for seed in parse_seeds(args.seeds):
+                for case in workloads.generate(name, seed):
+                    head = f"{name} {seed} {case.label}"
+                    out = case_bytes(case)
+                    text = f"{head}\n".encode() + out
+                    digest.update(text)
+                    n += 1
+                    if args.per_case:
+                        print(f"{head}: {hashlib.sha256(text).hexdigest()}")
+                    if dump:
+                        dump.write(json.dumps([head, out.decode()]) + "\n")
+                    if against:
+                        was_head, was = json.loads(against.readline() or "[null, null]")
+                        if was_head != head:
+                            raise SystemExit(f"{against.name} holds other cases")
+                        if was != out.decode():
+                            print(moved_line(head, was, out.decode()))
+                            moved += 1
+            if against and against.readline():
+                raise SystemExit(f"{against.name} holds other cases")
+            print(f"{name}: {digest.hexdigest()} ({n} cases)")
+            if against:
+                print(f"{name}: {moved} of {n} cases moved")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
