@@ -128,11 +128,6 @@ class Isometry2:
             return Isometry2("rotation", canonical_angle(-self.parameter))
         return self  # reflections are involutions
 
-    def is_identity(self, tol: float = ANGLE_TOL) -> bool:
-        return self.kind == "rotation" and (
-            self.parameter <= tol or TWO_PI - self.parameter <= tol
-        )
-
 
 IDENTITY = Isometry2("rotation", 0.0)
 
@@ -679,5 +674,6 @@ def group_orbit_maps(normals: np.ndarray, elements, tol: float = 1e-9) -> np.nda
 
 
 def group_orbit_map(normals: np.ndarray, A: Isometry2, tol: float = 1e-9) -> np.ndarray:
-    """The index map of the one element A (see group_orbit_maps)."""
+    """The index map of the one element A (see group_orbit_maps).  Only the
+    traced benchmark still wraps it; no solve path calls it."""
     return group_orbit_maps(normals, [A], tol)[0]

@@ -44,22 +44,21 @@ from .geometry import (
 )
 from .measure import (
     ANTIPODAL_PAIR,
-    ATOM_MERGE_TOL,
     GENERAL_POSITION,
     SEMICIRCLE,
     SINGLE_DIRECTION,
     DiscreteMeasure,
     MeasureClass,
     MeasureSpec,
+    PiecewiseLinearDensity,
     classify,
     lp_surface_measure,
 )
 from .solver import (
-    OrbitStructure,
     SolveReport,
     SolverConfig,
-    index_blocks,
     measure_residual,
+    orbit_partition,
     solve_discrete,
 )
 
@@ -168,89 +167,27 @@ def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, spec: MeasureSpec,
     raise CannotAvoidAtomsError("no subdivision base point clears the atom orbit")
 
 
-class GridMeasure(DiscreteMeasure):
-    """A grid measure from discretize_symmetric, with the orbit structure
-    its masses were averaged on, re-indexed to its sorted atoms: equal to
-    orbit_partition(thetas, G), or None for the trivial group.  The
-    orbits are read off how the grid is built, not matched, and the
-    refinement loop hands them to solve_discrete, so no stage matches
-    angles."""
-
-    def __init__(self, thetas, masses, orbits: OrbitStructure | None):
-        super().__init__(thetas, masses)
-        self.orbits = orbits
-
-
-def _grid_orbits(pts: np.ndarray, mids: np.ndarray, keep: np.ndarray,
-                 G: SymmetryGroup) -> OrbitStructure:
-    """The G-orbits of the kept arcs between the sorted cut points pts, in
-    arc order, arc j running from pts[j] to the next cut point and having
-    its midpoint at mids[j].  The n cut points are invariant under the
-    symmetry group of their regular lm-gon, which contains G: rotation by
-    2 pi / k maps arc j to arc j + n / k, and G's reflection maps arc j to
-    arc c - j - 1 (mod n), c being the index of its image of pts[0].  The
-    orbit of a representative r < n / k is thus its rotation images and,
-    for a dihedral G, those of its mirror arc; each block row lists them
-    in increasing order.  One check per generator confirms that it maps
-    every midpoint to within ATOM_MERGE_TOL of the midpoint its index map
-    names.  Kept arcs that are not a union of orbits raise
-    NotSymmetricError naming G."""
-    n, k = len(pts), G.order_k
-    shift = n // k
-    arcs = np.arange(n)
-    generators = [] if k == 1 else [(Isometry2("rotation", TWO_PI / k), (arcs + shift) % n)]
-    r = arcs[:shift]
-    rotations = shift * np.arange(k)
-    if G.kind == "dihedral":
-        s = Isometry2("reflection", G.axis)
-        d = np.abs(pts - s.apply_angle(pts[0]))
-        c = int(np.argmin(np.minimum(d, TWO_PI - d)))
-        generators.append((s, (c - 1 - arcs) % n))
-        q = (c - 1 - r) % shift  # r's mirror arc, up to rotation
-        pair = r < q
-        rows = np.stack((r[pair], q[pair]), axis=1)[:, None, :] + rotations[:, None]
-        blocks = [r[r == q, None] + rotations, rows.reshape(-1, 2 * k)]
-    else:
-        blocks = [r[:, None] + rotations]
-    for A, image in generators:
-        d = np.abs(mids[image] - A.apply_angles(mids))
-        off = np.minimum(d, TWO_PI - d) > ATOM_MERGE_TOL
-        if off.any():
-            i = int(np.argmax(off))
-            raise NotSymmetricError(
-                f"measure is not invariant under {G.label()}: the arc midpoint at "
-                f"{mids[i]:.12g} maps to {A.apply_angle(mids[i]):.12g}, "
-                f"not to a grid midpoint"
-            )
-    if keep.all():
-        return OrbitStructure(blocks)
-    rank = np.cumsum(keep) - 1
-    kept = []
-    for rows in blocks:
-        live = keep[rows]
-        split = (live != live[:, :1]).any(axis=1)
-        if split.any():
-            i = rows[np.argmax(split), 0]
-            raise NotSymmetricError(
-                f"measure is not invariant under {G.label()}: the orbit of the arc at "
-                f"{mids[i]:.12g} carries mass on some of its arcs only"
-            )
-        if live[:, 0].any():
-            kept.append(rank[rows[live[:, 0]]])
-    return OrbitStructure(kept)
+def index_blocks(labels: np.ndarray) -> list:
+    """Indices grouped by label, one matrix per group size with a row per group
+    in index order: a row-wise sum adds a row as it adds that group alone."""
+    size = np.bincount(labels)[labels]
+    order = np.lexsort((labels, size))
+    cuts = np.flatnonzero(np.diff(size[order])) + 1
+    return [rows.reshape(-1, size[rows[0]]) for rows in np.split(order, cuts) if rows.size]
 
 
 def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
-                         axis: float | None = None) -> GridMeasure:
+                         axis: float | None = None) -> DiscreteMeasure:
     """Arc-midpoint discretization on a G-symmetric subdivision.
 
     The circle is cut at the orbit of a base point under the symmetry group
     of a regular lm-gon containing G, with a reflection axis at axis (by
-    default G's); each arc's mass lands on its midpoint.  The G-orbits of
-    the arcs follow from that construction (_grid_orbits): no angles are
-    matched.  Masses are averaged over them, so the output is exactly
-    G-invariant.  The averages run over the midpoints in arc order, the
-    last of which usually wraps past 2 pi to the front of the sorted atoms.
+    default G's); each arc's mass lands on its midpoint, and zero-mass arcs
+    carry no atom.  The masses are averaged over the kept midpoints'
+    G-orbits (orbit_partition), so the output is exactly G-invariant, in
+    arc order: the last midpoint usually wraps past 2 pi to the front of
+    the sorted atoms.  Kept midpoints that are no union of orbits raise
+    NotSymmetricError.
     """
     pts = _symmetric_base_angles(G, l, m, spec, axis)
     n = len(pts)
@@ -267,12 +204,15 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
     if spec.density is not None:
         masses += spec.density.arc_masses(a, b)
     keep = masses > 0.0
-    orb = None if G.is_trivial else _grid_orbits(pts, mids, keep, G)
     mids, masses = mids[keep], masses[keep]
-    if orb is not None:
-        masses = orb.require_invariant(masses, f"arc masses differ across a {G.label()} orbit")
+    if not G.is_trivial:
+        try:
+            orbits = orbit_partition(mids, G)
+        except NotClosedUnderGroupError as exc:
+            raise NotSymmetricError(f"measure is not invariant under {G.label()}: {exc}") from exc
+        masses = orbits.require_invariant(masses, f"arc masses differ across a {G.label()} orbit")
     order = np.argsort(mids, kind="stable")
-    return GridMeasure(mids[order], masses[order], None if orb is None else orb.permuted(order))
+    return DiscreteMeasure(mids[order], masses[order])
 
 
 def _single_direction_body(w: float, mass: float, p: float) -> Polygon:
@@ -289,20 +229,22 @@ def _single_direction_body(w: float, mass: float, p: float) -> Polygon:
 def half_group(G: SymmetryGroup, cls: MeasureClass, spec: MeasureSpec) -> SymmetryGroup:
     """The group the half problem enforces for G: the trivial group, or D1
     across lin(cls.w), the one reflection that maps the semicircle and its
-    chord to themselves.  G must be one of these, with spec invariant under
-    it, else NotSymmetricError.  A reflection across lin(v) is checked on
-    spec first, so that the error names the symmetry spec lacks."""
+    chord to themselves; any other G raises NotSymmetricError.  No measure
+    of this class is invariant under the reflection across lin(v), which
+    maps the semicircle onto the opposite one.  A density is checked here,
+    and atoms where their orbits are built (solve_discrete and
+    discretize_symmetric)."""
     if G.is_trivial:
         return G
     if G.kind == "dihedral" and G.order_k == 1:
         v, w, axis = cls.v, cls.w, G.axis
         dv = min(circular_distance(axis, v), circular_distance(axis, v + math.pi))
         dw = min(circular_distance(axis, w), circular_distance(axis, w + math.pi))
+        if dw <= 1e-9 and (spec.density is None or _density_invariant_under(
+                spec.density, Isometry2("reflection", axis))):
+            return SymmetryGroup.dihedral(1, w)
         if min(dv, dw) <= 1e-9:
-            if not _spec_invariant_under(spec, Isometry2("reflection", axis)):
-                raise NotSymmetricError(f"measure is not invariant under {G.label()}")
-            if dw <= 1e-9:
-                return SymmetryGroup.dihedral(1, w)
+            raise NotSymmetricError(f"measure is not invariant under {G.label()}")
     raise NotSymmetricError(
         f"symmetry {G.label()} is incompatible with a semicircle-supported measure"
     )
@@ -344,7 +286,7 @@ def _loop_groups(G: SymmetryGroup) -> int:
     return {1: 3, 2: 4}[k]
 
 
-def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> GridMeasure:
+def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> DiscreteMeasure:
     """The grid measure at resolution m, as the refinement loop solves it:
     the arc-midpoint discretization on 2 l floor(m / l) equal arcs,
     l = _loop_groups(G), for every group including the trivial one (the
@@ -356,7 +298,7 @@ def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> Gri
     return discretize_symmetric(spec, G, l, max(2, m // l))
 
 
-def _half_grid(spec: MeasureSpec, m: int, H: SymmetryGroup, cls: MeasureClass) -> GridMeasure:
+def _half_grid(spec: MeasureSpec, m: int, H: SymmetryGroup, cls: MeasureClass) -> DiscreteMeasure:
     """The grid measure at resolution m of a measure on the closed semicircle
     about cls.w, for the half problem with the group H of half_group: the
     restriction to that semicircle of the whole circle's grid for H and the
@@ -369,7 +311,7 @@ def _half_grid(spec: MeasureSpec, m: int, H: SymmetryGroup, cls: MeasureClass) -
 
 
 def stage_measure(spec: MeasureSpec, m: int, G: SymmetryGroup,
-                  cls: MeasureClass) -> GridMeasure:
+                  cls: MeasureClass) -> DiscreteMeasure:
     """The grid measure the refinement loop solves at resolution m for spec,
     of classification cls, under the group G the loop enforces: for a
     semicircle class _half_grid's, G being half_group's, else
@@ -445,8 +387,7 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
         mu_m = stage_measure(spec, m, G, cls)
         h0 = None if prev_P is None else _interpolated_support(prev_P, mu_m.thetas, chord)
         try:
-            P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0, orbits=mu_m.orbits,
-                                        chord=chord)
+            P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0, chord=chord)
         except ConcentratedError as exc:
             raise NoConvergenceError(
                 f"stage m = {m}: the grid measure lies in a closed semicircle ({exc})"
@@ -542,13 +483,15 @@ def _spec_invariant_under(spec: MeasureSpec, A: Isometry2, tol: float = 1e-9) ->
             return False
         if np.max(np.abs(mu.masses[j] - mu.masses)) > tol * max(1.0, mu.masses.max()):
             return False
-    if spec.density is not None:
-        d = spec.density
-        probe = np.sort(np.unique(np.concatenate([d.knots, A.apply_angles(d.knots)])))
-        back = A.inverse().apply_angles(probe)
-        if np.max(np.abs(d.eval(probe) - d.eval(back))) > tol * max(1.0, d.values.max()):
-            return False
-    return True
+    return spec.density is None or _density_invariant_under(spec.density, A, tol)
+
+
+def _density_invariant_under(d: PiecewiseLinearDensity, A: Isometry2, tol: float = 1e-9) -> bool:
+    """Does d take the same values, within tol of max(1, max d), at its
+    knots and their images under A as at their preimages?"""
+    probe = np.sort(np.unique(np.concatenate([d.knots, A.apply_angles(d.knots)])))
+    back = A.inverse().apply_angles(probe)
+    return np.max(np.abs(d.eval(probe) - d.eval(back))) <= tol * max(1.0, d.values.max())
 
 
 def detect_symmetry(spec: MeasureSpec, max_order: int = 64) -> SymmetryGroup:

@@ -37,9 +37,11 @@ from .errors import (
 from .geometry import (
     Polygon,
     SymmetryGroup,
+    TWO_PI,
+    canonical_angles,
+    circular_distance,
     circular_gaps,
     cyclic_shift,
-    group_orbit_maps,
     polygon_from_support,
     unit_vectors,
 )
@@ -132,37 +134,14 @@ class SolveReport:
         return d
 
 
-def index_blocks(labels: np.ndarray) -> list:
-    """Indices grouped by label, one matrix per group size with a row per group
-    in index order: a row-wise sum adds a row as it adds that group alone."""
-    size = np.bincount(labels)[labels]
-    order = np.lexsort((labels, size))
-    cuts = np.flatnonzero(np.diff(size[order])) + 1
-    return [rows.reshape(-1, size[rows[0]]) for rows in np.split(order, cuts) if rows.size]
-
-
 @dataclass(eq=False)
 class OrbitStructure:
     """Partition of normal indices into orbits of a finite group action,
-    held as blocks: one matrix per orbit size, a row per orbit holding its
-    indices in increasing order.  == is identity: comparing the blocks
-    array by array would raise."""
+    held as blocks: one C-ordered matrix per orbit size, a row per orbit
+    holding its indices in increasing order.  == is identity: comparing the
+    blocks array by array would raise."""
 
     blocks: list
-
-    @property
-    def n(self) -> int:
-        """The number of indices partitioned."""
-        return sum(rows.size for rows in self.blocks)
-
-    def permuted(self, order: np.ndarray) -> "OrbitStructure":
-        """The same partition of the same points listed in a new order, new
-        index i being old index order[i]: each block mapped through the
-        inverse permutation, its rows sorted, so each row again lists its
-        orbit's indices in increasing order."""
-        inverse = np.empty(len(order), dtype=np.intp)
-        inverse[order] = np.arange(len(order))
-        return OrbitStructure([np.sort(inverse[rows], axis=1) for rows in self.blocks])
 
     def average(self, values: np.ndarray) -> np.ndarray:
         """Each value replaced by its orbit's mean, one row-wise mean per
@@ -185,24 +164,72 @@ class OrbitStructure:
         return mean
 
 
+def _arc_distance(a, b) -> np.ndarray:
+    """Arc length between directions a and b in any range: the difference
+    less its nearest multiple of 2 pi, as an unreduced one can reach 3 pi."""
+    d = a - b
+    d -= TWO_PI * np.rint(d * (1.0 / TWO_PI))
+    return np.abs(d, out=d)
+
+
 def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
-    """Orbits of the normal index set under the group action on angles,
-    matched within ATOM_MERGE_TOL by one group_orbit_maps lookup for every
-    element: the one matcher for arbitrary normals, such as atomic inputs.
-    The orbit of normal i is its image set {A(i) : A in G}, labelled by its
-    smallest index; a match that moves a label is no group action (normals
-    closer than 2 * ATOM_MERGE_TOL) and raises NotClosedUnderGroupError."""
-    theta = np.asarray(normals, dtype=float)
-    others = [A for A in G.elements() if not A.is_identity()]
-    images = np.vstack([np.arange(len(theta)), group_orbit_maps(theta, others, ATOM_MERGE_TOL)])
-    label = images.min(axis=0)
-    moved = (label[images] != label).any(axis=0)
-    if moved.any():
+    """Orbits of the normal index set under G, by index arithmetic on the n
+    sorted normals t (a measure's thetas already are).  Rotation by 2 pi / k
+    keeps cyclic order, so on an invariant set it maps t[i] to t[i + n / k]
+    and G's reflection, which reverses it, maps t[i] to t[c - i] (mod n),
+    c the normal nearest to the image of t[0].  One check per generator
+    confirms each map within ATOM_MERGE_TOL.  An orbit is then the rotation
+    images of an r < n / k and, for a dihedral G, of its mirror index, a
+    block row listing its input indices in increasing order.  Sets not
+    invariant, n not a multiple of k included, raise NotClosedUnderGroupError."""
+    t = np.asarray(normals, dtype=float)
+    order = None
+    if not (t[1:] > t[:-1]).all():
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+    if not (t[0] >= 0.0 and t[-1] < TWO_PI):
+        t = canonical_angles(normals)
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+    n, k = len(t), G.order_k
+    if n % k:
         raise NotClosedUnderGroupError(
-            f"the images of the normal at {theta[np.argmax(moved)]:.12g} under "
-            f"{G.label()} do not form an orbit"
+            f"{n} normals cannot be invariant under {G.label()}: {k} does not divide {n}"
         )
-    return OrbitStructure(index_blocks(label))
+    s = n // k
+    r, rotations = np.arange(s), s * np.arange(k)
+    maps = [] if k == 1 else [(cyclic_shift(t, -s), t + TWO_PI / k)]
+    if G.kind == "dihedral":
+        image = 2.0 * G.axis - t
+        j = int(np.searchsorted(t, image[0] % TWO_PI)) % n
+        c = min(j - 1, j, key=lambda x: circular_distance(t[x], image[0])) % n
+        maps.append((cyclic_shift(t[::-1], c + 1), image))
+        q = (c - r) % s  # r's mirror index, up to rotation
+        pair = r < q
+        rows = np.stack((r[pair], q[pair]), axis=1)[:, None, :] + rotations[:, None]
+        blocks = [r[r == q, None] + rotations, rows.reshape(-1, 2 * k)]
+    else:
+        blocks = [r[:, None] + rotations]
+    for mapped, image in maps:
+        near = _arc_distance(mapped, image) <= ATOM_MERGE_TOL
+        if not near.all():
+            raise _not_closed(t, canonical_angles(image), ~near, G)
+    if order is not None:
+        blocks = [np.sort(order[rows], axis=1) for rows in blocks]
+    return OrbitStructure([rows for rows in blocks if rows.size])
+
+
+def _not_closed(t, y, off, G: SymmetryGroup) -> NotClosedUnderGroupError:
+    """The error for sorted normals t whose images y miss their index map
+    where off holds: the first normal whose image has no normal within the
+    tolerance, else (normals closer than twice it) the first one off."""
+    j = np.searchsorted(t, y) % len(t)
+    near = np.minimum(_arc_distance(t[j - 1], y), _arc_distance(t[j], y)) <= ATOM_MERGE_TOL
+    if near.all():
+        return NotClosedUnderGroupError(f"the images of the normal at {t[np.argmax(off)]:.12g} "
+                                        f"under {G.label()} do not form an orbit")
+    i = np.argmin(near)
+    return NotClosedUnderGroupError(f"normal at {t[i]:.12g} maps to {y[i]:.12g}, not in the set")
 
 
 class _Workspace:
@@ -572,20 +599,16 @@ def _newton_then_continuation(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig,
 
 
 def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None,
-                   cfg: SolverConfig | None = None, h0=None,
-                   orbits: OrbitStructure | None = None, chord: float | None = None):
+                   cfg: SolverConfig | None = None, h0=None, chord: float | None = None):
     """Polygon P with S_{P,p} = mu for an atomic measure in general position,
     or, given chord, on a closed semicircle.
 
     Returns (Polygon, SolveReport).  Raises ConcentratedError when, without
     chord, the measure sits in a closed semicircle (use solve_semicircle),
     NotSymmetricError when mu is not invariant under the requested group,
-    and NoConvergenceError carrying the best report otherwise.  orbits, for
-    a nontrivial G, is the partition orbit_partition(mu.thetas, G) would
-    match, when the caller already has it: the refinement loop's grid
-    measures carry theirs, read off how the grid is built.  Without it the
-    orbits are matched here.  The masses are checked against the orbits
-    either way.
+    and NoConvergenceError carrying the best report otherwise.  A
+    nontrivial G is enforced on the orbits orbit_partition(mu.thetas, G)
+    builds, and the masses are checked against them.
 
     chord, an angle in [0, 2 pi), solves the half problem of a measure on
     the closed semicircle about chord + pi: the body has the chord normal
@@ -613,13 +636,10 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
         raise ConcentratedError(f"measure is {cls.tag}; the chord needs a proper semicircle")
 
     if not G.is_trivial:
-        if orbits is None:
-            try:
-                orbits = orbit_partition(theta, G)
-            except NotClosedUnderGroupError as exc:
-                raise NotSymmetricError(str(exc)) from exc
-        elif orbits.n != len(theta):
-            raise ValueError("orbits must index the atoms of mu")
+        try:
+            orbits = orbit_partition(theta, G)
+        except NotClosedUnderGroupError as exc:
+            raise NotSymmetricError(str(exc)) from exc
         orbits.require_invariant(alpha, "atom masses are not constant on group orbits")
         average = orbits.average
     else:

@@ -16,6 +16,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from lpmink import DiscreteMeasure, lp_surface_measure, polygon_from_support
+from lpmink.errors import NotClosedUnderGroupError
+from lpmink.geometry import canonical_angles, circular_distance
 from lpmink.measure import GENERAL_POSITION, classify
 
 TWO_PI = 2.0 * math.pi
@@ -26,6 +28,60 @@ def orbit_index_sets(orb):
     """Each orbit's indices in increasing order (the rows of orb.blocks),
     the orbits ordered by their smallest index."""
     return sorted((row for rows in orb.blocks for row in rows), key=lambda row: row[0])
+
+
+def reference_group_orbit_map(normals, A, tol=1e-9):
+    """One scalar nearest-neighbour match per normal."""
+    theta = canonical_angles(normals)
+    images = A.apply_angles(theta)
+    order = np.argsort(theta, kind="stable")
+    sorted_theta = theta[order]
+    perm = np.empty(len(theta), dtype=int)
+    for i, img in enumerate(images):
+        j = int(np.searchsorted(sorted_theta, img))
+        best, bestdist = -1, tol
+        for cand in (j - 1, j, j % len(theta)):
+            c = cand % len(theta)
+            d = circular_distance(sorted_theta[c], img)
+            if d <= bestdist:
+                best, bestdist = c, d
+        if best < 0:
+            raise NotClosedUnderGroupError(
+                f"normal at {theta[i]:.12g} maps to {img:.12g}, not in the set"
+            )
+        perm[i] = order[best]
+    return perm
+
+
+def reference_orbit_partition(normals, G, tol=1e-9):
+    """Union-find over the matches of every group element."""
+    theta = np.asarray(normals, dtype=float)
+    n = len(theta)
+    parent = np.arange(n)
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for A in G.elements():
+        perm = reference_group_orbit_map(theta, A, tol)
+        for i in range(n):
+            ri, rj = find(i), find(perm[i])
+            if ri != rj:
+                parent[ri] = rj
+    roots, orbits = {}, []
+    index_to_orbit = np.empty(n, dtype=int)
+    for i in range(n):
+        r = find(i)
+        if r not in roots:
+            roots[r] = len(orbits)
+            orbits.append([])
+        orbits[roots[r]].append(i)
+        index_to_orbit[i] = roots[r]
+    orbits = [np.asarray(o, dtype=int) for o in orbits]
+    return orbits, np.array([int(o.min()) for o in orbits]), index_to_orbit
 
 
 def import_bench_module(name):

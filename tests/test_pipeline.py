@@ -18,6 +18,7 @@ from conftest import (
     orbit_index_sets,
     random_general_position_measure,
     random_general_position_polygon,
+    reference_orbit_partition,
 )
 
 from lpmink import (
@@ -47,7 +48,13 @@ from lpmink.measure import (
 from lpmink import geometry, pipeline, solver
 from lpmink.cli import parse_symmetry
 from lpmink.errors import NoConvergenceError, NotSymmetricError
-from lpmink.geometry import Isometry2, apply_isometry, canonical_angle, support_distance
+from lpmink.geometry import (
+    Isometry2,
+    apply_isometry,
+    canonical_angle,
+    canonical_angles,
+    support_distance,
+)
 from lpmink.pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
@@ -56,8 +63,7 @@ from lpmink.pipeline import (
     ma_residual_from_samples,
 )
 from lpmink.serialization import measure_spec_from_dict
-from lpmink.solver import orbit_partition
-from lpmink.solver import SolverConfig, _Workspace
+from lpmink.solver import SolverConfig, _Workspace, orbit_partition
 
 TWO_PI = 2 * math.pi
 
@@ -152,7 +158,7 @@ class TestDiscretizeSymmetric:
         def broken(*args, **kwargs):
             raise MemoryError("out of memory")
 
-        monkeypatch.setattr(pipeline, "_grid_orbits", broken)
+        monkeypatch.setattr(pipeline, "orbit_partition", broken)
         with pytest.raises(MemoryError, match="out of memory"):
             discretize_symmetric(uniform_density_spec(), SymmetryGroup.cyclic(2), 4, 2)
 
@@ -595,7 +601,7 @@ class TestAtomicReducedRoutesHonourTheGroup:
             solve(asym, 0.5, SymmetryGroup.dihedral(1, w))
 
     def test_reflection_along_the_chord_is_checked_on_the_input(self):
-        # the reflection across lin(v) is checked on the input, which it does not fix
+        # the reflection across lin(v) fixes no semicircle input, and the error says so
         mu = DiscreteMeasure([0.5, 1.0, 2.0], [1.0, 3.0, 0.7])
         cls = classify(mu)
         assert cls.tag == SEMICIRCLE
@@ -842,71 +848,108 @@ def invariant_density_spec(G, psi, knots=240):
     return MeasureSpec(None, PiecewiseLinearDensity(t, f))
 
 
-HANDOFF_GROUPS = [("C", 2), ("C", 3), ("C", 4), ("D", 1), ("D", 2), ("D", 5)]
+STAGE_GROUPS = [("C", 2), ("C", 3), ("C", 4), ("D", 1), ("D", 2), ("D", 5)]
 
 
-def handoff_cases(rng):
-    for kind, k in HANDOFF_GROUPS:
+def stage_cases(rng):
+    for kind, k in STAGE_GROUPS:
         psi = float(rng.uniform(0.0, TWO_PI / k))
         G = SymmetryGroup.cyclic(k) if kind == "C" else SymmetryGroup.dihedral(k, psi % math.pi)
         yield G, invariant_density_spec(G, psi)
 
 
-def assert_same_orbits(orb, want):
-    got, want = orbit_index_sets(orb), orbit_index_sets(want)
+def assert_union_find_orbits(orb, normals, G):
+    """orb is the union-find's partition of normals under G."""
+    got, want = orbit_index_sets(orb), reference_orbit_partition(normals, G)[0]
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-class TestStageOrbitHandoff:
-    """Each symmetric stage reads its orbits off the grid in
-    discretize_symmetric and hands them to solve_discrete re-indexed to the
-    sorted atoms."""
+def arc_order_atoms(spec, G, l, m, axis=None):
+    """The kept arc midpoints of discretize_symmetric(spec, G, l, m, axis) in
+    arc order, the order in which it builds their orbits."""
+    pts = _symmetric_base_angles(G, l, m, spec, axis)
+    mids = canonical_angles(0.5 * (pts + np.append(pts[1:], pts[0] + TWO_PI)))
+    return mids[np.isin(mids, discretize_symmetric(spec, G, l, m, axis).thetas)]
 
-    def test_grid_orbits_equal_a_fresh_match(self, rng):
+
+def assert_stage_orbits(spec, G, l, m, axis=None):
+    """orbit_partition is the union-find on a stage's atoms, both in arc
+    order, as discretize_symmetric averages the masses, and sorted, as
+    solve_discrete averages the support numbers.  Returns them in arc order."""
+    mids = arc_order_atoms(spec, G, l, m, axis)
+    for normals in (mids, np.sort(mids)):
+        assert_union_find_orbits(orbit_partition(normals, G), normals, G)
+    return mids
+
+
+class TestStageOrbitHandoff:
+    """Each symmetric stage builds its orbits with orbit_partition twice:
+    in discretize_symmetric on the kept midpoints in arc order, and in
+    solve_discrete on the sorted atoms.  Both are the union-find's."""
+
+    def test_stage_orbits_equal_the_union_find(self, rng):
         wrapped = 0
-        for G, spec in handoff_cases(rng):
+        for G, spec in stage_cases(rng):
             l = pipeline._loop_groups(G)
             for m in (64, 128, 256, 512):
-                mu = discretize(spec, m, G)
-                assert_same_orbits(mu.orbits, orbit_partition(mu.thetas, G))
-                pts = _symmetric_base_angles(G, l, max(2, m // l), spec)
-                wrapped += 0.5 * (pts[-1] + pts[0] + TWO_PI) >= TWO_PI  # last midpoint
+                mids = assert_stage_orbits(spec, G, l, max(2, m // l))
+                assert np.array_equal(np.sort(mids), discretize(spec, m, G).thetas)
+                wrapped += mids[-1] < mids[0]
         assert wrapped
 
-    def test_solver_receives_the_grid_orbits(self, rng, monkeypatch):
-        handed = []
-        solve_discrete = pipeline.solve_discrete
+    def test_solver_builds_each_stages_orbits(self, rng, monkeypatch):
+        built = []
+        real = solver.orbit_partition
 
-        def spy(mu, p, G, cfg, h0=None, orbits=None, chord=None):
-            assert chord is None
-            handed.append((mu, G, orbits))
-            return solve_discrete(mu, p, G, cfg, h0=h0, orbits=orbits)
+        def spy(normals, G):
+            built.append((np.array(normals), G))
+            return real(normals, G)
 
-        monkeypatch.setattr(pipeline, "solve_discrete", spy)
-        for G, spec in handoff_cases(rng):
-            handed.clear()
+        monkeypatch.setattr(solver, "orbit_partition", spy)
+        for G, spec in stage_cases(rng):
+            built.clear()
             _, rep = solve(spec, 0.5, G)
-            assert len(handed) == len(rep.loop_history)
-            for mu, G_stage, orbits in handed:
-                assert G_stage == G
-                assert_same_orbits(orbits, orbit_partition(mu.thetas, G))
+            assert len(built) == len(rep.loop_history)
+            for (normals, G_stage), entry in zip(built, rep.loop_history):
+                assert G_stage == G and len(normals) == entry["n_atoms"]
+                assert_union_find_orbits(real(normals, G), normals, G)
 
     def test_no_angle_matching_in_density_solves(self, rng, monkeypatch):
+        # nor in atomic C_k and D_k solves, nor in semicircle solves under
+        # D1: angles are matched only by detect_symmetry
         calls = []
-        lookup = solver.group_orbit_maps
+        lookup = geometry.group_orbit_maps
 
         def counted(normals, elements, tol=1e-9):
             calls.append(len(normals))
             return lookup(normals, elements, tol)
 
-        monkeypatch.setattr(solver, "group_orbit_maps", counted)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "lpmink" and getattr(module, "group_orbit_maps", None) is lookup:
+                monkeypatch.setattr(module, "group_orbit_maps", counted)
         for k, dihedral, knots in ((4, False, 4096), (5, True, 4000)):
             spec, _, G = symmetric_manufactured_spec(k, dihedral, 0.5,
                                                      float(rng.uniform(0.0, TWO_PI / k)), knots)
             _, rep = solve(spec, 0.5, G)
             assert len(rep.loop_history) >= 2
+        for G in (SymmetryGroup.cyclic(3), SymmetryGroup.dihedral(4, 0.3),
+                  SymmetryGroup.dihedral(2, 1.1)):
+            base = rng.uniform(0.0, TWO_PI, 2)
+            thetas = np.concatenate([A.apply_angles(base) for A in G.elements()])
+            atoms = DiscreteMeasure(thetas, np.tile([1.0, 2.5], len(G.elements())))
+            _, rep = solve(MeasureSpec(atoms, None), 0.5, G)
+            assert rep.symmetry == G.label() and rep.residual <= 1e-6
+        w = float(rng.uniform(0.0, TWO_PI))
+        atoms = DiscreteMeasure([w - 1.2, w - 0.4, w, w + 0.4, w + 1.2], [1.0, 2.0, 0.5, 2.0, 1.0])
+        spec, _ = semicircle_manufactured_spec(0.5, w)
+        for semicircle in (MeasureSpec(atoms, None), spec):
+            G = SymmetryGroup.dihedral(1, classify_spec(semicircle).w)
+            _, rep = solve(semicircle, 0.5, G)
+            assert rep.classification == SEMICIRCLE and rep.symmetry == G.label()
         assert calls == []
+        assert detect_symmetry(MeasureSpec(atoms, None)).kind == "dihedral"
+        assert calls
 
     def test_hand_built_measures_are_still_checked(self, rng):
         G = SymmetryGroup.cyclic(4)
@@ -914,15 +957,13 @@ class TestStageOrbitHandoff:
         masses = mu.masses.copy()
         masses[3] *= 1.0 + 1e-6
         odd = DiscreteMeasure(mu.thetas, masses)
-        for orbits in (None, mu.orbits):
-            with pytest.raises(NotSymmetricError, match="not constant on group orbits"):
-                solver.solve_discrete(odd, 0.5, G, orbits=orbits)
+        with pytest.raises(NotSymmetricError, match="not constant on group orbits"):
+            solver.solve_discrete(odd, 0.5, G)
         moved = DiscreteMeasure(np.append(mu.thetas[1:], mu.thetas[0] + 1e-3), mu.masses)
         with pytest.raises(NotSymmetricError, match="not in the set"):
             solver.solve_discrete(moved, 0.5, G)
-        with pytest.raises(ValueError, match="must index the atoms"):
-            solver.solve_discrete(DiscreteMeasure(mu.thetas[1:], mu.masses[1:]), 0.5, G,
-                                  orbits=mu.orbits)
+        with pytest.raises(NotSymmetricError, match="cannot be invariant under C4"):
+            solver.solve_discrete(DiscreteMeasure(mu.thetas[1:], mu.masses[1:]), 0.5, G)
 
 
 def zero_arc_density_spec(G, psi, knots=240):
@@ -934,8 +975,8 @@ def zero_arc_density_spec(G, psi, knots=240):
 
 
 class TestGridOrbits:
-    """discretize_symmetric reads a grid's orbits off its index structure
-    (_grid_orbits): they must be those orbit_partition matches."""
+    """orbit_partition on grid measures, which follow the index structure of
+    their grid: the partitions must be the union-find's."""
 
     GROUPS = [(SymmetryGroup.cyclic(2), 4), (SymmetryGroup.dihedral(2, 0.4), 4),
               (SymmetryGroup.cyclic(5), 5), (SymmetryGroup.dihedral(5, 0.4), 5)]
@@ -944,18 +985,16 @@ class TestGridOrbits:
                              else str(x))
     def test_k_up_to_l(self, rng, G, l):
         for m in (2, 3, 16, 51):
-            mu = discretize_symmetric(invariant_density_spec(G, G.axis), G, l, m)
-            assert mu.n == 2 * l * m
-            assert_same_orbits(mu.orbits, orbit_partition(mu.thetas, G))
+            mids = assert_stage_orbits(invariant_density_spec(G, G.axis), G, l, m)
+            assert len(mids) == 2 * l * m
 
     @pytest.mark.parametrize("G, l", GROUPS, ids=lambda x: x.label() if isinstance(x, SymmetryGroup)
                              else str(x))
     def test_zero_mass_arcs_drop_as_orbits(self, G, l):
         spec = zero_arc_density_spec(G, G.axis)
         for m in (8, 32, 64):
-            mu = discretize_symmetric(spec, G, l, m)
-            assert 0 < mu.n < 2 * l * m
-            assert_same_orbits(mu.orbits, orbit_partition(mu.thetas, G))
+            mids = assert_stage_orbits(spec, G, l, m)
+            assert 0 < len(mids) < 2 * l * m
 
     @pytest.mark.parametrize("G, l", GROUPS, ids=lambda x: x.label() if isinstance(x, SymmetryGroup)
                              else str(x))
@@ -968,8 +1007,7 @@ class TestGridOrbits:
         spec = MeasureSpec(DiscreteMeasure(first, np.full(len(first), 0.5)), dens)
         pts = _symmetric_base_angles(G, l, m, spec)
         assert not np.isin(pts, first).any()
-        mu = discretize_symmetric(spec, G, l, m)
-        assert_same_orbits(mu.orbits, orbit_partition(mu.thetas, G))
+        assert_stage_orbits(spec, G, l, m)
 
     def test_half_grid_reflects_across_the_semicircle_centre(self, rng):
         # the half group's axis lin(w) is not the grid's axis lin(v)
@@ -978,52 +1016,58 @@ class TestGridOrbits:
             cls = classify_spec(spec)
             H = pipeline.half_group(SymmetryGroup.dihedral(1, cls.w), cls, spec)
             for m in (64, 128, 256):
-                mu = pipeline._half_grid(spec, m, H, cls)
-                assert_same_orbits(mu.orbits, orbit_partition(mu.thetas, H))
+                mids = assert_stage_orbits(spec, H, 4, m // 4, cls.v)
+                assert np.array_equal(np.sort(mids), pipeline._half_grid(spec, m, H, cls).thetas)
 
     @pytest.mark.parametrize("G", [SymmetryGroup.cyclic(4), SymmetryGroup.dihedral(5, 0.4)],
                              ids=lambda G: G.label())
     def test_kept_arcs_that_split_an_orbit_raise(self, G):
+        # one atom at the midpoint of each chosen arc keeps exactly those
         l, m = G.order_k, 4
-        spec = invariant_density_spec(G, G.axis)
-        pts = _symmetric_base_angles(G, l, m, spec)
-        mids = (0.5 * (pts + np.append(pts[1:], pts[0] + TWO_PI))) % TWO_PI
-        keep = np.ones(len(pts), dtype=bool)
-        assert pipeline._grid_orbits(pts, mids, keep, G).n == len(pts)
-        keep[3] = False
-        with pytest.raises(NotSymmetricError, match=f"not invariant under {G.label()}: "
-                                                    "the orbit of the arc at"):
-            pipeline._grid_orbits(pts, mids, keep, G)
+        pts = _symmetric_base_angles(G, l, m, uniform_density_spec())
+        mids = canonical_angles(0.5 * (pts + np.append(pts[1:], pts[0] + TWO_PI)))
+
+        def on_arcs(arcs):
+            return MeasureSpec(DiscreteMeasure(mids[arcs], np.ones(len(arcs))), None)
+
+        arcs = np.arange(len(pts))
+        assert discretize_symmetric(on_arcs(arcs), G, l, m).n == len(pts)
+        lacks = f"not invariant under {G.label()}: "
+        with pytest.raises(NotSymmetricError, match=f"{lacks}{len(pts) - 1} normals cannot be "
+                                                    f"invariant under {G.label()}"):
+            discretize_symmetric(on_arcs(np.delete(arcs, 3)), G, l, m)
+        with pytest.raises(NotSymmetricError, match=f"{lacks}normal at .* not in the set"):
+            discretize_symmetric(on_arcs(np.delete(arcs, np.arange(3, 3 + G.order_k))), G, l, m)
 
     def test_a_grid_off_the_group_axis_raises(self):
         G = SymmetryGroup.dihedral(1, 0.3)
-        with pytest.raises(NotSymmetricError, match="not invariant under D1:0.3: the arc "
-                                                    "midpoint at .* not to a grid midpoint"):
+        with pytest.raises(NotSymmetricError, match="not invariant under D1:0.3: normal at "
+                                                    ".* not in the set"):
             discretize_symmetric(invariant_density_spec(G, 0.3), G, 4, 8, axis=0.0)
 
     @pytest.mark.parametrize("k, dihedral, knots", [(4, False, 4096), (5, True, 4000)])
-    def test_bench_densities_solve_alike_without_the_grid_orbits(self, monkeypatch, k, dihedral,
-                                                                 knots):
+    def test_bench_densities_match_union_find_orbits(self, monkeypatch, k, dihedral, knots):
+        # the union-find's orbits, in blocks whose rows list their indices
+        # in increasing order, in place of the index arithmetic's: the same
+        # sums, so every stage gives the same bytes
         workloads = import_bench_module("workloads")
         case = workloads.symmetric_density(np.random.default_rng(1), k, dihedral, 0.5, knots)
         spec = measure_spec_from_dict(json.loads(case.measure_json))
         G = parse_symmetry(case.symmetry, spec)
-        real = pipeline.solve_discrete
-        stages = []
+        P, rep = solve(spec, case.p, G)
 
-        def both(mu, p, G, cfg, h0=None, orbits=None, chord=None):
-            P, rep = real(mu, p, G, cfg, h0=h0, orbits=orbits, chord=chord)
-            Q, _ = real(mu, p, G, cfg, h0=h0, orbits=None, chord=chord)
-            stages.append((P, Q))
-            return P, rep
+        def union_find(normals, G):
+            labels = reference_orbit_partition(normals, G)[2]
+            return solver.OrbitStructure(pipeline.index_blocks(labels))
 
-        monkeypatch.setattr(pipeline, "solve_discrete", both)
-        solve(spec, case.p, G)
-        assert len(stages) >= 2
-        for P, Q in stages:
-            assert np.array_equal(P.normals, Q.normals)
-            assert np.array_equal(P.support, Q.support)
-            assert np.array_equal(P.vertices, Q.vertices)
+        monkeypatch.setattr(solver, "orbit_partition", union_find)
+        monkeypatch.setattr(pipeline, "orbit_partition", union_find)
+        Q, rep_q = solve(spec, case.p, G)
+        assert len(rep.loop_history) >= 2
+        assert rep_q.loop_history == rep.loop_history
+        assert np.array_equal(P.normals, Q.normals)
+        assert np.array_equal(P.support, Q.support)
+        assert np.array_equal(P.vertices, Q.vertices)
 
 
 class TestNoSweepOnAllActiveSolves:

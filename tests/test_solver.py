@@ -8,7 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import import_bench_module, orbit_index_sets, random_general_position_polygon
+from conftest import (
+    import_bench_module,
+    orbit_index_sets,
+    random_general_position_polygon,
+    reference_group_orbit_map,
+    reference_orbit_partition,
+)
 
 from lpmink import (
     DiscreteMeasure,
@@ -37,7 +43,6 @@ from lpmink.errors import (
 from lpmink.geometry import (
     Isometry2,
     canonical_angles,
-    circular_distance,
     group_orbit_map,
     group_orbit_maps,
     unit_vectors,
@@ -821,62 +826,6 @@ class TestOrbits:
         assert orb != orbit_partition(np.array(SQ), SymmetryGroup.dihedral(1, axis=0.0))
 
 
-def reference_group_orbit_map(normals, A, tol=1e-9):
-    """One scalar nearest-neighbour match per normal."""
-    theta = canonical_angles(normals)
-    images = A.apply_angles(theta)
-    order = np.argsort(theta, kind="stable")
-    sorted_theta = theta[order]
-    perm = np.empty(len(theta), dtype=int)
-    for i, img in enumerate(images):
-        j = int(np.searchsorted(sorted_theta, img))
-        best, bestdist = -1, tol
-        for cand in (j - 1, j, j % len(theta)):
-            c = cand % len(theta)
-            d = circular_distance(sorted_theta[c], img)
-            if d <= bestdist:
-                best, bestdist = c, d
-        if best < 0:
-            raise NotClosedUnderGroupError(
-                f"normal at {theta[i]:.12g} maps to {img:.12g}, not in the set"
-            )
-        perm[i] = order[best]
-    return perm
-
-
-def reference_orbit_partition(normals, G, tol=1e-9):
-    """Union-find over the matches of every group element."""
-    theta = np.asarray(normals, dtype=float)
-    n = len(theta)
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for A in G.elements():
-        if A.is_identity():
-            continue
-        perm = reference_group_orbit_map(theta, A, tol)
-        for i in range(n):
-            ri, rj = find(i), find(perm[i])
-            if ri != rj:
-                parent[ri] = rj
-    roots, orbits = {}, []
-    index_to_orbit = np.empty(n, dtype=int)
-    for i in range(n):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(orbits)
-            orbits.append([])
-        orbits[roots[r]].append(i)
-        index_to_orbit[i] = roots[r]
-    orbits = [np.asarray(o, dtype=int) for o in orbits]
-    return orbits, np.array([int(o.min()) for o in orbits]), index_to_orbit
-
-
 def reference_average(orbits, values):
     out = np.empty_like(values, dtype=float)
     for orb in orbits:
@@ -884,10 +833,11 @@ def reference_average(orbits, values):
     return out
 
 
-def invariant_normals(rng, G, n_free, n_axis=0, seam=False):
+def invariant_normals(rng, G, n_free, n_axis=0, seam=False, extra=()):
     """G-orbits of random angles, plus orbits of points on reflection axes
-    (half size under D_k) and of points within 1e-13 of the seam at 0."""
-    base = list(rng.uniform(0.0, TWO_PI, n_free))
+    (half size under D_k), of points near the seam at 0 and of the extra
+    points."""
+    base = list(rng.uniform(0.0, TWO_PI, n_free)) + list(extra)
     if G.kind == "dihedral":
         k = G.order_k
         base += [G.axis + math.pi * j / k for j in rng.integers(0, 2 * k, n_axis)]
@@ -972,39 +922,92 @@ class TestOrbitMapAgainstUnionFind:
         (SymmetryGroup.dihedral(5, 1.0), SymmetryGroup.dihedral(1, 1.0)),
     ], ids=lambda G: G.label())
     def test_not_closed_messages_name_the_first_failing_element(self, rng, G, sub):
-        # Normals closed under a subgroup of G only: the message names the
-        # first normal, in input order, that the first failing element of G
-        # maps out of the set, as one reference match per element does.
+        # Normals closed under a subgroup of G only.  n not a multiple of k
+        # is named as such; else the message names the first sorted normal
+        # that the first failing generator (rotation by 2 pi / k, then the
+        # reflection) maps out of the set, as the reference match does.
+        k = G.order_k
+        generators = [Isometry2("rotation", TWO_PI / k)]
+        if G.kind == "dihedral":
+            generators.append(Isometry2("reflection", G.axis))
         for _ in range(3):
             theta = invariant_normals(rng, sub, 4, n_axis=1)
-            for A in G.elements():
-                try:
-                    reference_group_orbit_map(theta, A)
-                except NotClosedUnderGroupError as exc:
-                    want = str(exc)
-                    break
+            if len(theta) % k:
+                want = f"{len(theta)} normals cannot be invariant under {G.label()}: "
+                want += f"{k} does not divide {len(theta)}"
+            else:
+                for A in generators:
+                    try:
+                        reference_group_orbit_map(np.sort(theta), A)
+                    except NotClosedUnderGroupError as exc:
+                        want = str(exc)
+                        break
             with pytest.raises(NotClosedUnderGroupError) as got:
                 orbit_partition(theta, G)
             assert str(got.value) == want
             mu = DiscreteMeasure(theta, np.ones(len(theta)))
             with pytest.raises(NotSymmetricError) as wrapped:
                 solve_discrete(mu, 0.5, G)
-            with pytest.raises(NotClosedUnderGroupError) as sorted_got:
-                orbit_partition(mu.thetas, G)
-            assert str(wrapped.value) == str(sorted_got.value)
+            assert str(wrapped.value) == want
 
     def test_non_injective_match_raises(self):
-        # normals 1.5e-9 apart: both map to the one image of the antipode,
-        # so the matching is no group action; the union-find merged them
-        theta = np.array([0.0, 1.5e-9, math.pi + 0.75e-9])
+        # pairs of normals 1.5e-9 apart: every image under C2 lies within
+        # the tolerance of a normal, but a nearest match maps both normals
+        # of a pair onto one, which is no group action, so the index map
+        # fails with every image in the set; the union-find merged them
+        x = 0.75e-9
+        theta = np.array([0.0, 2 * x, math.pi + x, 1.0 - x, 1.0 + x, math.pi + 1.0])
         G = SymmetryGroup.cyclic(2)
-        assert len(reference_orbit_partition(theta, G)[0]) == 1
-        with pytest.raises(NotClosedUnderGroupError, match="do not form an orbit"):
+        assert len(reference_orbit_partition(theta, G)[0]) == 2
+        with pytest.raises(NotClosedUnderGroupError,
+                           match="^the images of the normal at 0 under C2 do not form an orbit$"):
             orbit_partition(theta, G)
-        mu = DiscreteMeasure(np.append(theta, [0.5 * math.pi, 1.5 * math.pi]), [1.0] * 5)
-        assert mu.n == 5
+        mu = DiscreteMeasure(theta, [1.0] * 6)
+        assert mu.n == 6
         with pytest.raises(NotSymmetricError, match="do not form an orbit"):
             solve_discrete(mu, 0.5, G)
+        with pytest.raises(NotClosedUnderGroupError, match="^3 normals cannot be invariant under "
+                                                           "C2: 2 does not divide 3$"):
+            orbit_partition(theta[:3], G)
+
+    def test_index_arithmetic_equals_the_union_find(self, rng):
+        # 420 random C_k and D_k invariant sets, k <= 12, shuffled, some with
+        # points on reflection axes and one within 1e-13 of the seam; each
+        # partitioned as given and, on the fast path, sorted
+        for trial in range(420):
+            k = int(rng.integers(1, 13))
+            if trial % 2 or k == 1:
+                G = SymmetryGroup.dihedral(k, float(rng.uniform(0.0, TWO_PI)))
+            else:
+                G = SymmetryGroup.cyclic(k)
+            seam = [float(rng.choice([5e-14, 9e-14, TWO_PI - 5e-14, TWO_PI - 9e-14]))]
+            theta = invariant_normals(rng, G, int(rng.integers(1, 5)), int(rng.integers(0, 3)),
+                                      extra=seam if trial % 3 == 0 else ())
+            want = reference_orbit_partition(theta, G)[0]
+            rank = np.argsort(np.argsort(theta))  # index in the sorted normals
+            want_sorted = sorted((np.sort(rank[o]) for o in want), key=lambda o: o[0])
+            for normals, orbits in ((theta, want), (np.sort(theta), want_sorted)):
+                orb = orbit_partition(normals, G)
+                got = orbit_index_sets(orb)
+                assert len(got) == len(orbits)
+                assert all(np.array_equal(a, b) for a, b in zip(got, orbits))
+                values = rng.uniform(0.5, 2.0, len(normals))
+                assert orb.average(values).tobytes() == reference_average(orbits, values).tobytes()
+
+    def test_k2_image_differences_wrap_mod_two_pi(self):
+        # A D2 pair the rotation by pi fixes: the reflection across 1.0 maps
+        # 2.6 to -0.6, and the difference 2.6 + pi - (-0.6) is just above
+        # 2 pi, so read without its reduction mod 2 pi, 2 pi - d is negative
+        # and the check would pass
+        theta = np.array([2.6, 2.6 + math.pi])
+        G = SymmetryGroup.dihedral(2, 1.0)
+        with pytest.raises(NotClosedUnderGroupError) as ref:
+            reference_orbit_partition(theta, G)
+        with pytest.raises(NotClosedUnderGroupError) as got:
+            orbit_partition(theta, G)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith("normal at 2.6 maps to 5.68318530718")
+        assert orbit_index_sets(orbit_partition(theta, SymmetryGroup.cyclic(2)))[0].tolist() == [0, 1]
 
     @pytest.mark.parametrize("G", [SymmetryGroup.cyclic(64), SymmetryGroup.dihedral(80, 0.2)],
                              ids=lambda G: G.label())
