@@ -197,7 +197,7 @@ def cmd_discretize(args) -> int:
     G = parse_symmetry(args.symmetry, spec)
     cls = classify_spec(spec)
     if cls.tag == SEMICIRCLE:
-        G = half_group(G, cls, spec)
+        G = half_group(G, cls)
     mu = stage_measure(spec, args.m, G, cls)
     payload = discrete_measure_to_dict(mu)
     if args.output:

@@ -123,11 +123,6 @@ class Isometry2:
     def apply_points(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(pts, dtype=float) @ self.matrix.T
 
-    def inverse(self) -> "Isometry2":
-        if self.kind == "rotation":
-            return Isometry2("rotation", canonical_angle(-self.parameter))
-        return self  # reflections are involutions
-
 
 IDENTITY = Isometry2("rotation", 0.0)
 
@@ -646,34 +641,26 @@ def in_positive_hull(theta: float, generators) -> bool:
     return offset <= width + ANGLE_TOL or offset >= TWO_PI - ANGLE_TOL
 
 
-def group_orbit_maps(normals: np.ndarray, elements, tol: float = 1e-9) -> np.ndarray:
-    """Row e: the index map sending each normal to its image under
-    elements[e], the nearer of the image's two cyclic neighbours among the
-    sorted normals, ties to the later one, when it lies within tol.  The
-    normals are sorted once and one searchsorted places the stacked images
-    of every element; the rule applies elementwise, so a row does not depend
-    on the other elements.  NotClosedUnderGroupError names the first normal
-    of the first element whose image is not in the set."""
+def group_orbit_map(normals: np.ndarray, A: Isometry2, tol: float = 1e-9) -> np.ndarray:
+    """The index map sending each normal to its image under A, the nearer
+    of the image's two cyclic neighbours among the sorted normals, ties to
+    the later one, when it lies within tol; NotClosedUnderGroupError names
+    the first normal whose image is not in the set.  Only the traced
+    benchmark still wraps it; no lpmink code path calls it."""
     theta = canonical_angles(normals)
     n = len(theta)
-    images = np.array([A.apply_angles(theta) for A in elements]).reshape(len(elements), n)
+    image = A.apply_angles(theta)
     order = np.argsort(theta, kind="stable")
     sorted_theta = theta[order]
-    j = np.searchsorted(sorted_theta, images)
+    j = np.searchsorted(sorted_theta, image)
     cand = np.stack([j - 1, j]) % n
-    d = np.abs(sorted_theta[cand] - images)
+    d = np.abs(sorted_theta[cand] - image)
     d = np.minimum(d, TWO_PI - d)
     later = d[1] <= np.minimum(d[0], tol)
     hit = later | (d[0] <= tol)
     if not hit.all():
-        e, i = divmod(int(np.argmin(hit)), n)
+        i = int(np.argmin(hit))
         raise NotClosedUnderGroupError(
-            f"normal at {theta[i]:.12g} maps to {images[e, i]:.12g}, not in the set"
+            f"normal at {theta[i]:.12g} maps to {image[i]:.12g}, not in the set"
         )
     return order[np.where(later, cand[1], cand[0])]
-
-
-def group_orbit_map(normals: np.ndarray, A: Isometry2, tol: float = 1e-9) -> np.ndarray:
-    """The index map of the one element A (see group_orbit_maps).  Only the
-    traced benchmark still wraps it; no solve path calls it."""
-    return group_orbit_maps(normals, [A], tol)[0]

@@ -30,7 +30,6 @@ from .errors import (
 from .geometry import (
     ANGLE_TOL,
     TWO_PI,
-    Isometry2,
     Polygon,
     SymmetryGroup,
     canonical_angle,
@@ -38,7 +37,6 @@ from .geometry import (
     circular_distance,
     cyclic_shift,
     dilate,
-    group_orbit_maps,
     polygon_from_support,
     support_distance,
 )
@@ -50,7 +48,6 @@ from .measure import (
     DiscreteMeasure,
     MeasureClass,
     MeasureSpec,
-    PiecewiseLinearDensity,
     classify,
     lp_surface_measure,
 )
@@ -140,13 +137,18 @@ def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, spec: MeasureSpec,
                            axis: float | None = None):
     """G_m-orbit of a base point avoiding every atom image, G_m being the
     symmetry group of the regular lm-gon with a reflection axis at axis,
-    by default G's (0 for a group without one)."""
+    by default G's (0 for a group without one).  G_m contains G when k
+    divides l and G's axes are among G_m's, else the grid is at fault."""
     if l < 3 or m < 2:
         raise ValueError("need l >= 3 and m >= 2")
     if G.kind in ("cyclic", "dihedral") and l % max(G.order_k, 1) != 0:
         raise NotSymmetricError(f"group order {G.order_k} does not divide l = {l}")
     phi0 = axis if axis is not None else G.axis if G.kind == "dihedral" else 0.0
     lm = l * m
+    off = (G.axis - phi0) % (math.pi / lm) if G.kind == "dihedral" else 0.0
+    if min(off, math.pi / lm - off) > 1e-9:
+        raise ValueError(f"grid axis {phi0:.12g} is not an axis of {G.label()}: it differs "
+                         f"from {G.axis:.12g} by no multiple of pi / {lm}")
     step = TWO_PI / lm
     atoms = spec.atoms.thetas if spec.atoms is not None else np.array([])
     base = phi0 + math.pi / (2.0 * lm)
@@ -210,7 +212,8 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
             orbits = orbit_partition(mids, G)
         except NotClosedUnderGroupError as exc:
             raise NotSymmetricError(f"measure is not invariant under {G.label()}: {exc}") from exc
-        masses = orbits.require_invariant(masses, f"arc masses differ across a {G.label()} orbit")
+        masses = orbits.require_invariant(masses, f"measure is not invariant under {G.label()}: "
+                                                  f"arc masses differ across a {G.label()} orbit")
     order = np.argsort(mids, kind="stable")
     return DiscreteMeasure(mids[order], masses[order])
 
@@ -226,25 +229,23 @@ def _single_direction_body(w: float, mass: float, p: float) -> Polygon:
     return dilate(K0, lam0)
 
 
-def half_group(G: SymmetryGroup, cls: MeasureClass, spec: MeasureSpec) -> SymmetryGroup:
-    """The group the half problem enforces for G: the trivial group, or D1
-    across lin(cls.w), the one reflection that maps the semicircle and its
-    chord to themselves; any other G raises NotSymmetricError.  No measure
-    of this class is invariant under the reflection across lin(v), which
-    maps the semicircle onto the opposite one.  A density is checked here,
-    and atoms where their orbits are built (solve_discrete and
-    discretize_symmetric)."""
+def half_group(G: SymmetryGroup, cls: MeasureClass) -> SymmetryGroup:
+    """The group a measure of the concentrated class cls (a semicircle or a
+    single atom) admits for G: the trivial group, or D1 across lin(cls.w),
+    the one reflection that maps the semicircle, its chord and a single
+    atom to themselves; any other G raises NotSymmetricError.  No such
+    measure is invariant under the reflection across lin(v), which maps the
+    semicircle onto the opposite one.  The measure's own invariance under
+    D1 is checked where its orbits are built: solve_discrete for atoms,
+    discretize_symmetric at every stage of a density."""
     if G.is_trivial:
         return G
-    if G.kind == "dihedral" and G.order_k == 1:
-        v, w, axis = cls.v, cls.w, G.axis
-        dv = min(circular_distance(axis, v), circular_distance(axis, v + math.pi))
-        dw = min(circular_distance(axis, w), circular_distance(axis, w + math.pi))
-        if dw <= 1e-9 and (spec.density is None or _density_invariant_under(
-                spec.density, Isometry2("reflection", axis))):
-            return SymmetryGroup.dihedral(1, w)
-        if min(dv, dw) <= 1e-9:
-            raise NotSymmetricError(f"measure is not invariant under {G.label()}")
+    if G.kind == "dihedral" and G.order_k == 1:  # lin(a) = lin(b) when 2 a = 2 b mod 2 pi
+        if circular_distance(2.0 * G.axis, 2.0 * cls.w) <= 2e-9:
+            return SymmetryGroup.dihedral(1, cls.w)
+        if circular_distance(2.0 * G.axis, 2.0 * cls.v) <= 2e-9:
+            raise NotSymmetricError(f"measure is not invariant under {G.label()}: it maps "
+                                    "the support's semicircle onto the opposite one")
     raise NotSymmetricError(
         f"symmetry {G.label()} is incompatible with a semicircle-supported measure"
     )
@@ -255,9 +256,9 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
     """Solve an atomic measure concentrated on a closed semicircle.
 
     Single direction: a closed-form dilated triangle, symmetric only across
-    the atom's own line.  Proper semicircle: the half problem that density
-    inputs take too (_solve_reduced).  An antipodal pair admits no solution.
-    A group the measure cannot admit raises NotSymmetricError.
+    the atom's own line (half_group).  Proper semicircle: the half problem
+    that density inputs take too (_solve_reduced).  An antipodal pair admits
+    no solution.  A group the measure cannot admit raises NotSymmetricError.
     """
     cfg = cfg or SolverConfig()
     G = G or SymmetryGroup.trivial()
@@ -266,9 +267,7 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
             "no body exists: the support is a pair of antipodal directions"
         )
     if cls.tag == SINGLE_DIRECTION:
-        if not (G.is_trivial or G.kind == "dihedral" and G.order_k == 1
-                and circular_distance(2.0 * G.axis, 2.0 * cls.w) <= 2e-9):
-            raise NotSymmetricError(f"symmetry {G.label()} is incompatible with a single atom")
+        half_group(G, cls)
         P = _single_direction_body(cls.w, mu.total_mass(), p)
         return P, SolveReport(residual=measure_residual(P, mu, p),
                               classification=SINGLE_DIRECTION, symmetry=G.label())
@@ -288,7 +287,7 @@ def _loop_groups(G: SymmetryGroup) -> int:
 
 def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> DiscreteMeasure:
     """The grid measure at resolution m, as the refinement loop solves it:
-    the arc-midpoint discretization on 2 l floor(m / l) equal arcs,
+    the arc-midpoint discretization on 2 l max(2, floor(m / l)) equal arcs,
     l = _loop_groups(G), for every group including the trivial one (the
     default).  Zero-mass arcs carry no atom."""
     if m < 3:
@@ -377,14 +376,21 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
     atom, so a support just wider than pi can give one).  A semicircle
     classification cls solves the half problem at every stage instead:
     the stage measure is _half_grid's, and the chord normal opposite the
-    semicircle is pinned at support 0."""
+    semicircle is pinned at support 0.  m doubles from m0 up to m_max, and
+    a stage whose grid is the one solved before is skipped (the grid of
+    2 l max(2, floor(m / l)) arcs stays put while m < 3 l), so the
+    stopping rule never compares a body with itself."""
     history = []
     prev_P = None
     prev_rep = None
+    prev_thetas = None
+    converged = False
     chord = canonical_angle(cls.w + math.pi) if cls.tag == SEMICIRCLE else None
-    m = cfg.m0
-    while m <= cfg.m_max:
+    for m in (cfg.m0 << i for i in range((cfg.m_max // cfg.m0).bit_length())):
         mu_m = stage_measure(spec, m, G, cls)
+        if prev_thetas is not None and np.array_equal(mu_m.thetas, prev_thetas):
+            continue  # the grid of the stage before: its body would compare with itself
+        prev_thetas = mu_m.thetas
         h0 = None if prev_P is None else _interpolated_support(prev_P, mu_m.thetas, chord)
         try:
             P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0, chord=chord)
@@ -403,7 +409,6 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
             "newton_iters": rep_m.newton_iters,
             "outer_iters": rep_m.outer_iters,
         }
-        converged = False
         if prev_P is not None:
             sd = support_distance(P_m, prev_P)
             entry["support_delta"] = sd
@@ -415,7 +420,6 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
         prev_P, prev_rep = P_m, rep_m
         if converged:
             break
-        m *= 2
     report = SolveReport(
         residual=prev_rep.residual,
         outer_iters=prev_rep.outer_iters,
@@ -436,7 +440,7 @@ def _solve_reduced(spec: MeasureSpec, cls: MeasureClass, p: float, G: SymmetryGr
     chord), with G enforced as half_group allows; solved once for atoms,
     and at every stage of the refinement loop for a density.  The report
     names G."""
-    H = half_group(G, cls, spec)
+    H = half_group(G, cls)
     if spec.is_purely_atomic():
         K, rep = solve_discrete(spec.atoms, p, H, cfg, chord=canonical_angle(cls.w + math.pi))
     else:
@@ -474,57 +478,56 @@ def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
     return P, rep
 
 
-def _spec_invariant_under(spec: MeasureSpec, A: Isometry2, tol: float = 1e-9) -> bool:
-    if spec.atoms is not None:
-        mu = spec.atoms
-        try:  # atom j[i] is the one the image of atom i lies within tol of
-            j = group_orbit_maps(mu.thetas, [A], tol)[0]
-        except NotClosedUnderGroupError:
-            return False
-        if np.max(np.abs(mu.masses[j] - mu.masses)) > tol * max(1.0, mu.masses.max()):
-            return False
-    return spec.density is None or _density_invariant_under(spec.density, A, tol)
+def _invariant(sets: list, G: SymmetryGroup) -> bool:
+    """Does G map each point set to itself with values constant on its
+    orbits, by the tests solve_discrete applies: orbit_partition, then
+    values within 1e-8 of their orbit's mean?"""
+    try:
+        for t, f in sets:
+            orbit_partition(t, G).require_invariant(f, "")
+    except (NotClosedUnderGroupError, NotSymmetricError):
+        return False
+    return True
 
 
-def _density_invariant_under(d: PiecewiseLinearDensity, A: Isometry2, tol: float = 1e-9) -> bool:
-    """Does d take the same values, within tol of max(1, max d), at its
-    knots and their images under A as at their preimages?"""
-    probe = np.sort(np.unique(np.concatenate([d.knots, A.apply_angles(d.knots)])))
-    back = A.inverse().apply_angles(probe)
-    return np.max(np.abs(d.eval(probe) - d.eval(back))) <= tol * max(1.0, d.values.max())
-
-
-def detect_symmetry(spec: MeasureSpec, max_order: int = 64) -> SymmetryGroup:
-    """Largest cyclic/dihedral invariance group of the measure (brute probe
-    over candidate rotation orders and reflection axes).  A reflection axis
-    maps the first atom onto some atom j, so it is the line at (t[0] +
-    t[j]) / 2: n candidates for n atoms."""
-    best_k = 1
-    for k in range(2, max_order + 1):
-        if _spec_invariant_under(spec, Isometry2("rotation", TWO_PI / k)):
-            best_k = max(best_k, k)
-    axis = None
-    candidates = set()
-    if spec.atoms is not None:
-        t = spec.atoms.thetas
-        for tj in t:
-            candidates.add(canonical_angle((t[0] + tj) / 2.0) % math.pi)
+def detect_symmetry(spec: MeasureSpec) -> SymmetryGroup:
+    """Largest cyclic or dihedral group spec is invariant under, by the
+    solver's own tests (_invariant), so the solver never refuses the group
+    found.  The point sets the group must map to themselves are the atoms
+    with their masses and the density's knots with its values, less the
+    knots inside a run of equal values: they carry no shape, and a constant
+    density constrains nothing.  The rotation order of an invariant set
+    divides its size: the candidates are the divisors of the sizes' gcd,
+    largest first, and the first that passes is k.  A reflection of the
+    first set t (n points) that keeps C_k maps t[0] to some t[j], j < n / k,
+    across the line at (t[0] + t[j]) / 2, and so t[i] to t[j - i]; only the
+    j whose first eight such pairs match in angle and value, to 1e-7
+    (looser than the tests, so no group is lost), are tested.  The axis
+    reported is the least of the group's k axes in [0, pi)."""
+    sets = [] if spec.atoms is None else [(spec.atoms.thetas, spec.atoms.masses)]
     if spec.density is not None:
-        # an axis of a symmetric knot set passes through a knot or halfway
-        # between two neighbours, the pair across the seam included
-        k = spec.density.knots
-        mids = 0.5 * (k + np.append(k[1:], k[0] + TWO_PI))
-        for a in np.concatenate((k, k + math.pi / 2.0, mids)):
-            candidates.add(canonical_angle(a) % math.pi)
-    for a in sorted(candidates):
-        if _spec_invariant_under(spec, Isometry2("reflection", a)):
-            axis = a
-            break
-    if axis is not None:
-        return SymmetryGroup.dihedral(best_k, axis)
-    if best_k > 1:
-        return SymmetryGroup.cyclic(best_k)
-    return SymmetryGroup.trivial()
+        t, f = spec.density.knots, spec.density.values
+        shape = (f != cyclic_shift(f, 1)) | (f != cyclic_shift(f, -1))
+        if shape.any():
+            sets.append((t[shape], f[shape]))
+    if not sets:
+        return SymmetryGroup.trivial()
+    g = math.gcd(*(len(t) for t, _ in sets))
+    k = next(d for d in range(g, 0, -1)
+             if g % d == 0 and (d == 1 or _invariant(sets, SymmetryGroup.cyclic(d))))
+    t, f = sets[0]
+    n = len(t)
+    s = n // k
+    j, i = np.arange(s), np.arange(min(n, 8))[:, None]
+    gap = (t[0] + t[j] - t[i] - t[j - i]) % TWO_PI
+    fit = (np.minimum(gap, TWO_PI - gap) <= 1e-7) & (
+        np.abs(f[j - i] - f[i]) <= 1e-7 * np.maximum(f[j - i], f[i]))
+    for c in j[fit.all(axis=0)]:
+        axes = canonical_angles(0.5 * (t[0] + t[(c + s * np.arange(k)) % n])) % math.pi
+        G = SymmetryGroup.dihedral(k, float(axes.min()))
+        if _invariant(sets, G):
+            return G
+    return SymmetryGroup.cyclic(k)
 
 
 def _second_differences(h: np.ndarray, step: float) -> np.ndarray:

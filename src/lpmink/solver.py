@@ -639,8 +639,9 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
         try:
             orbits = orbit_partition(theta, G)
         except NotClosedUnderGroupError as exc:
-            raise NotSymmetricError(str(exc)) from exc
-        orbits.require_invariant(alpha, "atom masses are not constant on group orbits")
+            raise NotSymmetricError(f"measure is not invariant under {G.label()}: {exc}") from exc
+        orbits.require_invariant(alpha, f"measure is not invariant under {G.label()}: "
+                                        "atom masses are not constant on group orbits")
         average = orbits.average
     else:
         average = lambda x: x

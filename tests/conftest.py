@@ -17,7 +17,13 @@ from scipy.optimize import linprog
 
 from lpmink import DiscreteMeasure, lp_surface_measure, polygon_from_support
 from lpmink.errors import NotClosedUnderGroupError
-from lpmink.geometry import canonical_angles, circular_distance
+from lpmink.geometry import (
+    Isometry2,
+    SymmetryGroup,
+    canonical_angle,
+    canonical_angles,
+    circular_distance,
+)
 from lpmink.measure import GENERAL_POSITION, classify
 
 TWO_PI = 2.0 * math.pi
@@ -51,6 +57,30 @@ def reference_group_orbit_map(normals, A, tol=1e-9):
             )
         perm[i] = order[best]
     return perm
+
+
+def reference_detect_symmetry(mu, tol=1e-9):
+    """The group of an atomic measure by brute probing, as detect_symmetry
+    found it before it asked orbit_partition: every rotation order up to
+    the atom count and every axis (t[0] + t[j]) / 2 mod pi through the
+    first atom's images, each element matched atom by atom with
+    reference_group_orbit_map and the masses compared to tol times
+    max(1, largest mass).  The order is the largest that passes and the
+    axis the least."""
+    t, masses = mu.thetas, mu.masses
+
+    def invariant(A):
+        try:
+            j = reference_group_orbit_map(t, A, tol)
+        except NotClosedUnderGroupError:
+            return False
+        return np.max(np.abs(masses[j] - masses)) <= tol * max(1.0, masses.max())
+
+    k = max([d for d in range(2, len(t) + 1) if invariant(Isometry2("rotation", TWO_PI / d))],
+            default=1)
+    axes = sorted({canonical_angle((t[0] + tj) / 2.0) % math.pi for tj in t})
+    axis = next((a for a in axes if invariant(Isometry2("reflection", a))), None)
+    return SymmetryGroup.cyclic(k) if axis is None else SymmetryGroup.dihedral(k, axis)
 
 
 def reference_orbit_partition(normals, G, tol=1e-9):

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     import_bench_module,
+    reference_detect_symmetry,
     orbit_index_sets,
     random_general_position_measure,
     random_general_position_polygon,
@@ -790,6 +791,20 @@ class TestMidpointRefinementLoop:
             solve(uniform_density_spec(), 0.5, None, PipelineConfig(tol_residual=1e-30))
         assert info.value.report is not None
 
+    @pytest.mark.parametrize("G", [SymmetryGroup.cyclic(50), SymmetryGroup.dihedral(50, 0.0)],
+                             ids=lambda G: G.label())
+    def test_no_stage_repeats_the_grid_before(self, G):
+        # l = 50: m = 64 and m = 128 both give 2 arcs per orbit, the same
+        # grid, whose second solve would compare a body with itself
+        t = TWO_PI * np.arange(5000) / 5000
+        spec = MeasureSpec(None, PiecewiseLinearDensity(t, 1.0 + 0.9 * np.cos(50 * t)))
+        assert np.array_equal(discretize(spec, 64, G).thetas, discretize(spec, 128, G).thetas)
+        _, rep = solve(spec, 0.5, G)
+        n_atoms = [e["n_atoms"] for e in rep.loop_history]
+        assert len(n_atoms) >= 2 and all(a != b for a, b in zip(n_atoms, n_atoms[1:]))
+        _, rep = solve(spec, 0.5, G, PipelineConfig(m0=64, m_max=128))
+        assert len(rep.loop_history) == 1 and rep.warnings == [NO_CONVERGENCE_WARNING]
+
     def test_support_wider_by_0_3_solves(self):
         spec = MeasureSpec(None, arc_density(0.4, math.pi + 0.3))
         P, rep = solve(spec, 0.5)
@@ -917,22 +932,23 @@ class TestStageOrbitHandoff:
 
     def test_no_angle_matching_in_density_solves(self, rng, monkeypatch):
         # nor in atomic C_k and D_k solves, nor in semicircle solves under
-        # D1: angles are matched only by detect_symmetry
+        # D1, nor in detect_symmetry: no lpmink code path matches angles
         calls = []
-        lookup = geometry.group_orbit_maps
+        lookup = geometry.group_orbit_map
 
-        def counted(normals, elements, tol=1e-9):
+        def counted(normals, A, tol=1e-9):
             calls.append(len(normals))
-            return lookup(normals, elements, tol)
+            return lookup(normals, A, tol)
 
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "lpmink" and getattr(module, "group_orbit_maps", None) is lookup:
-                monkeypatch.setattr(module, "group_orbit_maps", counted)
+            if name.split(".")[0] == "lpmink" and getattr(module, "group_orbit_map", 0) is lookup:
+                monkeypatch.setattr(module, "group_orbit_map", counted)
         for k, dihedral, knots in ((4, False, 4096), (5, True, 4000)):
             spec, _, G = symmetric_manufactured_spec(k, dihedral, 0.5,
                                                      float(rng.uniform(0.0, TWO_PI / k)), knots)
             _, rep = solve(spec, 0.5, G)
             assert len(rep.loop_history) >= 2
+            assert detect_symmetry(spec).order_k == k
         for G in (SymmetryGroup.cyclic(3), SymmetryGroup.dihedral(4, 0.3),
                   SymmetryGroup.dihedral(2, 1.1)):
             base = rng.uniform(0.0, TWO_PI, 2)
@@ -940,6 +956,7 @@ class TestStageOrbitHandoff:
             atoms = DiscreteMeasure(thetas, np.tile([1.0, 2.5], len(G.elements())))
             _, rep = solve(MeasureSpec(atoms, None), 0.5, G)
             assert rep.symmetry == G.label() and rep.residual <= 1e-6
+            assert detect_symmetry(MeasureSpec(atoms, None)).order_k == G.order_k
         w = float(rng.uniform(0.0, TWO_PI))
         atoms = DiscreteMeasure([w - 1.2, w - 0.4, w, w + 0.4, w + 1.2], [1.0, 2.0, 0.5, 2.0, 1.0])
         spec, _ = semicircle_manufactured_spec(0.5, w)
@@ -947,9 +964,8 @@ class TestStageOrbitHandoff:
             G = SymmetryGroup.dihedral(1, classify_spec(semicircle).w)
             _, rep = solve(semicircle, 0.5, G)
             assert rep.classification == SEMICIRCLE and rep.symmetry == G.label()
+            assert detect_symmetry(semicircle).kind == "dihedral"
         assert calls == []
-        assert detect_symmetry(MeasureSpec(atoms, None)).kind == "dihedral"
-        assert calls
 
     def test_hand_built_measures_are_still_checked(self, rng):
         G = SymmetryGroup.cyclic(4)
@@ -1014,7 +1030,7 @@ class TestGridOrbits:
         for _ in range(4):
             spec, _ = semicircle_manufactured_spec(0.5, float(rng.uniform(0.0, TWO_PI)))
             cls = classify_spec(spec)
-            H = pipeline.half_group(SymmetryGroup.dihedral(1, cls.w), cls, spec)
+            H = pipeline.half_group(SymmetryGroup.dihedral(1, cls.w), cls)
             for m in (64, 128, 256):
                 mids = assert_stage_orbits(spec, H, 4, m // 4, cls.v)
                 assert np.array_equal(np.sort(mids), pipeline._half_grid(spec, m, H, cls).thetas)
@@ -1040,10 +1056,13 @@ class TestGridOrbits:
             discretize_symmetric(on_arcs(np.delete(arcs, np.arange(3, 3 + G.order_k))), G, l, m)
 
     def test_a_grid_off_the_group_axis_raises(self):
+        # the grid, not the measure, is at fault: 0.3 is no multiple of pi / 32
         G = SymmetryGroup.dihedral(1, 0.3)
-        with pytest.raises(NotSymmetricError, match="not invariant under D1:0.3: normal at "
-                                                    ".* not in the set"):
+        with pytest.raises(ValueError, match="grid axis 0 is not an axis of D1:0.3: it differs "
+                                             "from 0.3 by no multiple of pi / 32"):
             discretize_symmetric(invariant_density_spec(G, 0.3), G, 4, 8, axis=0.0)
+        axis = 0.3 + 3 * math.pi / 32
+        assert discretize_symmetric(invariant_density_spec(G, 0.3), G, 4, 8, axis=axis).n == 64
 
     @pytest.mark.parametrize("k, dihedral, knots", [(4, False, 4096), (5, True, 4000)])
     def test_bench_densities_match_union_find_orbits(self, monkeypatch, k, dihedral, knots):
@@ -1340,7 +1359,7 @@ class TestDetectSymmetry:
         assert G.kind == "dihedral" and G.order_k == 1
         assert G.axis == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("k", [23, 24, 31])
+    @pytest.mark.parametrize("k", [23, 24, 31, 97, 100, 128, 1000])
     def test_regular_polygon_atoms(self, k):
         # the image of the atom at 2 pi (k - 1) / k under the rotation by
         # 2 pi / k rounds to just below 2 pi, not to 0: each image must pair
@@ -1378,6 +1397,105 @@ class TestDetectSymmetry:
         G = detect_symmetry(spec)
         assert G.kind == "dihedral" and G.order_k == 1
         assert G.axis == pytest.approx(math.pi / 64, abs=1e-9)
+
+
+    def test_constant_density_reads_trivial(self):
+        # a constant density has no shape: it constrains nothing
+        assert detect_symmetry(uniform_density_spec(2.0, 4096)).is_trivial
+        square = DiscreteMeasure(np.arange(4) * math.pi / 2, np.full(4, 2.0))
+        spec = MeasureSpec(square, uniform_density_spec(2.0, 4096).density)
+        assert detect_symmetry(spec).label() == "D4:0"
+
+    def test_zero_runs_carry_no_shape(self):
+        # the knots at 4 and 5 lie inside a run of zeros: the axis is the
+        # arc's centre, through no knot and midway between none of those two
+        s = np.linspace(0.0, 2.5, 65)
+        f = np.sin(math.pi * s / 2.5) ** 2
+        f[-1] = 0.0
+        spec = MeasureSpec(None, PiecewiseLinearDensity(
+            np.append(s + 0.7, [4.0, 5.0]), np.append(f, [0.0, 0.0])))
+        G = detect_symmetry(spec)
+        assert G.kind == "dihedral" and G.order_k == 1
+        assert G.axis == pytest.approx(classify_spec(spec).w, abs=1e-9)
+
+    def test_group_atoms_match_the_brute_probe(self):
+        # 384 sets of 1 to 4 C_k or D_k orbits, k <= 16, each orbit's mass
+        # from U(0.5, 3), every atom's mass times 1 + eps N(0, 1): eps
+        # stays clear of the band between the probe's mass tolerance,
+        # 1e-9 absolute, and the solver's, 1e-8 relative to the orbit mean
+        rng = np.random.default_rng(7)
+        for k in range(1, 17):
+            for dihedral in (False, True):
+                for eps in (0.0, 1e-11, 1e-6):
+                    for n_orbits in range(1, 5):
+                        G = (SymmetryGroup.dihedral(k, float(rng.uniform(0.0, math.pi)))
+                             if dihedral else SymmetryGroup.cyclic(k))
+                        mu = group_atoms(rng, G, n_orbits, eps)
+                        want = reference_detect_symmetry(mu).label()
+                        assert detect_symmetry(MeasureSpec(mu, None)).label() == want, (G, eps)
+
+    def test_uniform_knot_densities(self):
+        # 1 + 0.2 cos k s on 2 k q knots anchored at psi, s = t - psi: D_k
+        # across psi; + 0.05 sin k s moves the axis off the knots: C_k
+        rng = np.random.default_rng(8)
+        for trial in range(48):
+            k = 1 + trial % 16
+            psi = float(rng.uniform(0.0, TWO_PI))
+            knots = 2 * k * int(rng.integers(8, 64))
+            t = psi + TWO_PI * np.arange(knots) / knots
+            f = 1.0 + 0.2 * np.cos(k * (t - psi)) + 0.05 * (trial % 2) * np.sin(k * (t - psi))
+            G = detect_symmetry(MeasureSpec(None, PiecewiseLinearDensity(t, f)))
+            assert G.order_k == k
+            if trial % 2:
+                assert G.kind == ("trivial" if k == 1 else "cyclic")
+            else:
+                assert G.kind == "dihedral"
+                assert G.axis == pytest.approx(psi % (math.pi / k), abs=1e-9)
+
+    @pytest.mark.parametrize("eps", [3e-9, 3e-8])
+    def test_detects_exactly_the_groups_the_solver_accepts(self, eps):
+        # one atom's mass off by eps: within the solver's 1e-8 relative test
+        # or beyond it, and detect_symmetry must agree with solve_discrete
+        rng = np.random.default_rng(9)
+        accepted = 0
+        for k in range(3, 11):
+            for dihedral in (False, True):
+                G = (SymmetryGroup.dihedral(k, float(rng.uniform(0.0, math.pi / k)))
+                     if dihedral else SymmetryGroup.cyclic(k))
+                mu = group_atoms(rng, G, 2)
+                masses = mu.masses.copy()
+                masses[int(rng.integers(mu.n))] *= 1.0 + eps
+                mu = DiscreteMeasure(mu.thetas, masses)
+                try:
+                    solver.solve_discrete(mu, 0.5, G)
+                except NotSymmetricError:
+                    solves = False
+                else:
+                    solves = True
+                assert (detect_symmetry(MeasureSpec(mu, None)).label() == G.label()) == solves
+                accepted += solves
+        assert accepted == (16 if eps < 1e-8 else 0)
+
+    def test_large_random_atoms_are_fast(self):
+        rng = np.random.default_rng(10)
+        spec = MeasureSpec(DiscreteMeasure(rng.uniform(0.0, TWO_PI, 8192),
+                                           rng.uniform(0.5, 3.0, 8192)), None)
+        t0 = time.perf_counter()
+        assert detect_symmetry(spec).is_trivial
+        assert time.perf_counter() - t0 < 1.0
+
+
+def group_atoms(rng, G, n_orbits, eps=0.0):
+    """n_orbits G-orbits of random base points, each orbit's mass from
+    U(0.5, 3), every atom's mass then times 1 + eps N(0, 1)."""
+    t, m = [], []
+    for _ in range(n_orbits):
+        b = float(rng.uniform(0.0, TWO_PI))
+        orbit = [A.apply_angle(b) for A in G.elements()]
+        t += orbit
+        m += [float(rng.uniform(0.5, 3.0))] * len(orbit)
+    m = np.array(m)
+    return DiscreteMeasure(t, m * (1.0 + eps * rng.standard_normal(len(m))))
 
 
 class TestImportFootprint:

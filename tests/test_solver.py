@@ -44,7 +44,6 @@ from lpmink.geometry import (
     Isometry2,
     canonical_angles,
     group_orbit_map,
-    group_orbit_maps,
     unit_vectors,
 )
 from lpmink import solver
@@ -884,10 +883,8 @@ class TestOrbitMapAgainstUnionFind:
         theta = invariant_normals(rng, G, 5, n_axis=2, seam=True)
         # perturb within the tolerance so the nearest-neighbour rule matters
         theta = canonical_angles(theta + rng.uniform(-3e-10, 3e-10, len(theta)))
-        maps = group_orbit_maps(theta, G.elements())  # one lookup for every element
-        for A, row in zip(G.elements(), maps, strict=True):
+        for A in G.elements():
             assert np.array_equal(group_orbit_map(theta, A), reference_group_orbit_map(theta, A))
-            assert np.array_equal(row, reference_group_orbit_map(theta, A))
 
     def test_group_orbit_map_permutes_a_regular_polygon(self):
         theta = np.array([0.3 + TWO_PI * j / 6 for j in range(6)])[::-1]
@@ -948,7 +945,7 @@ class TestOrbitMapAgainstUnionFind:
             mu = DiscreteMeasure(theta, np.ones(len(theta)))
             with pytest.raises(NotSymmetricError) as wrapped:
                 solve_discrete(mu, 0.5, G)
-            assert str(wrapped.value) == want
+            assert str(wrapped.value) == f"measure is not invariant under {G.label()}: {want}"
 
     def test_non_injective_match_raises(self):
         # pairs of normals 1.5e-9 apart: every image under C2 lies within
