@@ -149,10 +149,7 @@ def cmd_solve(args) -> int:
     write_canonical(polygon_to_dict(P), args.output)
     write_canonical(report.to_dict(), _report_path(args.output))
     if args.svg:
-        atoms = spec.atoms
-        if atoms is None:
-            atoms = discretize(spec, 64)
-        save_svg(args.svg, P, atoms)
+        save_svg(args.svg, P, discretize(spec, 64))
     log.info("solved: residual %.3e, symmetry %s", report.residual, report.symmetry)
     if NO_CONVERGENCE_WARNING in report.warnings:
         print(_error_json(NoConvergenceError(NO_CONVERGENCE_WARNING)), file=sys.stderr)

@@ -69,10 +69,6 @@ class NoConvergenceError(LpMinkError):
         self.report = report
 
 
-class CannotAvoidAtomsError(LpMinkError):
-    """Defensive: no subdivision base point avoids the atom orbit."""
-
-
 class InvalidExponentError(LpMinkError):
     """Exponent parameters outside the admissible range."""
 

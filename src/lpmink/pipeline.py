@@ -4,7 +4,8 @@ Routes by support classification: general position goes through the discrete
 solver, measures on a closed semicircle through the half problem, whose body
 has the chord normal opposite the semicircle with support 0, and a pair of
 antipodal atoms is the one nonexistence case.  Each job has one code path:
-`discretize` is the one grid measure of the whole circle (the refinement
+`discretize` is the one grid measure of the whole circle, the density's
+arc masses at the arc midpoints with the atoms unmoved (the refinement
 loop's stages, `verify` and the `--svg` rays all use it), `_half_grid` its
 restriction to a semicircle, `stage_measure` the one choice between them
 (the loop's stages and `lpmink discretize`), and `_solve_reduced` the one
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import (
     AntipodalPairError,
-    CannotAvoidAtomsError,
     ConcentratedError,
     NoConvergenceError,
     NotClosedUnderGroupError,
@@ -133,12 +133,12 @@ def _classify_intervals(spec: MeasureSpec) -> MeasureClass:
     return MeasureClass(SEMICIRCLE, width, v=canonical_angle(w + math.pi / 2.0), w=w)
 
 
-def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, spec: MeasureSpec,
-                           axis: float | None = None):
-    """G_m-orbit of a base point avoiding every atom image, G_m being the
-    symmetry group of the regular lm-gon with a reflection axis at axis,
-    by default G's (0 for a group without one).  G_m contains G when k
-    divides l and G's axes are among G_m's, else the grid is at fault."""
+def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, axis: float | None = None):
+    """Cut points of the symmetric grid: the orbit of phi0 + pi / (2 lm)
+    under G_m, the symmetry group of the regular lm-gon with a reflection
+    axis at phi0 = axis, by default G's (0 for a group without one).  The
+    arcs' midpoints are phi0 + j pi / lm.  G_m contains G when k divides l
+    and G's axes are among G_m's, else the grid is at fault."""
     if l < 3 or m < 2:
         raise ValueError("need l >= 3 and m >= 2")
     if G.kind in ("cyclic", "dihedral") and l % max(G.order_k, 1) != 0:
@@ -149,73 +149,46 @@ def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, spec: MeasureSpec,
     if min(off, math.pi / lm - off) > 1e-9:
         raise ValueError(f"grid axis {phi0:.12g} is not an axis of {G.label()}: it differs "
                          f"from {G.axis:.12g} by no multiple of pi / {lm}")
-    step = TWO_PI / lm
-    atoms = spec.atoms.thetas if spec.atoms is not None else np.array([])
-    base = phi0 + math.pi / (2.0 * lm)
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    for trial in range(1000):
-        beta = canonical_angle(base + trial * golden * math.pi / lm)
-        # The orbit is beta and 2 phi0 - beta plus multiples of step, so an
-        # atom clears it when it clears both modulo step.
-        off = np.concatenate([atoms - beta, atoms - (2.0 * phi0 - beta)]) % step
-        if np.minimum(off, step - off).min(initial=math.inf) <= 1e-9:
-            continue
-        pts = np.concatenate(
-            [beta + TWO_PI * np.arange(lm) / lm,
-             (2.0 * phi0 - beta) + TWO_PI * np.arange(lm) / lm]
-        )
-        pts = np.sort(pts % TWO_PI)
-        return pts[np.concatenate([[True], np.diff(pts) > 1e-12])]
-    raise CannotAvoidAtomsError("no subdivision base point clears the atom orbit")
-
-
-def index_blocks(labels: np.ndarray) -> list:
-    """Indices grouped by label, one matrix per group size with a row per group
-    in index order: a row-wise sum adds a row as it adds that group alone."""
-    size = np.bincount(labels)[labels]
-    order = np.lexsort((labels, size))
-    cuts = np.flatnonzero(np.diff(size[order])) + 1
-    return [rows.reshape(-1, size[rows[0]]) for rows in np.split(order, cuts) if rows.size]
+    beta = canonical_angle(phi0 + math.pi / (2.0 * lm))
+    pts = np.concatenate(
+        [beta + TWO_PI * np.arange(lm) / lm,
+         (2.0 * phi0 - beta) + TWO_PI * np.arange(lm) / lm]
+    )
+    pts = np.sort(pts % TWO_PI)
+    return pts[np.concatenate([[True], np.diff(pts) > 1e-12])]
 
 
 def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
                          axis: float | None = None) -> DiscreteMeasure:
-    """Arc-midpoint discretization on a G-symmetric subdivision.
+    """Arc-midpoint discretization of the density on a G-symmetric
+    subdivision, with the atoms unmoved.
 
     The circle is cut at the orbit of a base point under the symmetry group
     of a regular lm-gon containing G, with a reflection axis at axis (by
-    default G's); each arc's mass lands on its midpoint, and zero-mass arcs
-    carry no atom.  The masses are averaged over the kept midpoints'
-    G-orbits (orbit_partition), so the output is exactly G-invariant, in
-    arc order: the last midpoint usually wraps past 2 pi to the front of
-    the sorted atoms.  Kept midpoints that are no union of orbits raise
-    NotSymmetricError.
+    default G's); each arc's density mass lands on its midpoint.  The atoms
+    join as they are: DiscreteMeasure drops the zero-mass arcs, sorts, and
+    merges an atom within ATOM_MERGE_TOL of a midpoint into it.  The masses
+    are then averaged over the G-orbits of this sorted measure
+    (orbit_partition), so the output is exactly G-invariant; a measure
+    that is no union of orbits raises NotSymmetricError.
     """
-    pts = _symmetric_base_angles(G, l, m, spec, axis)
-    n = len(pts)
+    pts = _symmetric_base_angles(G, l, m, axis)
     a, b = pts, np.append(pts[1:], pts[0] + TWO_PI)
     mids = canonical_angles(0.5 * (a + b))
-    masses = np.zeros(n)
+    masses = np.zeros(len(pts)) if spec.density is None else spec.density.arc_masses(a, b)
     if spec.atoms is not None:
-        # The cut points clear every atom by more than 1e-9, so each atom
-        # lies inside one arc; an arc's atoms add up in index order, as a
-        # per-arc sum over the atom list adds them.
-        arc = (np.searchsorted(pts, spec.atoms.thetas) - 1) % n
-        for rows in index_blocks(arc):
-            masses[arc[rows[:, 0]]] = np.sum(spec.atoms.masses[rows], axis=1)
-    if spec.density is not None:
-        masses += spec.density.arc_masses(a, b)
-    keep = masses > 0.0
-    mids, masses = mids[keep], masses[keep]
-    if not G.is_trivial:
-        try:
-            orbits = orbit_partition(mids, G)
-        except NotClosedUnderGroupError as exc:
-            raise NotSymmetricError(f"measure is not invariant under {G.label()}: {exc}") from exc
-        masses = orbits.require_invariant(masses, f"measure is not invariant under {G.label()}: "
-                                                  f"arc masses differ across a {G.label()} orbit")
-    order = np.argsort(mids, kind="stable")
-    return DiscreteMeasure(mids[order], masses[order])
+        mids = np.concatenate((mids, spec.atoms.thetas))
+        masses = np.concatenate((masses, spec.atoms.masses))
+    mu = DiscreteMeasure(mids, masses)
+    if G.is_trivial:
+        return mu
+    try:
+        orbits = orbit_partition(mu.thetas, G)
+    except NotClosedUnderGroupError as exc:
+        raise NotSymmetricError(f"measure is not invariant under {G.label()}: {exc}") from exc
+    return DiscreteMeasure(mu.thetas, orbits.require_invariant(
+        mu.masses, f"measure is not invariant under {G.label()}: "
+                   f"masses differ across a {G.label()} orbit"))
 
 
 def _single_direction_body(w: float, mass: float, p: float) -> Polygon:
@@ -237,7 +210,7 @@ def half_group(G: SymmetryGroup, cls: MeasureClass) -> SymmetryGroup:
     measure is invariant under the reflection across lin(v), which maps the
     semicircle onto the opposite one.  The measure's own invariance under
     D1 is checked where its orbits are built: solve_discrete for atoms,
-    discretize_symmetric at every stage of a density."""
+    discretize_symmetric once on each sorted stage measure of a density."""
     if G.is_trivial:
         return G
     if G.kind == "dihedral" and G.order_k == 1:  # lin(a) = lin(b) when 2 a = 2 b mod 2 pi
@@ -287,9 +260,10 @@ def _loop_groups(G: SymmetryGroup) -> int:
 
 def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> DiscreteMeasure:
     """The grid measure at resolution m, as the refinement loop solves it:
-    the arc-midpoint discretization on 2 l max(2, floor(m / l)) equal arcs,
-    l = _loop_groups(G), for every group including the trivial one (the
-    default).  Zero-mass arcs carry no atom."""
+    the density's arc-midpoint discretization on 2 l max(2, floor(m / l))
+    equal arcs, l = _loop_groups(G), for every group including the trivial
+    one (the default), with the atoms unmoved.  Zero-mass arcs carry no
+    atom."""
     if m < 3:
         raise ValueError("need m >= 3")
     G = G or SymmetryGroup.trivial()
@@ -303,8 +277,9 @@ def _half_grid(spec: MeasureSpec, m: int, H: SymmetryGroup, cls: MeasureClass) -
     restriction to that semicircle of the whole circle's grid for H and the
     reflection across lin(v) together (D1 or D2, l = 3 or 4).  That grid is
     aligned with lin(v), so the semicircle's ends v and v - pi are arc
-    midpoints: an arc across an end keeps the mass on the semicircle's side
-    of it, at the end itself, and zero-mass arcs carry no atom."""
+    midpoints: an arc across an end keeps the density mass on the
+    semicircle's side of it, at the end itself, and zero-mass arcs carry no
+    atom."""
     l = 3 if H.is_trivial else 4
     return discretize_symmetric(spec, H, l, max(2, m // l), cls.v)
 

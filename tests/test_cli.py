@@ -198,6 +198,19 @@ class TestSolveCommand:
         text = svg.read_text()
         assert text.startswith("<svg") and "<polygon" in text
 
+    def test_svg_rays_are_the_grid_measure(self, tmp_path):
+        # one ray per atom of discretize(spec, 64): an atomic input's own
+        # atoms, and for a mixed input the density's 126 arcs plus the atoms
+        # at pi / 2 and 3 pi / 2 (those at 0 and pi merge into midpoints)
+        knots = np.linspace(0.0, 2 * math.pi, 64, endpoint=False).tolist()
+        for density, rays in ((None, 4), ({"theta": knots, "f": [0.2] * 64}, 126 + 2)):
+            path = write_measure(tmp_path / "mixed.json", [(t, 1.0) for t in SQ], density)
+            svg = tmp_path / "body.svg"
+            rc = main(["solve", "--input", path, "--output", str(tmp_path / "body.json"),
+                       "--p", "0.5", "--svg", str(svg)])
+            assert rc == 0
+            assert svg.read_text().count("<line ") == rays
+
     def test_byte_identical_reruns(self, tmp_path, square_measure_path):
         outs = []
         for name in ("a.json", "b.json"):

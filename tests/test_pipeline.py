@@ -76,16 +76,33 @@ def uniform_density_spec(value=1.0, knots=64):
 
 class TestDiscretize:
     def test_weak_convergence_of_discretization(self, rng):
-        # grid measures converge weakly: distance <= total * 2pi/m + 1/m
+        # grid measures converge weakly: distance to a fine grid
+        # <= density mass * 2pi/m + 1/m, since only the density moves
         mu = DiscreteMeasure(rng.uniform(0, TWO_PI, 6), rng.uniform(0.3, 2.0, 6))
-        spec = MeasureSpec(mu, None)
+        spec = MeasureSpec(mu, random_knot_density(rng, 23))
+        fine = discretize(spec, 2048)
+        assert weak_distance(discretize(MeasureSpec(mu, None), 64), mu) == 0.0
         prev = None
-        for m in (64, 256, 1024, 4096, 8192):
-            d = weak_distance(discretize(spec, m), mu)
-            assert d <= mu.total_mass() * TWO_PI / m + 1.0 / m + 1e-12
+        for m in (64, 128, 256, 512):
+            d = weak_distance(discretize(spec, m), fine)
+            assert d <= spec.density_mass() * TWO_PI / m + 1.0 / m + 1e-12
             if prev is not None:
                 assert d <= prev
             prev = d
+
+    def test_atoms_keep_their_angles(self, rng):
+        # each atom joins the grid measure as it is, but for one within
+        # 1e-9 of an arc midpoint (j pi / 16 here), whose mass it joins
+        thetas = np.append(rng.uniform(0, TWO_PI, 7), [3 * math.pi / 16 + 5e-10, 0.0])
+        masses = rng.uniform(0.3, 2.0, 9)
+        spec = MeasureSpec(DiscreteMeasure(thetas, masses), uniform_density_spec().density)
+        mu = discretize_symmetric(spec, SymmetryGroup.trivial(), 4, 4)
+        assert mu.n == 32 + 7
+        for t, w in zip(thetas[:7], masses[:7]):
+            assert mu.mass_at(t, tol=0.0) == w
+        for t, w in zip(thetas[7:], masses[7:]):
+            assert mu.mass_at(t) == pytest.approx(math.pi / 16 + w, rel=1e-12)
+        assert mu.total_mass() == pytest.approx(spec.total_mass(), rel=1e-12)
 
 
 class TestDiscretizeSymmetric:
@@ -129,21 +146,21 @@ class TestDiscretizeSymmetric:
                                       (SymmetryGroup.dihedral(3, 0.7), 6),
                                       (SymmetryGroup.dihedral(5, 2.1), 5)],
                              ids=lambda x: x.label() if isinstance(x, SymmetryGroup) else str(x))
-    def test_base_angles_match_the_image_set_rule(self, rng, G, l):
-        for trial in range(6):
-            m = int(rng.integers(2, 9))
-            base = rng.uniform(0.0, TWO_PI, int(rng.integers(1, 4)))
-            thetas = np.concatenate([A.apply_angles(base) for A in G.elements()])
-            if trial % 2:  # atoms on the lm-gon's cut candidates: early trials fail
-                big = reference_base_angles(G, l, m, uniform_density_spec())
-                thetas = np.append(thetas, big[: 2 + trial])
-            spec = MeasureSpec(DiscreteMeasure(thetas, np.ones(len(thetas))), None)
-            assert np.array_equal(_symmetric_base_angles(G, l, m, spec),
-                                  reference_base_angles(G, l, m, spec))
+    def test_base_angles_match_the_image_set_rule(self, G, l):
+        # the cut points are the images of phi0 + pi / (2 lm) under the
+        # lm-gon's group, and the arc midpoints are phi0 + j pi / lm
+        for m in (2, 3, 8):
+            lm = l * m
+            phi0 = G.axis if G.kind == "dihedral" else 0.0
+            pts = _symmetric_base_angles(G, l, m)
+            assert np.allclose(pts, reference_base_angles(G, l, m), rtol=0.0, atol=1e-12)
+            mids = np.sort(canonical_angles(0.5 * (pts + np.append(pts[1:], pts[0] + TWO_PI))))
+            want = np.sort(canonical_angles(phi0 + math.pi * np.arange(2 * lm) / lm))
+            assert np.allclose(mids, want, rtol=0.0, atol=1e-12)
 
     def test_base_angles_bounded_memory_at_lm_4096(self):
-        # 4 C4-invariant atoms at lm = 4096: the image-set rule held a
-        # (2 lm) x (2 lm atoms) distance matrix, several GB at this size
+        # 4 C4-invariant atoms on a density at lm = 4096: the grid and the
+        # stage measure stay O(lm)
         thetas = 0.37 + np.arange(4) * math.pi / 2
         spec = MeasureSpec(DiscreteMeasure(thetas, np.ones(4)), uniform_density_spec().density)
         tracemalloc.start()
@@ -152,7 +169,8 @@ class TestDiscretizeSymmetric:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mu.n == 2 * 4096  # beta and its mirror image per cell
+        assert mu.n == 2 * 4096 + 4  # every arc's midpoint, and the atoms unmoved
+        assert np.isin(thetas, mu.thetas).all()
         assert peak < 16 * 2 ** 20
 
     def test_unrelated_errors_in_the_orbit_helper_propagate(self, monkeypatch):
@@ -191,61 +209,39 @@ def reference_density_arc_mass(d, a, b):
     return d.total_mass() - F(a0) + F(b0 - TWO_PI)
 
 
-def reference_spec_arc_mass(spec, a, b):
-    span = b - a
-    if span <= 0:
-        span += TWO_PI
-    total = 0.0
-    if spec.atoms is not None:
-        off = (spec.atoms.thetas - a) % TWO_PI
-        off[off == 0.0] = TWO_PI
-        total += float(np.sum(spec.atoms.masses[off <= span + 1e-15]))
-    if spec.density is not None:
-        total += reference_density_arc_mass(spec.density, a, b)
-    return total
-
-
-def reference_base_angles(G, l, m, spec):
-    """The base-point rule tested against the full D_lm image set of the
-    atoms, every cut point against every image."""
+def reference_base_angles(G, l, m):
+    """The cut points as the image set of the base point phi0 + pi / (2 lm)
+    under the symmetry group of the regular lm-gon with an axis at phi0,
+    one isometry at a time."""
     phi0 = G.axis if G.kind == "dihedral" else 0.0
     lm = l * m
-    forbidden = np.array([])
-    if spec.atoms is not None and spec.atoms.n:
-        big = SymmetryGroup.dihedral(lm, phi0)
-        forbidden = np.sort(np.concatenate([A.apply_angles(spec.atoms.thetas)
-                                            for A in big.elements()]))
-    base = phi0 + math.pi / (2.0 * lm)
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    for trial in range(1000):
-        beta = (base + trial * golden * math.pi / lm) % TWO_PI
-        pts = np.concatenate([beta + TWO_PI * np.arange(lm) / lm,
-                              (2.0 * phi0 - beta) + TWO_PI * np.arange(lm) / lm])
-        pts = np.sort(pts % TWO_PI)
-        pts = pts[np.concatenate([[True], np.diff(pts) > 1e-12])]
-        if forbidden.size:
-            d = np.abs(pts[:, None] - forbidden[None, :])
-            if np.minimum(d, TWO_PI - d).min() <= 1e-9:
-                continue
-        return pts
-    raise AssertionError("no base point")
+    images = [A.apply_angles(np.array([phi0 + math.pi / (2.0 * lm)]))[0]
+              for A in SymmetryGroup.dihedral(lm, phi0).elements()]
+    return np.sort(canonical_angles(np.array(images)))
 
 
 def reference_discretize_symmetric(spec, G, l, m):
-    pts = _symmetric_base_angles(G, l, m, spec)
+    """Per-arc scalar density masses at the midpoints, the atoms added as
+    they are, and each orbit of the sorted stage measure given its mean."""
+    pts = _symmetric_base_angles(G, l, m)
     n = len(pts)
-    mids, masses = np.empty(n), np.empty(n)
+    mids, masses = np.empty(n), np.zeros(n)
     for k in range(n):
         a = pts[k]
         b = pts[(k + 1) % n] + (TWO_PI if k == n - 1 else 0.0)
         mids[k] = 0.5 * (a + b) % TWO_PI
-        masses[k] = reference_spec_arc_mass(spec, a, b)
-    keep = masses > 0.0
-    mids, masses = mids[keep], masses[keep]
-    if not G.is_trivial:
-        for o in orbit_index_sets(orbit_partition(mids, G)):
-            masses[o] = float(np.mean(masses[o]))
-    return DiscreteMeasure(mids, masses)
+        if spec.density is not None:
+            masses[k] = reference_density_arc_mass(spec.density, a, b)
+    if spec.atoms is not None:
+        mids = np.concatenate([mids, spec.atoms.thetas])
+        masses = np.concatenate([masses, spec.atoms.masses])
+    mu = DiscreteMeasure(mids, masses)
+    if G.is_trivial:
+        return mu
+    masses = mu.masses.copy()
+    for o in orbit_index_sets(orbit_partition(mu.thetas, G)):
+        masses[o] = float(np.mean(mu.masses[o]))
+    return DiscreteMeasure(mu.thetas, masses)
 
 
 def random_knot_density(rng, knots):
@@ -299,14 +295,16 @@ class TestDiscretizersBitIdentity:
 
     def test_discretize_symmetric_crowded_arcs(self, rng):
         # arcs holding 1, 3, 9 and 20 atoms, one of them across the seam,
-        # so the per-arc sums depend on numpy's summation order
+        # and atoms within 1e-9 of a midpoint on either side, which merge
+        # into it: every other atom keeps its angle
         l, m = 4, 4
         step = TWO_PI / (l * m)
         crowds = [s + rng.uniform(0.1, 0.9, c) * step for s, c in
                   ((step, 1), (3 * step, 3), (5 * step, 9), (8 * step, 20), (-0.5 * step, 9))]
-        thetas = np.concatenate(crowds) % TWO_PI
+        near = step * np.array([2.5, 6.5, 10.5]) + np.array([-8e-10, 0.0, 8e-10])
+        thetas = np.concatenate(crowds + [near]) % TWO_PI
         atoms = DiscreteMeasure(thetas, rng.uniform(0.1, 3.0, len(thetas)) * 10.0 ** rng.uniform(-6, 6, len(thetas)))
-        assert atoms.n == 42
+        assert atoms.n == 45
         for spec in (MeasureSpec(atoms, None), MeasureSpec(atoms, random_knot_density(rng, 13))):
             assert_same_measure(discretize_symmetric(spec, SymmetryGroup.trivial(), l, m),
                                 reference_discretize_symmetric(spec, SymmetryGroup.trivial(), l, m))
@@ -812,6 +810,53 @@ class TestMidpointRefinementLoop:
         assert rep.residual <= 1e-6
 
 
+def rounded_rectangle_spec(p, r, a, b, phase, knots=4096):
+    """Lp surface measure of the rectangle [-a, a] x [-b, b] plus the disk
+    of radius r, rotated by phase: atoms h^(1-p) (edge length) at the four
+    facet normals, and the density h^(1-p) r, for the support function
+    h = a |cos s| + b |sin s| + r, s = t - phase.  Returns the measure and h."""
+
+    def h(t):
+        s = t - phase
+        return a * np.abs(np.cos(s)) + b * np.abs(np.sin(s)) + r
+
+    normals = phase + math.pi / 2 * np.arange(4)
+    atoms = DiscreteMeasure(normals, h(normals) ** (1.0 - p) * np.array([2 * b, 2 * a] * 2))
+    t = TWO_PI * np.arange(knots) / knots
+    return MeasureSpec(atoms, PiecewiseLinearDensity(t, h(t) ** (1.0 - p) * r)), h
+
+
+class TestMixedInputs:
+    """Atoms and a density together: the grid bins the density alone and the
+    atoms keep their angles, so the loop converges at the density's rate.
+    Moving each atom to its arc's midpoint kept the first rounded square
+    from converging by m = 8192."""
+
+    @staticmethod
+    def error(P, h):
+        t = TWO_PI * np.arange(8192) / 8192
+        return float(np.max(np.abs(P.support_values(t) - h(t))) / h(t).max())
+
+    @pytest.mark.parametrize("p, r, a, b, phase", [(0.5, 0.3, 1.0, 1.0, 0.0),
+                                                   (0.3, 0.5, 1.5, 1.0, 0.2),
+                                                   (0.7, 0.2, 1.0, 2.0, 1.0)])
+    def test_rounded_rectangles(self, p, r, a, b, phase):
+        spec, h = rounded_rectangle_spec(p, r, a, b, phase)
+        P, rep = solve(spec, p)
+        assert not rep.warnings and rep.m_final <= 256
+        assert self.error(P, h) <= 5e-5
+
+    def test_rounded_square_under_d4(self):
+        # the facet normals are midpoints of every D4 grid: each atom merges
+        # into its midpoint's density mass, one atom per arc
+        spec, h = rounded_rectangle_spec(0.5, 0.3, 1.0, 1.0, 0.0)
+        G = SymmetryGroup.dihedral(4, 0.0)
+        assert discretize(spec, 64, G).n == 128
+        P, rep = solve(spec, 0.5, G)
+        assert rep.symmetry == "D4:0" and not rep.warnings and rep.m_final <= 256
+        assert self.error(P, h) <= 5e-5
+
+
 def symmetric_manufactured_spec(k, dihedral, p, psi, knots):
     """Density of h = 1 + a cos(k s) + b cos(2k s), s = t - psi, on knots
     anchored at psi: invariant under C_k, and under D_k with axis psi.
@@ -874,44 +919,38 @@ def stage_cases(rng):
 
 
 def assert_union_find_orbits(orb, normals, G):
-    """orb is the union-find's partition of normals under G."""
+    """orb is the union-find's partition of normals under G, in C-ordered
+    blocks: OrbitStructure.average sums an F-ordered block column-wise,
+    which moves a mean in its last bit."""
     got, want = orbit_index_sets(orb), reference_orbit_partition(normals, G)[0]
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-def arc_order_atoms(spec, G, l, m, axis=None):
-    """The kept arc midpoints of discretize_symmetric(spec, G, l, m, axis) in
-    arc order, the order in which it builds their orbits."""
-    pts = _symmetric_base_angles(G, l, m, spec, axis)
-    mids = canonical_angles(0.5 * (pts + np.append(pts[1:], pts[0] + TWO_PI)))
-    return mids[np.isin(mids, discretize_symmetric(spec, G, l, m, axis).thetas)]
+    assert all(rows.flags.c_contiguous for rows in orb.blocks)
 
 
 def assert_stage_orbits(spec, G, l, m, axis=None):
-    """orbit_partition is the union-find on a stage's atoms, both in arc
-    order, as discretize_symmetric averages the masses, and sorted, as
-    solve_discrete averages the support numbers.  Returns them in arc order."""
-    mids = arc_order_atoms(spec, G, l, m, axis)
-    for normals in (mids, np.sort(mids)):
+    """orbit_partition is the union-find on the atoms of the stage
+    discretize_symmetric(spec, G, l, m, axis), sorted, as it and
+    solve_discrete build their orbits, and unsorted, the last atom moved to
+    the front.  Returns the stage's atoms."""
+    t = discretize_symmetric(spec, G, l, m, axis).thetas
+    for normals in (t, np.roll(t, 1)):
         assert_union_find_orbits(orbit_partition(normals, G), normals, G)
-    return mids
+    return t
 
 
 class TestStageOrbitHandoff:
-    """Each symmetric stage builds its orbits with orbit_partition twice:
-    in discretize_symmetric on the kept midpoints in arc order, and in
-    solve_discrete on the sorted atoms.  Both are the union-find's."""
+    """Each symmetric stage builds its orbits with orbit_partition on the
+    sorted stage measure: in discretize_symmetric to average the masses,
+    and in solve_discrete to average the support numbers.  Both are the
+    union-find's."""
 
     def test_stage_orbits_equal_the_union_find(self, rng):
-        wrapped = 0
         for G, spec in stage_cases(rng):
             l = pipeline._loop_groups(G)
             for m in (64, 128, 256, 512):
-                mids = assert_stage_orbits(spec, G, l, max(2, m // l))
-                assert np.array_equal(np.sort(mids), discretize(spec, m, G).thetas)
-                wrapped += mids[-1] < mids[0]
-        assert wrapped
+                t = assert_stage_orbits(spec, G, l, max(2, m // l))
+                assert np.array_equal(t, discretize(spec, m, G).thetas)
 
     def test_solver_builds_each_stages_orbits(self, rng, monkeypatch):
         built = []
@@ -1015,15 +1054,14 @@ class TestGridOrbits:
     @pytest.mark.parametrize("G, l", GROUPS, ids=lambda x: x.label() if isinstance(x, SymmetryGroup)
                              else str(x))
     def test_atoms_on_the_first_cut_points(self, G, l):
-        # atoms on the first base point's cut points, an invariant set: the
-        # base point moves on, off the lm-gon's own axes
+        # atoms on the cut points, an invariant set: they keep their angles,
+        # between two arcs whose midpoints keep theirs
         m = 6
-        first = reference_base_angles(G, l, m, uniform_density_spec())
+        cuts = _symmetric_base_angles(G, l, m)
         dens = invariant_density_spec(G, G.axis).density
-        spec = MeasureSpec(DiscreteMeasure(first, np.full(len(first), 0.5)), dens)
-        pts = _symmetric_base_angles(G, l, m, spec)
-        assert not np.isin(pts, first).any()
-        assert_stage_orbits(spec, G, l, m)
+        spec = MeasureSpec(DiscreteMeasure(cuts, np.full(len(cuts), 0.5)), dens)
+        t = assert_stage_orbits(spec, G, l, m)
+        assert len(t) == 2 * len(cuts) and np.isin(cuts, t).all()
 
     def test_half_grid_reflects_across_the_semicircle_centre(self, rng):
         # the half group's axis lin(w) is not the grid's axis lin(v)
@@ -1032,15 +1070,15 @@ class TestGridOrbits:
             cls = classify_spec(spec)
             H = pipeline.half_group(SymmetryGroup.dihedral(1, cls.w), cls)
             for m in (64, 128, 256):
-                mids = assert_stage_orbits(spec, H, 4, m // 4, cls.v)
-                assert np.array_equal(np.sort(mids), pipeline._half_grid(spec, m, H, cls).thetas)
+                t = assert_stage_orbits(spec, H, 4, m // 4, cls.v)
+                assert np.array_equal(t, pipeline._half_grid(spec, m, H, cls).thetas)
 
     @pytest.mark.parametrize("G", [SymmetryGroup.cyclic(4), SymmetryGroup.dihedral(5, 0.4)],
                              ids=lambda G: G.label())
     def test_kept_arcs_that_split_an_orbit_raise(self, G):
         # one atom at the midpoint of each chosen arc keeps exactly those
         l, m = G.order_k, 4
-        pts = _symmetric_base_angles(G, l, m, uniform_density_spec())
+        pts = _symmetric_base_angles(G, l, m)
         mids = canonical_angles(0.5 * (pts + np.append(pts[1:], pts[0] + TWO_PI)))
 
         def on_arcs(arcs):
@@ -1076,8 +1114,14 @@ class TestGridOrbits:
         P, rep = solve(spec, case.p, G)
 
         def union_find(normals, G):
+            # indices grouped by label, one matrix per group size with a
+            # row per group in index order
             labels = reference_orbit_partition(normals, G)[2]
-            return solver.OrbitStructure(pipeline.index_blocks(labels))
+            size = np.bincount(labels)[labels]
+            order = np.lexsort((labels, size))
+            cuts = np.flatnonzero(np.diff(size[order])) + 1
+            return solver.OrbitStructure([rows.reshape(-1, size[rows[0]])
+                                          for rows in np.split(order, cuts)])
 
         monkeypatch.setattr(solver, "orbit_partition", union_find)
         monkeypatch.setattr(pipeline, "orbit_partition", union_find)

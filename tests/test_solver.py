@@ -991,6 +991,16 @@ class TestOrbitMapAgainstUnionFind:
                 values = rng.uniform(0.5, 2.0, len(normals))
                 assert orb.average(values).tobytes() == reference_average(orbits, values).tobytes()
 
+    def test_blocks_are_c_contiguous(self, rng):
+        # average sums each block row-wise only in C order: an F-ordered
+        # block is summed column-wise, which moves a mean in its last bit
+        for trial in range(120):
+            G = GROUPS[trial % len(GROUPS)]
+            theta = invariant_normals(rng, G, int(rng.integers(1, 5)), int(rng.integers(0, 3)),
+                                      seam=trial % 3 == 0)
+            for normals in (theta, np.sort(theta)):
+                assert all(rows.flags.c_contiguous for rows in orbit_partition(normals, G).blocks)
+
     def test_k2_image_differences_wrap_mod_two_pi(self):
         # A D2 pair the rotation by pi fixes: the reflection across 1.0 maps
         # 2.6 to -0.6, and the difference 2.6 + pi - (-0.6) is just above
