@@ -40,7 +40,7 @@ from .measure import DiscreteMeasure, MeasureSpec, PiecewiseLinearDensity
 # cost of some 70 numpy calls per block outweighs its saving over `%.17g`
 # below about 500 floats.
 _KERNEL_MIN = 512
-_BLOCK = 2048  # floats per _format17 call: its temporaries stay under 1 MB
+_BLOCK = 8192  # floats per _format17 call: its temporaries peak near 2.4 MB
 
 
 def _split(v):

@@ -5,13 +5,19 @@ polygon whose Lp surface area measure matches it by a damped Newton iteration
 on h_i^(1-p) * edge_i(h) = mass_i over support numbers with all facets
 active.  A cold Newton start is tried first; when it fails, a continuation
 pads every mass, solves, and drives the pad to zero with warm-started Newton
-stages.  Each Newton step is one O(n) cyclic-tridiagonal solve.  A measure on
-a closed semicircle is solved on the half body instead: the chord normal
-opposite the semicircle joins the normals with its support pinned at 0, so
-the origin lies on the chord, which carries no Lp mass, and each Newton step
-is the same cyclic solve with the two couplings across the chord cut.  A
-candidate above the residual tolerance raises NoConvergenceError.  Finite
-symmetry constraints are enforced by orbit averaging of the support numbers.
+stages.  Each Newton step is one O(n) cyclic-tridiagonal solve, damped by
+halving the step until every facet stays active and the residual norm falls.
+Under the trivial group, the halvings that provably fail positivity after a
+full step fails it are skipped unevaluated, and after a failed decrease test
+the rest are evaluated in blocks of rows, with the plain trials' own
+arithmetic, so the iterates are plain halving's bit for bit (_newton_polish).
+A measure on a closed semicircle is solved on the half body instead: the
+chord normal opposite the semicircle joins the normals with its support
+pinned at 0, so the origin lies on the chord, which carries no Lp mass, and
+each Newton step is the same cyclic solve with the two couplings across the
+chord cut.  A candidate above the residual tolerance raises
+NoConvergenceError.  Finite symmetry constraints are enforced by orbit
+averaging of the support numbers.
 """
 
 from __future__ import annotations
@@ -282,6 +288,10 @@ class _Workspace:
         self._rhs = np.empty((n, 2), order="F")
 
     def edge_form(self, h: np.ndarray) -> np.ndarray:
+        """L h, or L h for each row h of a (k, n) block, by the same
+        elementwise operations."""
+        if h.ndim == 2:
+            return self.diag * h + self.up * h[:, self.nxt] + self.lo * h[:, self.prv]
         return self.diag * h + self.up * h[self.nxt] + self.lo * h[self.prv]
 
     def volume(self, h: np.ndarray) -> float:
@@ -464,16 +474,66 @@ def _reactivate(ws: _Workspace, h: np.ndarray):
     return (1 - s) * h + s * target, None
 
 
+# Trials of one line search: t = 1, 1/2, ..., 2^-49.
+_TRIALS = 50
+# A trial t >= R _SKIP fails h > 0, and none below R / _SKIP does
+# (_newton_polish).
+_SKIP = 1.0 + 2.0**-50
+# Blocks of the trivial group's line search: at most _BLOCK_ROWS trials and
+# _BLOCK_FLOATS floats per array.
+_BLOCK_ROWS, _BLOCK_FLOATS = 8, 4096
+# Relative margin of the block's row-sum screen, far above the 2 n 2^-53
+# <= 1e-12 by which a row sum and F.dot(F) can differ at n <= 4096.
+_SCREEN = 1e-9
+# Per trial: t, the decrease test's factor 1 - t / 4 as a single trial
+# computes it, and that factor squared with the screen's margin.
+_HALVINGS = np.ldexp(1.0, -np.arange(_TRIALS))
+_DECREASE = 1.0 - 0.25 * _HALVINGS
+_SCREEN_LIMITS = _DECREASE * _DECREASE * (1.0 + _SCREEN)
+
+
 def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
                    tol: float, average, max_iters: int = 80):
     """Damped Newton on h^(1-p) * (L h) = target inside the all-active cone
-    from _reactivate's blend of h, averaged; (h, inf, 0) if that is outside."""
+    from _reactivate's blend of h, averaged; (h, inf, 0) if that is outside.
+
+    Each step backtracks by halving (Dennis and Schnabel, Numerical Methods
+    for Unconstrained Optimization, 1983, section 6.3): it takes the first
+    of the 50 trials t = 1, 1/2, ..., 2^-49 at which h_t = average(h + t
+    step) has h_t > 0, L h_t > 0 and |F(h_t)| <= (1 - t / 4) |F(h)|, F =
+    h^(1-p) L h - target, and Newton stops when none passes.  For the
+    trivial group, whose average returns its argument (the chord workspace
+    included), the search reaches the same t with fewer evaluations, and
+    each value it computes is the plain trial's, by the same elementwise
+    operations, so h, err and the step count are plain halving's bit for
+    bit:
+
+    - Skip.  Once the full step fails h > 0, let R = -1 / min(step_i /
+      h_i), the least h_i / -step_i over step_i < 0 with two roundings.
+      Every trial t >= R (1 + 2^-50) fails h > 0, and counts against the 50
+      unevaluated: R and that bound carry three roundings of under 2^-53
+      each, so t |step_i| > h_i exactly at R's index, and rounding, being
+      monotone, keeps h_i + t step_i <= 0.  Below R / (1 + 2^-50) no trial
+      fails h > 0, as t step_i is exact for a power of two t; the one power
+      of two between the two bounds, if any, is decided by the exact test.
+    - Block.  A trial that has h > 0 at t has it at every smaller t.  Once
+      a trial passes both positivity tests and fails the decrease test, the
+      trials left go in blocks of up to 8 rows, 4096 floats in all, through
+      edge_form and h ** (1 - p) as one (k, n) array, and no row needs the
+      h > 0 test.  A row whose sum of squares of F exceeds the bound
+      squared by more than the margin _SCREEN fails the decrease test,
+      since that sum and F.dot(F) differ by at most 2 n 2^-53 of either.
+      The rows left get the plain trial's L h > 0 and F.dot(F) tests in
+      order, and the first to pass is taken.
+
+    A nontrivial group's trials run one by one."""
     p = ws.p
     blend, ell = _reactivate(ws, h.copy())
     # average returns its argument for the trivial group, whose edge form
     # _reactivate has then computed
     h = average(blend)
-    if h is not blend or ell is None:
+    trivial = h is blend
+    if not trivial or ell is None:
         ell = ws.edge_form(h)
     if ell.min() <= 0 or h.min() <= 0:
         return h, math.inf, 0
@@ -491,25 +551,66 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
         if not np.isfinite(step).all():
             break
         fnorm = math.sqrt(F.dot(F))
-        t = 1.0
-        improved = False
-        for _ in range(50):
+        t, tries = 1.0, 0
+        found = None
+        while tries < _TRIALS:
             h_try = average(h + t * step)
+            tries += 1
             if h_try.min() > 0:
                 ell_try = ws.edge_form(h_try)
                 if ell_try.min() > 0:
                     w_try = h_try ** (1.0 - p)
                     F_try = w_try * ell_try - target
                     if math.sqrt(F_try.dot(F_try)) <= (1.0 - 0.25 * t) * fnorm:
-                        h, w, ell, F = h_try, w_try, ell_try, F_try
-                        improved = True
+                        found = h_try, w_try, ell_try, F_try
                         break
+                    if trivial and 2 * ws.n <= _BLOCK_FLOATS:
+                        found = _block_search(ws, h, step, target, fnorm, tries)
+                        break
+            elif trivial and tries == 1:
+                t, tries = _skip_nonpositive(h, step)
+                continue
             t *= 0.5
         iters = it + 1
-        if not improved:
+        if found is None:
             break
+        h, w, ell, F = found
         err = float((np.abs(F) / target).max())
     return h, err, iters
+
+
+def _skip_nonpositive(h, step):
+    """(t, tries) once the full step h + step fails h > 0, h itself
+    positive: t the first halving not shown to fail h > 0, and tries the
+    trials before it, the full step included."""
+    r = -1.0 / float((step / h).min())
+    t, tries = 0.5, 1
+    while tries < _TRIALS and (t >= r * _SKIP
+                               or t >= r / _SKIP and not (h + t * step).min() > 0):
+        t *= 0.5
+        tries += 1
+    return t, tries
+
+
+def _block_search(ws: _Workspace, h, step, target, fnorm: float, tries: int):
+    """The line search's trials after the first tries of them, for the
+    trivial group, in blocks of rows (_newton_polish): (h, w, L h, F) at
+    the first that passes, else None."""
+    p = ws.p
+    rows = min(_BLOCK_ROWS, _BLOCK_FLOATS // ws.n)
+    fnorm2 = fnorm * fnorm
+    for start in range(tries, _TRIALS, rows):
+        block = slice(start, min(start + rows, _TRIALS))
+        H = h + _HALVINGS[block, None] * step
+        ell = ws.edge_form(H)
+        W = H ** (1.0 - p)
+        F = W * ell - target
+        screened = np.einsum("ij,ij->i", F, F) <= _SCREEN_LIMITS[block] * fnorm2
+        for j in np.flatnonzero(screened).tolist():
+            F_j = F[j].copy()
+            if ell[j].min() > 0 and math.sqrt(F_j.dot(F_j)) <= _DECREASE[start + j] * fnorm:
+                return H[j].copy(), W[j].copy(), ell[j].copy(), F_j
+    return None
 
 
 def _radial_init(ws: _Workspace) -> np.ndarray:

@@ -292,6 +292,29 @@ class TestVectorFormatter:
             assert text == reference_dumps(obj, indent)
             assert text == dumps_canonical(as_lists(obj), indent)
 
+    @pytest.mark.parametrize("shape", ["flat", "rows", "atoms"])
+    def test_documents_across_two_block_seams(self, rng, monkeypatch, shape):
+        # 2 _BLOCK + 3 floats: the writer's blocks end at floats _BLOCK and
+        # 2 _BLOCK, inside a row of 2 and between an atom's mass and theta
+        # once one float ahead shifts the rows and atoms by one
+        n = 2 * _BLOCK + 3
+        calls = []
+        format17 = serialization._format17
+        monkeypatch.setattr(serialization, "_format17",
+                            lambda x: calls.append(len(x)) or format17(x))
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-9.0, 18.0, n)
+        x[::7] = -0.0
+        x = x.tolist()
+        if shape == "flat":
+            doc = {"v": x}
+        elif shape == "rows":
+            doc = {"a": x[:1], "rows": [x[i:i + 2] for i in range(1, n, 2)]}
+        else:
+            doc = {"a": x[:1], "atoms": [{"mass": x[i], "theta": x[i + 1]} for i in range(1, n, 2)]}
+        for indent in (0, 4):
+            assert dumps_canonical(doc, indent) == reference_dumps(doc, indent)
+        assert calls == [_BLOCK, _BLOCK, 3] * 2
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_on_the_kernel_path_raises_alike(self, rng, bad):
         x = rng.normal(size=_KERNEL_MIN)

@@ -594,25 +594,29 @@ def reference_newton_polish(ws, h, target, tol, average, max_iters=80):
             break
         if not np.isfinite(step).all():
             break
-        fnorm = math.sqrt(F.dot(F))
-        t = 1.0
-        improved = False
-        for _ in range(50):
-            h_try = average(h + t * step)
-            if h_try.min() > 0:
-                ell_try = ws.edge_form(h_try)
-                if ell_try.min() > 0:
-                    F_try = h_try ** (1.0 - p) * ell_try - target
-                    if math.sqrt(F_try.dot(F_try)) <= (1.0 - 0.25 * t) * fnorm:
-                        h, ell, F = h_try, ell_try, F_try
-                        improved = True
-                        break
-            t *= 0.5
+        found = reference_line_search(ws, h, step, target, math.sqrt(F.dot(F)), average)
         iters = it + 1
-        if not improved:
+        if found is None:
             break
+        h, ell, F = found
         err = float((np.abs(F) / target).max())
     return h, err, iters
+
+
+def reference_line_search(ws, h, step, target, fnorm, average):
+    """Plain sequential halving: the first of t = 1, 1/2, ..., 2^-49 that
+    passes, as (h, L h, F) there, else None."""
+    t = 1.0
+    for _ in range(50):
+        h_try = average(h + t * step)
+        if h_try.min() > 0:
+            ell_try = ws.edge_form(h_try)
+            if ell_try.min() > 0:
+                F_try = h_try ** (1.0 - ws.p) * ell_try - target
+                if math.sqrt(F_try.dot(F_try)) <= (1.0 - 0.25 * t) * fnorm:
+                    return h_try, ell_try, F_try
+        t *= 0.5
+    return None
 
 
 class TestNewtonCoreBitForBit:
@@ -667,6 +671,151 @@ class TestNewtonCoreBitForBit:
         assert all(isinstance(getattr(args[4], "__self__", None), solver.OrbitStructure)
                    for args, _ in polishes)
         self.assert_replayed(polishes)
+
+
+class TestLineSearch:
+    """The trivial group's halving in _newton_polish, which skips the trials
+    that provably fail h > 0 and evaluates the trials after a failed
+    decrease test in blocks, against plain halving.  The recording average
+    sees the trials evaluated one by one; skipped and block trials never
+    reach it."""
+
+    @staticmethod
+    def search(monkeypatch, ws, h, step, average=None):
+        """One Newton step along step from h, against reference_line_search:
+        the trials the average (the trivial group's by default) saw, and
+        plain halving's (h, L h, F) or None."""
+        average = average or (lambda x: x)
+        F = h ** (1.0 - ws.p) * ws.edge_form(h) - ws.alpha
+        want = reference_line_search(ws, h, step, ws.alpha, math.sqrt(F.dot(F)), average)
+        monkeypatch.setattr(ws, "solve_linear", lambda J, rhs: step.copy())
+        seen = []
+
+        def recorded(x):
+            seen.append(x.copy())
+            return average(x)
+
+        h_got, err, iters = _newton_polish(ws, h, ws.alpha, 0.0, recorded, 1)
+        assert iters == 1 and seen[0].tobytes() == h.tobytes()
+        assert h_got.tobytes() == (h if want is None else want[0]).tobytes()
+        if want is not None:
+            assert err == float((np.abs(want[2]) / ws.alpha).max())
+        return seen[1:], want
+
+    @staticmethod
+    def hexagon():
+        ws = _Workspace(np.arange(6) * (TWO_PI / 6), np.full(6, 2.0), 0.5)
+        h = np.ones(6)
+        h[0] = 0.75
+        assert ws.edge_form(h).min() > 0
+        return ws, h
+
+    @pytest.mark.parametrize("s0, first", [
+        (-6.0, 1 / 16),  # 0.75 + step_0 / 8 == 0 exactly: 1/8 is skipped
+        (-np.nextafter(6.0, 7.0), 1 / 16),  # below 0 at 1/8
+        (-np.nextafter(6.0, 0.0), 1 / 8),  # the least positive double at 1/8
+        (-5.0, 1 / 8),
+    ])
+    def test_skips_exactly_the_trials_that_fail_positivity(self, monkeypatch, s0, first):
+        ws, h = self.hexagon()
+        step = np.zeros(6)
+        step[0] = s0
+        assert (0.75 + first * s0 > 0) and not (0.75 + 2 * first * s0 > 0)
+        seen, _ = self.search(monkeypatch, ws, h, step)
+        assert seen[0].tobytes() == (h + step).tobytes()
+        assert seen[1].tobytes() == (h + first * step).tobytes()
+
+    def test_a_group_keeps_every_trial(self, monkeypatch):
+        # under C2 the orbit {0, 2} averages h + t step to 1 - 1.05 t, so
+        # t = 1/2 keeps h > 0 though h_0 + step_0 / 2 = -1 does not
+        theta = np.arange(4) * (TWO_PI / 4)
+        orbits = orbit_partition(theta, SymmetryGroup.cyclic(2))
+        ws = _Workspace(theta, np.full(4, 3.0), 0.5)
+        h = np.ones(4)
+        step = np.array([-4.0, 0.0, 1.9, 0.0])
+        seen, _ = self.search(monkeypatch, ws, h, step, orbits.average)
+        assert seen[0].tobytes() == (h + step).tobytes()
+        assert seen[1].tobytes() == (h + 0.5 * step).tobytes()
+
+    def test_skips_through_the_whole_budget(self, monkeypatch):
+        ws, h = self.hexagon()
+        step = np.zeros(6)
+        step[0] = -0.75 * 2.0**52  # every t >= 2^-49 takes h_0 below 0
+        seen, want = self.search(monkeypatch, ws, h, step)
+        assert want is None and len(seen) == 1
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0, 1e6])
+    def test_exhausted_budget_after_blocks(self, monkeypatch, scale):
+        # an ascent direction: |F| grows to first order at every t, so each
+        # trial fails, and those after the first that has h > 0 and L h > 0
+        # go in blocks
+        ws, h = self.hexagon()
+        ell = ws.edge_form(h)
+        w = h ** (1.0 - ws.p)
+        newton = ws.solve_linear(ws.jacobian(h, w, ell), ws.alpha - w * ell)
+        seen, want = self.search(monkeypatch, ws, h, -scale * newton)
+        assert want is None
+        positive = [x.min() > 0 and ws.edge_form(x).min() > 0 for x in seen]
+        assert positive == [False] * (len(seen) - 1) + [True]
+        assert len(seen) == {0.25: 1, 1.0: 2, 1e6: 3}[scale]
+
+    def test_semicircle_atoms_replay(self, monkeypatch):
+        """Hard-contrast atoms on a semicircle, solved on the half body (the
+        chord workspace) through skips and blocks, replayed on the
+        reference Newton core."""
+        counts = {"skip": 0, "block": 0}
+        for name, key in (("_skip_nonpositive", "skip"), ("_block_search", "block")):
+            def counted(*args, f=getattr(solver, name), key=key):
+                counts[key] += 1
+                return f(*args)
+            monkeypatch.setattr(solver, name, counted)
+        polishes = []
+        polish = solver._newton_polish
+
+        def recorded(ws, h, target, tol, average, max_iters=80):
+            args = (ws, h.copy(), target.copy(), tol, average, max_iters)
+            polishes.append((args, polish(ws, h, target, tol, average, max_iters)))
+            return polishes[-1][1]
+
+        monkeypatch.setattr(solver, "_newton_polish", recorded)
+        rng = np.random.default_rng(37)
+        theta = np.sort(rng.uniform(0.02, math.pi - 0.02, 24))
+        mu = DiscreteMeasure(theta, 10.0 ** rng.uniform(0.0, 4.0, 24))
+        _, report = solve_discrete(mu, 0.5, chord=1.5 * math.pi)
+        assert report.classification == "semicircle"
+        assert counts["skip"] > 0 and counts["block"] > 0
+        assert all((args[0].up == 0.0).any() for args, _ in polishes)
+        TestNewtonCoreBitForBit.assert_replayed(polishes)
+
+    def test_give_up_case_counts(self, monkeypatch):
+        """Base-seed stress case 59 gives up after 656 Newton steps in 18
+        pad stages.  Plain halving evaluates 7714 trials that fail only
+        h > 0; the skip leaves at most one, the full step, per Newton step."""
+        workloads = import_bench_module("workloads")
+        n, p, C, t, m = workloads._stress_measures(np.random.default_rng(0), 120)[59]
+        calls, nonpositive = [], []
+
+        def average(x):
+            nonpositive.append(not x.min() > 0)
+            return x
+
+        polish = solver._newton_polish
+
+        def recorded(ws, h, target, tol, _, max_iters=80):
+            calls.append((ws, h.copy(), target.copy(), tol, max_iters))
+            return polish(ws, h, target, tol, average, max_iters)
+
+        monkeypatch.setattr(solver, "_newton_polish", recorded)
+        with pytest.raises(NoConvergenceError) as exc:
+            solve_discrete(DiscreteMeasure(t, m), p)
+        report = exc.value.report
+        assert (report.newton_iters, report.outer_iters) == (656, 18)
+        evaluated = sum(nonpositive)
+        nonpositive.clear()
+        for ws, h, target, tol, max_iters in calls:
+            reference_newton_polish(ws, h, target, tol, average, max_iters)
+        assert sum(nonpositive) == 7714
+        assert evaluated == 643
 
 
 class TestLapackLoader:
