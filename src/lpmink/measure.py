@@ -113,12 +113,6 @@ class DiscreteMeasure:
     def pushforward(self, A: Isometry2) -> "DiscreteMeasure":
         return DiscreteMeasure(A.apply_angles(self.thetas), self.masses.copy())
 
-    def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        return DiscreteMeasure(
-            np.concatenate([self.thetas, other.thetas]),
-            np.concatenate([self.masses, other.masses]),
-        )
-
 
 @dataclass(eq=False)
 class DiscreteMeasure3:

@@ -7,17 +7,18 @@ active.  A cold Newton start is tried first; when it fails, a continuation
 pads every mass, solves, and drives the pad to zero with warm-started Newton
 stages.  Each Newton step is one O(n) cyclic-tridiagonal solve, damped by
 halving the step until every facet stays active and the residual norm falls.
-Under the trivial group, the halvings that provably fail positivity after a
-full step fails it are skipped unevaluated, and after a failed decrease test
-the rest are evaluated in blocks of rows, with the plain trials' own
-arithmetic, so the iterates are plain halving's bit for bit (_newton_polish).
+The halvings that provably fail positivity after a full step fails it are
+skipped unevaluated, and after a failed decrease test the rest are evaluated
+in blocks of rows, with the plain trials' own arithmetic, so the iterates are
+plain halving's bit for bit (_newton_polish).
 A measure on a closed semicircle is solved on the half body instead: the
 chord normal opposite the semicircle joins the normals with its support
 pinned at 0, so the origin lies on the chord, which carries no Lp mass, and
 each Newton step is the same cyclic solve with the two couplings across the
 chord cut.  A candidate above the residual tolerance raises
-NoConvergenceError.  Finite symmetry constraints are enforced by orbit
-averaging of the support numbers.
+NoConvergenceError.  A finite symmetry group is enforced in the Newton
+workspace: the start and each step are averaged over the group's orbits, so
+every iterate is constant on each orbit.
 """
 
 from __future__ import annotations
@@ -251,12 +252,14 @@ class _Workspace:
     or more, and less than pi, else ValueError.  The chord's own edge,
     h_i / sin(gaps[i]) + h_j / sin(before[j]) with both sines in (0, 1], is
     positive in floating point wherever h_i and h_j are, so the positivity
-    tests of h in _newton_polish are the chord's too."""
+    tests of h in _newton_polish are the chord's too.  orbits, a nontrivial
+    group's, make average the orbit mean, else the identity."""
 
     def __init__(self, thetas: np.ndarray, alphas: np.ndarray, p: float,
-                 chord: float | None = None):
+                 chord: float | None = None, orbits: OrbitStructure | None = None):
         self.alpha = alphas
         self.p = p
+        self.average = (lambda x: x) if orbits is None else orbits.average
         self.n = n = len(thetas)
         gaps = circular_gaps(thetas)  # from each normal to the next
         before = cyclic_shift(gaps, 1)  # to each normal from the last
@@ -479,7 +482,7 @@ _TRIALS = 50
 # A trial t >= R _SKIP fails h > 0, and none below R / _SKIP does
 # (_newton_polish).
 _SKIP = 1.0 + 2.0**-50
-# Blocks of the trivial group's line search: at most _BLOCK_ROWS trials and
+# Blocks of the line search: at most _BLOCK_ROWS trials and
 # _BLOCK_FLOATS floats per array.
 _BLOCK_ROWS, _BLOCK_FLOATS = 8, 4096
 # Relative margin of the block's row-sum screen, far above the 2 n 2^-53
@@ -493,20 +496,21 @@ _SCREEN_LIMITS = _DECREASE * _DECREASE * (1.0 + _SCREEN)
 
 
 def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
-                   tol: float, average, max_iters: int = 80):
+                   tol: float, max_iters: int = 80):
     """Damped Newton on h^(1-p) * (L h) = target inside the all-active cone
-    from _reactivate's blend of h, averaged; (h, inf, 0) if that is outside.
+    from _reactivate's blend of ws.average(h); (h, inf, 0) if that is
+    outside.
 
-    Each step backtracks by halving (Dennis and Schnabel, Numerical Methods
-    for Unconstrained Optimization, 1983, section 6.3): it takes the first
-    of the 50 trials t = 1, 1/2, ..., 2^-49 at which h_t = average(h + t
-    step) has h_t > 0, L h_t > 0 and |F(h_t)| <= (1 - t / 4) |F(h)|, F =
-    h^(1-p) L h - target, and Newton stops when none passes.  For the
-    trivial group, whose average returns its argument (the chord workspace
-    included), the search reaches the same t with fewer evaluations, and
-    each value it computes is the plain trial's, by the same elementwise
-    operations, so h, err and the step count are plain halving's bit for
-    bit:
+    Each step, the averaged Newton direction, backtracks by halving (Dennis
+    and Schnabel, Numerical Methods for Unconstrained Optimization, 1983,
+    section 6.3): it takes the first of the 50 trials t = 1, 1/2, ...,
+    2^-49 at which h_t = h + t step has h_t > 0, L h_t > 0 and |F(h_t)| <=
+    (1 - t / 4) |F(h)|, F = h^(1-p) L h - target, and Newton stops when
+    none passes.  The blend and each trial put equal entries through the
+    same operations, so every iterate is exactly constant on each orbit.
+    The search reaches that t with fewer evaluations, and each value it
+    computes is the plain trial's, by the same elementwise operations, so
+    h, err and the step count are plain halving's bit for bit:
 
     - Skip.  Once the full step fails h > 0, let R = -1 / min(step_i /
       h_i), the least h_i / -step_i over step_i < 0 with two roundings.
@@ -524,16 +528,10 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
       squared by more than the margin _SCREEN fails the decrease test,
       since that sum and F.dot(F) differ by at most 2 n 2^-53 of either.
       The rows left get the plain trial's L h > 0 and F.dot(F) tests in
-      order, and the first to pass is taken.
-
-    A nontrivial group's trials run one by one."""
+      order, and the first to pass is taken."""
     p = ws.p
-    blend, ell = _reactivate(ws, h.copy())
-    # average returns its argument for the trivial group, whose edge form
-    # _reactivate has then computed
-    h = average(blend)
-    trivial = h is blend
-    if not trivial or ell is None:
+    h, ell = _reactivate(ws, ws.average(h))
+    if ell is None:
         ell = ws.edge_form(h)
     if ell.min() <= 0 or h.min() <= 0:
         return h, math.inf, 0
@@ -545,7 +543,7 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
         if err <= tol:
             break
         try:
-            step = ws.solve_linear(ws.jacobian(h, w, ell), -F)
+            step = ws.average(ws.solve_linear(ws.jacobian(h, w, ell), -F))
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(step).all():
@@ -554,7 +552,7 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
         t, tries = 1.0, 0
         found = None
         while tries < _TRIALS:
-            h_try = average(h + t * step)
+            h_try = h + t * step
             tries += 1
             if h_try.min() > 0:
                 ell_try = ws.edge_form(h_try)
@@ -564,10 +562,10 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
                     if math.sqrt(F_try.dot(F_try)) <= (1.0 - 0.25 * t) * fnorm:
                         found = h_try, w_try, ell_try, F_try
                         break
-                    if trivial and 2 * ws.n <= _BLOCK_FLOATS:
+                    if 2 * ws.n <= _BLOCK_FLOATS:
                         found = _block_search(ws, h, step, target, fnorm, tries)
                         break
-            elif trivial and tries == 1:
+            elif tries == 1:
                 t, tries = _skip_nonpositive(h, step)
                 continue
             t *= 0.5
@@ -593,9 +591,9 @@ def _skip_nonpositive(h, step):
 
 
 def _block_search(ws: _Workspace, h, step, target, fnorm: float, tries: int):
-    """The line search's trials after the first tries of them, for the
-    trivial group, in blocks of rows (_newton_polish): (h, w, L h, F) at
-    the first that passes, else None."""
+    """The line search's trials after the first tries of them, in blocks
+    of rows (_newton_polish): (h, w, L h, F) at the first that passes, else
+    None."""
     p = ws.p
     rows = min(_BLOCK_ROWS, _BLOCK_FLOATS // ws.n)
     fnorm2 = fnorm * fnorm
@@ -618,7 +616,7 @@ def _radial_init(ws: _Workspace) -> np.ndarray:
     return (ws.alpha / (0.5 * (ws.gaps + ws.before))) ** (1.0 / (2.0 - ws.p))
 
 
-def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, average):
+def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig):
     """Newton along a target homotopy: pad every mass by a multiple of the
     mean, then drive the pad to zero.  The padded targets keep all facets
     comfortably active (the role of a vanishing log-barrier) while warm
@@ -632,7 +630,7 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, aver
     target = alpha + pad * meanm
     S0 = np.clip(h0, 1e-300, None) ** (1.0 - p) * np.clip(ws.edge_form(h0), 1e-300, None)
     h = h0 * (float(target.sum()) / float(S0.sum())) ** (1.0 / (2.0 - p))
-    h, err, iters = _newton_polish(ws, h, target, stage_tol, average)
+    h, err, iters = _newton_polish(ws, h, target, stage_tol)
     stages = 1
     if err > 1e-5:
         return h0, math.inf, iters, stages
@@ -642,7 +640,7 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, aver
         stages += 1
         target = alpha + pad_try * meanm
         h_start = h_good * (float(target.sum()) / total_good) ** (1.0 / (2.0 - p))
-        h_new, err, it = _newton_polish(ws, h_start, target, stage_tol, average)
+        h_new, err, it = _newton_polish(ws, h_start, target, stage_tol)
         iters += it
         if err <= 1e-5:
             pad_good, h_good, total_good = pad_try, h_new, float(target.sum())
@@ -654,7 +652,7 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, aver
             if ratio > 0.93:
                 return h_good, math.inf, iters, stages  # branch lost; step refinements exhausted
             pad_try = pad_good * math.sqrt(ratio)
-    h_fin, err, it = _newton_polish(ws, h_good, alpha, cfg.tol_residual, average)
+    h_fin, err, it = _newton_polish(ws, h_good, alpha, cfg.tol_residual)
     return h_fin, err, iters + it, stages + 1
 
 
@@ -673,26 +671,25 @@ def _fit_scale(S: np.ndarray, alpha: np.ndarray) -> float:
     return c
 
 
-def _newton_then_continuation(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig, average):
+def _newton_then_continuation(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig):
     """The solve attempt: Newton from the start, then pad continuation from a
     radial guess.  Returns (h, stages, newton_iters) for the Newton candidate
     when it is within tolerance, else for the better of the two."""
     p, alpha = ws.p, ws.alpha
-    h = average(np.maximum(h0.copy(), 1e-8))
+    h = np.maximum(h0, 1e-8)
     h = h / math.sqrt(max(ws.volume(h), 1e-300))
 
     # Cheap first shot: warm starts usually land inside Newton's basin.
     S = np.clip(h, 1e-300, None) ** (1.0 - p) * np.clip(ws.edge_form(h), 0.0, None)
     c = _fit_scale(S, alpha)
     h_new, err, newton = _newton_polish(ws, h * c ** (-1.0 / (2.0 - p)), alpha,
-                                        cfg.tol_residual, average)
+                                        cfg.tol_residual)
     if err <= cfg.tol_residual:
         return h_new, 0, newton
 
     # Target continuation from a radially scaled guess handles wild mass
     # ratios that defeat a cold Newton start.
-    h_cont, err_cont, it_cont, stages = _continuation_newton(
-        ws, average(_radial_init(ws)), cfg, average)
+    h_cont, err_cont, it_cont, stages = _continuation_newton(ws, _radial_init(ws), cfg)
     newton += it_cont
     if err_cont < err:
         return h_cont, stages, newton
@@ -709,7 +706,9 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     NotSymmetricError when mu is not invariant under the requested group,
     and NoConvergenceError carrying the best report otherwise.  A
     nontrivial G is enforced on the orbits orbit_partition(mu.thetas, G)
-    builds, and the masses are checked against them.
+    builds: the masses are checked against them, and the Newton workspace
+    takes them, so every iterate, the returned support numbers included, is
+    constant on each orbit (_newton_polish).
 
     chord, an angle in [0, 2 pi), solves the half problem of a measure on
     the closed semicircle about chord + pi: the body has the chord normal
@@ -736,6 +735,7 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     elif cls.tag in (SINGLE_DIRECTION, ANTIPODAL_PAIR):
         raise ConcentratedError(f"measure is {cls.tag}; the chord needs a proper semicircle")
 
+    orbits = None
     if not G.is_trivial:
         try:
             orbits = orbit_partition(theta, G)
@@ -743,9 +743,6 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
             raise NotSymmetricError(f"measure is not invariant under {G.label()}: {exc}") from exc
         orbits.require_invariant(alpha, f"measure is not invariant under {G.label()}: "
                                         "atom masses are not constant on group orbits")
-        average = orbits.average
-    else:
-        average = lambda x: x
 
     # Normalize the mass scale: solving mu/s and dilating by s^(1/(2-p))
     # keeps every internal tolerance scale-free.
@@ -758,9 +755,9 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
             raise ValueError("warm start h0 must provide one value per atom")
         h_init = h0 / body_scale
 
-    ws = _Workspace(theta, alpha / mass_scale, p, chord)
-    h, outer, newton = _newton_then_continuation(ws, h_init, cfg, average)
-    h = average(h) * body_scale
+    ws = _Workspace(theta, alpha / mass_scale, p, chord, orbits)
+    h, outer, newton = _newton_then_continuation(ws, h_init, cfg)
+    h = h * body_scale
     if chord is not None:
         k = int(np.searchsorted(theta, chord))
         theta = np.concatenate((theta[:k], [chord], theta[k:]))

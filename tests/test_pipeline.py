@@ -113,12 +113,12 @@ class TestDiscretizeSymmetric:
         assert np.allclose(mu.masses, math.pi / 8.0, rtol=1e-12)
 
     def test_reflection_invariance_exact(self):
-        atoms = DiscreteMeasure([0.0, 1.0], [2.0, 0.7])
+        atoms = DiscreteMeasure([0.0, 1.0, TWO_PI - 1.0], [2.0, 0.7, 0.7])
         dens = PiecewiseLinearDensity(
             np.linspace(0, TWO_PI, 16, endpoint=False),
             1.0 + 0.5 * np.cos(np.linspace(0, TWO_PI, 16, endpoint=False)),
         )
-        spec = MeasureSpec(atoms + DiscreteMeasure([TWO_PI - 1.0], [0.7]), dens)
+        spec = MeasureSpec(atoms, dens)
         G = SymmetryGroup.dihedral(1, axis=0.0)
         mu = discretize_symmetric(spec, G, 4, 3)
         # output must be EXACTLY invariant: mirror atoms carry equal masses
@@ -942,8 +942,9 @@ def assert_stage_orbits(spec, G, l, m, axis=None):
 class TestStageOrbitHandoff:
     """Each symmetric stage builds its orbits with orbit_partition on the
     sorted stage measure: in discretize_symmetric to average the masses,
-    and in solve_discrete to average the support numbers.  Both are the
-    union-find's."""
+    and in solve_discrete for the Newton workspace, which averages the
+    start and each step, so every iterate is constant on each orbit.  Both
+    are the union-find's."""
 
     def test_stage_orbits_equal_the_union_find(self, rng):
         for G, spec in stage_cases(rng):

@@ -47,6 +47,7 @@ from lpmink.geometry import (
     unit_vectors,
 )
 from lpmink import solver
+from lpmink.cli import parse_symmetry
 from lpmink.pipeline import solve
 from lpmink.serialization import measure_spec_from_dict
 from lpmink.solver import _newton_polish, _Workspace
@@ -355,7 +356,7 @@ class TestNewtonLinearSolve:
         results = []
         for fault in (singular, nonfinite):
             monkeypatch.setattr(_Workspace, "solve_linear", fault)
-            results.append(_newton_polish(ws, h, mu.masses, 1e-10, lambda x: x))
+            results.append(_newton_polish(ws, h, mu.masses, 1e-10))
         (h1, err1, it1), (h2, err2, it2) = results
         assert it1 == it2 == 0
         assert err1 == err2 > 1e-10
@@ -574,10 +575,12 @@ def reference_solve_linear(ws, J, rhs):
     return y - (vy / (1.0 + vz)) * z
 
 
-def reference_newton_polish(ws, h, target, tol, average, max_iters=80):
-    """_newton_polish as it was, recomputing h^(1-p) for every Jacobian."""
+def reference_newton_polish(ws, h, target, tol, max_iters=80, trials=None):
+    """_newton_polish as plain sequential halving, recomputing h^(1-p) for
+    every Jacobian: ws.average takes the start and each step, and no trial.
+    A list trials collects every trial."""
     p = ws.p
-    h = average(solver._reactivate(ws, h.copy())[0])
+    h = solver._reactivate(ws, ws.average(h))[0]
     ell = ws.edge_form(h)
     if ell.min() <= 0 or h.min() <= 0:
         return h, math.inf, 0
@@ -589,12 +592,12 @@ def reference_newton_polish(ws, h, target, tol, average, max_iters=80):
         if err <= tol:
             break
         try:
-            step = reference_solve_linear(ws, reference_jacobian(ws, h, ell), -F)
+            step = ws.average(reference_solve_linear(ws, reference_jacobian(ws, h, ell), -F))
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(step).all():
             break
-        found = reference_line_search(ws, h, step, target, math.sqrt(F.dot(F)), average)
+        found = reference_line_search(ws, h, step, target, math.sqrt(F.dot(F)), trials)
         iters = it + 1
         if found is None:
             break
@@ -603,12 +606,15 @@ def reference_newton_polish(ws, h, target, tol, average, max_iters=80):
     return h, err, iters
 
 
-def reference_line_search(ws, h, step, target, fnorm, average):
+def reference_line_search(ws, h, step, target, fnorm, trials=None):
     """Plain sequential halving: the first of t = 1, 1/2, ..., 2^-49 that
-    passes, as (h, L h, F) there, else None."""
+    passes, as (h, L h, F) there, else None.  A list trials collects every
+    trial."""
     t = 1.0
     for _ in range(50):
-        h_try = average(h + t * step)
+        h_try = h + t * step
+        if trials is not None:
+            trials.append(h_try)
         if h_try.min() > 0:
             ell_try = ws.edge_form(h_try)
             if ell_try.min() > 0:
@@ -619,28 +625,40 @@ def reference_line_search(ws, h, step, target, fnorm, average):
     return None
 
 
+def record_polishes(monkeypatch):
+    """The list of (arguments, result) of every _newton_polish call made
+    while monkeypatch is in force."""
+    calls = []
+    polish = solver._newton_polish
+
+    def recorded(ws, h, target, tol, max_iters=80):
+        args = (ws, h.copy(), target.copy(), tol, max_iters)
+        calls.append((args, polish(ws, h, target, tol, max_iters)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "_newton_polish", recorded)
+    return calls
+
+
+def assert_orbit_constant(orbits, x):
+    """x, or each row of a block x, is bitwise constant on every orbit."""
+    for rows in orbits.blocks:
+        v = x[..., rows]
+        assert (v == v[..., :1]).all()
+
+
 class TestNewtonCoreBitForBit:
     """Every Newton solve a whole solve makes, replayed on the reference
     Newton core above: the same h bytes, err and step count."""
 
     @pytest.fixture
     def polishes(self, monkeypatch):
-        calls = []
-        polish = solver._newton_polish
-
-        def recorded(ws, h, target, tol, average, max_iters=80):
-            args = (ws, h.copy(), target.copy(), tol, average, max_iters)
-            calls.append((args, polish(ws, h, target, tol, average, max_iters)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(solver, "_newton_polish", recorded)
-        return calls
+        return record_polishes(monkeypatch)
 
     @staticmethod
     def assert_replayed(calls):
-        for (ws, h, target, tol, average, max_iters), (h_got, err, iters) in calls:
-            h_ref, err_ref, iters_ref = reference_newton_polish(ws, h, target, tol, average,
-                                                                max_iters)
+        for (ws, h, target, tol, max_iters), (h_got, err, iters) in calls:
+            h_ref, err_ref, iters_ref = reference_newton_polish(ws, h, target, tol, max_iters)
             assert h_got.tobytes() == h_ref.tobytes()
             assert float(err).hex() == float(err_ref).hex()
             assert iters == iters_ref
@@ -668,39 +686,83 @@ class TestNewtonCoreBitForBit:
         _, report = solve(spec, case.p, SymmetryGroup.cyclic(4))
         assert report.symmetry == "C4" and len(report.loop_history) >= 2
         assert polishes
-        assert all(isinstance(getattr(args[4], "__self__", None), solver.OrbitStructure)
+        assert all(isinstance(getattr(args[0].average, "__self__", None), solver.OrbitStructure)
                    for args, _ in polishes)
         self.assert_replayed(polishes)
 
 
+class TestInvariantIterates:
+    """Under a group, Newton averages its start and each step, and no
+    trial: every trial edge_form sees in _newton_polish, one by one or in
+    blocks, and every h it returns, is bitwise constant on each orbit, here
+    through whole C4 and D5 density solves."""
+
+    @pytest.mark.parametrize("k, dihedral, knots", [(4, False, 4096), (5, True, 4000)])
+    def test_density_solves(self, monkeypatch, k, dihedral, knots):
+        workloads = import_bench_module("workloads")
+        case = workloads.symmetric_density(np.random.default_rng(3), k, dihedral, 0.5, knots)
+        spec = measure_spec_from_dict(json.loads(case.measure_json))
+        polish = solver._newton_polish
+        calls = []
+
+        def checked(ws, h, target, tol, max_iters=80):
+            orbits = ws.average.__self__
+            edge_form = ws.edge_form
+
+            def constant(x):
+                assert_orbit_constant(orbits, x)
+                return edge_form(x)
+
+            ws.edge_form = constant
+            try:
+                calls.append(polish(ws, h, target, tol, max_iters))
+            finally:
+                del ws.edge_form
+            assert_orbit_constant(orbits, calls[-1][0])
+            return calls[-1]
+
+        monkeypatch.setattr(solver, "_newton_polish", checked)
+        G = parse_symmetry(case.symmetry)
+        _, report = solve(spec, case.p, G)
+        assert report.symmetry == G.label() and len(report.loop_history) >= 2
+        assert len(calls) >= len(report.loop_history)
+
+
 class TestLineSearch:
-    """The trivial group's halving in _newton_polish, which skips the trials
-    that provably fail h > 0 and evaluates the trials after a failed
-    decrease test in blocks, against plain halving.  The recording average
-    sees the trials evaluated one by one; skipped and block trials never
-    reach it."""
+    """The halving in _newton_polish, which skips the trials that provably
+    fail h > 0 and evaluates the trials after a failed decrease test in
+    blocks, against plain halving.  A recording edge_form on the workspace
+    sees each trial evaluated one by one that has h > 0, and each block;
+    the skipped trials, and those that fail h > 0, never reach it."""
 
     @staticmethod
-    def search(monkeypatch, ws, h, step, average=None):
-        """One Newton step along step from h, against reference_line_search:
-        the trials the average (the trivial group's by default) saw, and
-        plain halving's (h, L h, F) or None."""
-        average = average or (lambda x: x)
+    def search(monkeypatch, ws, h, step):
+        """One Newton step along ws.average(step) from an orbit-constant h,
+        against reference_line_search: the arrays edge_form saw after the
+        start's, what each _skip_nonpositive call returned, and plain
+        halving's (h, L h, F) or None."""
         F = h ** (1.0 - ws.p) * ws.edge_form(h) - ws.alpha
-        want = reference_line_search(ws, h, step, ws.alpha, math.sqrt(F.dot(F)), average)
+        want = reference_line_search(ws, h, ws.average(step), ws.alpha, math.sqrt(F.dot(F)))
         monkeypatch.setattr(ws, "solve_linear", lambda J, rhs: step.copy())
-        seen = []
+        seen, skips = [], []
+        edge_form, skip = ws.edge_form, solver._skip_nonpositive
 
         def recorded(x):
             seen.append(x.copy())
-            return average(x)
+            return edge_form(x)
 
-        h_got, err, iters = _newton_polish(ws, h, ws.alpha, 0.0, recorded, 1)
+        def counted(h, step):
+            skips.append(skip(h, step))
+            return skips[-1]
+
+        monkeypatch.setattr(ws, "edge_form", recorded)
+        monkeypatch.setattr(solver, "_skip_nonpositive", counted)
+        h_got, err, iters = _newton_polish(ws, h, ws.alpha, 0.0, 1)
         assert iters == 1 and seen[0].tobytes() == h.tobytes()
         assert h_got.tobytes() == (h if want is None else want[0]).tobytes()
         if want is not None:
             assert err == float((np.abs(want[2]) / ws.alpha).max())
-        return seen[1:], want
+        return seen[1:], skips, want
 
     @staticmethod
     def hexagon():
@@ -721,28 +783,34 @@ class TestLineSearch:
         step = np.zeros(6)
         step[0] = s0
         assert (0.75 + first * s0 > 0) and not (0.75 + 2 * first * s0 > 0)
-        seen, _ = self.search(monkeypatch, ws, h, step)
-        assert seen[0].tobytes() == (h + step).tobytes()
-        assert seen[1].tobytes() == (h + first * step).tobytes()
+        seen, skips, _ = self.search(monkeypatch, ws, h, step)
+        # the full step and the skipped trials before t = first
+        assert skips == [(first, round(-math.log2(first)))]
+        assert seen[0].tobytes() == (h + first * step).tobytes()
 
-    def test_a_group_keeps_every_trial(self, monkeypatch):
-        # under C2 the orbit {0, 2} averages h + t step to 1 - 1.05 t, so
-        # t = 1/2 keeps h > 0 though h_0 + step_0 / 2 = -1 does not
+    def test_a_group_takes_the_skip(self, monkeypatch):
+        # under C2 the orbit {0, 2} averages the step to -8 on it, so the
+        # full step takes h below 0 there and h + step / 8 is 0 exactly:
+        # the skip decides 1, 1/2, 1/4 and 1/8, and the first trial that
+        # edge_form sees is t = 1/16, constant on each orbit
         theta = np.arange(4) * (TWO_PI / 4)
         orbits = orbit_partition(theta, SymmetryGroup.cyclic(2))
-        ws = _Workspace(theta, np.full(4, 3.0), 0.5)
+        ws = _Workspace(theta, np.full(4, 3.0), 0.5, orbits=orbits)
         h = np.ones(4)
-        step = np.array([-4.0, 0.0, 1.9, 0.0])
-        seen, _ = self.search(monkeypatch, ws, h, step, orbits.average)
-        assert seen[0].tobytes() == (h + step).tobytes()
-        assert seen[1].tobytes() == (h + 0.5 * step).tobytes()
+        step = np.array([-12.0, 0.0, -4.0, 0.0])
+        seen, skips, want = self.search(monkeypatch, ws, h, step)
+        assert skips == [(1 / 16, 4)]
+        assert seen[0].tobytes() == np.array([0.5, 1.0, 0.5, 1.0]).tobytes()
+        # h falls where the masses ask it to grow: blocks to the budget's end
+        assert want is None and all(x.ndim == 2 for x in seen[1:])
+        assert sum(len(x) for x in seen[1:]) == 50 - 5
 
     def test_skips_through_the_whole_budget(self, monkeypatch):
         ws, h = self.hexagon()
         step = np.zeros(6)
         step[0] = -0.75 * 2.0**52  # every t >= 2^-49 takes h_0 below 0
-        seen, want = self.search(monkeypatch, ws, h, step)
-        assert want is None and len(seen) == 1
+        seen, skips, want = self.search(monkeypatch, ws, h, step)
+        assert want is None and seen == [] and skips == [(2.0**-50, 50)]
 
     @pytest.mark.parametrize("scale", [0.25, 1.0, 1e6])
     def test_exhausted_budget_after_blocks(self, monkeypatch, scale):
@@ -753,38 +821,59 @@ class TestLineSearch:
         ell = ws.edge_form(h)
         w = h ** (1.0 - ws.p)
         newton = ws.solve_linear(ws.jacobian(h, w, ell), ws.alpha - w * ell)
-        seen, want = self.search(monkeypatch, ws, h, -scale * newton)
+        seen, skips, want = self.search(monkeypatch, ws, h, -scale * newton)
         assert want is None
-        positive = [x.min() > 0 and ws.edge_form(x).min() > 0 for x in seen]
-        assert positive == [False] * (len(seen) - 1) + [True]
-        assert len(seen) == {0.25: 1, 1.0: 2, 1e6: 3}[scale]
+        single = [x for x in seen if x.ndim == 1]
+        blocks = seen[len(single):]
+        assert single and all(x.ndim == 2 for x in blocks)
+        positive = [x.min() > 0 and _Workspace.edge_form(ws, x).min() > 0 for x in single]
+        assert positive == [False] * (len(single) - 1) + [True]
+        assert (len(single), len(skips)) == {0.25: (1, 0), 1.0: (1, 1), 1e6: (2, 1)}[scale]
+        # the blocks take every trial after those skipped and those seen singly
+        tries = sum(skipped for _, skipped in skips) + len(single)
+        assert sum(len(x) for x in blocks) == 50 - tries
+
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        """Wrap the solver functions names to count their calls."""
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, f=getattr(solver, name), name=name):
+                counts[name] += 1
+                return f(*args)
+            monkeypatch.setattr(solver, name, counted)
+        return counts
 
     def test_semicircle_atoms_replay(self, monkeypatch):
         """Hard-contrast atoms on a semicircle, solved on the half body (the
         chord workspace) through skips and blocks, replayed on the
         reference Newton core."""
-        counts = {"skip": 0, "block": 0}
-        for name, key in (("_skip_nonpositive", "skip"), ("_block_search", "block")):
-            def counted(*args, f=getattr(solver, name), key=key):
-                counts[key] += 1
-                return f(*args)
-            monkeypatch.setattr(solver, name, counted)
-        polishes = []
-        polish = solver._newton_polish
-
-        def recorded(ws, h, target, tol, average, max_iters=80):
-            args = (ws, h.copy(), target.copy(), tol, average, max_iters)
-            polishes.append((args, polish(ws, h, target, tol, average, max_iters)))
-            return polishes[-1][1]
-
-        monkeypatch.setattr(solver, "_newton_polish", recorded)
+        counts = self.count_calls(monkeypatch, "_skip_nonpositive", "_block_search")
+        polishes = record_polishes(monkeypatch)
         rng = np.random.default_rng(37)
         theta = np.sort(rng.uniform(0.02, math.pi - 0.02, 24))
         mu = DiscreteMeasure(theta, 10.0 ** rng.uniform(0.0, 4.0, 24))
         _, report = solve_discrete(mu, 0.5, chord=1.5 * math.pi)
         assert report.classification == "semicircle"
-        assert counts["skip"] > 0 and counts["block"] > 0
+        assert counts["_skip_nonpositive"] > 0 and counts["_block_search"] > 0
         assert all((args[0].up == 0.0).any() for args, _ in polishes)
+        TestNewtonCoreBitForBit.assert_replayed(polishes)
+
+    def test_symmetric_atoms_replay(self, monkeypatch):
+        """C2 atoms at p = 0.13 that cold Newton misses: the pad
+        continuation solves them through skips and blocks, every iterate
+        constant on each orbit, replayed on the reference Newton core."""
+        counts = self.count_calls(monkeypatch, "_skip_nonpositive", "_block_search")
+        polishes = record_polishes(monkeypatch)
+        sector = np.array([0.36955206312544575, 1.1873501453976922])
+        mu = DiscreteMeasure(np.concatenate([sector, sector + math.pi]),
+                             np.tile([942.1351404601947, 10424.830467179368], 2))
+        _, report = solve_discrete(mu, 0.13, SymmetryGroup.cyclic(2))
+        assert report.outer_iters > 0 and report.residual <= 1e-6
+        assert counts["_skip_nonpositive"] > 0 and counts["_block_search"] > 0
+        orbits = polishes[0][0][0].average.__self__
+        for _, (h, _, _) in polishes:
+            assert_orbit_constant(orbits, h)
         TestNewtonCoreBitForBit.assert_replayed(polishes)
 
     def test_give_up_case_counts(self, monkeypatch):
@@ -793,29 +882,18 @@ class TestLineSearch:
         h > 0; the skip leaves at most one, the full step, per Newton step."""
         workloads = import_bench_module("workloads")
         n, p, C, t, m = workloads._stress_measures(np.random.default_rng(0), 120)[59]
-        calls, nonpositive = [], []
-
-        def average(x):
-            nonpositive.append(not x.min() > 0)
-            return x
-
-        polish = solver._newton_polish
-
-        def recorded(ws, h, target, tol, _, max_iters=80):
-            calls.append((ws, h.copy(), target.copy(), tol, max_iters))
-            return polish(ws, h, target, tol, average, max_iters)
-
-        monkeypatch.setattr(solver, "_newton_polish", recorded)
+        counts = self.count_calls(monkeypatch, "_skip_nonpositive")
+        polishes = record_polishes(monkeypatch)
         with pytest.raises(NoConvergenceError) as exc:
             solve_discrete(DiscreteMeasure(t, m), p)
         report = exc.value.report
         assert (report.newton_iters, report.outer_iters) == (656, 18)
-        evaluated = sum(nonpositive)
-        nonpositive.clear()
-        for ws, h, target, tol, max_iters in calls:
-            reference_newton_polish(ws, h, target, tol, average, max_iters)
-        assert sum(nonpositive) == 7714
-        assert evaluated == 643
+        trials = []
+        for args, _ in polishes:
+            reference_newton_polish(*args, trials=trials)
+        assert sum(not x.min() > 0 for x in trials) == 7714
+        # each skip follows the one full step of its search that failed h > 0
+        assert counts["_skip_nonpositive"] == 643
 
 
 class TestLapackLoader:
@@ -1331,22 +1409,29 @@ class TestReactivationBitForBit:
             return edge_form(x)
 
         monkeypatch.setattr(ws, "edge_form", counted)
-        h_out, err, iters = _newton_polish(ws, h, target, 1e-6, lambda x: x)
+        h_out, err, iters = _newton_polish(ws, h, target, 1e-6)
         assert (err, iters) == (0.0, 0) and h_out.tobytes() == h.tobytes()
         assert len(calls) == 1
 
-    def test_symmetric_newton_takes_the_edge_form_of_the_average(self, rng):
-        # Averaging moves h, so _reactivate's edge form is not the one of
-        # the averaged h; orbits of five make the averages round.
+    def test_symmetric_newton_takes_the_edge_form_of_the_average(self, rng, monkeypatch):
+        # Averaging moves h, and Newton averages before _reactivate, whose
+        # edge form, of the averaged h, is then the only one Newton needs
+        # at a start it does not step from; orbits of five make the
+        # averages round.
         G = SymmetryGroup.cyclic(5)
         for _ in range(5):
             theta = np.sort(invariant_normals(rng, G, 6))
             orb = orbit_partition(theta, G)
-            ws = _Workspace(theta, orb.average(rng.uniform(0.5, 2.0, len(theta))), 0.5)
+            ws = _Workspace(theta, orb.average(rng.uniform(0.5, 2.0, len(theta))), 0.5,
+                            orbits=orb)
             h = 1.0 + rng.normal(0.0, 1e-6, len(theta))
             blend, ell = solver._reactivate(ws, h)
             assert blend is h and not np.array_equal(orb.average(h), h)
             for tol in (1e-9, 0.5, math.inf):  # the answer after several steps, one and none
-                got = _newton_polish(ws, h, ws.alpha, tol, orb.average)
-                want = reference_newton_polish(ws, h, ws.alpha, tol, orb.average)
+                got = _newton_polish(ws, h, ws.alpha, tol)
+                want = reference_newton_polish(ws, h, ws.alpha, tol)
                 assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+            calls = []
+            monkeypatch.setattr(ws, "edge_form", lambda x, f=ws.edge_form: calls.append(x) or f(x))
+            _newton_polish(ws, h, ws.alpha, math.inf)
+            assert [x.tobytes() for x in calls] == [orb.average(h).tobytes()]
