@@ -32,13 +32,13 @@ EDGE_TOL = 1e-12      # edges shorter than this are flagged inactive
 
 
 def canonical_angle(theta: float) -> float:
-    """Map an angle to [0, 2*pi)."""
+    """Map an angle to [0, 2*pi), -0.0 to 0.0 as canonical_angles does."""
     t = math.fmod(theta, TWO_PI)
     if t < 0.0:
         t += TWO_PI
     if t >= TWO_PI:  # fmod roundoff at the seam
         t = 0.0
-    return t
+    return t + 0.0
 
 
 def canonical_angles(thetas) -> np.ndarray:

@@ -3,13 +3,14 @@
 Routes by support classification: general position goes through the discrete
 solver, measures on a closed semicircle through the half problem, whose body
 has the chord normal opposite the semicircle with support 0, and a pair of
-antipodal atoms is the one nonexistence case.  Each job has one code path:
-`discretize` is the one grid measure of the whole circle, the density's
-arc masses at the arc midpoints with the atoms unmoved (the refinement
-loop's stages, `verify` and the `--svg` rays all use it), `_half_grid` its
-restriction to a semicircle, `stage_measure` the one choice between them
-(the loop's stages and `lpmink discretize`), and `_solve_reduced` the one
-semicircle route, for atoms and densities alike.
+antipodal atoms is the one nonexistence case.  Each decision has one home:
+`solve_semicircle` the semicircle route of atoms and `_refinement_loop`
+that of densities, `discretize` the grid measure of the whole circle and
+its `l` rule (the density's arc masses at the arc midpoints with the atoms
+unmoved; the refinement loop's stages, `verify` and the `--svg` rays all
+use it), `stage_measure` the choice between it and the half grid of a
+semicircle (the loop's stages and `lpmink discretize`), and the solver's
+`invariant_orbits` the test that a measure is invariant under a group.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     AntipodalPairError,
     ConcentratedError,
     NoConvergenceError,
-    NotClosedUnderGroupError,
     NotSymmetricError,
 )
 from .geometry import (
@@ -54,8 +54,8 @@ from .measure import (
 from .solver import (
     SolveReport,
     SolverConfig,
+    invariant_orbits,
     measure_residual,
-    orbit_partition,
     solve_discrete,
 )
 
@@ -169,8 +169,8 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
     join as they are: DiscreteMeasure drops the zero-mass arcs, sorts, and
     merges an atom within ATOM_MERGE_TOL of a midpoint into it.  The masses
     are then averaged over the G-orbits of this sorted measure
-    (orbit_partition), so the output is exactly G-invariant; a measure
-    that is no union of orbits raises NotSymmetricError.
+    (invariant_orbits, which raises NotSymmetricError for a measure that is
+    not G-invariant), so the output is exactly G-invariant.
     """
     pts = _symmetric_base_angles(G, l, m, axis)
     a, b = pts, np.append(pts[1:], pts[0] + TWO_PI)
@@ -182,13 +182,7 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
     mu = DiscreteMeasure(mids, masses)
     if G.is_trivial:
         return mu
-    try:
-        orbits = orbit_partition(mu.thetas, G)
-    except NotClosedUnderGroupError as exc:
-        raise NotSymmetricError(f"measure is not invariant under {G.label()}: {exc}") from exc
-    return DiscreteMeasure(mu.thetas, orbits.require_invariant(
-        mu.masses, f"measure is not invariant under {G.label()}: "
-                   f"masses differ across a {G.label()} orbit"))
+    return DiscreteMeasure(mu.thetas, invariant_orbits(mu.thetas, mu.masses, G)[1])
 
 
 def _single_direction_body(w: float, mass: float, p: float) -> Polygon:
@@ -209,8 +203,9 @@ def half_group(G: SymmetryGroup, cls: MeasureClass) -> SymmetryGroup:
     atom to themselves; any other G raises NotSymmetricError.  No such
     measure is invariant under the reflection across lin(v), which maps the
     semicircle onto the opposite one.  The measure's own invariance under
-    D1 is checked where its orbits are built: solve_discrete for atoms,
-    discretize_symmetric once on each sorted stage measure of a density."""
+    D1 is invariant_orbits' test, wherever its orbits are built:
+    solve_discrete for atoms, and discretize_symmetric and solve_discrete on
+    each sorted stage measure of a density."""
     if G.is_trivial:
         return G
     if G.kind == "dihedral" and G.order_k == 1:  # lin(a) = lin(b) when 2 a = 2 b mod 2 pi
@@ -230,8 +225,11 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
 
     Single direction: a closed-form dilated triangle, symmetric only across
     the atom's own line (half_group).  Proper semicircle: the half problem
-    that density inputs take too (_solve_reduced).  An antipodal pair admits
-    no solution.  A group the measure cannot admit raises NotSymmetricError.
+    on mu's own normals and the chord normal cls.w + pi, whose support is
+    pinned at 0 (solve_discrete's chord), with G enforced as half_group
+    allows; density inputs take the same half problem at every stage of
+    the refinement loop.  The report names G.  An antipodal pair admits no
+    solution.  A group the measure cannot admit raises NotSymmetricError.
     """
     cfg = cfg or SolverConfig()
     G = G or SymmetryGroup.trivial()
@@ -246,53 +244,43 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
                               classification=SINGLE_DIRECTION, symmetry=G.label())
     if cls.tag != SEMICIRCLE:
         raise ConcentratedError("solve_semicircle needs a concentrated classification")
-    return _solve_reduced(MeasureSpec(mu), cls, p, G, cfg)
-
-
-def _loop_groups(G: SymmetryGroup) -> int:
-    """Base polygon size l for the symmetric subdivision: the smallest l >= 3
-    divisible by the group's rotation order."""
-    k = max(G.order_k, 1) if not G.is_trivial else 1
-    if k >= 3:
-        return k
-    return {1: 3, 2: 4}[k]
+    P, rep = solve_discrete(mu, p, half_group(G, cls), cfg,
+                            chord=canonical_angle(cls.w + math.pi))
+    rep.symmetry = G.label()  # as asked: half_group's D1 has the axis cls.w itself
+    return P, rep
 
 
 def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> DiscreteMeasure:
     """The grid measure at resolution m, as the refinement loop solves it:
     the density's arc-midpoint discretization on 2 l max(2, floor(m / l))
-    equal arcs, l = _loop_groups(G), for every group including the trivial
-    one (the default), with the atoms unmoved.  Zero-mass arcs carry no
+    equal arcs, for every group including the trivial one (the default),
+    with the atoms unmoved.  l is the smallest l >= 3 that G's rotation
+    order k divides: k when k >= 3, else k + 2.  Zero-mass arcs carry no
     atom."""
     if m < 3:
         raise ValueError("need m >= 3")
     G = G or SymmetryGroup.trivial()
-    l = _loop_groups(G)
+    k = G.order_k
+    l = k if k >= 3 else k + 2
     return discretize_symmetric(spec, G, l, max(2, m // l))
-
-
-def _half_grid(spec: MeasureSpec, m: int, H: SymmetryGroup, cls: MeasureClass) -> DiscreteMeasure:
-    """The grid measure at resolution m of a measure on the closed semicircle
-    about cls.w, for the half problem with the group H of half_group: the
-    restriction to that semicircle of the whole circle's grid for H and the
-    reflection across lin(v) together (D1 or D2, l = 3 or 4).  That grid is
-    aligned with lin(v), so the semicircle's ends v and v - pi are arc
-    midpoints: an arc across an end keeps the density mass on the
-    semicircle's side of it, at the end itself, and zero-mass arcs carry no
-    atom."""
-    l = 3 if H.is_trivial else 4
-    return discretize_symmetric(spec, H, l, max(2, m // l), cls.v)
 
 
 def stage_measure(spec: MeasureSpec, m: int, G: SymmetryGroup,
                   cls: MeasureClass) -> DiscreteMeasure:
     """The grid measure the refinement loop solves at resolution m for spec,
-    of classification cls, under the group G the loop enforces: for a
-    semicircle class _half_grid's, G being half_group's, else
-    discretize's.  `lpmink discretize` prints it."""
-    if cls.tag == SEMICIRCLE:
-        return _half_grid(spec, m, G, cls)
-    return discretize(spec, m, G)
+    of classification cls, under the group G the loop enforces (half_group's
+    for a semicircle class).  Off a semicircle it is discretize's.  On the
+    closed semicircle about cls.w it is the half grid: the restriction to
+    that semicircle of the whole circle's grid for G and the reflection
+    across lin(v) together (D1 or D2, l = 3 or 4).  That grid is aligned
+    with lin(v), so the semicircle's ends v and v - pi are arc midpoints:
+    an arc across an end keeps the density mass on the semicircle's side of
+    it, at the end itself, and zero-mass arcs carry no atom.  `lpmink
+    discretize` prints it."""
+    if cls.tag != SEMICIRCLE:
+        return discretize(spec, m, G)
+    l = 3 if G.is_trivial else 4
+    return discretize_symmetric(spec, G, l, max(2, m // l), cls.v)
 
 
 def _interpolated_support(P: Polygon, thetas: np.ndarray,
@@ -338,7 +326,7 @@ def _interpolated_support(P: Polygon, thetas: np.ndarray,
 def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
                      cfg: PipelineConfig, cls: MeasureClass):
     """Solve discretizations of increasing resolution until the bodies
-    stabilize.  Every stage solves stage_measure(spec, m, G, cls), whose arc
+    stabilize.  Every stage solves stage_measure(spec, m, H, cls), whose arc
     midpoints make the body converge at second order in m, and every stage
     after the first starts Newton from the interpolated support of the body
     before it.  Each history entry holds its stage's solver counts; the
@@ -348,11 +336,12 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
     mass.  A stage that cannot be solved ends the loop with a
     NoConvergenceError naming its m: the solver's residual gate failed, or
     the grid measure lies in a closed semicircle (zero-mass arcs carry no
-    atom, so a support just wider than pi can give one).  A semicircle
-    classification cls solves the half problem at every stage instead:
-    the stage measure is _half_grid's, and the chord normal opposite the
-    semicircle is pinned at support 0.  m doubles from m0 up to m_max, and
-    a stage whose grid is the one solved before is skipped (the grid of
+    atom, so a support just wider than pi can give one).  H is G, except
+    that a semicircle classification cls solves the half problem at every
+    stage instead: H is half_group(G, cls), the stage measure is the half
+    grid, and the chord normal opposite the semicircle is pinned at support
+    0.  The report names cls's class and G.  m doubles from m0 up to m_max,
+    and a stage whose grid is the one solved before is skipped (the grid of
     2 l max(2, floor(m / l)) arcs stays put while m < 3 l), so the
     stopping rule never compares a body with itself."""
     history = []
@@ -360,15 +349,17 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
     prev_rep = None
     prev_thetas = None
     converged = False
-    chord = canonical_angle(cls.w + math.pi) if cls.tag == SEMICIRCLE else None
+    H, chord = G, None
+    if cls.tag == SEMICIRCLE:
+        H, chord = half_group(G, cls), canonical_angle(cls.w + math.pi)
     for m in (cfg.m0 << i for i in range((cfg.m_max // cfg.m0).bit_length())):
-        mu_m = stage_measure(spec, m, G, cls)
+        mu_m = stage_measure(spec, m, H, cls)
         if prev_thetas is not None and np.array_equal(mu_m.thetas, prev_thetas):
             continue  # the grid of the stage before: its body would compare with itself
         prev_thetas = mu_m.thetas
         h0 = None if prev_P is None else _interpolated_support(prev_P, mu_m.thetas, chord)
         try:
-            P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0, chord=chord)
+            P_m, rep_m = solve_discrete(mu_m, p, H, cfg, h0=h0, chord=chord)
         except ConcentratedError as exc:
             raise NoConvergenceError(
                 f"stage m = {m}: the grid measure lies in a closed semicircle ({exc})"
@@ -399,30 +390,13 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
         residual=prev_rep.residual,
         outer_iters=prev_rep.outer_iters,
         newton_iters=prev_rep.newton_iters,
-        classification=GENERAL_POSITION,
+        classification=cls.tag,
         symmetry=G.label(),
         warnings=[] if converged else [NO_CONVERGENCE_WARNING],
         m_final=history[-1]["m"],
         loop_history=history,
     )
     return prev_P, report
-
-
-def _solve_reduced(spec: MeasureSpec, cls: MeasureClass, p: float, G: SymmetryGroup,
-                   cfg: PipelineConfig):
-    """The semicircle route: the half problem on spec's own normals and the
-    chord normal cls.w + pi, whose support is pinned at 0 (solve_discrete's
-    chord), with G enforced as half_group allows; solved once for atoms,
-    and at every stage of the refinement loop for a density.  The report
-    names G."""
-    H = half_group(G, cls)
-    if spec.is_purely_atomic():
-        K, rep = solve_discrete(spec.atoms, p, H, cfg, chord=canonical_angle(cls.w + math.pi))
-    else:
-        K, rep = _refinement_loop(spec, p, H, cfg, cls)
-    rep.classification = SEMICIRCLE
-    rep.symmetry = G.label()
-    return K, rep
 
 
 def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
@@ -444,23 +418,16 @@ def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
         if cls.tag != GENERAL_POSITION:
             return solve_semicircle(spec.atoms, cls, p, cfg, G)
         return solve_discrete(spec.atoms, p, G, cfg)
-
-    if cls.tag == SEMICIRCLE:
-        return _solve_reduced(spec, cls, p, G, cfg)
-
-    P, rep = _refinement_loop(spec, p, G, cfg, cls)
-    rep.classification = cls.tag
-    return P, rep
+    return _refinement_loop(spec, p, G, cfg, cls)
 
 
 def _invariant(sets: list, G: SymmetryGroup) -> bool:
     """Does G map each point set to itself with values constant on its
-    orbits, by the tests solve_discrete applies: orbit_partition, then
-    values within 1e-8 of their orbit's mean?"""
+    orbits, by solve_discrete's test (invariant_orbits)?"""
     try:
         for t, f in sets:
-            orbit_partition(t, G).require_invariant(f, "")
-    except (NotClosedUnderGroupError, NotSymmetricError):
+            invariant_orbits(t, f, G)
+    except NotSymmetricError:
         return False
     return True
 

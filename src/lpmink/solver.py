@@ -162,14 +162,6 @@ class OrbitStructure:
             out[rows] = np.add.reduce(values[rows], axis=1, keepdims=True) / rows.shape[1]
         return out
 
-    def require_invariant(self, values: np.ndarray, message: str) -> np.ndarray:
-        """Orbit averages of values within 1e-8 of their orbit's mean, else
-        NotSymmetricError(message)."""
-        mean = self.average(values)
-        if (np.abs(values - mean) > 1e-8 * np.maximum(mean, 1e-300)).any():
-            raise NotSymmetricError(message)
-        return mean
-
 
 def _arc_distance(a, b) -> np.ndarray:
     """Arc length between directions a and b in any range: the difference
@@ -224,6 +216,23 @@ def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
     if order is not None:
         blocks = [np.sort(order[rows], axis=1) for rows in blocks]
     return OrbitStructure([rows for rows in blocks if rows.size])
+
+
+def invariant_orbits(thetas: np.ndarray, masses: np.ndarray, G: SymmetryGroup):
+    """(orbits, means) of the measure with masses at the sorted thetas under
+    G: orbits is orbit_partition's, and means the masses averaged over it.
+    This is the one test of a measure's invariance: a normal set G does not
+    map to itself, or a mass more than 1e-8 of its orbit's mean away from
+    it, raises NotSymmetricError."""
+    try:
+        orbits = orbit_partition(thetas, G)
+    except NotClosedUnderGroupError as exc:
+        raise NotSymmetricError(f"measure is not invariant under {G.label()}: {exc}") from exc
+    means = orbits.average(masses)
+    if (np.abs(masses - means) > 1e-8 * np.maximum(means, 1e-300)).any():
+        raise NotSymmetricError(f"measure is not invariant under {G.label()}: "
+                                "atom masses are not constant on group orbits")
+    return orbits, means
 
 
 def _not_closed(t, y, off, G: SymmetryGroup) -> NotClosedUnderGroupError:
@@ -315,8 +324,8 @@ class _Workspace:
         checks that cost ~10x the solve at n < 100); the corners J[0, n-1]
         and J[n-1, 0] come back as a rank-one Sherman-Morrison correction
         (Numerical Recipes, section 2.7), in Python floats.  A singular band
-        raises LinAlgError; a near-singular correction returns a non-finite
-        x.
+        raises LinAlgError; a near-singular correction, its denominator
+        1 + vz exactly 0 included, returns a non-finite x.
         """
         lo, d, up = J
         beta, alpha = float(lo[0]), float(up[-1])  # J[0, n-1], J[n-1, 0]
@@ -335,7 +344,8 @@ class _Workspace:
         ratio = beta / gamma
         vy = float(y[0]) + ratio * float(y[-1])
         vz = float(z[0]) + ratio * float(z[-1])
-        return y - (vy / (1.0 + vz)) * z
+        den = 1.0 + vz
+        return y - (vy / den if den else math.nan) * z
 
 
 def anchor_objective(P: Polygon, xi, mu: DiscreteMeasure, p: float) -> float:
@@ -705,9 +715,9 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     chord, the measure sits in a closed semicircle (use solve_semicircle),
     NotSymmetricError when mu is not invariant under the requested group,
     and NoConvergenceError carrying the best report otherwise.  A
-    nontrivial G is enforced on the orbits orbit_partition(mu.thetas, G)
-    builds: the masses are checked against them, and the Newton workspace
-    takes them, so every iterate, the returned support numbers included, is
+    nontrivial G is enforced on the orbits that invariant_orbits builds:
+    the masses are checked against them, and the Newton workspace takes
+    them, so every iterate, the returned support numbers included, is
     constant on each orbit (_newton_polish).
 
     chord, an angle in [0, 2 pi), solves the half problem of a measure on
@@ -735,14 +745,7 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     elif cls.tag in (SINGLE_DIRECTION, ANTIPODAL_PAIR):
         raise ConcentratedError(f"measure is {cls.tag}; the chord needs a proper semicircle")
 
-    orbits = None
-    if not G.is_trivial:
-        try:
-            orbits = orbit_partition(theta, G)
-        except NotClosedUnderGroupError as exc:
-            raise NotSymmetricError(f"measure is not invariant under {G.label()}: {exc}") from exc
-        orbits.require_invariant(alpha, f"measure is not invariant under {G.label()}: "
-                                        "atom masses are not constant on group orbits")
+    orbits = None if G.is_trivial else invariant_orbits(theta, alpha, G)[0]
 
     # Normalize the mass scale: solving mu/s and dilating by s^(1/(2-p))
     # keeps every internal tolerance scale-free.

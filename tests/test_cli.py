@@ -162,6 +162,10 @@ class TestSolveCommand:
         assert parse_symmetry(" D5:0.25 ") == SymmetryGroup.dihedral(5, 0.25)
         assert parse_symmetry("D5:1e-3") == SymmetryGroup.dihedral(5, 1e-3)
 
+    def test_a_negative_zero_axis_is_labelled_zero(self):
+        G = parse_symmetry("D2:-0")
+        assert G == SymmetryGroup.dihedral(2, 0.0) and G.label() == "D2:0"
+
     def test_invalid_p_exit_1(self, tmp_path, square_measure_path):
         rc = main(["solve", "--input", square_measure_path, "--output",
                    str(tmp_path / "x.json"), "--p", "1.5"])

@@ -1086,6 +1086,22 @@ class TestCyclicShift:
         assert np.array_equal(geometry.cyclic_shift(idx, -1), [1, 2, 3, 4, 0])
 
 
+class TestCanonicalAngle:
+    """canonical_angle and canonical_angles agree bit for bit, signed zeros
+    included: both map -0.0 to +0.0."""
+
+    def test_scalar_equals_vector(self):
+        two_pi = 2.0 * math.pi
+        below = np.nextafter(two_pi, 0.0)
+        values = [0.0, -0.0, 1e-300, -1e-300, below, np.nextafter(below, 0.0), -below,
+                  two_pi, -two_pi, 2.0 * two_pi + below, 3.0, -3.0]
+        vector = canonical_angles(values)
+        for x, v in zip(values, vector):
+            got = canonical_angle(float(x))
+            assert got == v and math.copysign(1.0, got) == math.copysign(1.0, v) == 1.0, x
+        assert canonical_angle(float(below)) == below and canonical_angle(-1e-300) == 0.0
+
+
 class TestIsometries:
     def test_dilate_support(self):
         assert np.allclose(dilate(square(), 2.0).support, 2.0)

@@ -71,7 +71,7 @@ def test_dump_then_against_names_the_cases_that_moved(monkeypatch, capsys, tmp_p
     tool, out = run_tool(monkeypatch, capsys, argv + ["--dump", str(tmp_path)])
     n = len(tool.workloads.generate("reduced-routes", 1))
     _, again = run_tool(monkeypatch, capsys, argv + ["--against", str(tmp_path)])
-    assert again == out + [f"reduced-routes: 0 of {n} cases moved"]
+    assert again == out + [f"reduced-routes: 0 of {n} cases moved, 0 switched"]
 
     path = tmp_path / "reduced-routes.jsonl"
     cases = [json.loads(line) for line in path.read_text().splitlines()]
@@ -93,5 +93,29 @@ def test_dump_then_against_names_the_cases_that_moved(monkeypatch, capsys, tmp_p
         f"{head2}: moved, NoConvergenceError -> {tool.outcome(text2)[0]}, "
         "no report on one side",
         out[0],
-        f"reduced-routes: 2 of {n} cases moved",
+        f"reduced-routes: 2 of {n} cases moved, 0 switched",
     ]
+
+
+def test_against_labels_switched_solutions(monkeypatch, capsys, tmp_path):
+    """An ok case whose support moved by more than 1e-3 of max h is
+    labelled "switched" and counted as such; one moved by 1e-9 is not.  The
+    dump, the old side, holds the larger support number."""
+    argv = ["--seeds", "1", "--workload", "reduced-routes"]
+    tool, out = run_tool(monkeypatch, capsys, argv + ["--dump", str(tmp_path)])
+    path = tmp_path / "reduced-routes.jsonl"
+    cases = [json.loads(line) for line in path.read_text().splitlines()]
+    ok = [case for case in cases if tool.outcome(case[1])[0] == "ok"]
+    lines = []
+    for case, rel in zip(ok, (1e-2, 1e-9)):
+        _, body, report = tool.outcome(case[1])
+        h = body["support"]
+        i = max(range(len(h)), key=lambda j: abs(h[j]))
+        h[i] *= 1.0 + rel
+        case[1] = tool.dumps_canonical(body) + "\n" + tool.dumps_canonical(report) + "\n"
+        lines.append(f"{case[0]}: moved, {'switched, ' if rel > 1e-3 else ''}ok -> ok, "
+                     f"max |dh| / max h {rel / (1.0 + rel):.2e} on {len(h)} equal normals, "
+                     "Newton counts same, continuation counts same, m_final same")
+    path.write_text("".join(json.dumps(case) + "\n" for case in cases))
+    _, moved = run_tool(monkeypatch, capsys, argv + ["--against", str(tmp_path)])
+    assert moved == lines + [out[0], f"reduced-routes: 2 of {len(cases)} cases moved, 1 switched"]

@@ -177,7 +177,7 @@ class TestDiscretizeSymmetric:
         def broken(*args, **kwargs):
             raise MemoryError("out of memory")
 
-        monkeypatch.setattr(pipeline, "orbit_partition", broken)
+        monkeypatch.setattr(solver, "orbit_partition", broken)
         with pytest.raises(MemoryError, match="out of memory"):
             discretize_symmetric(uniform_density_spec(), SymmetryGroup.cyclic(2), 4, 2)
 
@@ -185,6 +185,17 @@ class TestDiscretizeSymmetric:
         atoms = DiscreteMeasure([0.3, 0.3 + math.pi / 2], [1.0, 1.0])
         with pytest.raises(NotSymmetricError, match="not invariant under C4"):
             discretize_symmetric(MeasureSpec(atoms, None), SymmetryGroup.cyclic(4), 4, 2)
+
+    def test_unequal_masses_raise_the_solvers_refusal(self):
+        # zero-mass arcs carry no atom: the stage measure is the atoms
+        G = SymmetryGroup.cyclic(2)
+        atoms = DiscreteMeasure(np.arange(4) * math.pi / 2, [1.0, 2.0, 1.0 + 2e-8, 2.0])
+        refusal = ("^measure is not invariant under C2: "
+                   "atom masses are not constant on group orbits$")
+        with pytest.raises(NotSymmetricError, match=refusal):
+            discretize_symmetric(MeasureSpec(atoms, None), G, 4, 2)
+        with pytest.raises(NotSymmetricError, match=refusal):
+            solve(MeasureSpec(atoms, None), 0.5, G)
 
 
 def reference_density_arc_mass(d, a, b):
@@ -948,7 +959,7 @@ class TestStageOrbitHandoff:
 
     def test_stage_orbits_equal_the_union_find(self, rng):
         for G, spec in stage_cases(rng):
-            l = pipeline._loop_groups(G)
+            l = G.order_k * -(-3 // G.order_k)  # the least multiple of k that is >= 3
             for m in (64, 128, 256, 512):
                 t = assert_stage_orbits(spec, G, l, max(2, m // l))
                 assert np.array_equal(t, discretize(spec, m, G).thetas)
@@ -965,9 +976,12 @@ class TestStageOrbitHandoff:
         for G, spec in stage_cases(rng):
             built.clear()
             _, rep = solve(spec, 0.5, G)
-            assert len(built) == len(rep.loop_history)
-            for (normals, G_stage), entry in zip(built, rep.loop_history):
-                assert G_stage == G and len(normals) == entry["n_atoms"]
+            # discretize_symmetric's build, then solve_discrete's
+            assert len(built) == 2 * len(rep.loop_history)
+            for i, entry in enumerate(rep.loop_history):
+                (t_grid, G_grid), (normals, G_stage) = built[2 * i:2 * i + 2]
+                assert G_grid == G_stage == G and np.array_equal(t_grid, normals)
+                assert len(normals) == entry["n_atoms"]
                 assert_union_find_orbits(real(normals, G), normals, G)
 
     def test_no_angle_matching_in_density_solves(self, rng, monkeypatch):
@@ -1072,7 +1086,7 @@ class TestGridOrbits:
             H = pipeline.half_group(SymmetryGroup.dihedral(1, cls.w), cls)
             for m in (64, 128, 256):
                 t = assert_stage_orbits(spec, H, 4, m // 4, cls.v)
-                assert np.array_equal(t, pipeline._half_grid(spec, m, H, cls).thetas)
+                assert np.array_equal(t, pipeline.stage_measure(spec, m, H, cls).thetas)
 
     @pytest.mark.parametrize("G", [SymmetryGroup.cyclic(4), SymmetryGroup.dihedral(5, 0.4)],
                              ids=lambda G: G.label())
@@ -1125,7 +1139,6 @@ class TestGridOrbits:
                                           for rows in np.split(order, cuts)])
 
         monkeypatch.setattr(solver, "orbit_partition", union_find)
-        monkeypatch.setattr(pipeline, "orbit_partition", union_find)
         Q, rep_q = solve(spec, case.p, G)
         assert len(rep.loop_history) >= 2
         assert rep_q.loop_history == rep.loop_history

@@ -50,7 +50,7 @@ from lpmink import solver
 from lpmink.cli import parse_symmetry
 from lpmink.pipeline import solve
 from lpmink.serialization import measure_spec_from_dict
-from lpmink.solver import _newton_polish, _Workspace
+from lpmink.solver import _newton_polish, _Workspace, invariant_orbits
 
 TWO_PI = 2 * math.pi
 SQ = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
@@ -361,6 +361,39 @@ class TestNewtonLinearSolve:
         assert it1 == it2 == 0
         assert err1 == err2 > 1e-10
         assert np.array_equal(h1, h2)
+
+    def test_zero_correction_denominator_ends_newton(self, monkeypatch):
+        # a C2 measure (n = 10, p = 0.115) on which, after 151 Newton steps,
+        # the next linear solve meets 1 + vz == 0.0 in the Sherman-Morrison
+        # correction: the step comes back non-finite and Newton stops there,
+        # as on a singular band
+        p = 0.11495529008053947
+        thetas = [0.40497104451348337, 0.7833569011812178, 1.2977030293506093,
+                  1.7281395429795692, 2.736689373774479, 3.5465636981032764,
+                  3.924949554771011, 4.439295682940402, 4.8697321965693625, 5.878282027364272]
+        masses = [0.0006598338911029582, 0.0013192387708744896, 0.0007971350674816649,
+                  0.44761817214639915, 37.302640663833564] * 2
+        h = np.array([1.3589077589953205, 0.02017014872362935, 1.6536638124642007,
+                      0.1823761908110557, 0.00013660395965933562, 1.6323253521111056,
+                      0.3208736412367208, 0.007082102774407636, 0.16548243105513533,
+                      0.11445703333377151])
+        mu = DiscreteMeasure(thetas, masses)
+        target = mu.masses / float(mu.masses.mean())
+        ws = _Workspace(mu.thetas, target, p, None,
+                        orbit_partition(mu.thetas, SymmetryGroup.cyclic(2)))
+        finite = []
+        solve_linear = _Workspace.solve_linear
+
+        def spy(self, J, rhs):
+            x = solve_linear(self, J, rhs)
+            finite.append(bool(np.isfinite(x).all()))
+            return x
+
+        monkeypatch.setattr(_Workspace, "solve_linear", spy)
+        h_out, err, iters = _newton_polish(ws, h, target, 1e-7, 300)
+        assert finite == [True] * 151 + [False]
+        assert iters == 151 and 1e-7 < err < math.inf
+        assert np.isfinite(h_out).all() and h_out.min() > 0
 
 
 def half_body_case(rng, n, ends=False, w=None):
@@ -1194,6 +1227,22 @@ class TestOrbitMapAgainstUnionFind:
                                                            "C2: 2 does not divide 3$"):
             orbit_partition(theta[:3], G)
 
+    @pytest.mark.parametrize("G", [SymmetryGroup.cyclic(3), SymmetryGroup.dihedral(4, 0.3)],
+                             ids=lambda G: G.label())
+    def test_normals_outside_the_canonical_range(self, rng, G):
+        # shifted by whole turns, as given or permuted, the normals take the
+        # canonicalizing branch and give the sorted canonical normals' orbits
+        # at the input's own indices
+        theta = np.sort(invariant_normals(rng, G, 3, n_axis=1))
+        want = [o.tolist() for o in orbit_index_sets(orbit_partition(theta, G))]
+        n = len(theta)
+        for shift in (TWO_PI, -TWO_PI, -2.0 * TWO_PI, rng.choice([0.0, TWO_PI, -TWO_PI], n)):
+            for perm in (np.arange(n), rng.permutation(n)):
+                normals = theta[perm] + (shift[perm] if np.ndim(shift) else shift)
+                assert not (normals.min() >= 0.0 and normals.max() < TWO_PI)
+                got = orbit_index_sets(orbit_partition(normals, G))
+                assert sorted(sorted(perm[o].tolist()) for o in got) == want
+
     def test_index_arithmetic_equals_the_union_find(self, rng):
         # 420 random C_k and D_k invariant sets, k <= 12, shuffled, some with
         # points on reflection axes and one within 1e-13 of the seam; each
@@ -1253,13 +1302,24 @@ class TestOrbitMapAgainstUnionFind:
         values = rng.uniform(0.0, 1.0, len(theta)) * 10.0 ** rng.uniform(-8, 8, len(theta))
         assert np.array_equal(orb.average(values), reference_average(orbit_index_sets(orb), values))
 
-    def test_require_invariant(self):
+    def test_invariant_orbits(self):
+        # masses within 1e-8 of their orbit's mean come back averaged; other
+        # masses and normal sets G does not map to themselves are refused
         theta = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
-        orb = orbit_partition(theta, SymmetryGroup.cyclic(2))
+        G = SymmetryGroup.cyclic(2)
         vals = np.array([1.0, 2.0, 1.0 + 5e-9, 2.0])
-        assert np.array_equal(orb.require_invariant(vals, "x"), orb.average(vals))
-        with pytest.raises(NotSymmetricError, match="^odd$"):
-            orb.require_invariant(np.array([1.0, 2.0, 1.0 + 2e-8, 2.0]), "odd")
+        orb, means = invariant_orbits(theta, vals, G)
+        want = orbit_index_sets(orbit_partition(theta, G))
+        assert [r.tolist() for r in orbit_index_sets(orb)] == [r.tolist() for r in want]
+        assert np.array_equal(means, orb.average(vals))
+        lacks = "^measure is not invariant under C2: "
+        with pytest.raises(NotSymmetricError,
+                           match=lacks + "atom masses are not constant on group orbits$"):
+            invariant_orbits(theta, np.array([1.0, 2.0, 1.0 + 2e-8, 2.0]), G)
+        with pytest.raises(NotSymmetricError,
+                           match=lacks + "3 normals cannot be invariant under C2") as got:
+            invariant_orbits(theta[:3], vals[:3], G)
+        assert isinstance(got.value.__cause__, NotClosedUnderGroupError)
 
 
 def reference_reactivate(ws, h):

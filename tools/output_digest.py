@@ -21,9 +21,12 @@ line.  --against DIR compares each case with such a dump, made by another
 tree on the same seeds, and prints a line for each case that moved: the
 outcome on both sides (ok or the error's type), the largest |dh| / max h
 over the normals both bodies have, and whether the per-stage Newton counts,
-the per-stage continuation counts and m_final match.  After the workload's
-line comes "<workload>: <k> of <n> cases moved".  Nothing under bench/ is
-written or changed; the script only imports its input generators.
+the per-stage continuation counts and m_final match.  A case that is ok on
+both sides with max |dh| / max h above 1e-3 is labelled "switched": lpmink
+returned another solution of the same input, not the same solution moved by
+rounding.  After the workload's line comes "<workload>: <k> of <n> cases
+moved, <s> switched".  Nothing under bench/ is written or changed; the
+script only imports its input generators.
 """
 
 from __future__ import annotations
@@ -91,22 +94,30 @@ def counts(report) -> tuple:
             report.get("m_final"))
 
 
-def moved_line(head: str, old: str, new: str) -> str:
-    """How the case head moved from the text old to the text new."""
+# Relative support change above which an ok -> ok case counts as another
+# solution of the same input (a "switched" case).
+SWITCHED = 1e-3
+
+
+def moved_line(head: str, old: str, new: str) -> tuple[str, bool]:
+    """How the case head moved from the text old to the text new, and
+    whether it switched solution."""
     (was, body0, rep0), (now, body1, rep1) = outcome(old), outcome(new)
-    line = f"{head}: moved, {was} -> {now}"
+    detail, switched = "", False
     if body0 is not None and body1 is not None:
         t0, h0 = np.array(body0["normals_theta"]), np.array(body0["support"])
         t1, h1 = np.array(body1["normals_theta"]), np.array(body1["support"])
         _, i0, i1 = np.intersect1d(t0, t1, assume_unique=True, return_indices=True)
         dh = float(np.abs(h1[i1] - h0[i0]).max() / np.abs(h0).max()) if len(i0) else math.nan
-        line += f", max |dh| / max h {dh:.2e} on {len(i0)} equal normals"
+        detail = f", max |dh| / max h {dh:.2e} on {len(i0)} equal normals"
+        switched = dh > SWITCHED
+    line = f"{head}: moved, {'switched, ' if switched else ''}{was} -> {now}{detail}"
     if rep0 is None or rep1 is None:
-        return line + ", no report on one side"
+        return line + ", no report on one side", switched
     same = [a == b for a, b in zip(counts(rep0), counts(rep1))]
     for name, eq in zip(("Newton counts", "continuation counts", "m_final"), same):
         line += f", {name} {'same' if eq else 'differ'}"
-    return line
+    return line, switched
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -139,7 +150,7 @@ def main(argv=None) -> int:
                 dump = files.enter_context(open(args.dump / f"{name}.jsonl", "w"))
             if args.against:
                 against = files.enter_context(open(args.against / f"{name}.jsonl"))
-            digest, n, moved = hashlib.sha256(), 0, 0
+            digest, n, moved, switched = hashlib.sha256(), 0, 0, 0
             for seed in parse_seeds(args.seeds):
                 for case in workloads.generate(name, seed):
                     head = f"{name} {seed} {case.label}"
@@ -156,13 +167,15 @@ def main(argv=None) -> int:
                         if was_head != head:
                             raise SystemExit(f"{against.name} holds other cases")
                         if was != out.decode():
-                            print(moved_line(head, was, out.decode()))
+                            line, switch = moved_line(head, was, out.decode())
+                            print(line)
                             moved += 1
+                            switched += switch
             if against and against.readline():
                 raise SystemExit(f"{against.name} holds other cases")
             print(f"{name}: {digest.hexdigest()} ({n} cases)")
             if against:
-                print(f"{name}: {moved} of {n} cases moved")
+                print(f"{name}: {moved} of {n} cases moved, {switched} switched")
     return 0
 
 if __name__ == "__main__":
