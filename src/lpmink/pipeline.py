@@ -9,8 +9,8 @@ that of densities, `discretize` the grid measure of the whole circle and
 its `l` rule (the density's arc masses at the arc midpoints with the atoms
 unmoved; the refinement loop's stages, `verify` and the `--svg` rays all
 use it), `stage_measure` the choice between it and the half grid of a
-semicircle (the loop's stages and `lpmink discretize`), and the solver's
-`invariant_orbits` the test that a measure is invariant under a group.
+semicircle (the loop's stages and `lpmink discretize`), both only binning,
+and `solve_discrete` a group's invariance test and orbit means, once each.
 """
 
 from __future__ import annotations
@@ -154,8 +154,7 @@ def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, axis: float | None 
         [beta + TWO_PI * np.arange(lm) / lm,
          (2.0 * phi0 - beta) + TWO_PI * np.arange(lm) / lm]
     )
-    pts = np.sort(pts % TWO_PI)
-    return pts[np.concatenate([[True], np.diff(pts) > 1e-12])]
+    return np.sort(pts % TWO_PI)
 
 
 def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
@@ -167,10 +166,9 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
     of a regular lm-gon containing G, with a reflection axis at axis (by
     default G's); each arc's density mass lands on its midpoint.  The atoms
     join as they are: DiscreteMeasure drops the zero-mass arcs, sorts, and
-    merges an atom within ATOM_MERGE_TOL of a midpoint into it.  The masses
-    are then averaged over the G-orbits of this sorted measure
-    (invariant_orbits, which raises NotSymmetricError for a measure that is
-    not G-invariant), so the output is exactly G-invariant.
+    merges an atom within ATOM_MERGE_TOL of a midpoint into it.  G shapes
+    only the grid: the masses are binned, and solve_discrete tests their
+    invariance and averages them.
     """
     pts = _symmetric_base_angles(G, l, m, axis)
     a, b = pts, np.append(pts[1:], pts[0] + TWO_PI)
@@ -179,10 +177,7 @@ def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
     if spec.atoms is not None:
         mids = np.concatenate((mids, spec.atoms.thetas))
         masses = np.concatenate((masses, spec.atoms.masses))
-    mu = DiscreteMeasure(mids, masses)
-    if G.is_trivial:
-        return mu
-    return DiscreteMeasure(mu.thetas, invariant_orbits(mu.thetas, mu.masses, G)[1])
+    return DiscreteMeasure(mids, masses)
 
 
 def _single_direction_body(w: float, mass: float, p: float) -> Polygon:
@@ -203,9 +198,8 @@ def half_group(G: SymmetryGroup, cls: MeasureClass) -> SymmetryGroup:
     atom to themselves; any other G raises NotSymmetricError.  No such
     measure is invariant under the reflection across lin(v), which maps the
     semicircle onto the opposite one.  The measure's own invariance under
-    D1 is invariant_orbits' test, wherever its orbits are built:
-    solve_discrete for atoms, and discretize_symmetric and solve_discrete on
-    each sorted stage measure of a density."""
+    D1 is solve_discrete's test (invariant_orbits), on the atoms or on each
+    stage measure of a density."""
     if G.is_trivial:
         return G
     if G.kind == "dihedral" and G.order_k == 1:  # lin(a) = lin(b) when 2 a = 2 b mod 2 pi
@@ -228,7 +222,7 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
     on mu's own normals and the chord normal cls.w + pi, whose support is
     pinned at 0 (solve_discrete's chord), with G enforced as half_group
     allows; density inputs take the same half problem at every stage of
-    the refinement loop.  The report names G.  An antipodal pair admits no
+    the refinement loop.  Every report names G.  An antipodal pair admits no
     solution.  A group the measure cannot admit raises NotSymmetricError.
     """
     cfg = cfg or SolverConfig()
@@ -244,8 +238,12 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
                               classification=SINGLE_DIRECTION, symmetry=G.label())
     if cls.tag != SEMICIRCLE:
         raise ConcentratedError("solve_semicircle needs a concentrated classification")
-    P, rep = solve_discrete(mu, p, half_group(G, cls), cfg,
-                            chord=canonical_angle(cls.w + math.pi))
+    try:
+        P, rep = solve_discrete(mu, p, half_group(G, cls), cfg,
+                                chord=canonical_angle(cls.w + math.pi))
+    except NoConvergenceError as exc:
+        exc.report.symmetry = G.label()
+        raise
     rep.symmetry = G.label()  # as asked: half_group's D1 has the axis cls.w itself
     return P, rep
 
@@ -340,10 +338,10 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
     that a semicircle classification cls solves the half problem at every
     stage instead: H is half_group(G, cls), the stage measure is the half
     grid, and the chord normal opposite the semicircle is pinned at support
-    0.  The report names cls's class and G.  m doubles from m0 up to m_max,
-    and a stage whose grid is the one solved before is skipped (the grid of
-    2 l max(2, floor(m / l)) arcs stays put while m < 3 l), so the
-    stopping rule never compares a body with itself."""
+    0.  The report names cls's class and G, as does a failed stage's.  m
+    doubles from m0 up to m_max, and a stage whose grid is the one solved
+    before is skipped (the grid of 2 l max(2, floor(m / l)) arcs stays put
+    while m < 3 l), so the stopping rule never compares a body with itself."""
     history = []
     prev_P = None
     prev_rep = None
@@ -365,6 +363,7 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
                 f"stage m = {m}: the grid measure lies in a closed semicircle ({exc})"
             ) from exc
         except NoConvergenceError as exc:
+            exc.report.symmetry = G.label()
             raise NoConvergenceError(f"stage m = {m}: {exc}", exc.report) from exc
         diam = P_m.diameter()
         entry = {

@@ -17,8 +17,8 @@ pinned at 0, so the origin lies on the chord, which carries no Lp mass, and
 each Newton step is the same cyclic solve with the two couplings across the
 chord cut.  A candidate above the residual tolerance raises
 NoConvergenceError.  A finite symmetry group is enforced in the Newton
-workspace: the start and each step are averaged over the group's orbits, so
-every iterate is constant on each orbit.
+workspace: the targets are the masses' orbit means, and the start and each
+step are averaged over the orbits, so every iterate is constant on each.
 """
 
 from __future__ import annotations
@@ -220,10 +220,10 @@ def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
 
 def invariant_orbits(thetas: np.ndarray, masses: np.ndarray, G: SymmetryGroup):
     """(orbits, means) of the measure with masses at the sorted thetas under
-    G: orbits is orbit_partition's, and means the masses averaged over it.
-    This is the one test of a measure's invariance: a normal set G does not
-    map to itself, or a mass more than 1e-8 of its orbit's mean away from
-    it, raises NotSymmetricError."""
+    G, solve_discrete's Newton workspace and targets: orbit_partition's
+    orbits and the masses averaged over them.  The one invariance test: a
+    normal set G does not map to itself, or a mass more than 1e-8 of its
+    orbit's mean away from it, raises NotSymmetricError."""
     try:
         orbits = orbit_partition(thetas, G)
     except NotClosedUnderGroupError as exc:
@@ -715,10 +715,10 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     chord, the measure sits in a closed semicircle (use solve_semicircle),
     NotSymmetricError when mu is not invariant under the requested group,
     and NoConvergenceError carrying the best report otherwise.  A
-    nontrivial G is enforced on the orbits that invariant_orbits builds:
-    the masses are checked against them, and the Newton workspace takes
-    them, so every iterate, the returned support numbers included, is
-    constant on each orbit (_newton_polish).
+    nontrivial G is enforced here alone, on the orbits invariant_orbits
+    builds: Newton's targets are the orbit means and its workspace takes
+    the orbits, so every iterate, the returned support numbers included, is
+    constant on each orbit (_newton_polish); the gate reads mu as given.
 
     chord, an angle in [0, 2 pi), solves the half problem of a measure on
     the closed semicircle about chord + pi: the body has the chord normal
@@ -745,7 +745,7 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     elif cls.tag in (SINGLE_DIRECTION, ANTIPODAL_PAIR):
         raise ConcentratedError(f"measure is {cls.tag}; the chord needs a proper semicircle")
 
-    orbits = None if G.is_trivial else invariant_orbits(theta, alpha, G)[0]
+    orbits, alpha = (None, alpha) if G.is_trivial else invariant_orbits(theta, alpha, G)
 
     # Normalize the mass scale: solving mu/s and dilating by s^(1/(2-p))
     # keeps every internal tolerance scale-free.

@@ -119,3 +119,31 @@ def test_against_labels_switched_solutions(monkeypatch, capsys, tmp_path):
     path.write_text("".join(json.dumps(case) + "\n" for case in cases))
     _, moved = run_tool(monkeypatch, capsys, argv + ["--against", str(tmp_path)])
     assert moved == lines + [out[0], f"reduced-routes: 2 of {len(cases)} cases moved, 1 switched"]
+
+
+def test_against_says_when_only_the_report_moved(monkeypatch, capsys, tmp_path):
+    """A case whose body bytes are the same on both sides reads "body same"
+    and names the report keys that differ, a list's entries as "key[]",
+    instead of a zero support change."""
+    argv = ["--seeds", "1", "--workload", "reduced-routes"]
+    tool, out = run_tool(monkeypatch, capsys, argv + ["--dump", str(tmp_path)])
+    path = tmp_path / "reduced-routes.jsonl"
+    cases = [json.loads(line) for line in path.read_text().splitlines()]
+    case = next(case for case in cases if tool.outcome(case[1])[0] == "ok"
+                and tool.outcome(case[1])[2].get("loop_history"))
+    _, body, report = tool.outcome(case[1])
+    report["residual"] *= 2.0
+    report["loop_history"][-1]["residual"] *= 2.0
+    case[1] = tool.dumps_canonical(body) + "\n" + tool.dumps_canonical(report) + "\n"
+    path.write_text("".join(json.dumps(case) + "\n" for case in cases))
+    _, moved = run_tool(monkeypatch, capsys, argv + ["--against", str(tmp_path)])
+    assert moved == [
+        f"{case[0]}: moved, ok -> ok, body same, report differs in "
+        "(loop_history[].residual, residual), Newton counts same, continuation counts same, "
+        "m_final same",
+        out[0],
+        f"reduced-routes: 1 of {len(cases)} cases moved, 0 switched",
+    ]
+    assert tool.differing_keys({"a": [1, {"b": 2}], "c": 3}, {"a": [1, {"b": 4}], "d": 3}) == [
+        "a[].b", "c", "d"]
+    assert tool.differing_keys({"a": [1, 2]}, {"a": [1]}) == ["a"]

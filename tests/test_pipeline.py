@@ -112,7 +112,7 @@ class TestDiscretizeSymmetric:
         assert mu.n == 16
         assert np.allclose(mu.masses, math.pi / 8.0, rtol=1e-12)
 
-    def test_reflection_invariance_exact(self):
+    def test_reflection_invariance_exact(self, monkeypatch):
         atoms = DiscreteMeasure([0.0, 1.0, TWO_PI - 1.0], [2.0, 0.7, 0.7])
         dens = PiecewiseLinearDensity(
             np.linspace(0, TWO_PI, 16, endpoint=False),
@@ -121,9 +121,18 @@ class TestDiscretizeSymmetric:
         spec = MeasureSpec(atoms, dens)
         G = SymmetryGroup.dihedral(1, axis=0.0)
         mu = discretize_symmetric(spec, G, 4, 3)
-        # output must be EXACTLY invariant: mirror atoms carry equal masses
+        # the binned masses are mirror-symmetric up to rounding; the
+        # solver's Newton targets and support numbers EXACTLY
         for t, m in zip(mu.thetas, mu.masses):
-            assert mu.mass_at(TWO_PI - t) == m  # bitwise equality after averaging
+            assert mu.mass_at(TWO_PI - t) == pytest.approx(m, rel=1e-12)
+        targets = record_targets(monkeypatch)
+        P, _ = solver.solve_discrete(mu, 0.5, G)
+        (thetas, alphas), = targets
+        assert np.array_equal(thetas, mu.thetas) and np.array_equal(P.normals, mu.thetas)
+        mirror = np.argmin(np.abs(canonical_angles(-thetas)[:, None] - thetas), axis=1)
+        assert np.array_equal(np.sort(mirror), np.arange(len(thetas)))
+        assert np.array_equal(alphas[mirror], alphas)  # bitwise: the orbit means
+        assert np.array_equal(P.support[mirror], P.support)
 
     def test_trivial_group_preserves_total_exactly(self, rng):
         spec = MeasureSpec(
@@ -153,6 +162,7 @@ class TestDiscretizeSymmetric:
             lm = l * m
             phi0 = G.axis if G.kind == "dihedral" else 0.0
             pts = _symmetric_base_angles(G, l, m)
+            assert len(pts) == 2 * lm
             assert np.allclose(pts, reference_base_angles(G, l, m), rtol=0.0, atol=1e-12)
             mids = np.sort(canonical_angles(0.5 * (pts + np.append(pts[1:], pts[0] + TWO_PI))))
             want = np.sort(canonical_angles(phi0 + math.pi * np.arange(2 * lm) / lm))
@@ -178,13 +188,39 @@ class TestDiscretizeSymmetric:
             raise MemoryError("out of memory")
 
         monkeypatch.setattr(solver, "orbit_partition", broken)
+        G = SymmetryGroup.cyclic(2)
+        mu = discretize_symmetric(uniform_density_spec(), G, 4, 2)
         with pytest.raises(MemoryError, match="out of memory"):
-            discretize_symmetric(uniform_density_spec(), SymmetryGroup.cyclic(2), 4, 2)
+            solver.solve_discrete(mu, 0.5, G)
+
+    def test_only_bins(self, monkeypatch):
+        # no invariance test and no orbit build: not even a measure that
+        # no group maps to itself is refused, and the masses are the arcs'
+        def broken(*args, **kwargs):
+            raise AssertionError("discretize_symmetric built orbits")
+
+        spec = MeasureSpec(DiscreteMeasure([0.3, 0.3 + math.pi / 2], [1.0, 3.0]),
+                           random_knot_density(np.random.default_rng(5), 11))
+        G = SymmetryGroup.dihedral(4, 0.2)
+        want = reference_discretize_symmetric(spec, G, 4, 3)
+        for module, name in ((solver, "orbit_partition"), (solver, "invariant_orbits"),
+                             (pipeline, "invariant_orbits")):
+            monkeypatch.setattr(module, name, broken)
+        assert_same_measure(discretize_symmetric(spec, G, 4, 3), want)
+        assert_same_measure(discretize(spec, 12, G), want)
 
     def test_not_invariant_raises(self):
+        # the density is C4-invariant and the atoms are not: the grid is
+        # binned as asked, and the solver refuses it
         atoms = DiscreteMeasure([0.3, 0.3 + math.pi / 2], [1.0, 1.0])
+        spec = MeasureSpec(atoms, uniform_density_spec().density)
+        G = SymmetryGroup.cyclic(4)
+        mu = discretize_symmetric(spec, G, 4, 2)
+        assert mu.n == 2 * 4 * 2 + 2
         with pytest.raises(NotSymmetricError, match="not invariant under C4"):
-            discretize_symmetric(MeasureSpec(atoms, None), SymmetryGroup.cyclic(4), 4, 2)
+            solver.solve_discrete(mu, 0.5, G)
+        with pytest.raises(NotSymmetricError, match="not invariant under C4"):
+            solve(spec, 0.5, G)
 
     def test_unequal_masses_raise_the_solvers_refusal(self):
         # zero-mass arcs carry no atom: the stage measure is the atoms
@@ -192,10 +228,26 @@ class TestDiscretizeSymmetric:
         atoms = DiscreteMeasure(np.arange(4) * math.pi / 2, [1.0, 2.0, 1.0 + 2e-8, 2.0])
         refusal = ("^measure is not invariant under C2: "
                    "atom masses are not constant on group orbits$")
+        mu = discretize_symmetric(MeasureSpec(atoms, None), G, 4, 2)
+        assert_same_measure(mu, atoms)
         with pytest.raises(NotSymmetricError, match=refusal):
-            discretize_symmetric(MeasureSpec(atoms, None), G, 4, 2)
+            solver.solve_discrete(mu, 0.5, G)
         with pytest.raises(NotSymmetricError, match=refusal):
             solve(MeasureSpec(atoms, None), 0.5, G)
+
+    def test_masses_within_the_tolerance_give_orbit_constant_targets(self, monkeypatch):
+        # masses that agree on each C2 orbit only within 1e-8 pass the
+        # invariance test; Newton's targets are their orbit means, bitwise
+        # constant on each orbit like every iterate, and the gate reads the
+        # masses as given
+        G = SymmetryGroup.cyclic(2)
+        atoms = DiscreteMeasure(np.arange(4) * math.pi / 2, [1.0, 2.0, 1.0 + 5e-9, 2.0])
+        targets = record_targets(monkeypatch)
+        P, rep = solve(MeasureSpec(atoms, None), 0.5, G)
+        (_, alphas), = targets
+        assert alphas[0] == alphas[2] and alphas[1] == alphas[3]
+        assert P.support[0] == P.support[2] and P.support[1] == P.support[3]
+        assert rep.residual == measure_residual(P, atoms, 0.5) > 0.0
 
 
 def reference_density_arc_mass(d, a, b):
@@ -232,8 +284,8 @@ def reference_base_angles(G, l, m):
 
 
 def reference_discretize_symmetric(spec, G, l, m):
-    """Per-arc scalar density masses at the midpoints, the atoms added as
-    they are, and each orbit of the sorted stage measure given its mean."""
+    """Per-arc scalar density masses at the midpoints and the atoms added
+    as they are: binned, never averaged."""
     pts = _symmetric_base_angles(G, l, m)
     n = len(pts)
     mids, masses = np.empty(n), np.zeros(n)
@@ -246,13 +298,21 @@ def reference_discretize_symmetric(spec, G, l, m):
     if spec.atoms is not None:
         mids = np.concatenate([mids, spec.atoms.thetas])
         masses = np.concatenate([masses, spec.atoms.masses])
-    mu = DiscreteMeasure(mids, masses)
-    if G.is_trivial:
-        return mu
-    masses = mu.masses.copy()
-    for o in orbit_index_sets(orbit_partition(mu.thetas, G)):
-        masses[o] = float(np.mean(mu.masses[o]))
-    return DiscreteMeasure(mu.thetas, masses)
+    return DiscreteMeasure(mids, masses)
+
+
+def record_targets(monkeypatch):
+    """The (thetas, targets) of each Newton workspace solve_discrete makes
+    from here on, in a list it fills."""
+    made = []
+
+    class Recording(_Workspace):
+        def __init__(self, thetas, alphas, *args, **kwargs):
+            made.append((thetas, alphas))
+            super().__init__(thetas, alphas, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_Workspace", Recording)
+    return made
 
 
 def random_knot_density(rng, knots):
@@ -643,6 +703,23 @@ class TestAtomicReducedRoutesHonourTheGroup:
         assert rep.residual <= 1e-6
         assert support_distance(K, K0) <= 1e-3 * K0.diameter()
 
+    def test_a_give_up_names_the_group_asked_for(self):
+        # half_group restates D1 across lin(w) with the axis w itself; the
+        # report of a failed solve, atomic or a density's stage, names the
+        # axis w + pi asked for, as a solved one does
+        s = np.linspace(0, TWO_PI, 64, endpoint=False)
+        f = np.where(s < math.pi, np.sin(s) ** 2, 0.0)
+        f[0] = 0.0
+        density = MeasureSpec(None, PiecewiseLinearDensity((s + 0.7 - math.pi / 2) % TWO_PI, f))
+        for spec, w in ((self.semicircle_atoms(0.9), 0.9), (density, 0.7)):
+            assert classify_spec(spec).w == pytest.approx(w, abs=1e-12)
+            G = SymmetryGroup.dihedral(1, w + math.pi)
+            with pytest.raises(NoConvergenceError) as exc:
+                solve(spec, 0.5, G, PipelineConfig(tol_residual=1e-30))
+            report = exc.value.report
+            assert report.symmetry == G.label() == f"D1:{w + math.pi:.12g}"
+            assert report.classification == SEMICIRCLE
+
     def test_single_atom_groups(self):
         spec = MeasureSpec(DiscreteMeasure([1.0], [4.0]), None)
         for G in (SymmetryGroup.cyclic(4), SymmetryGroup.dihedral(1, 1.3),
@@ -941,9 +1018,9 @@ def assert_union_find_orbits(orb, normals, G):
 
 def assert_stage_orbits(spec, G, l, m, axis=None):
     """orbit_partition is the union-find on the atoms of the stage
-    discretize_symmetric(spec, G, l, m, axis), sorted, as it and
-    solve_discrete build their orbits, and unsorted, the last atom moved to
-    the front.  Returns the stage's atoms."""
+    discretize_symmetric(spec, G, l, m, axis), sorted, as solve_discrete
+    builds its orbits, and unsorted, the last atom moved to the front.
+    Returns the stage's atoms."""
     t = discretize_symmetric(spec, G, l, m, axis).thetas
     for normals in (t, np.roll(t, 1)):
         assert_union_find_orbits(orbit_partition(normals, G), normals, G)
@@ -951,11 +1028,11 @@ def assert_stage_orbits(spec, G, l, m, axis=None):
 
 
 class TestStageOrbitHandoff:
-    """Each symmetric stage builds its orbits with orbit_partition on the
-    sorted stage measure: in discretize_symmetric to average the masses,
-    and in solve_discrete for the Newton workspace, which averages the
-    start and each step, so every iterate is constant on each orbit.  Both
-    are the union-find's."""
+    """Each symmetric stage builds its orbits once, with orbit_partition on
+    the sorted stage measure in solve_discrete: invariant_orbits checks the
+    binned masses against them and averages them into Newton's targets, and
+    the Newton workspace averages the start and each step over them, so
+    every iterate is constant on each orbit.  They are the union-find's."""
 
     def test_stage_orbits_equal_the_union_find(self, rng):
         for G, spec in stage_cases(rng):
@@ -976,12 +1053,11 @@ class TestStageOrbitHandoff:
         for G, spec in stage_cases(rng):
             built.clear()
             _, rep = solve(spec, 0.5, G)
-            # discretize_symmetric's build, then solve_discrete's
-            assert len(built) == 2 * len(rep.loop_history)
-            for i, entry in enumerate(rep.loop_history):
-                (t_grid, G_grid), (normals, G_stage) = built[2 * i:2 * i + 2]
-                assert G_grid == G_stage == G and np.array_equal(t_grid, normals)
-                assert len(normals) == entry["n_atoms"]
+            # solve_discrete's build alone, on the stage's binned measure
+            assert len(built) == len(rep.loop_history)
+            for (normals, G_stage), entry in zip(built, rep.loop_history):
+                assert G_stage == G and len(normals) == entry["n_atoms"]
+                assert np.array_equal(normals, discretize(spec, entry["m"], G).thetas)
                 assert_union_find_orbits(real(normals, G), normals, G)
 
     def test_no_angle_matching_in_density_solves(self, rng, monkeypatch):
@@ -1099,14 +1175,17 @@ class TestGridOrbits:
         def on_arcs(arcs):
             return MeasureSpec(DiscreteMeasure(mids[arcs], np.ones(len(arcs))), None)
 
+        def solved(arcs):  # the grid bins the atoms; the solver refuses them
+            return solver.solve_discrete(discretize_symmetric(on_arcs(arcs), G, l, m), 0.5, G)
+
         arcs = np.arange(len(pts))
         assert discretize_symmetric(on_arcs(arcs), G, l, m).n == len(pts)
         lacks = f"not invariant under {G.label()}: "
         with pytest.raises(NotSymmetricError, match=f"{lacks}{len(pts) - 1} normals cannot be "
                                                     f"invariant under {G.label()}"):
-            discretize_symmetric(on_arcs(np.delete(arcs, 3)), G, l, m)
+            solved(np.delete(arcs, 3))
         with pytest.raises(NotSymmetricError, match=f"{lacks}normal at .* not in the set"):
-            discretize_symmetric(on_arcs(np.delete(arcs, np.arange(3, 3 + G.order_k))), G, l, m)
+            solved(np.delete(arcs, np.arange(3, 3 + G.order_k)))
 
     def test_a_grid_off_the_group_axis_raises(self):
         # the grid, not the measure, is at fault: 0.3 is no multiple of pi / 32

@@ -18,6 +18,7 @@ from conftest import (
 
 from lpmink import (
     DiscreteMeasure,
+    MeasureSpec,
     SymmetryGroup,
     anchor_objective,
     apply_isometry,
@@ -281,6 +282,29 @@ class TestSolveDiscrete:
         _, rep = solve_discrete(mu, 0.9)
         assert rep.outer_iters > 0
         assert rep.residual <= 1e-6
+
+    def test_first_pad_stage_gives_up(self, monkeypatch):
+        # 4 atoms on a semicircle at p = 0.129, masses over four decades
+        # (semicircle sweep trial (5, 99)): cold Newton misses, and the pad
+        # continuation's first stage stays above 1e-5, so the continuation
+        # returns its start at once and solve raises
+        runs = []
+        continuation = solver._continuation_newton
+
+        def recording(ws, h0, cfg):
+            runs.append((h0, continuation(ws, h0, cfg)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(solver, "_continuation_newton", recording)
+        mu = DiscreteMeasure(
+            [5.453808770452389, 0.26373893550463745, 2.233864702382898, 2.2922161168625963],
+            [0.5667584032987523, 29.341944916587845, 1701.2888567892837, 467.28583956559925],
+        )
+        with pytest.raises(NoConvergenceError) as exc:
+            solve(MeasureSpec(mu, None), 0.1290989854792371)
+        assert exc.value.report.outer_iters == 1
+        (h0, (h, err, _, stages)), = runs
+        assert h is h0 and err == math.inf and stages == 1
 
 
 def dense_cyclic_jacobian(thetas, h, p):

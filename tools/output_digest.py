@@ -20,13 +20,14 @@ moves one case names it.
 line.  --against DIR compares each case with such a dump, made by another
 tree on the same seeds, and prints a line for each case that moved: the
 outcome on both sides (ok or the error's type), the largest |dh| / max h
-over the normals both bodies have, and whether the per-stage Newton counts,
-the per-stage continuation counts and m_final match.  A case that is ok on
-both sides with max |dh| / max h above 1e-3 is labelled "switched": lpmink
-returned another solution of the same input, not the same solution moved by
-rounding.  After the workload's line comes "<workload>: <k> of <n> cases
-moved, <s> switched".  Nothing under bench/ is written or changed; the
-script only imports its input generators.
+over the normals both bodies have, or "body same" and the report keys that
+differ when the body bytes are the same (a list's entries as "key[]"), and
+whether the per-stage Newton counts, the per-stage continuation counts and
+m_final match.  A case that is ok on both sides with max |dh| / max h above
+1e-3 is labelled "switched": lpmink returned another solution of the same
+input, not the same solution moved by rounding.  After the workload's line
+comes "<workload>: <k> of <n> cases moved, <s> switched".  Nothing under
+bench/ is written or changed; the script only imports its input generators.
 """
 
 from __future__ import annotations
@@ -94,6 +95,25 @@ def counts(report) -> tuple:
             report.get("m_final"))
 
 
+def body_text(text: str) -> str:
+    """The body JSON that an ok case's text starts with."""
+    return text[:json.JSONDecoder().raw_decode(text)[1]]
+
+
+def differing_keys(a, b, path: str = "") -> list[str]:
+    """Where the JSON values a and b differ, as key paths in a's key order,
+    each once; a list's entries read "key[]", a list whose length differs
+    reads "key"."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = dict.fromkeys([*a, *b])
+        paths = [differing_keys(a.get(k), b.get(k), f"{path}.{k}" if path else k) for k in keys]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        paths = [differing_keys(x, y, f"{path}[]") for x, y in zip(a, b)]
+    else:
+        return [] if a == b else [path]
+    return list(dict.fromkeys(key for keys in paths for key in keys))
+
+
 # Relative support change above which an ok -> ok case counts as another
 # solution of the same input (a "switched" case).
 SWITCHED = 1e-3
@@ -104,7 +124,9 @@ def moved_line(head: str, old: str, new: str) -> tuple[str, bool]:
     whether it switched solution."""
     (was, body0, rep0), (now, body1, rep1) = outcome(old), outcome(new)
     detail, switched = "", False
-    if body0 is not None and body1 is not None:
+    if body0 is not None and body1 is not None and body_text(old) == body_text(new):
+        detail = f", body same, report differs in ({', '.join(differing_keys(rep0, rep1))})"
+    elif body0 is not None and body1 is not None:
         t0, h0 = np.array(body0["normals_theta"]), np.array(body0["support"])
         t1, h1 = np.array(body1["normals_theta"]), np.array(body1["support"])
         _, i0, i1 = np.intersect1d(t0, t1, assume_unique=True, return_indices=True)
