@@ -27,14 +27,13 @@ from .gallery import (
     write_limit_table_csv,
 )
 from .geometry import SymmetryGroup
-from .measure import SEMICIRCLE, lp_surface_measure, weak_distance
+from .measure import lp_surface_measure, weak_distance
 from .pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
     classify_spec,
     detect_symmetry,
     discretize,
-    half_group,
     monge_ampere_residual,
     solve,
     stage_measure,
@@ -192,10 +191,7 @@ def cmd_measure(args) -> int:
 def cmd_discretize(args) -> int:
     spec = measure_spec_from_dict(_load_json(args.input))
     G = parse_symmetry(args.symmetry, spec)
-    cls = classify_spec(spec)
-    if cls.tag == SEMICIRCLE:
-        G = half_group(G, cls)
-    mu = stage_measure(spec, args.m, G, cls)
+    mu = stage_measure(spec, args.m, G, classify_spec(spec))
     payload = discrete_measure_to_dict(mu)
     if args.output:
         write_canonical(payload, args.output)

@@ -53,6 +53,15 @@ def circular_distance(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
+def circular_distances(a, b) -> np.ndarray:
+    """circular_distance elementwise, for directions a and b in any range:
+    the difference less its nearest multiple of 2 pi, as an unreduced one
+    can reach 3 pi."""
+    d = a - b
+    d -= TWO_PI * np.rint(d * (1.0 / TWO_PI))
+    return np.abs(d, out=d)
+
+
 def angles_antipodal(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
     return abs(circular_distance(a, b) - math.pi) <= tol
 
@@ -654,8 +663,7 @@ def group_orbit_map(normals: np.ndarray, A: Isometry2, tol: float = 1e-9) -> np.
     sorted_theta = theta[order]
     j = np.searchsorted(sorted_theta, image)
     cand = np.stack([j - 1, j]) % n
-    d = np.abs(sorted_theta[cand] - image)
-    d = np.minimum(d, TWO_PI - d)
+    d = circular_distances(sorted_theta[cand], image)
     later = d[1] <= np.minimum(d[0], tol)
     hit = later | (d[0] <= tol)
     if not hit.all():

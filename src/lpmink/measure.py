@@ -26,6 +26,7 @@ from .geometry import (
     canonical_angle,
     canonical_angles,
     circular_distance,
+    circular_distances,
     circular_gaps,
     cyclic_shift,
     edge_midpoints,
@@ -72,14 +73,16 @@ class DiscreteMeasure:
     masses: np.ndarray
 
     def __init__(self, thetas, masses):
-        t = canonical_angles(np.atleast_1d(np.asarray(thetas, dtype=float)))
+        t = np.atleast_1d(np.asarray(thetas, dtype=float))
         m = np.atleast_1d(np.asarray(masses, dtype=float))
         if t.shape != m.shape:
             raise ValueError("thetas and masses must have equal length")
+        if not (np.isfinite(t).all() and np.isfinite(m).all()):
+            raise ValueError("atom angles and masses must be finite numbers")
         if (m < 0).any():
             raise ValueError("negative atom mass")
         keep = m > 0.0
-        t, m = t[keep], m[keep]
+        t, m = canonical_angles(t[keep]), m[keep]
         if t.size == 0:
             raise EmptyMeasureError("measure has no mass")
         # Angles increasing by more than ATOM_MERGE_TOL, such as a body's
@@ -137,12 +140,15 @@ class PiecewiseLinearDensity:
     """Periodic piecewise-linear density on [0, 2*pi) from sample knots."""
 
     def __init__(self, thetas, values):
-        t = canonical_angles(np.atleast_1d(np.asarray(thetas, dtype=float)))
+        t = np.atleast_1d(np.asarray(thetas, dtype=float))
         f = np.atleast_1d(np.asarray(values, dtype=float))
         if t.shape != f.shape or t.size < 1:
             raise ValueError("density needs matching theta/f samples")
+        if not (np.isfinite(t).all() and np.isfinite(f).all()):
+            raise ValueError("density knots and values must be finite numbers")
         if np.any(f < 0):
             raise ValueError("density samples must be nonnegative")
+        t = canonical_angles(t)
         order = np.argsort(t, kind="stable")
         t, f = t[order], f[order]
         if t.size >= 2 and (t[1:] - t[:-1]).min() <= 0:
@@ -310,9 +316,7 @@ def _min_open_cap_mass(mu: DiscreteMeasure, t: float) -> float:
     )
     mids = (crit + cyclic_shift(crit, -1)) / 2.0
     mids[-1] = canonical_angle(crit[-1] + (crit[0] + TWO_PI - crit[-1]) / 2.0)
-    d = np.abs(mids[:, None] - mu.thetas[None, :])
-    d = np.minimum(d, TWO_PI - d)
-    inside = d < rho  # open cap
+    inside = circular_distances(mids[:, None], mu.thetas[None, :]) < rho  # open cap
     return float((inside * mu.masses[None, :]).sum(axis=1).min())
 
 

@@ -9,15 +9,18 @@ that of densities, `discretize` the grid measure of the whole circle and
 its `l` rule (the density's arc masses at the arc midpoints with the atoms
 unmoved; the refinement loop's stages, `verify` and the `--svg` rays all
 use it), `stage_measure` the choice between it and the half grid of a
-semicircle (the loop's stages and `lpmink discretize`), both only binning,
-and `solve_discrete` a group's invariance test and orbit means, once each.
+semicircle (the loop's stages and `lpmink discretize`), both only binning.
+`solve_discrete` holds a group's invariance test and orbit means, once
+each, and, given a chord, reduces the caller's group to the half
+problem's (`half_group`), while its report, solved or not, names the
+caller's.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .geometry import (
     SymmetryGroup,
     canonical_angle,
     canonical_angles,
-    circular_distance,
+    circular_distances,
     cyclic_shift,
     dilate,
     polygon_from_support,
@@ -54,6 +57,7 @@ from .measure import (
 from .solver import (
     SolveReport,
     SolverConfig,
+    half_group,
     invariant_orbits,
     measure_residual,
     solve_discrete,
@@ -191,61 +195,31 @@ def _single_direction_body(w: float, mass: float, p: float) -> Polygon:
     return dilate(K0, lam0)
 
 
-def half_group(G: SymmetryGroup, cls: MeasureClass) -> SymmetryGroup:
-    """The group a measure of the concentrated class cls (a semicircle or a
-    single atom) admits for G: the trivial group, or D1 across lin(cls.w),
-    the one reflection that maps the semicircle, its chord and a single
-    atom to themselves; any other G raises NotSymmetricError.  No such
-    measure is invariant under the reflection across lin(v), which maps the
-    semicircle onto the opposite one.  The measure's own invariance under
-    D1 is solve_discrete's test (invariant_orbits), on the atoms or on each
-    stage measure of a density."""
-    if G.is_trivial:
-        return G
-    if G.kind == "dihedral" and G.order_k == 1:  # lin(a) = lin(b) when 2 a = 2 b mod 2 pi
-        if circular_distance(2.0 * G.axis, 2.0 * cls.w) <= 2e-9:
-            return SymmetryGroup.dihedral(1, cls.w)
-        if circular_distance(2.0 * G.axis, 2.0 * cls.v) <= 2e-9:
-            raise NotSymmetricError(f"measure is not invariant under {G.label()}: it maps "
-                                    "the support's semicircle onto the opposite one")
-    raise NotSymmetricError(
-        f"symmetry {G.label()} is incompatible with a semicircle-supported measure"
-    )
-
-
 def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
                      cfg: SolverConfig | None = None, G: SymmetryGroup | None = None):
     """Solve an atomic measure concentrated on a closed semicircle.
 
     Single direction: a closed-form dilated triangle, symmetric only across
-    the atom's own line (half_group).  Proper semicircle: the half problem
-    on mu's own normals and the chord normal cls.w + pi, whose support is
-    pinned at 0 (solve_discrete's chord), with G enforced as half_group
-    allows; density inputs take the same half problem at every stage of
-    the refinement loop.  Every report names G.  An antipodal pair admits no
-    solution.  A group the measure cannot admit raises NotSymmetricError.
+    the atom's own line (half_group).  Proper semicircle: solve_discrete's
+    half problem on mu's own normals and the chord normal cls.w + pi, whose
+    support is pinned at 0, with G enforced as half_group allows; density
+    inputs take the same half problem at every stage of the refinement
+    loop.  Every report names G.  An antipodal pair admits no solution.  A
+    group the measure cannot admit raises NotSymmetricError.
     """
-    cfg = cfg or SolverConfig()
     G = G or SymmetryGroup.trivial()
     if cls.tag == ANTIPODAL_PAIR:
         raise AntipodalPairError(
             "no body exists: the support is a pair of antipodal directions"
         )
     if cls.tag == SINGLE_DIRECTION:
-        half_group(G, cls)
+        half_group(G, cls.w)
         P = _single_direction_body(cls.w, mu.total_mass(), p)
         return P, SolveReport(residual=measure_residual(P, mu, p),
                               classification=SINGLE_DIRECTION, symmetry=G.label())
     if cls.tag != SEMICIRCLE:
         raise ConcentratedError("solve_semicircle needs a concentrated classification")
-    try:
-        P, rep = solve_discrete(mu, p, half_group(G, cls), cfg,
-                                chord=canonical_angle(cls.w + math.pi))
-    except NoConvergenceError as exc:
-        exc.report.symmetry = G.label()
-        raise
-    rep.symmetry = G.label()  # as asked: half_group's D1 has the axis cls.w itself
-    return P, rep
+    return solve_discrete(mu, p, G, cfg, chord=canonical_angle(cls.w + math.pi))
 
 
 def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> DiscreteMeasure:
@@ -266,19 +240,20 @@ def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> Dis
 def stage_measure(spec: MeasureSpec, m: int, G: SymmetryGroup,
                   cls: MeasureClass) -> DiscreteMeasure:
     """The grid measure the refinement loop solves at resolution m for spec,
-    of classification cls, under the group G the loop enforces (half_group's
-    for a semicircle class).  Off a semicircle it is discretize's.  On the
-    closed semicircle about cls.w it is the half grid: the restriction to
-    that semicircle of the whole circle's grid for G and the reflection
-    across lin(v) together (D1 or D2, l = 3 or 4).  That grid is aligned
-    with lin(v), so the semicircle's ends v and v - pi are arc midpoints:
-    an arc across an end keeps the density mass on the semicircle's side of
-    it, at the end itself, and zero-mass arcs carry no atom.  `lpmink
-    discretize` prints it."""
+    of classification cls, under the caller's group G.  Off a semicircle it
+    is discretize's.  On the closed semicircle about cls.w it is the half
+    grid: the restriction to that semicircle of the whole circle's grid for
+    H = half_group(G, cls.w) and the reflection across lin(v) together (D1
+    or D2, l = 3 or 4).  That grid is aligned with lin(v), so the
+    semicircle's ends v and v - pi are arc midpoints: an arc across an end
+    keeps the density mass on the semicircle's side of it, at the end
+    itself, and zero-mass arcs carry no atom.  `lpmink discretize` prints
+    it."""
     if cls.tag != SEMICIRCLE:
         return discretize(spec, m, G)
-    l = 3 if G.is_trivial else 4
-    return discretize_symmetric(spec, G, l, max(2, m // l), cls.v)
+    H = half_group(G, cls.w)
+    l = 3 if H.is_trivial else 4
+    return discretize_symmetric(spec, H, l, max(2, m // l), cls.v)
 
 
 def _interpolated_support(P: Polygon, thetas: np.ndarray,
@@ -324,7 +299,7 @@ def _interpolated_support(P: Polygon, thetas: np.ndarray,
 def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
                      cfg: PipelineConfig, cls: MeasureClass):
     """Solve discretizations of increasing resolution until the bodies
-    stabilize.  Every stage solves stage_measure(spec, m, H, cls), whose arc
+    stabilize.  Every stage solves stage_measure(spec, m, G, cls), whose arc
     midpoints make the body converge at second order in m, and every stage
     after the first starts Newton from the interpolated support of the body
     before it.  Each history entry holds its stage's solver counts; the
@@ -334,36 +309,33 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
     mass.  A stage that cannot be solved ends the loop with a
     NoConvergenceError naming its m: the solver's residual gate failed, or
     the grid measure lies in a closed semicircle (zero-mass arcs carry no
-    atom, so a support just wider than pi can give one).  H is G, except
-    that a semicircle classification cls solves the half problem at every
-    stage instead: H is half_group(G, cls), the stage measure is the half
-    grid, and the chord normal opposite the semicircle is pinned at support
-    0.  The report names cls's class and G, as does a failed stage's.  m
+    atom, so a support just wider than pi can give one).  A semicircle
+    classification cls solves the half problem at every stage instead: the
+    stage measure is the half grid, and solve_discrete pins the chord normal
+    opposite the semicircle at support 0 and enforces half_group's part of
+    G.  The report, the last stage's with the loop's warnings, m_final and
+    history, names cls's class and G, as does a failed stage's.  m
     doubles from m0 up to m_max, and a stage whose grid is the one solved
     before is skipped (the grid of 2 l max(2, floor(m / l)) arcs stays put
     while m < 3 l), so the stopping rule never compares a body with itself."""
     history = []
     prev_P = None
-    prev_rep = None
     prev_thetas = None
     converged = False
-    H, chord = G, None
-    if cls.tag == SEMICIRCLE:
-        H, chord = half_group(G, cls), canonical_angle(cls.w + math.pi)
+    chord = canonical_angle(cls.w + math.pi) if cls.tag == SEMICIRCLE else None
     for m in (cfg.m0 << i for i in range((cfg.m_max // cfg.m0).bit_length())):
-        mu_m = stage_measure(spec, m, H, cls)
+        mu_m = stage_measure(spec, m, G, cls)
         if prev_thetas is not None and np.array_equal(mu_m.thetas, prev_thetas):
             continue  # the grid of the stage before: its body would compare with itself
         prev_thetas = mu_m.thetas
         h0 = None if prev_P is None else _interpolated_support(prev_P, mu_m.thetas, chord)
         try:
-            P_m, rep_m = solve_discrete(mu_m, p, H, cfg, h0=h0, chord=chord)
+            P_m, rep_m = solve_discrete(mu_m, p, G, cfg, h0=h0, chord=chord)
         except ConcentratedError as exc:
             raise NoConvergenceError(
                 f"stage m = {m}: the grid measure lies in a closed semicircle ({exc})"
             ) from exc
         except NoConvergenceError as exc:
-            exc.report.symmetry = G.label()
             raise NoConvergenceError(f"stage m = {m}: {exc}", exc.report) from exc
         diam = P_m.diameter()
         entry = {
@@ -382,20 +354,12 @@ def _refinement_loop(spec: MeasureSpec, p: float, G: SymmetryGroup,
         log.debug("stage m = %d: %d atoms, %d Newton steps, %d continuation stages, "
                   "residual %.3e, support_delta %.3e", m, mu_m.n, rep_m.newton_iters,
                   rep_m.outer_iters, rep_m.residual, entry.get("support_delta", math.nan))
-        prev_P, prev_rep = P_m, rep_m
+        prev_P = P_m
         if converged:
             break
-    report = SolveReport(
-        residual=prev_rep.residual,
-        outer_iters=prev_rep.outer_iters,
-        newton_iters=prev_rep.newton_iters,
-        classification=cls.tag,
-        symmetry=G.label(),
-        warnings=[] if converged else [NO_CONVERGENCE_WARNING],
-        m_final=history[-1]["m"],
-        loop_history=history,
-    )
-    return prev_P, report
+    return prev_P, replace(
+        rep_m, warnings=[] if converged else [NO_CONVERGENCE_WARNING],
+        m_final=history[-1]["m"], loop_history=history)
 
 
 def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
@@ -460,8 +424,7 @@ def detect_symmetry(spec: MeasureSpec) -> SymmetryGroup:
     n = len(t)
     s = n // k
     j, i = np.arange(s), np.arange(min(n, 8))[:, None]
-    gap = (t[0] + t[j] - t[i] - t[j - i]) % TWO_PI
-    fit = (np.minimum(gap, TWO_PI - gap) <= 1e-7) & (
+    fit = (circular_distances(t[0] + t[j], t[i] + t[j - i]) <= 1e-7) & (
         np.abs(f[j - i] - f[i]) <= 1e-7 * np.maximum(f[j - i], f[i]))
     for c in j[fit.all(axis=0)]:
         axes = canonical_angles(0.5 * (t[0] + t[(c + s * np.arange(k)) % n])) % math.pi

@@ -47,6 +47,7 @@ from .geometry import (
     TWO_PI,
     canonical_angles,
     circular_distance,
+    circular_distances,
     circular_gaps,
     cyclic_shift,
     polygon_from_support,
@@ -107,8 +108,8 @@ class SolverConfig:
     tol_residual: float = 1e-6
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
+        if not 0.0 < self.tol_residual < math.inf:  # NaN fails too: res > nan gates nothing
+            raise ValueError("tol_residual must be a positive finite number")
 
 
 @dataclass
@@ -163,14 +164,6 @@ class OrbitStructure:
         return out
 
 
-def _arc_distance(a, b) -> np.ndarray:
-    """Arc length between directions a and b in any range: the difference
-    less its nearest multiple of 2 pi, as an unreduced one can reach 3 pi."""
-    d = a - b
-    d -= TWO_PI * np.rint(d * (1.0 / TWO_PI))
-    return np.abs(d, out=d)
-
-
 def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
     """Orbits of the normal index set under G, by index arithmetic on the n
     sorted normals t (a measure's thetas already are).  Rotation by 2 pi / k
@@ -210,7 +203,7 @@ def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
     else:
         blocks = [r[:, None] + rotations]
     for mapped, image in maps:
-        near = _arc_distance(mapped, image) <= ATOM_MERGE_TOL
+        near = circular_distances(mapped, image) <= ATOM_MERGE_TOL
         if not near.all():
             raise _not_closed(t, canonical_angles(image), ~near, G)
     if order is not None:
@@ -240,7 +233,7 @@ def _not_closed(t, y, off, G: SymmetryGroup) -> NotClosedUnderGroupError:
     where off holds: the first normal whose image has no normal within the
     tolerance, else (normals closer than twice it) the first one off."""
     j = np.searchsorted(t, y) % len(t)
-    near = np.minimum(_arc_distance(t[j - 1], y), _arc_distance(t[j], y)) <= ATOM_MERGE_TOL
+    near = circular_distances(t[np.stack((j - 1, j))], y).min(axis=0) <= ATOM_MERGE_TOL
     if near.all():
         return NotClosedUnderGroupError(f"the images of the normal at {t[np.argmax(off)]:.12g} "
                                         f"under {G.label()} do not form an orbit")
@@ -447,8 +440,7 @@ def measure_residual(P: Polygon, mu: DiscreteMeasure, p: float) -> float:
     # is one of its two cyclic neighbours (nu's atoms lie more than
     # ATOM_MERGE_TOL apart); a tie goes to the lower index.
     cand = _cyclic_neighbours(nu.thetas, mu.thetas)
-    d = np.abs(nu.thetas[cand] - mu.thetas)
-    d = np.minimum(d, 2.0 * math.pi - d)
+    d = circular_distances(nu.thetas[cand], mu.thetas)
     j = np.where(d[0] <= d[1], cand[0], cand[1])
     hit = d.min(axis=0) <= ATOM_MERGE_TOL
     got = np.where(hit, nu.masses[j], 0.0)
@@ -706,19 +698,39 @@ def _newton_then_continuation(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig)
     return h_new, stages, newton
 
 
+def half_group(G: SymmetryGroup, w: float) -> SymmetryGroup:
+    """The part of G a measure on the closed semicircle about w, a single
+    atom at w included, can be invariant under: the trivial group, or D1
+    across lin(w) restated with the axis w itself; any other G raises
+    NotSymmetricError.  The reflection across lin(v), v = w + pi / 2, maps
+    the semicircle onto the opposite one.  Only the group is looked at: the
+    measure's own invariance is invariant_orbits' test."""
+    if G.is_trivial:
+        return G
+    if G.kind == "dihedral" and G.order_k == 1:  # lin(a) = lin(b) when 2 a = 2 b mod 2 pi
+        if circular_distance(2.0 * G.axis, 2.0 * w) <= 2e-9:
+            return SymmetryGroup.dihedral(1, w)
+        if circular_distance(2.0 * G.axis, 2.0 * w + math.pi) <= 2e-9:  # 2 v = 2 w + pi
+            raise NotSymmetricError(f"measure is not invariant under {G.label()}: it maps "
+                                    "the support's semicircle onto the opposite one")
+    raise NotSymmetricError(f"symmetry {G.label()} is incompatible with a "
+                            "semicircle-supported measure")
+
+
 def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None,
                    cfg: SolverConfig | None = None, h0=None, chord: float | None = None):
     """Polygon P with S_{P,p} = mu for an atomic measure in general position,
     or, given chord, on a closed semicircle.
 
-    Returns (Polygon, SolveReport).  Raises ConcentratedError when, without
-    chord, the measure sits in a closed semicircle (use solve_semicircle),
-    NotSymmetricError when mu is not invariant under the requested group,
-    and NoConvergenceError carrying the best report otherwise.  A
-    nontrivial G is enforced here alone, on the orbits invariant_orbits
-    builds: Newton's targets are the orbit means and its workspace takes
-    the orbits, so every iterate, the returned support numbers included, is
-    constant on each orbit (_newton_polish); the gate reads mu as given.
+    Returns (Polygon, SolveReport), the report naming G.  Raises
+    ConcentratedError when, without chord, the measure sits in a closed
+    semicircle (use solve_semicircle), NotSymmetricError when mu is not
+    invariant under the group enforced, and NoConvergenceError carrying
+    the best report, which names G too, otherwise.  A nontrivial group is
+    enforced here alone, on the orbits invariant_orbits builds: Newton's
+    targets are the orbit means and its workspace takes the orbits, so
+    every iterate, the returned support numbers included, is constant on
+    each orbit (_newton_polish); the gate reads mu as given.
 
     chord, an angle in [0, 2 pi), solves the half problem of a measure on
     the closed semicircle about chord + pi: the body has the chord normal
@@ -728,7 +740,8 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     unless the atoms next to the chord are pi / 2 or more, and less than pi,
     away from it); the chord's 0 joins the support numbers only to build
     the body.  A single direction or an antipodal pair raises
-    ConcentratedError.  G must map the chord to itself.
+    ConcentratedError.  The group enforced is half_group(G, chord - pi),
+    which refuses a G that moves the chord normal.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
@@ -745,7 +758,8 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     elif cls.tag in (SINGLE_DIRECTION, ANTIPODAL_PAIR):
         raise ConcentratedError(f"measure is {cls.tag}; the chord needs a proper semicircle")
 
-    orbits, alpha = (None, alpha) if G.is_trivial else invariant_orbits(theta, alpha, G)
+    H = G if chord is None else half_group(G, chord - math.pi)
+    orbits, alpha = (None, alpha) if H.is_trivial else invariant_orbits(theta, alpha, H)
 
     # Normalize the mass scale: solving mu/s and dilating by s^(1/(2-p))
     # keeps every internal tolerance scale-free.

@@ -13,6 +13,7 @@ import pytest
 import lpmink
 from lpmink.cli import main, parse_symmetry
 from lpmink.geometry import SymmetryGroup
+from lpmink.pipeline import NO_CONVERGENCE_WARNING
 
 SQ = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
@@ -104,6 +105,36 @@ class TestSolveCommand:
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "NoConvergenceError"
         assert not out.exists()
+
+    def test_nan_tolerance_exit_1(self, tmp_path, capsys):
+        # res > nan is False: a NaN tolerance would let the residual gate
+        # pass this measure's unsolved body (residual 912)
+        meas = write_measure(tmp_path / "hopeless.json",
+                             list(zip(HOPELESS_THETAS, HOPELESS_MASSES)))
+        out = tmp_path / "x.json"
+        rc = main(["solve", "--input", meas, "--output", str(out), "--p", "0.95",
+                   "--tol", "nan"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "tol_residual must be a positive finite number"}
+        assert not out.exists()
+
+    def test_m_max_reached_exit_3_with_the_body_written(self, tmp_path, capsys):
+        # one stage, m0 = m_max = 64: the loop has no second body to compare
+        t = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+        meas = write_measure(tmp_path / "dens.json", [],
+                             {"theta": list(t), "f": list(1.0 + 0.3 * np.cos(2 * t))})
+        out = tmp_path / "x.json"
+        rc = main(["solve", "--input", meas, "--output", str(out), "--p", "0.5",
+                   "--m0", "64", "--m-max", "64"])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "NoConvergenceError", "message": NO_CONVERGENCE_WARNING}
+        assert len(json.loads(out.read_text())["normals_theta"]) > 0
+        report = json.loads((tmp_path / "x.report.json").read_text())
+        assert report["warnings"] == [NO_CONVERGENCE_WARNING]
+        assert report["m_final"] == 64 and report["residual"] <= 1e-6
 
     def test_schema_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

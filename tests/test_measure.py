@@ -83,6 +83,16 @@ class TestDiscreteMeasure:
         with pytest.raises(EmptyMeasureError):
             DiscreteMeasure([0.0], [0.0])
 
+    @pytest.mark.parametrize("thetas, masses", [
+        ([0.0, 2.0, 4.0, 5.0], [1.0, math.nan, 1.0, 1.0]),  # no longer dropped as mass 0
+        ([0.0, 2.0, 4.0, 5.0], [1.0, math.inf, 1.0, 1.0]),
+        ([0.0, math.nan, 4.0], [1.0, 1.0, 1.0]),  # no longer classified as a semicircle
+        ([0.0, -math.inf, 4.0], [1.0, 1.0, 1.0]),
+    ], ids=["nan-mass", "inf-mass", "nan-angle", "inf-angle"])
+    def test_rejects_non_finite_numbers(self, thetas, masses):
+        with pytest.raises(ValueError, match="atom angles and masses must be finite numbers"):
+            DiscreteMeasure(thetas, masses)
+
     def test_sorted_angles_build_what_sorting_builds(self, rng):
         """Angles increasing by more than ATOM_MERGE_TOL skip the sort; the
         arrays are those of the stable sort and the merge, seam included."""
@@ -129,6 +139,19 @@ class TestMergeSortedAtoms:
             m = rng.uniform(-1.0, 2.0, t.size)  # signed, as in the flat distance
             got, ref = _merge_sorted_atoms(t, m, ATOM_MERGE_TOL), reference_merge(t, m, ATOM_MERGE_TOL)
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+class TestPiecewiseLinearDensity:
+    @pytest.mark.parametrize("knots, values", [
+        ([0.0, 2.0, 4.0], [1.0, math.nan, 1.0]),
+        ([0.0, 2.0, 4.0], [1.0, math.inf, 1.0]),
+        ([0.0, math.nan, 4.0], [1.0, 1.0, 1.0]),
+        ([0.0, math.inf, 4.0], [1.0, 1.0, 1.0]),
+    ], ids=["nan-value", "inf-value", "nan-knot", "inf-knot"])
+    def test_rejects_non_finite_numbers(self, knots, values):
+        # accepted before, with a total mass of nan or inf
+        with pytest.raises(ValueError, match="density knots and values must be finite numbers"):
+            PiecewiseLinearDensity(knots, values)
 
 
 class TestLpSurfaceMeasure:

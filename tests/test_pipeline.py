@@ -48,7 +48,7 @@ from lpmink.measure import (
 )
 from lpmink import geometry, pipeline, solver
 from lpmink.cli import parse_symmetry
-from lpmink.errors import NoConvergenceError, NotSymmetricError
+from lpmink.errors import ConcentratedError, NoConvergenceError, NotSymmetricError
 from lpmink.geometry import (
     Isometry2,
     apply_isometry,
@@ -613,6 +613,12 @@ class TestSolveSemicircle:
         with pytest.raises(AntipodalPairError):
             solve_semicircle(mu, classify(mu), 0.5)
 
+    def test_general_position_is_refused(self):
+        mu = DiscreteMeasure([0.0, 2.0, 4.0], [1.0, 1.0, 1.0])
+        assert classify(mu).tag == GENERAL_POSITION
+        with pytest.raises(ConcentratedError, match="needs a concentrated classification"):
+            solve_semicircle(mu, classify(mu), 0.5)
+
     def test_two_atom_reduction(self):
         mu = DiscreteMeasure([math.pi / 3, 2 * math.pi / 3], [1.0, 1.0])
         cls = classify(mu)
@@ -1159,7 +1165,7 @@ class TestGridOrbits:
         for _ in range(4):
             spec, _ = semicircle_manufactured_spec(0.5, float(rng.uniform(0.0, TWO_PI)))
             cls = classify_spec(spec)
-            H = pipeline.half_group(SymmetryGroup.dihedral(1, cls.w), cls)
+            H = pipeline.half_group(SymmetryGroup.dihedral(1, cls.w), cls.w)
             for m in (64, 128, 256):
                 t = assert_stage_orbits(spec, H, 4, m // 4, cls.v)
                 assert np.array_equal(t, pipeline.stage_measure(spec, m, H, cls).thetas)

@@ -51,7 +51,7 @@ from lpmink import solver
 from lpmink.cli import parse_symmetry
 from lpmink.pipeline import solve
 from lpmink.serialization import measure_spec_from_dict
-from lpmink.solver import _newton_polish, _Workspace, invariant_orbits
+from lpmink.solver import SolverConfig, _newton_polish, _Workspace, invariant_orbits
 
 TWO_PI = 2 * math.pi
 SQ = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
@@ -601,6 +601,62 @@ class TestPinnedChord:
         for off in (0.1, -0.1, math.pi / 2):
             with pytest.raises(ValueError, match="normals next to the chord"):
                 solve_discrete(mu, 0.4, chord=canonical_angles([chord + off])[0])
+
+
+class TestHalfProblemGroup:
+    """solve_discrete with a chord takes the caller's group, enforces the
+    part of it that fits the semicircle (half_group) and names the caller's
+    group in its report, solved or not."""
+
+    W = 0.9
+
+    def symmetric_atoms(self):
+        # symmetric across lin(W): offsets -+0.4 and -+1.2 with equal masses
+        w = self.W
+        return DiscreteMeasure([w - 1.2, w - 0.4, w, w + 0.4, w + 1.2],
+                               [1.0, 2.0, 0.5, 2.0, 1.0])
+
+    def chord(self):
+        return canonical_angles([self.W + math.pi])[0]
+
+    @pytest.mark.parametrize("mu", [DiscreteMeasure([0.9], [2.0]),
+                                    DiscreteMeasure([0.9, 0.9 + math.pi], [1.0, 1.0])],
+                             ids=["single-atom", "antipodal-pair"])
+    def test_a_measure_without_a_proper_semicircle_is_refused(self, mu):
+        with pytest.raises(ConcentratedError, match="the chord needs a proper semicircle"):
+            solve_discrete(mu, 0.5, chord=self.chord())
+
+    def test_a_group_that_moves_the_chord_is_refused_by_half_group(self):
+        mu = self.symmetric_atoms()
+        with pytest.raises(NotSymmetricError, match="symmetry C2 is incompatible with a "
+                                                    "semicircle-supported measure"):
+            solve_discrete(mu, 0.5, SymmetryGroup.cyclic(2), chord=self.chord())
+        v = self.W + math.pi / 2
+        with pytest.raises(NotSymmetricError, match="semicircle onto the opposite one"):
+            solve_discrete(mu, 0.5, SymmetryGroup.dihedral(1, v), chord=self.chord())
+
+    def test_the_report_names_the_group_asked_for(self):
+        mu = self.symmetric_atoms()
+        G = SymmetryGroup.dihedral(1, self.W + math.pi)
+        assert G.label() == f"D1:{self.W + math.pi:.12g}"
+        P, rep = solve_discrete(mu, 0.5, G, chord=self.chord())
+        assert rep.symmetry == G.label() and rep.residual <= 1e-6
+        h = dict(zip(P.normals.tolist(), P.support.tolist()))
+        for off in (0.4, 1.2):  # every iterate is constant on each orbit
+            a, b = canonical_angles([self.W - off, self.W + off]).tolist()
+            assert h[a] == h[b]
+        with pytest.raises(NoConvergenceError) as exc:
+            solve_discrete(mu, 0.5, G, SolverConfig(tol_residual=1e-30), chord=self.chord())
+        assert exc.value.report.symmetry == G.label()
+        assert exc.value.report.classification == "semicircle"
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_the_residual_gate_needs_a_positive_finite_tolerance(self, tol):
+        # a NaN or infinite tolerance would pass every residual: res > tol is False
+        with pytest.raises(ValueError, match="tol_residual must be a positive finite number"):
+            SolverConfig(tol_residual=tol)
 
 
 def reference_jacobian(ws, h, ell):
