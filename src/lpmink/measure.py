@@ -127,6 +127,8 @@ class DiscreteMeasure3:
     def __init__(self, directions, masses):
         d = np.atleast_2d(np.asarray(directions, dtype=float))
         m = np.atleast_1d(np.asarray(masses, dtype=float))
+        if not (np.isfinite(d).all() and np.isfinite(m).all()):
+            raise ValueError("atom directions and masses must be finite numbers")
         if np.any(m <= 0):
             raise ValueError("masses must be positive")
         self.directions = d

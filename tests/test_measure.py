@@ -66,6 +66,16 @@ class TestDiscreteMeasure:
         assert not mu == DiscreteMeasure3(dirs, masses)
         assert mu != DiscreteMeasure3(dirs, masses)
 
+    @pytest.mark.parametrize("directions, masses", [
+        (np.eye(3), [1.0, math.nan, 1.0]),  # total mass nan, not refused by m <= 0
+        (np.eye(3), [1.0, math.inf, 1.0]),
+        ([[0.0, 0.0, 1.0], [0.0, math.nan, 1.0], [1.0, 0.0, 0.0]], [1.0, 1.0, 1.0]),
+        ([[0.0, 0.0, 1.0], [-math.inf, 0.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 1.0, 1.0]),
+    ], ids=["nan-mass", "inf-mass", "nan-direction", "inf-direction"])
+    def test_sphere_measure_rejects_non_finite_numbers(self, directions, masses):
+        with pytest.raises(ValueError, match="atom directions and masses must be finite numbers"):
+            DiscreteMeasure3(directions, masses)
+
     def test_merge_coincident(self):
         mu = DiscreteMeasure([0.1, 0.1 + 1e-12, 2.0], [1.0, 2.0, 3.0])
         assert mu.n == 2

@@ -57,6 +57,14 @@ TWO_PI = 2 * math.pi
 SQ = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
 
+def sweep_measure(s, i):
+    """(measure, p) of ROADMAP's 4x400 atomic sweep measure (s, i): the
+    benchmark's stress-measure draw _stress_measures(default_rng(s), 400)."""
+    workloads = import_bench_module("workloads")
+    n, p, C, t, m = workloads._stress_measures(np.random.default_rng(s), 400)[i]
+    return DiscreteMeasure(t, m), p
+
+
 def square_measure(alpha=1.0):
     return DiscreteMeasure(SQ, [alpha] * 4)
 
@@ -271,17 +279,24 @@ class TestSolveDiscrete:
             solve_discrete(square_measure(2.0), 0.5, h0=np.ones(7))
 
     def test_hard_contrast_needs_continuation(self):
-        # n=5, p=0.9, contrast 4.76e3: cold Newton misses the basin and the
-        # pad continuation finds it
-        mu = DiscreteMeasure(
-            [0.11482450833021093, 1.3420353963911296, 1.5089272747781641,
-             4.159925717130762, 6.187363933305546],
-            [1.0, 4755.4683179281965, 1394.685109426898, 364.8074287060013,
-             1.1852602066858096],
-        )
-        _, rep = solve_discrete(mu, 0.9)
+        # 4x400 sweep measure (2, 299), n=5, p=0.3, contrast 6.67e3: cold
+        # Newton misses the basin and the pad continuation finds it
+        mu, p = sweep_measure(2, 299)
+        _, rep = solve_discrete(mu, p)
         assert rep.outer_iters > 0
         assert rep.residual <= 1e-6
+
+    def test_which_of_two_solutions(self):
+        # 4x400 sweep measure (3, 101), n=6, p=0.15, has two solutions: this
+        # one, and one with exact residual 2.2e-8 whose h[3] / max h is
+        # 0.00015.  A change to the Newton path must not switch between them
+        # silently.
+        mu, p = sweep_measure(3, 101)
+        P, rep = solve_discrete(mu, p)
+        h = P.support_values(mu.thetas)
+        want = [1.0, 0.1629112, 0.029084, 0.2852181, 0.4990059, 0.4413008]
+        assert np.abs(h / h.max() - want).max() <= 1e-6
+        assert 5.5e-7 <= rep.residual <= 5.6e-7
 
     def test_first_pad_stage_gives_up(self, monkeypatch):
         # 4 atoms on a semicircle at p = 0.129, masses over four decades
@@ -691,7 +706,9 @@ def reference_solve_linear(ws, J, rhs):
 def reference_newton_polish(ws, h, target, tol, max_iters=80, trials=None):
     """_newton_polish as plain sequential halving, recomputing h^(1-p) for
     every Jacobian: ws.average takes the start and each step, and no trial.
-    A list trials collects every trial."""
+    Past max_iters steps, it goes on 20 steps at a time while ln(h_min /
+    h_max) fell by more than 1 over the last 20, up to max(max_iters, 200)
+    steps.  A list trials collects every trial."""
     p = ws.p
     h = solver._reactivate(ws, ws.average(h))[0]
     ell = ws.edge_form(h)
@@ -700,8 +717,13 @@ def reference_newton_polish(ws, h, target, tol, max_iters=80, trials=None):
     S = h ** (1.0 - p) * ell
     F = S - target
     err = float((np.abs(F) / target).max())
+    ratios = {}
     iters = 0
-    for it in range(max_iters):
+    for it in range(max(max_iters, 200)):
+        ratios[it] = math.log(h.min()) - math.log(h.max())
+        if (it >= max_iters and (it - max_iters) % 20 == 0
+                and ratios[it] >= ratios.get(it - 20, -math.inf) - 1.0):
+            break
         if err <= tol:
             break
         try:
@@ -778,17 +800,29 @@ class TestNewtonCoreBitForBit:
 
     @pytest.mark.parametrize("index", [0, 1, 2, 3, 59, 70])
     def test_stress_measures(self, polishes, index):
-        """Cases 59 (gives up after the pad continuation) and 70 (solved by
-        it) of the benchmark's stress corpus, and four solved by Newton from
-        the start."""
+        """Six cases of the benchmark's stress corpus, each solved by Newton
+        from the start: 59 in 186 steps and 70 in 81, past max_iters.  With
+        80 steps and no more, cold Newton missed both: 59 gave up after 18
+        pad stages and 656 steps, and 17 stages solved 70."""
         workloads = import_bench_module("workloads")
         n, p, C, t, m = workloads._stress_measures(np.random.default_rng(0), 120)[index]
+        _, report = solve_discrete(DiscreteMeasure(t, m), p)
+        assert report.outer_iters == 0 and len(polishes) == 1
+        past = {59: 186, 70: 81}
+        assert report.newton_iters == past[index] if index in past else report.newton_iters <= 80
+        self.assert_replayed(polishes)
+
+    @pytest.mark.parametrize("trial", [(1, 375), (2, 299)])
+    def test_sweep_continuations(self, polishes, trial):
+        """4x400 sweep measures that reach the pad continuation: (1, 375)
+        gives up after it, and it solves (2, 299)."""
+        mu, p = sweep_measure(*trial)
         try:
-            _, report = solve_discrete(DiscreteMeasure(t, m), p)
+            _, report = solve_discrete(mu, p)
         except NoConvergenceError as exc:
             report = exc.report
-            assert index == 59
-        assert (report.outer_iters > 0) == (index in (59, 70))
+            assert trial == (1, 375)
+        assert report.outer_iters > 0
         assert len(polishes) == 1 + report.outer_iters
         self.assert_replayed(polishes)
 
@@ -839,6 +873,62 @@ class TestInvariantIterates:
         _, report = solve(spec, case.p, G)
         assert report.symmetry == G.label() and len(report.loop_history) >= 2
         assert len(calls) >= len(report.loop_history)
+
+
+class TestNewtonBudget:
+    """_newton_polish's step budget: max_iters steps, then 20 more at a
+    time while ln(h_min / h_max) fell by more than 1 over the last 20, up
+    to max(max_iters, 200) steps; replayed on the reference Newton core.
+    TestNewtonCoreBitForBit::test_stress_measures has the two stress cases
+    that cold Newton now solves past max_iters."""
+
+    @staticmethod
+    def polish(ws, h, target, tol, max_iters):
+        """_newton_polish's (h, err, iters), checked against the reference."""
+        got = _newton_polish(ws, h, target, tol, max_iters)
+        want = reference_newton_polish(ws, h, target, tol, max_iters)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+        return got
+
+    @staticmethod
+    def give_up_cold_shot(monkeypatch):
+        """(ws, h, target, tol) of solve_discrete's first Newton solve on
+        4x400 sweep measure (1, 375), which gives up."""
+        polishes = record_polishes(monkeypatch)
+        mu, p = sweep_measure(1, 375)
+        with pytest.raises(NoConvergenceError):
+            solve_discrete(mu, p)
+        return polishes[0][0][:4]
+
+    @pytest.mark.parametrize("max_iters", [60, 80, 100])
+    def test_a_ratio_that_does_not_fall_stops_at_max_iters(self, monkeypatch, max_iters):
+        # ln(h_min / h_max) of this cold shot is -14.00 at step 60, -14.18
+        # at 80 and -14.30 at 100, while every step is still taken
+        ws, h, target, tol = self.give_up_cold_shot(monkeypatch)
+        h_end, err, iters = self.polish(ws, h, target, tol, max_iters)
+        assert iters == max_iters and err > tol
+        h_before, _, before = self.polish(ws, h, target, tol, max_iters - 20)
+        assert before == max_iters - 20
+        fall = math.log(h_before.min() / h_before.max()) - math.log(h_end.min() / h_end.max())
+        assert 0 < fall < 1.0
+
+    @pytest.mark.parametrize("max_iters", [1, 300])
+    def test_max_iters_keeps_its_meaning(self, monkeypatch, max_iters):
+        # one step is one step, and 300 steps run past the cap of 200
+        ws, h, target, tol = self.give_up_cold_shot(monkeypatch)
+        _, err, iters = self.polish(ws, h, target, tol, max_iters)
+        assert iters == max_iters and err > tol
+
+    def test_a_falling_ratio_runs_to_the_cap(self):
+        # six atoms, one with mass 1e-9, at p = 0.9: h_min / h_max falls
+        # past e^-200 before Newton converges, in 223 steps
+        t = np.array([0.0, 0.3, 1.0, 2.0, 3.0, math.pi + 0.3])
+        alpha = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-9])
+        ws = _Workspace(t, alpha, 0.9)
+        _, err, iters = self.polish(ws, np.ones(6), alpha, 1e-12, 80)
+        assert iters == 200 and err > 1.0
+        _, err, iters = self.polish(ws, np.ones(6), alpha, 1e-12, 300)
+        assert iters == 223 and err <= 1e-7
 
 
 class TestLineSearch:
@@ -973,40 +1063,44 @@ class TestLineSearch:
         TestNewtonCoreBitForBit.assert_replayed(polishes)
 
     def test_symmetric_atoms_replay(self, monkeypatch):
-        """C2 atoms at p = 0.13 that cold Newton misses: the pad
-        continuation solves them through skips and blocks, every iterate
-        constant on each orbit, replayed on the reference Newton core."""
+        """C2 atoms at p = 0.13 on their orbit workspace: the pad
+        continuation from the radial guess solves them through skips and
+        blocks, every iterate constant on each orbit, replayed on the
+        reference Newton core.  (solve_discrete solves them cold, in 85
+        steps; no symmetric solve of ROADMAP's sweep takes the continuation.)"""
         counts = self.count_calls(monkeypatch, "_skip_nonpositive", "_block_search")
         polishes = record_polishes(monkeypatch)
         sector = np.array([0.36955206312544575, 1.1873501453976922])
         mu = DiscreteMeasure(np.concatenate([sector, sector + math.pi]),
                              np.tile([942.1351404601947, 10424.830467179368], 2))
-        _, report = solve_discrete(mu, 0.13, SymmetryGroup.cyclic(2))
-        assert report.outer_iters > 0 and report.residual <= 1e-6
+        orbits, alpha = invariant_orbits(mu.thetas, mu.masses, SymmetryGroup.cyclic(2))
+        ws = _Workspace(mu.thetas, alpha / alpha.mean(), 0.13, orbits=orbits)
+        _, err, _, stages = solver._continuation_newton(ws, solver._radial_init(ws),
+                                                        SolverConfig())
+        assert stages > 1 and err <= 1e-6
         assert counts["_skip_nonpositive"] > 0 and counts["_block_search"] > 0
-        orbits = polishes[0][0][0].average.__self__
         for _, (h, _, _) in polishes:
             assert_orbit_constant(orbits, h)
         TestNewtonCoreBitForBit.assert_replayed(polishes)
 
     def test_give_up_case_counts(self, monkeypatch):
-        """Base-seed stress case 59 gives up after 656 Newton steps in 18
-        pad stages.  Plain halving evaluates 7714 trials that fail only
-        h > 0; the skip leaves at most one, the full step, per Newton step."""
-        workloads = import_bench_module("workloads")
-        n, p, C, t, m = workloads._stress_measures(np.random.default_rng(0), 120)[59]
+        """4x400 sweep measure (1, 375) gives up after 352 Newton steps in 9
+        pad stages.  Plain halving evaluates 2291 trials that fail
+        only h > 0; the skip leaves at most one, the full step, per Newton
+        step."""
+        mu, p = sweep_measure(1, 375)
         counts = self.count_calls(monkeypatch, "_skip_nonpositive")
         polishes = record_polishes(monkeypatch)
         with pytest.raises(NoConvergenceError) as exc:
-            solve_discrete(DiscreteMeasure(t, m), p)
+            solve_discrete(mu, p)
         report = exc.value.report
-        assert (report.newton_iters, report.outer_iters) == (656, 18)
+        assert (report.newton_iters, report.outer_iters) == (352, 9)
         trials = []
         for args, _ in polishes:
             reference_newton_polish(*args, trials=trials)
-        assert sum(not x.min() > 0 for x in trials) == 7714
+        assert sum(not x.min() > 0 for x in trials) == 2291
         # each skip follows the one full step of its search that failed h > 0
-        assert counts["_skip_nonpositive"] == 643
+        assert counts["_skip_nonpositive"] == 329
 
 
 class TestLapackLoader:

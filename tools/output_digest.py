@@ -65,9 +65,17 @@ from lpmink.serialization import (  # noqa: E402
 
 def case_bytes(case) -> bytes:
     """The body and report text `lpmink solve` would write, or the error."""
-    try:
+    def run():
         spec = measure_spec_from_dict(json.loads(case.measure_json))
-        P, report = solve(spec, case.p, parse_symmetry(case.symmetry, spec))
+        return solve(spec, case.p, parse_symmetry(case.symmetry, spec))
+    return result_bytes(run)
+
+
+def result_bytes(run) -> bytes:
+    """The body and report text of run(), a solve returning (body, report),
+    or the error it raised: its type, message and report."""
+    try:
+        P, report = run()
     except (LpMinkError, ValueError) as exc:
         report = getattr(exc, "report", None)
         text = f"{type(exc).__name__}: {exc}\n"
@@ -119,6 +127,16 @@ def differing_keys(a, b, path: str = "") -> list[str]:
 SWITCHED = 1e-3
 
 
+def support_move(body0: dict, body1: dict) -> tuple[float, int]:
+    """The largest |dh| / max h of body0 over the normals both bodies have
+    (NaN if none), and how many they have."""
+    t0, h0 = np.array(body0["normals_theta"]), np.array(body0["support"])
+    t1, h1 = np.array(body1["normals_theta"]), np.array(body1["support"])
+    _, i0, i1 = np.intersect1d(t0, t1, assume_unique=True, return_indices=True)
+    dh = float(np.abs(h1[i1] - h0[i0]).max() / np.abs(h0).max()) if len(i0) else math.nan
+    return dh, len(i0)
+
+
 def moved_line(head: str, old: str, new: str) -> tuple[str, bool]:
     """How the case head moved from the text old to the text new, and
     whether it switched solution."""
@@ -127,11 +145,8 @@ def moved_line(head: str, old: str, new: str) -> tuple[str, bool]:
     if body0 is not None and body1 is not None and body_text(old) == body_text(new):
         detail = f", body same, report differs in ({', '.join(differing_keys(rep0, rep1))})"
     elif body0 is not None and body1 is not None:
-        t0, h0 = np.array(body0["normals_theta"]), np.array(body0["support"])
-        t1, h1 = np.array(body1["normals_theta"]), np.array(body1["support"])
-        _, i0, i1 = np.intersect1d(t0, t1, assume_unique=True, return_indices=True)
-        dh = float(np.abs(h1[i1] - h0[i0]).max() / np.abs(h0).max()) if len(i0) else math.nan
-        detail = f", max |dh| / max h {dh:.2e} on {len(i0)} equal normals"
+        dh, shared = support_move(body0, body1)
+        detail = f", max |dh| / max h {dh:.2e} on {shared} equal normals"
         switched = dh > SWITCHED
     line = f"{head}: moved, {'switched, ' if switched else ''}{was} -> {now}{detail}"
     if rep0 is None or rep1 is None:
