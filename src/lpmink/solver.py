@@ -3,9 +3,10 @@
 Given an atomic measure not concentrated on any closed semicircle, finds a
 polygon whose Lp surface area measure matches it by a damped Newton iteration
 on h_i^(1-p) * edge_i(h) = mass_i over support numbers with all facets
-active.  A cold Newton start is tried first, with a step budget that grows
-while h_min / h_max still falls; when it fails, a continuation pads every
-mass, solves, and drives the pad to zero with warm-started Newton stages.
+active.  One solve attempt: a cold Newton shot, whose step budget grows
+while h_min / h_max still falls; if it misses the tolerance, a continuation
+pads every mass, solves, and drives the pad to zero in at most 40 more
+warm-started Newton stages, and wins with a lower error.
 Each Newton step is one O(n) cyclic-tridiagonal solve, damped by halving
 the step until every facet stays active and the residual norm falls.
 The halvings that provably fail positivity after a full step fails it are
@@ -17,9 +18,11 @@ chord normal opposite the semicircle joins the normals with its support
 pinned at 0, so the origin lies on the chord, which carries no Lp mass, and
 each Newton step is the same cyclic solve with the two couplings across the
 chord cut.  A candidate above the residual tolerance raises
-NoConvergenceError.  A finite symmetry group is enforced in the Newton
-workspace: the targets are the masses' orbit means, and the start and each
-step are averaged over the orbits, so every iterate is constant on each.
+NoConvergenceError naming why: the first pad stage's error, the pad where
+the branch was lost or the stage cap reached, or Newton's error.  A finite
+symmetry group is enforced in the Newton workspace: the targets are the
+masses' orbit means, and the start and each step are averaged over the
+orbits, so every iterate is constant on each.
 """
 
 from __future__ import annotations
@@ -116,9 +119,10 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """Outcome of a solve.  outer_iters counts pad-continuation stages (0 when
-    Newton from the start converged); newton_iters counts Newton steps over
-    all of them.  Each Newton solve, cold or a stage, takes up to 80 steps,
-    or up to 200 while h_min / h_max still falls (_newton_polish)."""
+    Newton from the start converged), at most 42: the first, 40 more and the
+    final polish; newton_iters counts Newton steps over all of them.  Each
+    Newton solve, cold or a stage, takes up to 80 steps, or up to 200 while
+    h_min / h_max still falls (_newton_polish)."""
 
     residual: float = math.inf
     outer_iters: int = 0
@@ -638,19 +642,23 @@ def _block_search(ws: _Workspace, h, step, target, fnorm: float, tries: int):
     return None
 
 
-def _radial_init(ws: _Workspace) -> np.ndarray:
-    """Per-atom radial guess from S_i ~ h_i^(2-p) * (angular weight)."""
-    return (ws.alpha / (0.5 * (ws.gaps + ws.before))) ** (1.0 / (2.0 - ws.p))
+# Pad stages of the continuation after its first (_continuation_newton).
+_PAD_STAGES = 40
 
 
-def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig):
-    """Newton along a target homotopy: pad every mass by a multiple of the
-    mean, then drive the pad to zero.  The padded targets keep all facets
-    comfortably active (the role of a vanishing log-barrier) while warm
-    starts track the solution branch; the pad step is bisected whenever a
-    stage loses the branch.  Returns (h, err, newton_iters, stages), where
-    stages counts the Newton solves along the homotopy."""
+def _continuation_newton(ws: _Workspace, cfg: SolverConfig):
+    """Newton along a target homotopy from the radial guess S_i ~ h_i^(2-p)
+    * (angular weight): pad every mass by a multiple of the mean, then drive
+    the pad to zero.  The padded targets keep all facets comfortably active
+    (the role of a vanishing log-barrier) while warm starts track the
+    solution branch; the pad step is bisected whenever a stage loses the
+    branch, for at most _PAD_STAGES stages after the first, and a polish on
+    the masses follows.  Returns (h, err, newton_iters, stages, cause):
+    stages counts the Newton solves, and cause, None once the pad is below
+    1e-13, names the first stage's error above 1e-5, or the last pad solved
+    when the branch was lost or the stage cap reached."""
     alpha, p = ws.alpha, ws.p
+    h0 = (alpha / (0.5 * (ws.gaps + ws.before))) ** (1.0 / (2.0 - p))
     meanm = float(alpha.mean())
     stage_tol = min(1e-6, cfg.tol_residual)
     pad = max(1.0, 10.0 * float(alpha.max()) / meanm)
@@ -660,10 +668,10 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig):
     h, err, iters = _newton_polish(ws, h, target, stage_tol)
     stages = 1
     if err > 1e-5:
-        return h0, math.inf, iters, stages
+        return h0, math.inf, iters, stages, f"first pad stage ended at error {err:.3e}"
     pad_good, h_good, total_good = pad, h, float(target.sum())
     pad_try = pad * 0.1
-    for _ in range(120):
+    for _ in range(_PAD_STAGES):
         stages += 1
         target = alpha + pad_try * meanm
         h_start = h_good * (float(target.sum()) / total_good) ** (1.0 / (2.0 - p))
@@ -676,15 +684,22 @@ def _continuation_newton(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig):
             pad_try *= 0.1
         else:
             ratio = pad_try / pad_good
-            if ratio > 0.93:
-                return h_good, math.inf, iters, stages  # branch lost; step refinements exhausted
+            if ratio > 0.93:  # step refinements exhausted
+                return h_good, math.inf, iters, stages, f"branch lost at pad {pad_good:.3e}"
             pad_try = pad_good * math.sqrt(ratio)
+    cause = None if pad_good < 1e-13 else f"stage cap reached at pad {pad_good:.3e}"
     h_fin, err, it = _newton_polish(ws, h_good, alpha, cfg.tol_residual)
-    return h_fin, err, iters + it, stages + 1
+    return h_fin, err, iters + it, stages + 1, cause
 
 
-def _fit_scale(S: np.ndarray, alpha: np.ndarray) -> float:
-    """S ~ c * alpha: total-mass ratio refined by least squares on logs."""
+def _cold_start(ws: _Workspace, h0: np.ndarray) -> np.ndarray:
+    """The cold Newton shot's start: h0 floored at 1e-8, scaled to unit
+    volume, then by c^(-1 / (2 - p)) for the c that fits S(h) ~ c alpha,
+    the total-mass ratio refined by least squares on logs."""
+    p, alpha = ws.p, ws.alpha
+    h = np.maximum(h0, 1e-8)
+    h = h / math.sqrt(max(ws.volume(h), 1e-300))
+    S = np.clip(h, 1e-300, None) ** (1.0 - p) * np.clip(ws.edge_form(h), 0.0, None)
     c = float(S.sum() / alpha.sum())
     mask = S > 0
     if mask.any():
@@ -695,32 +710,7 @@ def _fit_scale(S: np.ndarray, alpha: np.ndarray) -> float:
             c = c_ls
     if not (0.0 < c < math.inf):
         c = 1.0
-    return c
-
-
-def _newton_then_continuation(ws: _Workspace, h0: np.ndarray, cfg: SolverConfig):
-    """The solve attempt: Newton from the start, then pad continuation from a
-    radial guess.  Returns (h, stages, newton_iters) for the Newton candidate
-    when it is within tolerance, else for the better of the two."""
-    p, alpha = ws.p, ws.alpha
-    h = np.maximum(h0, 1e-8)
-    h = h / math.sqrt(max(ws.volume(h), 1e-300))
-
-    # Cheap first shot: warm starts usually land inside Newton's basin.
-    S = np.clip(h, 1e-300, None) ** (1.0 - p) * np.clip(ws.edge_form(h), 0.0, None)
-    c = _fit_scale(S, alpha)
-    h_new, err, newton = _newton_polish(ws, h * c ** (-1.0 / (2.0 - p)), alpha,
-                                        cfg.tol_residual)
-    if err <= cfg.tol_residual:
-        return h_new, 0, newton
-
-    # Target continuation from a radially scaled guess handles wild mass
-    # ratios that defeat a cold Newton start.
-    h_cont, err_cont, it_cont, stages = _continuation_newton(ws, _radial_init(ws), cfg)
-    newton += it_cont
-    if err_cont < err:
-        return h_cont, stages, newton
-    return h_new, stages, newton
+    return h * c ** (-1.0 / (2.0 - p))
 
 
 def half_group(G: SymmetryGroup, w: float) -> SymmetryGroup:
@@ -793,12 +783,19 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
     h_init = np.ones(len(theta))
     if h0 is not None:
         h0 = np.asarray(h0, dtype=float)
-        if h0.shape != theta.shape:
-            raise ValueError("warm start h0 must provide one value per atom")
+        if h0.shape != theta.shape or not np.isfinite(h0).all():
+            raise ValueError("warm start h0 must provide one finite value per atom")
         h_init = h0 / body_scale
 
     ws = _Workspace(theta, alpha / mass_scale, p, chord, orbits)
-    h, outer, newton = _newton_then_continuation(ws, h_init, cfg)
+    # Cold Newton first: warm starts usually land inside its basin.
+    h, err, newton = _newton_polish(ws, _cold_start(ws, h_init), ws.alpha, cfg.tol_residual)
+    outer, cause = 0, None
+    if not err <= cfg.tol_residual:  # NaN too
+        h_cont, err_cont, it_cont, outer, cause = _continuation_newton(ws, cfg)
+        newton += it_cont
+        if err_cont < err:
+            h, err = h_cont, err_cont
     h = h * body_scale
     if chord is not None:
         k = int(np.searchsorted(theta, chord))
@@ -814,7 +811,6 @@ def solve_discrete(mu: DiscreteMeasure, p: float, G: SymmetryGroup | None = None
         symmetry=G.label(),
     )
     if res > cfg.tol_residual:
-        raise NoConvergenceError(
-            f"residual {res:.3e} above tolerance {cfg.tol_residual:.1e}", report
-        )
+        raise NoConvergenceError(f"residual {res:.3e} above tolerance {cfg.tol_residual:.1e}: "
+                                 + (cause or f"Newton's error {err:.3e}"), report)
     return P, report

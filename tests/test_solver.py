@@ -43,6 +43,7 @@ from lpmink.errors import (
 )
 from lpmink.geometry import (
     Isometry2,
+    area,
     canonical_angles,
     group_orbit_map,
     unit_vectors,
@@ -278,6 +279,14 @@ class TestSolveDiscrete:
         with pytest.raises(ValueError):
             solve_discrete(square_measure(2.0), 0.5, h0=np.ones(7))
 
+    @pytest.mark.parametrize("h0", [[math.nan] * 6, [1.0, 1.0, math.inf, 1.0, 1.0, 1.0]])
+    def test_non_finite_warm_start_rejected(self, h0):
+        # a NaN cold start would lose every comparison to the continuation's
+        # candidate and end in a DegenerateBodyError of area nan
+        mu = DiscreteMeasure(np.arange(6) * (TWO_PI / 6), np.ones(6))
+        with pytest.raises(ValueError, match="one finite value per atom"):
+            solve_discrete(mu, 0.5, h0=h0)
+
     def test_hard_contrast_needs_continuation(self):
         # 4x400 sweep measure (2, 299), n=5, p=0.3, contrast 6.67e3: cold
         # Newton misses the basin and the pad continuation finds it
@@ -287,27 +296,30 @@ class TestSolveDiscrete:
         assert rep.residual <= 1e-6
 
     def test_which_of_two_solutions(self):
-        # 4x400 sweep measure (3, 101), n=6, p=0.15, has two solutions: this
-        # one, and one with exact residual 2.2e-8 whose h[3] / max h is
-        # 0.00015.  A change to the Newton path must not switch between them
-        # silently.
+        # 4x400 sweep measure (3, 101), n=6, p=0.15, has at least three
+        # solutions: this one, a local minimizer of area 7837.65; a saddle of
+        # area 7877.75, with exact residual 2.2e-8 and h[3] / max h 0.00015;
+        # and a local minimizer of area 7813.42.  A change to the Newton path
+        # must not switch between them silently.
         mu, p = sweep_measure(3, 101)
         P, rep = solve_discrete(mu, p)
         h = P.support_values(mu.thetas)
         want = [1.0, 0.1629112, 0.029084, 0.2852181, 0.4990059, 0.4413008]
         assert np.abs(h / h.max() - want).max() <= 1e-6
         assert 5.5e-7 <= rep.residual <= 5.6e-7
+        assert area(P) == pytest.approx(7837.646, rel=1e-6)
 
     def test_first_pad_stage_gives_up(self, monkeypatch):
         # 4 atoms on a semicircle at p = 0.129, masses over four decades
         # (semicircle sweep trial (5, 99)): cold Newton misses, and the pad
         # continuation's first stage stays above 1e-5, so the continuation
-        # returns its start at once and solve raises
+        # returns its radial start at once and solve raises, naming why
         runs = []
         continuation = solver._continuation_newton
 
-        def recording(ws, h0, cfg):
-            runs.append((h0, continuation(ws, h0, cfg)))
+        def recording(ws, cfg):
+            radial = (ws.alpha / (0.5 * (ws.gaps + ws.before))) ** (1.0 / (2.0 - ws.p))
+            runs.append((radial, continuation(ws, cfg)))
             return runs[-1][1]
 
         monkeypatch.setattr(solver, "_continuation_newton", recording)
@@ -315,11 +327,73 @@ class TestSolveDiscrete:
             [5.453808770452389, 0.26373893550463745, 2.233864702382898, 2.2922161168625963],
             [0.5667584032987523, 29.341944916587845, 1701.2888567892837, 467.28583956559925],
         )
-        with pytest.raises(NoConvergenceError) as exc:
+        with pytest.raises(NoConvergenceError, match=r"tolerance 1\.0e-06: first pad stage "
+                           r"ended at error \S+$") as exc:
             solve(MeasureSpec(mu, None), 0.1290989854792371)
         assert exc.value.report.outer_iters == 1
-        (h0, (h, err, _, stages)), = runs
-        assert h is h0 and err == math.inf and stages == 1
+        (radial, (h, err, _, stages, cause)), = runs
+        assert np.array_equal(h, radial) and err == math.inf and stages == 1
+        assert float(cause.rsplit(" ", 1)[1]) > 1e-5 and str(exc.value).endswith(cause)
+
+
+def symmetric_sweep_measure(sector, masses, k):
+    """ROADMAP's symmetric sweep measure with the given sector of atoms,
+    turned by 2 pi j / k, j < k, as the sweep turns it."""
+    t = np.concatenate([np.asarray(sector) + TWO_PI * j / k for j in range(k)])
+    return DiscreteMeasure(t, np.tile(masses, k))
+
+
+class TestGiveUpCauses:
+    """Every NoConvergenceError of solve_discrete names its cause after the
+    tolerance: the first pad stage's error (test_first_pad_stage_gives_up),
+    the pad at which the branch was lost or the stage cap reached, or else
+    Newton's error of the candidate returned."""
+
+    def test_branch_lost(self):
+        # 4x400 sweep measure (1, 375): 9 pad stages, the last one's step
+        # refinements exhausted
+        mu, p = sweep_measure(1, 375)
+        with pytest.raises(NoConvergenceError, match=r"tolerance 1\.0e-06: branch lost at pad "
+                           r"\S+$") as exc:
+            solve_discrete(mu, p)
+        report = exc.value.report
+        assert (report.newton_iters, report.outer_iters) == (352, 9)
+
+    def test_stage_cap(self):
+        # symmetric sweep trial 490, C2 at p = 0.207, masses over five
+        # decades: the pad bisection runs its 40 stages after the first,
+        # and the final polish ends far above tolerance
+        sector = [0.33482875355225755, 0.8691775407411214, 1.331272138048723,
+                  1.4782309988760292, 1.6685661146340085, 1.8277180421707468,
+                  2.086541682977755]
+        masses = [0.14980229115236315, 9354.052640163547, 0.08454738938241378,
+                  0.6070443994882211, 0.3207054245079097, 3.423902331796933,
+                  6.389291407029251]
+        mu = symmetric_sweep_measure(sector, masses, 2)
+        with pytest.raises(NoConvergenceError, match=r"tolerance 1\.0e-06: stage cap reached "
+                           r"at pad \S+$") as exc:
+            solve_discrete(mu, 0.2070048824641602, SymmetryGroup.cyclic(2))
+        assert exc.value.report.outer_iters == 1 + solver._PAD_STAGES + 1 == 42
+        assert exc.value.report.residual > 1.0
+
+    def test_newton_error_within_tolerance(self):
+        # symmetric sweep trial 14, D5 at p = 0.4975: cold Newton meets the
+        # tolerance on its own error in 7 steps, so no pad stage runs, and the
+        # gate's residual of the body built from it is 1.13e-6
+        half = np.array([0.030102781878706075, 0.053713828700038393, 0.05503937054365289,
+                         0.11528086474661303, 0.2873103994055445, 0.43545770379017035,
+                         0.5579038357223707, 0.5910379193350691])
+        masses = np.array([509.7659668542636, 57.260142172776696, 0.0002970440162476485,
+                           0.00029225165649793234, 0.0021485238113449342,
+                           34.55288638854402, 0.06705385160288499, 304.0380122271428])
+        mu = symmetric_sweep_measure(np.concatenate((half, TWO_PI / 5 - half[::-1])),
+                                     np.concatenate((masses, masses[::-1])), 5)
+        with pytest.raises(NoConvergenceError, match=r"tolerance 1\.0e-06: Newton's error "
+                           r"\S+$") as exc:
+            solve_discrete(mu, 0.49750816611264803, SymmetryGroup.dihedral(5, 0.0))
+        report = exc.value.report
+        assert (report.newton_iters, report.outer_iters) == (7, 0)
+        assert float(str(exc.value).rsplit(" ", 1)[1]) <= 1e-6 < report.residual
 
 
 def dense_cyclic_jacobian(thetas, h, p):
@@ -1075,9 +1149,8 @@ class TestLineSearch:
                              np.tile([942.1351404601947, 10424.830467179368], 2))
         orbits, alpha = invariant_orbits(mu.thetas, mu.masses, SymmetryGroup.cyclic(2))
         ws = _Workspace(mu.thetas, alpha / alpha.mean(), 0.13, orbits=orbits)
-        _, err, _, stages = solver._continuation_newton(ws, solver._radial_init(ws),
-                                                        SolverConfig())
-        assert stages > 1 and err <= 1e-6
+        _, err, _, stages, cause = solver._continuation_newton(ws, SolverConfig())
+        assert stages > 1 and err <= 1e-6 and cause is None
         assert counts["_skip_nonpositive"] > 0 and counts["_block_search"] > 0
         for _, (h, _, _) in polishes:
             assert_orbit_constant(orbits, h)

@@ -62,6 +62,8 @@ def test_picked_trials_then_against_their_own_dump(tool, capsys, tmp_path, name)
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith(f"{name}: 2 of 3 solved, {got['newton']} Newton steps, ")
     assert out[1] == f"{name} failures: {failures[0]}"
+    assert out[2].startswith(f"{name} causes: 1 ") and list(got["causes"].values()) == [1]
+    assert out[2].endswith(f"; slowest give-up {failures[0]} {got['slowest'][1]:.3f} s")
     lines = [json.loads(line) for line in (tmp_path / "dump.jsonl").read_text().splitlines()]
     assert [head for head, _ in lines] == [f"{name} {ident}" for ident in PICKS[name]]
     assert [tool.digest.outcome(text)[0] for _, text in lines] == list(PICKS[name].values())
@@ -69,7 +71,7 @@ def test_picked_trials_then_against_their_own_dump(tool, capsys, tmp_path, name)
     with open(tmp_path / "dump.jsonl") as against:
         again = tool.run_sweep(name, trials, against=against)
     assert (again["moved"], again["switched"]) == (0, 0)
-    assert capsys.readouterr().out.splitlines()[2] == (
+    assert capsys.readouterr().out.splitlines()[3] == (
         f"{name}: 0 of 3 moved, 0 switched, largest move ok -> ok nan of max h")
 
 
@@ -77,6 +79,29 @@ def test_atomic_steps_follow_the_budget(tool, capsys):
     # (0, 59) solves cold in 186 Newton steps; (1, 375) gives up after 352
     got = tool.run_sweep("atomic", pick(tool.SWEEPS["atomic"](), {(0, 59), (1, 375)}))
     assert (got["solved"], got["newton"]) == (1, 186 + 352)
+
+
+def test_give_up_causes(tool, capsys):
+    """(1, 375) gives up with the branch lost; symmetric trial 14 with
+    Newton's error within tolerance, and 289 with the branch lost."""
+    got = tool.run_sweep("atomic", pick(tool.SWEEPS["atomic"](), {(0, 0), (1, 375)}))
+    assert got["causes"] == {"branch lost": 1} and got["slowest"][0] == (1, 375)
+    got = tool.run_sweep("symmetric", pick(tool.SWEEPS["symmetric"](), {0, 14, 289}))
+    assert got["causes"] == {"Newton's error <= tol": 1, "branch lost": 1}
+    out = capsys.readouterr().out.splitlines()
+    assert out[2].startswith("atomic causes: 1 branch lost; slowest give-up (1, 375) ")
+    assert out[5].startswith("symmetric causes: 1 Newton's error <= tol, 1 branch lost; ")
+
+
+def test_give_up_cause_reads_the_message(tool):
+    cause = tool.give_up_cause
+    head = "NoConvergenceError: residual 2.0e-05 above tolerance 1.0e-06: "
+    assert cause(head + "Newton's error 3.000e-07\n{}") == "Newton's error <= tol"
+    assert cause(head + "Newton's error 3.000e-06\n{}") == "Newton's error > tol"
+    assert cause(head + "first pad stage ended at error 1.2e+00\n") == "first pad stage ended"
+    assert cause("NoConvergenceError: stage m = 64: " + head.split(": ", 1)[1]
+                 + "stage cap reached at pad 8.210e-03\n{}") == "stage cap reached"
+    assert cause("ConcentratedError: measure is semicircle\n") == "ConcentratedError"
 
 
 def test_against_counts_moves_and_switches(tool, capsys, tmp_path):

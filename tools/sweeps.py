@@ -25,6 +25,11 @@ The sweeps:
 For each sweep the script prints "<sweep>: <solved> of <n> solved, <steps>
 Newton steps, <seconds> s", then "<sweep> failures: <ids>".  A trial fails
 when lpmink raises; its report, if any, still counts its Newton steps.
+Then "<sweep> causes: <count> <cause>, ...; slowest give-up <id> <seconds>
+s" tallies the failures by the cause their message names after "above
+tolerance T: " (the number dropped; "Newton's error E" reads "Newton's
+error <= tol" or "> tol" by E against T), or by the error's type when it
+names none, and times the slowest failing trial.
 --dump DIR writes each trial's bytes, tools/output_digest.py's body and
 report text or error, to DIR/<sweep>.jsonl.  --against DIR compares each
 trial with such a dump made by another tree, prints output_digest's line
@@ -46,7 +51,9 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import re  # noqa: E402
 import time  # noqa: E402
+from collections import Counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -105,17 +112,39 @@ def symmetric_trials():
 SWEEPS = {"atomic": atomic_trials, "semicircle": semicircle_trials,
           "symmetric": symmetric_trials}
 
+# A NoConvergenceError's tolerance, the cause its message names after it,
+# and the number that ends that cause.
+CAUSE = re.compile(r"above tolerance (\S+): (.*?)(?: at (?:pad|error))? (\S+)$")
+
+
+def give_up_cause(text: str) -> str:
+    """The cause a failing trial's text names, without its number, or the
+    error's type when its message names none."""
+    error = text.partition("\n")[0]
+    match = CAUSE.search(error)
+    if match is None:
+        return error.split(":", 1)[0]
+    tol, cause, value = match.groups()
+    if cause == "Newton's error":
+        return f"{cause} {'<=' if float(value) <= float(tol) else '>'} tol"
+    return cause
+
 
 def run_sweep(name: str, trials, dump=None, against=None) -> dict:
     """Solve each (id, solve) of trials, print the sweep's lines and return
-    them as numbers: solved, n, newton, failures, moved, switched and the
-    largest move of a trial ok on both sides (NaN if none).  dump and
-    against are open files of output_digest-style lines, or None."""
+    them as numbers: solved, n, newton, failures, causes (a count per
+    cause), slowest ((id, seconds) of the slowest failure, (None, 0.0) if
+    none), moved, switched and the largest move of a trial ok on both sides
+    (NaN if none).  dump and against are open files of output_digest-style
+    lines, or None."""
     solved = newton = moved = switched = 0
     failures, n, largest = [], 0, math.nan
+    causes, slowest = Counter(), (None, 0.0)
     start = time.perf_counter()
     for ident, run in trials:
+        began = time.perf_counter()
         out = digest.result_bytes(run).decode()
+        took = time.perf_counter() - began
         state, body, report = digest.outcome(out)
         n += 1
         newton += report["newton_iters"] if report else 0
@@ -123,6 +152,8 @@ def run_sweep(name: str, trials, dump=None, against=None) -> dict:
             solved += 1
         else:
             failures.append(ident)
+            causes[give_up_cause(out)] += 1
+            slowest = max(slowest, (ident, took), key=lambda trial: trial[1])
         head = f"{name} {ident}"
         if dump:
             dump.write(json.dumps([head, out]) + "\n")
@@ -141,12 +172,16 @@ def run_sweep(name: str, trials, dump=None, against=None) -> dict:
     seconds = time.perf_counter() - start
     print(f"{name}: {solved} of {n} solved, {newton} Newton steps, {seconds:.2f} s")
     print(f"{name} failures: {' '.join(map(str, failures)) or 'none'}")
+    tally = ", ".join(f"{count} {cause}" for cause, count in sorted(causes.items()))
+    print(f"{name} causes: {tally or 'none'}" + (
+        f"; slowest give-up {slowest[0]} {slowest[1]:.3f} s" if failures else ""))
     if against:
         if against.readline():
             raise SystemExit(f"{against.name} holds other trials")
         print(f"{name}: {moved} of {n} moved, {switched} switched, "
               f"largest move ok -> ok {largest:.2e} of max h")
     return {"solved": solved, "n": n, "newton": newton, "failures": failures,
+            "causes": dict(causes), "slowest": slowest,
             "moved": moved, "switched": switched, "largest": float(largest)}
 
 
