@@ -248,7 +248,9 @@ def stage_measure(spec: MeasureSpec, m: int, G: SymmetryGroup,
     semicircle's ends v and v - pi are arc midpoints: an arc across an end
     keeps the density mass on the semicircle's side of it, at the end
     itself, and zero-mass arcs carry no atom.  `lpmink discretize` prints
-    it."""
+    it.  m < 3 raises ValueError on either branch."""
+    if m < 3:
+        raise ValueError("need m >= 3")
     if cls.tag != SEMICIRCLE:
         return discretize(spec, m, G)
     H = half_group(G, cls.w)

@@ -422,7 +422,10 @@ def measure_spec_from_dict(d: dict) -> MeasureSpec:
                  and len(t) >= 2, "density", "theta and f must be equal-length lists (>= 2)")
         t, f = _finite_array(t, "density.theta"), _finite_array(f, "density.f")
         _require((f >= 0).all(), "density.f", "samples must be nonnegative")
-        density = PiecewiseLinearDensity(t, f)
+        try:
+            density = PiecewiseLinearDensity(t, f)
+        except ValueError as exc:  # the one check left: knots equal mod 2 pi
+            raise SchemaError(f"density.theta: {exc}") from exc
     _require(atoms is not None or density is not None, "$",
              "measure must have atoms or a density")
     try:

@@ -10,9 +10,8 @@ warm-started Newton stages, and wins with a lower error.
 Each Newton step is one O(n) cyclic-tridiagonal solve, damped by halving
 the step until every facet stays active and the residual norm falls.
 The halvings that provably fail positivity after a full step fails it are
-skipped unevaluated, and after a failed decrease test the rest are evaluated
-in blocks of rows, with the plain trials' own arithmetic, so the iterates are
-plain halving's bit for bit (_newton_polish).
+skipped unevaluated, so the iterates are plain halving's bit for bit
+(_newton_polish).
 A measure on a closed semicircle is solved on the half body instead: the
 chord normal opposite the semicircle joins the normals with its support
 pinned at 0, so the origin lies on the chord, which carries no Lp mass, and
@@ -300,10 +299,7 @@ class _Workspace:
         self._rhs = np.empty((n, 2), order="F")
 
     def edge_form(self, h: np.ndarray) -> np.ndarray:
-        """L h, or L h for each row h of a (k, n) block, by the same
-        elementwise operations."""
-        if h.ndim == 2:
-            return self.diag * h + self.up * h[:, self.nxt] + self.lo * h[:, self.prv]
+        """L h."""
         return self.diag * h + self.up * h[self.nxt] + self.lo * h[self.prv]
 
     def volume(self, h: np.ndarray) -> float:
@@ -491,17 +487,6 @@ _TRIALS = 50
 # A trial t >= R _SKIP fails h > 0, and none below R / _SKIP does
 # (_newton_polish).
 _SKIP = 1.0 + 2.0**-50
-# Blocks of the line search: at most _BLOCK_ROWS trials and
-# _BLOCK_FLOATS floats per array.
-_BLOCK_ROWS, _BLOCK_FLOATS = 8, 4096
-# Relative margin of the block's row-sum screen, far above the 2 n 2^-53
-# <= 1e-12 by which a row sum and F.dot(F) can differ at n <= 4096.
-_SCREEN = 1e-9
-# Per trial: t, the decrease test's factor 1 - t / 4 as a single trial
-# computes it, and that factor squared with the screen's margin.
-_HALVINGS = np.ldexp(1.0, -np.arange(_TRIALS))
-_DECREASE = 1.0 - 0.25 * _HALVINGS
-_SCREEN_LIMITS = _DECREASE * _DECREASE * (1.0 + _SCREEN)
 # Newton's step budget (_newton_polish): past max_iters it grows by _WINDOW
 # steps while ln(h_min / h_max) fell by more than _FALL over the last
 # _WINDOW, up to _MAX_STEPS in all (or max_iters, if that is larger).
@@ -532,27 +517,16 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
     (1 - t / 4) |F(h)|, F = h^(1-p) L h - target, and Newton stops when
     none passes.  The blend and each trial put equal entries through the
     same operations, so every iterate is exactly constant on each orbit.
-    The search reaches that t with fewer evaluations, and each value it
-    computes is the plain trial's, by the same elementwise operations, so
-    h, err and the step count are plain halving's bit for bit:
-
-    - Skip.  Once the full step fails h > 0, let R = -1 / min(step_i /
-      h_i), the least h_i / -step_i over step_i < 0 with two roundings.
-      Every trial t >= R (1 + 2^-50) fails h > 0, and counts against the 50
-      unevaluated: R and that bound carry three roundings of under 2^-53
-      each, so t |step_i| > h_i exactly at R's index, and rounding, being
-      monotone, keeps h_i + t step_i <= 0.  Below R / (1 + 2^-50) no trial
-      fails h > 0, as t step_i is exact for a power of two t; the one power
-      of two between the two bounds, if any, is decided by the exact test.
-    - Block.  A trial that has h > 0 at t has it at every smaller t.  Once
-      a trial passes both positivity tests and fails the decrease test, the
-      trials left go in blocks of up to 8 rows, 4096 floats in all, through
-      edge_form and h ** (1 - p) as one (k, n) array, and no row needs the
-      h > 0 test.  A row whose sum of squares of F exceeds the bound
-      squared by more than the margin _SCREEN fails the decrease test,
-      since that sum and F.dot(F) differ by at most 2 n 2^-53 of either.
-      The rows left get the plain trial's L h > 0 and F.dot(F) tests in
-      order, and the first to pass is taken."""
+    The search tries the halvings one at a time, and skips those that
+    provably fail h > 0, so h, err and the step count are plain halving's
+    bit for bit.  Once the full step fails h > 0, let R = -1 / min(step_i /
+    h_i), the least h_i / -step_i over step_i < 0 with two roundings.
+    Every trial t >= R (1 + 2^-50) fails h > 0, and counts against the 50
+    unevaluated: R and that bound carry three roundings of under 2^-53
+    each, so t |step_i| > h_i exactly at R's index, and rounding, being
+    monotone, keeps h_i + t step_i <= 0.  Below R / (1 + 2^-50) no trial
+    fails h > 0, as t step_i is exact for a power of two t; the one power
+    of two between the two bounds, if any, is decided by the exact test."""
     p = ws.p
     h, ell = _reactivate(ws, ws.average(h))
     if ell is None:
@@ -593,9 +567,6 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
                     if math.sqrt(F_try.dot(F_try)) <= (1.0 - 0.25 * t) * fnorm:
                         found = h_try, w_try, ell_try, F_try
                         break
-                    if 2 * ws.n <= _BLOCK_FLOATS:
-                        found = _block_search(ws, h, step, target, fnorm, tries)
-                        break
             elif tries == 1:
                 t, tries = _skip_nonpositive(h, step)
                 continue
@@ -619,27 +590,6 @@ def _skip_nonpositive(h, step):
         t *= 0.5
         tries += 1
     return t, tries
-
-
-def _block_search(ws: _Workspace, h, step, target, fnorm: float, tries: int):
-    """The line search's trials after the first tries of them, in blocks
-    of rows (_newton_polish): (h, w, L h, F) at the first that passes, else
-    None."""
-    p = ws.p
-    rows = min(_BLOCK_ROWS, _BLOCK_FLOATS // ws.n)
-    fnorm2 = fnorm * fnorm
-    for start in range(tries, _TRIALS, rows):
-        block = slice(start, min(start + rows, _TRIALS))
-        H = h + _HALVINGS[block, None] * step
-        ell = ws.edge_form(H)
-        W = H ** (1.0 - p)
-        F = W * ell - target
-        screened = np.einsum("ij,ij->i", F, F) <= _SCREEN_LIMITS[block] * fnorm2
-        for j in np.flatnonzero(screened).tolist():
-            F_j = F[j].copy()
-            if ell[j].min() > 0 and math.sqrt(F_j.dot(F_j)) <= _DECREASE[start + j] * fnorm:
-                return H[j].copy(), W[j].copy(), ell[j].copy(), F_j
-    return None
 
 
 # Pad stages of the continuation after its first (_continuation_newton).

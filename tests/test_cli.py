@@ -367,10 +367,18 @@ class TestDiscretizeCommand:
         report = self.assert_prints_the_first_stage(tmp_path, capsys, monkeypatch, doc, symmetry)
         assert report.classification == "semicircle"
 
-    def test_m_below_three_is_an_input_error(self, square_measure_path, capsys):
-        rc = main(["discretize", "--input", square_measure_path, "--m", "2"])
-        assert rc == 1
-        assert "need m >= 3" in capsys.readouterr().err
+    def test_m_below_three_is_an_input_error(self, tmp_path, square_measure_path, capsys):
+        # the square's atoms, and sin^2 on the open arc (0, pi), 0 elsewhere,
+        # which the half grid would bin
+        s = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+        f = np.where(s < math.pi, np.sin(s) ** 2, 0.0)
+        f[0] = 0.0
+        semicircle = write_measure(tmp_path / "half.json", [], {"theta": list(s), "f": list(f)})
+        for path in (square_measure_path, semicircle):
+            for m in ("2", "0", "-7"):
+                rc = main(["discretize", "--input", path, "--m", m])
+                assert rc == 1
+                assert "need m >= 3" in capsys.readouterr().err
 
     def test_symmetric(self, tmp_path, capsys):
         t = np.linspace(0, 2 * math.pi, 32, endpoint=False)

@@ -451,6 +451,9 @@ class TestNumbersMustBeFinite:
         density = {"theta": [0.0, 2.0, 4.0], "f": [1.0, -0.5, 1.0]}
         with pytest.raises(SchemaError, match=r"^density\.f: samples must be nonnegative$"):
             measure_spec_from_dict({"atoms": [], "density": density})
+        density = {"theta": [0.0, 1.0, 6.283185307179586], "f": [1.0, 1.0, 1.0]}
+        with pytest.raises(SchemaError, match=r"^density\.theta: duplicate density knots$"):
+            measure_spec_from_dict({"atoms": [], "density": density})
 
     def test_numeric_strings_parse_and_bools_do_not(self):
         density = {"theta": ["0", 1, 2.0, "4.5"], "f": [1, "0.5", "0", 2.0]}

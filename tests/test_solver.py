@@ -359,10 +359,12 @@ class TestGiveUpCauses:
         report = exc.value.report
         assert (report.newton_iters, report.outer_iters) == (352, 9)
 
-    def test_stage_cap(self):
+    def test_stage_cap(self, monkeypatch):
         # symmetric sweep trial 490, C2 at p = 0.207, masses over five
         # decades: the pad bisection runs its 40 stages after the first,
-        # and the final polish ends far above tolerance
+        # and the final polish ends far above tolerance; each of its Newton
+        # solves, 3170 steps in all, replays on the reference Newton core
+        polishes = record_polishes(monkeypatch)
         sector = [0.33482875355225755, 0.8691775407411214, 1.331272138048723,
                   1.4782309988760292, 1.6685661146340085, 1.8277180421707468,
                   2.086541682977755]
@@ -373,8 +375,11 @@ class TestGiveUpCauses:
         with pytest.raises(NoConvergenceError, match=r"tolerance 1\.0e-06: stage cap reached "
                            r"at pad \S+$") as exc:
             solve_discrete(mu, 0.2070048824641602, SymmetryGroup.cyclic(2))
-        assert exc.value.report.outer_iters == 1 + solver._PAD_STAGES + 1 == 42
-        assert exc.value.report.residual > 1.0
+        report = exc.value.report
+        assert report.outer_iters == 1 + solver._PAD_STAGES + 1 == 42
+        assert report.residual > 1.0 and report.newton_iters == 3170
+        assert len(polishes) == 1 + report.outer_iters
+        TestNewtonCoreBitForBit.assert_replayed(polishes)
 
     def test_newton_error_within_tolerance(self):
         # symmetric sweep trial 14, D5 at p = 0.4975: cold Newton meets the
@@ -850,7 +855,7 @@ def record_polishes(monkeypatch):
 
 
 def assert_orbit_constant(orbits, x):
-    """x, or each row of a block x, is bitwise constant on every orbit."""
+    """x, or each row of a 2-d x, is bitwise constant on every orbit."""
     for rows in orbits.blocks:
         v = x[..., rows]
         assert (v == v[..., :1]).all()
@@ -914,9 +919,9 @@ class TestNewtonCoreBitForBit:
 
 class TestInvariantIterates:
     """Under a group, Newton averages its start and each step, and no
-    trial: every trial edge_form sees in _newton_polish, one by one or in
-    blocks, and every h it returns, is bitwise constant on each orbit, here
-    through whole C4 and D5 density solves."""
+    trial: every trial edge_form sees in _newton_polish, and every h it
+    returns, is bitwise constant on each orbit, here through whole C4 and
+    D5 density solves."""
 
     @pytest.mark.parametrize("k, dihedral, knots", [(4, False, 4096), (5, True, 4000)])
     def test_density_solves(self, monkeypatch, k, dihedral, knots):
@@ -1007,19 +1012,22 @@ class TestNewtonBudget:
 
 class TestLineSearch:
     """The halving in _newton_polish, which skips the trials that provably
-    fail h > 0 and evaluates the trials after a failed decrease test in
-    blocks, against plain halving.  A recording edge_form on the workspace
-    sees each trial evaluated one by one that has h > 0, and each block;
-    the skipped trials, and those that fail h > 0, never reach it."""
+    fail h > 0 and tries the others one at a time, against plain halving.
+    A recording edge_form on the workspace sees exactly plain halving's
+    trials that have h > 0, in order; the skipped trials, and those that
+    fail h > 0, never reach it."""
 
     @staticmethod
     def search(monkeypatch, ws, h, step):
         """One Newton step along ws.average(step) from an orbit-constant h,
         against reference_line_search: the arrays edge_form saw after the
-        start's, what each _skip_nonpositive call returned, and plain
-        halving's (h, L h, F) or None."""
+        start's, which are plain halving's trials with h > 0, what each
+        _skip_nonpositive call returned, and plain halving's (h, L h, F) or
+        None."""
         F = h ** (1.0 - ws.p) * ws.edge_form(h) - ws.alpha
-        want = reference_line_search(ws, h, ws.average(step), ws.alpha, math.sqrt(F.dot(F)))
+        trials = []
+        want = reference_line_search(ws, h, ws.average(step), ws.alpha, math.sqrt(F.dot(F)),
+                                     trials)
         monkeypatch.setattr(ws, "solve_linear", lambda J, rhs: step.copy())
         seen, skips = [], []
         edge_form, skip = ws.edge_form, solver._skip_nonpositive
@@ -1039,6 +1047,7 @@ class TestLineSearch:
         assert h_got.tobytes() == (h if want is None else want[0]).tobytes()
         if want is not None:
             assert err == float((np.abs(want[2]) / ws.alpha).max())
+        assert [x.tobytes() for x in seen[1:]] == [x.tobytes() for x in trials if x.min() > 0]
         return seen[1:], skips, want
 
     @staticmethod
@@ -1078,9 +1087,11 @@ class TestLineSearch:
         seen, skips, want = self.search(monkeypatch, ws, h, step)
         assert skips == [(1 / 16, 4)]
         assert seen[0].tobytes() == np.array([0.5, 1.0, 0.5, 1.0]).tobytes()
-        # h falls where the masses ask it to grow: blocks to the budget's end
-        assert want is None and all(x.ndim == 2 for x in seen[1:])
-        assert sum(len(x) for x in seen[1:]) == 50 - 5
+        # h falls where the masses ask it to grow: every trial after the
+        # skip is evaluated, each a vector constant on each orbit
+        assert want is None and all(x.ndim == 1 for x in seen)
+        assert len(seen) == 50 - 4
+        assert_orbit_constant(orbits, np.array(seen))
 
     def test_skips_through_the_whole_budget(self, monkeypatch):
         ws, h = self.hexagon()
@@ -1092,23 +1103,23 @@ class TestLineSearch:
     @pytest.mark.parametrize("scale", [0.25, 1.0, 1e6])
     def test_exhausted_budget_after_blocks(self, monkeypatch, scale):
         # an ascent direction: |F| grows to first order at every t, so each
-        # trial fails, and those after the first that has h > 0 and L h > 0
-        # go in blocks
+        # trial fails, and h comes back unchanged; every trial that has h > 0
+        # is evaluated, one at a time
         ws, h = self.hexagon()
         ell = ws.edge_form(h)
         w = h ** (1.0 - ws.p)
         newton = ws.solve_linear(ws.jacobian(h, w, ell), ws.alpha - w * ell)
         seen, skips, want = self.search(monkeypatch, ws, h, -scale * newton)
-        assert want is None
-        single = [x for x in seen if x.ndim == 1]
-        blocks = seen[len(single):]
-        assert single and all(x.ndim == 2 for x in blocks)
-        positive = [x.min() > 0 and _Workspace.edge_form(ws, x).min() > 0 for x in single]
-        assert positive == [False] * (len(single) - 1) + [True]
-        assert (len(single), len(skips)) == {0.25: (1, 0), 1.0: (1, 1), 1e6: (2, 1)}[scale]
-        # the blocks take every trial after those skipped and those seen singly
-        tries = sum(skipped for _, skipped in skips) + len(single)
-        assert sum(len(x) for x in blocks) == 50 - tries
+        assert want is None and all(x.ndim == 1 for x in seen)
+        # the trials that fail L h > 0 come first
+        positive = [_Workspace.edge_form(ws, x).min() > 0 for x in seen]
+        failing = positive.index(True)
+        assert positive == [False] * failing + [True] * (len(seen) - failing)
+        assert (failing, skips) == {0.25: (0, []), 1.0: (0, [(0.5, 1)]),
+                                    1e6: (1, [(2.0**-20, 20)])}[scale]
+        # the skip's tries, the full step that fails h > 0 included, and the
+        # trials evaluated make the 50
+        assert sum(tries for _, tries in skips) + len(seen) == 50
 
     @staticmethod
     def count_calls(monkeypatch, *names):
@@ -1123,26 +1134,26 @@ class TestLineSearch:
 
     def test_semicircle_atoms_replay(self, monkeypatch):
         """Hard-contrast atoms on a semicircle, solved on the half body (the
-        chord workspace) through skips and blocks, replayed on the
-        reference Newton core."""
-        counts = self.count_calls(monkeypatch, "_skip_nonpositive", "_block_search")
+        chord workspace) through skips, replayed on the reference Newton
+        core."""
+        counts = self.count_calls(monkeypatch, "_skip_nonpositive")
         polishes = record_polishes(monkeypatch)
         rng = np.random.default_rng(37)
         theta = np.sort(rng.uniform(0.02, math.pi - 0.02, 24))
         mu = DiscreteMeasure(theta, 10.0 ** rng.uniform(0.0, 4.0, 24))
         _, report = solve_discrete(mu, 0.5, chord=1.5 * math.pi)
         assert report.classification == "semicircle"
-        assert counts["_skip_nonpositive"] > 0 and counts["_block_search"] > 0
+        assert counts["_skip_nonpositive"] > 0
         assert all((args[0].up == 0.0).any() for args, _ in polishes)
         TestNewtonCoreBitForBit.assert_replayed(polishes)
 
     def test_symmetric_atoms_replay(self, monkeypatch):
         """C2 atoms at p = 0.13 on their orbit workspace: the pad
-        continuation from the radial guess solves them through skips and
-        blocks, every iterate constant on each orbit, replayed on the
-        reference Newton core.  (solve_discrete solves them cold, in 85
-        steps; no symmetric solve of ROADMAP's sweep takes the continuation.)"""
-        counts = self.count_calls(monkeypatch, "_skip_nonpositive", "_block_search")
+        continuation from the radial guess solves them through skips, every
+        iterate constant on each orbit, replayed on the reference Newton
+        core.  (solve_discrete solves them cold, in 85 steps; no symmetric
+        solve of ROADMAP's sweep takes the continuation.)"""
+        counts = self.count_calls(monkeypatch, "_skip_nonpositive")
         polishes = record_polishes(monkeypatch)
         sector = np.array([0.36955206312544575, 1.1873501453976922])
         mu = DiscreteMeasure(np.concatenate([sector, sector + math.pi]),
@@ -1151,7 +1162,7 @@ class TestLineSearch:
         ws = _Workspace(mu.thetas, alpha / alpha.mean(), 0.13, orbits=orbits)
         _, err, _, stages, cause = solver._continuation_newton(ws, SolverConfig())
         assert stages > 1 and err <= 1e-6 and cause is None
-        assert counts["_skip_nonpositive"] > 0 and counts["_block_search"] > 0
+        assert counts["_skip_nonpositive"] > 0
         for _, (h, _, _) in polishes:
             assert_orbit_constant(orbits, h)
         TestNewtonCoreBitForBit.assert_replayed(polishes)

@@ -63,7 +63,9 @@ def test_picked_trials_then_against_their_own_dump(tool, capsys, tmp_path, name)
     assert out[0].startswith(f"{name}: 2 of 3 solved, {got['newton']} Newton steps, ")
     assert out[1] == f"{name} failures: {failures[0]}"
     assert out[2].startswith(f"{name} causes: 1 ") and list(got["causes"].values()) == [1]
-    assert out[2].endswith(f"; slowest give-up {failures[0]} {got['slowest'][1]:.3f} s")
+    assert got["fastest"] == got["slowest"]
+    assert out[2].endswith(f"; slowest give-up {failures[0]} {got['slowest'][1]:.3f} s, "
+                           f"fastest {failures[0]} {got['slowest'][1]:.2g} s")
     lines = [json.loads(line) for line in (tmp_path / "dump.jsonl").read_text().splitlines()]
     assert [head for head, _ in lines] == [f"{name} {ident}" for ident in PICKS[name]]
     assert [tool.digest.outcome(text)[0] for _, text in lines] == list(PICKS[name].values())

@@ -26,10 +26,14 @@ For each sweep the script prints "<sweep>: <solved> of <n> solved, <steps>
 Newton steps, <seconds> s", then "<sweep> failures: <ids>".  A trial fails
 when lpmink raises; its report, if any, still counts its Newton steps.
 Then "<sweep> causes: <count> <cause>, ...; slowest give-up <id> <seconds>
-s" tallies the failures by the cause their message names after "above
-tolerance T: " (the number dropped; "Newton's error E" reads "Newton's
-error <= tol" or "> tol" by E against T), or by the error's type when it
-names none, and times the slowest failing trial.
+s, fastest <id> <seconds> s" tallies the failures by the cause their
+message names after "above tolerance T: " (the number dropped; "Newton's
+error E" reads "Newton's error <= tol" or "> tol" by E against T), or by
+the error's type when it names none, and names the slowest and the fastest
+failing trial.  A failing trial is solved three times and timed as the
+fastest of the three, as README quotes give-up times; three solves whose
+bytes differ stop the script naming the trial.  <seconds> of the first
+line is the sweep's wall time, these repeats included.
 --dump DIR writes each trial's bytes, tools/output_digest.py's body and
 report text or error, to DIR/<sweep>.jsonl.  --against DIR compares each
 trial with such a dump made by another tree, prints output_digest's line
@@ -130,31 +134,43 @@ def give_up_cause(text: str) -> str:
     return cause
 
 
+def timed(run):
+    """(the text of run's bytes, seconds it took)."""
+    began = time.perf_counter()
+    out = digest.result_bytes(run).decode()
+    return out, time.perf_counter() - began
+
+
 def run_sweep(name: str, trials, dump=None, against=None) -> dict:
     """Solve each (id, solve) of trials, print the sweep's lines and return
     them as numbers: solved, n, newton, failures, causes (a count per
-    cause), slowest ((id, seconds) of the slowest failure, (None, 0.0) if
-    none), moved, switched and the largest move of a trial ok on both sides
-    (NaN if none).  dump and against are open files of output_digest-style
-    lines, or None."""
+    cause), slowest and fastest ((id, seconds) of the slowest and the
+    fastest failure, each the fastest of three solves; (None, 0.0) and
+    (None, inf) if none), moved, switched and the largest move of a trial
+    ok on both sides (NaN if none).  dump and against are open files of
+    output_digest-style lines, or None."""
     solved = newton = moved = switched = 0
     failures, n, largest = [], 0, math.nan
-    causes, slowest = Counter(), (None, 0.0)
+    causes, slowest, fastest = Counter(), (None, 0.0), (None, math.inf)
     start = time.perf_counter()
     for ident, run in trials:
-        began = time.perf_counter()
-        out = digest.result_bytes(run).decode()
-        took = time.perf_counter() - began
+        out, took = timed(run)
         state, body, report = digest.outcome(out)
         n += 1
         newton += report["newton_iters"] if report else 0
+        head = f"{name} {ident}"
         if state == "ok":
             solved += 1
         else:
+            for _ in range(2):
+                again, again_took = timed(run)
+                if again != out:
+                    raise SystemExit(f"{head}: three solves gave different bytes")
+                took = min(took, again_took)
             failures.append(ident)
             causes[give_up_cause(out)] += 1
             slowest = max(slowest, (ident, took), key=lambda trial: trial[1])
-        head = f"{name} {ident}"
+            fastest = min(fastest, (ident, took), key=lambda trial: trial[1])
         if dump:
             dump.write(json.dumps([head, out]) + "\n")
         if against:
@@ -174,14 +190,15 @@ def run_sweep(name: str, trials, dump=None, against=None) -> dict:
     print(f"{name} failures: {' '.join(map(str, failures)) or 'none'}")
     tally = ", ".join(f"{count} {cause}" for cause, count in sorted(causes.items()))
     print(f"{name} causes: {tally or 'none'}" + (
-        f"; slowest give-up {slowest[0]} {slowest[1]:.3f} s" if failures else ""))
+        f"; slowest give-up {slowest[0]} {slowest[1]:.3f} s, "
+        f"fastest {fastest[0]} {fastest[1]:.2g} s" if failures else ""))
     if against:
         if against.readline():
             raise SystemExit(f"{against.name} holds other trials")
         print(f"{name}: {moved} of {n} moved, {switched} switched, "
               f"largest move ok -> ok {largest:.2e} of max h")
     return {"solved": solved, "n": n, "newton": newton, "failures": failures,
-            "causes": dict(causes), "slowest": slowest,
+            "causes": dict(causes), "slowest": slowest, "fastest": fastest,
             "moved": moved, "switched": switched, "largest": float(largest)}
 
 
