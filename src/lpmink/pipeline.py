@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,6 +83,11 @@ class PipelineConfig(SolverConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        for name in ("m0", "m_max"):  # numpy integers too, stored as int
+            try:
+                setattr(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if not 3 <= self.m0 <= self.m_max:
             raise ValueError("need 3 <= m0 <= m_max")
 

@@ -13,10 +13,11 @@ dimensions, adds one slot per float in one step; an array is written as its
 scalars, None, mixed or ragged lists) is written as literal text, with any
 `%` in it doubled.
 
-A document with fewer than _KERNEL_MIN floats fills `%.17g` slots with one
-`%` operation.  A larger one has its floats formatted by _format17, whose
-array operations give the text of `format(v, ".17g")` exactly, _BLOCK floats
-at a time, and each block joined with the template text between its floats.
+One `%` operation over the template's bytes writes the document; the
+template is ASCII, as json.dumps escapes every other character.  Below
+_KERNEL_MIN floats its slots are `%.17g`, filled with the floats.  From
+_KERNEL_MIN on they are `%s`, filled with the texts of _format17, whose
+array operations give `format(v, ".17g")` exactly, _BLOCK floats at a time.
 `"%.17g" % v` and `format(v, ".17g")` give the same text for every float.
 
 The readers reject any angle, mass, density sample or support number that is
@@ -143,8 +144,8 @@ def _kernel17(x):
 
 def _format17(x: np.ndarray) -> list:
     """format(v, ".17g").encode() for each v of x, a finite float64 vector
-    (_fill passes _BLOCK floats at a time).  Zeros and values outside
-    1e-6 < |v| < 1e16 are formatted one by one."""
+    (dumps_canonical passes _BLOCK floats at a time).  Zeros and values
+    outside 1e-6 < |v| < 1e16 are formatted one by one."""
     a = np.abs(x)
     inside = (a > 1e-6) & (a < 1e16)
     texts = _kernel17(np.where(inside, x, 1.0))
@@ -251,47 +252,17 @@ def _walk(obj, indent: int, out: list, floats: list) -> None:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _template(out: list) -> str:
-    """out as one template with a %.17g slot per float."""
+def _template(out: list, slot: str) -> str:
+    """out as one template with a slot per float."""
     parts = []
     for p in out:
         if type(p) is str:
             parts.append(p)
         else:
             rows, cols, opening, gap, row_gap, closing = p
-            row = "%.17g" + (gap + "%.17g") * (cols - 1)
+            row = slot + (gap + slot) * (cols - 1)
             parts.append(opening + row + (row_gap + row) * (rows - 1) + closing)
     return "".join(parts)
-
-
-def _fill(out: list, x: np.ndarray) -> str:
-    """out's text with the floats x written by _format17, _BLOCK at a time.
-    Each float is followed by the text up to the next float (or the end),
-    with out's doubled "%" written once."""
-    gaps, run, head = [], [], None
-    for p in out:
-        if type(p) is str:
-            run.append(p)
-            continue
-        rows, cols, opening, gap, row_gap, closing = p
-        run.append(opening)
-        text = "".join(run).replace("%%", "%")
-        if head is None:
-            head = text
-        else:
-            gaps.append(text.encode("ascii"))
-        gaps += ([gap.encode("ascii")] * (cols - 1) + [row_gap.encode("ascii")]) * rows
-        gaps.pop()  # no row_gap after the last row
-        run = [closing]
-    gaps.append("".join(run).replace("%%", "%").encode("ascii"))
-    pieces = [head]
-    for start in range(0, len(x), _BLOCK):
-        texts = _format17(x[start:start + _BLOCK])
-        both = [None] * (2 * len(texts))
-        both[0::2] = texts
-        both[1::2] = gaps[start:start + len(texts)]
-        pieces.append(b"".join(both).decode("ascii"))
-    return "".join(pieces)
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
@@ -299,10 +270,13 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     out, floats = [], []
     _walk(obj, indent, out, floats)
     if sum(map(len, floats)) < _KERNEL_MIN:
-        values = chain.from_iterable(f.tolist() if isinstance(f, np.ndarray) else f
-                                     for f in floats)
-        return _template(out) % tuple(values)
-    return _fill(out, np.concatenate(floats))
+        slot, values = "%.17g", chain.from_iterable(
+            f.tolist() if isinstance(f, np.ndarray) else f for f in floats)
+    else:
+        x = np.concatenate(floats)
+        slot, values = "%s", chain.from_iterable(
+            _format17(x[k:k + _BLOCK]) for k in range(0, len(x), _BLOCK))
+    return (_template(out, slot).encode("ascii") % tuple(values)).decode("ascii")
 
 
 def write_canonical(obj, path) -> None:

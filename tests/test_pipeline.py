@@ -63,7 +63,7 @@ from lpmink.pipeline import (
     detect_symmetry,
     ma_residual_from_samples,
 )
-from lpmink.serialization import measure_spec_from_dict
+from lpmink.serialization import dumps_canonical, measure_spec_from_dict, polygon_to_dict
 from lpmink.solver import SolverConfig, _Workspace, orbit_partition
 
 TWO_PI = 2 * math.pi
@@ -826,6 +826,22 @@ class TestSolveRouting:
         with pytest.raises(ValueError):
             PipelineConfig(m0=128, m_max=64)
 
+    def test_numpy_integer_resolutions(self):
+        spec = uniform_density_spec()
+        texts = []
+        for m0, m_max in ((64, 128), (np.int64(64), np.int64(128))):
+            cfg = PipelineConfig(m0=m0, m_max=m_max)
+            assert type(cfg.m0) is int and type(cfg.m_max) is int
+            P, rep = solve(spec, 0.5, None, cfg)
+            texts.append(dumps_canonical(polygon_to_dict(P)) + dumps_canonical(rep.to_dict()))
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("field, kwargs", [("m0", {"m0": 64.0}),
+                                               ("m_max", {"m_max": 8192.5})])
+    def test_non_integer_resolutions_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            PipelineConfig(**kwargs)
+
     def test_mmax_warning(self):
         spec = uniform_density_spec()
         cfg = PipelineConfig(m0=8, m_max=16)
@@ -1436,13 +1452,21 @@ class TestSolveEquivariance:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("p", [0.3, 0.7])
-    def test_dilation_scales_the_body(self, kind, p):
-        spec, lam = equivariance_inputs()[kind], 3.7
+    def test_dilation_scales_the_body(self, kind, p, lam=3.7):
+        spec = equivariance_inputs()[kind]
         P, rep = solve(spec, p)
         Q, _ = solve(scaled_spec(spec, lam), p)
         s = lam ** (1.0 / (2.0 - p))
         err = np.abs(Q.support_values(self.GRID) - s * P.support_values(self.GRID))
         assert err.max() <= s * self.tolerance(P, rep)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    @pytest.mark.parametrize("lam", [1e-6, 1e100])
+    def test_dilation_scales_the_body_far_from_unit_mass(self, kind, p, lam):
+        # inside the mass scales, about 1e-7 to 1e200, where solves keep
+        # dilation invariance (ROADMAP item 13)
+        self.test_dilation_scales_the_body(kind, p, lam)
 
 
 class TestMongeAmpereResidual:

@@ -275,7 +275,8 @@ class TestVectorFormatter:
         x = rng.normal(size=n) * 10.0 ** rng.uniform(-9.0, 18.0, n)
         x[::11] = 0.0
         doc = {"flat": x[:100].tolist(), "rows": x[100:300].reshape(-1, 2).tolist(),
-               "k": {"v": x[300:].tolist(), "100%": "%.17g %s", "scalar": 0.1}, "n": n}
+               "k": {"v": x[300:].tolist(), "100%": "%.17g %s", "scalar": 0.1}, "n": n,
+               "θ": "é", "%s": "%% %.17g %s"}  # non-ASCII text and % directives
         for indent in (0, 4):
             assert dumps_canonical(doc, indent) == reference_dumps(doc, indent)
         assert calls == ([] if extra < 0 else [n, n])
@@ -311,6 +312,7 @@ class TestVectorFormatter:
             doc = {"a": x[:1], "rows": [x[i:i + 2] for i in range(1, n, 2)]}
         else:
             doc = {"a": x[:1], "atoms": [{"mass": x[i], "theta": x[i + 1]} for i in range(1, n, 2)]}
+        doc.update({"θ": "é", "%s": "%% %.17g %s"})  # non-ASCII text and % directives
         for indent in (0, 4):
             assert dumps_canonical(doc, indent) == reference_dumps(doc, indent)
         assert calls == [_BLOCK, _BLOCK, 3] * 2
