@@ -157,6 +157,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not 0.0 < args.tol < math.inf:  # NaN fails too
+        raise SchemaError("tol: must be a positive finite number")
     P = polygon_from_dict(_load_json(args.body))
     spec = measure_spec_from_dict(_load_json(args.input))
     if spec.is_purely_atomic():

@@ -5,16 +5,14 @@ write-read cycle reproduces every double bit-faithfully, and identical
 invocations produce byte-identical files.
 
 The writer walks the document once and builds a %-format template plus the
-document's floats in order.  A list (or a list of equal-length lists) whose
-items are all finite Python floats, a list of {"mass", "theta"} atom dicts
-with finite Python float values, and a finite float64 array of one or two
-dimensions, adds one slot per float in one step; an array is written as its
-.tolist() would be.  Every other node (dicts, strings, ints, bools, numpy
-scalars, None, mixed or ragged lists) is written as literal text, with any
-`%` in it doubled.
+document's floats in order.  Every finite float, Python or numpy, is a slot
+in the template.  A finite float64 array of one or two dimensions adds its
+slots in one block, written as its .tolist() would be; lists, tuples, dicts
+and any other array are walked item by item.  Strings, ints, bools and None
+are written as literal text, with any `%` in it doubled.
 
 One `%` operation over the template's bytes writes the document; the
-template is ASCII, as json.dumps escapes every other character.  Below
+template is ASCII, as strings are written with JSON's ASCII escapes.  Below
 _KERNEL_MIN floats its slots are `%.17g`, filled with the floats.  From
 _KERNEL_MIN on they are `%s`, filled with the texts of _format17, whose
 array operations give `format(v, ".17g")` exactly, _BLOCK floats at a time.
@@ -63,17 +61,6 @@ _WIDTH = 23  # the longest text: "-0.000" and 17 digits, or "-d." 16 digits "e-0
 _PAD = 7  # "0" columns ahead of the digits: sign, "0.000" and one spare
 _KEEP = np.where(np.arange(_WIDTH) < np.arange(_WIDTH + 1)[:, None], 255, 0).astype(np.uint8)
 _EXPONENT = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 4)
-
-
-def _format_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    v = float(x)
-    if not math.isfinite(v):
-        raise ValueError(f"cannot serialize non-finite number {v}")
-    return format(v, ".17g")
 
 
 def _times_pow10(a, k):
@@ -154,16 +141,10 @@ def _format17(x: np.ndarray) -> list:
     return texts
 
 
-def _finite_floats(items) -> bool:
-    """Every item a finite Python float (not a subclass such as np.float64,
-    which is written as literal text by _format_number)."""
-    return set(map(type, items)) == {float} and all(map(math.isfinite, items))
-
-
 def _float_array(obj) -> bool:
-    """obj a finite float64 vector, or matrix with at least one column."""
+    """obj a finite float64 vector or matrix with at least one float."""
     return (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2)
-            and obj.shape[-1] > 0 and bool(np.isfinite(obj).all()))
+            and obj.size > 0 and bool(np.isfinite(obj).all()))
 
 
 def _float_block(n: int, cols: int, indent: int) -> tuple:
@@ -179,75 +160,48 @@ def _float_block(n: int, cols: int, indent: int) -> tuple:
             "\n" + inner + "],\n" + inner + "[\n" + inner2, "\n" + inner + "]\n" + pad + "]")
 
 
-_MASS_THETA = itemgetter("mass", "theta")  # an atom's values in sorted key order
-
-
-def _atom_floats(items) -> list | None:
-    """[mass, theta, mass, theta, ...] when every item is a dict of exactly
-    the keys "mass" and "theta" with finite Python float values, else None."""
-    if set(map(type, items)) != {dict} or set(map(len, items)) != {2}:
-        return None
-    try:
-        flat = list(chain.from_iterable(map(_MASS_THETA, items)))
-    except KeyError:
-        return None
-    return flat if _finite_floats(flat) else None
-
-
-def _atom_block(n: int, indent: int) -> tuple:
-    """The _float_block marker of n atom dicts at indent: one row of
-    (mass, theta) per atom, each row's text that of its dict."""
-    inner, inner2, pad = " " * (indent + 2), " " * (indent + 4), " " * indent
-    head = "{\n" + inner2 + '"mass": '
-    return (n, 2, "[\n" + inner + head, ",\n" + inner2 + '"theta": ',
-            "\n" + inner + "},\n" + inner + head, "\n" + inner + "}\n" + pad + "]")
-
-
 def _walk(obj, indent: int, out: list, floats: list) -> None:
-    """Append obj's template text to out, with a _float_block marker in
-    place of each run of float slots, and the run's floats to floats."""
-    if obj is None:
+    """Append obj's template text to out, with None in place of a float's
+    slot and a _float_block marker in place of an array's slots, and obj's
+    floats to floats: lists of scalars and float64 arrays in document
+    order, the last always a list, which takes the next scalar.  Floats
+    and dicts, the most frequent nodes (a measure's atoms), are tested
+    first."""
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if not math.isfinite(v):
+            raise ValueError(f"cannot serialize non-finite number {v}")
+        out.append(None)
+        floats[-1].append(v)
+    elif isinstance(obj, dict):
+        inner = "\n" + " " * (indent + 2)
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + json.encoder.encode_basestring_ascii(str(key)).replace("%", "%%")
+                       + ": ")
+            _walk(obj[key], indent + 2, out, floats)
+            sep = "," + inner
+        out.append("\n" + " " * indent + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if _float_array(obj):
+            out.append(_float_block(obj.size, obj.shape[1] if obj.ndim == 2 else 0, indent))
+            floats.extend((obj.ravel(), []))
+        else:
+            inner = "\n" + " " * (indent + 2)
+            sep = "[" + inner
+            for v in obj:
+                out.append(sep)
+                _walk(v, indent + 2, out, floats)
+                sep = "," + inner
+            out.append("\n" + " " * indent + "]" if len(obj) else "[]")
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj).replace("%", "%%"))
-    elif isinstance(obj, (bool, int, float, np.integer, np.floating)):
-        out.append(_format_number(obj))
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        inner, pad = " " * (indent + 2), " " * indent
-        if len(obj) == 0:
-            out.append("[]")
-        elif _float_array(obj):
-            out.append(_float_block(obj.size, obj.shape[1] if obj.ndim == 2 else 0, indent))
-            floats.append(obj.ravel())
-        elif not isinstance(obj, np.ndarray) and _finite_floats(obj):
-            out.append(_float_block(len(obj), 0, indent))
-            floats.append(obj)
-        elif (type(obj[0]) is list and obj[0]
-              and all(type(r) is list and len(r) == len(obj[0]) for r in obj)
-              and _finite_floats(flat := list(chain.from_iterable(obj)))):
-            # Rows of floats, such as [x, y] vertices.
-            out.append(_float_block(len(flat), len(obj[0]), indent))
-            floats.append(flat)
-        elif type(obj[0]) is dict and (flat := _atom_floats(obj)) is not None:
-            # Atoms, such as a measure's {"mass", "theta"} dicts.
-            out.append(_atom_block(len(obj), indent))
-            floats.append(flat)
-        else:
-            out.append("[\n")
-            for k, v in enumerate(obj):
-                out.append(inner)
-                _walk(v, indent + 2, out, floats)
-                out.append(",\n" if k < len(obj) - 1 else "\n" + pad + "]")
-    elif isinstance(obj, dict) and not obj:
-        out.append("{}")
-    elif isinstance(obj, dict):
-        inner, pad = " " * (indent + 2), " " * indent
-        keys = sorted(obj.keys())
-        out.append("{\n")
-        for k, key in enumerate(keys):
-            out.append(inner + json.dumps(str(key)).replace("%", "%%") + ": ")
-            _walk(obj[key], indent + 2, out, floats)
-            out.append(",\n" if k < len(keys) - 1 else "\n" + pad + "}")
+        out.append(json.encoder.encode_basestring_ascii(obj).replace("%", "%%"))
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -258,6 +212,8 @@ def _template(out: list, slot: str) -> str:
     for p in out:
         if type(p) is str:
             parts.append(p)
+        elif p is None:
+            parts.append(slot)
         else:
             rows, cols, opening, gap, row_gap, closing = p
             row = slot + (gap + slot) * (cols - 1)
@@ -267,7 +223,7 @@ def _template(out: list, slot: str) -> str:
 
 def dumps_canonical(obj, indent: int = 0) -> str:
     """Deterministic JSON text: sorted keys, fixed float formatting."""
-    out, floats = [], []
+    out, floats = [], [[]]
     _walk(obj, indent, out, floats)
     if sum(map(len, floats)) < _KERNEL_MIN:
         slot, values = "%.17g", chain.from_iterable(

@@ -248,6 +248,22 @@ class TestVerifyAndMeasure:
                    "--p", "0.5"])
         assert rc == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_verify_refuses_a_tol_that_is_not_positive_and_finite(self, tmp_path,
+                                                                  square_measure_path,
+                                                                  capsys, tol):
+        out = tmp_path / "body.json"
+        assert main(["solve", "--input", square_measure_path, "--output", str(out),
+                     "--p", "0.5"]) == 0
+        capsys.readouterr()
+        rc = main(["verify", "--body", str(out), "--input", square_measure_path,
+                   "--p", "0.5", "--tol", tol])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "SchemaError",
+                                            "message": "tol: must be a positive finite number"}
+
     def test_measure_of_square(self, tmp_path, capsys):
         body = tmp_path / "body.json"
         body.write_text(json.dumps({

@@ -114,11 +114,24 @@ class TestCanonicalJsonBitIdentity:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_floats_raise_alike(self, bad):
-        for items in ([0.5, bad, 1.0], [bad], [[1.0], [2.0, bad]], [np.float64(bad)]):
+        for items in ([0.5, bad, 1.0], [bad], [[1.0], [2.0, bad]], [np.float64(bad)],
+                      bad, {"residual": bad}, np.float32(bad), {"residual": np.float32(bad)}):
             with pytest.raises(ValueError) as ref:
                 reference_dumps(items)
             with pytest.raises(ValueError) as got:
                 dumps_canonical(items)
+            assert str(got.value) == str(ref.value)
+
+    def test_empty_containers_and_other_types(self):
+        for obj in ({}, [], (), {"a": {}, "b": [], "c": [{}, [], ()]}, np.zeros(0),
+                    np.zeros((0, 2)), np.zeros((2, 0))):
+            for indent in (0, 4):
+                assert dumps_canonical(obj, indent) == reference_dumps(obj, indent)
+        for obj in ({1.5}, {"k": object()}, [0.5, b"bytes"], np.bool_(True)):
+            with pytest.raises(TypeError) as ref:
+                reference_dumps(obj)
+            with pytest.raises(TypeError) as got:
+                dumps_canonical(obj)
             assert str(got.value) == str(ref.value)
 
     def test_polygon_body_bytes(self, rng):
@@ -272,11 +285,27 @@ class TestVectorFormatter:
         format17 = serialization._format17
         monkeypatch.setattr(serialization, "_format17",
                             lambda x: calls.append(len(x)) or format17(x))
-        x = rng.normal(size=n) * 10.0 ** rng.uniform(-9.0, 18.0, n)
+        x = rng.normal(size=n - 1) * 10.0 ** rng.uniform(-9.0, 18.0, n - 1)  # and the scalar
         x[::11] = 0.0
         doc = {"flat": x[:100].tolist(), "rows": x[100:300].reshape(-1, 2).tolist(),
                "k": {"v": x[300:].tolist(), "100%": "%.17g %s", "scalar": 0.1}, "n": n,
                "θ": "é", "%s": "%% %.17g %s"}  # non-ASCII text and % directives
+        for indent in (0, 4):
+            assert dumps_canonical(doc, indent) == reference_dumps(doc, indent)
+        assert calls == ([] if extra < 0 else [n, n])
+
+    @pytest.mark.parametrize("extra", [-1, 0])
+    def test_scalar_documents_either_side_of_the_threshold(self, rng, monkeypatch, extra):
+        # every float is a slot: a dict of scalars counts toward
+        # _KERNEL_MIN as a list of as many floats does
+        n = _KERNEL_MIN + extra
+        calls = []
+        format17 = serialization._format17
+        monkeypatch.setattr(serialization, "_format17",
+                            lambda x: calls.append(len(x)) or format17(x))
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-9.0, 18.0, n)
+        x[::11] = 0.0
+        doc = {f"v{k:04d}%": v for k, v in enumerate(x.tolist())}
         for indent in (0, 4):
             assert dumps_canonical(doc, indent) == reference_dumps(doc, indent)
         assert calls == ([] if extra < 0 else [n, n])
@@ -343,16 +372,8 @@ class TestVectorFormatter:
 
 
 class TestAtomDocuments:
-    """A list of {"mass", "theta"} dicts with finite float values is written
-    as one block of float slots, with the bytes of the per-dict walk."""
-
-    @pytest.fixture
-    def atom_blocks(self, monkeypatch):
-        calls = []
-        block = serialization._atom_block
-        monkeypatch.setattr(serialization, "_atom_block",
-                            lambda n, indent: calls.append(n) or block(n, indent))
-        return calls
+    """A list of {"mass", "theta"} dicts is walked dict by dict, each value
+    a float slot, with the bytes of the per-dict reference."""
 
     @staticmethod
     def atoms(rng, n):
@@ -362,8 +383,7 @@ class TestAtomDocuments:
 
     @pytest.mark.parametrize("slots", [_KERNEL_MIN - 1, _KERNEL_MIN])
     @pytest.mark.parametrize("indent", [0, 4])
-    def test_either_side_of_the_kernel_threshold(self, rng, monkeypatch, atom_blocks,
-                                                 slots, indent):
+    def test_either_side_of_the_kernel_threshold(self, rng, monkeypatch, slots, indent):
         calls = []
         format17 = serialization._format17
         monkeypatch.setattr(serialization, "_format17",
@@ -373,12 +393,11 @@ class TestAtomDocuments:
         assert len(atoms) == slots // 2
         assert dumps_canonical(doc, indent) == reference_dumps(doc, indent)
         assert dumps_canonical(atoms, indent) == reference_dumps(atoms, indent)
-        assert atom_blocks == [len(atoms)] * 2
         assert calls == ([] if slots < _KERNEL_MIN else [slots] * 2)
 
     @pytest.mark.parametrize("n", [1, 300])
     @pytest.mark.parametrize("indent", [0, 4])
-    def test_one_other_value_keeps_the_per_dict_walk(self, rng, atom_blocks, n, indent):
+    def test_one_other_value_keeps_the_per_dict_walk(self, rng, n, indent):
         for key, value in [("mass", 2), ("theta", np.float64(0.5)), ("mass", True),
                            ("theta", None), ("mass", "1.0"), ("theta", [0.5]), ("extra", 0.5)]:
             atoms = self.atoms(rng, n)
@@ -389,7 +408,6 @@ class TestAtomDocuments:
         del atoms[n // 2]["mass"]
         atoms[n // 2]["weight"] = 0.5
         assert dumps_canonical(atoms, indent) == reference_dumps(atoms, indent)
-        assert atom_blocks == []
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_values_raise_alike(self, rng, bad):

@@ -1,12 +1,19 @@
-"""Which functions and statements of src/lpmink the benchmark's cases run.
+"""Which functions and statements of src/lpmink the benchmark's cases, or the tests, run.
 
     python3 tools/traffic.py
     python3 tools/traffic.py --seeds 1 --workload stress-corpus
+    python3 tools/traffic.py --tests
+    python3 tools/traffic.py --tests tests/test_cli.py -q
 
 Each case of bench/workloads.py runs once as tools/output_digest.py's
 case_bytes runs it (parse the measure JSON, solve, write the body and
 report), under sys.settrace; the benchmark's own checks on the parsed-back
-body are not run.  The script then prints, in source order:
+body are not run.  With --tests, the test suite runs instead: pytest.main,
+in this process, with the arguments after --tests (none: the tests under
+the repository's testpaths, when run from its root), and --seeds and
+--workload are ignored.  Only this process's main thread is traced, so a
+test's subprocesses and threads count for nothing.  The script then
+prints, after pytest's own output if any, in source order:
 
     never entered: <module>.<function> (<file>:<line>)
 
@@ -16,7 +23,8 @@ for each function (a def, a method or a nested def) that no case entered,
 
 for each entered function with statements that never ran (a compound
 statement by its header, a docstring never), and last "<k> of <n>
-functions entered".  Nothing is written.
+functions entered".  The script itself writes nothing; with --tests it
+exits with pytest's exit code.
 """
 
 from __future__ import annotations
@@ -82,10 +90,10 @@ def functions(path: Path) -> list[tuple]:
     return sorted(found, key=lambda f: f[1])
 
 
-def trace_cases(cases) -> tuple[set, set]:
-    """Run case_bytes on each case under sys.settrace: the (file, first
-    line) of each src/lpmink code object entered, and the (file, line) of
-    each line run there."""
+def trace(run) -> tuple:
+    """Call run() under sys.settrace: its result, the (file, first line) of
+    each src/lpmink code object entered, and the (file, line) of each line
+    run there."""
     src, entered, ran = str(SRC), set(), set()
 
     def line(frame, event, arg):
@@ -103,11 +111,10 @@ def trace_cases(cases) -> tuple[set, set]:
     outer = sys.gettrace()
     sys.settrace(call)
     try:
-        for case in cases:
-            digest.case_bytes(case)
+        result = run()
     finally:
         sys.settrace(outer)
-    return entered, ran
+    return result, entered, ran
 
 
 def ranges(lines: list[int]) -> str:
@@ -144,12 +151,26 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", default="0-3", help='e.g. "0-3" or "1,3"')
     ap.add_argument("--workload", default="all", choices=["all", *workloads.WORKLOADS])
+    ap.add_argument("--tests", nargs=argparse.REMAINDER, metavar="PYTEST ARGS",
+                    help="trace the test suite, run with these pytest arguments")
     args = ap.parse_args(argv)
-    names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
-    cases = [case for name in names for seed in digest.parse_seeds(args.seeds)
-             for case in workloads.generate(name, seed)]
-    print("\n".join(report(*trace_cases(cases))))
-    return 0
+    if args.tests is not None:
+        import pytest
+
+        status, entered, ran = trace(lambda: int(pytest.main(args.tests)))
+    else:
+        names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
+        cases = [case for name in names for seed in digest.parse_seeds(args.seeds)
+                 for case in workloads.generate(name, seed)]
+
+        def run_cases():
+            for case in cases:
+                digest.case_bytes(case)
+            return 0
+
+        status, entered, ran = trace(run_cases)
+    print("\n".join(report(entered, ran)))
+    return status
 
 
 if __name__ == "__main__":
