@@ -31,7 +31,6 @@ from .geometry import (
 )
 from .measure import (
     DiscreteMeasure,
-    DiscreteMeasure3,
     MeasureClass,
     MeasureSpec,
     PiecewiseLinearDensity,
@@ -39,7 +38,6 @@ from .measure import (
     classify,
     hemisphere_delta,
     lp_surface_measure,
-    lp_surface_measure_3d,
     weak_distance,
 )
 from .pipeline import (
@@ -64,8 +62,10 @@ from .solver import (
 )
 from .gallery import (
     BoundaryGraphProfile,
+    DiscreteMeasure3,
     Polytope3Instance,
     boundary_graph_profile,
+    lp_surface_measure_3d,
     unbounded_limit_table,
     unbounded_polytope_3d,
 )

@@ -24,13 +24,14 @@ from .gallery import (
     boundary_graph_profile,
     unbounded_limit_table,
     unbounded_polytope_3d,
-    write_limit_table_csv,
+    write_csv,
 )
 from .geometry import SymmetryGroup
 from .measure import lp_surface_measure, weak_distance
 from .pipeline import (
     NO_CONVERGENCE_WARNING,
     PipelineConfig,
+    check_group_order,
     classify_spec,
     detect_symmetry,
     discretize,
@@ -179,46 +180,37 @@ def cmd_verify(args) -> int:
     return EXIT_OK if res <= tol else EXIT_NO_CONVERGENCE
 
 
+def _send(doc, output, write=write_canonical) -> int:
+    """Write doc to the --output path with write, or print it to stdout as
+    canonical JSON; a table, a list of rows, prints one document per row."""
+    if output:
+        write(doc, output)
+    else:
+        for row in doc if isinstance(doc, list) else [doc]:
+            print(dumps_canonical(row))
+    return EXIT_OK
+
+
 def cmd_measure(args) -> int:
     P = polygon_from_dict(_load_json(args.body))
-    mu = lp_surface_measure(P, args.p)
-    payload = discrete_measure_to_dict(mu)
-    if args.output:
-        write_canonical(payload, args.output)
-    else:
-        print(dumps_canonical(payload))
-    return EXIT_OK
+    return _send(discrete_measure_to_dict(lp_surface_measure(P, args.p)), args.output)
 
 
 def cmd_discretize(args) -> int:
     spec = measure_spec_from_dict(_load_json(args.input))
     G = parse_symmetry(args.symmetry, spec)
+    check_group_order(G, PipelineConfig().m_max)
     mu = stage_measure(spec, args.m, G, classify_spec(spec))
-    payload = discrete_measure_to_dict(mu)
-    if args.output:
-        write_canonical(payload, args.output)
-    else:
-        print(dumps_canonical(payload))
-    return EXIT_OK
+    return _send(discrete_measure_to_dict(mu), args.output)
 
 
 def cmd_gallery(args) -> int:
     if args.kind == "origin-boundary":
         profile = boundary_graph_profile(args.p, args.n, args.samples)
-        if args.output:
-            profile.write_csv(args.output)
-        else:
-            for row in profile.rows():
-                print(dumps_canonical(row))
-        return EXIT_OK
+        return _send(list(profile.rows()), args.output, write_csv)
     if args.kind == "unbounded-3d":
         m_list = [int(x) for x in args.m_list.split(",")] if args.m_list else [args.m]
-        rows = unbounded_limit_table(args.p, m_list)
-        if args.output:
-            write_limit_table_csv(rows, args.output)
-        else:
-            for row in rows:
-                print(dumps_canonical(row))
+        _send(unbounded_limit_table(args.p, m_list), args.output, write_csv)
         if args.json:
             inst = unbounded_polytope_3d(args.p, m_list[-1])
             write_canonical(inst.to_dict(), args.json)

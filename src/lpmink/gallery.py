@@ -6,6 +6,10 @@
 2. A family of 3-D polytopes whose Lp boundary measures converge weakly to a
    fixed measure while the bodies grow without bound: witnesses that the
    planar boundedness mechanism fails in higher dimension.
+
+The 3-D atomic measure and the Lp surface measure of a polytope, which only
+these constructions use, live here, as does write_csv, which writes both
+tables.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidExponentError
-from .measure import DiscreteMeasure3, _fan_area
+from .errors import InvalidExponentError, NonPlanarFacetError, OriginOutsideError
 
 
 @dataclass(eq=False)
@@ -50,15 +53,6 @@ class BoundaryGraphProfile:
                 "density": float(self.density[k]),
             }
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["r", "grad_norm", "a", "h", "curvature", "density"]
-            )
-            writer.writeheader()
-            for row in self.rows():
-                writer.writerow({k: f"{v:.17g}" for k, v in row.items()})
-
 
 def boundary_graph_profile(p: float, n: int, samples: int = 64,
                            r_min: float = 1e-6, r_max: float = 0.99) -> BoundaryGraphProfile:
@@ -85,38 +79,63 @@ def boundary_graph_profile(p: float, n: int, samples: int = 64,
     return BoundaryGraphProfile(p, n, q, r, grad, a, h, curvature, density)
 
 
-def graph_gauss_curvature_fd(q: float, n: int, r: float, step: float = 1e-5) -> float:
-    """Finite-difference Gauss curvature of the rotational graph z = |x|^q
-    at radius r: det(Hessian) / (1 + |grad|^2)^((n+1)/2), with the Hessian of
-    the (n-1)-variable function estimated by central differences."""
-    d = n - 1
+@dataclass(eq=False)
+class DiscreteMeasure3:
+    """Finite atomic measure on S^2 (gallery support)."""
 
-    def g(x):
-        return float(np.linalg.norm(x) ** q)
+    directions: np.ndarray  # (N, 3) unit vectors
+    masses: np.ndarray
 
-    x0 = np.zeros(d)
-    x0[0] = r
-    H = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            e_i = np.zeros(d)
-            e_j = np.zeros(d)
-            e_i[i] = step
-            e_j[j] = step
-            if i == j:
-                H[i, i] = (g(x0 + e_i) - 2.0 * g(x0) + g(x0 - e_i)) / step ** 2
-            else:
-                H[i, j] = (
-                    g(x0 + e_i + e_j) - g(x0 + e_i - e_j)
-                    - g(x0 - e_i + e_j) + g(x0 - e_i - e_j)
-                ) / (4.0 * step ** 2)
-    grad = np.zeros(d)
-    for i in range(d):
-        e_i = np.zeros(d)
-        e_i[i] = step
-        grad[i] = (g(x0 + e_i) - g(x0 - e_i)) / (2.0 * step)
-    det = float(np.linalg.det(H)) if d > 1 else float(H[0, 0])
-    return det / (1.0 + float(grad @ grad)) ** ((n + 1.0) / 2.0)
+    def __init__(self, directions, masses):
+        d = np.atleast_2d(np.asarray(directions, dtype=float))
+        m = np.atleast_1d(np.asarray(masses, dtype=float))
+        if not (np.isfinite(d).all() and np.isfinite(m).all()):
+            raise ValueError("atom directions and masses must be finite numbers")
+        if np.any(m <= 0):
+            raise ValueError("masses must be positive")
+        self.directions = d
+        self.masses = m
+
+    def total_mass(self) -> float:
+        return float(math.fsum(self.masses))
+
+
+def _fan_area(pts: np.ndarray) -> float:
+    v0 = pts[0]
+    total = 0.0
+    for a, b in zip(pts[1:-1], pts[2:]):
+        total += 0.5 * np.linalg.norm(np.cross(a - v0, b - v0))
+    return float(total)
+
+
+def lp_surface_measure_3d(vertices, facets, normals, p: float,
+                          planar_tol: float = 1e-9) -> DiscreteMeasure3:
+    """Per-facet masses h(u)^(1-p) * area(facet) for a 3-D polytope.
+
+    `facets` lists vertex indices in cyclic order; `normals` are the outward
+    unit facet normals.  Facet areas come from a fan triangulation.
+    """
+    V = np.asarray(vertices, dtype=float)
+    scale = max(1.0, float(np.abs(V).max()))
+    dirs, masses = [], []
+    for idx, nrm in zip(facets, normals):
+        nrm = np.asarray(nrm, dtype=float)
+        pts = V[list(idx)]
+        heights = pts @ nrm
+        h = float(heights.max())
+        if np.max(np.abs(heights - h)) > planar_tol * scale:
+            raise NonPlanarFacetError(
+                f"facet {idx} deviates from its plane by {np.max(np.abs(heights - h)):.3g}"
+            )
+        if h < -planar_tol * scale:
+            raise OriginOutsideError("facet support negative: origin outside polytope")
+        if h <= 0.0:
+            continue
+        massv = h ** (1.0 - p) * _fan_area(pts)
+        if massv > 0.0:
+            dirs.append(nrm)
+            masses.append(massv)
+    return DiscreteMeasure3(np.array(dirs), np.array(masses))
 
 
 @dataclass(eq=False)
@@ -267,13 +286,13 @@ def unbounded_limit_table(p: float, m_list) -> list[dict]:
     return rows
 
 
-def write_limit_table_csv(rows: list[dict], path):
-    fields = ["m", "mass_front", "mass_left", "mass_right", "mass_top",
-              "mass_bottom", "diameter", "t_over_m"]
+def write_csv(rows: list[dict], path):
+    """Write a table of rows, dicts with the same keys in the same order, as
+    CSV: a header of the first row's keys, then each row with its floats as
+    %.17g and its other values as written."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
-            writer.writerow(
-                {k: (row[k] if k == "m" else f"{row[k]:.17g}") for k in fields}
-            )
+            writer.writerow({k: f"{v:.17g}" if isinstance(v, float) else v
+                             for k, v in row.items()})

@@ -333,8 +333,10 @@ def _normal_cones(x: np.ndarray, y: np.ndarray):
     the smallest, which unwraps them because a convex chain's normals wind
     once.  Vertex r + k supports the directions between phi[k - 1] and
     phi[k]; below phi[0] or above phi[-1] it is vertex r.  Every Polygon
-    chain of more than five vertices qualifies, so a chain that does not
-    raises RuntimeError.
+    chain of more than five vertices qualifies: construction dropped the
+    vertices that fail the margin (_margin_chain), so the margin is not
+    tested again here.  A chain whose normals wind more than once raises
+    RuntimeError.
 
     Margin (_clears_margin).  Rounding of the edges and of a cross product
     moves it by at most 2 eps |e_{j-1}|_1 |e_j|_1, and |e|_1 <= 2A, so every
@@ -353,8 +355,6 @@ def _normal_cones(x: np.ndarray, y: np.ndarray):
       of the exact ones, and atan2(s, c) within 8 eps of the angle of the
       vector (c, s), 16.5 eps in all, so the lookup lands within one vertex
       of j, and the window of +-2 holds j - 1, j and j + 1."""
-    if not _clears_margin(np.column_stack((x, y))).all():
-        raise RuntimeError("vertex chain turns below the convexity margin")
     ex, ey = cyclic_shift(x, -1) - x, cyclic_shift(y, -1) - y
     phi = np.arctan2(-ex, ey)
     r = int(np.argmin(phi))

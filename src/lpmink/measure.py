@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     EmptyMeasureError,
-    NonPlanarFacetError,
     OriginOutsideError,
     PreconditionViolatedError,
 )
@@ -26,7 +25,6 @@ from .geometry import (
     canonical_angle,
     canonical_angles,
     circular_distance,
-    circular_distances,
     circular_gaps,
     cyclic_shift,
     edge_midpoints,
@@ -115,27 +113,6 @@ class DiscreteMeasure:
 
     def pushforward(self, A: Isometry2) -> "DiscreteMeasure":
         return DiscreteMeasure(A.apply_angles(self.thetas), self.masses.copy())
-
-
-@dataclass(eq=False)
-class DiscreteMeasure3:
-    """Finite atomic measure on S^2 (gallery support)."""
-
-    directions: np.ndarray  # (N, 3) unit vectors
-    masses: np.ndarray
-
-    def __init__(self, directions, masses):
-        d = np.atleast_2d(np.asarray(directions, dtype=float))
-        m = np.atleast_1d(np.asarray(masses, dtype=float))
-        if not (np.isfinite(d).all() and np.isfinite(m).all()):
-            raise ValueError("atom directions and masses must be finite numbers")
-        if np.any(m <= 0):
-            raise ValueError("masses must be positive")
-        self.directions = d
-        self.masses = m
-
-    def total_mass(self) -> float:
-        return float(math.fsum(self.masses))
 
 
 class PiecewiseLinearDensity:
@@ -272,54 +249,22 @@ def lp_surface_measure(P: Polygon, p: float) -> DiscreteMeasure:
     return DiscreteMeasure(P.normals[mask], masses)
 
 
-def _fan_area(pts: np.ndarray) -> float:
-    v0 = pts[0]
-    total = 0.0
-    for a, b in zip(pts[1:-1], pts[2:]):
-        total += 0.5 * np.linalg.norm(np.cross(a - v0, b - v0))
-    return float(total)
-
-
-def lp_surface_measure_3d(vertices, facets, normals, p: float,
-                          planar_tol: float = 1e-9) -> DiscreteMeasure3:
-    """Per-facet masses h(u)^(1-p) * area(facet) for a 3-D polytope.
-
-    `facets` lists vertex indices in cyclic order; `normals` are the outward
-    unit facet normals.  Facet areas come from a fan triangulation.
-    """
-    V = np.asarray(vertices, dtype=float)
-    scale = max(1.0, float(np.abs(V).max()))
-    dirs, masses = [], []
-    for idx, nrm in zip(facets, normals):
-        nrm = np.asarray(nrm, dtype=float)
-        pts = V[list(idx)]
-        heights = pts @ nrm
-        h = float(heights.max())
-        if np.max(np.abs(heights - h)) > planar_tol * scale:
-            raise NonPlanarFacetError(
-                f"facet {idx} deviates from its plane by {np.max(np.abs(heights - h)):.3g}"
-            )
-        if h < -planar_tol * scale:
-            raise OriginOutsideError("facet support negative: origin outside polytope")
-        if h <= 0.0:
-            continue
-        massv = h ** (1.0 - p) * _fan_area(pts)
-        if massv > 0.0:
-            dirs.append(nrm)
-            masses.append(massv)
-    return DiscreteMeasure3(np.array(dirs), np.array(masses))
-
-
 def _min_open_cap_mass(mu: DiscreteMeasure, t: float) -> float:
-    """inf over v of mu{u : <u,v> > t}, exact by a critical-angle sweep."""
+    """inf over v of mu{u : <u,v> > t}, exact by a critical-angle sweep: the
+    open cap about each midpoint of consecutive critical angles (atoms +- the
+    cap's half-width) takes its mass from prefix sums over the atoms tiled
+    three times, O(n log n) in all."""
     rho = math.acos(max(-1.0, min(1.0, t)))  # angular half-width of the cap
     crit = np.sort(
         canonical_angles(np.concatenate([mu.thetas + rho, mu.thetas - rho]))
     )
     mids = (crit + cyclic_shift(crit, -1)) / 2.0
     mids[-1] = canonical_angle(crit[-1] + (crit[0] + TWO_PI - crit[-1]) / 2.0)
-    inside = circular_distances(mids[:, None], mu.thetas[None, :]) < rho  # open cap
-    return float((inside * mu.masses[None, :]).sum(axis=1).min())
+    tiled = np.concatenate([mu.thetas - TWO_PI, mu.thetas, mu.thetas + TWO_PI])
+    cum = np.concatenate([[0.0], np.cumsum(np.tile(mu.masses, 3))])
+    hi = np.searchsorted(tiled, mids + rho, side="left")  # open cap: both ends out
+    lo = np.searchsorted(tiled, mids - rho, side="right")
+    return float((cum[hi] - cum[lo]).min())
 
 
 def hemisphere_delta(mu: DiscreteMeasure) -> float | None:

@@ -39,6 +39,7 @@ from .geometry import (
     canonical_angle,
     canonical_angles,
     circular_distances,
+    circular_gaps,
     cyclic_shift,
     dilate,
     polygon_from_support,
@@ -243,6 +244,16 @@ def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> Dis
     return discretize_symmetric(spec, G, l, max(2, m // l))
 
 
+def check_group_order(G: SymmetryGroup, m_max: int) -> None:
+    """Refuse a group whose grids outgrow m_max: discretize cuts at least
+    4 k arcs under rotation order k >= 3, whatever m is, so k above m_max
+    raises ValueError naming G and the limit.  With k <= m_max every grid
+    has at most 4 m_max arcs."""
+    if G.order_k > m_max:
+        raise ValueError(f"symmetry {G.label()}: rotation order {G.order_k} is above "
+                         f"m_max = {m_max}, the largest grid resolution")
+
+
 def stage_measure(spec: MeasureSpec, m: int, G: SymmetryGroup,
                   cls: MeasureClass) -> DiscreteMeasure:
     """The grid measure the refinement loop solves at resolution m for spec,
@@ -389,6 +400,7 @@ def solve(spec: MeasureSpec, p: float, G: SymmetryGroup | None = None,
         if cls.tag != GENERAL_POSITION:
             return solve_semicircle(spec.atoms, cls, p, cfg, G)
         return solve_discrete(spec.atoms, p, G, cfg)
+    check_group_order(G, cfg.m_max)
     return _refinement_loop(spec, p, G, cfg, cls)
 
 
@@ -414,9 +426,12 @@ def detect_symmetry(spec: MeasureSpec) -> SymmetryGroup:
     largest first, and the first that passes is k.  A reflection of the
     first set t (n points) that keeps C_k maps t[0] to some t[j], j < n / k,
     across the line at (t[0] + t[j]) / 2, and so t[i] to t[j - i]; only the
-    j whose first eight such pairs match in angle and value, to 1e-7
-    (looser than the tests, so no group is lost), are tested.  The axis
-    reported is the least of the group's k axes in [0, pi)."""
+    j whose pairs (t[i], t[j - i]) match in angle and value, to 1e-7
+    (looser than the tests, so no group is lost), are tested.  The i are
+    the first eight points, the points of largest and smallest value and
+    the starts of the widest and narrowest gap; on a near-symmetric input
+    the last four single out the odd point.  The axis reported is the least
+    of the group's k axes in [0, pi)."""
     sets = [] if spec.atoms is None else [(spec.atoms.thetas, spec.atoms.masses)]
     if spec.density is not None:
         t, f = spec.density.knots, spec.density.values
@@ -431,7 +446,10 @@ def detect_symmetry(spec: MeasureSpec) -> SymmetryGroup:
     t, f = sets[0]
     n = len(t)
     s = n // k
-    j, i = np.arange(s), np.arange(min(n, 8))[:, None]
+    gaps = circular_gaps(t)
+    i = np.append(np.arange(min(n, 8)),
+                  [np.argmax(f), np.argmin(f), np.argmax(gaps), np.argmin(gaps)])[:, None]
+    j = np.arange(s)
     fit = (circular_distances(t[0] + t[j], t[i] + t[j - i]) <= 1e-7) & (
         np.abs(f[j - i] - f[i]) <= 1e-7 * np.maximum(f[j - i], f[i]))
     for c in j[fit.all(axis=0)]:

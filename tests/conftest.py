@@ -2,7 +2,7 @@
 
 The oracles here recompute expected values by routes independent of the
 library code they check: brute-force half-plane enumeration, all-pairs
-Lipschitz LPs, and dense grid sweeps.
+Lipschitz LPs, dense grid sweeps and finite differences.
 """
 
 import importlib.util
@@ -23,6 +23,8 @@ from lpmink.geometry import (
     canonical_angle,
     canonical_angles,
     circular_distance,
+    circular_distances,
+    cyclic_shift,
 )
 from lpmink.measure import GENERAL_POSITION, classify
 
@@ -204,6 +206,52 @@ def flat_distance_all_pairs(mu, nu):
     res = linprog(-c, A_ub=A, b_ub=np.array(rhs), bounds=[(-1, 1)] * n, method="highs")
     assert res.success
     return max(0.0, -res.fun)
+
+
+def dense_min_open_cap_mass(mu, t):
+    """inf over v of mu{u : <u,v> > t} by the critical-angle sweep with a
+    (2n x n) membership matrix: each midpoint of consecutive critical angles
+    (atoms +- the cap's half-width) against every atom."""
+    rho = math.acos(max(-1.0, min(1.0, t)))
+    crit = np.sort(canonical_angles(np.concatenate([mu.thetas + rho, mu.thetas - rho])))
+    mids = (crit + cyclic_shift(crit, -1)) / 2.0
+    mids[-1] = canonical_angle(crit[-1] + (crit[0] + TWO_PI - crit[-1]) / 2.0)
+    inside = circular_distances(mids[:, None], mu.thetas[None, :]) < rho  # open cap
+    return float((inside * mu.masses[None, :]).sum(axis=1).min())
+
+
+def graph_gauss_curvature_fd(q, n, r, step=1e-5):
+    """Finite-difference Gauss curvature of the rotational graph z = |x|^q
+    at radius r: det(Hessian) / (1 + |grad|^2)^((n+1)/2), with the Hessian of
+    the (n-1)-variable function estimated by central differences."""
+    d = n - 1
+
+    def g(x):
+        return float(np.linalg.norm(x) ** q)
+
+    x0 = np.zeros(d)
+    x0[0] = r
+    H = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            e_i = np.zeros(d)
+            e_j = np.zeros(d)
+            e_i[i] = step
+            e_j[j] = step
+            if i == j:
+                H[i, i] = (g(x0 + e_i) - 2.0 * g(x0) + g(x0 - e_i)) / step ** 2
+            else:
+                H[i, j] = (
+                    g(x0 + e_i + e_j) - g(x0 + e_i - e_j)
+                    - g(x0 - e_i + e_j) + g(x0 - e_i - e_j)
+                ) / (4.0 * step ** 2)
+    grad = np.zeros(d)
+    for i in range(d):
+        e_i = np.zeros(d)
+        e_i[i] = step
+        grad[i] = (g(x0 + e_i) - g(x0 - e_i)) / (2.0 * step)
+    det = float(np.linalg.det(H)) if d > 1 else float(H[0, 0])
+    return det / (1.0 + float(grad @ grad)) ** ((n + 1.0) / 2.0)
 
 
 def random_general_position_polygon(rng, nmin=3, nmax=40, hmin=0.5, hmax=2.0):

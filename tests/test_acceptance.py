@@ -10,7 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_general_position_measure, random_general_position_polygon
+from conftest import (
+    graph_gauss_curvature_fd,
+    random_general_position_measure,
+    random_general_position_polygon,
+)
 
 from lpmink import (
     AntipodalPairError,
@@ -39,7 +43,6 @@ from lpmink import (
     weak_distance,
 )
 from lpmink.errors import NoConvergenceError
-from lpmink.gallery import graph_gauss_curvature_fd
 from lpmink.measure import GENERAL_POSITION, SEMICIRCLE
 from lpmink.solver import SolverConfig
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import lpmink
 from lpmink.cli import main, parse_symmetry
 from lpmink.geometry import SymmetryGroup
 from lpmink.pipeline import NO_CONVERGENCE_WARNING
+from lpmink.serialization import dumps_canonical
 
 SQ = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
@@ -40,6 +42,10 @@ def write_measure(path, atoms, density=None):
     }
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def constant_density(knots=64):
+    return {"theta": list(np.linspace(0, 2 * math.pi, knots, endpoint=False)), "f": [1.0] * knots}
 
 
 @pytest.fixture
@@ -117,6 +123,19 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "x.report.json").read_text())
         assert report["warnings"] == [NO_CONVERGENCE_WARNING]
         assert report["m_final"] == 64 and report["residual"] <= 1e-6
+
+    def test_group_order_above_m_max_exit_1(self, tmp_path, capsys):
+        spec_path = write_measure(tmp_path / "const.json", [], constant_density())
+        t0 = time.perf_counter()
+        rc = main(["solve", "--input", spec_path, "--output", str(tmp_path / "x.json"),
+                   "--p", "0.5", "--symmetry", "C100000000"])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "symmetry C100000000: rotation order 100000000 is above "
+                       "m_max = 8192, the largest grid resolution"}
+        assert not (tmp_path / "x.json").exists()
 
     def test_schema_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -275,6 +294,18 @@ class TestVerifyAndMeasure:
         assert len(payload["atoms"]) == 4
         assert all(abs(a["mass"] - 2.0) < 1e-12 for a in payload["atoms"])
 
+    def test_measure_output_file_equals_stdout(self, tmp_path, capsys):
+        body = tmp_path / "body.json"
+        body.write_text(json.dumps({
+            "normals_theta": [0.0, 1.5, 3.0, 4.5], "support": [1.0, 1.2, 0.9, 1.1],
+        }))
+        out = tmp_path / "meas.json"
+        assert main(["measure", "--body", str(body), "--p", "0.4"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["measure", "--body", str(body), "--p", "0.4", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
     def test_measure_solve_round_trip(self, tmp_path, square_measure_path, capsys):
         body = tmp_path / "body.json"
         main(["solve", "--input", square_measure_path, "--output", str(body),
@@ -396,6 +427,40 @@ class TestDiscretizeCommand:
                 assert rc == 1
                 assert "need m >= 3" in capsys.readouterr().err
 
+    def test_output_file_equals_stdout(self, tmp_path, capsys):
+        t = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+        spec_path = write_measure(tmp_path / "mix.json",
+                                  [(0.3 + k * math.pi / 2, 0.5) for k in range(4)],
+                                  {"theta": list(t), "f": list(1.0 + 0.2 * np.cos(4 * t))})
+        args = ["discretize", "--input", spec_path, "--m", "64", "--symmetry", "C4"]
+        out = tmp_path / "grid.json"
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert main(args + ["--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
+    def test_group_order_above_m_max_exit_1(self, tmp_path, capsys):
+        # under C_k the grid has at least 4 k arcs whatever --m is
+        spec_path = write_measure(tmp_path / "const.json", [], constant_density())
+        t0 = time.perf_counter()
+        rc = main(["discretize", "--input", spec_path, "--m", "64",
+                   "--symmetry", "C100000000"])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["message"] == (
+            "symmetry C100000000: rotation order 100000000 is above m_max = 8192, "
+            "the largest grid resolution")
+
+    def test_a_group_order_above_m_still_prints_its_grid(self, tmp_path, capsys):
+        # C100 at --m 64: 2 * 100 * 2 arcs, every one with density mass
+        spec_path = write_measure(tmp_path / "const.json", [], constant_density())
+        assert main(["discretize", "--input", spec_path, "--m", "64",
+                     "--symmetry", "C100"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["atoms"]) == 400
+
     def test_symmetric(self, tmp_path, capsys):
         t = np.linspace(0, 2 * math.pi, 32, endpoint=False)
         spec_path = tmp_path / "dens.json"
@@ -471,6 +536,25 @@ class TestGalleryCommand:
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 17
+
+    @pytest.mark.parametrize("kind, args, rows", [
+        ("origin-boundary", ["--p", "0.5", "--n", "3", "--samples", "20"],
+         lambda: list(lpmink.boundary_graph_profile(0.5, 3, 20).rows())),
+        ("unbounded-3d", ["--p", "0.3", "--m-list", "2,10,1000"],
+         lambda: lpmink.unbounded_limit_table(0.3, [2, 10, 1000])),
+    ])
+    def test_csv_is_the_table_written_here(self, tmp_path, capsys, kind, args, rows):
+        # the header, then each row: ints as written, floats as %.17g
+        out = tmp_path / "table.csv"
+        assert main(["gallery", kind, *args, "--output", str(out)]) == 0
+        table = rows()
+        lines = [",".join(table[0])]
+        lines += [",".join(str(v) if isinstance(v, int) else "%.17g" % v for v in row.values())
+                  for row in table]
+        assert out.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+        capsys.readouterr()
+        assert main(["gallery", kind, *args]) == 0  # no --output: each row to stdout
+        assert capsys.readouterr().out == "".join(dumps_canonical(row) + "\n" for row in table)
 
     def test_polytope_json_output(self, tmp_path):
         out = tmp_path / "poly.json"

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import graph_gauss_curvature_fd
+
 from lpmink import (
     boundary_graph_profile,
     unbounded_limit_table,
     unbounded_polytope_3d,
 )
 from lpmink.errors import InvalidExponentError
-from lpmink.gallery import graph_gauss_curvature_fd
+from lpmink.gallery import write_csv
 
 
 class TestBoundaryGraphProfile:
@@ -72,7 +74,7 @@ class TestBoundaryGraphProfile:
     def test_csv_roundtrip(self, tmp_path):
         prof = boundary_graph_profile(0.5, 2, samples=16)
         path = tmp_path / "profile.csv"
-        prof.write_csv(path)
+        write_csv(list(prof.rows()), path)
         import csv
 
         with open(path) as fh:

@@ -856,9 +856,11 @@ def probe_directions(rng, P):
 
 def takes_lookup(P):
     """support_values and diameter look up normal cones: the chain has more
-    than five vertices (_normal_cones raises on a chain it rejects)."""
+    than five vertices, every one clearing the margin (_normal_cones raises
+    on a chain that winds more than once)."""
     if len(P.vertices) <= 5:
         return False
+    assert geometry._clears_margin(P.vertices).all()
     geometry._normal_cones(*P.vertices.T.copy())
     return True
 

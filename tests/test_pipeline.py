@@ -740,6 +740,29 @@ class TestAtomicReducedRoutesHonourTheGroup:
             assert np.array_equal(P.support, P0.support)
 
 
+class TestGroupOrderBound:
+    """A grid under rotation order k has at least 4 k arcs whatever m is,
+    so a density input under k > m_max is refused before any grid exists."""
+
+    @pytest.mark.parametrize("symmetry", ["C100000000", "D100000000:0.5", "C257"])
+    def test_solve_refuses_a_group_order_above_m_max(self, monkeypatch, symmetry):
+        built = []
+        monkeypatch.setattr(pipeline, "discretize_symmetric",
+                            lambda *args, **kwargs: built.append(args))
+        G = parse_symmetry(symmetry)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"symmetry {G.label()}: rotation order "
+                                             f"{G.order_k} is above m_max = 256"):
+            solve(uniform_density_spec(), 0.5, G, PipelineConfig(m0=64, m_max=256))
+        assert time.perf_counter() - t0 < 1.0
+        assert built == []
+
+    def test_an_order_at_m_max_solves(self):
+        P, report = solve(uniform_density_spec(), 0.5, SymmetryGroup.cyclic(64),
+                          PipelineConfig(m0=64, m_max=64))
+        assert report.symmetry == "C64" and P.n == 256
+
+
 class TestSolveRouting:
     def test_atomic_general_position(self):
         spec = MeasureSpec(DiscreteMeasure(
@@ -1650,6 +1673,32 @@ class TestDetectSymmetry:
         t0 = time.perf_counter()
         assert detect_symmetry(spec).is_trivial
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_one_heavier_atom_of_a_regular_polygon(self, monkeypatch, n):
+        """A regular n-gon, n a power of two, with one atom of mass 2 far
+        from the first eight: the largest-value pair leaves one reflection
+        candidate, so _invariant runs once per divisor of n above 1 and once
+        for that candidate, and the axis runs through the heavier atom."""
+        calls = []
+        real = pipeline._invariant
+
+        def spy(sets, G):
+            calls.append(G.label())
+            return real(sets, G)
+
+        monkeypatch.setattr(pipeline, "_invariant", spy)
+        q = n // 3
+        masses = np.ones(n)
+        masses[q] = 2.0
+        spec = MeasureSpec(DiscreteMeasure(TWO_PI * np.arange(n) / n, masses), None)
+        t0 = time.perf_counter()
+        G = detect_symmetry(spec)
+        elapsed = time.perf_counter() - t0
+        assert G.kind == "dihedral" and G.order_k == 1
+        assert G.axis == pytest.approx(TWO_PI * q / n % math.pi, abs=1e-12)
+        assert len(calls) == n.bit_length()  # 2, 4, ..., n, then the one candidate
+        assert elapsed < 0.1
 
 
 def group_atoms(rng, G, n_orbits, eps=0.0):
