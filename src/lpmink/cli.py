@@ -136,6 +136,12 @@ def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(**{k: v for k, v in given.items() if v is not None})
 
 
+def _check_resolution(m: int, limit: int, name: str) -> None:
+    """Refuse a --m above limit before any grid is built."""
+    if m > limit:
+        raise SchemaError(f"m: resolution {m} is above {name} = {limit}, the largest grid resolution")
+
+
 def _report_path(output: str) -> Path:
     out = Path(output)
     return out.with_suffix(".report.json") if out.suffix else out.parent / (out.name + ".report.json")
@@ -169,6 +175,7 @@ def cmd_verify(args) -> int:
         # density comparisons only resolve at the grid scale: compare the
         # boundary measure weakly against the discretized input
         m = args.m if args.m is not None else max(64, P.n)
+        _check_resolution(m, max(PipelineConfig().m_max, P.n), "max(m_max, facets)")
         mu_m = discretize(spec, m)
         res = weak_distance(lp_surface_measure(P, args.p), mu_m) / spec.total_mass()
         tol = args.tol if args.tol is not None else 2 * math.pi / min(m, P.n)
@@ -199,7 +206,9 @@ def cmd_measure(args) -> int:
 def cmd_discretize(args) -> int:
     spec = measure_spec_from_dict(_load_json(args.input))
     G = parse_symmetry(args.symmetry, spec)
-    check_group_order(G, PipelineConfig().m_max)
+    m_max = PipelineConfig().m_max
+    check_group_order(G, m_max)
+    _check_resolution(args.m, m_max, "m_max")
     mu = stage_measure(spec, args.m, G, classify_spec(spec))
     return _send(discrete_measure_to_dict(mu), args.output)
 

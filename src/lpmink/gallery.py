@@ -54,9 +54,9 @@ class BoundaryGraphProfile:
             }
 
 
-def boundary_graph_profile(p: float, n: int, samples: int = 64,
-                           r_min: float = 1e-6, r_max: float = 0.99) -> BoundaryGraphProfile:
-    """Closed-form profile of the graph z = |x|^q with q = 2(n-1)/(n+p-2).
+def boundary_graph_profile(p: float, n: int, samples: int = 64) -> BoundaryGraphProfile:
+    """Closed-form profile of the graph z = |x|^q with q = 2(n-1)/(n+p-2),
+    at samples radii spaced logarithmically from 1e-6 to 0.99.
 
     Valid for n >= 2 and p in (2-n, 1), where q > 2 and the density
     h^(1-p)/kappa is positive and continuous all the way to the origin.
@@ -70,7 +70,7 @@ def boundary_graph_profile(p: float, n: int, samples: int = 64,
     q = 2.0 * (n - 1.0) / (n + p - 2.0)
     if q <= 2.0:
         raise InvalidExponentError(f"exponent q = {q} fails q > 2")
-    r = np.logspace(math.log10(r_min), math.log10(r_max), samples)
+    r = np.logspace(math.log10(1e-6), math.log10(0.99), samples)
     grad = q * r ** (q - 1.0)
     a = np.sqrt(1.0 + grad ** 2)
     h = (q - 1.0) * r ** q / a
@@ -108,12 +108,12 @@ def _fan_area(pts: np.ndarray) -> float:
     return float(total)
 
 
-def lp_surface_measure_3d(vertices, facets, normals, p: float,
-                          planar_tol: float = 1e-9) -> DiscreteMeasure3:
+def lp_surface_measure_3d(vertices, facets, normals, p: float) -> DiscreteMeasure3:
     """Per-facet masses h(u)^(1-p) * area(facet) for a 3-D polytope.
 
     `facets` lists vertex indices in cyclic order; `normals` are the outward
-    unit facet normals.  Facet areas come from a fan triangulation.
+    unit facet normals.  Facet areas come from a fan triangulation.  A facet
+    off its plane, or below 0, by over 1e-9 times the coordinate scale raises.
     """
     V = np.asarray(vertices, dtype=float)
     scale = max(1.0, float(np.abs(V).max()))
@@ -123,11 +123,11 @@ def lp_surface_measure_3d(vertices, facets, normals, p: float,
         pts = V[list(idx)]
         heights = pts @ nrm
         h = float(heights.max())
-        if np.max(np.abs(heights - h)) > planar_tol * scale:
+        if np.max(np.abs(heights - h)) > 1e-9 * scale:
             raise NonPlanarFacetError(
                 f"facet {idx} deviates from its plane by {np.max(np.abs(heights - h)):.3g}"
             )
-        if h < -planar_tol * scale:
+        if h < -1e-9 * scale:
             raise OriginOutsideError("facet support negative: origin outside polytope")
         if h <= 0.0:
             continue
@@ -176,15 +176,14 @@ class Polytope3Instance:
     def facet_areas(self) -> np.ndarray:
         return np.array([_fan_area(self.vertices[list(idx)]) for idx in self.facets])
 
-    def facet_masses(self, p: float | None = None, translated: bool = True) -> np.ndarray:
+    def facet_masses(self, translated: bool = True) -> np.ndarray:
         """h(u)^(1-p) * facet area per facet (zeros kept, order as listed)."""
-        p = self.p if p is None else p
         h = self.facet_supports(translated)
         areas = self.facet_areas()
-        return np.where(h > 0, h ** (1.0 - p) * areas, 0.0)
+        return np.where(h > 0, h ** (1.0 - self.p) * areas, 0.0)
 
-    def boundary_measure(self, translated: bool = True) -> DiscreteMeasure3:
-        masses = self.facet_masses(translated=translated)
+    def boundary_measure(self) -> DiscreteMeasure3:
+        masses = self.facet_masses()
         keep = masses > 0
         return DiscreteMeasure3(self.normals[keep], masses[keep])
 
@@ -193,10 +192,10 @@ class Polytope3Instance:
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
         return float(math.sqrt(d2.max()))
 
-    def to_dict(self, translated: bool = True) -> dict:
-        V = self.translated_vertices() if translated else self.vertices
+    def to_dict(self) -> dict:
+        """The translated body, as `lpmink gallery unbounded-3d --json` writes it."""
         return {
-            "vertices": V.tolist(),
+            "vertices": self.translated_vertices().tolist(),
             "facets": [list(map(int, f)) for f in self.facets],
             "normals": self.normals.tolist(),
         }

@@ -62,8 +62,8 @@ def circular_distances(a, b) -> np.ndarray:
     return np.abs(d, out=d)
 
 
-def angles_antipodal(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
-    return abs(circular_distance(a, b) - math.pi) <= tol
+def angles_antipodal(a: float, b: float) -> bool:
+    return abs(circular_distance(a, b) - math.pi) <= 1e-9
 
 
 def unit_vector(theta: float) -> np.ndarray:
@@ -459,7 +459,7 @@ def _check_antipodal_pairs(theta: np.ndarray, h: np.ndarray) -> None:
     j = lo[i] + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
     empty = h[i] + h[j] < -GEOM_TOL
     for a, b in zip(i[empty].tolist(), j[empty].tolist()):
-        if angles_antipodal(theta[a], theta[b], 1e-9):
+        if angles_antipodal(theta[a], theta[b]):
             raise EmptyBodyError(
                 f"antipodal constraints at angles {theta[a]:.6g}, {theta[b]:.6g} "
                 f"leave no feasible point (h_i + h_j = {h[a] + h[b]:.3g} < 0)"
@@ -650,10 +650,10 @@ def in_positive_hull(theta: float, generators) -> bool:
     return offset <= width + ANGLE_TOL or offset >= TWO_PI - ANGLE_TOL
 
 
-def group_orbit_map(normals: np.ndarray, A: Isometry2, tol: float = 1e-9) -> np.ndarray:
+def group_orbit_map(normals: np.ndarray, A: Isometry2) -> np.ndarray:
     """The index map sending each normal to its image under A, the nearer
     of the image's two cyclic neighbours among the sorted normals, ties to
-    the later one, when it lies within tol; NotClosedUnderGroupError names
+    the later one, when it lies within 1e-9; NotClosedUnderGroupError names
     the first normal whose image is not in the set.  Only the traced
     benchmark still wraps it; no lpmink code path calls it."""
     theta = canonical_angles(normals)
@@ -664,8 +664,8 @@ def group_orbit_map(normals: np.ndarray, A: Isometry2, tol: float = 1e-9) -> np.
     j = np.searchsorted(sorted_theta, image)
     cand = np.stack([j - 1, j]) % n
     d = circular_distances(sorted_theta[cand], image)
-    later = d[1] <= np.minimum(d[0], tol)
-    hit = later | (d[0] <= tol)
+    later = d[1] <= np.minimum(d[0], 1e-9)
+    hit = later | (d[0] <= 1e-9)
     if not hit.all():
         i = int(np.argmin(hit))
         raise NotClosedUnderGroupError(

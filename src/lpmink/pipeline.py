@@ -8,8 +8,9 @@ antipodal atoms is the one nonexistence case.  Each decision has one home:
 that of densities, `discretize` the grid measure of the whole circle and
 its `l` rule (the density's arc masses at the arc midpoints with the atoms
 unmoved; the refinement loop's stages, `verify` and the `--svg` rays all
-use it), `stage_measure` the choice between it and the half grid of a
-semicircle (the loop's stages and `lpmink discretize`), both only binning.
+use it), `stage_measure` the group whose grid a stage takes, the caller's
+or, on a semicircle, D1 or D2 at the semicircle's end (the loop's stages
+and `lpmink discretize`), both only binning.
 `solve_discrete` holds a group's invariance test and orbit means, once
 each, and, given a chord, reduces the caller's group to the half
 problem's (`half_group`), while its report, solved or not, names the
@@ -115,7 +116,8 @@ def _classify_intervals(spec: MeasureSpec) -> MeasureClass:
     first across the seam when it reaches it, and so does every later one
     that starts within 1e-12 of the joined interval's end.  The widest gap
     decides the class."""
-    knots, vals = spec.density._t, spec.density._f
+    t, f = spec.density.knots, spec.density.values
+    knots, vals = np.append(t, t[0] + TWO_PI), np.append(f, f[0])
     live = (vals[:-1] > 0.0) | (vals[1:] > 0.0)
     a, b = knots[:-1][live], knots[1:][live]
     if spec.atoms is not None:
@@ -144,22 +146,18 @@ def _classify_intervals(spec: MeasureSpec) -> MeasureClass:
     return MeasureClass(SEMICIRCLE, width, v=canonical_angle(w + math.pi / 2.0), w=w)
 
 
-def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, axis: float | None = None):
+def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int):
     """Cut points of the symmetric grid: the orbit of phi0 + pi / (2 lm)
     under G_m, the symmetry group of the regular lm-gon with a reflection
-    axis at phi0 = axis, by default G's (0 for a group without one).  The
-    arcs' midpoints are phi0 + j pi / lm.  G_m contains G when k divides l
-    and G's axes are among G_m's, else the grid is at fault."""
+    axis at phi0, G's axis (0 for a group without one).  The arcs'
+    midpoints are phi0 + j pi / lm.  G_m contains G when k divides l, else
+    the grid is at fault."""
     if l < 3 or m < 2:
         raise ValueError("need l >= 3 and m >= 2")
     if G.kind in ("cyclic", "dihedral") and l % max(G.order_k, 1) != 0:
         raise NotSymmetricError(f"group order {G.order_k} does not divide l = {l}")
-    phi0 = axis if axis is not None else G.axis if G.kind == "dihedral" else 0.0
+    phi0 = G.axis if G.kind == "dihedral" else 0.0
     lm = l * m
-    off = (G.axis - phi0) % (math.pi / lm) if G.kind == "dihedral" else 0.0
-    if min(off, math.pi / lm - off) > 1e-9:
-        raise ValueError(f"grid axis {phi0:.12g} is not an axis of {G.label()}: it differs "
-                         f"from {G.axis:.12g} by no multiple of pi / {lm}")
     beta = canonical_angle(phi0 + math.pi / (2.0 * lm))
     pts = np.concatenate(
         [beta + TWO_PI * np.arange(lm) / lm,
@@ -168,20 +166,19 @@ def _symmetric_base_angles(G: SymmetryGroup, l: int, m: int, axis: float | None 
     return np.sort(pts % TWO_PI)
 
 
-def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int,
-                         axis: float | None = None) -> DiscreteMeasure:
+def discretize_symmetric(spec: MeasureSpec, G: SymmetryGroup, l: int, m: int) -> DiscreteMeasure:
     """Arc-midpoint discretization of the density on a G-symmetric
     subdivision, with the atoms unmoved.
 
     The circle is cut at the orbit of a base point under the symmetry group
-    of a regular lm-gon containing G, with a reflection axis at axis (by
-    default G's); each arc's density mass lands on its midpoint.  The atoms
-    join as they are: DiscreteMeasure drops the zero-mass arcs, sorts, and
-    merges an atom within ATOM_MERGE_TOL of a midpoint into it.  G shapes
-    only the grid: the masses are binned, and solve_discrete tests their
-    invariance and averages them.
+    of a regular lm-gon containing G, with a reflection axis at G's; each
+    arc's density mass lands on its midpoint.  The atoms join as they are:
+    DiscreteMeasure drops the zero-mass arcs, sorts, and merges an atom
+    within ATOM_MERGE_TOL of a midpoint into it.  G shapes only the grid:
+    the masses are binned, and solve_discrete tests their invariance and
+    averages them.
     """
-    pts = _symmetric_base_angles(G, l, m, axis)
+    pts = _symmetric_base_angles(G, l, m)
     a, b = pts, np.append(pts[1:], pts[0] + TWO_PI)
     mids = canonical_angles(0.5 * (a + b))
     masses = np.zeros(len(pts)) if spec.density is None else spec.density.arc_masses(a, b)
@@ -232,10 +229,11 @@ def solve_semicircle(mu: DiscreteMeasure, cls: MeasureClass, p: float,
 def discretize(spec: MeasureSpec, m: int, G: SymmetryGroup | None = None) -> DiscreteMeasure:
     """The grid measure at resolution m, as the refinement loop solves it:
     the density's arc-midpoint discretization on 2 l max(2, floor(m / l))
-    equal arcs, for every group including the trivial one (the default),
-    with the atoms unmoved.  l is the smallest l >= 3 that G's rotation
-    order k divides: k when k >= 3, else k + 2.  Zero-mass arcs carry no
-    atom."""
+    equal arcs, for every group including the trivial one (the default)
+    and a semicircle's D1 or D2 (stage_measure), with the atoms unmoved.
+    l is the smallest l >= 3 that G's rotation order k divides: k when
+    k >= 3, else k + 2.  Zero-mass arcs carry no atom.  m < 3 raises
+    ValueError."""
     if m < 3:
         raise ValueError("need m >= 3")
     G = G or SymmetryGroup.trivial()
@@ -257,22 +255,19 @@ def check_group_order(G: SymmetryGroup, m_max: int) -> None:
 def stage_measure(spec: MeasureSpec, m: int, G: SymmetryGroup,
                   cls: MeasureClass) -> DiscreteMeasure:
     """The grid measure the refinement loop solves at resolution m for spec,
-    of classification cls, under the caller's group G.  Off a semicircle it
-    is discretize's.  On the closed semicircle about cls.w it is the half
-    grid: the restriction to that semicircle of the whole circle's grid for
-    H = half_group(G, cls.w) and the reflection across lin(v) together (D1
-    or D2, l = 3 or 4).  That grid is aligned with lin(v), so the
-    semicircle's ends v and v - pi are arc midpoints: an arc across an end
-    keeps the density mass on the semicircle's side of it, at the end
-    itself, and zero-mass arcs carry no atom.  `lpmink discretize` prints
-    it.  m < 3 raises ValueError on either branch."""
-    if m < 3:
-        raise ValueError("need m >= 3")
+    of classification cls, under the caller's group G: discretize's, under
+    G off a semicircle.  On the closed semicircle about cls.w it is the
+    half grid, discretize's under the reflection across lin(v), v = cls.v,
+    together with H = half_group(G, cls.w): D1 at v when H is trivial, else
+    D2 at v.  That grid is aligned with lin(v), so the semicircle's ends v
+    and v - pi are arc midpoints: an arc across an end keeps the density
+    mass on the semicircle's side of it, at the end itself, and the
+    zero-mass arcs off the semicircle carry no atom.  `lpmink discretize`
+    prints it."""
     if cls.tag != SEMICIRCLE:
         return discretize(spec, m, G)
-    H = half_group(G, cls.w)
-    l = 3 if H.is_trivial else 4
-    return discretize_symmetric(spec, H, l, max(2, m // l), cls.v)
+    k = 1 if half_group(G, cls.w).is_trivial else 2
+    return discretize(spec, m, SymmetryGroup.dihedral(k, cls.v))
 
 
 def _interpolated_support(P: Polygon, thetas: np.ndarray,

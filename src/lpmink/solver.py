@@ -320,7 +320,7 @@ class _Workspace:
         checks that cost ~10x the solve at n < 100); the corners J[0, n-1]
         and J[n-1, 0] come back as a rank-one Sherman-Morrison correction
         (Numerical Recipes, section 2.7), in Python floats.  A singular band
-        raises LinAlgError; a near-singular correction, its denominator
+        (gtsv's info > 0) or a near-singular correction, its denominator
         1 + vz exactly 0 included, returns a non-finite x.
         """
         lo, d, up = J
@@ -335,7 +335,7 @@ class _Workspace:
         *_, yz, info = dgtsv(lo[1:], d, up[:-1], b, overwrite_dl=1, overwrite_d=1,
                              overwrite_du=1, overwrite_b=1)
         if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
+            return np.full(self.n, math.nan)
         y, z = yz[:, 0], yz[:, 1]
         ratio = beta / gamma
         vy = float(y[0]) + ratio * float(y[-1])
@@ -353,7 +353,7 @@ def anchor_objective(P: Polygon, xi, mu: DiscreteMeasure, p: float) -> float:
     return float(np.sum(mu.masses * np.clip(slack, 0.0, None) ** p))
 
 
-def _anchor_newton(U, alpha, h, p, tol, max_iters, xi0):
+def _anchor_newton(U, alpha, h, p, xi0):
     """Interior maximizer of the strictly concave anchored objective.
 
     The gradient is a difference of large one-sided sums when masses are
@@ -372,11 +372,11 @@ def _anchor_newton(U, alpha, h, p, tol, max_iters, xi0):
         return float(np.sum(alpha * slack ** p))
 
     f = value(s)
-    for it in range(max_iters):
+    for it in range(ANCHOR_MAX_ITERS):
         w = alpha * p * s ** (p - 1.0)
         g = -(U.T @ w)
         gnorm = float(np.hypot(*g))
-        tol_eff = max(tol, 64.0 * np.finfo(float).eps * float(np.sum(np.abs(w))))
+        tol_eff = max(ANCHOR_TOL, 64.0 * np.finfo(float).eps * float(np.sum(np.abs(w))))
         if gnorm <= tol_eff:
             return xi
         if s.min() < 1e-14:
@@ -419,9 +419,7 @@ def optimal_anchor(P: Polygon, mu: DiscreteMeasure, p: float) -> np.ndarray:
         raise NoInteriorMaximizerError("measure concentrated on a closed semicircle")
     xi0 = P.vertices.mean(axis=0)
     return _anchor_newton(
-        unit_vectors(mu.thetas), mu.masses, P.support_values(mu.thetas), p,
-        ANCHOR_TOL, ANCHOR_MAX_ITERS, xi0,
-    )
+        unit_vectors(mu.thetas), mu.masses, P.support_values(mu.thetas), p, xi0)
 
 
 def _cyclic_neighbours(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -515,8 +513,9 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
     section 6.3): it takes the first of the 50 trials t = 1, 1/2, ...,
     2^-49 at which h_t = h + t step has h_t > 0, L h_t > 0 and |F(h_t)| <=
     (1 - t / 4) |F(h)|, F = h^(1-p) L h - target, and Newton stops when
-    none passes.  The blend and each trial put equal entries through the
-    same operations, so every iterate is exactly constant on each orbit.
+    none passes or the step is not finite (a singular Jacobian).  The
+    blend and each trial put equal entries through the same operations, so
+    every iterate is exactly constant on each orbit.
     The search tries the halvings one at a time, and skips those that
     provably fail h > 0, so h, err and the step count are plain halving's
     bit for bit.  Once the full step fails h > 0, let R = -1 / min(step_i /
@@ -547,10 +546,7 @@ def _newton_polish(ws: _Workspace, h: np.ndarray, target: np.ndarray,
             fall = ratio
         if err <= tol:
             break
-        try:
-            step = ws.average(ws.solve_linear(ws.jacobian(h, w, ell), -F))
-        except np.linalg.LinAlgError:
-            break
+        step = ws.average(ws.solve_linear(ws.jacobian(h, w, ell), -F))
         if not np.isfinite(step).all():
             break
         fnorm = math.sqrt(F.dot(F))

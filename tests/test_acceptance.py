@@ -228,7 +228,7 @@ def test_criterion_09_unbounded_3d_family():
 def test_criterion_10_boundary_graph_family():
     t0 = time.perf_counter()
     for n, p in ((2, 0.5), (3, 0.5), (3, 0.9)):
-        prof = boundary_graph_profile(p, n, samples=64, r_min=1e-6)
+        prof = boundary_graph_profile(p, n, samples=64)
         assert abs(prof.exponent_gap()) <= 1e-12
         assert np.all(prof.density > 0)
         assert prof.h[0] <= 1e-10

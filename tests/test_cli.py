@@ -48,6 +48,10 @@ def constant_density(knots=64):
     return {"theta": list(np.linspace(0, 2 * math.pi, knots, endpoint=False)), "f": [1.0] * knots}
 
 
+def no_grid(*args, **kwargs):
+    raise AssertionError("a grid was built")
+
+
 @pytest.fixture
 def square_measure_path(tmp_path):
     return write_measure(tmp_path / "sq.json", [(t, 2.0) for t in SQ])
@@ -283,6 +287,38 @@ class TestVerifyAndMeasure:
         assert json.loads(captured.err) == {"error": "SchemaError",
                                             "message": "tol: must be a positive finite number"}
 
+    def regular_body_and_constant_density(self, tmp_path, n):
+        body = tmp_path / "body.json"
+        body.write_text(json.dumps({"normals_theta": list(np.arange(n) * (2 * math.pi / n)),
+                                    "support": [1.0] * n}))
+        return str(body), write_measure(tmp_path / "const.json", [], constant_density())
+
+    @pytest.mark.parametrize("m", ["8193", "16384"])
+    def test_m_above_m_max_exit_1(self, tmp_path, capsys, monkeypatch, m):
+        # a 4-facet body: the limit is m_max, and the refusal comes before any grid
+        body, spec_path = self.regular_body_and_constant_density(tmp_path, 4)
+        monkeypatch.setattr(lpmink.pipeline, "discretize_symmetric", no_grid)
+        rc = main(["verify", "--body", body, "--input", spec_path, "--p", "0.5", "--m", m])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "SchemaError",
+            "message": f"m: resolution {m} is above max(m_max, facets) = 8192, "
+                       "the largest grid resolution"}
+
+    def test_m_up_to_the_facet_count_is_allowed(self, tmp_path, capsys, monkeypatch):
+        # under m_max = 64 a 100-facet body still takes --m 100, not 101
+        monkeypatch.setattr(lpmink.cli, "PipelineConfig",
+                            lambda: lpmink.PipelineConfig(m0=64, m_max=64))
+        body, spec_path = self.regular_body_and_constant_density(tmp_path, 100)
+        args = ["verify", "--body", body, "--input", spec_path, "--p", "0.5", "--m"]
+        assert main(args + ["100"]) == 0
+        assert "residual" in json.loads(capsys.readouterr().out)
+        assert main(args + ["101"]) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            "m: resolution 101 is above max(m_max, facets) = 100, the largest grid resolution")
+
     def test_measure_of_square(self, tmp_path, capsys):
         body = tmp_path / "body.json"
         body.write_text(json.dumps({
@@ -453,6 +489,25 @@ class TestDiscretizeCommand:
         assert json.loads(captured.err)["message"] == (
             "symmetry C100000000: rotation order 100000000 is above m_max = 8192, "
             "the largest grid resolution")
+
+    @pytest.mark.parametrize("m", ["8193", "16384"])
+    def test_m_above_m_max_exit_1(self, tmp_path, capsys, monkeypatch, m):
+        # refused before any grid is built: --m 16384 would bin 32,766 atoms
+        spec_path = write_measure(tmp_path / "const.json", [], constant_density())
+        monkeypatch.setattr(lpmink.pipeline, "discretize_symmetric", no_grid)
+        rc = main(["discretize", "--input", spec_path, "--m", m])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "SchemaError",
+            "message": f"m: resolution {m} is above m_max = 8192, the largest grid resolution"}
+
+    def test_m_at_m_max_prints_its_grid(self, tmp_path, capsys):
+        # 2 * 3 * floor(8192 / 3) arcs, every one with density mass
+        spec_path = write_measure(tmp_path / "const.json", [], constant_density())
+        assert main(["discretize", "--input", spec_path, "--m", "8192"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["atoms"]) == 16380
 
     def test_a_group_order_above_m_still_prints_its_grid(self, tmp_path, capsys):
         # C100 at --m 64: 2 * 100 * 2 arcs, every one with density mass

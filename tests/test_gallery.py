@@ -45,7 +45,7 @@ class TestBoundaryGraphProfile:
 
     def test_origin_on_boundary(self):
         for n, p in [(2, 0.5), (3, 0.5), (3, 0.9)]:
-            prof = boundary_graph_profile(p, n, r_min=1e-6)
+            prof = boundary_graph_profile(p, n)
             assert prof.h[0] < 1e-10
             assert np.all(np.diff(prof.h) > 0)
 

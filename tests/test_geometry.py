@@ -421,7 +421,7 @@ def reference_polygon_from_support(normals, support):
     for i in range(n):
         j = int(np.searchsorted(theta, theta[i] + math.pi - 1e-9))
         while j < n and theta[j] <= theta[i] + math.pi + 1e-9:
-            if angles_antipodal(theta[i], theta[j], 1e-9) and h[i] + h[j] < -tol:
+            if angles_antipodal(theta[i], theta[j]) and h[i] + h[j] < -tol:
                 raise EmptyBodyError(
                     f"antipodal constraints at angles {theta[i]:.6g}, {theta[j]:.6g} "
                     f"leave no feasible point (h_i + h_j = {h[i] + h[j]:.3g} < 0)"

@@ -1,8 +1,9 @@
 """Module ownership: each job lives in the module that owns it.
 
-No lpmink module imports another's underscore-prefixed name, the planar
-measure module defines nothing 3-D, and the package still exports the
-3-D measure from the gallery, its only user.
+No lpmink module imports another's underscore-prefixed name or reads an
+underscore-prefixed attribute of any object but self, the planar measure
+module defines nothing 3-D, and the package still exports the 3-D measure
+from the gallery, its only user.
 """
 
 import ast
@@ -28,6 +29,18 @@ def private_imports(path):
     return found
 
 
+def private_attribute_reads(path):
+    """(line, expression) of each underscore-prefixed attribute, dunders
+    aside, that the file reads on an object other than self."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
 def test_no_module_imports_another_modules_private_name():
     modules = sorted(SRC.glob("*.py"))
     assert {p.name for p in modules} >= {"gallery.py", "measure.py", "cli.py"}
@@ -41,6 +54,19 @@ def test_the_checker_sees_a_private_import(tmp_path):
                     "from lpmink.geometry import _clears_margin\n"
                     "from numpy import _private\n")
     assert private_imports(path) == [("measure", "_fan_area"), ("lpmink.geometry", "_clears_margin")]
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    offenders = {p.name: private_attribute_reads(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_checker_sees_a_private_attribute_read(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f(self, spec):\n"
+                    "    x = self._cache, self.__class__, spec.__dict__\n"
+                    "    return spec.density._t + x._f\n")
+    assert private_attribute_reads(path) == [(3, "spec.density._t"), (3, "x._f")]
 
 
 def test_the_3d_measure_lives_in_the_gallery():

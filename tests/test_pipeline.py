@@ -1061,12 +1061,12 @@ def assert_union_find_orbits(orb, normals, G):
     assert all(rows.flags.c_contiguous for rows in orb.blocks)
 
 
-def assert_stage_orbits(spec, G, l, m, axis=None):
-    """orbit_partition is the union-find on the atoms of the stage
-    discretize_symmetric(spec, G, l, m, axis), sorted, as solve_discrete
-    builds its orbits, and unsorted, the last atom moved to the front.
-    Returns the stage's atoms."""
-    t = discretize_symmetric(spec, G, l, m, axis).thetas
+def assert_stage_orbits(spec, G, l, m, grid=None):
+    """orbit_partition under G is the union-find on the atoms of the stage
+    discretize_symmetric(spec, grid, l, m), grid G by default, sorted, as
+    solve_discrete builds its orbits, and unsorted, the last atom moved to
+    the front.  Returns the stage's atoms."""
+    t = discretize_symmetric(spec, grid or G, l, m).thetas
     for normals in (t, np.roll(t, 1)):
         assert_union_find_orbits(orbit_partition(normals, G), normals, G)
     return t
@@ -1200,13 +1200,14 @@ class TestGridOrbits:
         assert len(t) == 2 * len(cuts) and np.isin(cuts, t).all()
 
     def test_half_grid_reflects_across_the_semicircle_centre(self, rng):
-        # the half group's axis lin(w) is not the grid's axis lin(v)
+        # the half group's axis lin(w) is not the grid's axis lin(v): the
+        # grid is D2's at v, which holds both reflections
         for _ in range(4):
             spec, _ = semicircle_manufactured_spec(0.5, float(rng.uniform(0.0, TWO_PI)))
             cls = classify_spec(spec)
             H = pipeline.half_group(SymmetryGroup.dihedral(1, cls.w), cls.w)
             for m in (64, 128, 256):
-                t = assert_stage_orbits(spec, H, 4, m // 4, cls.v)
+                t = assert_stage_orbits(spec, H, 4, m // 4, SymmetryGroup.dihedral(2, cls.v))
                 assert np.array_equal(t, pipeline.stage_measure(spec, m, H, cls).thetas)
 
     @pytest.mark.parametrize("G", [SymmetryGroup.cyclic(4), SymmetryGroup.dihedral(5, 0.4)],
@@ -1231,15 +1232,6 @@ class TestGridOrbits:
             solved(np.delete(arcs, 3))
         with pytest.raises(NotSymmetricError, match=f"{lacks}normal at .* not in the set"):
             solved(np.delete(arcs, np.arange(3, 3 + G.order_k)))
-
-    def test_a_grid_off_the_group_axis_raises(self):
-        # the grid, not the measure, is at fault: 0.3 is no multiple of pi / 32
-        G = SymmetryGroup.dihedral(1, 0.3)
-        with pytest.raises(ValueError, match="grid axis 0 is not an axis of D1:0.3: it differs "
-                                             "from 0.3 by no multiple of pi / 32"):
-            discretize_symmetric(invariant_density_spec(G, 0.3), G, 4, 8, axis=0.0)
-        axis = 0.3 + 3 * math.pi / 32
-        assert discretize_symmetric(invariant_density_spec(G, 0.3), G, 4, 8, axis=axis).n == 64
 
     @pytest.mark.parametrize("k, dihedral, knots", [(4, False, 4096), (5, True, 4000)])
     def test_bench_densities_match_union_find_orbits(self, monkeypatch, k, dihedral, knots):
@@ -1269,6 +1261,29 @@ class TestGridOrbits:
         assert np.array_equal(P.normals, Q.normals)
         assert np.array_equal(P.support, Q.support)
         assert np.array_equal(P.vertices, Q.vertices)
+
+
+class TestHalfGrid:
+    """stage_measure on a closed semicircle is discretize's grid under D1 at
+    the semicircle's end v, or D2 at v when the caller's group keeps the
+    reflection across the semicircle's centre lin(w)."""
+
+    @pytest.mark.parametrize("psi", [0.4, 2.1, 5.3])
+    def test_is_discretize_under_d1_or_d2_at_the_end(self, psi):
+        workloads = import_bench_module("workloads")
+        spec = measure_spec_from_dict(json.loads(workloads.semicircle_density(0.5, psi).measure_json))
+        cls = classify_spec(spec)
+        assert cls.tag == SEMICIRCLE
+        for G, k, counts in ((SymmetryGroup.trivial(), 1, (64, 127, 256)),
+                             (SymmetryGroup.dihedral(1, cls.w), 2, (65, 129, 257))):
+            for m, n in zip((64, 128, 256), counts):
+                mu = pipeline.stage_measure(spec, m, G, cls)
+                grid = discretize(spec, m, SymmetryGroup.dihedral(k, cls.v))
+                assert mu.thetas.tobytes() == grid.thetas.tobytes()
+                assert mu.masses.tobytes() == grid.masses.tobytes()
+                assert mu.n == n
+                for end in (cls.v, cls.v - math.pi):  # both ends are atoms
+                    assert geometry.circular_distances(mu.thetas, end).min() <= 1e-15
 
 
 class TestNoSweepOnAllActiveSolves:
