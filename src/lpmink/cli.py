@@ -217,14 +217,13 @@ def cmd_gallery(args) -> int:
     if args.kind == "origin-boundary":
         profile = boundary_graph_profile(args.p, args.n, args.samples)
         return _send(list(profile.rows()), args.output, write_csv)
-    if args.kind == "unbounded-3d":
-        m_list = [int(x) for x in args.m_list.split(",")] if args.m_list else [args.m]
-        _send(unbounded_limit_table(args.p, m_list), args.output, write_csv)
-        if args.json:
-            inst = unbounded_polytope_3d(args.p, m_list[-1])
-            write_canonical(inst.to_dict(), args.json)
-        return EXIT_OK
-    raise SchemaError(f"gallery: unknown kind {args.kind!r}")
+    # unbounded-3d, the one other kind the parser's choices admit
+    m_list = [int(x) for x in args.m_list.split(",")] if args.m_list else [args.m]
+    _send(unbounded_limit_table(args.p, m_list), args.output, write_csv)
+    if args.json:
+        inst = unbounded_polytope_3d(args.p, m_list[-1])
+        write_canonical(inst.to_dict(), args.json)
+    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):

@@ -151,8 +151,6 @@ class Polytope3Instance:
     facets: list              # vertex index cycles
     normals: np.ndarray       # (5, 3) outward unit facet normals
 
-    FACET_NAMES = ("front", "left", "right", "top", "bottom")
-
     def translated_vertices(self) -> np.ndarray:
         shift = np.array([self.t, 0.0, 0.0])
         return self.vertices - shift

@@ -27,6 +27,7 @@ TWO_PI = 2.0 * math.pi
 # Tolerance regime (absolute, for coordinates of order one; callers at other
 # scales pre-normalize).
 ANGLE_TOL = 1e-12     # sorting / dedup of normal angles
+ATOM_MERGE_TOL = 1e-9  # directions closer than this are one direction (one atom)
 GEOM_TOL = 1e-10      # vertex / constraint satisfaction
 EDGE_TOL = 1e-12      # edges shorter than this are flagged inactive
 
@@ -63,7 +64,21 @@ def circular_distances(a, b) -> np.ndarray:
 
 
 def angles_antipodal(a: float, b: float) -> bool:
-    return abs(circular_distance(a, b) - math.pi) <= 1e-9
+    return abs(circular_distance(a, b) - math.pi) <= ATOM_MERGE_TOL
+
+
+def nearest_angles(sorted_t: np.ndarray, x):
+    """(j, d): for each angle x[i] in [0, 2 pi], j[i] the nearer of its two
+    cyclic neighbours among the n sorted angles sorted_t, (k - 1) % n and
+    k % n for its insertion point k, ties to the lower index, and d[i] the
+    circular distance to it.  On a sorted set the nearest of all n angles is
+    one of the two."""
+    k = np.searchsorted(sorted_t, x)
+    a, b = (k - 1) % len(sorted_t), k % len(sorted_t)
+    cand = np.array((np.minimum(a, b), np.maximum(a, b)))
+    d = circular_distances(sorted_t[cand], x)
+    first = d[0] <= d[1]
+    return np.where(first, cand[0], cand[1]), np.where(first, d[0], d[1])
 
 
 def unit_vector(theta: float) -> np.ndarray:
@@ -453,8 +468,9 @@ def _check_antipodal_pairs(theta: np.ndarray, h: np.ndarray) -> None:
     if 2.0 * h.min() >= -GEOM_TOL:
         return
     n = theta.size
-    lo = np.searchsorted(theta, theta + math.pi - 1e-9)
-    count = np.maximum(np.searchsorted(theta, theta + math.pi + 1e-9, side="right") - lo, 0)
+    lo = np.searchsorted(theta, theta + math.pi - ATOM_MERGE_TOL)
+    count = np.maximum(
+        np.searchsorted(theta, theta + math.pi + ATOM_MERGE_TOL, side="right") - lo, 0)
     i = np.repeat(np.arange(n), count)
     j = lo[i] + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
     empty = h[i] + h[j] < -GEOM_TOL
@@ -653,9 +669,10 @@ def in_positive_hull(theta: float, generators) -> bool:
 def group_orbit_map(normals: np.ndarray, A: Isometry2) -> np.ndarray:
     """The index map sending each normal to its image under A, the nearer
     of the image's two cyclic neighbours among the sorted normals, ties to
-    the later one, when it lies within 1e-9; NotClosedUnderGroupError names
-    the first normal whose image is not in the set.  Only the traced
-    benchmark still wraps it; no lpmink code path calls it."""
+    the later one, when it lies within ATOM_MERGE_TOL;
+    NotClosedUnderGroupError names the first normal whose image is not in
+    the set.  Only the traced benchmark still wraps it; no lpmink code path
+    calls it."""
     theta = canonical_angles(normals)
     n = len(theta)
     image = A.apply_angles(theta)
@@ -664,8 +681,8 @@ def group_orbit_map(normals: np.ndarray, A: Isometry2) -> np.ndarray:
     j = np.searchsorted(sorted_theta, image)
     cand = np.stack([j - 1, j]) % n
     d = circular_distances(sorted_theta[cand], image)
-    later = d[1] <= np.minimum(d[0], 1e-9)
-    hit = later | (d[0] <= 1e-9)
+    later = d[1] <= np.minimum(d[0], ATOM_MERGE_TOL)
+    hit = later | (d[0] <= ATOM_MERGE_TOL)
     if not hit.all():
         i = int(np.argmin(hit))
         raise NotClosedUnderGroupError(

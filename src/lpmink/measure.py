@@ -19,19 +19,19 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .geometry import (
+    ATOM_MERGE_TOL,
     TWO_PI,
     Isometry2,
     Polygon,
+    angles_antipodal,
     canonical_angle,
     canonical_angles,
-    circular_distance,
     circular_gaps,
     cyclic_shift,
     edge_midpoints,
+    nearest_angles,
     unit_vector,
 )
-
-ATOM_MERGE_TOL = 1e-9  # angles closer than this are one atom
 
 GENERAL_POSITION = "general-position"
 SINGLE_DIRECTION = "single-direction"
@@ -105,11 +105,10 @@ class DiscreteMeasure:
         return math.fsum(self.masses.tolist())
 
     def mass_at(self, theta: float, tol: float = ATOM_MERGE_TOL) -> float:
-        t = canonical_angle(theta)
-        for a, m in zip(self.thetas, self.masses):
-            if circular_distance(a, t) <= tol:
-                return float(m)
-        return 0.0
+        """The mass of the atom nearest theta (nearest_angles), 0 when it is
+        more than tol away."""
+        j, d = nearest_angles(self.thetas, canonical_angle(theta))
+        return float(self.masses[j]) if d <= tol else 0.0
 
     def pushforward(self, A: Isometry2) -> "DiscreteMeasure":
         return DiscreteMeasure(A.apply_angles(self.thetas), self.masses.copy())
@@ -212,8 +211,6 @@ class MeasureClass:
 def classify(mu: DiscreteMeasure) -> MeasureClass:
     """Classify atomic support: general position, single direction,
     antipodal pair, or concentrated on a closed semicircle."""
-    if mu.n == 0:
-        raise EmptyMeasureError("cannot classify the zero measure")
     if mu.n == 1:
         w = float(mu.thetas[0])
         return MeasureClass(SINGLE_DIRECTION, 0.0, v=canonical_angle(w + math.pi / 2), w=w)
@@ -342,7 +339,7 @@ def chord_mass_bound(P: Polygon, i1: int, i2: int, u_theta: float, p: float):
         if not (0 <= i < P.n) or not P.active[i]:
             raise PreconditionViolatedError(f"edge index {name}={i} is not an active edge")
     th1, th2 = float(P.normals[i1]), float(P.normals[i2])
-    if abs(circular_distance(th1, th2) - math.pi) <= 1e-9:
+    if angles_antipodal(th1, th2):
         raise PreconditionViolatedError("edges are opposite (antipodal normals)")
     x1, x2 = edge_midpoints(P, (i1, i2))
     nu2 = unit_vector(th2)

@@ -30,7 +30,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from .errors import (
     NotClosedUnderGroupError,
 )
 from .geometry import (
+    ATOM_MERGE_TOL,
     Polygon,
     SymmetryGroup,
     TWO_PI,
@@ -53,12 +54,12 @@ from .geometry import (
     circular_distances,
     circular_gaps,
     cyclic_shift,
+    nearest_angles,
     polygon_from_support,
     unit_vectors,
 )
 from .measure import (
     ANTIPODAL_PAIR,
-    ATOM_MERGE_TOL,
     GENERAL_POSITION,
     SEMICIRCLE,
     SINGLE_DIRECTION,
@@ -133,19 +134,10 @@ class SolveReport:
     loop_history: list | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "residual": self.residual,
-            "outer_iters": self.outer_iters,
-            "newton_iters": self.newton_iters,
-            "classification": self.classification,
-            "symmetry": self.symmetry,
-            "warnings": list(self.warnings),
-        }
-        if self.m_final is not None:
-            d["m_final"] = self.m_final
-        if self.loop_history is not None:
-            d["loop_history"] = self.loop_history
-        return d
+        """Every field that is not None, shallow, with warnings copied."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["warnings"] = list(self.warnings)
+        return {key: value for key, value in d.items() if value is not None}
 
 
 @dataclass(eq=False)
@@ -175,11 +167,12 @@ def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
     sorted normals t (a measure's thetas already are).  Rotation by 2 pi / k
     keeps cyclic order, so on an invariant set it maps t[i] to t[i + n / k]
     and G's reflection, which reverses it, maps t[i] to t[c - i] (mod n),
-    c the normal nearest to the image of t[0].  One check per generator
-    confirms each map within ATOM_MERGE_TOL.  An orbit is then the rotation
-    images of an r < n / k and, for a dihedral G, of its mirror index, a
-    block row listing its input indices in increasing order.  Sets not
-    invariant, n not a multiple of k included, raise NotClosedUnderGroupError."""
+    c the normal nearest to the image of t[0] (nearest_angles, a tie to the
+    lower index).  One check per generator confirms each map within
+    ATOM_MERGE_TOL.  An orbit is then the rotation images of an r < n / k
+    and, for a dihedral G, of its mirror index, a block row listing its
+    input indices in increasing order.  Sets not invariant, n not a
+    multiple of k included, raise NotClosedUnderGroupError."""
     t = np.asarray(normals, dtype=float)
     order = None
     if not (t[1:] > t[:-1]).all():
@@ -199,8 +192,7 @@ def orbit_partition(normals, G: SymmetryGroup) -> OrbitStructure:
     maps = [] if k == 1 else [(cyclic_shift(t, -s), t + TWO_PI / k)]
     if G.kind == "dihedral":
         image = 2.0 * G.axis - t
-        j = int(np.searchsorted(t, image[0] % TWO_PI)) % n
-        c = min(j - 1, j, key=lambda x: circular_distance(t[x], image[0])) % n
+        c = int(nearest_angles(t, image[0] % TWO_PI)[0])
         maps.append((cyclic_shift(t[::-1], c + 1), image))
         q = (c - r) % s  # r's mirror index, up to rotation
         pair = r < q
@@ -236,10 +228,10 @@ def invariant_orbits(thetas: np.ndarray, masses: np.ndarray, G: SymmetryGroup):
 
 def _not_closed(t, y, off, G: SymmetryGroup) -> NotClosedUnderGroupError:
     """The error for sorted normals t whose images y miss their index map
-    where off holds: the first normal whose image has no normal within the
-    tolerance, else (normals closer than twice it) the first one off."""
-    j = np.searchsorted(t, y) % len(t)
-    near = circular_distances(t[np.stack((j - 1, j))], y).min(axis=0) <= ATOM_MERGE_TOL
+    where off holds: the first normal whose image has no normal within
+    ATOM_MERGE_TOL (nearest_angles), else (normals closer than twice it)
+    the first one off."""
+    near = nearest_angles(t, y)[1] <= ATOM_MERGE_TOL
     if near.all():
         return NotClosedUnderGroupError(f"the images of the normal at {t[np.argmax(off)]:.12g} "
                                         f"under {G.label()} do not form an orbit")
@@ -422,28 +414,16 @@ def optimal_anchor(P: Polygon, mu: DiscreteMeasure, p: float) -> np.ndarray:
         unit_vectors(mu.thetas), mu.masses, P.support_values(mu.thetas), p, xi0)
 
 
-def _cyclic_neighbours(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The two cyclic neighbours in the n sorted angles grid of each angle
-    x[i], (k - 1) % n and k % n for its insertion point k: the lower index
-    in row 0, the higher in row 1.  Only at the seam, k = 0 or k = n, is
-    (k - 1) % n the higher one."""
-    k = np.searchsorted(grid, x)
-    a, b = (k - 1) % len(grid), k % len(grid)
-    return np.array((np.minimum(a, b), np.maximum(a, b)))
-
-
 def measure_residual(P: Polygon, mu: DiscreteMeasure, p: float) -> float:
     """Relative per-atom mismatch of S_{P,p} against mu, plus any boundary
-    mass sitting off the support of mu (relative to mu's total mass)."""
+    mass sitting off the support of mu (relative to mu's total mass).  Each
+    atom of mu is matched to the circularly nearest atom of nu
+    (nearest_angles, a tie to the lower index) when that lies within
+    ATOM_MERGE_TOL; an atom of nu no atom of mu matches is off the support."""
     nu = lp_surface_measure(P, p)
     total = mu.total_mass()
-    # Each atom of mu is matched to the circularly nearest atom of nu, which
-    # is one of its two cyclic neighbours (nu's atoms lie more than
-    # ATOM_MERGE_TOL apart); a tie goes to the lower index.
-    cand = _cyclic_neighbours(nu.thetas, mu.thetas)
-    d = circular_distances(nu.thetas[cand], mu.thetas)
-    j = np.where(d[0] <= d[1], cand[0], cand[1])
-    hit = d.min(axis=0) <= ATOM_MERGE_TOL
+    j, d = nearest_angles(nu.thetas, mu.thetas)
+    hit = d <= ATOM_MERGE_TOL
     got = np.where(hit, nu.masses[j], 0.0)
     matched = np.zeros(nu.n, dtype=bool)
     matched[j[hit]] = True
@@ -664,14 +644,17 @@ def half_group(G: SymmetryGroup, w: float) -> SymmetryGroup:
     atom at w included, can be invariant under: the trivial group, or D1
     across lin(w) restated with the axis w itself; any other G raises
     NotSymmetricError.  The reflection across lin(v), v = w + pi / 2, maps
-    the semicircle onto the opposite one.  Only the group is looked at: the
-    measure's own invariance is invariant_orbits' test."""
+    the semicircle onto the opposite one.  Two axis lines are one when
+    their doubled angles are within 2 ATOM_MERGE_TOL, the same-direction
+    test on doubled angles.  Only the group is looked at: the measure's own
+    invariance is invariant_orbits' test."""
     if G.is_trivial:
         return G
+    tol = 2 * ATOM_MERGE_TOL
     if G.kind == "dihedral" and G.order_k == 1:  # lin(a) = lin(b) when 2 a = 2 b mod 2 pi
-        if circular_distance(2.0 * G.axis, 2.0 * w) <= 2e-9:
+        if circular_distance(2.0 * G.axis, 2.0 * w) <= tol:
             return SymmetryGroup.dihedral(1, w)
-        if circular_distance(2.0 * G.axis, 2.0 * w + math.pi) <= 2e-9:  # 2 v = 2 w + pi
+        if circular_distance(2.0 * G.axis, 2.0 * w + math.pi) <= tol:  # 2 v = 2 w + pi
             raise NotSymmetricError(f"measure is not invariant under {G.label()}: it maps "
                                     "the support's semicircle onto the opposite one")
     raise NotSymmetricError(f"symmetry {G.label()} is incompatible with a "

@@ -13,6 +13,7 @@ import pytest
 
 import lpmink
 from lpmink.cli import main, parse_symmetry
+from lpmink.errors import SchemaError
 from lpmink.geometry import SymmetryGroup
 from lpmink.pipeline import NO_CONVERGENCE_WARNING
 from lpmink.serialization import dumps_canonical
@@ -201,6 +202,30 @@ class TestSolveCommand:
     def test_a_negative_zero_axis_is_labelled_zero(self):
         G = parse_symmetry("D2:-0")
         assert G == SymmetryGroup.dihedral(2, 0.0) and G.label() == "D2:0"
+
+    @pytest.mark.parametrize("text, message", [
+        ("auto", "symmetry: 'auto' needs a measure to inspect"),
+        ("X5", "symmetry: unknown spec 'X5' (none|C<k>|D<k>:<axis>|auto)"),
+    ])
+    def test_parse_symmetry_refusals(self, text, message):
+        with pytest.raises(SchemaError) as exc:
+            parse_symmetry(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "$: input file not found: "),
+        ("{", "$: invalid JSON in "),
+    ], ids=["missing", "invalid"])
+    def test_unreadable_input_exit_1(self, tmp_path, capsys, content, message):
+        path = tmp_path / "in.json"
+        if content is not None:
+            path.write_text(content)
+        rc = main(["solve", "--input", str(path), "--output",
+                   str(tmp_path / "x.json"), "--p", "0.5"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError" and err["message"].startswith(message + str(path))
+        assert not (tmp_path / "x.json").exists()
 
     def test_invalid_p_exit_1(self, tmp_path, square_measure_path):
         rc = main(["solve", "--input", square_measure_path, "--output",

@@ -8,7 +8,10 @@ import pytest
 from conftest import graph_gauss_curvature_fd
 
 from lpmink import (
+    DiscreteMeasure3,
+    OriginOutsideError,
     boundary_graph_profile,
+    lp_surface_measure_3d,
     unbounded_limit_table,
     unbounded_polytope_3d,
 )
@@ -70,6 +73,16 @@ class TestBoundaryGraphProfile:
             boundary_graph_profile(-1.5, 2)  # p <= 2 - n
         with pytest.raises(InvalidExponentError):
             boundary_graph_profile(1.0, 2)
+
+    @pytest.mark.parametrize("args, error, match", [
+        ((0.5, 1), InvalidExponentError, "need dimension n >= 2"),
+        ((0.5, 2, 7), ValueError, "need at least 8 radial samples"),
+        # p passes the range check, but n + p - 2 rounds to 2.0
+        ((1 - 1e-16, 3), InvalidExponentError, r"exponent q = 2\.0 fails q > 2"),
+    ], ids=["n-1", "samples-7", "q-rounds-to-2"])
+    def test_refusals(self, args, error, match):
+        with pytest.raises(error, match=match):
+            boundary_graph_profile(*args)
 
     def test_csv_roundtrip(self, tmp_path):
         prof = boundary_graph_profile(0.5, 2, samples=16)
@@ -164,3 +177,19 @@ class TestUnboundedPolytope:
         assert len(d["vertices"]) == 6
         assert len(d["facets"]) == 5
         assert len(d["normals"]) == 5
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: DiscreteMeasure3(np.eye(3), [1.0, 0.0, 1.0]), ValueError,
+         "masses must be positive"),
+        # one facet in the plane z = -1 with outward normal +z
+        (lambda: lp_surface_measure_3d([[0, 0, -1], [1, 0, -1], [0, 1, -1]], [[0, 1, 2]],
+                                       [[0.0, 0.0, 1.0]], 0.5),
+         OriginOutsideError, "facet support negative: origin outside polytope"),
+        (lambda: unbounded_polytope_3d(1.0, 10), ValueError, r"p must lie in \(0, 1\)"),
+        (lambda: unbounded_polytope_3d(0.5, 1), ValueError, "need m >= 2"),
+    ], ids=["mass-0", "origin-outside", "p-1", "m-1"])
+    def test_refusal(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

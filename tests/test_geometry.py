@@ -1215,3 +1215,59 @@ class TestGroups:
         A = Isometry2("reflection", 1.1)
         probe = np.array([0.0, 0.7, 1.1, 3.0, 5.9])
         assert circular_distances(A.apply_angles(A.apply_angles(probe)), probe).max() <= 1e-12
+
+
+class TestNearestAngles:
+    """nearest_angles against the argmin over all n angles (np.argmin takes
+    the lowest index on a tie), value for value."""
+
+    @staticmethod
+    def all_angles_argmin(sorted_t, x):
+        d = geometry.circular_distances(sorted_t[:, None], x[None, :])
+        j = d.argmin(axis=0)
+        return j, d[j, np.arange(len(x))]
+
+    def test_matches_the_all_angles_argmin(self, rng):
+        two_pi = 2 * math.pi
+        for n in (1, 2, 3, 5, 40):
+            for _ in range(20):
+                t = np.sort(rng.uniform(0.0, two_pi, n))
+                x = np.concatenate([  # both sides of the seam, and the atoms
+                    [0.0, np.nextafter(two_pi, 0.0), two_pi, t[0], t[-1]],
+                    rng.uniform(0.0, t[0], 5), rng.uniform(t[-1], two_pi, 5),
+                    rng.uniform(0.0, two_pi, 20)])
+                j, d = geometry.nearest_angles(t, x)
+                want_j, want_d = self.all_angles_argmin(t, x)
+                assert np.array_equal(j, want_j) and np.array_equal(d, want_d), n
+
+    def test_exact_ties_go_to_the_lower_index(self):
+        # 1 + 2^-21 is halfway between atoms 1 and 2; 0 and 2 pi are 0.25
+        # from atoms 0 and 4, across the seam: every distance is exact
+        t = np.array([0.25, 1.0, 1.0 + 2.0**-20, 3.0, 2 * math.pi - 0.25])
+        x = np.array([1.0 + 2.0**-21, 0.0, 2 * math.pi])
+        j, d = geometry.nearest_angles(t, x)
+        assert j.tolist() == [1, 0, 0] and d.tolist() == [2.0**-21, 0.25, 0.25]
+        want_j, want_d = self.all_angles_argmin(t, x)
+        assert np.array_equal(j, want_j) and np.array_equal(d, want_d)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: Isometry2("shear", 0.0), "unknown isometry kind 'shear'"),
+        (lambda: SymmetryGroup("affine"), "unknown group kind 'affine'"),
+        (lambda: SymmetryGroup("cyclic", 0), "group order must be >= 1"),
+        (lambda: polygon_from_support(SQ_NORMALS, [1.0] * 3),
+         "normals and support must be 1-D arrays of equal length"),
+        (lambda: polygon_from_support([0.0, 2.0, 4.0, 2 * math.pi - 1e-13], [1.0] * 4),
+         "duplicate normal angles across the seam"),
+        (lambda: dilate(square(), 0.0), "dilation factor must be positive"),
+        (lambda: in_positive_hull(0.0, []), "need at least one generator"),
+    ], ids=["isometry-kind", "group-kind", "group-order", "shape", "seam", "dilate-0",
+            "no-generators"])
+    def test_value_error(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    def test_circular_gaps_of_no_angles(self):
+        gaps = circular_gaps([])
+        assert gaps.shape == (0,) and gaps.dtype == float

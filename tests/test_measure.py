@@ -85,6 +85,17 @@ class TestDiscreteMeasure:
         assert mu.total_mass() == pytest.approx(6.0)
         assert mu.mass_at(0.1) == pytest.approx(3.0)
 
+    def test_mass_at_reads_the_nearest_atom(self):
+        """Two atoms within the tolerance of theta, too far apart to merge:
+        mass_at reads the nearer one (the first in sorted order before),
+        across the seam too."""
+        mu = DiscreteMeasure([1.0 - 0.9e-9, 1.0 + 0.5e-9, 3.0], [1.0, 2.0, 4.0])
+        assert mu.n == 3
+        assert (mu.mass_at(1.0), mu.mass_at(1.0 - 0.5e-9), mu.mass_at(1.0 + 2e-9)) == (2.0, 1.0, 0.0)
+        seam = DiscreteMeasure([0.6e-9, 3.0, TWO_PI - 0.5e-9], [1.0, 2.0, 4.0])
+        assert seam.n == 3
+        assert (seam.mass_at(0.0), seam.mass_at(TWO_PI), seam.mass_at(0.2e-9)) == (4.0, 4.0, 1.0)
+
     def test_wraparound_merge(self):
         mu = DiscreteMeasure([1e-12, TWO_PI - 1e-12], [1.0, 1.0])
         assert mu.n == 1
@@ -439,3 +450,45 @@ class TestMeasureSpec:
         assert d.eval(math.pi / 2)[0] == pytest.approx(2.0)
         assert d.eval(3 * math.pi / 2)[0] == pytest.approx(2.0)
         assert d.eval(TWO_PI - 1e-12)[0] == pytest.approx(1.0, abs=1e-9)
+
+
+SQUARE = polygon_from_support(SQ, [1.0] * 4)
+# a triangle whose edge 0, on the line x = -0.1, has the origin outside it
+OFF_TRIANGLE = polygon_from_support([0.0, 2 * math.pi / 3, 4 * math.pi / 3], [-0.1, 1.0, 1.0])
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: DiscreteMeasure([0.0, 1.0], [1.0]), ValueError,
+         "thetas and masses must have equal length"),
+        (lambda: PiecewiseLinearDensity([0.0, 1.0], [1.0]), ValueError,
+         "density needs matching theta/f samples"),
+        (lambda: PiecewiseLinearDensity([], []), ValueError, "density needs matching theta/f"),
+        (lambda: PiecewiseLinearDensity([0.0, 1.0], [1.0, -1.0]), ValueError,
+         "density samples must be nonnegative"),
+        (lambda: MeasureSpec(atoms=[(0.0, 1.0)]), TypeError,
+         "atoms must be a DiscreteMeasure or None"),
+        (lambda: MeasureSpec(), EmptyMeasureError, "measure spec has zero total mass"),
+        (lambda: MeasureSpec(None, PiecewiseLinearDensity([0.0, 1.0], [0.0, 0.0])),
+         EmptyMeasureError, "measure spec has zero total mass"),
+        (lambda: lp_surface_measure(SQUARE, 0.0), ValueError, r"p must lie in \(0, 1\]"),
+        (lambda: lp_surface_measure(SQUARE, 1.5), ValueError, r"p must lie in \(0, 1\]"),
+        (lambda: chord_mass_bound(SQUARE, 0, 4, 0.0, 0.5), PreconditionViolatedError,
+         "edge index i2=4 is not an active edge"),
+        (lambda: chord_mass_bound(SQUARE, -1, 1, 0.0, 0.5), PreconditionViolatedError,
+         "edge index i1=-1 is not an active edge"),
+        (lambda: chord_mass_bound(
+            polygon_from_support([0.0, math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2],
+                                 [1.0, 10.0, 1.0, 1.0, 1.0]), 1, 2, 0.0, 0.5),
+         PreconditionViolatedError, "edge index i1=1 is not an active edge"),
+        (lambda: chord_mass_bound(SQUARE, 0, 2, 0.0, 0.5), PreconditionViolatedError,
+         r"edges are opposite \(antipodal normals\)"),
+        (lambda: chord_mass_bound(OFF_TRIANGLE, 0, 1, 5 * math.pi / 6, 0.5),
+         PreconditionViolatedError, r"origin outside the body \(h\(nu\(x1\)\) < 0\)"),
+    ], ids=["atom-lengths", "density-lengths", "density-empty", "density-negative",
+            "spec-atoms-type", "spec-empty", "spec-zero-density", "lp-p-0", "lp-p-1.5",
+            "chord-index-high", "chord-index-negative", "chord-inactive", "chord-antipodal",
+            "chord-origin-outside"])
+    def test_refusal(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

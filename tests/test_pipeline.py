@@ -106,6 +106,15 @@ class TestDiscretize:
 
 
 class TestDiscretizeSymmetric:
+    @pytest.mark.parametrize("G, l, m, error, match", [
+        (SymmetryGroup.trivial(), 2, 4, ValueError, "need l >= 3 and m >= 2"),
+        (SymmetryGroup.trivial(), 3, 1, ValueError, "need l >= 3 and m >= 2"),
+        (SymmetryGroup.cyclic(4), 6, 4, NotSymmetricError, "group order 4 does not divide l = 6"),
+    ])
+    def test_grid_refusals(self, G, l, m, error, match):
+        with pytest.raises(error, match=match):
+            discretize_symmetric(uniform_density_spec(), G, l, m)
+
     def test_uniform_c2_equal_atoms(self):
         spec = uniform_density_spec()
         mu = discretize_symmetric(spec, SymmetryGroup.cyclic(2), 4, 2)
@@ -764,6 +773,12 @@ class TestGroupOrderBound:
 
 
 class TestSolveRouting:
+    @pytest.mark.parametrize("p", [0.0, 1.0, math.nan])
+    def test_p_outside_the_open_unit_interval_is_refused(self, p):
+        spec = MeasureSpec(DiscreteMeasure([0.0, 1.5, 3.0, 4.5], [2.0] * 4), None)
+        with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+            solve(spec, p)
+
     def test_atomic_general_position(self):
         spec = MeasureSpec(DiscreteMeasure(
             [0.0, math.pi / 2, math.pi, 3 * math.pi / 2], [2.0] * 4), None)

@@ -468,6 +468,11 @@ class TestNumbersMustBeFinite:
         atoms = [{"theta": 0.1 * k, "mass": 1.0 - k} for k in range(3)]
         with pytest.raises(SchemaError, match=r"^atoms\[1\]\.mass: must be positive$"):
             measure_spec_from_dict({"atoms": atoms, "density": None})
+
+    def test_an_all_zero_density_is_refused(self):
+        density = {"theta": (TWO_PI * np.arange(8) / 8).tolist(), "f": [0.0] * 8}
+        with pytest.raises(SchemaError, match=r"^\$: measure spec has zero total mass$"):
+            measure_spec_from_dict({"atoms": [], "density": density})
         density = {"theta": [0.0, 2.0, 4.0], "f": [1.0, -0.5, 1.0]}
         with pytest.raises(SchemaError, match=r"^density\.f: samples must be nonnegative$"):
             measure_spec_from_dict({"atoms": [], "density": density})

@@ -38,6 +38,7 @@ from lpmink.errors import (
     AntipodalPairError,
     ConcentratedError,
     NoConvergenceError,
+    NoInteriorMaximizerError,
     NotClosedUnderGroupError,
     NotSymmetricError,
 )
@@ -45,7 +46,9 @@ from lpmink.geometry import (
     Isometry2,
     area,
     canonical_angles,
+    circular_distances,
     group_orbit_map,
+    nearest_angles,
     unit_vectors,
 )
 from lpmink import solver
@@ -98,6 +101,13 @@ class TestAnchorObjective:
 
 
 class TestOptimalAnchor:
+    def test_semicircle_measure_is_refused(self):
+        P = polygon_from_support(SQ, [1.0] * 4)
+        mu = DiscreteMeasure(SQ[:3], [1.0] * 3)
+        with pytest.raises(NoInteriorMaximizerError,
+                           match="measure concentrated on a closed semicircle"):
+            optimal_anchor(P, mu, 0.5)
+
     def test_symmetric_square_centers(self):
         P = polygon_from_support(SQ, [1.0] * 4)
         xi = optimal_anchor(P, square_measure(), 0.5)
@@ -189,6 +199,11 @@ class TestGradients:
 
 
 class TestSolveDiscrete:
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, math.nan])
+    def test_p_outside_the_open_unit_interval_is_refused(self, p):
+        with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+            solve_discrete(square_measure(), p)
+
     def test_square_closed_form(self):
         for p in (0.1, 0.5, 0.9):
             for alpha in (0.7, 2.0, 11.0):
@@ -1254,14 +1269,19 @@ def reference_measure_residual(P, mu, p):
 
 class TestMeasureResidualShortcuts:
     def test_candidates_equal_the_sorted_pair_at_the_seam(self, rng):
+        """nearest_angles picks from the pair (k - 1) % n, k % n, lower index
+        first, also at the seam (k = 0 or n), the nearer, a tie to the lower."""
         for n in (1, 2, 3, 40):
             grid = np.sort(rng.uniform(0.1, 2 * math.pi - 0.1, n))
             x = np.concatenate([[0.0, 0.05, grid[0], 2 * math.pi - 0.05, grid[-1]],
                                 rng.uniform(0.0, 2 * math.pi, 50)])
             k = np.searchsorted(grid, x)
             assert {0, n} <= set(k.tolist())
-            want = np.sort([(k - 1) % n, k % n], axis=0)
-            assert np.array_equal(solver._cyclic_neighbours(grid, x), want)
+            pair = np.sort([(k - 1) % n, k % n], axis=0)
+            d = circular_distances(grid[pair], x)
+            j, dist = nearest_angles(grid, x)
+            assert np.array_equal(j, np.where(d[0] <= d[1], pair[0], pair[1]))
+            assert np.array_equal(dist, d.min(axis=0))
 
     def test_total_mass_is_the_exact_sum(self, rng):
         for n in (1, 7, 1000):

@@ -157,6 +157,59 @@ def moved_line(head: str, old: str, new: str) -> tuple[str, bool]:
     return line, switched
 
 
+@contextlib.contextmanager
+def dump_files(name: str, dump_dir, against_dir):
+    """(dump, against): DIR/<name>.jsonl opened to write under dump_dir,
+    made if missing, and to read under against_dir; None for a directory
+    not given."""
+    with contextlib.ExitStack() as files:
+        dump = against = None
+        if dump_dir:
+            dump_dir.mkdir(parents=True, exist_ok=True)
+            dump = files.enter_context(open(dump_dir / f"{name}.jsonl", "w"))
+        if against_dir:
+            against = files.enter_context(open(against_dir / f"{name}.jsonl"))
+        yield dump, against
+
+
+class Ledger:
+    """The cases of one workload or sweep, in order, and their dumps: each
+    case's [head, text] line goes to the open file dump, and the open file
+    against, another tree's dump of the same cases, gives the case's text
+    there.  Either may be None.  noun names the cases in a refusal: a dump
+    that holds other cases, or more, ends the run."""
+
+    def __init__(self, dump, against, noun: str):
+        self.dump, self.against, self.noun = dump, against, noun
+        self.moved = self.switched = 0
+
+    def record(self, head: str, text: str):
+        """Dump the case, and when against holds another text for it, print
+        moved_line's line, count it and return that text; else None."""
+        if self.dump:
+            self.dump.write(json.dumps([head, text]) + "\n")
+        if not self.against:
+            return None
+        was_head, was = json.loads(self.against.readline() or "[null, null]")
+        if was_head != head:
+            self._refuse()
+        if was == text:
+            return None
+        line, switched = moved_line(head, was, text)
+        print(line)
+        self.moved += 1
+        self.switched += switched
+        return was
+
+    def finish(self) -> None:
+        """Refuse an against file that holds lines past the last case."""
+        if self.against and self.against.readline():
+            self._refuse()
+
+    def _refuse(self):
+        raise SystemExit(f"{self.against.name} holds other {self.noun}")
+
+
 def parse_seeds(text: str) -> list[int]:
     """"1-5" or "1,3,4" (ranges inclusive)."""
     seeds = []
@@ -180,14 +233,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     for name in names:
-        with contextlib.ExitStack() as files:
-            dump = against = None
-            if args.dump:
-                args.dump.mkdir(parents=True, exist_ok=True)
-                dump = files.enter_context(open(args.dump / f"{name}.jsonl", "w"))
-            if args.against:
-                against = files.enter_context(open(args.against / f"{name}.jsonl"))
-            digest, n, moved, switched = hashlib.sha256(), 0, 0, 0
+        with dump_files(name, args.dump, args.against) as (dump, against):
+            ledger = Ledger(dump, against, "cases")
+            digest, n = hashlib.sha256(), 0
             for seed in parse_seeds(args.seeds):
                 for case in workloads.generate(name, seed):
                     head = f"{name} {seed} {case.label}"
@@ -197,22 +245,11 @@ def main(argv=None) -> int:
                     n += 1
                     if args.per_case:
                         print(f"{head}: {hashlib.sha256(text).hexdigest()}")
-                    if dump:
-                        dump.write(json.dumps([head, out.decode()]) + "\n")
-                    if against:
-                        was_head, was = json.loads(against.readline() or "[null, null]")
-                        if was_head != head:
-                            raise SystemExit(f"{against.name} holds other cases")
-                        if was != out.decode():
-                            line, switch = moved_line(head, was, out.decode())
-                            print(line)
-                            moved += 1
-                            switched += switch
-            if against and against.readline():
-                raise SystemExit(f"{against.name} holds other cases")
+                    ledger.record(head, out.decode())
+            ledger.finish()
             print(f"{name}: {digest.hexdigest()} ({n} cases)")
             if against:
-                print(f"{name}: {moved} of {n} cases moved, {switched} switched")
+                print(f"{name}: {ledger.moved} of {n} cases moved, {ledger.switched} switched")
     return 0
 
 if __name__ == "__main__":

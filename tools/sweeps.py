@@ -52,8 +52,6 @@ sys.dont_write_bytecode = True  # no bytecode cache under tools/ or bench/
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import json  # noqa: E402
 import math  # noqa: E402
 import re  # noqa: E402
 import time  # noqa: E402
@@ -149,8 +147,9 @@ def run_sweep(name: str, trials, dump=None, against=None) -> dict:
     (None, inf) if none), moved, switched and the largest move of a trial
     ok on both sides (NaN if none).  dump and against are open files of
     output_digest-style lines, or None."""
-    solved = newton = moved = switched = 0
+    solved = newton = 0
     failures, n, largest = [], 0, math.nan
+    ledger = digest.Ledger(dump, against, "trials")
     causes, slowest, fastest = Counter(), (None, 0.0), (None, math.inf)
     start = time.perf_counter()
     for ident, run in trials:
@@ -171,20 +170,10 @@ def run_sweep(name: str, trials, dump=None, against=None) -> dict:
             causes[give_up_cause(out)] += 1
             slowest = max(slowest, (ident, took), key=lambda trial: trial[1])
             fastest = min(fastest, (ident, took), key=lambda trial: trial[1])
-        if dump:
-            dump.write(json.dumps([head, out]) + "\n")
-        if against:
-            was_head, was = json.loads(against.readline() or "[null, null]")
-            if was_head != head:
-                raise SystemExit(f"{against.name} holds other trials")
-            if was != out:
-                line, switch = digest.moved_line(head, was, out)
-                print(line)
-                moved += 1
-                switched += switch
-                old = digest.outcome(was)[1]
-                if old is not None and body is not None:
-                    largest = np.fmax(largest, digest.support_move(old, body)[0])
+        was = ledger.record(head, out)
+        old = None if was is None else digest.outcome(was)[1]
+        if old is not None and body is not None:
+            largest = np.fmax(largest, digest.support_move(old, body)[0])
     seconds = time.perf_counter() - start
     print(f"{name}: {solved} of {n} solved, {newton} Newton steps, {seconds:.2f} s")
     print(f"{name} failures: {' '.join(map(str, failures)) or 'none'}")
@@ -193,13 +182,12 @@ def run_sweep(name: str, trials, dump=None, against=None) -> dict:
         f"; slowest give-up {slowest[0]} {slowest[1]:.3f} s, "
         f"fastest {fastest[0]} {fastest[1]:.2g} s" if failures else ""))
     if against:
-        if against.readline():
-            raise SystemExit(f"{against.name} holds other trials")
-        print(f"{name}: {moved} of {n} moved, {switched} switched, "
+        ledger.finish()
+        print(f"{name}: {ledger.moved} of {n} moved, {ledger.switched} switched, "
               f"largest move ok -> ok {largest:.2e} of max h")
     return {"solved": solved, "n": n, "newton": newton, "failures": failures,
             "causes": dict(causes), "slowest": slowest, "fastest": fastest,
-            "moved": moved, "switched": switched, "largest": float(largest)}
+            "moved": ledger.moved, "switched": ledger.switched, "largest": float(largest)}
 
 
 def main(argv=None) -> int:
@@ -212,13 +200,7 @@ def main(argv=None) -> int:
                     help="name the trials that moved against a --dump of another tree")
     args = ap.parse_args(argv)
     for name in SWEEPS if args.sweep == "all" else [args.sweep]:
-        with contextlib.ExitStack() as files:
-            dump = against = None
-            if args.dump:
-                args.dump.mkdir(parents=True, exist_ok=True)
-                dump = files.enter_context(open(args.dump / f"{name}.jsonl", "w"))
-            if args.against:
-                against = files.enter_context(open(args.against / f"{name}.jsonl"))
+        with digest.dump_files(name, args.dump, args.against) as (dump, against):
             run_sweep(name, SWEEPS[name](), dump, against)
     return 0
 
